@@ -48,6 +48,7 @@ fn bench_device(c: &mut Criterion) {
             );
             let mut t = SimTime::ZERO;
             let mut pending = Vec::new();
+            let mut done = Vec::new();
             for i in 0..1_000u64 {
                 let kind = if i % 3 == 0 {
                     ReqKind::Write
@@ -63,7 +64,7 @@ fn bench_device(c: &mut Criterion) {
                 while d.busy() {
                     let dur = pending.pop().unwrap_or(SimDuration::from_micros(100));
                     t += dur;
-                    let (_, next) = d.complete(t);
+                    let (_, next) = d.complete_into(t, &mut done);
                     if let Some(nd) = next.started() {
                         pending.push(nd);
                     }

@@ -33,8 +33,8 @@ use crate::ops::{
 };
 use crate::queue::{BlockDevice, Dispatch, Member, ReqKind};
 use crate::shard::{
-    DiskTag, Ev, Fx, MetaOp, Msg, NetFx, SendIntent, ShardCell, ShardState, SHARD_DISK_STALLS,
-    SHARD_PARKED, SHARD_RESUMED,
+    Ev, Fx, MetaOp, Msg, NetFx, SendIntent, ShardCell, ShardState, SHARD_DISK_STALLS, SHARD_PARKED,
+    SHARD_RESUMED,
 };
 use crate::store::SampleStore;
 
@@ -159,6 +159,53 @@ impl ClusterTelemetry {
     }
 }
 
+/// Put one device's block-layer counters and distributions into the
+/// snapshot under the prefix `p` (`pfs.ost{i}` or `pfs.mdt`).
+fn put_dev<T>(snap: &mut MetricsSnapshot, p: &str, dev: &BlockDevice<T>, now: SimTime) {
+    let c = dev.counters(now);
+    for (field, v) in [
+        ("reads_completed", c.reads_completed),
+        ("writes_completed", c.writes_completed),
+        ("sectors_read", c.sectors_read),
+        ("sectors_written", c.sectors_written),
+        ("read_merges", c.read_merges),
+        ("write_merges", c.write_merges),
+        ("enqueued", c.enqueued),
+        ("wait_ns", c.wait_ns),
+        ("busy_ns", c.busy_ns),
+    ] {
+        snap.put(&format!("{p}.{field}"), MetricValue::Counter(v));
+    }
+    snap.put(
+        &format!("{p}.queue_depth"),
+        MetricValue::Stats(dev.depth_stats().clone()),
+    );
+    snap.put(
+        &format!("{p}.seek_sectors"),
+        MetricValue::Stats(dev.seek_stats().clone()),
+    );
+    snap.put(
+        &format!("{p}.service_us"),
+        MetricValue::Histogram(dev.service_time_hist().clone()),
+    );
+}
+
+/// Completion payload attached to MDT block requests.
+enum MdtTag {
+    /// Journal write completing a namespace mutation.
+    Journal {
+        token: OpToken,
+        client: NodeId,
+        dir: DirKey,
+    },
+    /// Inode read completing a lookup miss.
+    Lookup {
+        token: OpToken,
+        client: NodeId,
+        file: FileKey,
+    },
+}
+
 /// Metadata server state.
 struct MdsState {
     namespace: HashMap<FileKey, FileLayout>,
@@ -209,7 +256,7 @@ pub struct Cluster {
     ost_shard: Vec<usize>,
     /// The MDT device: realm-owned (metadata is not sharded). The
     /// journal is synchronous, so no write-back cache.
-    mdt_dev: BlockDevice<DiskTag>,
+    mdt_dev: BlockDevice<MdtTag>,
     dev_node: Vec<NodeId>,
     mds: MdsState,
     apps: Vec<AppState>,
@@ -239,7 +286,7 @@ pub struct Cluster {
     /// per-event heap allocation. Each user `std::mem::take`s the buffer,
     /// clears it, fills and drains it, then puts it back.
     scratch_chunks: Vec<Chunk>,
-    scratch_members: Vec<Member<DiskTag>>,
+    scratch_members: Vec<Member<MdtTag>>,
     /// The installed mitigation controller, ticked once per control
     /// interval; `None` on uncontrolled runs (the common case — every
     /// control-path check below is a cheap is-empty/is-none test).
@@ -821,17 +868,6 @@ impl Cluster {
         }
     }
 
-    fn layout_of(&mut self, file: FileKey) -> FileLayout {
-        if let Some(l) = self.mds.namespace.get(&file) {
-            return l.clone();
-        }
-        // Data op on a file never created in this run: auto-register with
-        // the default stripe (the file "already existed").
-        let l = self.make_layout(file, None);
-        self.mds.namespace.insert(file, l.clone());
-        l
-    }
-
     fn send(&mut self, now: SimTime, src: NodeId, dst: NodeId, payload: u64, msg: Msg) {
         if self.par {
             // Defer to the epoch barrier: NIC clocks must advance in
@@ -1067,44 +1103,16 @@ impl Cluster {
     /// state, so the snapshot is byte-stable across identical runs.
     fn metrics_snapshot(&self, now: SimTime) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        let put_dev = |snap: &mut MetricsSnapshot, p: &str, dev: &BlockDevice<DiskTag>| {
-            let c = dev.counters(now);
-            for (field, v) in [
-                ("reads_completed", c.reads_completed),
-                ("writes_completed", c.writes_completed),
-                ("sectors_read", c.sectors_read),
-                ("sectors_written", c.sectors_written),
-                ("read_merges", c.read_merges),
-                ("write_merges", c.write_merges),
-                ("enqueued", c.enqueued),
-                ("wait_ns", c.wait_ns),
-                ("busy_ns", c.busy_ns),
-            ] {
-                snap.put(&format!("{p}.{field}"), MetricValue::Counter(v));
-            }
-            snap.put(
-                &format!("{p}.queue_depth"),
-                MetricValue::Stats(dev.depth_stats().clone()),
-            );
-            snap.put(
-                &format!("{p}.seek_sectors"),
-                MetricValue::Stats(dev.seek_stats().clone()),
-            );
-            snap.put(
-                &format!("{p}.service_us"),
-                MetricValue::Histogram(dev.service_time_hist().clone()),
-            );
-        };
         // Shards hold contiguous ascending OST ranges, so walking them
         // in order reproduces the historical global device order.
         let mut i = 0usize;
         for sh in &self.shards {
             for dev in &sh.st.devices {
-                put_dev(&mut snap, &format!("pfs.ost{i}"), dev);
+                put_dev(&mut snap, &format!("pfs.ost{i}"), dev, now);
                 i += 1;
             }
         }
-        put_dev(&mut snap, "pfs.mdt", &self.mdt_dev);
+        put_dev(&mut snap, "pfs.mdt", &self.mdt_dev, now);
         // Shard-side counters (fault/control activity on the server
         // shards) fold into the same snapshot keys the sequential
         // telemetry always used, via the canonical registry merge.
@@ -1442,11 +1450,20 @@ impl Cluster {
                     self.apps[app as usize].ranks[rank as usize].cur,
                     Some((_, OpKind::Read, _, _))
                 );
-                let layout = self.layout_of(file);
                 // Owned scratch: the loop body re-borrows `self` mutably.
                 let mut cs = std::mem::take(&mut self.scratch_chunks);
                 cs.clear();
-                chunks_into(&layout, offset, len, &mut cs);
+                match self.mds.namespace.get(&file) {
+                    Some(layout) => chunks_into(layout, offset, len, &mut cs),
+                    None => {
+                        // Data op on a file never created in this run:
+                        // auto-register with the default stripe (the
+                        // file "already existed").
+                        let layout = self.make_layout(file, None);
+                        chunks_into(&layout, offset, len, &mut cs);
+                        self.mds.namespace.insert(file, layout);
+                    }
+                }
                 self.apps[app as usize].ranks[rank as usize].outstanding = cs.len() as u32;
                 for c in cs.drain(..) {
                     let obj = ObjKey {
@@ -1604,7 +1621,7 @@ impl Cluster {
 
     /// Submit a metadata block request on the MDT and realise its
     /// dispatch outcome.
-    fn submit_mdt(&mut self, now: SimTime, kind: ReqKind, sector: u64, sectors: u64, tag: DiskTag) {
+    fn submit_mdt(&mut self, now: SimTime, kind: ReqKind, sector: u64, sectors: u64, tag: MdtTag) {
         let d = self.mdt_dev.submit(now, kind, sector, sectors, true, tag);
         self.mdt_dispatch(now, d);
     }
@@ -1681,7 +1698,7 @@ impl Cluster {
             ReqKind::Write,
             sector,
             META_SECTORS,
-            DiskTag::Journal { token, client, dir },
+            MdtTag::Journal { token, client, dir },
         );
     }
 
@@ -1708,7 +1725,7 @@ impl Cluster {
                         ReqKind::Read,
                         sector,
                         META_SECTORS,
-                        DiskTag::Lookup {
+                        MdtTag::Lookup {
                             token,
                             client,
                             file,
@@ -1747,7 +1764,7 @@ impl Cluster {
         self.mdt_dispatch(now, next);
         for m in members.drain(..) {
             match m.tag {
-                DiskTag::Journal { token, client, dir } => {
+                MdtTag::Journal { token, client, dir } => {
                     let src = self.dev_node[self.mdt().index()];
                     self.send(now, src, client, META_MSG_BYTES, Msg::OpDone { token });
                     // Release the directory lock; start the next waiter.
@@ -1768,7 +1785,7 @@ impl Cluster {
                         self.run_under_dir_lock(now, t, c, dir);
                     }
                 }
-                DiskTag::Lookup {
+                MdtTag::Lookup {
                     token,
                     client,
                     file,
@@ -1777,7 +1794,6 @@ impl Cluster {
                     let src = self.dev_node[self.mdt().index()];
                     self.send(now, src, client, META_MSG_BYTES, Msg::OpDone { token });
                 }
-                _ => unreachable!("data tag on the MDT"),
             }
         }
         self.scratch_members = members;

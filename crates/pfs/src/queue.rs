@@ -13,9 +13,20 @@
 //! Internally, members live in a per-device slab and queued requests
 //! reference them as an intrusive linked list, so submitting and merging
 //! requests never allocates in steady state (freed member slots are
-//! recycled) and a merge is an O(1) list concatenation. Completions can
+//! recycled) and a merge is an O(1) list concatenation. Completions
 //! drain members into a caller-owned scratch buffer
 //! ([`BlockDevice::complete_into`]) to keep the event loop allocation-free.
+//!
+//! The foreground queue is a FIFO. The background queue is picked from
+//! by sector and grows thousands deep under a bulk writer, so it keeps a
+//! sector index beside its queue order (see `bg`): dispatch costs
+//! O(log n) however deep it is.
+
+mod bg;
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
 
 use std::collections::VecDeque;
 
@@ -79,8 +90,44 @@ struct QueuedReq {
     head: u32,
     /// Last member (arena index).
     tail: u32,
-    /// Member count.
-    nmembers: u32,
+}
+
+/// Which end of a queued request a merged one joined.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// It ends where the queued request started: the start moves down.
+    Front,
+    /// It starts where the queued request ended.
+    Back,
+}
+
+impl QueuedReq {
+    /// Absorb `other` if it is the same kind, the two together stay
+    /// within `max_sectors`, and it is sector-adjacent on either side.
+    /// Its members follow ours (an O(1) list concatenation in the member
+    /// arena). Says on which side it joined, `None` when it did not.
+    fn merge<T>(
+        &mut self,
+        other: &QueuedReq,
+        max_sectors: u64,
+        members: &mut [MemberNode<T>],
+    ) -> Option<Side> {
+        if self.kind != other.kind || self.sectors + other.sectors > max_sectors {
+            return None;
+        }
+        let side = if self.sector + self.sectors == other.sector {
+            Side::Back
+        } else if other.sector + other.sectors == self.sector {
+            self.sector = other.sector;
+            Side::Front
+        } else {
+            return None;
+        };
+        self.sectors += other.sectors;
+        members[self.tail as usize].next = other.head;
+        self.tail = other.tail;
+        Some(side)
+    }
 }
 
 /// Completion metadata for a finished request; the members are drained
@@ -95,7 +142,9 @@ pub struct CompletedMeta {
     pub foreground: bool,
 }
 
-/// A finished request handed back to the caller.
+/// A finished request with its members, as [`BlockDevice::complete`]
+/// hands it to the unit tests.
+#[cfg(test)]
 #[derive(Clone, Debug)]
 pub struct Completed<T> {
     /// Read or write.
@@ -171,7 +220,7 @@ pub struct BlockDevice<T> {
     cfg: QueueConfig,
     disk: Disk,
     fg: VecDeque<QueuedReq>,
-    bg: VecDeque<QueuedReq>,
+    bg: bg::BgQueue,
     in_service: Option<QueuedReq>,
     /// Member arena: request members + a free list threaded via `next`.
     members: Vec<MemberNode<T>>,
@@ -199,7 +248,7 @@ impl<T> BlockDevice<T> {
             cfg,
             disk,
             fg: VecDeque::new(),
-            bg: VecDeque::new(),
+            bg: bg::BgQueue::new(),
             in_service: None,
             members: Vec::new(),
             free: NIL,
@@ -244,15 +293,6 @@ impl<T> BlockDevice<T> {
     /// microseconds.
     pub fn service_time_hist(&self) -> &Histogram {
         self.disk.service_time_hist()
-    }
-
-    /// Members queued but not yet in service.
-    pub fn queued_members(&self) -> u64 {
-        self.fg
-            .iter()
-            .chain(self.bg.iter())
-            .map(|r| r.nmembers as u64)
-            .sum()
     }
 
     /// Allocate a member slot (recycling freed slots first).
@@ -316,7 +356,7 @@ impl<T> BlockDevice<T> {
             }
             self.stalled_until = None;
         }
-        match self.dispatch(now) {
+        match self.dispatch() {
             Some(d) => Dispatch::Started(d),
             None => Dispatch::Idle,
         }
@@ -328,49 +368,38 @@ impl<T> BlockDevice<T> {
         self.last_depth_change = now;
     }
 
-    fn try_merge(&mut self, new: QueuedReq) -> bool {
-        let queue = if new.foreground {
-            &mut self.fg
+    /// Submit-time merge: fold `new` into one of the `merge_scan_depth`
+    /// most recently queued requests of its class, newest first.
+    fn try_merge(&mut self, new: &QueuedReq) -> bool {
+        let (depth, max) = (self.cfg.merge_scan_depth, self.cfg.max_merge_sectors);
+        let merged = if new.foreground {
+            let members = &mut self.members;
+            self.fg
+                .iter_mut()
+                .rev()
+                .take(depth)
+                .any(|q| q.merge(new, max, members).is_some())
         } else {
-            &mut self.bg
+            self.bg.try_merge(new, depth, max, &mut self.members)
         };
-        let scan = self.cfg.merge_scan_depth.min(queue.len());
-        let start = queue.len() - scan;
-        for i in (start..queue.len()).rev() {
-            let q = &queue[i];
-            if q.kind != new.kind {
-                continue;
-            }
-            if q.sectors + new.sectors > self.cfg.max_merge_sectors {
-                continue;
-            }
-            let back = q.sector + q.sectors == new.sector;
-            let front = new.sector + new.sectors == q.sector;
-            if back || front {
-                let q = &mut queue[i];
-                if front {
-                    q.sector = new.sector;
-                }
-                q.sectors += new.sectors;
-                // O(1) list concatenation in the member arena.
-                self.members[q.tail as usize].next = new.head;
-                q.tail = new.tail;
-                q.nmembers += new.nmembers;
-                match q.kind {
-                    ReqKind::Read => self.counters.read_merges += 1,
-                    ReqKind::Write => self.counters.write_merges += 1,
-                }
-                return true;
-            }
+        if merged {
+            self.count_merges(new.kind, 1);
         }
-        false
+        merged
+    }
+
+    fn count_merges(&mut self, kind: ReqKind, n: u64) {
+        match kind {
+            ReqKind::Read => self.counters.read_merges += n,
+            ReqKind::Write => self.counters.write_merges += n,
+        }
     }
 
     /// Submit a request. If the disk was idle (and not anticipating, or
     /// the request is synchronous) it starts servicing immediately:
     /// [`Dispatch::Started`] tells the caller to schedule a completion
     /// event that far in the future and later call
-    /// [`BlockDevice::complete`].
+    /// [`BlockDevice::complete_into`].
     pub fn submit(
         &mut self,
         now: SimTime,
@@ -393,9 +422,8 @@ impl<T> BlockDevice<T> {
             foreground,
             head: member,
             tail: member,
-            nmembers: 1,
         };
-        if !self.try_merge(req) {
+        if !self.try_merge(&req) {
             if foreground {
                 self.fg.push_back(req);
             } else {
@@ -440,62 +468,23 @@ impl<T> BlockDevice<T> {
     /// Pick the next background request C-SCAN style: the nearest
     /// request at or above the disk head, wrapping to the lowest sector.
     /// This is the elevator ordering that keeps scattered small
-    /// writeback from degrading into one seek per request.
+    /// writeback from degrading into one seek per request. The pick
+    /// absorbs any queued background requests that are now
+    /// sector-adjacent (allocations often become dense only after
+    /// out-of-order arrivals settle).
     fn pick_bg(&mut self) -> Option<QueuedReq> {
-        let head = self.disk.head();
-        let mut best: Option<(usize, u64, bool)> = None; // (idx, key, above)
-        for (i, r) in self.bg.iter().enumerate() {
-            let above = r.sector >= head;
-            let key = if above { r.sector - head } else { r.sector };
-            let better = match best {
-                None => true,
-                Some((_, bkey, babove)) => (above && !babove) || (above == babove && key < bkey),
-            };
-            if better {
-                best = Some((i, key, above));
-            }
-        }
-        let (idx, _, _) = best?;
-        let mut req = self.bg.remove(idx)?;
-        // Dispatch-time merging: absorb any queued background requests
-        // that are now sector-adjacent (allocations often become dense
-        // only after out-of-order arrivals settle).
-        loop {
-            let mut merged_any = false;
-            let mut i = 0;
-            while i < self.bg.len() {
-                let q = &self.bg[i];
-                if q.kind == req.kind
-                    && req.sectors + q.sectors <= self.cfg.max_merge_sectors
-                    && (req.sector + req.sectors == q.sector || q.sector + q.sectors == req.sector)
-                {
-                    let q = self.bg.remove(i).expect("index in range");
-                    if q.sector + q.sectors == req.sector {
-                        req.sector = q.sector;
-                    }
-                    req.sectors += q.sectors;
-                    self.members[req.tail as usize].next = q.head;
-                    req.tail = q.tail;
-                    req.nmembers += q.nmembers;
-                    match req.kind {
-                        ReqKind::Read => self.counters.read_merges += 1,
-                        ReqKind::Write => self.counters.write_merges += 1,
-                    }
-                    merged_any = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !merged_any {
-                break;
-            }
-        }
+        let (req, merges) = self.bg.pick(
+            self.disk.head(),
+            self.cfg.max_merge_sectors,
+            &mut self.members,
+        )?;
+        self.count_merges(req.kind, merges);
         Some(req)
     }
 
     /// Pick the next request per the deadline-like policy and start the
     /// disk on it. Returns its service duration.
-    fn dispatch(&mut self, _now: SimTime) -> Option<SimDuration> {
+    fn dispatch(&mut self) -> Option<SimDuration> {
         debug_assert!(self.in_service.is_none());
         let take_fg = if self.fg.is_empty() {
             false
@@ -534,7 +523,6 @@ impl<T> BlockDevice<T> {
         out.clear();
         self.advance_depth_integral(now);
         let req = self.in_service.take().expect("complete() with idle disk");
-        self.counters.queued_now -= req.nmembers as u64;
         // Drain the member list into `out`, pushing freed slots onto the
         // free list as we go.
         let mut idx = req.head;
@@ -551,14 +539,15 @@ impl<T> BlockDevice<T> {
             self.free = idx;
             idx = next;
         }
-        debug_assert_eq!(out.len(), req.nmembers as usize);
+        let nmembers = out.len() as u64;
+        self.counters.queued_now -= nmembers;
         match req.kind {
             ReqKind::Read => {
-                self.counters.reads_completed += req.nmembers as u64;
+                self.counters.reads_completed += nmembers;
                 self.counters.sectors_read += req.sectors;
             }
             ReqKind::Write => {
-                self.counters.writes_completed += req.nmembers as u64;
+                self.counters.writes_completed += nmembers;
                 self.counters.sectors_written += req.sectors;
             }
         }
@@ -588,8 +577,8 @@ impl<T> BlockDevice<T> {
     }
 
     /// [`complete_into`](BlockDevice::complete_into) with a freshly
-    /// allocated member buffer — the convenient form for tests and
-    /// one-shot callers.
+    /// allocated member buffer — the convenient form for the unit tests.
+    #[cfg(test)]
     pub fn complete(&mut self, now: SimTime) -> (Completed<T>, Dispatch) {
         let mut members = Vec::new();
         let (meta, next) = self.complete_into(now, &mut members);

@@ -31,26 +31,14 @@ use crate::net::Network;
 use crate::ops::ServerSample;
 use crate::queue::{BlockDevice, Dispatch, Member, ReqKind};
 
-/// Completion payload attached to device block requests.
-pub(crate) enum DiskTag {
+/// Completion payload attached to OST block requests.
+pub(crate) enum OstTag {
     /// Foreground read belonging to a client read chunk.
     ReadChunk { chunk: SlabKey },
     /// Background flush of dirty cache data (payload-byte share).
     Flush { dirty_bytes: u64 },
     /// Synchronous write belonging to a client write chunk.
     SyncChunk { chunk: SlabKey },
-    /// MDT journal write completing a namespace mutation.
-    Journal {
-        token: OpToken,
-        client: NodeId,
-        dir: DirKey,
-    },
-    /// MDT inode read completing a lookup miss.
-    Lookup {
-        token: OpToken,
-        client: NodeId,
-        file: FileKey,
-    },
 }
 
 /// A write waiting in (or moving through) an OSS cache.
@@ -244,7 +232,7 @@ pub(crate) struct ShardState {
     /// First global OSS index this shard owns.
     pub(crate) oss_lo: u32,
     /// OST block devices, local order = global order.
-    pub(crate) devices: Vec<BlockDevice<DiskTag>>,
+    pub(crate) devices: Vec<BlockDevice<OstTag>>,
     pub(crate) extents: Vec<ExtentMap>,
     pub(crate) caches: Vec<WriteCache<PendingWrite>>,
     pub(crate) read_cache: Vec<SmallObjectCache>,
@@ -266,7 +254,7 @@ pub(crate) struct ShardState {
     pub(crate) adm_waiting: BTreeMap<(u32, u32), VecDeque<Msg>>,
     /// Scratch buffers reused across events (no per-event allocation).
     pub(crate) scratch_ranges: Vec<SectorRange>,
-    pub(crate) scratch_members: Vec<Member<DiskTag>>,
+    pub(crate) scratch_members: Vec<Member<OstTag>>,
     /// Monitor samples taken inside the current epoch (parallel driver
     /// only); merged into the trace at the barrier in canonical order.
     pub(crate) sample_buf: Vec<ServerSample>,
@@ -408,7 +396,7 @@ impl ShardState {
         sector: u64,
         sectors: u64,
         foreground: bool,
-        tag: DiskTag,
+        tag: OstTag,
         fx: &mut Fx,
     ) {
         let li = self.li(dev.0);
@@ -520,7 +508,7 @@ impl ShardState {
                         r.sector,
                         r.sectors,
                         true,
-                        DiskTag::ReadChunk { chunk },
+                        OstTag::ReadChunk { chunk },
                         fx,
                     );
                 }
@@ -587,7 +575,7 @@ impl ShardState {
                                 r.sector,
                                 r.sectors,
                                 true,
-                                DiskTag::SyncChunk { chunk },
+                                OstTag::SyncChunk { chunk },
                                 fx,
                             );
                         }
@@ -622,7 +610,7 @@ impl ShardState {
                 r.sector,
                 r.sectors,
                 false,
-                DiskTag::Flush { dirty_bytes: share },
+                OstTag::Flush { dirty_bytes: share },
                 fx,
             );
         }
@@ -637,7 +625,7 @@ impl ShardState {
         let mut flushed_bytes = 0u64;
         for m in members.drain(..) {
             match m.tag {
-                DiskTag::ReadChunk { chunk } | DiskTag::SyncChunk { chunk } => {
+                OstTag::ReadChunk { chunk } | OstTag::SyncChunk { chunk } => {
                     let finished = {
                         let p = self
                             .chunk_pending
@@ -662,10 +650,7 @@ impl ShardState {
                         self.admission_release(now, p.token.app.0, p.dev, cfg, fx);
                     }
                 }
-                DiskTag::Flush { dirty_bytes } => flushed_bytes += dirty_bytes,
-                DiskTag::Journal { .. } | DiskTag::Lookup { .. } => {
-                    unreachable!("metadata completion on an OST")
-                }
+                OstTag::Flush { dirty_bytes } => flushed_bytes += dirty_bytes,
             }
         }
         self.scratch_members = members;

@@ -89,6 +89,7 @@ proptest! {
         let mut t = SimTime::ZERO;
         let mut next_completion: Option<SimTime> = None;
         let mut completed = vec![false; reqs.len()];
+        let mut done = Vec::new();
         let handle = |d: &mut BlockDevice<usize>, now: SimTime, disp: Dispatch| -> Option<SimTime> {
             match disp {
                 Dispatch::Started(dur) => Some(now + dur),
@@ -107,8 +108,8 @@ proptest! {
             if i % 2 == 0 {
                 while let Some(at) = next_completion {
                     t = at;
-                    let (done, disp) = d.complete(t);
-                    for mem in &done.members {
+                    let (_, disp) = d.complete_into(t, &mut done);
+                    for mem in &done {
                         prop_assert!(!completed[mem.tag], "double completion");
                         completed[mem.tag] = true;
                     }
@@ -126,8 +127,8 @@ proptest! {
             match next_completion {
                 Some(at) => {
                     t = at;
-                    let (done, disp) = d.complete(t);
-                    for mem in &done.members {
+                    let (_, disp) = d.complete_into(t, &mut done);
+                    for mem in &done {
                         prop_assert!(!completed[mem.tag], "double completion");
                         completed[mem.tag] = true;
                     }

@@ -138,6 +138,17 @@ impl Ord for Overflow {
     }
 }
 
+/// The level-0 minimum and its position in its bucket list.
+#[derive(Clone, Copy)]
+struct Level0Min {
+    at: u64,
+    seq: u64,
+    slot: usize,
+    /// Predecessor in the bucket list, NIL when `idx` is the head.
+    prev: u32,
+    idx: u32,
+}
+
 /// Hierarchical calendar queue. See the module docs for the invariants;
 /// in short: an event at absolute time `at` lives at the lowest level
 /// `l` where `(at >> s_l) - (wnow >> s_l) < SLOTS` (slot
@@ -299,41 +310,58 @@ impl<E> CalendarQueue<E> {
         Some((slot, (cur + off) << s))
     }
 
-    /// Exact `(at, seq)` minimum of level 0 (scan of its first bucket:
-    /// same-granule events share a slot, so the first occupied bucket
-    /// contains the level's minimum).
-    fn level_min(&self, l: usize) -> Option<(u64, u64)> {
+    /// Earliest event time in level `l`'s first occupied bucket, which
+    /// bounds the whole level from below (wrap order is time order).
+    fn level_min_time(&self, l: usize) -> Option<u64> {
         let (slot, _) = self.first_bucket(l)?;
-        let mut best: Option<(u64, u64)> = None;
+        let mut best: Option<u64> = None;
         let mut idx = self.heads[l][slot];
         while idx != NIL {
             let n = &self.nodes[idx as usize];
-            let key = (n.at, n.seq);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
+            if best.is_none_or(|b| n.at < b) {
+                best = Some(n.at);
             }
             idx = n.next;
         }
         best
     }
 
-    /// Exact minimum pending time, without mutating anything: the min
-    /// over each level's earliest bucket and the overflow peek.
-    fn peek_time(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for l in 0..LEVELS {
-            if let Some((at, _)) = self.level_min(l) {
-                if best.is_none_or(|b| at < b) {
-                    best = Some(at);
-                }
+    /// The level-0 minimum together with where it hangs in its bucket,
+    /// found in one walk so a delivery never scans the bucket twice.
+    fn level0_min(&self) -> Option<Level0Min> {
+        let (slot, _) = self.first_bucket(0)?;
+        let mut best: Option<Level0Min> = None;
+        let mut prev = NIL;
+        let mut idx = self.heads[0][slot];
+        while idx != NIL {
+            let n = &self.nodes[idx as usize];
+            if best.is_none_or(|b| (n.at, n.seq) < (b.at, b.seq)) {
+                best = Some(Level0Min {
+                    at: n.at,
+                    seq: n.seq,
+                    slot,
+                    prev,
+                    idx,
+                });
             }
-        }
-        if let Some(o) = self.overflow.peek() {
-            if best.is_none_or(|b| o.at < b) {
-                best = Some(o.at);
-            }
+            prev = idx;
+            idx = n.next;
         }
         best
+    }
+
+    /// Exact minimum pending time, without mutating anything. While the
+    /// level-0 minimum sits strictly below `hi_bound` it is the answer;
+    /// otherwise the min over it, each higher level's earliest bucket
+    /// and the overflow peek.
+    fn peek_time(&self) -> Option<u64> {
+        let c0 = self.level0_min().map(|m| m.at);
+        if c0.is_some_and(|at| at < self.hi_bound) {
+            return c0;
+        }
+        let higher = (1..LEVELS).filter_map(|l| self.level_min_time(l));
+        let overflow = self.overflow.peek().map(|o| o.at);
+        c0.into_iter().chain(higher).chain(overflow).min()
     }
 
     /// Empty a higher-level bucket into lower levels. `start` is the
@@ -359,50 +387,45 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Unlink and return the level-0 minimum. Caller guarantees level 0
-    /// is the global minimum's home (after cascades/migration).
-    fn pop_level0(&mut self) -> (u64, u64, E) {
-        let (slot, _) = self.first_bucket(0).expect("level 0 occupied");
-        // Find the min entry, tracking the predecessor for the unlink.
-        let mut best: Option<(u64, u64, u32, u32)> = None; // (at, seq, prev, idx)
-        let mut prev = NIL;
-        let mut idx = self.heads[0][slot];
-        while idx != NIL {
-            let n = &self.nodes[idx as usize];
-            if best.is_none_or(|(a, s, _, _)| (n.at, n.seq) < (a, s)) {
-                best = Some((n.at, n.seq, prev, idx));
+    /// Unlink and return a minimum found by [`Self::level0_min`]. Caller
+    /// guarantees it is the global minimum and that the queue has not
+    /// changed since the walk.
+    fn unlink_level0(&mut self, m: Level0Min) -> (u64, u64, E) {
+        let next = self.nodes[m.idx as usize].next;
+        if m.prev == NIL {
+            self.heads[0][m.slot] = next;
+            if next == NIL {
+                self.occupied[0] &= !(1 << m.slot);
             }
-            prev = idx;
-            idx = n.next;
-        }
-        let (at, seq, prev, idx) = best.expect("occupied bucket has entries");
-        let next = self.nodes[idx as usize].next;
-        if prev == NIL {
-            self.heads[0][slot] = next;
         } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if self.heads[0][slot] == NIL {
-            self.occupied[0] &= !(1 << slot);
+            self.nodes[m.prev as usize].next = next;
         }
         self.wheel_len -= 1;
-        let event = self.nodes[idx as usize].event.take().expect("live node");
-        self.release(idx);
-        self.wnow = self.wnow.max(at);
-        (at, seq, event)
+        let event = self.nodes[m.idx as usize].event.take().expect("live node");
+        self.release(m.idx);
+        self.wnow = self.wnow.max(m.at);
+        (m.at, m.seq, event)
     }
 
-    /// Remove and return the global `(at, seq)` minimum.
-    fn pop(&mut self) -> Option<(u64, u64, E)> {
+    /// Remove and return the global `(at, seq)` minimum if it fires at
+    /// or before `deadline`; otherwise leave it queued and return `None`.
+    ///
+    /// After a `None` the caller's clock stands at `deadline` and it may
+    /// schedule anywhere from there on, below the next pending time. So
+    /// the wheel clock must never pass `deadline`: a bucket is cascaded,
+    /// and the overflow heap migrated, only when the instant `wnow`
+    /// would advance to is itself within the deadline.
+    fn pop_until(&mut self, deadline: u64) -> Option<(u64, u64, E)> {
         loop {
             // Fast path: while level 0's minimum is strictly below the
             // lower bound on everything else, it IS the global minimum —
-            // no level scans, no cascades, no overflow consultation.
-            if self.occupied[0] != 0 {
-                if let Some((c0_at, _)) = self.level_min(0) {
-                    if c0_at < self.hi_bound {
-                        return Some(self.pop_level0());
-                    }
+            // one bucket walk finds it, checks the deadline and yields
+            // the unlink position; no level scans, no cascades, no
+            // overflow consultation.
+            let c0 = self.level0_min();
+            if let Some(m) = c0 {
+                if m.at < self.hi_bound {
+                    return (m.at <= deadline).then(|| self.unlink_level0(m));
                 }
             }
             if self.len() == 0 {
@@ -417,27 +440,35 @@ impl<E> CalendarQueue<E> {
                     }
                 }
             }
-            let c0 = self.level_min(0);
-            let c0_at = c0.map_or(u64::MAX, |(a, _)| a);
+            let c0_at = c0.map_or(u64::MAX, |m| m.at);
             let ov_at = self.overflow.peek().map_or(u64::MAX, |o| o.at);
             // A higher-level bucket starting at or before both the
             // level-0 candidate and the overflow minimum may contain the
             // true minimum (or an equal-time, earlier-seq entry): spill
             // it down and re-evaluate. Each cascade strictly lowers its
-            // entries' levels, so this terminates.
+            // entries' levels, so this terminates. Its start bounds
+            // every pending event from below, so a start past the
+            // deadline refuses without touching anything.
             if let Some((start, l, slot)) = best_hi {
                 if start <= c0_at && start <= ov_at {
+                    if start > deadline {
+                        return None;
+                    }
                     self.cascade(l, slot, start);
                     continue;
                 }
             }
             // Overflow migration: when the overflow minimum beats (or
-            // seq-ties below) everything in the wheel, advance the wheel
+            // seq-ties below) everything in the wheel, it is the global
+            // minimum; if the deadline admits it, advance the wheel
             // clock to it and pull every now-placeable entry in.
             if let Some(o) = self.overflow.peek() {
-                let beats_c0 = c0.is_none_or(|(a, s)| (o.at, o.seq) < (a, s));
+                let beats_c0 = c0.is_none_or(|m| (o.at, o.seq) < (m.at, m.seq));
                 if beats_c0 {
                     debug_assert!(best_hi.is_none_or(|(start, _, _)| o.at < start));
+                    if o.at > deadline {
+                        return None;
+                    }
                     self.wnow = self.wnow.max(o.at);
                     while let Some(o) = self.overflow.peek() {
                         if Self::place(o.at, self.wnow).is_none() {
@@ -449,11 +480,12 @@ impl<E> CalendarQueue<E> {
                     continue;
                 }
             }
-            // Level 0 now holds the global minimum. The scan just proved
+            // Level 0 holds the global minimum. The scan just proved
             // nothing above level 0 starts before `best_hi`/`ov_at`, so
             // refresh the fast-path bound with the tighter value.
             self.hi_bound = ov_at.min(best_hi.map_or(u64::MAX, |(start, _, _)| start));
-            return Some(self.pop_level0());
+            let m = c0.expect("a non-empty queue with nothing to spill has a level-0 minimum");
+            return (m.at <= deadline).then(|| self.unlink_level0(m));
         }
     }
 }
@@ -619,15 +651,8 @@ impl<E> EventQueue<E> {
 
     /// Deliver the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, event) = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|s| (s.at, s.event))?,
-            Backend::Calendar(c) => c.pop().map(|(at, _, e)| (SimTime(at), e))?,
-            Backend::Reference(r) => r.pop().map(|(at, _, e)| (SimTime(at), e))?,
-        };
-        debug_assert!(at >= self.now);
-        self.now = at;
-        self.processed += 1;
-        Some((at, event))
+        let (at, event) = self.take_due(SimTime::MAX)?;
+        Some(self.deliver(at, event))
     }
 
     /// Deliver the next event only if it fires at or before `deadline`.
@@ -635,15 +660,46 @@ impl<E> EventQueue<E> {
     /// If the next event is later than `deadline`, the clock advances to
     /// `deadline` and `None` is returned (the event stays queued).
     pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => {
+        match self.take_due(deadline) {
+            Some((at, event)) => Some(self.deliver(at, event)),
+            None => {
                 if self.now < deadline {
                     self.now = deadline;
                 }
                 None
             }
         }
+    }
+
+    /// Remove the next event if it fires at or before `deadline`. The
+    /// calendar finds, deadline-checks and unlinks its minimum in one
+    /// probe; the other backends peek, then pop.
+    fn take_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        match &mut self.backend {
+            Backend::Heap(h) => {
+                if h.peek()?.at > deadline {
+                    return None;
+                }
+                h.pop().map(|s| (s.at, s.event))
+            }
+            Backend::Calendar(c) => c
+                .pop_until(deadline.as_nanos())
+                .map(|(at, _, e)| (SimTime(at), e)),
+            Backend::Reference(r) => {
+                if SimTime(r.peek()?.0) > deadline {
+                    return None;
+                }
+                r.pop().map(|(at, _, e)| (SimTime(at), e))
+            }
+        }
+    }
+
+    /// Account for a delivered event: the clock moves to its timestamp.
+    fn deliver(&mut self, at: SimTime, event: E) -> (SimTime, E) {
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.processed += 1;
+        (at, event)
     }
 }
 

@@ -35,6 +35,116 @@ fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
     })
 }
 
+const BACKENDS: [QueueBackend; 3] = [
+    QueueBackend::Calendar,
+    QueueBackend::Heap,
+    QueueBackend::Reference,
+];
+
+/// One epoch of the parallel driver's use of the queue: drain through
+/// `now + len`, then — with the clock standing at the deadline — make
+/// these inserts before the next epoch begins.
+type Epoch = (u64, Vec<(u32, u64)>);
+
+/// Everything observable of one run of the epoch pattern.
+#[derive(Debug, Default, PartialEq)]
+struct EpochLog {
+    /// Each delivery, `(time, payload)`; payloads number the schedules.
+    delivered: Vec<(SimTime, usize)>,
+    /// `(now, processed, pending)` after every refusal and at the end.
+    marks: Vec<(SimTime, u64, usize)>,
+}
+
+/// Run the epoch pattern on one backend.
+fn run_epochs(backend: QueueBackend, initial: &[u64], epochs: &[Epoch]) -> EpochLog {
+    let mut q = EventQueue::with_backend(backend);
+    let mut id = 0usize;
+    let mut next_id = move || {
+        id += 1;
+        id
+    };
+    for &at in initial {
+        q.schedule(SimTime(at), next_id());
+    }
+    let mut log = EpochLog::default();
+    for (len, inserts) in epochs {
+        let deadline = SimTime(q.now().as_nanos().saturating_add(*len));
+        while let Some((t, e)) = q.pop_until(deadline) {
+            assert!(t <= deadline, "{backend:?} delivered past the deadline");
+            log.delivered.push((t, e));
+            // Handlers schedule from inside the drain too.
+            if e % 3 == 0 {
+                q.schedule(
+                    SimTime(t.as_nanos().saturating_add(e as u64 % 700)),
+                    next_id(),
+                );
+            }
+        }
+        assert_eq!(q.now(), deadline, "{backend:?} clock after a refusal");
+        let next = q.peek_time();
+        assert!(
+            next.is_none_or(|t| t > deadline),
+            "{backend:?} refused a due event"
+        );
+        log.marks.push((q.now(), q.processed(), q.pending()));
+        // The gap the refusal left open: [deadline, next pending).
+        let gap = next.map_or(1_000_000, |t| t.as_nanos() - deadline.as_nanos());
+        for &(sel, r) in inserts {
+            let at = match sel {
+                // Below the next pending time, where a wheel clock that
+                // ran ahead of the deadline would misplace the event.
+                0..=4 => deadline.as_nanos() + r % gap,
+                // Equal timestamps: at the deadline itself, and tied
+                // with the pending minimum (must pop after it).
+                5..=6 => deadline.as_nanos(),
+                7..=8 => next.map_or(deadline.as_nanos(), |t| t.as_nanos()),
+                // Beyond the wheel horizon: the overflow heap.
+                _ => deadline
+                    .as_nanos()
+                    .saturating_add(5_000_000_000 + r % 60_000_000_000),
+            };
+            q.schedule(SimTime(at), next_id());
+        }
+    }
+    while let Some(d) = q.pop() {
+        log.delivered.push(d);
+    }
+    log.marks.push((q.now(), q.processed(), q.pending()));
+    log
+}
+
+/// Every backend must tell the same story for the same epoch script.
+fn assert_epochs_agree(initial: &[u64], epochs: &[Epoch]) {
+    let want = run_epochs(QueueBackend::Reference, initial, epochs);
+    for b in BACKENDS {
+        let got = run_epochs(b, initial, epochs);
+        assert_eq!(got.delivered, want.delivered, "{b:?}: delivery order");
+        assert_eq!(got.marks, want.marks, "{b:?}: now/processed/pending");
+    }
+}
+
+/// Far-future events sit in the calendar's overflow heap, so every
+/// probe here misses the level-0 fast path: deadlines well short of
+/// them must refuse without migrating, and schedules into the gap —
+/// down to the deadline itself and up to a tie with the far minimum —
+/// must come out in `(time, seq)` order.
+#[test]
+fn pop_until_refuses_overflow_events_without_advancing_the_wheel() {
+    const S: u64 = 1_000_000_000;
+    let initial = [10 * S, 100 * S, 10 * S, 500];
+    let epochs: Vec<Epoch> = vec![
+        // Delivers the near event, refuses the 10 s pair.
+        (S, vec![(0, 0), (0, 123_456_789), (5, 0), (7, 0), (9, 1)]),
+        // Still short of 10 s: lands between the gap-fillers.
+        (3 * S, vec![(0, 7), (7, 0), (5, 0)]),
+        // Zero-length epoch right at a refusal.
+        (0, vec![(5, 0), (0, 1)]),
+        // Crosses the 10 s ties, stops before 100 s.
+        (20 * S, vec![(0, 99), (9, 5)]),
+    ];
+    assert_epochs_agree(&initial, &epochs);
+}
+
 proptest! {
     /// Satellite: arbitrary interleaved push/pop sequences through the
     /// calendar and heap backends against the naive sorted-`Vec` model —
@@ -181,6 +291,40 @@ proptest! {
         prop_assert_eq!(q.now(), deadline.max(q.now()));
         let expect = times.iter().filter(|&&t| SimTime(t) <= deadline).count();
         prop_assert_eq!(delivered, expect);
+    }
+
+    /// The epoch pattern on every backend: after a `None` at the
+    /// deadline, schedule into `[deadline, next_pending)` and at equal
+    /// timestamps, then carry on — identical `(time, seq)` order,
+    /// `now()`, `processed()` and `pending()` throughout.
+    #[test]
+    fn pop_until_epoch_pattern_agrees_on_every_backend(
+        initial in prop::collection::vec((0u32..10, 0u64..u64::MAX), 0..40),
+        epochs in prop::collection::vec(
+            (
+                (0u32..10, 0u64..u64::MAX),
+                prop::collection::vec((0u32..10, 0u64..u64::MAX), 0..8),
+            ),
+            1..12,
+        ),
+    ) {
+        // Initial times and epoch lengths span the wheel's bands: one
+        // granule, level 0, the 100 us lookahead, disk-service
+        // milliseconds, and past the ~4.3 s horizon.
+        let band = |sel: u32, r: u64| match sel {
+            0 => 0,
+            1..=2 => r % 256,
+            3..=4 => r % 16_000,
+            5..=6 => 100_000,
+            7..=8 => r % 20_000_000,
+            _ => 5_000_000_000 + r % 20_000_000_000,
+        };
+        let initial: Vec<u64> = initial.into_iter().map(|(s, r)| band(s, r)).collect();
+        let epochs: Vec<Epoch> = epochs
+            .into_iter()
+            .map(|((s, r), inserts)| (band(s, r), inserts))
+            .collect();
+        assert_epochs_agree(&initial, &epochs);
     }
 
     /// Merging two Welford accumulators equals accumulating sequentially.
