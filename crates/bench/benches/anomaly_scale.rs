@@ -19,7 +19,7 @@
 //!    bytes of the unbounded `Vec` store vs the RLE ring on the same
 //!    faulted run, plus a tight ring's eviction accounting.
 //!
-//! **Anomaly gate** (non-zero exit on failure, `QI_SKIP_ANOMALY_GATE=1`
+//! **Anomaly gate** (non-zero exit on failure, `QI_NO_TIMING_GATES=1`
 //! to waive — recorded in the JSON): the sampler must save ≥30% of
 //! ingest on both regimes, with zero boundary-counter drift on the
 //! quiet regime, and detection on the session must survive sampling
@@ -27,11 +27,11 @@
 //!
 //! Knobs: `QI_BENCH_OUT=path.json` (default `BENCH_anomaly.json` at the
 //! repository root), `QI_SMOKE=1` (smaller probe batch, fewer timing
-//! samples), `QI_SKIP_ANOMALY_GATE=1`.
+//! samples), `QI_NO_TIMING_GATES=1`.
 
 use std::time::Instant;
 
-use qi_bench::is_smoke;
+use qi_bench::{is_smoke, no_timing_gates};
 use qi_pfs::ids::DeviceId;
 use qi_pfs::ops::ServerSample;
 use qi_pfs::queue::DeviceCounters;
@@ -167,9 +167,7 @@ struct SamplerRow {
 
 fn main() {
     let small = is_smoke();
-    let skip_gate = std::env::var("QI_SKIP_ANOMALY_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let skip_gate = no_timing_gates();
     let samples = if small { 2 } else { 5 };
     let t0 = Instant::now();
     let mut failures: Vec<String> = Vec::new();
@@ -378,10 +376,10 @@ fn main() {
         }
         if !skip_gate {
             panic!(
-                "anomaly gate failed ({} violation(s)); set QI_SKIP_ANOMALY_GATE=1 to waive",
+                "anomaly gate failed ({} violation(s)); set QI_NO_TIMING_GATES=1 to waive",
                 failures.len()
             );
         }
-        eprintln!("QI_SKIP_ANOMALY_GATE=1: gate waived (recorded in the JSON)");
+        eprintln!("QI_NO_TIMING_GATES=1: gate waived (recorded in the JSON)");
     }
 }

@@ -20,18 +20,18 @@
 //!    number of control ticks (best-of-N samples; the workload is
 //!    deterministic so scheduler noise is strictly additive).
 //!
-//! **Closed-loop gate** (non-zero exit on failure, `QI_SKIP_CONTROL_GATE=1`
+//! **Closed-loop gate** (non-zero exit on failure, `QI_NO_TIMING_GATES=1`
 //! to waive — recorded in the JSON): in every regime the guided run must
 //! not be slower than the unmitigated run (beyond 5% tolerance), must
 //! actually emit directives, and must tax the background strictly less
 //! than uniform throttling does.
 //!
 //! Knobs: `QI_BENCH_OUT=path.json`, `QI_SMOKE=1` (fewer training seeds
-//! and epochs, fewer overhead samples), `QI_SKIP_CONTROL_GATE=1`.
+//! and epochs, fewer overhead samples), `QI_NO_TIMING_GATES=1`.
 
 use std::time::Instant;
 
-use qi_bench::{is_smoke, results_dir};
+use qi_bench::{is_smoke, no_timing_gates, results_dir};
 use qi_ml::serialize::{model_from_text, model_to_text};
 use qi_serve::{ModelRegistry, OverloadPolicy, ServeConfig, ShardedServeEngine};
 use qi_simkit::table::AsciiTable;
@@ -210,9 +210,7 @@ fn write_json(
 
 fn main() {
     let small = is_smoke();
-    let skip_gate = std::env::var("QI_SKIP_CONTROL_GATE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let skip_gate = no_timing_gates();
     let samples = if small { 2 } else { 3 };
     let t0 = Instant::now();
 
@@ -373,10 +371,10 @@ fn main() {
         }
         if !skip_gate {
             panic!(
-                "closed-loop gate failed ({} violation(s)); set QI_SKIP_CONTROL_GATE=1 to waive",
+                "closed-loop gate failed ({} violation(s)); set QI_NO_TIMING_GATES=1 to waive",
                 failures.len()
             );
         }
-        eprintln!("QI_SKIP_CONTROL_GATE=1: gate waived (recorded in the JSON)");
+        eprintln!("QI_NO_TIMING_GATES=1: gate waived (recorded in the JSON)");
     }
 }

@@ -1,14 +1,14 @@
-//! **Serving throughput** (DESIGN.md — serving layer, sharded).
+//! **Serving throughput** (DESIGN.md — serving layer).
 //!
-//! Two sweeps, one output file:
+//! One multi-tenant request stream (8 tenants) through
+//! [`ShardedServeEngine`], two sweeps, one output file:
 //!
-//! 1. **Single engine** — a fixed stream of prediction requests through
-//!    the qi-serve micro-batching engine at batch sizes 1, 8, and 32
-//!    (the fused immutable inference path; the `threads` knob is inert
-//!    on a single engine and swept only for baseline compatibility).
-//! 2. **Sharded engine** — a multi-tenant stream (8 tenants) through
-//!    [`ShardedServeEngine`] at 1/2/4/8 shards, every shard driven from
-//!    its own rayon worker, reporting aggregate predictions/second.
+//! 1. **Batch size** — `max_batch` 1, 8 and 32 at one shard, submitted
+//!    inline: what micro-batching buys over per-request dispatch.
+//! 2. **Shard count** — `max_batch` 32 at 1/2/4/8 shards, every shard
+//!    driven from its own rayon worker, reporting aggregate
+//!    predictions/second. `serve_sharded/shards1` against
+//!    `serve_predict/batch32` is the cost of the worker drive itself.
 //!
 //! Writes `BENCH_serve.json` at the repository root with median
 //! wall-clock times, per-row `shards`, the best
@@ -16,36 +16,34 @@
 //! gated and why (including any waiver reason).
 //!
 //! Gates:
-//! - **Determinism (never waived):** every (batch, threads)
-//!   configuration and every shard count must produce identical
-//!   predicted classes.
+//! - **Determinism (never waived):** every batch size and every shard
+//!   count must produce identical predicted classes.
 //! - **Throughput:** on multi-core hosts the sharded sweep must reach
 //!   ≥ 1,000,000 aggregate preds/s. On a single hardware thread that
 //!   target is auto-waived (recorded in the JSON) and the gate becomes:
 //!   single-shard fused throughput ≥ 1.5× the PR-4 recorded baseline
 //!   of 328,414 preds/s (≈ 492,621). Smoke/quick runs auto-waive the
 //!   throughput gate entirely — never the determinism gate.
+//! - **Batching pays:** batch 32 must be at least as fast as batch 1.
 //! - **p95 regression:** each row's p95 must stay within +10% of the
-//!   previous recorded run (rows matched by name/threads/shards;
-//!   baselines written before the `shards` column count as shards=1).
+//!   previous recorded run (rows matched by name/threads/shards).
 //!
 //! Knobs:
-//! - `QI_BENCH_THREADS=1,2,8` overrides the single-engine thread sweep.
 //! - `QI_SERVE_SHARDS=1,2,4,8` overrides the shard-count sweep.
-//! - `QI_SKIP_SERVE_GATE=1` skips the throughput gate (recorded).
-//! - `QI_SKIP_P95_GATE=1` skips the p95 regression gate.
+//! - `QI_NO_TIMING_GATES=1` waives the three wall-clock gates
+//!   (recorded) — e.g. when re-baselining on different hardware.
 //! - `QI_BENCH_OUT=path.json` overrides the output path.
 //! - `QI_BENCH_QUICK=1` (or `QI_SMOKE=1`) shrinks the request stream.
 
 use std::time::Duration;
 
 use criterion::Criterion;
-use qi_bench::is_smoke;
+use qi_bench::{is_smoke, no_timing_gates};
 use qi_ml::data::Dataset;
 use qi_ml::train::{train, TrainConfig, TrainedModel};
 use qi_pfs::ids::AppId;
 use qi_serve::{
-    ModelRegistry, OverloadPolicy, PredictRequest, ServeConfig, ServeEngine, ShardedServeEngine,
+    ModelRegistry, OverloadPolicy, PredictRequest, Prediction, ServeConfig, ShardedServeEngine,
 };
 use qi_simkit::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -57,8 +55,8 @@ use rayon::prelude::*;
 const SERVERS: usize = 5;
 const FEATS: usize = 42;
 
-/// Tenants for the sharded sweep: the FNV-1a routing spreads these
-/// across up to 8 shards.
+/// Tenants of the stream: the FNV-1a routing spreads these across up
+/// to 8 shards.
 const N_TENANTS: u32 = 8;
 
 /// PR-4's recorded single-engine throughput (BENCH_serve.json,
@@ -101,21 +99,9 @@ fn block_for(i: usize) -> Vec<f32> {
         .collect()
 }
 
-/// The fixed single-tenant request stream: deterministic hash-filled
-/// feature blocks.
-fn requests(n: usize) -> Vec<PredictRequest> {
-    (0..n)
-        .map(|i| PredictRequest {
-            tenant: AppId(0),
-            window: i as u64,
-            block: block_for(i),
-        })
-        .collect()
-}
-
-/// The multi-tenant stream for the sharded sweep: the same blocks,
+/// The fixed request stream: deterministic hash-filled feature blocks,
 /// round-robined over `N_TENANTS` applications.
-fn sharded_requests(n: usize) -> Vec<PredictRequest> {
+fn requests(n: usize) -> Vec<PredictRequest> {
     (0..n)
         .map(|i| PredictRequest {
             tenant: AppId(1 + (i as u32 % N_TENANTS)),
@@ -133,27 +119,11 @@ fn registry() -> ModelRegistry {
     reg
 }
 
-fn engine(max_batch: usize, threads: usize) -> ServeEngine {
-    ServeEngine::new(
+fn engine(max_batch: usize, n_shards: usize) -> ShardedServeEngine {
+    ShardedServeEngine::new(
         ServeConfig {
             max_batch,
             // The stream is driven by the size threshold alone.
-            max_delay: SimDuration::from_secs(1_000_000),
-            queue_cap: max_batch.max(32),
-            admission: None,
-            overload: OverloadPolicy::Shed,
-            tenants: vec![AppId(0)],
-            threads: Some(threads),
-        },
-        registry(),
-    )
-    .expect("valid config")
-}
-
-fn sharded_engine(n_shards: usize) -> ShardedServeEngine {
-    ShardedServeEngine::new(
-        ServeConfig {
-            max_batch: 32,
             max_delay: SimDuration::from_secs(1_000_000),
             queue_cap: 64,
             admission: None,
@@ -164,29 +134,34 @@ fn sharded_engine(n_shards: usize) -> ShardedServeEngine {
         registry(),
         n_shards,
     )
-    .expect("valid sharded config")
+    .expect("valid config")
 }
 
-/// Push the whole stream through `e`, starting the simulated clock at
-/// `tick` (the engine requires non-decreasing time across iterations).
-fn drive(e: &mut ServeEngine, stream: &[PredictRequest], tick: &mut u64) -> Vec<usize> {
-    let mut classes = Vec::with_capacity(stream.len());
-    for req in stream {
-        *tick += 1_000;
-        let (_, done) = e.submit(SimTime(*tick), req.clone()).expect("bench submit");
-        classes.extend(done.into_iter().map(|p| p.class));
+/// `(tenant, window, class)` of every prediction in `done`.
+fn triples(done: Vec<Prediction>) -> impl Iterator<Item = (u32, u64, usize)> {
+    done.into_iter().map(|p| (p.tenant.0, p.window, p.class))
+}
+
+/// Push the whole stream through `eng` inline; `base` offsets the
+/// simulated clock so repeated iterations keep time non-decreasing.
+fn drive(
+    eng: &mut ShardedServeEngine,
+    stream: &[PredictRequest],
+    base: u64,
+    span: u64,
+) -> Vec<(u32, u64, usize)> {
+    let mut got = Vec::with_capacity(stream.len());
+    for (i, req) in stream.iter().enumerate() {
+        let now = SimTime(base + (i as u64 + 1) * 1_000);
+        let (_, done) = eng.submit(now, req.clone()).expect("bench submit");
+        got.extend(triples(done));
     }
-    *tick += 1_000;
-    classes.extend(
-        e.finish(SimTime(*tick))
-            .expect("bench finish")
-            .into_iter()
-            .map(|p| p.class),
-    );
-    classes
+    let end = SimTime(base + span - 1_000);
+    got.extend(triples(eng.finish(end).expect("bench finish")));
+    got
 }
 
-/// Split the sharded stream by owning shard, preserving order and the
+/// Split the stream by owning shard, preserving order and the
 /// global index (which sets each request's simulated arrival instant).
 fn partition(
     eng: &ShardedServeEngine,
@@ -200,9 +175,8 @@ fn partition(
     per_shard
 }
 
-/// Drive every shard from its own rayon task; `base` offsets the
-/// simulated clock so repeated iterations keep time non-decreasing.
-/// Returns `(tenant, window, class)` triples from every shard.
+/// Drive every shard from its own rayon task, on the same simulated
+/// schedule as [`drive`].
 fn drive_sharded(
     eng: &mut ShardedServeEngine,
     per_shard: &[Vec<(usize, PredictRequest)>],
@@ -220,14 +194,10 @@ fn drive_sharded(
                 for (i, req) in mine {
                     let now = SimTime(base + (*i as u64 + 1) * 1_000);
                     let (_, done) = w.submit(now, req.clone()).expect("shard submit");
-                    got.extend(done.into_iter().map(|p| (p.tenant.0, p.window, p.class)));
+                    got.extend(triples(done));
                 }
-                got.extend(
-                    w.finish(SimTime(base + span - 1_000))
-                        .expect("shard finish")
-                        .into_iter()
-                        .map(|p| (p.tenant.0, p.window, p.class)),
-                );
+                let end = SimTime(base + span - 1_000);
+                got.extend(triples(w.finish(end).expect("shard finish")));
                 got
             })
             .collect()
@@ -248,14 +218,6 @@ fn counts_from_env(var: &str, default: Vec<usize>) -> Vec<usize> {
         }
     }
     default
-}
-
-fn thread_counts() -> Vec<usize> {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut counts = vec![1, 2, hw.max(4)];
-    counts.sort_unstable();
-    counts.dedup();
-    counts_from_env("QI_BENCH_THREADS", counts)
 }
 
 struct BenchRow {
@@ -287,9 +249,7 @@ struct BaselineRow {
 }
 
 /// Parse the baseline JSON with plain string scanning (the repo has no
-/// JSON dependency). Returns `(requests_per_run, rows-with-p95)`; rows
-/// written before the `shards` column count as `shards = 1`, and rows
-/// written before `p95_ms` are simply absent from the result.
+/// JSON dependency). Returns `(requests_per_run, rows)`.
 fn read_baseline(out: &std::path::Path) -> Option<(usize, Vec<BaselineRow>)> {
     let text = std::fs::read_to_string(out).ok()?;
     let field = |chunk: &str, key: &str| -> Option<f64> {
@@ -317,7 +277,7 @@ fn read_baseline(out: &std::path::Path) -> Option<(usize, Vec<BaselineRow>)> {
             Some(BaselineRow {
                 name: string_field(chunk, "name")?,
                 threads: field(chunk, "threads")? as usize,
-                shards: field(chunk, "shards").map_or(1, |s| s as usize),
+                shards: field(chunk, "shards")? as usize,
                 p95_ms: field(chunk, "p95_ms")?,
             })
         })
@@ -367,90 +327,67 @@ fn main() {
         || std::env::var("QI_BENCH_QUICK")
             .map(|v| v == "1")
             .unwrap_or(false);
-    let counts = thread_counts();
     let shard_counts = counts_from_env("QI_SERVE_SHARDS", vec![1, 2, 4, 8]);
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let n_requests = if quick { 256 } else { 2048 };
     let samples = if quick { 2 } else { 5 };
     let batches = [1usize, 8, 32];
+    let pool_of = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+    };
 
     println!(
         "serve throughput bench: {n_requests} requests, batches {batches:?}, \
-         threads {counts:?}, shards {shard_counts:?} on {hw} hardware thread(s)"
+         shards {shard_counts:?} on {hw} hardware thread(s)"
     );
 
-    // Determinism gate #1 (never waived): batching and threading must
-    // not change a single predicted class on the single engine.
+    // Determinism gate (never waived): neither the batch size nor the
+    // shard count — parallel drive included — may change a single
+    // `(tenant, window, class)` triple.
     let stream = requests(n_requests);
-    let reference = {
-        let mut tick = 0u64;
-        drive(&mut engine(1, 1), &stream, &mut tick)
-    };
-    assert_eq!(reference.len(), n_requests);
-    for &b in &batches {
-        for &n in &counts {
-            let mut tick = 0u64;
-            let got = drive(&mut engine(b, n), &stream, &mut tick);
-            assert_eq!(
-                got, reference,
-                "predictions diverged at batch {b}, {n} threads"
-            );
-        }
-    }
-
-    // Determinism gate #2 (never waived): the sharded engine must
-    // produce identical (tenant, window, class) triples at every shard
-    // count, parallel drive included.
-    let mstream = sharded_requests(n_requests);
     let span = (n_requests as u64 + 2) * 1_000;
     let sorted = |mut v: Vec<(u32, u64, usize)>| {
         v.sort_unstable();
         v
     };
-    let shard_reference = {
-        let mut eng = sharded_engine(1);
-        let per_shard = partition(&eng, &mstream);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("pool");
-        sorted(drive_sharded(&mut eng, &per_shard, &pool, 0, span))
-    };
-    assert_eq!(shard_reference.len(), n_requests);
-    for &s in &shard_counts {
-        let mut eng = sharded_engine(s);
-        let per_shard = partition(&eng, &mstream);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(s.min(hw))
-            .build()
-            .expect("pool");
-        let got = sorted(drive_sharded(&mut eng, &per_shard, &pool, 0, span));
-        assert_eq!(got, shard_reference, "predictions diverged at {s} shards");
+    let reference = sorted(drive(&mut engine(1, 1), &stream, 0, span));
+    assert_eq!(reference.len(), n_requests);
+    for &b in &batches {
+        let got = sorted(drive(&mut engine(b, 1), &stream, 0, span));
+        assert_eq!(got, reference, "predictions diverged at batch {b}");
     }
-    println!("determinism: all (batch, threads) and shard-count configurations agree");
+    for &s in &shard_counts {
+        let mut eng = engine(32, s);
+        let per_shard = partition(&eng, &stream);
+        let got = drive_sharded(&mut eng, &per_shard, &pool_of(s.min(hw)), 0, span);
+        assert_eq!(sorted(got), reference, "predictions diverged at {s} shards");
+    }
+    println!("determinism: all batch-size and shard-count configurations agree");
 
     let mut c = Criterion::default()
         .with_budget(Duration::ZERO, Duration::ZERO)
         .min_samples(samples);
     for &b in &batches {
-        for &n in &counts {
-            // One engine per configuration; the simulated clock keeps
-            // advancing across iterations, wall time is what's measured.
-            let mut e = engine(b, n);
-            let mut tick = 0u64;
-            c.bench_function(&format!("serve_predict/batch{b}/{n}t"), |bench| {
-                bench.iter(|| drive(&mut e, &stream, &mut tick))
-            });
-        }
+        // One engine per configuration; the simulated clock keeps
+        // advancing across iterations, wall time is what's measured.
+        let mut eng = engine(b, 1);
+        let mut iter_no = 0u64;
+        c.bench_function(&format!("serve_predict/batch{b}/1t"), |bench| {
+            bench.iter(|| {
+                let base = iter_no * span;
+                iter_no += 1;
+                drive(&mut eng, &stream, base, span)
+            })
+        });
     }
     for &s in &shard_counts {
-        let mut eng = sharded_engine(s);
-        let per_shard = partition(&eng, &mstream);
+        let mut eng = engine(32, s);
+        let per_shard = partition(&eng, &stream);
         let threads = s.min(hw);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
+        let pool = pool_of(threads);
         let mut iter_no = 0u64;
         c.bench_function(&format!("serve_sharded/shards{s}/{threads}t"), |bench| {
             bench.iter(|| {
@@ -492,18 +429,18 @@ fn main() {
         })
         .collect();
 
-    // Batching must pay for itself: comparing at the best thread count,
-    // batch-32 must be at least as fast as unbatched.
-    let best = |b: usize| {
+    // Batching must pay for itself: batch-32 must be at least as fast
+    // as unbatched.
+    let skip_gates = no_timing_gates();
+    let of_batch = |b: usize| {
         rows.iter()
-            .filter(|r| r.shards == 1 && r.name.starts_with("serve_predict") && r.batch == b)
-            .map(|r| r.preds_per_sec)
-            .fold(0.0f64, f64::max)
+            .find(|r| r.name.starts_with("serve_predict") && r.batch == b)
+            .map_or(0.0, |r| r.preds_per_sec)
     };
-    let (t1, t32) = (best(1), best(32));
-    println!("single engine, best thread count: batch1 {t1:.0} preds/s, batch32 {t32:.0} preds/s");
+    let (t1, t32) = (of_batch(1), of_batch(32));
+    println!("one shard, inline: batch1 {t1:.0} preds/s, batch32 {t32:.0} preds/s");
     assert!(
-        t32 >= t1,
+        t32 >= t1 || skip_gates,
         "batch-32 throughput ({t32:.0}/s) fell below unbatched ({t1:.0}/s)"
     );
 
@@ -530,15 +467,14 @@ fn main() {
     // a single-hardware-thread host cannot express shard parallelism,
     // so the gate degrades (with a recorded reason) to: single-shard
     // fused throughput >= 1.5x the PR-4 baseline.
-    let skip_gate = std::env::var("QI_SKIP_SERVE_GATE").is_ok_and(|v| v == "1");
     let single_core_target = PR4_BASELINE_PREDS_PER_SEC * 1.5;
-    let gate = if skip_gate {
+    let gate = if skip_gates {
         GateRecord {
             target: 1_000_000.0,
             measured: aggregate,
             passed: aggregate >= 1_000_000.0,
             waived: true,
-            reason: "QI_SKIP_SERVE_GATE=1".into(),
+            reason: "QI_NO_TIMING_GATES=1".into(),
         }
     } else if quick {
         GateRecord {
@@ -597,12 +533,10 @@ fn main() {
 
     // p95 regression gate: each configuration's p95 batch latency must
     // stay within +10% of the previous recorded run. Skipped when the
-    // baseline is absent/incomparable (different request count, or rows
-    // written before p95 was recorded) or when QI_SKIP_P95_GATE=1 —
-    // e.g. when re-baselining on different hardware.
-    let skip_p95 = std::env::var("QI_SKIP_P95_GATE").is_ok_and(|v| v == "1");
+    // baseline is absent/incomparable (different request count) or
+    // under QI_NO_TIMING_GATES=1.
     match read_baseline(&out) {
-        _ if skip_p95 => println!("p95 gate skipped (QI_SKIP_P95_GATE=1)"),
+        _ if skip_gates => println!("p95 gate skipped (QI_NO_TIMING_GATES=1)"),
         None => println!(
             "p95 gate skipped: no readable baseline at {}",
             out.display()
@@ -610,9 +544,6 @@ fn main() {
         Some((base_requests, _)) if base_requests != n_requests => println!(
             "p95 gate skipped: baseline ran {base_requests} requests, this run {n_requests}"
         ),
-        Some((_, base_rows)) if base_rows.is_empty() => {
-            println!("p95 gate skipped: baseline predates the p95_ms column")
-        }
         Some((_, base_rows)) => {
             for r in &rows {
                 let Some(base) = base_rows

@@ -18,6 +18,13 @@ pub fn is_smoke() -> bool {
         || std::env::args().any(|a| a == "--smoke")
 }
 
+/// True when `QI_NO_TIMING_GATES=1` (what `scripts/bench.sh
+/// --no-timing-gates` exports) waives the benches' wall-clock gates.
+/// Determinism gates never consult it.
+pub fn no_timing_gates() -> bool {
+    std::env::var("QI_NO_TIMING_GATES").is_ok_and(|v| v == "1")
+}
+
 /// The repository's `results/` directory.
 pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -15,7 +15,7 @@
 //!    next tick — the pipeline watermark never passes the boundary.
 //! 2. **Predict**: each emitted window yields one request per active
 //!    app (ascending app id, exactly like the offline replay driver),
-//!    submitted to the attached [`PredictService`] at the tick instant,
+//!    submitted to the attached [`ShardedServeEngine`] at the tick instant,
 //!    then flushed with `finish` so every admitted request is answered
 //!    within the tick.
 //! 3. **Decide**: the policy states its desired posture from the
@@ -30,7 +30,7 @@
 use qi_monitor::{FeaturePipeline, WindowConfig};
 use qi_pfs::control::{ClusterController, ControlDirective};
 use qi_pfs::ops::RunTrace;
-use qi_serve::{Admission, PredictRequest, PredictService, Prediction};
+use qi_serve::{Admission, PredictRequest, Prediction, ShardedServeEngine};
 use qi_simkit::error::QiError;
 use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricId, MetricValue, MetricsSnapshot, Registry};
@@ -71,7 +71,7 @@ struct Ids {
 pub struct ControlLoop {
     wcfg: WindowConfig,
     pipeline: Option<FeaturePipeline>,
-    predictor: Option<Box<dyn PredictService + Send>>,
+    predictor: Option<ShardedServeEngine>,
     policy: Box<dyn MitigationPolicy>,
     gate: HysteresisGate,
     cur_op: usize,
@@ -265,7 +265,7 @@ impl ClusterController for ControlLoop {
 /// is rejected by [`build`](ControlLoopBuilder::build) with a
 /// [`QiError::Control`].
 pub struct ControlLoopBuilder {
-    predictor: Option<Box<dyn PredictService + Send>>,
+    predictor: Option<ShardedServeEngine>,
     policy: Option<Box<dyn MitigationPolicy>>,
     hysteresis: Hysteresis,
     n_devices: Option<u32>,
@@ -277,8 +277,8 @@ impl ControlLoopBuilder {
     /// loop's window/feature configuration is derived from the
     /// service's registry schema — the same guarantee the offline
     /// replay driver gives: serving can never disagree with training.
-    pub fn predictor(mut self, service: impl PredictService + Send + 'static) -> Self {
-        self.predictor = Some(Box::new(service));
+    pub fn predictor(mut self, service: ShardedServeEngine) -> Self {
+        self.predictor = Some(service);
         self
     }
 
@@ -414,7 +414,7 @@ mod tests {
         // The cluster owns the controller across a run; the sharded
         // serve engine must ride along.
         assert_send::<ControlLoop>();
-        assert_send::<qi_serve::ShardedServeEngine>();
+        assert_send::<ShardedServeEngine>();
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use qi_pfs::control::{ControlDirective, DirectiveRecord};
     pub use qi_pfs::ids::AppId;
     pub use qi_pfs::ops::RunTrace;
-    pub use qi_serve::{PredictService, ShardedServeEngine};
+    pub use qi_serve::ShardedServeEngine;
     pub use qi_simkit::QiError;
     pub use qi_workloads::registry::WorkloadKind;
 }

@@ -320,6 +320,13 @@ pub fn model_from_text(text: &str) -> Result<TrainedModel, ModelParseError> {
     if mean.len() != std.len() {
         return Err(err("standardizer length mismatch"));
     }
+    if mean.len() != kernel_widths[0] {
+        return Err(err(format!(
+            "standardizer covers {} features, network takes {}",
+            mean.len(),
+            kernel_widths[0]
+        )));
+    }
     if std.iter().any(|&s| s <= 0.0 || s.is_nan()) {
         return Err(err("non-positive standardizer std"));
     }
@@ -341,7 +348,7 @@ pub fn model_from_text(text: &str) -> Result<TrainedModel, ModelParseError> {
             if *wi != base + k || *bi != base + k {
                 return Err(err("layer indices not dense"));
             }
-            if w.len() != pair[0] * pair[1] || b.len() != pair[1] {
+            if pair[0].checked_mul(pair[1]) != Some(w.len()) || b.len() != pair[1] {
                 return Err(err(format!("layer {k} parameter shape mismatch")));
             }
             layers.push(Dense::from_params(pair[0], pair[1], w.clone(), b.clone()));
@@ -350,6 +357,9 @@ pub fn model_from_text(text: &str) -> Result<TrainedModel, ModelParseError> {
     };
     let kernel = build(&kernel_widths, 0)?;
     let head = build(&head_widths, kernel_widths.len() - 1)?;
+    if kernel.outputs() != 1 {
+        return Err(err("kernel must end in a single score"));
+    }
     if head.inputs() != servers {
         return Err(err("head width does not match server count"));
     }

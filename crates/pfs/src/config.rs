@@ -235,10 +235,10 @@ pub struct ClusterConfig {
     pub stripe: StripeConfig,
     /// Interval between server-side monitor samples (paper: 1 s).
     pub sample_interval: SimDuration,
-    /// Event-queue backend for the simulation loop. Every backend
-    /// produces byte-identical traces (enforced by the differential
-    /// replay harness); this knob exists for performance comparisons
-    /// and for driving whole runs through the reference double.
+    /// Test-only: which event queue the simulation loop runs on. The
+    /// differential replay harness sets `Reference` to drive whole runs
+    /// through the naive queue double and compare traces byte for byte;
+    /// everything else leaves the calendar default.
     pub event_queue: QueueBackend,
     /// Storage policy for the run's server-sample series. The default
     /// unbounded `Vec` keeps the exact full history (byte-identical to

@@ -20,59 +20,8 @@ use qi_pfs::ops::RunTrace;
 use qi_simkit::error::QiError;
 use qi_simkit::time::SimTime;
 
-use crate::engine::{Admission, PredictRequest, Prediction, ServeEngine};
-use crate::registry::ModelRegistry;
+use crate::engine::{Admission, PredictRequest, Prediction};
 use crate::sharded::ShardedServeEngine;
-
-/// What the replay driver needs from a prediction service. Both
-/// [`ServeEngine`] and [`ShardedServeEngine`] implement it, so a trace
-/// replays identically-shaped through either — the sharding test suite
-/// leans on this to compare engines like for like.
-pub trait PredictService {
-    /// The registry backing the service (the replay derives its
-    /// pipeline configuration from the registry's expected schema).
-    fn registry(&self) -> &ModelRegistry;
-    /// Submit one request at simulated instant `now`.
-    fn submit(
-        &mut self,
-        now: SimTime,
-        req: PredictRequest,
-    ) -> Result<(Admission, Vec<Prediction>), QiError>;
-    /// End of stream: flush whatever is queued.
-    fn finish(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError>;
-}
-
-impl PredictService for ServeEngine {
-    fn registry(&self) -> &ModelRegistry {
-        ServeEngine::registry(self)
-    }
-    fn submit(
-        &mut self,
-        now: SimTime,
-        req: PredictRequest,
-    ) -> Result<(Admission, Vec<Prediction>), QiError> {
-        ServeEngine::submit(self, now, req)
-    }
-    fn finish(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError> {
-        ServeEngine::finish(self, now)
-    }
-}
-
-impl PredictService for ShardedServeEngine {
-    fn registry(&self) -> &ModelRegistry {
-        ShardedServeEngine::registry(self)
-    }
-    fn submit(
-        &mut self,
-        now: SimTime,
-        req: PredictRequest,
-    ) -> Result<(Admission, Vec<Prediction>), QiError> {
-        ShardedServeEngine::submit(self, now, req)
-    }
-    fn finish(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError> {
-        ShardedServeEngine::finish(self, now)
-    }
-}
 
 /// What a replay produced, in emission order.
 #[derive(Debug, Default)]
@@ -104,8 +53,8 @@ pub struct ReplaySummary {
 /// so every admitted request is answered.
 ///
 /// [`custom`]: qi_monitor::schema::FeatureSchema::custom
-pub fn replay_trace<S: PredictService>(
-    engine: &mut S,
+pub fn replay_trace(
+    engine: &mut ShardedServeEngine,
     trace: &RunTrace,
     n_devices: u32,
 ) -> Result<ReplaySummary, QiError> {

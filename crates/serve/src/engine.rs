@@ -1,40 +1,36 @@
-//! Micro-batching inference engine with admission control.
+//! The serving layer's shared vocabulary: configuration, request and
+//! answer types, and the modelled inference cost.
 //!
 //! One prediction request arrives per emitted `(app, window)` cell.
-//! Requests accumulate in a bounded queue and are flushed as a **single
-//! stacked forward pass** when either threshold trips:
+//! Requests accumulate in their tenant's bounded queue and are flushed
+//! as a **single stacked forward pass** when either threshold trips:
 //!
 //! - **batch size** — the queue reached [`ServeConfig::max_batch`];
 //! - **batch delay** — the oldest queued request has waited
-//!   [`ServeConfig::max_delay`] (checked by [`ServeEngine::poll`], which
-//!   callers drive from simulated time).
+//!   [`ServeConfig::max_delay`] (checked by
+//!   [`ShardedServeEngine::poll`], which callers drive from simulated
+//!   time).
 //!
-//! Ahead of the queue sits a [`TokenBucket`] admission controller and an
+//! Ahead of the queue sits a token-bucket admission controller and an
 //! explicit [`OverloadPolicy`]; behind it, the batched forward pass runs
 //! through the fused immutable inference path
 //! ([`qi_ml::train::TrainedModel::predict_batch_into`]): `&self` on the model,
-//! engine-owned scratch buffers, zero allocation per batch, and kernels
+//! shard-owned scratch buffers, zero allocation per batch, and kernels
 //! bit-identical to the training-path forward at any thread count.
-//! Scale-out is by *sharding* ([`crate::sharded::ShardedServeEngine`]),
-//! not by parallelising one batch — serve batches are far too small to
-//! amortise fork/join. Inference cost is *modelled* (a deterministic
-//! affine function of batch size in simulated time), so latency
-//! telemetry is byte-stable across replays and across thread counts.
+//! Inference cost is *modelled* (a deterministic affine function of
+//! batch size in simulated time), so latency telemetry is byte-stable
+//! across replays and across thread counts. The state machine itself
+//! lives in [`crate::sharded`].
 //!
-//! Accounting invariant (asserted in tests): every submitted request is
-//! answered by inference, answered stale, shed, or still queued —
-//! `requests == answered + stale + shed + queue_depth`.
+//! Accounting invariant (asserted in the tests below): every submitted
+//! request is answered by inference, answered stale, shed, or still
+//! queued — `requests == answered + stale + shed + queue_depth`.
+//!
+//! [`ShardedServeEngine::poll`]: crate::sharded::ShardedServeEngine::poll
 
-use std::collections::HashMap;
-
-use qi_ml::InferScratch;
 use qi_pfs::ids::AppId;
 use qi_simkit::error::QiError;
-use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::time::{SimDuration, SimTime};
-use qi_telemetry::{MetricId, MetricValue, MetricsSnapshot, Registry};
-
-use crate::registry::ModelRegistry;
 
 /// Modelled inference cost: fixed dispatch overhead per batch…
 pub(crate) const INFER_BASE_US: u64 = 150;
@@ -60,26 +56,30 @@ pub enum OverloadPolicy {
     DegradeToStale,
 }
 
-/// Engine configuration.
+/// Engine configuration. The queue and admission fields apply **per
+/// tenant**: each tenant's lane has its own queue and its own bucket.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Flush when this many requests are queued.
+    /// Flush a tenant's queue when this many requests are in it.
     pub max_batch: usize,
     /// Flush when the oldest queued request has waited this long.
     pub max_delay: SimDuration,
-    /// Queue capacity; admission beyond it triggers the overload policy.
+    /// Per-tenant queue capacity; admission beyond it triggers the
+    /// overload policy.
     pub queue_cap: usize,
-    /// Optional token-bucket admission control `(rate_per_sec, burst)`.
+    /// Optional token-bucket admission control `(rate_per_sec, burst)`,
+    /// one bucket per tenant.
     pub admission: Option<(f64, f64)>,
     /// What to do when admission fails.
     pub overload: OverloadPolicy,
     /// Tenants allowed to submit. Fixed up front so the per-tenant
     /// telemetry key set is stable across scenarios.
     pub tenants: Vec<AppId>,
-    /// Worker threads for driving shards concurrently
-    /// ([`crate::sharded::ShardedServeEngine`]); a plain [`ServeEngine`]
-    /// accepts the knob for config compatibility but runs its fused
-    /// forward pass inline — results are byte-identical either way.
+    /// Nothing reads this. Shards are driven by whatever threads the
+    /// caller hands [`ShardWorker`](crate::sharded::ShardWorker)s to,
+    /// and one batch is never split across threads. The field stays
+    /// because struct literals outside this workspace's control (the
+    /// frozen `benchmark/` package) name it.
     pub threads: Option<usize>,
 }
 
@@ -94,6 +94,33 @@ impl Default for ServeConfig {
             tenants: Vec::new(),
             threads: None,
         }
+    }
+}
+
+impl ServeConfig {
+    /// Refuse a nonsensical config up front: zero batch size, queue
+    /// smaller than a batch, zero delay, bad admission parameters.
+    pub(crate) fn validate(&self) -> Result<(), QiError> {
+        if self.max_batch == 0 {
+            return Err(QiError::Serve("max_batch must be at least 1".into()));
+        }
+        if self.queue_cap < self.max_batch {
+            return Err(QiError::Serve(format!(
+                "queue_cap {} smaller than max_batch {}",
+                self.queue_cap, self.max_batch
+            )));
+        }
+        if self.max_delay.as_nanos() == 0 {
+            return Err(QiError::Serve("max_delay must be positive".into()));
+        }
+        if let Some((rate, burst)) = self.admission {
+            if rate <= 0.0 || burst <= 0.0 {
+                return Err(QiError::Serve(format!(
+                    "admission rate/burst must be positive, got ({rate}, {burst})"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -141,350 +168,17 @@ pub enum Admission {
     Shed,
 }
 
-struct TenantIds {
-    requests: MetricId,
-    answered: MetricId,
-    shed: MetricId,
-}
-
-struct QueuedRequest {
-    req: PredictRequest,
-    /// Effective arrival: submission time, pushed later by token debt
-    /// under [`OverloadPolicy::Block`].
-    arrival: SimTime,
-}
-
-/// The micro-batching prediction service.
-pub struct ServeEngine {
-    cfg: ServeConfig,
-    registry: ModelRegistry,
-    bucket: Option<TokenBucket>,
-    pending: Vec<QueuedRequest>,
-    /// Scratch for the fused forward pass; reused across every batch so
-    /// the steady-state flush path allocates nothing.
-    scratch: InferScratch,
-    /// Stacked feature rows of the batch being flushed (reused).
-    row_buf: Vec<f32>,
-    /// Predicted classes of the batch being flushed (reused).
-    class_buf: Vec<usize>,
-    last_answer: HashMap<AppId, usize>,
-    reg: Registry,
-    m_requests: MetricId,
-    m_answered: MetricId,
-    m_stale: MetricId,
-    m_shed: MetricId,
-    m_blocked: MetricId,
-    m_batches: MetricId,
-    m_batch_size: MetricId,
-    m_queue_depth: MetricId,
-    m_queue_wait: MetricId,
-    m_infer: MetricId,
-    m_admission_wait: MetricId,
-    tenant_ids: HashMap<AppId, TenantIds>,
-}
-
-impl ServeEngine {
-    /// Build an engine over a registry. Fails on a nonsensical config
-    /// (zero batch size, queue smaller than a batch, zero delay, bad
-    /// admission parameters).
-    pub fn new(cfg: ServeConfig, registry: ModelRegistry) -> Result<Self, QiError> {
-        Self::validate_config(&cfg)?;
-        let bucket = cfg
-            .admission
-            .map(|(rate, burst)| TokenBucket::new(rate, burst));
-
-        let mut reg = Registry::new();
-        let m_requests = reg.counter("serve.requests");
-        let m_answered = reg.counter("serve.answered");
-        let m_stale = reg.counter("serve.stale");
-        let m_shed = reg.counter("serve.shed");
-        let m_blocked = reg.counter("serve.blocked");
-        let m_batches = reg.counter("serve.batches");
-        let m_batch_size = reg.stats("serve.batch_size");
-        let m_queue_depth = reg.stats("serve.queue_depth");
-        let m_queue_wait = reg.histogram("serve.queue_wait_us", 0.0, 2_000_000.0, 40);
-        let m_infer = reg.histogram("serve.infer_us", 0.0, 5_000.0, 50);
-        let m_admission_wait = reg.histogram("serve.admission_wait_us", 0.0, 2_000_000.0, 40);
-        let mut tenants = cfg.tenants.clone();
-        tenants.sort_unstable_by_key(|a| a.0);
-        tenants.dedup();
-        let tenant_ids = tenants
-            .iter()
-            .map(|&t| {
-                let ids = TenantIds {
-                    requests: reg.counter(&format!("serve.tenant.app{}.requests", t.0)),
-                    answered: reg.counter(&format!("serve.tenant.app{}.answered", t.0)),
-                    shed: reg.counter(&format!("serve.tenant.app{}.shed", t.0)),
-                };
-                (t, ids)
-            })
-            .collect();
-
-        Ok(ServeEngine {
-            cfg,
-            registry,
-            bucket,
-            pending: Vec::new(),
-            scratch: InferScratch::new(),
-            row_buf: Vec::new(),
-            class_buf: Vec::new(),
-            last_answer: HashMap::new(),
-            reg,
-            m_requests,
-            m_answered,
-            m_stale,
-            m_shed,
-            m_blocked,
-            m_batches,
-            m_batch_size,
-            m_queue_depth,
-            m_queue_wait,
-            m_infer,
-            m_admission_wait,
-            tenant_ids,
-        })
-    }
-
-    /// The config rules shared by every engine kind (single and
-    /// sharded): a nonsensical config is refused up front.
-    pub(crate) fn validate_config(cfg: &ServeConfig) -> Result<(), QiError> {
-        if cfg.max_batch == 0 {
-            return Err(QiError::Serve("max_batch must be at least 1".into()));
-        }
-        if cfg.queue_cap < cfg.max_batch {
-            return Err(QiError::Serve(format!(
-                "queue_cap {} smaller than max_batch {}",
-                cfg.queue_cap, cfg.max_batch
-            )));
-        }
-        if cfg.max_delay.as_nanos() == 0 {
-            return Err(QiError::Serve("max_delay must be positive".into()));
-        }
-        if let Some((rate, burst)) = cfg.admission {
-            if rate <= 0.0 || burst <= 0.0 {
-                return Err(QiError::Serve(format!(
-                    "admission rate/burst must be positive, got ({rate}, {burst})"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// The model registry (inspection).
-    pub fn registry(&self) -> &ModelRegistry {
-        &self.registry
-    }
-
-    /// Load a serialized model into the registry under `version`.
-    pub fn load_model_text(&mut self, version: u64, text: &str) -> Result<(), QiError> {
-        self.registry.load_text(version, text)
-    }
-
-    /// Hot-swap the active model. Pending requests are flushed first so
-    /// the swap is atomic with respect to batches: no batch ever mixes
-    /// model versions. Returns the flushed predictions.
-    pub fn activate(&mut self, now: SimTime, version: u64) -> Result<Vec<Prediction>, QiError> {
-        let flushed = self.flush(now)?;
-        self.registry.activate(version)?;
-        Ok(flushed)
-    }
-
-    /// Requests currently queued.
-    pub fn queue_depth(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submit one request at simulated instant `now` (non-decreasing
-    /// across calls). Returns what happened to the request plus any
-    /// predictions that completed as a side effect (delay-expired
-    /// batches, a size-tripped flush, a forced flush under `Block`).
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        req: PredictRequest,
-    ) -> Result<(Admission, Vec<Prediction>), QiError> {
-        let shape = self.registry.expected_shape();
-        let expected = shape.n_servers * shape.n_features;
-        if req.block.len() != expected {
-            return Err(QiError::Shape {
-                what: "serve request block floats",
-                expected,
-                got: req.block.len(),
-            });
-        }
-        if !self.tenant_ids.contains_key(&req.tenant) {
-            return Err(QiError::Serve(format!(
-                "unknown tenant app{} (not in ServeConfig::tenants)",
-                req.tenant.0
-            )));
-        }
-
-        // Delay-expired batches flush before the new arrival is judged.
-        let mut completed = self.poll(now)?;
-
-        self.reg.inc(self.m_requests);
-        self.reg.inc(self.tenant_ids[&req.tenant].requests);
-
-        // Admission control: a request costs one token. The bucket is
-        // probed on a copy so a shed (or stale) request consumes nothing.
-        let mut arrival = now;
-        if let Some(bucket) = &self.bucket {
-            let mut probe = bucket.clone();
-            let grant = probe.earliest(now, 1.0);
-            if grant > now {
-                match self.cfg.overload {
-                    OverloadPolicy::Shed => {
-                        self.shed(req.tenant);
-                        return Ok((Admission::Shed, completed));
-                    }
-                    OverloadPolicy::DegradeToStale => {
-                        let class = self.stale_answer(req.tenant);
-                        return Ok((Admission::Stale(class), completed));
-                    }
-                    OverloadPolicy::Block => {
-                        // The caller waits for admission: the request's
-                        // effective arrival is the grant instant.
-                        self.bucket = Some(probe);
-                        self.reg.inc(self.m_blocked);
-                        self.reg.observe(
-                            self.m_admission_wait,
-                            grant.saturating_since(now).as_nanos() as f64 / 1_000.0,
-                        );
-                        arrival = grant;
-                    }
-                }
-            } else {
-                self.bucket = Some(probe);
-                self.reg.observe(self.m_admission_wait, 0.0);
-            }
-        }
-
-        // Bounded queue: a full queue is the other overload trigger.
-        if self.pending.len() >= self.cfg.queue_cap {
-            match self.cfg.overload {
-                OverloadPolicy::Shed => {
-                    self.shed(req.tenant);
-                    return Ok((Admission::Shed, completed));
-                }
-                OverloadPolicy::DegradeToStale => {
-                    let class = self.stale_answer(req.tenant);
-                    return Ok((Admission::Stale(class), completed));
-                }
-                OverloadPolicy::Block => {
-                    // Backpressure: drain the queue now to make room.
-                    completed.extend(self.flush(now)?);
-                }
-            }
-        }
-
-        self.pending.push(QueuedRequest { req, arrival });
-        self.reg
-            .observe(self.m_queue_depth, self.pending.len() as f64);
-        if self.pending.len() >= self.cfg.max_batch {
-            completed.extend(self.flush(now)?);
-        }
-        Ok((Admission::Enqueued, completed))
-    }
-
-    /// Flush any batch whose delay threshold expired by `now`. Callers
-    /// drive this from simulated time (e.g. once per emitted window).
-    pub fn poll(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError> {
-        let expired = self
-            .pending
-            .first()
-            .is_some_and(|p| p.arrival + self.cfg.max_delay <= now);
-        if expired {
-            self.flush(now)
-        } else {
-            Ok(Vec::new())
-        }
-    }
-
-    /// End of stream: flush whatever is queued.
-    pub fn finish(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError> {
-        self.flush(now)
-    }
-
-    /// Run one stacked forward pass over everything queued.
-    fn flush(&mut self, now: SimTime) -> Result<Vec<Prediction>, QiError> {
-        if self.pending.is_empty() {
-            return Ok(Vec::new());
-        }
-        let version = self
-            .registry
-            .active_version()
-            .ok_or_else(|| QiError::Serve("no active model version".into()))?;
-        let model = self.registry.active_model().expect("active version stored");
-        let batch = std::mem::take(&mut self.pending);
-        let k = batch.len();
-        self.row_buf.clear();
-        for p in &batch {
-            self.row_buf.extend_from_slice(&p.req.block);
-        }
-        // Fused immutable forward: no Matrix clone, no per-layer
-        // allocation — everything runs in the engine-owned scratch.
-        model.predict_batch_into(&self.row_buf, k, &mut self.scratch, &mut self.class_buf);
-        debug_assert_eq!(self.class_buf.len(), k);
-
-        let cost = SimDuration::from_micros(INFER_BASE_US + INFER_PER_SAMPLE_US * k as u64);
-        let done_at = now + cost;
-        self.reg.inc(self.m_batches);
-        self.reg.observe(self.m_batch_size, k as f64);
-        self.reg
-            .observe(self.m_infer, cost.as_nanos() as f64 / 1_000.0);
-        let mut out = Vec::with_capacity(k);
-        for (p, &class) in batch.into_iter().zip(&self.class_buf) {
-            let queued = now.saturating_since(p.arrival);
-            self.reg
-                .observe(self.m_queue_wait, queued.as_nanos() as f64 / 1_000.0);
-            self.reg.inc(self.m_answered);
-            self.reg.inc(self.tenant_ids[&p.req.tenant].answered);
-            self.last_answer.insert(p.req.tenant, class);
-            out.push(Prediction {
-                tenant: p.req.tenant,
-                window: p.req.window,
-                class,
-                queued,
-                batch: k,
-                done_at,
-                version,
-            });
-        }
-        Ok(out)
-    }
-
-    fn shed(&mut self, tenant: AppId) {
-        self.reg.inc(self.m_shed);
-        self.reg.inc(self.tenant_ids[&tenant].shed);
-    }
-
-    fn stale_answer(&mut self, tenant: AppId) -> usize {
-        self.reg.inc(self.m_stale);
-        *self.last_answer.get(&tenant).unwrap_or(&0)
-    }
-
-    /// Serving telemetry: the engine's counters/histograms, the derived
-    /// p50/p95/p99 latency gauges, and the registry state — every key
-    /// present from construction, so key sets are stable.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.reg.snapshot();
-        for name in ["serve.queue_wait_us", "serve.infer_us"] {
-            let h = snap.histogram(name).expect("registered in new()").clone();
-            for (tag, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                snap.put(&format!("{name}.{tag}"), MetricValue::Gauge(h.quantile(q)));
-            }
-        }
-        self.registry.metrics_into(&mut snap);
-        snap
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The admission/overload/flush semantics the types above promise,
+    //! pinned on a one-shard [`ShardedServeEngine`].
+
     use super::*;
     use crate::registry::ModelRegistry;
+    use crate::sharded::ShardedServeEngine;
     use qi_ml::data::Dataset;
     use qi_ml::train::{train, TrainConfig, TrainedModel};
+    use qi_telemetry::MetricsSnapshot;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -516,12 +210,12 @@ mod tests {
         train(&Dataset::from_samples(samples, y, SERVERS), &cfg)
     }
 
-    fn engine(cfg: ServeConfig) -> ServeEngine {
+    fn engine(cfg: ServeConfig) -> ShardedServeEngine {
         let m = model(1);
         let mut reg = ModelRegistry::new(m.shape(), m.schema().clone());
         reg.insert(1, m).expect("load");
         reg.activate(1).expect("activate");
-        ServeEngine::new(cfg, reg).expect("valid config")
+        ShardedServeEngine::new(cfg, reg, 1).expect("valid config")
     }
 
     fn req(tenant: u32, window: u64, hot: bool) -> PredictRequest {
@@ -705,37 +399,31 @@ mod tests {
             r.activate(1).unwrap();
             r
         };
-        assert!(ServeEngine::new(
+        for bad in [
             ServeConfig {
                 max_batch: 0,
                 ..ServeConfig::default()
             },
-            mk_reg()
-        )
-        .is_err());
-        assert!(ServeEngine::new(
             ServeConfig {
                 max_batch: 8,
                 queue_cap: 4,
                 ..ServeConfig::default()
             },
-            mk_reg()
-        )
-        .is_err());
-        assert!(ServeEngine::new(
             ServeConfig {
                 admission: Some((0.0, 5.0)),
                 ..ServeConfig::default()
             },
-            mk_reg()
-        )
-        .is_err());
-        let mut e = ServeEngine::new(
+        ] {
+            assert!(ShardedServeEngine::new(bad, mk_reg(), 1).is_err());
+        }
+        assert!(ShardedServeEngine::new(ServeConfig::default(), mk_reg(), 0).is_err());
+        let mut e = ShardedServeEngine::new(
             ServeConfig {
                 tenants: vec![AppId(0)],
                 ..ServeConfig::default()
             },
             mk_reg(),
+            1,
         )
         .unwrap();
         // Wrong block shape.
@@ -750,13 +438,14 @@ mod tests {
         // No active model: flushing errors, but only when work exists.
         let mut r = ModelRegistry::new(shape, m.schema().clone());
         r.insert(1, model(1)).unwrap();
-        let mut e2 = ServeEngine::new(
+        let mut e2 = ShardedServeEngine::new(
             ServeConfig {
                 max_batch: 1,
                 tenants: vec![AppId(0)],
                 ..ServeConfig::default()
             },
             r,
+            1,
         )
         .unwrap();
         assert!(e2.finish(t_ms(0)).unwrap().is_empty());

@@ -12,26 +12,25 @@
 //!   active model between batches, reject models whose shape or embedded
 //!   [`qi_monitor::FeatureSchema`] does not match the monitor's feature
 //!   layout.
-//! - [`engine`] — a micro-batching inference engine: prediction requests
-//!   (one per emitted `(app, window)` cell) accumulate in a bounded
-//!   queue and are flushed as a single stacked forward pass when either
-//!   the batch-size or the batch-delay threshold trips, with token-bucket
-//!   admission control and an explicit overload policy
-//!   ([`engine::OverloadPolicy`]: shed, block, or degrade to stale
-//!   answers) so the service degrades gracefully instead of growing
-//!   unbounded queues.
-//! - [`sharded`] — the scale-out engine: N independent worker shards
-//!   routed by tenant hash, each owning its own micro-batcher, token
-//!   buckets, scratch buffers, and statistics, all serving from ONE
-//!   shared registry through the fused immutable inference path. Per
-//!   the module's determinism argument, predicted classes and telemetry
-//!   snapshots are byte-identical at any shard count and thread count.
+//! - [`engine`] — the shared vocabulary: [`ServeConfig`],
+//!   [`PredictRequest`], [`Prediction`], [`Admission`] and the explicit
+//!   [`OverloadPolicy`] (shed, block, or degrade to stale answers) that
+//!   makes the service degrade gracefully instead of growing unbounded
+//!   queues.
+//! - [`sharded`] — the engine. Every tenant owns a **lane**: a bounded
+//!   micro-batch queue flushed as a single stacked forward pass when
+//!   the batch-size or batch-delay threshold trips, a token-bucket
+//!   admission controller, a stale-answer cache and its statistics.
+//!   Lanes are grouped into N worker shards by tenant hash, all serving
+//!   from ONE shared registry through the fused immutable inference
+//!   path. Per the module's determinism argument, predicted classes and
+//!   telemetry snapshots are byte-identical at any shard count and
+//!   thread count.
 //! - [`driver`] — replays a finished [`qi_pfs::ops::RunTrace`] through
-//!   the [`qi_monitor::FeaturePipeline`] and any [`PredictService`]
-//!   (single or sharded engine) in event-time order, the deterministic
-//!   stand-in for a live metric stream. The pipeline configuration is
-//!   derived from the registry's expected schema, so replay and
-//!   validation can never disagree.
+//!   the [`qi_monitor::FeaturePipeline`] and a [`ShardedServeEngine`]
+//!   in event-time order, the deterministic stand-in for a live metric
+//!   stream. The pipeline configuration is derived from the registry's
+//!   expected schema, so replay and validation can never disagree.
 //!
 //! Determinism argument: no wall clock is ever read — arrival times,
 //! batch-delay deadlines, admission grants, and the modelled inference
@@ -51,7 +50,7 @@ pub mod engine;
 pub mod registry;
 pub mod sharded;
 
-pub use driver::{replay_trace, PredictService, ReplaySummary};
-pub use engine::{Admission, OverloadPolicy, PredictRequest, Prediction, ServeConfig, ServeEngine};
+pub use driver::{replay_trace, ReplaySummary};
+pub use engine::{Admission, OverloadPolicy, PredictRequest, Prediction, ServeConfig};
 pub use registry::ModelRegistry;
 pub use sharded::{shard_of_tenant, ShardWorker, ShardedServeEngine};

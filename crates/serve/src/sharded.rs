@@ -1,16 +1,18 @@
-//! Tenant-sharded serving: N independent worker shards behind one
-//! registry, byte-identical at ANY shard count and thread count.
+//! The serving engine: per-tenant lanes grouped into N worker shards
+//! behind one registry, byte-identical at ANY shard count and thread
+//! count.
 //!
-//! The scale-out story of the serving layer. One [`ServeEngine`] runs a
-//! single micro-batch queue; past a few hundred thousand predictions
-//! per second the engine — not the model — becomes the wall. A
-//! [`ShardedServeEngine`] splits the work across `n_shards` worker
-//! shards by **tenant hash** (FNV-1a of the application id, mod shard
-//! count), each shard owning its own micro-batcher, scratch buffers,
-//! token buckets, and statistics, all serving from a single shared
+//! The paper predicts one severity bin per *(application, window)*, so
+//! the tenant is the batching unit: every tenant gets a **lane** with
+//! its own micro-batch queue, token bucket, stale-answer cache and
+//! statistics. A [`ShardedServeEngine`] spreads the lanes over
+//! `n_shards` worker shards by **tenant hash** (FNV-1a of the
+//! application id, mod shard count); each shard owns its lanes and its
+//! scratch buffers, and all serve from a single shared
 //! [`ModelRegistry`] through the fused immutable inference path
 //! (`TrainedModel::predict_batch_into`, `&self` on the model — no
-//! per-shard clones).
+//! per-shard clones). One shard is the whole service on one thread;
+//! more shards let a caller drive disjoint tenant sets in parallel.
 //!
 //! ## The determinism argument
 //!
@@ -39,13 +41,9 @@
 //!   model versions (each [`Prediction`] records the version that
 //!   answered it, and the sharding test suite asserts the invariant).
 //!
-//! Two deliberate semantic differences from [`ServeEngine`], both
-//! consequences of making state per-tenant: admission control applies
-//! **per tenant** (`ServeConfig::admission` rates one bucket per lane,
-//! where the single engine rates all tenants together), and
-//! `queue_cap`/`max_batch`/`max_delay` bound each lane's queue rather
-//! than one global queue. Per-tenant admission is what a multi-tenant
-//! deployment wants anyway — one noisy tenant cannot starve the rest.
+//! Because state is per tenant, so are the limits: `ServeConfig::admission`
+//! rates one bucket per lane, and `queue_cap`/`max_batch`/`max_delay`
+//! bound each lane's queue. One noisy tenant cannot starve the rest.
 //!
 //! ## Driving shards in parallel
 //!
@@ -69,7 +67,7 @@ use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::engine::{
-    Admission, OverloadPolicy, PredictRequest, Prediction, ServeConfig, ServeEngine, INFER_BASE_US,
+    Admission, OverloadPolicy, PredictRequest, Prediction, ServeConfig, INFER_BASE_US,
     INFER_PER_SAMPLE_US,
 };
 use crate::registry::ModelRegistry;
@@ -89,14 +87,15 @@ pub fn shard_of_tenant(tenant: AppId, n_shards: usize) -> usize {
     (h % n_shards as u64) as usize
 }
 
-/// One queued request (lane-local twin of the engine's queue entry).
+/// One queued request.
 struct LaneRequest {
     req: PredictRequest,
+    /// Effective arrival: submission time, pushed later by token debt
+    /// under [`OverloadPolicy::Block`].
     arrival: SimTime,
 }
 
-/// Per-lane statistics: the same quantities the single engine keeps in
-/// its telemetry registry, owned exclusively by the lane and merged in
+/// Per-lane statistics, owned exclusively by the lane and merged in
 /// ascending tenant order at snapshot time.
 struct LaneStats {
     requests: u64,
@@ -113,8 +112,6 @@ struct LaneStats {
 }
 
 impl LaneStats {
-    /// Bucket layouts match the single engine's registrations exactly,
-    /// so merged histograms are comparable across engine kinds.
     fn new() -> Self {
         LaneStats {
             requests: 0,
@@ -161,6 +158,21 @@ struct Shard {
 fn active_of(registry: &ModelRegistry) -> Option<(u64, &TrainedModel)> {
     let v = registry.active_version()?;
     Some((v, registry.active_model()?))
+}
+
+/// A request's block must hold exactly the floats the registry's
+/// models take.
+fn check_block(registry: &ModelRegistry, req: &PredictRequest) -> Result<(), QiError> {
+    let shape = registry.expected_shape();
+    let expected = shape.n_servers * shape.n_features;
+    if req.block.len() != expected {
+        return Err(QiError::Shape {
+            what: "serve request block floats",
+            expected,
+            got: req.block.len(),
+        });
+    }
+    Ok(())
 }
 
 impl Shard {
@@ -253,9 +265,9 @@ impl Shard {
         }
     }
 
-    /// The lane-local submission path: the same admission/overload
-    /// state machine as [`ServeEngine::submit`], applied to one
-    /// tenant's own queue and bucket.
+    /// The submission path: delay-expired work flushes first, then the
+    /// admission/overload state machine runs on the tenant's own queue
+    /// and bucket.
     fn submit(
         &mut self,
         cfg: &ServeConfig,
@@ -271,6 +283,8 @@ impl Shard {
 
         // Admission: one token per request, probed on a copy so a shed
         // or stale request consumes nothing from the lane's bucket.
+        // Under Block the caller waits: the request's effective arrival
+        // is the grant instant.
         let mut arrival = now;
         if let Some(bucket) = &lane.bucket {
             let mut probe = bucket.clone();
@@ -300,7 +314,8 @@ impl Shard {
             }
         }
 
-        // Bounded lane queue: the other overload trigger.
+        // Bounded lane queue: the other overload trigger. Under Block a
+        // full queue drains now to make room.
         if lane.pending.len() >= cfg.queue_cap {
             match cfg.overload {
                 OverloadPolicy::Shed => {
@@ -327,10 +342,8 @@ impl Shard {
     }
 }
 
-/// The tenant-sharded prediction service. See the module docs for the
-/// routing and determinism story; the public surface mirrors
-/// [`ServeEngine`] so the two are drop-in interchangeable behind
-/// [`crate::driver::PredictService`].
+/// The micro-batching prediction service. See the module docs for the
+/// routing and determinism story.
 pub struct ShardedServeEngine {
     cfg: ServeConfig,
     registry: ModelRegistry,
@@ -343,8 +356,8 @@ pub struct ShardedServeEngine {
 }
 
 impl ShardedServeEngine {
-    /// Build a sharded engine over a shared registry. Validates the
-    /// same config rules as [`ServeEngine::new`], plus `n_shards >= 1`.
+    /// Build an engine over a registry. Fails on a nonsensical config
+    /// ([`ServeConfig`]'s rules, plus `n_shards >= 1`).
     pub fn new(
         cfg: ServeConfig,
         registry: ModelRegistry,
@@ -353,8 +366,7 @@ impl ShardedServeEngine {
         if n_shards == 0 {
             return Err(QiError::Serve("n_shards must be at least 1".into()));
         }
-        // Reuse the single engine's config validation verbatim.
-        ServeEngine::validate_config(&cfg)?;
+        cfg.validate()?;
 
         let mut tenants = cfg.tenants.clone();
         tenants.sort_unstable_by_key(|a| a.0);
@@ -417,22 +429,18 @@ impl ShardedServeEngine {
             .sum()
     }
 
-    /// Submit one request: route to its tenant's lane and run the
-    /// lane-local admission path. Only the owning shard is touched.
+    /// Submit one request at simulated instant `now` (non-decreasing
+    /// across calls): route to its tenant's lane and run the lane's
+    /// admission path. Returns what happened to the request plus any
+    /// predictions that completed as a side effect (a delay-expired
+    /// batch, a size-tripped flush, a forced flush under `Block`). Only
+    /// the owning shard is touched.
     pub fn submit(
         &mut self,
         now: SimTime,
         req: PredictRequest,
     ) -> Result<(Admission, Vec<Prediction>), QiError> {
-        let shape = self.registry.expected_shape();
-        let expected = shape.n_servers * shape.n_features;
-        if req.block.len() != expected {
-            return Err(QiError::Shape {
-                what: "serve request block floats",
-                expected,
-                got: req.block.len(),
-            });
-        }
+        check_block(&self.registry, &req)?;
         let Some(&(s, l)) = self.route.get(&req.tenant) else {
             return Err(QiError::Serve(format!(
                 "unknown tenant app{} (not in ServeConfig::tenants)",
@@ -496,11 +504,11 @@ impl ShardedServeEngine {
     }
 
     /// Serving telemetry, merged from every lane in ascending tenant
-    /// order: the same key set as [`ServeEngine::metrics_snapshot`]
-    /// (aggregate counters, batch/queue statistics, latency histograms
-    /// with p50/p95/p99 gauges, per-tenant counters, registry state) —
-    /// and NO shard-count-dependent key, which is precisely what makes
-    /// the snapshot byte-identical at any shard count.
+    /// order: aggregate counters, batch/queue statistics, latency
+    /// histograms with p50/p95/p99 gauges, per-tenant counters and
+    /// registry state — every key present from construction, and NO
+    /// shard-count-dependent key, which is precisely what makes the
+    /// snapshot byte-identical at any shard count.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         let mut requests = 0u64;
@@ -596,15 +604,7 @@ impl ShardWorker<'_> {
         now: SimTime,
         req: PredictRequest,
     ) -> Result<(Admission, Vec<Prediction>), QiError> {
-        let shape = self.registry.expected_shape();
-        let expected = shape.n_servers * shape.n_features;
-        if req.block.len() != expected {
-            return Err(QiError::Shape {
-                what: "serve request block floats",
-                expected,
-                got: req.block.len(),
-            });
-        }
+        check_block(self.registry, &req)?;
         let Some(lane) = self.shard.lane_pos(req.tenant) else {
             return Err(QiError::Serve(format!(
                 "tenant app{} does not route to shard {}",

@@ -4,31 +4,22 @@
 //! monotonically advancing clock. Ties are broken by insertion order, so a
 //! run is fully deterministic regardless of event payloads.
 //!
-//! Two production backends implement the same total order (plus a naive
-//! [`ReferenceQueue`] double for tests):
+//! The production backend, [`QueueBackend::Calendar`], is a hierarchical
+//! calendar queue (timing wheel): [`LEVELS`] levels of [`SLOTS`] time
+//! buckets each, bucket width growing by [`SLOTS`]× per level, with all
+//! entries stored in one slab. Near-future events (the overwhelming
+//! majority in a simulation whose in-flight horizon is microseconds to
+//! seconds) cost O(1) amortized; events beyond the wheel horizon (~4.3 s
+//! from the current minimum) fall back to a small auxiliary heap and
+//! migrate into the wheel lazily, so sparse far-future schedules
+//! (deadlines, fault windows) stay exact without forcing the wheel to
+//! span them.
 //!
-//! - [`QueueBackend::Heap`] — the original `BinaryHeap` over
-//!   `(time, seq)`. O(log n) per operation, no assumptions about the
-//!   event-time distribution.
-//! - [`QueueBackend::Calendar`] — a hierarchical calendar queue (timing
-//!   wheel): [`LEVELS`] levels of [`SLOTS`] time buckets each, bucket
-//!   width growing by [`SLOTS`]× per level, with all entries stored in
-//!   one slab. Near-future events (the overwhelming majority in a
-//!   simulation whose in-flight horizon is microseconds to seconds) cost
-//!   O(1) amortized; events beyond the wheel horizon (~4.3 s from the
-//!   current minimum) fall back to a small auxiliary heap and migrate
-//!   into the wheel lazily, so sparse far-future schedules (deadlines,
-//!   fault windows) stay exact without forcing the wheel to span them.
-//!
-//! Both backends pop in strictly identical `(time, seq)` order — the
-//! property tests in `tests/proptests.rs` and the differential replay
-//! harness in the workspace `tests/sim_equivalence.rs` hold them to that,
-//! so switching backends can never change observable simulation behavior.
-//!
-//! Capacity contract (all backends): `with_capacity(c)` guarantees
-//! `capacity() >= c`; after `reserve(a)`, `capacity() >= pending() + a`;
-//! and `capacity()` never decreases over the queue's lifetime — growth
-//! cycles and drains never drop an earlier requested floor.
+//! [`QueueBackend::Reference`] runs the same interface on the naive
+//! [`ReferenceQueue`] test double. Both pop in strictly identical
+//! `(time, seq)` order — the property tests in `tests/proptests.rs` and
+//! the differential replay harness in the workspace
+//! `tests/sim_equivalence.rs` hold the wheel to that model.
 //!
 //! [`ReferenceQueue`]: crate::reference::ReferenceQueue
 
@@ -45,38 +36,9 @@ pub enum QueueBackend {
     /// The default: O(1) amortized for simulation-shaped schedules.
     #[default]
     Calendar,
-    /// The classic binary heap over `(time, seq)`.
-    Heap,
     /// Naive sorted-`Vec` reference model (O(n) insert). For tests and
     /// differential harnesses only — never use it at scale.
     Reference,
-}
-
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 // ---------------------------------------------------- calendar internals
@@ -178,9 +140,9 @@ struct CalendarQueue<E> {
     /// the true minimum, never higher, so the pop fast path — deliver
     /// straight from level 0 while its minimum is *strictly* below this
     /// bound — cannot reorder events (equal-time FIFO ties fall through
-    /// to the full scan). This is what keeps the calendar competitive
-    /// with the binary heap at small pending counts, where the per-pop
-    /// higher-level scans would otherwise dominate.
+    /// to the full scan). This is what keeps pops cheap at small
+    /// pending counts, where the per-pop higher-level scans would
+    /// otherwise dominate.
     hi_bound: u64,
 }
 
@@ -201,20 +163,6 @@ impl<E> CalendarQueue<E> {
 
     fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
-    }
-
-    /// The slab's capacity is the real bound on concurrently pending
-    /// events without reallocation (freed nodes are reused first).
-    fn capacity(&self) -> usize {
-        self.nodes.capacity()
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        let target = self.len() + additional;
-        if target > self.nodes.capacity() {
-            // Vec::reserve takes a count beyond len().
-            self.nodes.reserve(target - self.nodes.len());
-        }
     }
 
     fn alloc(&mut self, at: u64, seq: u64, event: E) -> u32 {
@@ -493,9 +441,8 @@ impl<E> CalendarQueue<E> {
 // ----------------------------------------------------------- EventQueue
 
 enum Backend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
     // Boxed: the wheel's inline bucket-head table dwarfs the other
-    // variants, and `EventQueue` owners should not pay for it inline.
+    // variant, and `EventQueue` owners should not pay for it inline.
     Calendar(Box<CalendarQueue<E>>),
     Reference(ReferenceQueue<E>),
 }
@@ -506,19 +453,15 @@ enum Backend<E> {
 /// scheduled "in the past" (before the current clock) are a logic error and
 /// panic in debug builds; in release they are delivered at the current time.
 ///
-/// The backing store is selectable (see [`QueueBackend`]); every backend
-/// delivers the exact same `(time, seq)` order, so the choice is purely
-/// a performance knob.
+/// The backing store is selectable (see [`QueueBackend`]) so tests can
+/// run whole simulations on the reference model; both backends deliver
+/// the exact same `(time, seq)` order.
 pub struct EventQueue<E> {
     backend: Backend<E>,
     which: QueueBackend,
     seq: u64,
     now: SimTime,
     processed: u64,
-    /// Floor below which `capacity()` never reports, so a caller's
-    /// `with_capacity`/`reserve` sizing survives backend regrowth
-    /// patterns (the capacity consistency contract).
-    cap_floor: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -548,11 +491,9 @@ impl<E> EventQueue<E> {
         Self::with_capacity_and_backend(capacity, QueueBackend::default())
     }
 
-    /// Pre-sized queue on an explicit backend. `capacity() >= capacity`
-    /// holds from here on, whatever the backend does internally.
+    /// Pre-sized queue on an explicit backend.
     pub fn with_capacity_and_backend(capacity: usize, which: QueueBackend) -> Self {
         let backend = match which {
-            QueueBackend::Heap => Backend::Heap(BinaryHeap::with_capacity(capacity)),
             QueueBackend::Calendar => {
                 Backend::Calendar(Box::new(CalendarQueue::with_capacity(capacity)))
             }
@@ -564,38 +505,12 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             processed: 0,
-            cap_floor: capacity,
         }
     }
 
     /// Which backend this queue runs on.
     pub fn backend(&self) -> QueueBackend {
         self.which
-    }
-
-    /// Reserve room for at least `additional` more pending events:
-    /// afterwards `capacity() >= pending() + additional`.
-    pub fn reserve(&mut self, additional: usize) {
-        let target = self.pending() + additional;
-        match &mut self.backend {
-            Backend::Heap(h) => h.reserve(additional),
-            Backend::Calendar(c) => c.reserve(additional),
-            Backend::Reference(r) => r.reserve(additional),
-        }
-        self.cap_floor = self.cap_floor.max(target);
-    }
-
-    /// Number of pending events the queue can hold without reallocating.
-    /// Never reports below any floor previously requested through
-    /// [`with_capacity`](EventQueue::with_capacity) or
-    /// [`reserve`](EventQueue::reserve), and never decreases.
-    pub fn capacity(&self) -> usize {
-        let raw = match &self.backend {
-            Backend::Heap(h) => h.capacity(),
-            Backend::Calendar(c) => c.capacity(),
-            Backend::Reference(r) => r.capacity(),
-        };
-        raw.max(self.cap_floor)
     }
 
     /// Current simulation time.
@@ -611,7 +526,6 @@ impl<E> EventQueue<E> {
     /// Number of events still pending.
     pub fn pending(&self) -> usize {
         match &self.backend {
-            Backend::Heap(h) => h.len(),
             Backend::Calendar(c) => c.len(),
             Backend::Reference(r) => r.len(),
         }
@@ -628,7 +542,6 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         match &mut self.backend {
-            Backend::Heap(h) => h.push(Scheduled { at, seq, event }),
             Backend::Calendar(c) => c.insert(at.as_nanos(), seq, event),
             Backend::Reference(r) => r.insert(at.as_nanos(), seq, event),
         }
@@ -643,7 +556,6 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.backend {
-            Backend::Heap(h) => h.peek().map(|s| s.at),
             Backend::Calendar(c) => c.peek_time().map(SimTime),
             Backend::Reference(r) => r.peek().map(|(at, _)| SimTime(at)),
         }
@@ -673,15 +585,9 @@ impl<E> EventQueue<E> {
 
     /// Remove the next event if it fires at or before `deadline`. The
     /// calendar finds, deadline-checks and unlinks its minimum in one
-    /// probe; the other backends peek, then pop.
+    /// probe; the reference model peeks, then pops.
     fn take_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         match &mut self.backend {
-            Backend::Heap(h) => {
-                if h.peek()?.at > deadline {
-                    return None;
-                }
-                h.pop().map(|s| (s.at, s.event))
-            }
             Backend::Calendar(c) => c
                 .pop_until(deadline.as_nanos())
                 .map(|(at, _, e)| (SimTime(at), e)),
@@ -707,11 +613,7 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    const BACKENDS: [QueueBackend; 3] = [
-        QueueBackend::Calendar,
-        QueueBackend::Heap,
-        QueueBackend::Reference,
-    ];
+    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Calendar, QueueBackend::Reference];
 
     #[test]
     fn events_pop_in_time_order() {
@@ -779,7 +681,6 @@ mod tests {
     fn with_capacity_preallocates_without_changing_semantics() {
         for b in BACKENDS {
             let mut pre = EventQueue::with_capacity_and_backend(512, b);
-            assert!(pre.capacity() >= 512);
             let mut plain = EventQueue::with_backend(b);
             // Interleave same-time ties and distinct times; both queues
             // must agree on pending counts and pop order exactly.
@@ -789,8 +690,6 @@ mod tests {
                 plain.schedule(at, i);
             }
             assert_eq!(pre.pending(), plain.pending());
-            // No regrowth happened for the pre-sized queue.
-            assert!(pre.capacity() >= 512);
             let a: Vec<_> = std::iter::from_fn(|| pre.pop()).collect();
             let b2: Vec<_> = std::iter::from_fn(|| plain.pop()).collect();
             assert_eq!(a, b2, "{b:?}");
@@ -798,56 +697,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn reserve_grows_capacity_and_keeps_order() {
-        for b in BACKENDS {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule(SimTime::from_secs(2), "b");
-            q.schedule(SimTime::from_secs(1), "a");
-            q.reserve(1000);
-            assert!(q.capacity() >= 1002, "{b:?}");
-            assert_eq!(q.pending(), 2);
-            q.schedule(SimTime::from_secs(3), "c");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a", "b", "c"], "{b:?}");
-        }
-    }
-
-    #[test]
-    fn capacity_floor_survives_regrowth_and_drain() {
-        // The capacity consistency contract: neither a growth cycle well
-        // past the initial size nor a full drain may ever drop
-        // `capacity()` below a previously requested floor (this was
-        // silently violated by pre-sized heap queues once regrowth took
-        // over sizing).
-        for b in BACKENDS {
-            let mut q = EventQueue::with_capacity_and_backend(256, b);
-            let initial = q.capacity();
-            assert!(initial >= 256, "{b:?}");
-            let mut seen_min = usize::MAX;
-            for round in 0..3u64 {
-                for i in 0..2000u64 {
-                    q.schedule(SimTime(round * 10_000 + i * 3), i);
-                }
-                while q.pop().is_some() {}
-                seen_min = seen_min.min(q.capacity());
-            }
-            assert!(
-                seen_min >= initial,
-                "{b:?}: capacity fell from {initial} to {seen_min}"
-            );
-            // reserve() floors capacity at pending + additional.
-            for i in 0..10u64 {
-                q.schedule(SimTime(1_000_000 + i), i);
-            }
-            q.reserve(5000);
-            assert!(q.capacity() >= 5010, "{b:?}");
-            while q.pop().is_some() {}
-            assert!(q.capacity() >= 5010, "{b:?}: drain dropped the floor");
-        }
-    }
-
-    /// Drive two backends through the same schedule and require an
+    /// Drive both backends through the same schedule and require an
     /// identical pop sequence (times, payloads, clock, counters).
     fn assert_backends_agree(schedule: &[(u64, &'static str)]) {
         let mut queues: Vec<EventQueue<&'static str>> = BACKENDS
@@ -863,8 +713,7 @@ mod tests {
             .iter_mut()
             .map(|q| std::iter::from_fn(|| q.pop()).collect())
             .collect();
-        assert_eq!(outs[0], outs[1], "calendar vs heap");
-        assert_eq!(outs[0], outs[2], "calendar vs reference");
+        assert_eq!(outs[0], outs[1], "calendar vs reference");
     }
 
     #[test]
@@ -895,11 +744,11 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_push_pop_matches_heap() {
+    fn interleaved_push_pop_matches_reference() {
         // Pop/push interleaving exercises cascades and wheel-clock
         // advances mid-stream, not just a bulk load.
         let mut cal: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
+        let mut refq: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Reference);
         let mut x = 88172645463325252u64;
         let mut step = move || {
             // xorshift64
@@ -911,7 +760,7 @@ mod tests {
         for i in 0..5000u64 {
             let r = step();
             if r % 3 == 0 && cal.pending() > 0 {
-                assert_eq!(cal.pop(), heap.pop(), "diverged at step {i}");
+                assert_eq!(cal.pop(), refq.pop(), "diverged at step {i}");
             } else {
                 // Mostly near-future deltas, occasionally far-future.
                 let delta = if r % 97 == 0 {
@@ -921,14 +770,14 @@ mod tests {
                 };
                 let at = cal.now() + SimDuration::from_nanos(delta);
                 cal.schedule(at, i);
-                heap.schedule(at, i);
+                refq.schedule(at, i);
             }
         }
         while let Some(got) = cal.pop() {
-            assert_eq!(Some(got), heap.pop());
+            assert_eq!(Some(got), refq.pop());
         }
-        assert!(heap.pop().is_none());
-        assert_eq!(cal.processed(), heap.processed());
+        assert!(refq.pop().is_none());
+        assert_eq!(cal.processed(), refq.processed());
     }
 
     #[test]

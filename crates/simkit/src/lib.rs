@@ -6,8 +6,8 @@
 //!
 //! - [`error`] — the workspace-wide [`QiError`] type.
 //! - [`time`] — integer-nanosecond [`SimTime`]/[`SimDuration`].
-//! - [`event`] — the deterministic [`EventQueue`] with selectable
-//!   calendar/heap backends ([`QueueBackend`]).
+//! - [`event`] — the deterministic calendar-wheel [`EventQueue`]
+//!   ([`QueueBackend`] selects the reference double for tests).
 //! - [`epoch`] — conservative epoch boundaries and deterministic
 //!   cross-shard mailboxes for parallel simulation.
 //! - [`reference`] — the naive sorted-`Vec` queue double backing the

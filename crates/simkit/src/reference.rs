@@ -3,12 +3,11 @@
 //! [`ReferenceQueue`] keeps every pending entry in one `Vec`, sorted on
 //! each insert. It exists to be *obviously correct*, not fast: the
 //! property tests and the differential replay harness compare the
-//! production backends ([`BinaryHeap`] and the calendar wheel) against
-//! this model, entry by entry. It is also selectable as a real
-//! [`EventQueue`] backend (`QueueBackend::Reference`) so whole cluster
-//! runs can be driven through it in tests.
+//! production backend (the calendar wheel) against this model, entry
+//! by entry. It is also selectable as a real [`EventQueue`] backend
+//! (`QueueBackend::Reference`) so whole cluster runs can be driven
+//! through it in tests.
 //!
-//! [`BinaryHeap`]: std::collections::BinaryHeap
 //! [`EventQueue`]: crate::event::EventQueue
 
 /// Sorted-`Vec` priority queue over `(time, seq)` with FIFO tie-break.
@@ -46,16 +45,6 @@ impl<E> ReferenceQueue<E> {
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Entries the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.items.capacity()
-    }
-
-    /// Ensure room for `len() + additional` entries.
-    pub fn reserve(&mut self, additional: usize) {
-        self.items.reserve(additional);
     }
 
     /// Insert an entry. `seq` must be unique per queue (the caller —
@@ -110,13 +99,5 @@ mod tests {
             assert_eq!((pa, ps), (a, s));
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn capacity_is_respected() {
-        let mut q: ReferenceQueue<u8> = ReferenceQueue::with_capacity(64);
-        assert!(q.capacity() >= 64);
-        q.reserve(128);
-        assert!(q.capacity() >= 128);
     }
 }

@@ -35,12 +35,6 @@ fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
     })
 }
 
-const BACKENDS: [QueueBackend; 3] = [
-    QueueBackend::Calendar,
-    QueueBackend::Heap,
-    QueueBackend::Reference,
-];
-
 /// One epoch of the parallel driver's use of the queue: drain through
 /// `now + len`, then — with the clock standing at the deadline — make
 /// these inserts before the next epoch begins.
@@ -113,14 +107,13 @@ fn run_epochs(backend: QueueBackend, initial: &[u64], epochs: &[Epoch]) -> Epoch
     log
 }
 
-/// Every backend must tell the same story for the same epoch script.
+/// The calendar must tell the reference model's story for the same
+/// epoch script.
 fn assert_epochs_agree(initial: &[u64], epochs: &[Epoch]) {
     let want = run_epochs(QueueBackend::Reference, initial, epochs);
-    for b in BACKENDS {
-        let got = run_epochs(b, initial, epochs);
-        assert_eq!(got.delivered, want.delivered, "{b:?}: delivery order");
-        assert_eq!(got.marks, want.marks, "{b:?}: now/processed/pending");
-    }
+    let got = run_epochs(QueueBackend::Calendar, initial, epochs);
+    assert_eq!(got.delivered, want.delivered, "delivery order");
+    assert_eq!(got.marks, want.marks, "now/processed/pending");
 }
 
 /// Far-future events sit in the calendar's overflow heap, so every
@@ -146,15 +139,14 @@ fn pop_until_refuses_overflow_events_without_advancing_the_wheel() {
 }
 
 proptest! {
-    /// Satellite: arbitrary interleaved push/pop sequences through the
-    /// calendar and heap backends against the naive sorted-`Vec` model —
-    /// all three must emit the identical `(time, seq, event)` order,
+    /// Arbitrary interleaved push/pop sequences through the calendar
+    /// backend against the naive sorted-`Vec` model, standalone and as a
+    /// backend — all must emit the identical `(time, seq, event)` order,
     /// including equal-timestamp FIFO ties and `u64::MAX` deltas
     /// (clamped to absolute `u64::MAX`, the zero-width far edge).
     #[test]
     fn backends_match_reference_model_interleaved(ops in queue_ops(120)) {
         let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
         let mut refq = EventQueue::with_backend(QueueBackend::Reference);
         // A standalone naive model driven with the same (at, seq) pairs
         // the queues compute, double-checking the Reference backend too.
@@ -165,7 +157,6 @@ proptest! {
                 QueueOp::Push(delta) => {
                     let at = SimTime(cal.now().as_nanos().saturating_add(delta));
                     cal.schedule(at, i);
-                    heap.schedule(at, i);
                     refq.schedule(at, i);
                     model.insert(at.as_nanos(), seq, i);
                     seq += 1;
@@ -173,26 +164,24 @@ proptest! {
                 QueueOp::Pop => {
                     let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
                     prop_assert_eq!(cal.pop(), want, "calendar diverged at op {}", i);
-                    prop_assert_eq!(heap.pop(), want, "heap diverged at op {}", i);
                     prop_assert_eq!(refq.pop(), want, "reference diverged at op {}", i);
                 }
             }
             prop_assert_eq!(cal.pending(), model.len());
             prop_assert_eq!(cal.peek_time(), model.peek().map(|(at, _)| SimTime(at)));
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
+            prop_assert_eq!(refq.peek_time(), cal.peek_time());
         }
         // Drain: the tails must agree too.
         loop {
             let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
             prop_assert_eq!(cal.pop(), want);
-            prop_assert_eq!(heap.pop(), want);
             prop_assert_eq!(refq.pop(), want);
             if want.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(cal.processed(), heap.processed());
-        prop_assert_eq!(cal.now(), heap.now());
+        prop_assert_eq!(cal.processed(), refq.processed());
+        prop_assert_eq!(cal.now(), refq.now());
     }
 
     /// Zero-time and max-time absolute schedules agree across backends
@@ -212,38 +201,15 @@ proptest! {
             })
             .collect();
         let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
+        let mut refq = EventQueue::with_backend(QueueBackend::Reference);
         for (i, &t) in times.iter().enumerate() {
             cal.schedule(SimTime(t), i);
-            heap.schedule(SimTime(t), i);
+            refq.schedule(SimTime(t), i);
         }
         for _ in 0..times.len() {
-            prop_assert_eq!(cal.pop(), heap.pop());
+            prop_assert_eq!(cal.pop(), refq.pop());
         }
-        prop_assert!(cal.pop().is_none() && heap.pop().is_none());
-    }
-
-    /// The capacity contract holds on every backend for any
-    /// construction capacity and reserve request.
-    #[test]
-    fn capacity_contract_any_backend(
-        cap in 0usize..600,
-        extra in 0usize..600,
-        n in 0usize..300,
-    ) {
-        for b in [QueueBackend::Calendar, QueueBackend::Heap, QueueBackend::Reference] {
-            let mut q = EventQueue::with_capacity_and_backend(cap, b);
-            prop_assert!(q.capacity() >= cap);
-            for i in 0..n {
-                q.schedule(SimTime((i as u64) * 17 % 1000), i);
-            }
-            q.reserve(extra);
-            prop_assert!(q.capacity() >= q.pending() + extra);
-            let before = q.capacity();
-            while q.pop().is_some() {}
-            prop_assert!(q.capacity() >= before.min(cap.max(n + extra)));
-            prop_assert!(q.capacity() >= cap);
-        }
+        prop_assert!(cal.pop().is_none() && refq.pop().is_none());
     }
 
     /// Events always pop in non-decreasing time order, with ties in

@@ -7,20 +7,17 @@
 //! replay a *fresh* interfered run — executed under an active
 //! [`FaultPlan`] — through the feature pipeline into the micro-batching
 //! service. The same trace is replayed twice through one engine with a
-//! hot swap to version 2 in between, once more through a separate
+//! hot swap to version 2 in between, and once more through a separate
 //! engine with deliberately tight admission so the `Shed` overload
-//! policy fires, and twice (with the same hot swap) through the
-//! tenant-sharded scale-out engine. Everything is driven from simulated
-//! time, so the session — serving telemetry included — is
-//! byte-identical across reruns, worker-thread counts, and shard
-//! counts.
+//! policy fires. Everything is driven from simulated time, so the
+//! session — serving telemetry included — is byte-identical across
+//! reruns, worker-thread counts, and shard counts.
 
 use qi_ml::serialize::model_to_text;
 use qi_ml::train::{train_with_schema, ModelShape};
 use qi_pfs::ids::AppId;
 use qi_serve::{
-    replay_trace, ModelRegistry, OverloadPolicy, ReplaySummary, ServeConfig, ServeEngine,
-    ShardedServeEngine,
+    replay_trace, ModelRegistry, OverloadPolicy, ReplaySummary, ServeConfig, ShardedServeEngine,
 };
 use qi_simkit::time::SimDuration;
 use qi_telemetry::MetricsSnapshot;
@@ -39,17 +36,10 @@ pub struct ServeSession {
     pub v2: ReplaySummary,
     /// Single replay through the tight-admission engine (Shed policy).
     pub overload: ReplaySummary,
-    /// First sharded replay: model v1 through the tenant-sharded engine.
-    pub sharded_v1: ReplaySummary,
-    /// Second sharded replay, after the sharded hot swap to v2.
-    pub sharded_v2: ReplaySummary,
     /// Final telemetry of the main engine (both passes + the swap).
     pub snapshot: MetricsSnapshot,
     /// Final telemetry of the overload engine.
     pub overload_snapshot: MetricsSnapshot,
-    /// Final telemetry of the sharded engine — byte-identical at ANY
-    /// shard count (the tentpole invariant of `qi_serve::sharded`).
-    pub sharded_snapshot: MetricsSnapshot,
 }
 
 impl ServeSession {
@@ -61,7 +51,6 @@ impl ServeSession {
         for (name, snap) in [
             ("main", &self.snapshot),
             ("overload", &self.overload_snapshot),
-            ("sharded", &self.sharded_snapshot),
         ] {
             let c = |k: &str| snap.counter(k).unwrap_or(0);
             let (req, ans, stale, shed) = (
@@ -91,11 +80,11 @@ impl ServeSession {
     }
 }
 
-/// Run the whole session with `threads` worker threads and a sharded
-/// replay at `n_shards` worker shards. The returned telemetry must be
-/// byte-identical for any choice of `threads` and `n_shards` — the
-/// golden test and `examples/serve_loop.rs` both gate on that.
-pub fn run_serve_session(threads: Option<usize>, n_shards: usize) -> Result<ServeSession, QiError> {
+/// Run the whole session with both engines at `n_shards` worker
+/// shards. The returned telemetry must be byte-identical for any choice
+/// of `n_shards` and under any rayon pool width — the golden test and
+/// `examples/serve_loop.rs` both gate on that.
+pub fn run_serve_session(n_shards: usize) -> Result<ServeSession, QiError> {
     // ------------------------------------------------------------------
     // 1. Offline: train two model versions on a reduced smoke grid.
     //    (v2 simply trains longer — a plausible "nightly retrain".)
@@ -157,6 +146,9 @@ pub fn run_serve_session(threads: Option<usize>, n_shards: usize) -> Result<Serv
     // ------------------------------------------------------------------
     // 4. Main engine: micro-batching, no admission pressure. Replay the
     //    trace under v1, hot-swap to v2 between replays, replay again.
+    //    Lanes batch per tenant, so NOTHING here may depend on
+    //    `n_shards`: the returned telemetry is the byte-equality
+    //    witness for the sharding invariant.
     // ------------------------------------------------------------------
     let cfg = ServeConfig {
         max_batch: 4,
@@ -165,61 +157,36 @@ pub fn run_serve_session(threads: Option<usize>, n_shards: usize) -> Result<Serv
         admission: None,
         overload: OverloadPolicy::Shed,
         tenants: tenants.clone(),
-        threads,
+        threads: None,
     };
-    let mut engine = ServeEngine::new(cfg, registry)?;
+    let mut engine = ShardedServeEngine::new(cfg, registry, n_shards)?;
     let pass1 = replay_trace(&mut engine, &trace, n_devices)?;
     let flushed = engine.activate(trace.end, 2)?;
-    debug_assert!(flushed.is_empty(), "replay_trace drains the queue");
+    debug_assert!(flushed.is_empty(), "replay_trace drains every lane");
     let pass2 = replay_trace(&mut engine, &trace, n_devices)?;
     let snapshot = engine.metrics_snapshot();
 
     // ------------------------------------------------------------------
     // 5. Overload engine: same trace, but admission tight enough that
-    //    the token bucket cannot keep up and the Shed policy fires.
+    //    the token buckets cannot keep up and the Shed policy fires.
+    //    Admission is per tenant and each tenant submits once per 1 s
+    //    window, so the refill rate has to sit below 1 token/s.
     // ------------------------------------------------------------------
     let tight = ServeConfig {
         max_batch: 4,
         max_delay: spec.window.window,
         queue_cap: 8,
-        admission: Some((1.0, 2.0)),
+        admission: Some((0.5, 1.0)),
         overload: OverloadPolicy::Shed,
-        tenants: tenants.clone(),
-        threads,
+        tenants,
+        threads: None,
     };
     let mut registry2 = ModelRegistry::new(shape, schema);
     registry2.load_text(1, &model_to_text(&v1))?;
     registry2.activate(1)?;
-    let mut shed_engine = ServeEngine::new(tight, registry2)?;
+    let mut shed_engine = ShardedServeEngine::new(tight, registry2, n_shards)?;
     let overload = replay_trace(&mut shed_engine, &trace, n_devices)?;
     let overload_snapshot = shed_engine.metrics_snapshot();
-
-    // ------------------------------------------------------------------
-    // 6. Sharded engine: the same generous replay + hot swap through the
-    //    tenant-sharded scale-out engine. Lanes batch per tenant, so the
-    //    batch composition differs from the single engine — but NOTHING
-    //    here may depend on `n_shards`: the returned telemetry is the
-    //    byte-equality witness for the sharding invariant.
-    // ------------------------------------------------------------------
-    let sharded_cfg = ServeConfig {
-        max_batch: 4,
-        max_delay: spec.window.window,
-        queue_cap: 16,
-        admission: None,
-        overload: OverloadPolicy::Shed,
-        tenants,
-        threads,
-    };
-    let mut registry3 = ModelRegistry::new(shape, generated.schema.clone());
-    registry3.load_text(1, &model_to_text(&v1))?;
-    registry3.load_text(2, &model_to_text(&v2))?;
-    registry3.activate(1)?;
-    let mut sharded_engine = ShardedServeEngine::new(sharded_cfg, registry3, n_shards)?;
-    let sharded_pass1 = replay_trace(&mut sharded_engine, &trace, n_devices)?;
-    let flushed = sharded_engine.activate(trace.end, 2)?;
-    debug_assert!(flushed.is_empty(), "replay_trace drains every lane");
-    let sharded_pass2 = replay_trace(&mut sharded_engine, &trace, n_devices)?;
-    let sharded_snapshot = sharded_engine.metrics_snapshot();
 
     Ok(ServeSession {
         offline_f1,
@@ -227,10 +194,7 @@ pub fn run_serve_session(threads: Option<usize>, n_shards: usize) -> Result<Serv
         v1: pass1,
         v2: pass2,
         overload,
-        sharded_v1: sharded_pass1,
-        sharded_v2: sharded_pass2,
         snapshot,
         overload_snapshot,
-        sharded_snapshot,
     })
 }

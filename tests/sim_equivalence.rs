@@ -3,10 +3,10 @@
 //! The calendar event queue and the arena-routed op tables are pure
 //! performance work: they must not move a single event. This harness
 //! proves it by running the same seeded scenario grid — healthy and
-//! faulted, under 1/2/8-thread rayon pools — through the old-path
-//! equivalent backends (`Heap`, and the naive sorted-`Vec` `Reference`
-//! test double) and the new `Calendar` core, asserting bit-identical
-//! [`RunTrace`]s, telemetry JSON, and dataset feature blocks.
+//! faulted, under 1/2/8-thread rayon pools — through the naive
+//! sorted-`Vec` `Reference` test double and the `Calendar` core,
+//! asserting bit-identical [`RunTrace`]s, telemetry JSON, and dataset
+//! feature blocks.
 
 use qi_simkit::{QueueBackend, SimDuration, SimTime};
 use quanterference_repro::framework::prelude::*;
@@ -21,12 +21,8 @@ fn t(s: u64) -> SimTime {
 }
 
 /// Every queue backend the cluster can run on. `Calendar` first: it is
-/// the default and the golden the others are compared against.
-const BACKENDS: [QueueBackend; 3] = [
-    QueueBackend::Calendar,
-    QueueBackend::Heap,
-    QueueBackend::Reference,
-];
+/// the default and the golden the reference double is compared against.
+const BACKENDS: [QueueBackend; 2] = [QueueBackend::Calendar, QueueBackend::Reference];
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -146,16 +142,6 @@ fn faulted_replay_is_byte_identical_across_backends_and_threads() {
     }
 }
 
-/// True when `QI_SKIP_PARSIM=1` asks the bench pipeline to skip the
-/// parallel-simulator sweep (both these tests and the bench curve).
-fn skip_parsim() -> bool {
-    let skip = std::env::var("QI_SKIP_PARSIM").map(|v| v == "1") == Ok(true);
-    if skip {
-        eprintln!("skipping sharded replay sweep (QI_SKIP_PARSIM=1)");
-    }
-    skip
-}
-
 /// The shard-sweep scenario: the mixed read/metadata workload on a
 /// four-OSS cluster so that `sim_shards = 4` is a genuine four-way
 /// partition, with the same optional fault plan as `scenario`.
@@ -173,9 +159,6 @@ fn sharded_scenario(backend: QueueBackend, faulted: bool, shards: u32) -> Scenar
 /// trace — including the raw event count — must replay exactly.
 #[test]
 fn sharded_replay_is_byte_identical_across_backends_and_threads() {
-    if skip_parsim() {
-        return;
-    }
     for faulted in [false, true] {
         let sequential = sharded_scenario(QueueBackend::Calendar, faulted, 1)
             .run()
@@ -237,9 +220,6 @@ fn sharded_controlled_run(faulted: bool, shards: u32) -> (AppId, RunTrace) {
 /// sequential controlled run, at every shard count and pool size.
 #[test]
 fn sharded_controlled_replay_is_byte_identical() {
-    if skip_parsim() {
-        return;
-    }
     for faulted in [false, true] {
         let sequential = sharded_controlled_run(faulted, 1);
         let ctx = format!("controlled sequential (faulted={faulted})");
@@ -297,29 +277,27 @@ fn tiny_spec(backend: QueueBackend) -> DatasetSpec {
 fn dataset_feature_blocks_are_bit_identical_across_backends() {
     let golden = generate(&tiny_spec(QueueBackend::Calendar)).expect("golden sweep");
     assert!(!golden.data.y.is_empty(), "sweep must produce windows");
-    for backend in [QueueBackend::Heap, QueueBackend::Reference] {
-        for threads in THREADS {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("explicit thread counts always build");
-            let spec = tiny_spec(backend);
-            let got = generate_on(&pool, &spec).expect("pooled sweep");
-            let ctx = format!("{backend:?} @ {threads} threads");
-            assert_eq!(golden.data.y, got.data.y, "{ctx}: labels diverged");
+    for threads in THREADS {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("explicit thread counts always build");
+        let spec = tiny_spec(QueueBackend::Reference);
+        let got = generate_on(&pool, &spec).expect("pooled sweep");
+        let ctx = format!("Reference @ {threads} threads");
+        assert_eq!(golden.data.y, got.data.y, "{ctx}: labels diverged");
+        assert_eq!(
+            golden.data.x.data(),
+            got.data.x.data(),
+            "{ctx}: feature bytes diverged"
+        );
+        assert_eq!(golden.meta.len(), got.meta.len(), "{ctx}: window metadata");
+        for (ma, mb) in golden.meta.iter().zip(got.meta.iter()) {
             assert_eq!(
-                golden.data.x.data(),
-                got.data.x.data(),
-                "{ctx}: feature bytes diverged"
+                (ma.window, ma.seed, ma.fault),
+                (mb.window, mb.seed, mb.fault),
+                "{ctx}: window metadata diverged"
             );
-            assert_eq!(golden.meta.len(), got.meta.len(), "{ctx}: window metadata");
-            for (ma, mb) in golden.meta.iter().zip(got.meta.iter()) {
-                assert_eq!(
-                    (ma.window, ma.seed, ma.fault),
-                    (mb.window, mb.seed, mb.fault),
-                    "{ctx}: window metadata diverged"
-                );
-            }
         }
     }
 }
