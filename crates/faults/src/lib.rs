@@ -138,34 +138,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Partition this plan by an ownership function, preserving event
-    /// order inside every partition.
-    ///
-    /// `route` names the owning partition for each event, or `None` for
-    /// events that belong to the shared realm (link faults, MDS storms,
-    /// faults on realm-owned devices). Returns the realm plan plus
-    /// `n_parts` shard plans. Used by the sharded simulator: each shard
-    /// applies only the faults targeting hardware it owns, and because
-    /// relative order is preserved per partition, equal-time faults on
-    /// one device replay in the same order as in a sequential run.
-    pub fn split_by<F>(&self, n_parts: usize, route: F) -> (FaultPlan, Vec<FaultPlan>)
-    where
-        F: Fn(&FaultEvent) -> Option<usize>,
-    {
-        let mut realm = FaultPlan::new();
-        let mut shards = vec![FaultPlan::new(); n_parts];
-        for ev in &self.events {
-            match route(ev) {
-                Some(i) => {
-                    assert!(i < n_parts, "split_by route out of range: {i} >= {n_parts}");
-                    shards[i].push(*ev);
-                }
-                None => realm.push(*ev),
-            }
-        }
-        (realm, shards)
-    }
-
     /// The scheduled events, in insertion order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -538,61 +510,5 @@ mod tests {
         let mut d = SimRng::new(42).substream(0xFA17);
         let any_diff = (1..=6).any(|k| pol.backoff(k, &mut c) != pol.backoff(k, &mut d));
         assert!(any_diff);
-    }
-
-    #[test]
-    fn split_by_partitions_and_preserves_order() {
-        let plan = FaultPlan::new()
-            .with(FaultEvent::SlowDisk {
-                dev: 0,
-                factor: 2.0,
-                from: SimTime::from_secs(1),
-                until: SimTime::from_secs(2),
-            })
-            .with(FaultEvent::MdsLockStorm {
-                from: SimTime::from_secs(1),
-                until: SimTime::from_secs(3),
-                revoke_factor: 2.0,
-            })
-            .with(FaultEvent::DiskStall {
-                dev: 3,
-                at: SimTime::from_secs(1),
-                duration: SimDuration::from_secs(1),
-            })
-            .with(FaultEvent::SlowDisk {
-                dev: 3,
-                factor: 4.0,
-                from: SimTime::from_secs(5),
-                until: SimTime::from_secs(6),
-            })
-            .with(FaultEvent::RpcDrop {
-                src: None,
-                dst: None,
-                prob: 0.1,
-                from: SimTime::ZERO,
-                until: SimTime::from_secs(9),
-            });
-        // Two shards of two devices each.
-        let (realm, shards) = plan.split_by(2, |ev| match ev {
-            FaultEvent::SlowDisk { dev, .. } | FaultEvent::DiskStall { dev, .. } => {
-                Some(*dev as usize / 2)
-            }
-            _ => None,
-        });
-        assert_eq!(realm.events().len(), 2);
-        assert!(matches!(realm.events()[0], FaultEvent::MdsLockStorm { .. }));
-        assert!(matches!(realm.events()[1], FaultEvent::RpcDrop { .. }));
-        assert_eq!(shards[0].events().len(), 1);
-        assert_eq!(shards[1].events().len(), 2);
-        // Relative order inside a partition matches the original plan.
-        assert!(matches!(
-            shards[1].events()[0],
-            FaultEvent::DiskStall { .. }
-        ));
-        assert!(matches!(shards[1].events()[1], FaultEvent::SlowDisk { .. }));
-        // Nothing lost, nothing duplicated.
-        let total: usize =
-            realm.events().len() + shards.iter().map(|p| p.events().len()).sum::<usize>();
-        assert_eq!(total, plan.events().len());
     }
 }

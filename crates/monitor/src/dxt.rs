@@ -69,6 +69,17 @@ fn parse_kind(s: &str) -> Option<OpKind> {
     }
 }
 
+/// A timestamp in seconds as a simulated instant; `None` unless it is
+/// finite, non-negative and within `u64` nanoseconds (a bare `as u64`
+/// would turn NaN into 0 and saturate the rest).
+fn parse_time(s: &str) -> Option<SimTime> {
+    let nanos = (s.parse::<f64>().ok()? * 1e9).round();
+    // 2^64 is exactly representable; everything below it casts losslessly.
+    (0.0..18_446_744_073_709_551_616.0)
+        .contains(&nanos)
+        .then_some(SimTime(nanos as u64))
+}
+
 /// Parse a DXT-like log produced by [`export_dxt`] back into operation
 /// records attributed to `app`.
 pub fn import_dxt(text: &str, app: AppId) -> Result<Vec<OpRecord>, DxtParseError> {
@@ -100,17 +111,17 @@ pub fn import_dxt(text: &str, app: AppId) -> Result<Vec<OpRecord>, DxtParseError
         let kind = parse_kind(fields[2]).ok_or_else(|| err("bad op kind"))?;
         let seq: u64 = fields[3].parse().map_err(|_| err("bad seq"))?;
         let bytes: u64 = fields[5].parse().map_err(|_| err("bad length"))?;
-        let start: f64 = fields[6].parse().map_err(|_| err("bad start"))?;
-        let end: f64 = fields[7].parse().map_err(|_| err("bad end"))?;
-        if end < start {
+        let issued = parse_time(fields[6]).ok_or_else(|| err("bad start"))?;
+        let completed = parse_time(fields[7]).ok_or_else(|| err("bad end"))?;
+        if completed < issued {
             return Err(err("end before start"));
         }
         out.push(OpRecord {
             token: OpToken { app, rank, seq },
             kind,
             bytes,
-            issued: SimTime((start * 1e9).round() as u64),
-            completed: SimTime((end * 1e9).round() as u64),
+            issued,
+            completed,
         });
     }
     Ok(out)
@@ -198,5 +209,29 @@ mod tests {
         let text = "X_POSIX 0 read 0 0 10 2.0 1.0\n";
         let err = import_dxt(text, AppId(0)).expect_err("inverted times");
         assert!(err.message.contains("end before start"));
+    }
+
+    #[test]
+    fn unrepresentable_times_are_rejected_with_their_line() {
+        for (start, end) in [
+            ("nan", "1.0"),
+            ("0.0", "NaN"),
+            ("0.0", "inf"),
+            ("-inf", "1.0"),
+            ("-1", "1.0"),
+            ("-0.5", "-0.25"),
+            ("0.0", "18446744073.709551616"), // 2^64 ns
+            ("0.0", "1e300"),
+        ] {
+            let text = format!("# header\nX_POSIX 0 read 0 0 10 {start} {end}\n");
+            let err = import_dxt(&text, AppId(0)).expect_err("unrepresentable time");
+            assert_eq!(err.line, 2, "{start} {end}");
+            assert!(err.message.starts_with("bad "), "{}", err.message);
+        }
+        // Negative zero and century-scale instants are fine.
+        let ops =
+            import_dxt("X_POSIX 0 read 0 0 10 -0.0 4294967296.0\n", AppId(0)).expect("in range");
+        assert_eq!(ops[0].issued, SimTime::ZERO);
+        assert_eq!(ops[0].completed, SimTime::from_secs(1 << 32));
     }
 }

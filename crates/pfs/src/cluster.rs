@@ -8,6 +8,15 @@
 //! foreground requests; replies carry the payload back through the
 //! network. Metadata ops go to the MDS: CPU, lookup cache, per-directory
 //! locks, and journal writes on the MDT device.
+//!
+//! Routing surface: the OSS/OST side lives in server shards
+//! ([`crate::shard`]), everything else ("the realm") here. Three
+//! functions hold the two decisions that differ between the sequential
+//! loop and the epoch loop ([`parsim`]), and nothing else may encode
+//! them: [`Cluster::owner`] says which shard, if any, owns an event;
+//! [`Cluster::post`] schedules an event on its owner's queue; and
+//! [`Cluster::fx`] hands realm code the [`Fx`] whose `send` realises a
+//! network transfer (at once, or at the next barrier).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -38,7 +47,7 @@ use crate::shard::{
 };
 use crate::store::SampleStore;
 
-/// The parallel (multi-shard) driver: a child module so it can reach
+/// The epoch loop (`sim_shards > 1`): a child module so it can reach
 /// the cluster's internals without widening their visibility.
 #[path = "parsim.rs"]
 mod parsim;
@@ -77,6 +86,7 @@ struct DirLock {
 /// Scalar telemetry the cluster accumulates outside the per-device
 /// counters; folded into [`RunTrace::metrics`] when a run ends. All
 /// values derive from simulated time and deterministic state only.
+#[derive(Default)]
 struct ClusterTelemetry {
     /// Time each mutation waited for its directory lock, in microseconds
     /// (uncontended acquisitions observe 0).
@@ -122,41 +132,6 @@ struct ClusterTelemetry {
     control_retarget_clears: u64,
     /// New file layouts that were steered around avoided OSTs.
     control_retarget_layouts: u64,
-    /// Data RPCs parked at admission by an inflight cap.
-    control_parked: u64,
-    /// Parked RPCs later admitted (cap headroom or cap cleared).
-    control_resumed: u64,
-}
-
-impl ClusterTelemetry {
-    fn new() -> Self {
-        ClusterTelemetry {
-            lock_wait_us: OnlineStats::new(),
-            lock_revocations: 0,
-            lookup_cache_hits: 0,
-            lookup_cache_misses: 0,
-            samples_taken: 0,
-            rpc_dropped: 0,
-            rpc_delayed: 0,
-            rpc_timeouts: 0,
-            rpc_retries: 0,
-            rpc_failed_ops: 0,
-            rpc_deadline_exceeded: 0,
-            disk_stalls: 0,
-            lock_storm_revocations: 0,
-            control_applied: 0,
-            control_rejected: 0,
-            control_rate_limits: 0,
-            control_rate_clears: 0,
-            control_caps: 0,
-            control_cap_clears: 0,
-            control_retargets: 0,
-            control_retarget_clears: 0,
-            control_retarget_layouts: 0,
-            control_parked: 0,
-            control_resumed: 0,
-        }
-    }
 }
 
 /// Put one device's block-layer counters and distributions into the
@@ -245,8 +220,8 @@ struct AppState {
 pub struct Cluster {
     cfg: ClusterConfig,
     /// The realm event queue: clients, network deliveries, MDS/MDT, and
-    /// control — everything that is not shard-owned. In the sequential
-    /// loop (one shard) it also drives the single shard's events.
+    /// control — everything [`Cluster::owner`] maps to `None`. In the
+    /// sequential loop it also carries the single shard's events.
     events: EventQueue<Ev>,
     net: Network,
     /// Server shards in ascending OSS order. Always at least one; the
@@ -307,18 +282,15 @@ pub struct Cluster {
     avoid_osts: Vec<bool>,
     /// Scratch directive buffer for control ticks.
     scratch_directives: Vec<ControlDirective>,
-    /// True when running the parallel (multi-shard) driver; chosen at
-    /// construction from `sim_shards` and the topology.
+    /// True when the epoch loop drives the run (more than one shard);
+    /// fixed at construction from `sim_shards` and the topology.
     par: bool,
-    /// Parallel driver: network sends produced by realm handlers inside
-    /// the current epoch, applied at the barrier.
+    /// Epoch loop: network sends produced by realm handlers inside the
+    /// current epoch, applied at the barrier.
     realm_outbox: Vec<SendIntent>,
-    /// Parallel driver: MDT monitor samples taken inside the current
-    /// epoch, merged with shard samples at the barrier.
+    /// Epoch loop: MDT monitor samples taken inside the current epoch,
+    /// merged with shard samples at the barrier.
     realm_samples: Vec<ServerSample>,
-    /// Events injected before the run (e.g. [`Cluster::inject_fail_slow`])
-    /// staged here and routed to the owning queue when the run starts.
-    pending_init: Vec<(SimTime, Ev)>,
 }
 
 /// Deterministic 64-bit mix of a file key, used for placement and inode
@@ -454,6 +426,14 @@ impl Cluster {
         // global OST order equals shard order + local order). One shard
         // (the default) is the classic sequential simulator.
         let n_shards = cfg.sim_shards.min(cfg.oss_nodes).max(1);
+        // In-flight events scale with concurrently outstanding chunk
+        // RPCs: a few per rank per striped OST plus device completions.
+        // Pre-sizing kills backend regrowth in long runs; 64 slots per
+        // node is comfortably above the steady-state high-water mark at
+        // every config we run. Shard queues carry events only under the
+        // epoch loop.
+        let queue_slots = cfg.n_nodes() as usize * 64;
+        let shard_slots = if n_shards > 1 { queue_slots } else { 0 };
         let mut shards = Vec::with_capacity(n_shards as usize);
         let mut ost_shard = Vec::with_capacity(n_osts);
         for s in 0..n_shards {
@@ -463,8 +443,8 @@ impl Cluster {
                 ost_shard.push(s as usize);
             }
             shards.push(ShardCell::new(
-                ShardState::new(&cfg, seed, s, oss_lo, oss_hi),
-                EventQueue::with_capacity_and_backend(cfg.n_nodes() as usize * 64, cfg.event_queue),
+                ShardState::new(&cfg, oss_lo, oss_hi),
+                EventQueue::with_capacity_and_backend(shard_slots, cfg.event_queue),
             ));
         }
         let mdt_dev = BlockDevice::new(cfg.queue.clone(), Disk::new(cfg.mdt_disk.clone()));
@@ -486,15 +466,7 @@ impl Cluster {
         let fault_rng = SimRng::new(seed).substream(0xFA17);
         Cluster {
             net: Network::new(cfg.net.clone(), cfg.n_nodes()),
-            // In-flight events scale with concurrently outstanding
-            // chunk RPCs: a few per rank per striped OST plus device
-            // completions. Pre-sizing kills backend regrowth in long
-            // runs; 64 slots per node is comfortably above the
-            // steady-state high-water mark at every config we run.
-            events: EventQueue::with_capacity_and_backend(
-                cfg.n_nodes() as usize * 64,
-                cfg.event_queue,
-            ),
+            events: EventQueue::with_capacity_and_backend(queue_slots, cfg.event_queue),
             par: n_shards > 1,
             shards,
             ost_shard,
@@ -508,7 +480,12 @@ impl Cluster {
                 ..RunTrace::default()
             },
             rng,
-            tele: ClusterTelemetry::new(),
+            tele: ClusterTelemetry {
+                // The derived default is not the empty accumulator (its
+                // min/max start at 0, not ±inf).
+                lock_wait_us: OnlineStats::new(),
+                ..ClusterTelemetry::default()
+            },
             fault_plan,
             retry,
             fault_rng,
@@ -525,37 +502,74 @@ impl Cluster {
             scratch_directives: Vec::new(),
             realm_outbox: Vec::new(),
             realm_samples: Vec::new(),
-            pending_init: Vec::new(),
             cfg,
         }
     }
 
-    /// Owning shard of a global OST id.
-    #[inline]
-    fn shard_of_dev(&self, dev: u32) -> usize {
-        self.ost_shard[dev as usize]
+    /// The shard that owns `ev` — the one place that knows which events
+    /// are server-side. `None` is the realm: clients, MDS, the MDT
+    /// device, control and retries, plus the kinds that are never
+    /// posted because each queue schedules its own (`SendLater`,
+    /// `Sample`, `AdmissionRecheck`).
+    fn owner(&self, ev: &Ev) -> Option<usize> {
+        let dev = match ev {
+            Ev::OssProcess(msg) | Ev::TbfAdmitted(msg) => match msg {
+                Msg::ReadReq { dev, .. } | Msg::WriteReq { dev, .. } => dev.0,
+                Msg::MetaReq { .. } | Msg::OpDone { .. } => unreachable!("not a data RPC"),
+            },
+            Ev::DiskDone { dev }
+            | Ev::DiskIdle { dev }
+            | Ev::FailSlow { dev, .. }
+            | Ev::DiskStall { dev, .. } => *dev,
+            Ev::OssFactor { oss, .. } => oss * self.cfg.osts_per_oss,
+            Ev::RankNext { .. }
+            | Ev::Deliver(_)
+            | Ev::MdsProcess(_)
+            | Ev::SendLater { .. }
+            | Ev::MdsLockRun { .. }
+            | Ev::Sample
+            | Ev::Control
+            | Ev::RpcTimeout { .. }
+            | Ev::RpcResend { .. }
+            | Ev::AdmissionRecheck { .. } => return None,
+        };
+        // The MDT (the one device past the OSTs) is realm-owned.
+        self.ost_shard.get(dev as usize).copied()
     }
 
-    /// Target device of a data RPC.
-    fn msg_dev(msg: &Msg) -> DeviceId {
-        match msg {
-            Msg::ReadReq { dev, .. } | Msg::WriteReq { dev, .. } => *dev,
-            _ => unreachable!("not a data RPC"),
+    /// Schedule `ev` at `at` on its owner's queue: the shard's under the
+    /// epoch loop, the realm's otherwise.
+    fn post(&mut self, at: SimTime, ev: Ev) {
+        match self.owner(&ev) {
+            Some(s) if self.par => self.shards[s].q.schedule(at, ev),
+            _ => self.events.schedule(at, ev),
         }
     }
 
-    /// Run one shard-owned event against the realm queue and live
-    /// network — the sequential path (exact one-shard equivalent of the
-    /// pre-shard simulator). The parallel driver never routes through
-    /// here; shard events live on shard queues there.
+    /// The realm's effect context: the realm queue plus the network,
+    /// live in the sequential loop and deferred to the barrier under
+    /// epochs.
+    fn fx(&mut self) -> Fx<'_> {
+        Fx {
+            q: &mut self.events,
+            net: if self.par {
+                NetFx::Deferred(&mut self.realm_outbox)
+            } else {
+                NetFx::Direct(&mut self.net)
+            },
+        }
+    }
+
+    /// Run one shard-owned event inline against the realm queue and the
+    /// live network: the sequential loop only. Under epochs shard events
+    /// live on shard queues and run in `ShardCell::run_epoch`.
     fn shard_event(&mut self, s: usize, now: SimTime, ev: Ev) {
-        debug_assert!(!self.par, "shard event on the realm queue in parallel mode");
-        let sh = &mut self.shards[s];
+        debug_assert!(!self.par, "shard event on the realm queue under epochs");
         let mut fx = Fx {
             q: &mut self.events,
             net: NetFx::Direct(&mut self.net),
         };
-        sh.st.handle(now, ev, &self.cfg, &mut fx);
+        self.shards[s].st.handle(now, ev, &self.cfg, &mut fx);
     }
 
     /// Cluster configuration.
@@ -756,21 +770,17 @@ impl Cluster {
     /// A cap directive for `app` landed: push the master cap table to
     /// every shard's replica, then re-admit parked RPCs under the new
     /// cap. The realm runs strictly before the shards inside an epoch,
-    /// so the sequential loop rechecks inline while the parallel driver
-    /// schedules the recheck onto each shard's queue at the directive
-    /// instant (shard clocks are still at the previous epoch boundary).
+    /// so the sequential loop rechecks inline while the epoch loop
+    /// queues the recheck on each shard at the directive instant (shard
+    /// clocks are still at the previous epoch boundary).
     fn cap_changed(&mut self, at: SimTime, app: u32) {
         for s in 0..self.shards.len() {
             self.shards[s].st.inflight_caps = self.inflight_caps.clone();
+            let ev = Ev::AdmissionRecheck { app };
             if self.par {
-                self.shards[s].q.schedule(at, Ev::AdmissionRecheck { app });
+                self.shards[s].q.schedule(at, ev);
             } else {
-                let sh = &mut self.shards[s];
-                let mut fx = Fx {
-                    q: &mut self.events,
-                    net: NetFx::Direct(&mut self.net),
-                };
-                sh.st.admission_recheck(at, app, &self.cfg, &mut fx);
+                self.shard_event(s, at, ev);
             }
         }
     }
@@ -781,11 +791,7 @@ impl Cluster {
     pub fn inject_fail_slow(&mut self, dev: DeviceId, at: SimTime, factor: f64) {
         assert!(dev.0 < self.cfg.n_devices(), "no such device");
         assert!(factor >= 1.0);
-        // Staged, not scheduled: the owning queue (realm or shard) is
-        // only decided when the run starts. Relative order among
-        // same-instant injections is preserved by the stage order.
-        self.pending_init
-            .push((at, Ev::FailSlow { dev: dev.0, factor }));
+        self.post(at, Ev::FailSlow { dev: dev.0, factor });
     }
 
     /// Pre-populate a file (namespace entry + contiguous extents) without
@@ -869,31 +875,45 @@ impl Cluster {
     }
 
     fn send(&mut self, now: SimTime, src: NodeId, dst: NodeId, payload: u64, msg: Msg) {
-        if self.par {
-            // Defer to the epoch barrier: NIC clocks must advance in
-            // global timestamp order, which only the barrier can see.
-            self.realm_outbox.push(SendIntent {
-                at: now,
-                src,
-                dst,
-                payload,
-                extra: SimDuration::ZERO,
-                msg: Some(msg),
-            });
-            return;
+        self.fx()
+            .send(now, src, dst, payload, SimDuration::ZERO, Some(msg));
+    }
+
+    /// Roll the link fate of one client request and put it on the wire.
+    /// A dropped request comes back to the caller: it occupied both NICs
+    /// (lost in transit) but never reaches the server.
+    fn transmit(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        payload: u64,
+        msg: Msg,
+    ) -> Option<Msg> {
+        match self.net.fate(now, src, dst, &mut self.fault_rng) {
+            LinkFate::Deliver(extra) => {
+                if extra > SimDuration::ZERO {
+                    self.tele.rpc_delayed += 1;
+                }
+                self.fx().send(now, src, dst, payload, extra, Some(msg));
+                None
+            }
+            LinkFate::Dropped => {
+                self.tele.rpc_dropped += 1;
+                self.fx()
+                    .send(now, src, dst, payload, SimDuration::ZERO, None);
+                Some(msg)
+            }
         }
-        let deliver = self.net.send(now, src, dst, payload);
-        self.events.schedule(deliver, Ev::Deliver(msg));
     }
 
     /// Send a client request, subject to the active link-fault rules.
     ///
     /// The drop fate of a round trip is decided here, at request-send
-    /// time: a dropped request occupies both NICs (it is lost in
-    /// transit), never reaches the server, and the client recovers via
-    /// its [`RetryPolicy`]. Server→client replies always deliver — a
-    /// deliberate simplification that keeps at-most-once server
-    /// execution without duplicate-request bookkeeping.
+    /// time: a dropped request never reaches the server, and the client
+    /// recovers via its [`RetryPolicy`]. Server→client replies always
+    /// deliver — a deliberate simplification that keeps at-most-once
+    /// server execution without duplicate-request bookkeeping.
     fn send_request(
         &mut self,
         now: SimTime,
@@ -903,61 +923,24 @@ impl Cluster {
         msg: Msg,
         token: OpToken,
     ) {
-        if !self.net.has_faults() {
-            self.send(now, src, dst, payload, msg);
-            return;
-        }
-        match self.net.fate(now, src, dst, &mut self.fault_rng) {
-            LinkFate::Deliver(extra) => {
-                if extra > SimDuration::ZERO {
-                    self.tele.rpc_delayed += 1;
-                }
-                if self.par {
-                    self.realm_outbox.push(SendIntent {
-                        at: now,
-                        src,
-                        dst,
-                        payload,
-                        extra,
-                        msg: Some(msg),
-                    });
-                    return;
-                }
-                let deliver = self.net.send(now, src, dst, payload);
-                self.events.schedule(deliver + extra, Ev::Deliver(msg));
-            }
-            LinkFate::Dropped => {
-                self.tele.rpc_dropped += 1;
-                // The transfer still occupies both NICs (msg: None —
-                // nothing is delivered).
-                if self.par {
-                    self.realm_outbox.push(SendIntent {
-                        at: now,
-                        src,
-                        dst,
-                        payload,
-                        extra: SimDuration::ZERO,
-                        msg: None,
-                    });
-                } else {
-                    let _ = self.net.send(now, src, dst, payload);
-                }
-                let seq = self.retry_states.insert(RetryState {
-                    msg,
-                    src,
-                    dst,
-                    payload,
-                    token,
-                    attempt: 0,
-                });
-                self.events
-                    .schedule(now + self.retry.rpc_timeout, Ev::RpcTimeout { seq });
-            }
+        if let Some(msg) = self.transmit(now, src, dst, payload, msg) {
+            let seq = self.retry_states.insert(RetryState {
+                msg,
+                src,
+                dst,
+                payload,
+                token,
+                attempt: 0,
+            });
+            self.events
+                .schedule(now + self.retry.rpc_timeout, Ev::RpcTimeout { seq });
         }
     }
 
-    /// Realise the fault plan: schedule its one-shot events and install
-    /// its window rules. Called once when a run starts.
+    /// Realise the fault plan: post its one-shot events to their owners'
+    /// queues (plan order is kept per queue, so equal-time faults on one
+    /// device replay alike under both loops) and install its window
+    /// rules. Called once when a run starts.
     fn schedule_fault_plan(&mut self) {
         let plan = std::mem::take(&mut self.fault_plan);
         for ev in plan.events() {
@@ -968,12 +951,11 @@ impl Cluster {
                     from,
                     until,
                 } => {
-                    self.events.schedule(from, Ev::FailSlow { dev, factor });
-                    self.events
-                        .schedule(until, Ev::FailSlow { dev, factor: 1.0 });
+                    self.post(from, Ev::FailSlow { dev, factor });
+                    self.post(until, Ev::FailSlow { dev, factor: 1.0 });
                 }
                 FaultEvent::DiskStall { dev, at, duration } => {
-                    self.events.schedule(
+                    self.post(
                         at,
                         Ev::DiskStall {
                             dev,
@@ -1013,7 +995,7 @@ impl Cluster {
                     restart,
                     remaining,
                 } => {
-                    self.events.schedule(
+                    self.post(
                         at,
                         Ev::OssFactor {
                             oss,
@@ -1021,7 +1003,7 @@ impl Cluster {
                         },
                     );
                     if let Some(r) = restart {
-                        self.events.schedule(r, Ev::OssFactor { oss, factor: 1.0 });
+                        self.post(r, Ev::OssFactor { oss, factor: 1.0 });
                     }
                 }
                 FaultEvent::MdsLockStorm {
@@ -1046,17 +1028,13 @@ impl Cluster {
         self.run_inner(deadline, Some(app))
     }
 
+    /// The one run start and the one run end; only the loop in between
+    /// differs with the shard count.
     fn run_inner(mut self, deadline: SimTime, stop_app: Option<AppId>) -> RunTrace {
-        if self.par {
-            return self.run_parallel(deadline, stop_app);
-        }
-        // Pre-run injections all land on the realm queue here; the
-        // parallel driver routes them to the owning shard instead.
-        for (at, ev) in std::mem::take(&mut self.pending_init) {
-            self.events.schedule(at, ev);
-        }
         self.schedule_fault_plan();
-        // Kick every rank and the sampler.
+        // Kick every rank and the sampler chains: the realm's (the MDT,
+        // and every OST too in the sequential loop) plus, under epochs,
+        // one per shard.
         for a in 0..self.apps.len() {
             for r in 0..self.apps[a].ranks.len() {
                 self.events.schedule(
@@ -1068,8 +1046,13 @@ impl Cluster {
                 );
             }
         }
-        self.events
-            .schedule(SimTime::ZERO + self.cfg.sample_interval, Ev::Sample);
+        let first_sample = SimTime::ZERO + self.cfg.sample_interval;
+        self.events.schedule(first_sample, Ev::Sample);
+        if self.par {
+            for sh in &mut self.shards {
+                sh.q.schedule(first_sample, Ev::Sample);
+            }
+        }
         if self.controller.is_some() {
             // First tick 1 ns after the first window boundary: every
             // event of a window (boundary samples included) is handled
@@ -1081,16 +1064,21 @@ impl Cluster {
             );
         }
 
-        while let Some((now, ev)) = self.events.pop_until(deadline) {
-            self.handle(now, ev);
-            if let Some(app) = stop_app {
-                if self.trace.app_completion[app.0 as usize].is_some() {
-                    break;
+        if self.par {
+            self.run_epochs(deadline, stop_app);
+        } else {
+            while let Some((now, ev)) = self.events.pop_until(deadline) {
+                self.handle(now, ev);
+                if let Some(app) = stop_app {
+                    if self.trace.app_completion[app.0 as usize].is_some() {
+                        break;
+                    }
                 }
             }
         }
         self.trace.end = self.events.now();
-        self.trace.events_processed = self.events.processed();
+        self.trace.events_processed =
+            self.events.processed() + self.shards.iter().map(|sh| sh.q.processed()).sum::<u64>();
         self.trace.metrics = self.metrics_snapshot(self.events.now());
         self.trace
     }
@@ -1189,17 +1177,11 @@ impl Cluster {
                 ("applied", self.tele.control_applied),
                 ("cap_clears", self.tele.control_cap_clears),
                 ("caps", self.tele.control_caps),
-                (
-                    "parked",
-                    self.tele.control_parked + shard_counter(SHARD_PARKED),
-                ),
+                ("parked", shard_counter(SHARD_PARKED)),
                 ("rate_clears", self.tele.control_rate_clears),
                 ("rate_limits", self.tele.control_rate_limits),
                 ("rejected", self.tele.control_rejected),
-                (
-                    "resumed",
-                    self.tele.control_resumed + shard_counter(SHARD_RESUMED),
-                ),
+                ("resumed", shard_counter(SHARD_RESUMED)),
                 ("retarget_clears", self.tele.control_retarget_clears),
                 ("retarget_layouts", self.tele.control_retarget_layouts),
                 ("retargets", self.tele.control_retargets),
@@ -1214,38 +1196,15 @@ impl Cluster {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
+        // Shard-owned events reach the realm queue only in the
+        // sequential loop; under epochs `post` puts them on shard queues.
+        if let Some(s) = self.owner(&ev) {
+            return self.shard_event(s, now, ev);
+        }
         match ev {
             Ev::RankNext { app, rank } => self.rank_next(now, app, rank),
             Ev::Deliver(msg) => self.deliver(now, msg),
-            // Shard-owned events reach the realm queue only in the
-            // sequential (one-queue) loop; the parallel driver schedules
-            // them on shard queues directly.
-            Ev::OssProcess(msg) => {
-                let s = self.shard_of_dev(Self::msg_dev(&msg).0);
-                self.shard_event(s, now, Ev::OssProcess(msg));
-            }
-            Ev::TbfAdmitted(msg) => {
-                let s = self.shard_of_dev(Self::msg_dev(&msg).0);
-                self.shard_event(s, now, Ev::TbfAdmitted(msg));
-            }
             Ev::MdsProcess(msg) => self.mds_process(now, msg),
-            Ev::DiskDone { dev } => {
-                if (dev as usize) < self.ost_shard.len() {
-                    let s = self.shard_of_dev(dev);
-                    self.shard_event(s, now, Ev::DiskDone { dev });
-                } else {
-                    self.mdt_disk_done(now);
-                }
-            }
-            Ev::DiskIdle { dev } => {
-                if (dev as usize) < self.ost_shard.len() {
-                    let s = self.shard_of_dev(dev);
-                    self.shard_event(s, now, Ev::DiskIdle { dev });
-                } else {
-                    let d = self.mdt_dev.idle_check(now);
-                    self.mdt_dispatch(now, d);
-                }
-            }
             Ev::SendLater {
                 src,
                 dst,
@@ -1256,42 +1215,29 @@ impl Cluster {
                 self.start_journal_write(now, token, client, dir)
             }
             Ev::Sample => {
-                if self.par {
-                    self.take_mdt_sample(now);
-                } else {
-                    self.take_sample(now);
-                }
+                self.take_sample(now);
                 self.events
                     .schedule(now + self.cfg.sample_interval, Ev::Sample);
             }
             Ev::Control => self.control_tick(now),
-            Ev::FailSlow { dev, factor } => {
-                if (dev as usize) < self.ost_shard.len() {
-                    let s = self.shard_of_dev(dev);
-                    self.shard_event(s, now, Ev::FailSlow { dev, factor });
-                } else {
-                    self.mdt_dev.disk_mut().set_fail_slow(factor);
-                }
-            }
-            Ev::DiskStall { dev, until } => {
-                if (dev as usize) < self.ost_shard.len() {
-                    let s = self.shard_of_dev(dev);
-                    self.shard_event(s, now, Ev::DiskStall { dev, until });
-                } else {
-                    self.tele.disk_stalls += 1;
-                    let d = self.mdt_dev.stall(now, until);
-                    self.mdt_dispatch(now, d);
-                }
-            }
-            Ev::OssFactor { oss, factor } => {
-                let s = self.shard_of_dev(oss * self.cfg.osts_per_oss);
-                self.shard_event(s, now, Ev::OssFactor { oss, factor });
-            }
-            Ev::AdmissionRecheck { .. } => {
-                unreachable!("admission rechecks live on shard queues")
-            }
             Ev::RpcTimeout { seq } => self.rpc_timeout(now, seq),
             Ev::RpcResend { seq } => self.rpc_resend(now, seq),
+            // Device events `owner` left to the realm: the MDT's.
+            Ev::DiskDone { .. } => self.mdt_disk_done(now),
+            Ev::DiskIdle { .. } => {
+                let d = self.mdt_dev.idle_check(now);
+                self.mdt_dispatch(now, d);
+            }
+            Ev::FailSlow { factor, .. } => self.mdt_dev.disk_mut().set_fail_slow(factor),
+            Ev::DiskStall { until, .. } => {
+                self.tele.disk_stalls += 1;
+                let d = self.mdt_dev.stall(now, until);
+                self.mdt_dispatch(now, d);
+            }
+            Ev::OssProcess(_)
+            | Ev::TbfAdmitted(_)
+            | Ev::OssFactor { .. }
+            | Ev::AdmissionRecheck { .. } => unreachable!("shard event without a shard"),
         }
     }
 
@@ -1349,45 +1295,13 @@ impl Cluster {
             self.retry_states.remove(seq);
             return;
         }
-        let (src, dst, payload) = (state.src, state.dst, state.payload);
-        match self.net.fate(now, src, dst, &mut self.fault_rng) {
-            LinkFate::Dropped => {
-                self.tele.rpc_dropped += 1;
-                if self.par {
-                    self.realm_outbox.push(SendIntent {
-                        at: now,
-                        src,
-                        dst,
-                        payload,
-                        extra: SimDuration::ZERO,
-                        msg: None,
-                    });
-                } else {
-                    let _ = self.net.send(now, src, dst, payload);
-                }
-                self.events
-                    .schedule(now + self.retry.rpc_timeout, Ev::RpcTimeout { seq });
-            }
-            LinkFate::Deliver(extra) => {
-                if extra > SimDuration::ZERO {
-                    self.tele.rpc_delayed += 1;
-                }
-                let state = self.retry_states.remove(seq).expect("retry state present");
-                if self.par {
-                    self.realm_outbox.push(SendIntent {
-                        at: now,
-                        src,
-                        dst,
-                        payload,
-                        extra,
-                        msg: Some(state.msg),
-                    });
-                    return;
-                }
-                let deliver = self.net.send(now, src, dst, payload);
-                self.events
-                    .schedule(deliver + extra, Ev::Deliver(state.msg));
-            }
+        let (src, dst, payload, msg) = (state.src, state.dst, state.payload, state.msg.clone());
+        if self.transmit(now, src, dst, payload, msg).is_some() {
+            // Dropped again: the stored copy waits for the next timeout.
+            self.events
+                .schedule(now + self.retry.rpc_timeout, Ev::RpcTimeout { seq });
+        } else {
+            self.retry_states.remove(seq);
         }
     }
 
@@ -1586,6 +1500,11 @@ impl Cluster {
 
     // ---------------------------------------------------------- routing
 
+    /// A network message arrives at `now`. The sequential loop calls
+    /// this when the `Deliver` event pops; the epoch loop calls it for
+    /// data RPCs as they leave the mailbox (ahead of the shard clocks,
+    /// hence the `post` even when admission is immediate) and queues
+    /// everything else as a realm `Deliver`.
     fn deliver(&mut self, now: SimTime, msg: Msg) {
         match msg {
             Msg::ReadReq { len, token, .. } | Msg::WriteReq { len, token, .. } => {
@@ -1596,11 +1515,11 @@ impl Cluster {
                     Some(bucket) => bucket.earliest(now, len as f64),
                     None => now,
                 };
-                if admitted > now {
-                    self.events.schedule(admitted, Ev::TbfAdmitted(msg));
+                let ev = Ev::TbfAdmitted(msg);
+                if admitted > now || self.par {
+                    self.post(admitted, ev);
                 } else {
-                    let s = self.shard_of_dev(Self::msg_dev(&msg).0);
-                    self.shard_event(s, now, Ev::TbfAdmitted(msg));
+                    self.handle(now, ev);
                 }
             }
             Msg::MetaReq { ref op, .. } => {
@@ -1801,46 +1720,29 @@ impl Cluster {
 
     // --------------------------------------------------------- sampling
 
-    /// Sequential sampler: one event walks every device, in global
-    /// device order, directly into the trace.
+    /// One realm sampler tick. The sequential loop walks every device
+    /// in global order straight into the trace; under epochs the shards
+    /// sample their own devices and the MDT sample waits with theirs for
+    /// the barrier, which merges them in that same (time, device) order.
     fn take_sample(&mut self, now: SimTime) {
         self.tele.samples_taken += 1;
-        let mut gi = 0u32;
+        let mdt = ServerSample {
+            time: now,
+            dev: self.mdt(),
+            counters: self.mdt_dev.counters(now),
+            dirty_bytes: 0,
+            throttled_now: 0,
+        };
+        if self.par {
+            self.realm_samples.push(mdt);
+            return;
+        }
         for sh in &self.shards {
-            let st = &sh.st;
-            for (li, dev) in st.devices.iter().enumerate() {
-                self.trace.samples.push(ServerSample {
-                    time: now,
-                    dev: DeviceId(gi),
-                    counters: dev.counters(now),
-                    dirty_bytes: st.caches[li].dirty(),
-                    throttled_now: st.caches[li].throttled_now() as u64,
-                });
-                gi += 1;
+            for sample in sh.st.samples(now) {
+                self.trace.samples.push(sample);
             }
         }
-        self.trace.samples.push(ServerSample {
-            time: now,
-            dev: DeviceId(gi),
-            counters: self.mdt_dev.counters(now),
-            dirty_bytes: 0,
-            throttled_now: 0,
-        });
-    }
-
-    /// Parallel sampler, realm side: the MDT sample is buffered and
-    /// merged with the shard-side samples at the epoch barrier, in
-    /// (time, device) order — the exact order [`Cluster::take_sample`]
-    /// pushes.
-    fn take_mdt_sample(&mut self, now: SimTime) {
-        self.tele.samples_taken += 1;
-        self.realm_samples.push(ServerSample {
-            time: now,
-            dev: DeviceId(self.cfg.n_osts()),
-            counters: self.mdt_dev.counters(now),
-            dirty_bytes: 0,
-            throttled_now: 0,
-        });
+        self.trace.samples.push(mdt);
     }
 }
 
@@ -1878,6 +1780,117 @@ mod tests {
 
     fn script(ops: Vec<IoOp>) -> Box<dyn RankProgram> {
         Box::new(Script { ops, i: 0 })
+    }
+
+    /// What `owner` must answer on a 2-shard, 4-OST cluster (two OSTs
+    /// per OSS, so OSS `i` is shard `i`; device 4 is the MDT). No
+    /// wildcard arm: a new `Ev` variant does not compile until it is
+    /// classified here and in `owner`.
+    fn expected_owner(ev: &Ev) -> Option<usize> {
+        let shard_of = |dev: u32| (dev < 4).then_some(dev as usize / 2);
+        match ev {
+            Ev::OssProcess(msg) | Ev::TbfAdmitted(msg) => match msg {
+                Msg::ReadReq { dev, .. } | Msg::WriteReq { dev, .. } => shard_of(dev.0),
+                Msg::MetaReq { .. } | Msg::OpDone { .. } => panic!("not a data RPC"),
+            },
+            Ev::DiskDone { dev }
+            | Ev::DiskIdle { dev }
+            | Ev::FailSlow { dev, .. }
+            | Ev::DiskStall { dev, .. } => shard_of(*dev),
+            Ev::OssFactor { oss, .. } => Some(*oss as usize),
+            Ev::RankNext { .. }
+            | Ev::Deliver(_)
+            | Ev::MdsProcess(_)
+            | Ev::SendLater { .. }
+            | Ev::MdsLockRun { .. }
+            | Ev::Sample
+            | Ev::Control
+            | Ev::RpcTimeout { .. }
+            | Ev::RpcResend { .. }
+            | Ev::AdmissionRecheck { .. } => None,
+        }
+    }
+
+    #[test]
+    fn owner_maps_every_event_to_the_shard_holding_its_device() {
+        let mut cfg = ClusterConfig::small();
+        cfg.sim_shards = 2;
+        let cl = cluster(cfg, 1);
+        assert_eq!((cl.shards.len(), cl.config().n_osts()), (2, 4));
+        let token = OpToken {
+            app: AppId(0),
+            rank: 0,
+            seq: 0,
+        };
+        let client = NodeId(0);
+        let dir = DirKey {
+            app: AppId(0),
+            num: 0,
+        };
+        let obj = ObjKey {
+            file: file(1),
+            stripe: 0,
+        };
+        let read = |dev: u32| Msg::ReadReq {
+            dev: DeviceId(dev),
+            obj,
+            obj_off: 0,
+            len: 1,
+            token,
+            client,
+        };
+        let write = |dev: u32| Msg::WriteReq {
+            dev: DeviceId(dev),
+            obj,
+            obj_off: 0,
+            len: 1,
+            token,
+            client,
+        };
+        let seq = Slab::new().insert(());
+        let mut evs = vec![
+            Ev::RankNext { app: 0, rank: 0 },
+            Ev::Deliver(read(3)),
+            Ev::MdsProcess(Msg::MetaReq {
+                op: MetaOp::Close,
+                token,
+                client,
+            }),
+            Ev::SendLater {
+                src: NodeId(4),
+                dst: client,
+                payload: 0,
+                token,
+            },
+            Ev::MdsLockRun { token, client, dir },
+            Ev::Sample,
+            Ev::Control,
+            Ev::RpcTimeout { seq },
+            Ev::RpcResend { seq },
+            Ev::AdmissionRecheck { app: 0 },
+        ];
+        for oss in 0..2 {
+            evs.push(Ev::OssFactor { oss, factor: 2.0 });
+        }
+        // OSTs 0..4 and, for the device events, the MDT (device 4).
+        for dev in 0..5 {
+            if dev < 4 {
+                evs.push(Ev::OssProcess(read(dev)));
+                evs.push(Ev::TbfAdmitted(write(dev)));
+            }
+            evs.push(Ev::DiskDone { dev });
+            evs.push(Ev::DiskIdle { dev });
+            evs.push(Ev::FailSlow { dev, factor: 2.0 });
+            let until = SimTime::from_secs(1);
+            evs.push(Ev::DiskStall { dev, until });
+        }
+        for (i, ev) in evs.iter().enumerate() {
+            assert_eq!(cl.owner(ev), expected_owner(ev), "event #{i}");
+        }
+        // One literal answer per kind of owner, not via `expected_owner`.
+        assert_eq!(cl.owner(&Ev::DiskDone { dev: 1 }), Some(0));
+        assert_eq!(cl.owner(&Ev::TbfAdmitted(write(2))), Some(1));
+        assert_eq!(cl.owner(&Ev::DiskIdle { dev: 4 }), None);
     }
 
     #[test]

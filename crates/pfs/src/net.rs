@@ -106,17 +106,11 @@ impl Network {
         self.faults.push(fault);
     }
 
-    /// True when any fault rules are installed. When false, the RPC
-    /// layer skips fate consultation entirely, so healthy runs never
-    /// touch the fault RNG and stay byte-identical to pre-fault builds.
-    pub fn has_faults(&self) -> bool {
-        !self.faults.is_empty()
-    }
-
     /// Decide what happens to a request sent `src → dst` at `now`. The
     /// RNG is consulted only for matching `Drop` rules (in insertion
     /// order), so the draw sequence depends only on which rules match —
-    /// not on unrelated traffic.
+    /// not on unrelated traffic — and healthy runs, which ask for every
+    /// request's fate too, never touch the fault RNG.
     pub fn fate(&self, now: SimTime, src: NodeId, dst: NodeId, rng: &mut SimRng) -> LinkFate {
         let mut extra = SimDuration::ZERO;
         for f in &self.faults {
@@ -234,11 +228,11 @@ mod tests {
     fn fate_is_deliver_without_rules() {
         let n = net();
         let mut rng = SimRng::new(1);
-        assert!(!n.has_faults());
         assert_eq!(
             n.fate(SimTime::ZERO, NodeId(0), NodeId(1), &mut rng),
             LinkFate::Deliver(SimDuration::ZERO)
         );
+        assert_eq!(rng.unit(), SimRng::new(1).unit(), "no draw was made");
     }
 
     #[test]
@@ -253,7 +247,6 @@ mod tests {
             until: t2,
             kind: LinkFaultKind::Drop { prob: 1.0 },
         });
-        assert!(n.has_faults());
         let mut rng = SimRng::new(1);
         // Outside the window: deliver.
         assert_eq!(

@@ -1,32 +1,35 @@
-//! The parallel simulation driver: conservative epoch synchronisation
-//! over the server shards.
+//! The epoch loop: conservative epoch synchronisation over the server
+//! shards.
 //!
-//! Runs when `sim_shards > 1`. Time advances through epochs `(b, e]`
-//! whose length never exceeds the lookahead (the minimum network
-//! latency): a message sent inside an epoch cannot be delivered inside
-//! it, so shards may process their epochs concurrently without ever
-//! seeing an event from the past. Each epoch:
+//! `Cluster::run_inner` starts and ends every run; when `sim_shards > 1`
+//! it hands the middle to [`Cluster::run_epochs`] instead of the
+//! sequential pop loop. Time advances through epochs `(b, e]` whose
+//! length never exceeds the lookahead (the minimum network latency): a
+//! message sent inside an epoch cannot be delivered inside it, so shards
+//! may process their epochs concurrently without ever seeing an event
+//! from the past. Each epoch:
 //!
 //! 1. **Materialise** cross-boundary deliveries due in `(b, e]` from the
-//!    mailbox onto their owning queues (data RPCs consult the realm's
-//!    token-bucket filters here, at delivery time).
+//!    mailbox: data RPCs go through `Cluster::deliver` (the token-bucket
+//!    check, then `post` onto the owning shard's queue), everything else
+//!    becomes a realm `Deliver` event.
 //! 2. **Realm phase** (sequential): clients, MDS/MDT, control. Runs
 //!    first so directives can update shard replicas before shard events
 //!    of the same epoch execute.
-//! 3. **Shard phase** (rayon): every shard drains its queue to `e`,
-//!    deferring network sends into its outbox.
-//! 4. **Barrier** (sequential): apply all deferred sends to the shared
-//!    NIC clocks in global timestamp order (stable ties: realm first,
-//!    then shards ascending — the canonical order), push the resulting
-//!    deliveries into the mailbox, and merge monitor samples into the
-//!    trace in (time, device) order.
+//! 3. **Shard phase** (rayon): every shard drains its queue to `e`;
+//!    `Fx::send` records each network send in the shard's outbox.
+//! 4. **Barrier** (sequential): apply all recorded sends — the realm's
+//!    and the shards' — to the shared NIC clocks in global timestamp
+//!    order (stable ties: realm first, then shards ascending — the
+//!    canonical order), push the resulting deliveries into the mailbox,
+//!    and merge monitor samples into the trace in (time, device) order.
 //!
 //! Controller ticks get dedicated mini-epoch boundaries at `j·C` and
 //! `j·C + 1 ns`, so a tick observes exactly the windows a sequential run
-//! would show it. See DESIGN.md ("Parallel simulation") for the full
-//! determinism argument and the residual tie-ordering caveats.
+//! would show it. See DESIGN.md ("Parallel simulation") for the
+//! ownership table, the determinism argument, and why this loop and the
+//! sequential one both exist.
 
-use qi_faults::FaultEvent;
 use qi_simkit::epoch::{EpochSchedule, Mailbox};
 use rayon::prelude::*;
 
@@ -50,7 +53,10 @@ fn min_time(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 }
 
 impl Cluster {
-    pub(super) fn run_parallel(mut self, deadline: SimTime, stop_app: Option<AppId>) -> RunTrace {
+    /// Drive an already-started run to `deadline` (or to `stop_app`'s
+    /// completion) epoch by epoch, leaving the realm clock where the
+    /// sequential loop would leave it.
+    pub(super) fn run_epochs(&mut self, deadline: SimTime, stop_app: Option<AppId>) {
         let sched = {
             let base = EpochSchedule::new(self.cfg.net.latency);
             if self.controller.is_some() {
@@ -59,8 +65,6 @@ impl Cluster {
                 base
             }
         };
-        self.stage_parallel_start();
-
         let mut mailbox: Mailbox<Msg> = Mailbox::new();
         let mut intents: Vec<SendIntent> = Vec::new();
         let mut merged: Vec<ServerSample> = Vec::new();
@@ -89,7 +93,10 @@ impl Cluster {
 
             // 1. Materialise cross-boundary deliveries due this epoch.
             while let Some((at, msg)) = mailbox.pop_until(e) {
-                self.route_delivery(at, msg);
+                match msg {
+                    Msg::ReadReq { .. } | Msg::WriteReq { .. } => self.deliver(at, msg),
+                    _ => self.events.schedule(at, Ev::Deliver(msg)),
+                }
             }
 
             // 2. Realm phase.
@@ -158,140 +165,6 @@ impl Cluster {
             // Match the sequential loop: the clock parks at the deadline
             // when it runs out of (in-range) events.
             let _ = self.events.pop_until(deadline);
-        }
-        self.trace.end = self.events.now();
-        let mut processed = self.events.processed();
-        for sh in &self.shards {
-            processed += sh.q.processed();
-        }
-        self.trace.events_processed = processed;
-        self.trace.metrics = self.metrics_snapshot(self.events.now());
-        self.trace
-    }
-
-    /// Route one materialised network delivery to its owning queue.
-    /// Data RPCs clear the (realm-owned) token-bucket filter here, at
-    /// delivery time, exactly as the sequential `deliver` does.
-    fn route_delivery(&mut self, at: SimTime, msg: Msg) {
-        match msg {
-            Msg::ReadReq { len, token, .. } | Msg::WriteReq { len, token, .. } => {
-                let admitted = match self.tbf.get_mut(&token.app) {
-                    Some(bucket) => bucket.earliest(at, len as f64),
-                    None => at,
-                };
-                let s = self.shard_of_dev(Self::msg_dev(&msg).0);
-                if admitted > at {
-                    self.shards[s].q.schedule(admitted, Ev::TbfAdmitted(msg));
-                } else {
-                    self.shards[s].q.schedule(at, Ev::Deliver(msg));
-                }
-            }
-            _ => self.events.schedule(at, Ev::Deliver(msg)),
-        }
-    }
-
-    /// Run-start staging for the parallel driver: route pre-run
-    /// injections and the fault plan to their owning queues, kick the
-    /// ranks, start the realm (MDT) and per-shard sampler chains, and
-    /// schedule the first controller tick.
-    fn stage_parallel_start(&mut self) {
-        for (at, ev) in std::mem::take(&mut self.pending_init) {
-            match ev {
-                Ev::FailSlow { dev, .. } if (dev as usize) < self.ost_shard.len() => {
-                    let s = self.ost_shard[dev as usize];
-                    self.shards[s].q.schedule(at, ev);
-                }
-                _ => self.events.schedule(at, ev),
-            }
-        }
-        self.schedule_fault_plan_parallel();
-        for a in 0..self.apps.len() {
-            for r in 0..self.apps[a].ranks.len() {
-                self.events.schedule(
-                    SimTime::ZERO,
-                    Ev::RankNext {
-                        app: a as u32,
-                        rank: r as u32,
-                    },
-                );
-            }
-        }
-        let first = SimTime::ZERO + self.cfg.sample_interval;
-        self.events.schedule(first, Ev::Sample);
-        for sh in &mut self.shards {
-            sh.q.schedule(first, Ev::Sample);
-        }
-        if self.controller.is_some() {
-            self.events.schedule(
-                SimTime::ZERO + self.control_interval + SimDuration::from_nanos(1),
-                Ev::Control,
-            );
-        }
-    }
-
-    /// Split the fault plan by owner: device/OSS faults of a shard's
-    /// range go on that shard's queue, everything else (network rules,
-    /// lock storms, MDT device faults) stays with the realm scheduler.
-    fn schedule_fault_plan_parallel(&mut self) {
-        let plan = std::mem::take(&mut self.fault_plan);
-        let n_osts = self.ost_shard.len();
-        let ost_shard = &self.ost_shard;
-        let osts_per_oss = self.cfg.osts_per_oss;
-        let (realm, parts) = plan.split_by(self.shards.len(), |ev| match *ev {
-            FaultEvent::SlowDisk { dev, .. } | FaultEvent::DiskStall { dev, .. }
-                if (dev as usize) < n_osts =>
-            {
-                Some(ost_shard[dev as usize])
-            }
-            FaultEvent::OssThreadCrash { oss, .. } => {
-                Some(ost_shard[(oss * osts_per_oss) as usize])
-            }
-            _ => None,
-        });
-        self.fault_plan = realm;
-        self.schedule_fault_plan();
-        for (s, sub) in parts.into_iter().enumerate() {
-            for ev in sub.events() {
-                let q = &mut self.shards[s].q;
-                match *ev {
-                    FaultEvent::SlowDisk {
-                        dev,
-                        factor,
-                        from,
-                        until,
-                    } => {
-                        q.schedule(from, Ev::FailSlow { dev, factor });
-                        q.schedule(until, Ev::FailSlow { dev, factor: 1.0 });
-                    }
-                    FaultEvent::DiskStall { dev, at, duration } => {
-                        q.schedule(
-                            at,
-                            Ev::DiskStall {
-                                dev,
-                                until: at + duration,
-                            },
-                        );
-                    }
-                    FaultEvent::OssThreadCrash {
-                        oss,
-                        at,
-                        restart,
-                        remaining,
-                    } => {
-                        q.schedule(
-                            at,
-                            Ev::OssFactor {
-                                oss,
-                                factor: 1.0 / remaining,
-                            },
-                        );
-                        if let Some(r) = restart {
-                            q.schedule(r, Ev::OssFactor { oss, factor: 1.0 });
-                        }
-                    }
-                    _ => unreachable!("realm fault routed to a shard"),
-                }
-            }
         }
     }
 }

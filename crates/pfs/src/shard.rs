@@ -7,17 +7,17 @@
 //! telemetry registry of its OSS range — state no other shard (and no
 //! realm-side handler) ever touches. All effects a handler produces go
 //! through [`Fx`]: event scheduling lands on whichever queue drives the
-//! shard (the global queue in the classic sequential loop, the shard's
-//! private queue under the parallel driver), and network sends either
-//! hit the shared [`Network`] directly (sequential) or are deferred as
-//! [`SendIntent`]s for the epoch barrier to apply in canonical order
-//! (parallel). The handler bodies themselves are mode-oblivious, which
-//! is what keeps every shard count bit-identical.
+//! shard (the realm queue in the sequential loop, the shard's private
+//! queue under epochs), and [`Fx::send`] — the one way any handler,
+//! shard or realm, puts a message on the network — either charges the
+//! shared [`Network`] at once (sequential) or records a [`SendIntent`]
+//! for the epoch barrier to apply in canonical order. The handler bodies
+//! themselves are loop-oblivious, which is what keeps every shard count
+//! bit-identical.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use qi_simkit::event::EventQueue;
-use qi_simkit::rng::SimRng;
 use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricId, Registry};
 
@@ -155,9 +155,10 @@ pub(crate) enum Ev {
     RpcTimeout { seq: SlabKey },
     /// A client's retry backoff elapsed; resend the stored request.
     RpcResend { seq: SlabKey },
-    /// Parallel driver only: an inflight-cap change for `app` took
-    /// effect at this instant; re-admit parked RPCs under the new cap.
-    /// (The sequential loop rechecks inline at directive time instead.)
+    /// An inflight-cap change for `app` took effect at this instant;
+    /// re-admit parked RPCs under the new cap. Queued on every shard
+    /// under epochs; the sequential loop runs it inline at directive
+    /// time instead.
     AdmissionRecheck { app: u32 },
 }
 
@@ -181,7 +182,7 @@ pub(crate) struct SendIntent {
 pub(crate) enum NetFx<'a> {
     /// Sequential loop: send immediately and schedule the delivery.
     Direct(&'a mut Network),
-    /// Parallel epoch: defer to the barrier as a [`SendIntent`].
+    /// Inside an epoch: defer to the barrier as a [`SendIntent`].
     Deferred(&'a mut Vec<SendIntent>),
 }
 
@@ -193,21 +194,34 @@ pub(crate) struct Fx<'a> {
 }
 
 impl Fx<'_> {
-    /// Send `msg` over the network (shards never consult link-fault
-    /// rules: server→client replies always deliver).
-    pub(crate) fn send(&mut self, now: SimTime, src: NodeId, dst: NodeId, payload: u64, msg: Msg) {
+    /// Put one transfer on the network at `now` — the only way a send
+    /// is realised outside the epoch barrier. `extra` is fault-injected
+    /// delivery delay and `msg` is `None` for a dropped request (it
+    /// occupies both NICs but delivers nothing); shard handlers pass
+    /// zero and `Some`, since server→client replies always deliver.
+    pub(crate) fn send(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        payload: u64,
+        extra: SimDuration,
+        msg: Option<Msg>,
+    ) {
         match &mut self.net {
             NetFx::Direct(net) => {
                 let deliver = net.send(now, src, dst, payload);
-                self.q.schedule(deliver, Ev::Deliver(msg));
+                if let Some(msg) = msg {
+                    self.q.schedule(deliver + extra, Ev::Deliver(msg));
+                }
             }
             NetFx::Deferred(out) => out.push(SendIntent {
                 at: now,
                 src,
                 dst,
                 payload,
-                extra: SimDuration::ZERO,
-                msg: Some(msg),
+                extra,
+                msg,
             }),
         }
     }
@@ -255,7 +269,7 @@ pub(crate) struct ShardState {
     /// Scratch buffers reused across events (no per-event allocation).
     pub(crate) scratch_ranges: Vec<SectorRange>,
     pub(crate) scratch_members: Vec<Member<OstTag>>,
-    /// Monitor samples taken inside the current epoch (parallel driver
+    /// Monitor samples taken inside the current epoch (epoch loop
     /// only); merged into the trace at the barrier in canonical order.
     pub(crate) sample_buf: Vec<ServerSample>,
     /// Shard-side telemetry, merged across shards at snapshot time.
@@ -263,23 +277,11 @@ pub(crate) struct ShardState {
     pub(crate) m_disk_stalls: MetricId,
     pub(crate) m_parked: MetricId,
     pub(crate) m_resumed: MetricId,
-    /// Reserved per-shard RNG substream. Server-side handlers are
-    /// currently fully deterministic, but any future stochastic server
-    /// model must draw from here — never from the realm streams — to
-    /// keep shard counts bit-identical.
-    #[allow(dead_code)]
-    pub(crate) rng: SimRng,
 }
 
 impl ShardState {
     /// Build the shard owning OSS nodes `[oss_lo, oss_hi)`.
-    pub(crate) fn new(
-        cfg: &ClusterConfig,
-        seed: u64,
-        shard: u32,
-        oss_lo: u32,
-        oss_hi: u32,
-    ) -> Self {
+    pub(crate) fn new(cfg: &ClusterConfig, oss_lo: u32, oss_hi: u32) -> Self {
         let n_oss = (oss_hi - oss_lo) as usize;
         let n_local = n_oss * cfg.osts_per_oss as usize;
         let mut devices = Vec::with_capacity(n_local);
@@ -322,7 +324,6 @@ impl ShardState {
             m_disk_stalls,
             m_parked,
             m_resumed,
-            rng: SimRng::new(seed).substream(0x5AAD + shard as u64),
         }
     }
 
@@ -342,8 +343,7 @@ impl ShardState {
     /// Handle one shard-owned event.
     pub(crate) fn handle(&mut self, now: SimTime, ev: Ev, cfg: &ClusterConfig, fx: &mut Fx) {
         match ev {
-            // Parallel driver: data deliveries land pre-TBF-cleared.
-            Ev::Deliver(msg) | Ev::TbfAdmitted(msg) => self.oss_admit(now, msg, cfg, fx),
+            Ev::TbfAdmitted(msg) => self.oss_admit(now, msg, cfg, fx),
             Ev::OssProcess(msg) => self.oss_process(now, msg, cfg, fx),
             Ev::DiskDone { dev } => self.disk_done(now, dev, cfg, fx),
             Ev::DiskIdle { dev } => {
@@ -356,9 +356,18 @@ impl ShardState {
                 dst,
                 payload,
                 token,
-            } => fx.send(now, src, dst, payload, Msg::OpDone { token }),
+            } => fx.send(
+                now,
+                src,
+                dst,
+                payload,
+                SimDuration::ZERO,
+                Some(Msg::OpDone { token }),
+            ),
             Ev::Sample => {
-                self.take_samples(now);
+                let mut buf = std::mem::take(&mut self.sample_buf);
+                buf.extend(self.samples(now));
+                self.sample_buf = buf;
                 fx.schedule(now + cfg.sample_interval, Ev::Sample);
             }
             Ev::FailSlow { dev, factor } => {
@@ -645,7 +654,8 @@ impl ShardState {
                             src,
                             p.client,
                             p.reply_bytes,
-                            Msg::OpDone { token: p.token },
+                            SimDuration::ZERO,
+                            Some(Msg::OpDone { token: p.token }),
                         );
                         self.admission_release(now, p.token.app.0, p.dev, cfg, fx);
                     }
@@ -751,23 +761,25 @@ impl ShardState {
         self.oss_cpu_start(now, msg, cfg, fx);
     }
 
-    /// Parallel driver: sample this shard's devices into the epoch
-    /// buffer; the barrier merges buffers in (time, device) order.
-    fn take_samples(&mut self, now: SimTime) {
-        for (li, dev) in self.devices.iter().enumerate() {
-            self.sample_buf.push(ServerSample {
+    /// One monitor sample per device of this shard at `now`, in device
+    /// order — the only place an OST sample is built.
+    pub(crate) fn samples(&self, now: SimTime) -> impl Iterator<Item = ServerSample> + '_ {
+        self.devices
+            .iter()
+            .zip(&self.caches)
+            .enumerate()
+            .map(move |(li, (dev, cache))| ServerSample {
                 time: now,
                 dev: DeviceId(self.ost_lo + li as u32),
                 counters: dev.counters(now),
-                dirty_bytes: self.caches[li].dirty(),
-                throttled_now: self.caches[li].throttled_now() as u64,
-            });
-        }
+                dirty_bytes: cache.dirty(),
+                throttled_now: cache.throttled_now() as u64,
+            })
     }
 }
 
 /// One shard plus its private event queue and deferred-send outbox: the
-/// unit the parallel driver hands to a rayon worker for an epoch.
+/// unit the epoch loop hands to a rayon worker for an epoch.
 pub(crate) struct ShardCell {
     pub(crate) st: ShardState,
     pub(crate) q: EventQueue<Ev>,

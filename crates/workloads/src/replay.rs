@@ -33,11 +33,47 @@ pub struct TraceReplay {
     pub think_scale: f64,
 }
 
+/// Most ranks [`TraceReplay::from_dxt`] accepts per operation line.
+/// Darshan numbers ranks densely from zero, so a real log names about
+/// as many ranks as it has lines or fewer; the slack covers ranks that
+/// logged nothing. Replay state is sized by the largest rank, so
+/// without a bound one forged line allocates gigabytes.
+const DXT_MAX_RANKS_PER_OP: usize = 16;
+
 impl TraceReplay {
     /// Build a replay from operation records (any order; ranks are taken
     /// from the tokens, sequences restored from `seq`).
+    ///
+    /// In-process contract: `records` is non-empty and comes from a run,
+    /// so per-rank byte totals fit in `u64`; both are asserted. Text from
+    /// outside the program enters through [`TraceReplay::from_dxt`].
     pub fn from_records(records: &[OpRecord]) -> Self {
         assert!(!records.is_empty(), "empty trace");
+        Self::group(records).expect("trace from a run")
+    }
+
+    /// Build a replay straight from a DXT-like log (see
+    /// `qi_monitor::dxt::import_dxt` for the format). The text is
+    /// untrusted: besides parse errors, a trace with no operations, a
+    /// rank range out of proportion to its length, or per-rank byte
+    /// totals beyond `u64` is an error, never a panic or a huge
+    /// allocation.
+    pub fn from_dxt(text: &str) -> Result<Self, String> {
+        let records = qi_monitor::dxt::import_dxt(text, AppId(0)).map_err(|e| e.to_string())?;
+        let Some(max_rank) = records.iter().map(|r| r.token.rank).max() else {
+            return Err("trace contains no operations".to_string());
+        };
+        if max_rank as usize / DXT_MAX_RANKS_PER_OP >= records.len() {
+            return Err(format!(
+                "rank {max_rank} in a trace of {} operations (at most {DXT_MAX_RANKS_PER_OP} ranks per operation)",
+                records.len()
+            ));
+        }
+        Self::group(&records)
+    }
+
+    /// Group `records` (non-empty) by rank and restore sequence order.
+    fn group(records: &[OpRecord]) -> Result<Self, String> {
         // (seq, kind, bytes, issued, completed) per rank, pre-sorting.
         type RawOp = (u64, OpKind, u64, SimTime, SimTime);
         let n_ranks = records.iter().map(|r| r.token.rank).max().unwrap_or(0) as usize + 1;
@@ -53,8 +89,17 @@ impl TraceReplay {
         }
         let mut out = Vec::with_capacity(n_ranks);
         let mut read_bytes = Vec::with_capacity(n_ranks);
-        for mut ops in per_rank {
+        for (rank, mut ops) in per_rank.into_iter().enumerate() {
             ops.sort_unstable_by_key(|&(seq, ..)| seq);
+            // `script` lays a rank's reads, and its writes, end to end,
+            // an empty op still advancing one byte: both extents must
+            // fit in `u64` (which also bounds the read total below).
+            for kind in [OpKind::Read, OpKind::Write] {
+                ops.iter()
+                    .filter(|&&(_, k, ..)| k == kind)
+                    .try_fold(0u64, |end, &(_, _, b, ..)| end.checked_add(b.max(1)))
+                    .ok_or_else(|| format!("rank {rank}: {} bytes overflow u64", kind.label()))?;
+            }
             read_bytes.push(
                 ops.iter()
                     .filter(|(_, k, ..)| *k == OpKind::Read)
@@ -67,21 +112,11 @@ impl TraceReplay {
                     .collect(),
             );
         }
-        TraceReplay {
+        Ok(TraceReplay {
             per_rank: out,
             read_bytes,
             think_scale: 1.0,
-        }
-    }
-
-    /// Build a replay straight from a DXT-like log (see
-    /// `qi_monitor::dxt::import_dxt` for the format).
-    pub fn from_dxt(text: &str) -> Result<Self, String> {
-        let records = qi_monitor::dxt::import_dxt(text, AppId(0)).map_err(|e| e.to_string())?;
-        if records.is_empty() {
-            return Err("trace contains no operations".to_string());
-        }
-        Ok(TraceReplay::from_records(&records))
+        })
     }
 
     /// Ranks recorded in the trace.

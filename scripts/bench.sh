@@ -7,7 +7,11 @@
 # replay-determinism gates), then the parallel execution bench at
 # 1/2/N threads, the serving-throughput bench, the simulator-core
 # scaling bench, the closed-loop control bench, and the anomaly-scale
-# bench, leaving the JSON reports at the repository root.
+# bench, leaving the JSON reports at the repository root. Last, the
+# `benchmark/` package (the harness BENCHMARK.json declares, outside the
+# workspace): its tests, then a short seed-1 set checked against
+# benchmark/golden.json, so a change that breaks its build or moves a
+# digest is found here and not by the pipeline.
 #
 # Usage:
 #   scripts/bench.sh            # full run (5 samples per point, 512^3 matmul)
@@ -26,6 +30,7 @@
 #                        sim       sim-equivalence harness + scaling bench
 #                        control   control-determinism harness + closed-loop bench
 #                        anomaly   anomaly differential harness + anomaly-scale bench
+#                        benchmark benchmark/ package tests + seed-1 digests vs golden.json
 #   --no-timing-gates  run every bench but waive its pass/fail thresholds
 #                      (serving throughput / batching / p95, sharded
 #                      overhead, closed-loop, anomaly), recording the
@@ -44,7 +49,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(faults serve parallel sim control anomaly)
+STAGES=(faults serve parallel sim control anomaly benchmark)
 only=()
 while [[ $# -gt 0 ]]; do
     case "$1" in
@@ -164,3 +169,14 @@ stage anomaly QI_ANOMALY_OUT anomaly_scale --test anomaly_detection
 # thread and waived in smoke runs, with the reason recorded in the
 # JSON's "gate" object.
 stage serve QI_SERVE_OUT serve_throughput
+
+# The benchmark package (BENCHMARK.json; see benchmark/README.md): its
+# own test suite, including a smoke pass over all five workloads, then
+# every workload once at the golden seed. `set` exits non-zero when a
+# run's checks fail or a digest differs from benchmark/golden.json; the
+# timings of so short a set mean nothing, so no `--out` file is kept.
+if wanted benchmark; then
+    cargo test --offline --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        set --seed 1 --seconds 2
+fi

@@ -199,6 +199,59 @@ fn sharded_replay_is_byte_identical_across_backends_and_threads() {
     }
 }
 
+/// The faulted shard-sweep scenario with pre-run `inject_fail_slow`
+/// calls on top: one on the MDT (realm-owned) and one on OST 0 at the
+/// very instant the plan's `SlowDisk` on OST 0 begins. The injection is
+/// queued first, so the plan's factor must win the tie on whichever
+/// queue owns the device.
+fn sharded_injected_run(shards: u32) -> (AppId, RunTrace) {
+    sharded_scenario(QueueBackend::Calendar, true, shards)
+        .run_with(|cl| {
+            let (ost0, mdt) = (cl.ost(0), cl.mdt());
+            cl.inject_fail_slow(ost0, t(1), 9.0);
+            cl.inject_fail_slow(mdt, t(1), 4.0);
+        })
+        .expect("injected run completes")
+}
+
+/// The pre-run-injection leg of the shard sweep: injections are posted
+/// to their owner's queue when they are made, ahead of the fault plan,
+/// and every observable must come out bit-identical to the sequential
+/// run at every shard count and pool size.
+#[test]
+fn sharded_injected_replay_is_byte_identical() {
+    let sequential = sharded_injected_run(1);
+    let plain = sharded_scenario(QueueBackend::Calendar, true, 1)
+        .run()
+        .expect("uninjected run");
+    assert_ne!(
+        sequential.1.metrics, plain.1.metrics,
+        "the injections must visibly bite or this proves nothing"
+    );
+    for shards in SHARDS {
+        let golden = sharded_injected_run(shards);
+        assert_eq!(sequential.0, golden.0, "app id diverged");
+        assert_traces_equivalent(
+            &sequential.1,
+            &golden.1,
+            &format!("injected {shards} shards vs sequential"),
+        );
+        for threads in THREADS {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("explicit thread counts always build");
+            let got = pool.install(|| sharded_injected_run(shards));
+            assert_eq!(golden.0, got.0, "app id diverged");
+            assert_traces_identical(
+                &golden.1,
+                &got.1,
+                &format!("injected {shards} shards @ {threads} threads"),
+            );
+        }
+    }
+}
+
 /// One predictorless uniform-throttle controlled run of the shard-sweep
 /// scenario — the controller tick path pins epoch boundaries to the
 /// control window, so the controlled leg exercises the mini-epoch
