@@ -90,10 +90,10 @@ impl AttentionNet {
         let batch = x.rows() / self.n_servers;
         let s = self.n_servers;
         let d = self.d_model;
-        let embedded = self.embed.forward(x);
-        let q = self.wq.forward(&embedded);
-        let k = self.wk.forward(&embedded);
-        let v = self.wv.forward(&embedded);
+        let embedded = self.embed.forward(x, false);
+        let q = self.wq.forward(&embedded, false);
+        let k = self.wk.forward(&embedded, false);
+        let v = self.wv.forward(&embedded, false);
         let scale = 1.0 / (d as f32).sqrt();
         let mut pooled = Matrix::zeros(batch, d);
         let mut attn = Vec::with_capacity(batch);
@@ -187,7 +187,8 @@ impl AttentionNet {
         {
             *o += a + b;
         }
-        let _ = self.embed.backward(&d_emb);
+        // The embedding is the first layer: dL/dx has no reader.
+        self.embed.backward_params(&d_emb);
         // Silence unused warnings for fields retained for inspection.
         let _ = (&cache.embedded, &cache.pooled);
     }
@@ -196,12 +197,11 @@ impl AttentionNet {
     pub fn apply(&mut self, opt: &mut Adam) {
         opt.tick();
         let mut slot = 0;
-        let lr = opt.lr();
-        self.embed.apply(opt, &mut slot, lr);
-        self.wq.apply(opt, &mut slot, lr);
-        self.wk.apply(opt, &mut slot, lr);
-        self.wv.apply(opt, &mut slot, lr);
-        self.head.apply(opt, &mut slot, lr);
+        self.embed.apply(opt, &mut slot);
+        self.wq.apply(opt, &mut slot);
+        self.wk.apply(opt, &mut slot);
+        self.wv.apply(opt, &mut slot);
+        self.head.apply(opt, &mut slot);
     }
 
     /// Attention weights of the last forward pass for `sample` in the

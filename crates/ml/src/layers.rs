@@ -1,4 +1,14 @@
-//! Dense layers, ReLU, and the MLP container, with manual backprop.
+//! Dense layers and the MLP container, with manual backprop.
+//!
+//! There is one forward kernel: every layer, training or serving, runs
+//! through [`crate::infer::dense_fused`] (bias and ReLU in the
+//! accumulation epilogue). Training differs only in what it keeps: each
+//! [`Dense`] retains its input, which is also the previous layer's
+//! post-ReLU activation, so ReLU's backward needs no mask of its own —
+//! the gradient passes where that activation is `> 0.0`. Backward
+//! forms parameter gradients always and the gradient with respect to a
+//! network's input only where a caller takes it
+//! ([`Mlp::backward`] vs [`Mlp::backward_params`]).
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -48,30 +58,45 @@ impl Dense {
         self.w.cols()
     }
 
-    /// Forward pass; caches the input for backprop.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_vec(&self.b);
+    /// Forward pass `act(x·W + b)` through the fused kernel, with the
+    /// ReLU clamp when `relu`; keeps the input for backprop.
+    pub fn forward(&mut self, x: &Matrix, relu: bool) -> Matrix {
+        let mut y = Vec::new();
+        dense_fused(
+            x.data(),
+            x.rows(),
+            self.inputs(),
+            self.w.data(),
+            self.outputs(),
+            &self.b,
+            relu,
+            &mut y,
+        );
         self.input = Some(x.clone());
-        y
+        Matrix::from_vec(x.rows(), self.outputs(), y)
     }
 
-    /// Backward pass: accumulates parameter gradients, returns dL/dx.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    /// Parameter gradients from dL/dy (the pre-activation gradient),
+    /// without forming dL/dx.
+    pub fn backward_params(&mut self, grad_out: &Matrix) {
         let x = self.input.as_ref().expect("backward before forward");
         self.grad_w = x.t_matmul(grad_out);
         self.grad_b = grad_out.col_sums();
+    }
+
+    /// Backward pass: parameter gradients, and returns dL/dx.
+    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        self.backward_params(grad_out);
         grad_out.matmul_t(&self.w)
     }
 
     /// Apply the accumulated gradients through `opt`. `slot` must be a
     /// stable per-layer index so Adam keeps its moments straight.
-    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize, lr: f32) {
+    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize) {
         opt.step(*slot, self.w.data_mut(), self.grad_w.data());
         *slot += 1;
         opt.step(*slot, &mut self.b, &self.grad_b);
         *slot += 1;
-        let _ = lr; // learning rate lives in the optimizer
     }
 
     /// Number of trainable parameters.
@@ -103,59 +128,22 @@ impl Dense {
     }
 }
 
-/// ReLU activation (stores its mask for backprop).
-#[derive(Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
-}
-
-impl Relu {
-    /// Forward pass in place.
-    pub fn forward(&mut self, mut x: Matrix) -> Matrix {
-        self.mask.clear();
-        self.mask.reserve(x.data().len());
-        for v in x.data_mut() {
-            let pass = *v > 0.0;
-            self.mask.push(pass);
-            if !pass {
-                *v = 0.0;
-            }
-        }
-        x
-    }
-
-    /// Backward pass in place.
-    pub fn backward(&self, mut grad: Matrix) -> Matrix {
-        assert_eq!(grad.data().len(), self.mask.len());
-        for (g, &m) in grad.data_mut().iter_mut().zip(&self.mask) {
-            if !m {
-                *g = 0.0;
-            }
-        }
-        grad
-    }
-}
-
 /// A multilayer perceptron: Dense → ReLU → … → Dense (no final
 /// activation; pair with a softmax loss or use raw outputs).
 #[derive(Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
-    relus: Vec<Relu>,
 }
 
 impl Mlp {
     /// MLP with the given layer widths, e.g. `[39, 32, 16, 1]`.
     pub fn new(widths: &[usize], rng: &mut StdRng) -> Self {
         assert!(widths.len() >= 2, "MLP needs at least one layer");
-        let layers: Vec<Dense> = widths
+        let layers = widths
             .windows(2)
             .map(|w| Dense::new(w[0], w[1], rng))
             .collect();
-        let relus = (0..layers.len().saturating_sub(1))
-            .map(|_| Relu::default())
-            .collect();
-        Mlp { layers, relus }
+        Mlp { layers }
     }
 
     /// Input width.
@@ -168,22 +156,23 @@ impl Mlp {
         self.layers.last().expect("non-empty").outputs()
     }
 
-    /// Forward pass.
+    /// Training forward pass: the layer chain of [`Mlp::forward_into`]
+    /// (ReLU after every layer but the last), each layer keeping its
+    /// input for backprop.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let n = self.layers.len();
-        let mut cur = self.layers[0].forward(x);
+        let mut cur = self.layers[0].forward(x, n > 1);
         for i in 1..n {
-            cur = self.relus[i - 1].forward(cur);
-            cur = self.layers[i].forward(&cur);
+            cur = self.layers[i].forward(&cur, i + 1 < n);
         }
         cur
     }
 
-    /// Immutable inference forward: the same math as [`Mlp::forward`]
-    /// — bit-identical, proven by the property suite in
-    /// `tests/fused_infer.rs` — but `&self`, allocation-free once the
-    /// scratch buffers are warm, and fused through the
-    /// width-specialised kernels in [`crate::infer`]. `x` is
+    /// Immutable inference forward: the same kernels and the same bits
+    /// as [`Mlp::forward`] (both are checked against a naive
+    /// `matmul` → `add_row_vec` → clamp reference in
+    /// `tests/fused_infer.rs`), but `&self`, nothing retained, and
+    /// allocation-free once the scratch buffers are warm. `x` is
     /// `rows × inputs` row-major; the returned `rows × outputs` logits
     /// live in `scratch` until the next call.
     pub fn forward_into<'s>(
@@ -236,21 +225,48 @@ impl Mlp {
         cur
     }
 
-    /// Backward pass from dL/dy; returns dL/dx.
+    /// Backward pass from dL/dy: parameter gradients in every layer;
+    /// returns dL/dx.
     pub fn backward(&mut self, grad: &Matrix) -> Matrix {
-        let n = self.layers.len();
-        let mut g = self.layers[n - 1].backward(grad);
-        for i in (0..n - 1).rev() {
-            g = self.relus[i].backward(g);
-            g = self.layers[i].backward(&g);
+        let g = self.backward_to_first(grad);
+        self.layers[0].backward(&g)
+    }
+
+    /// [`Mlp::backward`] for a network whose input gradient nobody
+    /// reads (the first network of a model): the same parameter
+    /// gradients, without the first layer's `grad · Wᵀ` — the widest
+    /// product of the pass when the input is the widest activation.
+    pub fn backward_params(&mut self, grad: &Matrix) {
+        let g = self.backward_to_first(grad);
+        self.layers[0].backward_params(&g);
+    }
+
+    /// The one backward loop: every layer but the first, last to
+    /// second, each followed by the ReLU backward of the layer before
+    /// it. Returns the gradient at the first layer's pre-activation
+    /// output (`grad` itself for a one-layer network).
+    fn backward_to_first(&mut self, grad: &Matrix) -> Matrix {
+        let mut g = grad.clone();
+        for layer in self.layers.iter_mut().skip(1).rev() {
+            g = layer.backward(&g);
+            // ReLU backward. The layer's retained input is the previous
+            // layer's post-ReLU activation: positive exactly where the
+            // clamp let the value through, `+0.0` everywhere else (what
+            // NaN and `-0.0` became), never NaN.
+            let a = layer.input.as_ref().expect("backward before forward");
+            for (d, &a) in g.data_mut().iter_mut().zip(a.data()) {
+                if a <= 0.0 {
+                    *d = 0.0;
+                }
+            }
         }
         g
     }
 
     /// Apply accumulated gradients.
-    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize, lr: f32) {
+    pub fn apply(&mut self, opt: &mut Adam, slot: &mut usize) {
         for l in &mut self.layers {
-            l.apply(opt, slot, lr);
+            l.apply(opt, slot);
         }
     }
 
@@ -281,10 +297,7 @@ impl Mlp {
                 "layer widths do not chain"
             );
         }
-        let relus = (0..layers.len().saturating_sub(1))
-            .map(|_| Relu::default())
-            .collect();
-        Mlp { layers, relus }
+        Mlp { layers }
     }
 }
 
@@ -304,7 +317,7 @@ mod tests {
         let mut d = Dense::new(3, 2, &mut r);
         d.b = vec![10.0, 20.0];
         let x = Matrix::zeros(4, 3);
-        let y = d.forward(&x);
+        let y = d.forward(&x, false);
         assert_eq!((y.rows(), y.cols()), (4, 2));
         // Zero input → output is the bias.
         for row in 0..4 {
@@ -313,13 +326,28 @@ mod tests {
     }
 
     #[test]
-    fn relu_masks_negatives_in_backward() {
-        let mut relu = Relu::default();
-        let x = Matrix::from_vec(1, 4, vec![-1.0, 2.0, -3.0, 4.0]);
-        let y = relu.forward(x);
-        assert_eq!(y.data(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = relu.backward(Matrix::from_vec(1, 4, vec![1.0; 4]));
-        assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
+    fn backward_params_leaves_the_gradients_backward_does() {
+        let mut r = rng();
+        let mut full = Mlp::new(&[5, 7, 3, 2], &mut r);
+        let mut skipped = full.clone();
+        let x = Matrix::from_vec(
+            4,
+            5,
+            (0..20).map(|i| ((i * 7) % 11) as f32 * 0.3 - 1.5).collect(),
+        );
+        let grad = Matrix::from_vec(4, 2, (0..8).map(|i| 0.25 - i as f32 * 0.1).collect());
+        full.forward(&x);
+        skipped.forward(&x);
+        let dx = full.backward(&grad);
+        skipped.backward_params(&grad);
+        assert_eq!((dx.rows(), dx.cols()), (4, 5));
+        for (a, b) in full.layers.iter().zip(&skipped.layers) {
+            assert_eq!(a.grad_w, b.grad_w);
+            assert_eq!(a.grad_b, b.grad_b);
+        }
+        // Some unit was clamped, so the ReLU mask had work to do.
+        let hidden = full.layers[1].input.as_ref().expect("kept input");
+        assert!(hidden.data().contains(&0.0));
     }
 
     #[test]
@@ -328,10 +356,10 @@ mod tests {
         let mut d = Dense::new(2, 2, &mut r);
         let x = Matrix::from_vec(3, 2, vec![0.5, -1.0, 2.0, 0.3, -0.7, 1.1]);
         // Loss = sum(y); dL/dy = ones.
-        let loss = |d: &mut Dense, x: &Matrix| -> f32 { d.forward(x).data().iter().sum() };
+        let loss = |d: &mut Dense, x: &Matrix| -> f32 { d.forward(x, false).data().iter().sum() };
         let base = loss(&mut d, &x);
         let ones = Matrix::from_vec(3, 2, vec![1.0; 6]);
-        let _ = d.forward(&x);
+        let _ = d.forward(&x, false);
         let _ = d.backward(&ones);
         let analytic = d.grad_w.get(0, 1);
         let eps = 1e-3;
@@ -368,7 +396,7 @@ mod tests {
             let (_, grad) = crate::loss::softmax_cross_entropy(&logits, &labels, &[1.0, 1.0]);
             mlp.backward(&grad);
             let mut slot = 0;
-            mlp.apply(&mut opt, &mut slot, 0.01);
+            mlp.apply(&mut opt, &mut slot);
         }
         let logits = mlp.forward(&xm);
         let correct = (0..n)

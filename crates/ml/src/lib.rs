@@ -12,9 +12,13 @@
 //!
 //! - [`anomaly`] — deterministic isolation forest for unsupervised
 //!   novel-fault detection over pipeline window vectors.
-//! - [`matrix`] — row-major matrix ops (rayon-parallel matmul rows).
-//! - [`layers`] — dense layers / ReLU / MLP with manual backprop.
-//! - [`infer`] — immutable, fused, allocation-free serving forward pass.
+//! - [`matrix`] — row-major matrix ops: the blocked, row-parallel
+//!   `matmul` and the two transposed products backprop needs.
+//! - [`layers`] — dense layers / MLP with manual backprop; the input
+//!   gradient is formed only where a caller takes it.
+//! - [`infer`] — the one fused forward kernel (bias and ReLU in the
+//!   epilogue) that training, `predict*` and serving all run, the
+//!   allocation-free serving plumbing around it, and the total argmax.
 //! - [`loss`] — weighted softmax cross-entropy.
 //! - [`optim`] — Adam and SGD.
 //! - [`model`] — the kernel-based network.

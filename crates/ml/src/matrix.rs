@@ -9,6 +9,13 @@
 //! **bit-identical** across paths and thread counts (f32 addition is
 //! deterministic for a fixed order; only the order could differ, and it
 //! never does).
+//!
+//! The two transposed products backprop needs sit on the same footing:
+//! `matmul_t` (`grad · Wᵀ`, the input gradient) transposes its small
+//! right operand once and goes through the `matmul` dispatcher, and
+//! `t_matmul` (`xᵀ · grad`, the weight gradient) is a zero-skipping axpy
+//! over rows — both ascending `k` into one accumulator from `+0.0`, so
+//! both equal the textbook dot product bit for bit.
 
 use rayon::prelude::*;
 
@@ -129,6 +136,12 @@ impl Matrix {
     /// Mutable row `r`.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// The same row-major data re-read under another shape of equal
+    /// size (e.g. `(batch·S) × 1` as `batch × S`), without a copy.
+    pub fn reshape(self, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_vec(rows, cols, self.data)
     }
 
     /// Build a matrix from a subset of rows of `self` (by index).
@@ -292,22 +305,16 @@ impl Matrix {
         out
     }
 
-    /// `self · otherᵀ` without materialising the transpose.
+    /// `self · otherᵀ`: transposes `other` once (it is the small
+    /// operand everywhere this is called — a weight matrix, one sample's
+    /// keys) and runs the [`Matrix::matmul`] dispatcher on the result, so
+    /// the product gets the vectorisable axpy kernels instead of a
+    /// strict-order scalar dot product. The bits are those of the
+    /// textbook dot product: every `matmul` path adds an element's terms
+    /// in ascending `k` into one accumulator that starts at `+0.0`.
     pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            for c in 0..other.rows {
-                let b_row = other.row(c);
-                let mut acc = 0.0;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[r * other.rows + c] = acc;
-            }
-        }
-        out
+        self.matmul(&other.transpose())
     }
 
     /// Transposed copy.
@@ -389,6 +396,58 @@ mod tests {
         let fast = a.matmul_t(&b);
         let slow = a.matmul(&b.transpose());
         assert_eq!(fast, slow);
+    }
+
+    /// `matmul_t` against the scalar loop it replaced (`acc += a * b`
+    /// over ascending `k`), bit for bit, in the simple tier, the blocked
+    /// tier, and on a mostly-zero left matrix (the zero-skip kernel,
+    /// where skipped `0 · b` terms and `-0.0` partial sums could differ
+    /// if an accumulator ever started anywhere but `+0.0`).
+    #[test]
+    fn matmul_t_matches_scalar_dot_products_bitwise() {
+        // Every fourth row all zero, the rest one value in eight, against
+        // a negative right side: all-zero rows sum `-0.0` terms only.
+        let mut sparse = filled(96, 64, 6);
+        for (i, v) in sparse.data_mut().iter_mut().enumerate() {
+            if i % 8 != 0 || (i / 64) % 4 == 3 {
+                *v = 0.0;
+            }
+        }
+        assert!(sparse.sampled_zero_fraction() >= SPARSE_SKIP_FRACTION);
+        let mut negative = filled(48, 64, 7);
+        negative.scale(-1.0);
+        let cases = [
+            (filled(5, 7, 1), filled(3, 7, 2)),
+            (filled(80, 90, 1), filled(70, 90, 2)),
+            (sparse, negative),
+        ];
+        for (a, b) in &cases {
+            let fast = a.matmul_t(b);
+            for r in 0..a.rows {
+                for c in 0..b.rows {
+                    let mut acc = 0.0f32;
+                    for (&x, &y) in a.row(r).iter().zip(b.row(c)) {
+                        acc += x * y;
+                    }
+                    assert_eq!(
+                        fast.get(r, c).to_bits(),
+                        acc.to_bits(),
+                        "{}x{}x{} at ({r}, {c})",
+                        a.rows,
+                        a.cols,
+                        b.rows
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reshape_rereads_the_same_data() {
+        let a = m(4, 1, &[1.0, 2.0, 3.0, 4.0]);
+        let b = a.reshape(2, 2);
+        assert_eq!((b.rows(), b.cols()), (2, 2));
+        assert_eq!(b.row(1), &[3.0, 4.0]);
     }
 
     #[test]

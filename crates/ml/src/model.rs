@@ -87,15 +87,14 @@ impl KernelNet {
         let k = self.kernel.forward(x); // (batch*S) × 1
         debug_assert_eq!(k.cols(), 1);
         // Row-major (batch*S)×1 re-reads directly as batch×S.
-        let h_in = Matrix::from_vec(batch, self.n_servers, k.data().to_vec());
-        self.head.forward(&h_in)
+        self.head.forward(&k.reshape(batch, self.n_servers))
     }
 
-    /// Immutable inference forward, bit-identical to
-    /// [`KernelNet::forward`] but `&self` and allocation-free once the
-    /// scratch is warm. `x` is `(batch * n_servers) × n_features`
-    /// row-major; the returned `batch × n_classes` logits live in
-    /// `scratch` until the next call.
+    /// Immutable inference forward: the same layer chain through the
+    /// same kernels as [`KernelNet::forward`], but `&self`, nothing
+    /// retained, and allocation-free once the scratch is warm. `x` is
+    /// `(batch * n_servers) × n_features` row-major; the returned
+    /// `batch × n_classes` logits live in `scratch` until the next call.
     pub fn forward_into<'s>(
         &self,
         x: &[f32],
@@ -167,20 +166,20 @@ impl KernelNet {
     }
 
     /// Backward from dL/dlogits; accumulates gradients in both MLPs.
+    /// The head's input gradient feeds the kernel; the kernel's own
+    /// (dL/d features) has no reader and is not formed.
     pub fn backward(&mut self, grad_logits: &Matrix) {
         let g_head = self.head.backward(grad_logits); // batch × S
-        let batch = g_head.rows();
-        let g_kernel = Matrix::from_vec(batch * self.n_servers, 1, g_head.data().to_vec());
-        let _ = self.kernel.backward(&g_kernel);
+        let rows = g_head.rows() * self.n_servers;
+        self.kernel.backward_params(&g_head.reshape(rows, 1));
     }
 
     /// Apply accumulated gradients via Adam.
     pub fn apply(&mut self, opt: &mut Adam) {
         opt.tick();
         let mut slot = 0;
-        let lr = opt.lr();
-        self.kernel.apply(opt, &mut slot, lr);
-        self.head.apply(opt, &mut slot, lr);
+        self.kernel.apply(opt, &mut slot);
+        self.head.apply(opt, &mut slot);
     }
 
     /// The shared kernel MLP.

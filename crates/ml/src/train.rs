@@ -180,36 +180,35 @@ impl TrainedModel {
     }
 
     /// Predict class labels for `k` raw sample blocks stacked into one
-    /// `(k * n_servers) × n_features` matrix — the serving layer's
-    /// micro-batch forward pass. A batch of `k` produces one network
-    /// invocation instead of `k`, and because every kernel accumulates
-    /// in a fixed order the results are bit-identical to `k` calls of
-    /// [`TrainedModel::predict_one`] at any thread count.
+    /// `(k * n_servers) × n_features` matrix. A batch of `k` produces
+    /// one network invocation instead of `k`, and because every kernel
+    /// accumulates in a fixed order the results are bit-identical to
+    /// `k` calls of [`TrainedModel::predict_one`] at any thread count.
+    /// [`TrainedModel::predict_batch_into`] with a scratch of its own.
     pub fn predict_batch(&mut self, stacked: &Matrix) -> Vec<usize> {
-        let mut x = stacked.clone();
-        self.standardizer.transform(&mut x);
-        let logits = self.net.forward(&x);
-        (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
-            .collect()
+        assert_eq!(
+            stacked.cols(),
+            self.net.n_features(),
+            "feature width mismatch"
+        );
+        let mut out = Vec::new();
+        self.predict_batch_into(
+            stacked.data(),
+            stacked.rows() / self.net.n_servers(),
+            &mut InferScratch::new(),
+            &mut out,
+        );
+        out
     }
 
-    /// The serving-path twin of [`TrainedModel::predict_batch`]:
-    /// `&self`, zero allocation once `scratch` is warm, and fused
-    /// through the width-specialised kernels in [`crate::infer`].
-    /// `stacked` is the same `(k * n_servers) × n_features` row-major
-    /// block, `samples` is `k`; predicted classes are appended to `out`
-    /// (cleared first). Outputs are bit-identical to
-    /// [`TrainedModel::predict_batch`] — same standardisation
-    /// arithmetic, same ascending-`k` accumulation order, same
-    /// last-max-wins argmax.
+    /// The one prediction path, which every other `predict*` calls:
+    /// `&self`, zero allocation once `scratch` is warm, standardise →
+    /// fused forward ([`crate::infer`]) → total argmax. `stacked` is a
+    /// `(k * n_servers) × n_features` row-major block, `samples` is `k`;
+    /// predicted classes are appended to `out` (cleared first). Never
+    /// panics on the values in `stacked`: a non-finite logit cannot win
+    /// the argmax (see [`crate::infer`]), and a row of nothing but NaN
+    /// answers class 0.
     pub fn predict_batch_into(
         &self,
         stacked: &[f32],
@@ -238,32 +237,12 @@ impl TrainedModel {
 
     /// Predict class labels for every sample of `data`.
     pub fn predict(&mut self, data: &Dataset) -> Vec<usize> {
-        let mut x = data.x.clone();
-        self.standardizer.transform(&mut x);
-        let logits = self.net.forward(&x);
-        (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty row")
-            })
-            .collect()
+        self.predict_batch(&data.x)
     }
 
     /// Predict one raw sample (an `n_servers × n_features` block).
     pub fn predict_one(&mut self, block: &Matrix) -> usize {
-        let mut x = block.clone();
-        self.standardizer.transform(&mut x);
-        let logits = self.net.forward(&x);
-        let row = logits.row(0);
-        row.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-            .map(|(i, _)| i)
-            .expect("non-empty row")
+        self.predict_batch(block)[0]
     }
 
     /// Evaluate on a labelled dataset, producing the confusion matrix.
@@ -285,8 +264,16 @@ impl TrainedModel {
 /// benches, and tests. Models destined for serving against a real
 /// feature pipeline must be trained with [`train_with_schema`] so the
 /// registry can validate them against the pipeline.
+///
+/// # Panics
+///
+/// The in-process contract: a non-empty set, `cfg.batch >= 1`, every
+/// label below `cfg.n_classes`, and `early_stop.val_fraction` below 1
+/// and not negative. [`train_with_schema`] checks all four first and
+/// returns [`QiError::Config`] instead.
 pub fn train(train_set: &Dataset, cfg: &TrainConfig) -> TrainedModel {
     assert!(!train_set.is_empty(), "empty training set");
+    assert!(cfg.batch > 0, "zero batch size");
     assert!(
         train_set.n_classes() <= cfg.n_classes,
         "label exceeds configured classes"
@@ -412,12 +399,37 @@ pub fn train(train_set: &Dataset, cfg: &TrainConfig) -> TrainedModel {
 /// schema its training vectors were assembled under. Errors with
 /// [`QiError::SchemaMismatch`] if the schema's per-server vector
 /// length disagrees with the dataset — a schema that does not describe
-/// the data must never be embedded in a model.
+/// the data must never be embedded in a model — and with
+/// [`QiError::Config`], naming the field, for a configuration [`train`]
+/// would panic on.
 pub fn train_with_schema(
     train_set: &Dataset,
     cfg: &TrainConfig,
     schema: FeatureSchema,
 ) -> Result<TrainedModel, QiError> {
+    if train_set.is_empty() {
+        return Err(QiError::Config("training set has no samples".into()));
+    }
+    if cfg.batch == 0 {
+        return Err(QiError::Config(
+            "TrainConfig.batch must be at least 1".into(),
+        ));
+    }
+    if train_set.n_classes() > cfg.n_classes {
+        return Err(QiError::Config(format!(
+            "TrainConfig.n_classes is {} but the training set holds label {}",
+            cfg.n_classes,
+            train_set.n_classes() - 1
+        )));
+    }
+    if let Some(es) = cfg.early_stop {
+        if !(es.val_fraction > 0.0 && es.val_fraction < 1.0) {
+            return Err(QiError::Config(format!(
+                "TrainConfig.early_stop.val_fraction must lie inside (0, 1), got {}",
+                es.val_fraction
+            )));
+        }
+    }
     if schema.vector_len() != train_set.n_features() {
         return Err(QiError::SchemaMismatch {
             context: "stamping a trained model".into(),
@@ -615,6 +627,50 @@ mod tests {
             .err()
             .expect("schema wider than the data");
         assert!(matches!(err, QiError::SchemaMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn train_with_schema_names_the_bad_field_instead_of_panicking() {
+        let data = synth(60, 3, 7);
+        let base = TrainConfig {
+            epochs: 2,
+            ..TrainConfig::default()
+        };
+        let config_err = |set: &Dataset, cfg: TrainConfig, names: &str| match train_with_schema(
+            set,
+            &cfg,
+            FeatureSchema::custom(6),
+        ) {
+            Err(QiError::Config(msg)) => assert!(msg.contains(names), "{msg}"),
+            Err(other) => panic!("expected a Config error naming {names}, got {other}"),
+            Ok(_) => panic!("expected a Config error naming {names}, got a model"),
+        };
+        let empty = Dataset {
+            x: Matrix::zeros(0, 6),
+            y: Vec::new(),
+            n_servers: 3,
+        };
+        config_err(&empty, base.clone(), "no samples");
+        let zero_batch = TrainConfig {
+            batch: 0,
+            ..base.clone()
+        };
+        config_err(&data, zero_batch, "TrainConfig.batch");
+        let one_class = TrainConfig {
+            n_classes: 1,
+            ..base.clone()
+        };
+        config_err(&data, one_class, "TrainConfig.n_classes");
+        for val_fraction in [0.0, 1.0, -0.25, f64::NAN] {
+            let cfg = TrainConfig {
+                early_stop: Some(EarlyStop {
+                    patience: 2,
+                    val_fraction,
+                }),
+                ..base.clone()
+            };
+            config_err(&data, cfg, "early_stop.val_fraction");
+        }
     }
 
     #[test]

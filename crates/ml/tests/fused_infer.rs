@@ -1,9 +1,11 @@
-//! Property suite for the fused immutable inference path: on ANY valid
-//! architecture and finite parameters, the fused width-specialised
-//! kernels in `qi_ml::infer` must match the naive
-//! `matmul` → `add_row_vec` → `Relu` composition **bit for bit** — not
-//! approximately. This is what lets the serving engine switch to the
-//! fused path without perturbing a single golden snapshot.
+//! Property suite for the fused forward kernels: on ANY valid
+//! architecture and finite parameters, the width-specialised kernels in
+//! `qi_ml::infer` must match the naive `matmul` → `add_row_vec` → clamp
+//! composition **bit for bit** — not approximately. Training
+//! (`Mlp::forward`), `predict*` and serving (`forward_into`,
+//! `predict_batch_into`) all run those kernels, so the reference here is
+//! written out from public `Matrix` operations and shares no code with
+//! any of them.
 
 use proptest::prelude::*;
 use qi_ml::data::Standardizer;
@@ -85,18 +87,48 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The reference forward pass: per layer `matmul`, then `add_row_vec`,
+/// then (every layer but the last) the ReLU clamp that sends anything
+/// not strictly positive to `+0.0`.
+fn naive_mlp(mlp: &Mlp, x: Matrix) -> Matrix {
+    let n = mlp.layers().len();
+    let mut cur = x;
+    for (i, layer) in mlp.layers().iter().enumerate() {
+        cur = cur.matmul(layer.weights());
+        cur.add_row_vec(layer.bias());
+        if i + 1 < n {
+            for v in cur.data_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+    }
+    cur
+}
+
+/// Reference kernel network: the kernel MLP over every server row, its
+/// `(batch·S) × 1` scores re-read as `batch × S`, then the head.
+fn naive_net(net: &KernelNet, x: Matrix) -> Matrix {
+    let batch = x.rows() / net.n_servers();
+    let scores = naive_mlp(net.kernel(), x);
+    let h_in = Matrix::from_vec(batch, net.n_servers(), scores.data().to_vec());
+    naive_mlp(net.head(), h_in)
+}
+
 proptest! {
-    /// `Mlp::forward_into` (fused, `&self`, scratch buffers) is
-    /// bit-identical to `Mlp::forward` (training path: per-layer
-    /// matmul + bias + ReLU allocations) for arbitrary widths — both
-    /// the specialised kernel widths and the dynamic fallback.
+    /// `Mlp::forward` (training: keeps inputs, allocates per layer) and
+    /// `Mlp::forward_into` (serving: `&self`, scratch buffers) both
+    /// match the naive reference bit for bit, for arbitrary widths —
+    /// the specialised kernel widths and the dynamic fallback alike.
     #[test]
     fn mlp_forward_into_matches_training_forward_bitwise(
         case in arb_mlp_and_input(),
     ) {
         let (mlp, rows, x) = case;
+        let input = Matrix::from_vec(rows, mlp.inputs(), x.clone());
+        let reference = naive_mlp(&mlp, input.clone());
         let mut mutable = mlp.clone();
-        let reference = mutable.forward(&Matrix::from_vec(rows, mlp.inputs(), x.clone()));
+        let trained = mutable.forward(&input);
+        prop_assert_eq!(bits(trained.data()), bits(reference.data()));
         let mut scratch = InferScratch::new();
         let fused = mlp.forward_into(&x, rows, &mut scratch);
         prop_assert_eq!(bits(fused), bits(reference.data()));
@@ -106,9 +138,9 @@ proptest! {
         prop_assert_eq!(bits(again), bits(reference.data()));
     }
 
-    /// `KernelNet::forward_into` — the full kernel→reshape→head chain
-    /// over one pair of scratch buffers — matches the mutable forward
-    /// bit for bit.
+    /// `KernelNet::forward` and `KernelNet::forward_into` — the full
+    /// kernel→reshape→head chain — match the naive reference bit for
+    /// bit.
     #[test]
     fn kernel_net_forward_into_matches_bitwise(
         case in arb_model(),
@@ -116,16 +148,20 @@ proptest! {
         let (model, samples, x) = case;
         let net = model.net();
         let rows = samples * net.n_servers();
+        let input = Matrix::from_vec(rows, net.n_features(), x.clone());
+        let reference = naive_net(net, input.clone());
         let mut mutable = net.clone();
-        let reference = mutable.forward(&Matrix::from_vec(rows, net.n_features(), x.clone()));
+        let trained = mutable.forward(&input);
+        prop_assert_eq!(bits(trained.data()), bits(reference.data()));
         let mut scratch = InferScratch::new();
         let fused = net.forward_into(&x, rows, &mut scratch);
         prop_assert_eq!(bits(fused), bits(reference.data()));
     }
 
-    /// The whole serving entry point: `predict_batch_into`
-    /// (standardise into scratch → fused forward → argmax) returns the
-    /// same classes as the mutable `predict_batch`, ties included.
+    /// The whole prediction entry point: `predict_batch_into` and
+    /// `predict_batch` (standardise → fused forward → argmax) return
+    /// the classes of the naive chain — `Standardizer::transform`, the
+    /// reference forward, and the last maximum of each logit row.
     #[test]
     fn predict_batch_into_matches_predict_batch(
         case in arb_model(),
@@ -133,10 +169,19 @@ proptest! {
         let (mut model, samples, x) = case;
         let rows = samples * model.n_servers();
         let stacked = Matrix::from_vec(rows, model.n_features(), x.clone());
-        let reference = model.predict_batch(&stacked);
+        let mut standardized = stacked.clone();
+        model.standardizer().transform(&mut standardized);
+        let logits = naive_net(model.net(), standardized);
+        let reference: Vec<usize> = (0..logits.rows())
+            .map(|r| {
+                let row = logits.row(r);
+                (0..row.len()).fold(0, |best, i| if row[i] >= row[best] { i } else { best })
+            })
+            .collect();
         let mut scratch = InferScratch::new();
         let mut out = Vec::new();
         model.predict_batch_into(&x, samples, &mut scratch, &mut out);
-        prop_assert_eq!(out, reference);
+        prop_assert_eq!(&out, &reference);
+        prop_assert_eq!(model.predict_batch(&stacked), reference);
     }
 }

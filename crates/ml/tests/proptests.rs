@@ -109,20 +109,31 @@ proptest! {
         }
     }
 
-    /// `t_matmul`/`matmul_t` agree with explicit transposes for any
-    /// shapes.
+    /// `t_matmul` agrees with the explicit transpose, and `matmul_t`
+    /// with the textbook dot product of rows (ascending `k`, one
+    /// accumulator from `+0.0`) bit for bit — `matmul_t` is itself
+    /// "transpose, then `matmul`", so that pair would compare a kernel
+    /// with itself.
     #[test]
     fn transpose_products_agree(
         a in matrix_strategy(5, 3),
         b in matrix_strategy(5, 2),
+        c in matrix_strategy(4, 3),
     ) {
         let fast = a.t_matmul(&b);
         let slow = a.transpose().matmul(&b);
         prop_assert_eq!(fast, slow);
-        let c = Matrix::from_vec(4, 3, (0..12).map(|i| i as f32 * 0.5 - 3.0).collect());
         let fast2 = a.matmul_t(&c);
-        let slow2 = a.matmul(&c.transpose());
-        prop_assert_eq!(fast2, slow2);
+        prop_assert_eq!((fast2.rows(), fast2.cols()), (5, 4));
+        for r in 0..5 {
+            for j in 0..4 {
+                let mut dot = 0.0f32;
+                for k in 0..3 {
+                    dot += a.get(r, k) * c.get(j, k);
+                }
+                prop_assert_eq!(fast2.get(r, j).to_bits(), dot.to_bits(), "({}, {})", r, j);
+            }
+        }
     }
 
     /// Standardised training data has ~zero mean per feature; transform

@@ -11,9 +11,12 @@
 //! contract), and a hot-swap test proves no batch mixes model
 //! versions.
 
-use qi_ml::data::Dataset;
+use qi_ml::data::{Dataset, Standardizer};
+use qi_ml::layers::{Dense, Mlp};
+use qi_ml::model::KernelNet;
 use qi_ml::serialize::model_to_text;
 use qi_ml::train::{train, TrainConfig, TrainedModel};
+use qi_monitor::schema::FeatureSchema;
 use qi_pfs::ids::AppId;
 use qi_serve::{
     shard_of_tenant, ModelRegistry, OverloadPolicy, PredictRequest, Prediction, ServeConfig,
@@ -328,4 +331,44 @@ fn unknown_tenant_and_wrong_shape_are_rejected() {
     assert!(err.to_string().contains("does not route"), "{err}");
     assert!(workers[owner].owns(t));
     workers[owner].submit(SimTime(0), req).expect("right shard");
+}
+
+/// A block whose logits come out `[NaN, +inf]` must be answered, not
+/// panic the engine: `check_block` looks at the length only (scanning
+/// every float of every request costs `serve_stream` 11 %), so the
+/// guard is the total argmax at the two logits. The model is built by
+/// hand — 2 servers × 2 features, the kernel passes feature 0 through,
+/// both hidden units of the head copy server 0's score, and the last
+/// layer takes their difference and their sum — so `+inf` in that one
+/// feature gives `inf − inf` and `inf + inf`.
+#[test]
+fn non_finite_logits_are_answered_not_panicked_on() {
+    let kernel = Mlp::from_layers(vec![Dense::from_params(2, 1, vec![1.0, 0.0], vec![0.0])]);
+    let head = Mlp::from_layers(vec![
+        Dense::from_params(2, 2, vec![1.0, 1.0, 0.0, 0.0], vec![0.0, 0.0]),
+        Dense::from_params(2, 2, vec![1.0, 1.0, -1.0, 1.0], vec![0.0, 0.0]),
+    ]);
+    let model = TrainedModel::from_parts(
+        KernelNet::from_parts(kernel, head, 2),
+        Standardizer::from_parts(vec![0.0, 0.0], vec![1.0, 1.0]),
+        FeatureSchema::custom(2),
+    );
+    let mut reg = ModelRegistry::new(model.shape(), model.schema().clone());
+    reg.load_text(1, &model_to_text(&model)).expect("v1 loads");
+    reg.activate(1).expect("v1 activates");
+    let cfg = ServeConfig {
+        max_batch: 1,
+        admission: None,
+        ..serve_cfg()
+    };
+    let mut eng = ShardedServeEngine::new(cfg, reg, 1).expect("engine builds");
+    let req = PredictRequest {
+        tenant: AppId(1),
+        window: 0,
+        block: vec![f32::INFINITY, 0.0, 0.0, 0.0],
+    };
+    let (_adm, mut done) = eng.submit(SimTime(0), req).expect("submit");
+    done.extend(eng.finish(SimTime(1_000_000)).expect("finish"));
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].class, 1, "the NaN logit loses to +inf");
 }
