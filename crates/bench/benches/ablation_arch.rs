@@ -10,7 +10,7 @@
 //!    (position-dependent — must relearn each OST slot separately);
 //! 3. a linear softmax over the concatenated vectors (capacity floor).
 
-use qi_bench::{is_smoke, results_dir, summary_table};
+use qi_bench::{is_smoke, summary_table, write_results};
 use qi_ml::data::Dataset;
 use qi_ml::matrix::Matrix;
 use qi_ml::train::{train, TrainConfig};
@@ -112,11 +112,6 @@ fn main() {
         }
     );
 
-    let path = results_dir().join("ablation_arch.csv");
-    table.write_csv(&path).expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSV: {}",
-        t0.elapsed(),
-        path.display()
-    );
+    write_results("ablation_arch.csv", &table);
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

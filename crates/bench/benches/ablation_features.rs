@@ -9,7 +9,7 @@
 //! 2. server-side features only,
 //! 3. both (the paper's design).
 
-use qi_bench::{is_smoke, results_dir, summary_table};
+use qi_bench::{is_smoke, summary_table, write_results};
 use qi_monitor::features::FeatureConfig;
 use quanterference::predict::{family_spec, train_and_evaluate, EvalReport};
 use quanterference::{TrainConfig, WorkloadKind};
@@ -73,11 +73,6 @@ fn main() {
         }
     );
 
-    let path = results_dir().join("ablation_features.csv");
-    table.write_csv(&path).expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSV: {}",
-        t0.elapsed(),
-        path.display()
-    );
+    write_results("ablation_features.csv", &table);
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

@@ -11,7 +11,7 @@
 //!    back into the paper's bins (quantifying why the paper classifies
 //!    instead of regressing).
 
-use qi_bench::{is_smoke, results_dir, summary_table};
+use qi_bench::{is_smoke, summary_table, write_results};
 use qi_ml::attention::AttentionNet;
 use qi_ml::data::{Dataset, Standardizer};
 use qi_ml::loss::{inverse_frequency_weights, softmax_cross_entropy};
@@ -170,11 +170,6 @@ fn main() {
         regression.headline_f1()
     );
 
-    let path = results_dir().join("ablation_model_extensions.csv");
-    table.write_csv(&path).expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSV: {}",
-        t0.elapsed(),
-        path.display()
-    );
+    write_results("ablation_model_extensions.csv", &table);
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

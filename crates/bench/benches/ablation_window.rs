@@ -5,7 +5,7 @@
 //! longer windows smooth the signal but blur phase transitions. This
 //! sweep retrains the IO500 binary model at several window lengths.
 
-use qi_bench::{is_smoke, results_dir, summary_table};
+use qi_bench::{is_smoke, summary_table, write_results};
 use qi_monitor::window::WindowConfig;
 use qi_simkit::time::SimDuration;
 use quanterference::predict::{family_spec, train_and_evaluate, EvalReport};
@@ -41,11 +41,6 @@ fn main() {
         );
     }
 
-    let path = results_dir().join("ablation_window.csv");
-    table.write_csv(&path).expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSV: {}",
-        t0.elapsed(),
-        path.display()
-    );
+    write_results("ablation_window.csv", &table);
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

@@ -1,380 +1,21 @@
-//! **Closed-loop control bench** (DESIGN.md — control loop).
-//!
-//! The payoff the paper motivates: "users can develop more effective
-//! methods to mitigate such impacts" (§II-B). A model is trained on the
-//! smoke IO500 grid at 100 ms windows, then deployed *online*: a
-//! [`ControlLoop`] rides the simulation, asks the sharded serve engine
-//! for per-window predictions, and rate-limits the interfering
-//! applications only while the target's predicted slowdown is ≥2x. Three
-//! interference regimes (severe metadata-vs-bulk, moderate read-vs-read,
-//! and the severe regime on faulted hardware) are each run four ways —
-//! ideal, unmitigated, guided, and uniform always-on throttling — and
-//! the table reports how much slowdown each controller recovered and how
-//! much background throughput it cost.
-//!
-//! Written to `BENCH_control.json` at the repository root:
-//!
-//! 1. `closed_loop` — the guided-vs-uniform table above.
-//! 2. `overhead` — controller cost per simulated window: wall-clock of
-//!    the controlled run minus the uncontrolled run, divided by the
-//!    number of control ticks (best-of-N samples; the workload is
-//!    deterministic so scheduler noise is strictly additive).
-//!
-//! **Closed-loop gate** (non-zero exit on failure, `QI_NO_TIMING_GATES=1`
-//! to waive — recorded in the JSON): in every regime the guided run must
-//! not be slower than the unmitigated run (beyond 5% tolerance), must
-//! actually emit directives, and must tax the background strictly less
-//! than uniform throttling does.
-//!
-//! Knobs: `QI_BENCH_OUT=path.json`, `QI_SMOKE=1` (fewer training seeds
-//! and epochs, fewer overhead samples), `QI_NO_TIMING_GATES=1`.
+//! **Closed-loop control** (DESIGN.md — control loop): guided vs uniform
+//! throttling across three interference regimes, each run four ways —
+//! ideal, unmitigated, guided, and uniform always-on — reporting how
+//! much slowdown each controller recovered and how much background
+//! throughput it cost. The experiment itself is
+//! [`qi_bench::closed_loop`]; `crates/bench/tests/gates.rs` holds its
+//! assertions and pins these rows to `results/control_loop.csv`.
 
-use std::time::Instant;
-
-use qi_bench::{is_smoke, no_timing_gates, results_dir};
-use qi_ml::serialize::{model_from_text, model_to_text};
-use qi_serve::{ModelRegistry, OverloadPolicy, ServeConfig, ShardedServeEngine};
-use qi_simkit::table::AsciiTable;
-use qi_simkit::time::{SimDuration, SimTime};
-use quanterference::prelude::*;
-
-/// Rate given to both policies, so the comparison isolates *when* they
-/// throttle, not *how hard*.
-const RATE: f64 = 5.0e6;
-
-struct Regime {
-    name: &'static str,
-    target: WorkloadKind,
-    noise_kind: WorkloadKind,
-    faulted: bool,
-}
-
-const REGIMES: [Regime; 3] = [
-    Regime {
-        name: "mdt-hard-write vs 2x ior-easy-write",
-        target: WorkloadKind::MdtHardWrite,
-        noise_kind: WorkloadKind::IorEasyWrite,
-        faulted: false,
-    },
-    Regime {
-        name: "ior-easy-read vs 2x ior-easy-read",
-        target: WorkloadKind::IorEasyRead,
-        noise_kind: WorkloadKind::IorEasyRead,
-        faulted: false,
-    },
-    Regime {
-        name: "mdt-hard-write vs 2x ior-easy-write, slow MDT",
-        target: WorkloadKind::MdtHardWrite,
-        noise_kind: WorkloadKind::IorEasyWrite,
-        faulted: true,
-    },
-];
-
-fn scenario(r: &Regime) -> Scenario {
-    let s = Scenario {
-        cluster: ClusterConfig::small(),
-        small: true,
-        target_ranks: 2,
-        ..Scenario::baseline(r.target, 55)
-    }
-    .with_interference(InterferenceSpec {
-        kind: r.noise_kind,
-        instances: 2,
-        ranks: 2,
-    });
-    if !r.faulted {
-        return s;
-    }
-    // Slow the *MDT* backing disk (device index n_osts): the metadata
-    // target feels it directly, so the faulted regime visibly diverges
-    // from the healthy one instead of only shaving OST bandwidth the
-    // target never uses.
-    s.with_fault_plan(FaultPlan::new().with(FaultEvent::SlowDisk {
-        dev: ClusterConfig::small().n_osts(),
-        factor: 3.0,
-        from: SimTime::ZERO + SimDuration::from_secs(1),
-        until: SimTime::ZERO + SimDuration::from_secs(20),
-    }))
-}
-
-/// Serve engine rebuilt from frozen model text, so every controlled run
-/// (and every overhead sample) deploys the identical model.
-fn fresh_service(text: &str, tenants: &[AppId]) -> ShardedServeEngine {
-    let model = model_from_text(text).expect("frozen model text parses");
-    let window = model
-        .schema()
-        .window_config()
-        .expect("trained schemas carry a window");
-    let mut registry = ModelRegistry::new(model.shape(), model.schema().clone());
-    registry.load_text(1, text).expect("frozen model loads");
-    registry.activate(1).expect("loaded version activates");
-    let cfg = ServeConfig {
-        max_batch: tenants.len().max(1),
-        max_delay: window.window,
-        queue_cap: 4 * tenants.len().max(1),
-        admission: None,
-        overload: OverloadPolicy::Shed,
-        tenants: tenants.to_vec(),
-        threads: None,
-    };
-    ShardedServeEngine::new(cfg, registry, 2).expect("two shards build")
-}
-
-fn guided_loop(text: &str, s: &Scenario) -> ControlLoop {
-    let target = AppId(0);
-    let noise = noise_app_ids(s);
-    let mut tenants = vec![target];
-    tenants.extend(noise.iter().copied());
-    ControlLoop::builder()
-        .predictor(fresh_service(text, &tenants))
-        .policy(GuidedThrottle::new(target, noise, 1, RATE).expect("valid policy"))
-        .n_devices(s.cluster.n_devices())
-        .build()
-        .expect("guided loop builds")
-}
-
-struct OverheadRow {
-    regime: &'static str,
-    windows: u64,
-    uncontrolled_ms: f64,
-    controlled_ms: f64,
-    overhead_us_per_window: f64,
-}
-
-/// Best-of-`samples` wall time of `f`, in milliseconds.
-fn best_ms<T>(samples: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let v = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        last = Some(v);
-    }
-    (best, last.expect("at least one sample"))
-}
-
-struct LoopRow {
-    regime: &'static str,
-    policy: &'static str,
-    outcome: MitigationOutcome,
-}
-
-fn write_json(
-    rows: &[LoopRow],
-    overhead: &[OverheadRow],
-    gate: (bool, bool, &str),
-    out: &std::path::Path,
-) {
-    let (enforced, passed, basis) = gate;
-    let mut s = String::from("{\n");
-    s.push_str("  \"generated_by\": \"cargo bench -p qi-bench --bench control_loop\",\n");
-    s.push_str(&format!(
-        "  \"gate\": {{\"basis\": \"{basis}\", \"enforced\": {enforced}, \"passed\": {passed}}},\n"
-    ));
-    s.push_str("  \"closed_loop\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let o = &r.outcome;
-        s.push_str(&format!(
-            "    {{\"regime\": \"{}\", \"policy\": \"{}\", \"baseline_s\": {:.4}, \
-             \"unmitigated_s\": {:.4}, \"mitigated_s\": {:.4}, \"recovered\": {:.3}, \
-             \"noise_cost\": {:.3}, \"directives\": {}, \"throttled_windows\": {}}}{}\n",
-            r.regime,
-            r.policy,
-            o.baseline_s,
-            o.unmitigated_s,
-            o.mitigated_s,
-            o.recovered_fraction(),
-            o.noise_cost_fraction(),
-            o.directives.len(),
-            o.throttled_windows.len(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n  \"overhead\": [\n");
-    for (i, r) in overhead.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"regime\": \"{}\", \"windows\": {}, \"uncontrolled_ms\": {:.3}, \
-             \"controlled_ms\": {:.3}, \"overhead_us_per_window\": {:.3}}}{}\n",
-            r.regime,
-            r.windows,
-            r.uncontrolled_ms,
-            r.controlled_ms,
-            r.overhead_us_per_window,
-            if i + 1 < overhead.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    std::fs::write(out, s).expect("write BENCH_control.json");
-}
+use qi_bench::{closed_loop, write_results};
 
 fn main() {
-    let small = is_smoke();
-    let skip_gate = no_timing_gates();
-    let samples = if small { 2 } else { 3 };
-    let t0 = Instant::now();
-
-    // Train at 100 ms windows: sub-second windows give the online loop
-    // several decision points inside the short smoke-scale target runs.
-    let mut spec = DatasetSpec::smoke();
-    spec.seeds = if small {
-        (1..=4).collect()
-    } else {
-        (1..=6).collect()
-    };
-    spec.window = WindowConfig::millis(100);
-    println!(
-        "training the predictor on the IO500 grid ({} runs, 100 ms windows)...",
-        spec.n_runs()
-    );
-    let tcfg = TrainConfig {
-        epochs: if small { 30 } else { 40 },
-        ..TrainConfig::default()
-    };
-    let (_, predictor, report) = train_and_evaluate(&spec, &tcfg, 3).expect("pipeline trains");
-    println!("model F1 = {:.3}\n", report.headline_f1());
-    let text = model_to_text(&predictor.into_model());
-
-    let mut table = AsciiTable::new(vec![
-        "regime",
-        "policy",
-        "baseline (s)",
-        "interfered (s)",
-        "mitigated (s)",
-        "recovered",
-        "noise cost",
-        "directives",
-    ]);
-    let mut rows: Vec<LoopRow> = Vec::new();
-    let mut overhead: Vec<OverheadRow> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-
-    for regime in &REGIMES {
-        let s = scenario(regime);
-
-        let guided =
-            evaluate_mitigation(&s, guided_loop(&text, &s)).expect("guided mitigation runs");
-        let uniform_ctl = ControlLoop::builder()
-            .policy(UniformThrottle::new(noise_app_ids(&s), RATE).expect("valid policy"))
-            .window(WindowConfig::millis(100))
-            .build()
-            .expect("uniform loop builds");
-        let uniform = evaluate_mitigation(&s, uniform_ctl).expect("uniform mitigation runs");
-
-        for (policy, o) in [("guided", &guided), ("uniform", &uniform)] {
-            table.add_row(vec![
-                regime.name.to_string(),
-                policy.to_string(),
-                format!("{:.3}", o.baseline_s),
-                format!("{:.3}", o.unmitigated_s),
-                format!("{:.3}", o.mitigated_s),
-                format!("{:.0}%", o.recovered_fraction() * 100.0),
-                format!("{:.0}%", o.noise_cost_fraction() * 100.0),
-                o.directives.len().to_string(),
-            ]);
-        }
-
-        // The closed-loop gate: guided must help (or at least not hurt),
-        // must actually act, and must tax the background less than the
-        // paper's "uniform treatment" strawman.
-        if guided.mitigated_s > guided.unmitigated_s * 1.05 {
-            failures.push(format!(
-                "{}: guided mitigation hurt the target ({:.3}s vs {:.3}s unmitigated)",
-                regime.name, guided.mitigated_s, guided.unmitigated_s
-            ));
-        }
-        if guided.directives.is_empty() {
-            failures.push(format!("{}: the guided loop never acted", regime.name));
-        }
-        if guided.noise_cost_fraction() >= uniform.noise_cost_fraction() {
-            failures.push(format!(
-                "{}: guided cost {:.0}% did not beat uniform cost {:.0}%",
-                regime.name,
-                guided.noise_cost_fraction() * 100.0,
-                uniform.noise_cost_fraction() * 100.0
-            ));
-        }
-
-        // Controller overhead: wall time with and without the loop, per
-        // control tick. Trace telemetry reports how many ticks ran.
-        let (unctl_ms, _) = best_ms(samples, || s.run().expect("unmitigated run"));
-        let (ctl_ms, (_, trace)) = best_ms(samples, || {
-            let ctl = guided_loop(&text, &s);
-            s.run_with(|cl| cl.install_controller(Box::new(ctl)))
-                .expect("controlled run")
-        });
-        let windows = trace.metrics.counter("control.ticks").unwrap_or(0);
-        overhead.push(OverheadRow {
-            regime: regime.name,
-            windows,
-            uncontrolled_ms: unctl_ms,
-            controlled_ms: ctl_ms,
-            overhead_us_per_window: if windows > 0 {
-                ((ctl_ms - unctl_ms) * 1e3 / windows as f64).max(0.0)
-            } else {
-                0.0
-            },
-        });
-
-        rows.push(LoopRow {
-            regime: regime.name,
-            policy: "guided",
-            outcome: guided,
-        });
-        rows.push(LoopRow {
-            regime: regime.name,
-            policy: "uniform",
-            outcome: uniform,
-        });
-    }
-
+    let t0 = std::time::Instant::now();
+    let table = closed_loop::table(&closed_loop::run());
     println!("{}", table.render());
-    for r in &overhead {
-        println!(
-            "overhead [{}]: {} windows, {:.1} ms uncontrolled vs {:.1} ms controlled \
-             ({:.1} us/window)",
-            r.regime, r.windows, r.uncontrolled_ms, r.controlled_ms, r.overhead_us_per_window
-        );
-    }
     println!(
-        "\nselective throttling engages only where the model predicts >=2x \
-         slowdown — uniform throttling pays the noise cost everywhere."
+        "selective throttling engages only where the model predicts >=2x \
+         slowdown — uniform throttling pays the noise cost everywhere.\n"
     );
-
-    let csv = results_dir().join("control_loop.csv");
-    table.write_csv(&csv).expect("write CSV");
-
-    let out = std::env::var("QI_BENCH_OUT").map_or_else(
-        |_| {
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_control.json")
-        },
-        std::path::PathBuf::from,
-    );
-    let passed = failures.is_empty();
-    write_json(
-        &rows,
-        &overhead,
-        (
-            !skip_gate,
-            passed,
-            "guided helps, acts, and costs less background throughput than uniform",
-        ),
-        &out,
-    );
-    println!("generated in {:.1?}; JSON: {}", t0.elapsed(), out.display());
-
-    if !passed {
-        for f in &failures {
-            eprintln!("closed-loop gate: {f}");
-        }
-        if !skip_gate {
-            panic!(
-                "closed-loop gate failed ({} violation(s)); set QI_NO_TIMING_GATES=1 to waive",
-                failures.len()
-            );
-        }
-        eprintln!("QI_NO_TIMING_GATES=1: gate waived (recorded in the JSON)");
-    }
+    write_results("control_loop.csv", &table);
+    println!("generated in {:.1?}", t0.elapsed());
 }

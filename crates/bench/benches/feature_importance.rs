@@ -3,7 +3,7 @@
 //! importance of every client-side and server-side (Table II) feature
 //! on the trained IO500 model.
 
-use qi_bench::{is_smoke, results_dir};
+use qi_bench::{is_smoke, write_results};
 use qi_simkit::table::AsciiTable;
 use quanterference::importance::permutation_importance;
 use quanterference::predict::family_spec;
@@ -53,11 +53,6 @@ fn main() {
         family("tgt_"),
         family("srv_")
     );
-    let path = results_dir().join("feature_importance.csv");
-    table.write_csv(&path).expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSV: {}",
-        t0.elapsed(),
-        path.display()
-    );
+    write_results("feature_importance.csv", &table);
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

@@ -8,7 +8,7 @@
 //! operations; most impacted ops get worse with more interference; and
 //! the two noise types hit *different* operations.
 
-use qi_bench::{is_smoke, results_dir};
+use qi_bench::{is_smoke, write_results};
 use qi_simkit::percentile;
 use quanterference::experiments::{
     fig_one_a, fig_one_b, impact_ratios, series_mean, series_table, FigOneConfig,
@@ -62,8 +62,7 @@ fn main() {
             "MISMATCH"
         }
     );
-    let path_a = results_dir().join("fig1a_enzo_vs_write_levels.csv");
-    series_table(&a).write_csv(&path_a).expect("write CSV");
+    write_results("fig1a_enzo_vs_write_levels.csv", &series_table(&a));
 
     println!("\nFigure 1(b) — Enzo per-op I/O time, data vs metadata noise");
     let b = fig_one_b(&cfg, 3).expect("fig 1b generates");
@@ -93,9 +92,7 @@ fn main() {
             "  (none)"
         }
     );
-    let path_b = results_dir().join("fig1b_enzo_noise_types.csv");
-    series_table(&b).write_csv(&path_b).expect("write CSV");
+    write_results("fig1b_enzo_noise_types.csv", &series_table(&b));
 
     println!("\ngenerated in {:.1?}", t0.elapsed());
-    println!("CSVs: {} and {}", path_a.display(), path_b.display());
 }

@@ -4,7 +4,7 @@
 //! mass and F1 > 90% on both; IO500 is positive-skewed (~75% ≥2x) while
 //! DLIO is negative-skewed (~20% ≥2x).
 
-use qi_bench::{is_smoke, print_report, report_table, results_dir, summary_table};
+use qi_bench::{is_smoke, print_report, report_table, summary_table, write_results};
 use quanterference::predict::{family_spec, train_and_evaluate};
 use quanterference::{TrainConfig, WorkloadKind};
 
@@ -51,22 +51,20 @@ fn main() {
         dlio_pos * 100.0
     );
 
-    let dir = results_dir();
-    report_table("io500-binary", &io500_report)
-        .write_csv(dir.join("fig3a_io500_confusion.csv"))
-        .expect("write CSV");
-    report_table("dlio-binary", &dlio_report)
-        .write_csv(dir.join("fig3b_dlio_confusion.csv"))
-        .expect("write CSV");
-    summary_table(&[
-        ("io500-binary", &io500_report),
-        ("dlio-binary", &dlio_report),
-    ])
-    .write_csv(dir.join("fig3_summary.csv"))
-    .expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSVs under {}",
-        t0.elapsed(),
-        dir.display()
+    write_results(
+        "fig3a_io500_confusion.csv",
+        &report_table("io500-binary", &io500_report),
     );
+    write_results(
+        "fig3b_dlio_confusion.csv",
+        &report_table("dlio-binary", &dlio_report),
+    );
+    write_results(
+        "fig3_summary.csv",
+        &summary_table(&[
+            ("io500-binary", &io500_report),
+            ("dlio-binary", &dlio_report),
+        ]),
+    );
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

@@ -5,7 +5,7 @@
 //! observes a strong diagonal with the middle bin slightly better
 //! represented.
 
-use qi_bench::{is_smoke, print_report, report_table, results_dir};
+use qi_bench::{is_smoke, print_report, report_table, write_results};
 use quanterference::labeling::Bins;
 use quanterference::predict::{family_spec, train_and_evaluate};
 use quanterference::{TrainConfig, WorkloadKind};
@@ -49,13 +49,9 @@ fn main() {
         );
     }
 
-    let path = results_dir().join("fig4_io500_multiclass.csv");
-    report_table("io500-3class", &report)
-        .write_csv(&path)
-        .expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSV: {}",
-        t0.elapsed(),
-        path.display()
+    write_results(
+        "fig4_io500_multiclass.csv",
+        &report_table("io500-3class", &report),
     );
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

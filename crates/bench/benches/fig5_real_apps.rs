@@ -6,7 +6,7 @@
 //! strong results for AMReX and especially Enzo, and a weaker OpenPMD
 //! model, attributed to its small sample count.
 
-use qi_bench::{is_smoke, print_report, report_table, results_dir, summary_table};
+use qi_bench::{is_smoke, print_report, report_table, summary_table, write_results};
 use quanterference::predict::{family_spec, train_and_evaluate, EvalReport};
 use quanterference::{TrainConfig, WorkloadKind};
 
@@ -55,19 +55,13 @@ fn main() {
         );
     }
 
-    let dir = results_dir();
     for (name, report, _) in &reports {
-        report_table(name, report)
-            .write_csv(dir.join(format!("fig5_{name}_confusion.csv")))
-            .expect("write CSV");
+        write_results(
+            &format!("fig5_{name}_confusion.csv"),
+            &report_table(name, report),
+        );
     }
     let rows: Vec<(&str, &EvalReport)> = reports.iter().map(|(n, r, _)| (*n, r)).collect();
-    summary_table(&rows)
-        .write_csv(dir.join("fig5_summary.csv"))
-        .expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSVs under {}",
-        t0.elapsed(),
-        dir.display()
-    );
+    write_results("fig5_summary.csv", &summary_table(&rows));
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

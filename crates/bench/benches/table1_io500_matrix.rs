@@ -9,7 +9,7 @@
 //! touches data tasks, and mdt-hard-read is only sensitive to metadata
 //! mutations.
 
-use qi_bench::{is_smoke, results_dir};
+use qi_bench::{is_smoke, write_results};
 use quanterference::experiments::{table_one, TableOneConfig};
 use quanterference::WorkloadKind;
 
@@ -67,7 +67,5 @@ fn main() {
     let min = col.iter().cloned().fold(f64::NAN, f64::min);
     println!("  under the SAME ior-easy-write noise, task slowdowns span {min:.2}x..{max:.2}x");
 
-    let path = results_dir().join("table1_io500_matrix.csv");
-    table.to_table().write_csv(&path).expect("write CSV");
-    println!("\nCSV: {}", path.display());
+    write_results("table1_io500_matrix.csv", &table.to_table());
 }

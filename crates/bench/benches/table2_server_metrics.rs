@@ -4,7 +4,7 @@
 //! *discriminates between I/O patterns*: it runs four contrasting loads
 //! and prints the windowed sum/mean/std of every metric on one OST.
 
-use qi_bench::{is_smoke, results_dir};
+use qi_bench::{is_smoke, write_results};
 use qi_monitor::server::{server_windows, SERVER_SERIES};
 use qi_monitor::window::WindowConfig;
 use qi_pfs::config::ClusterConfig;
@@ -132,11 +132,6 @@ fn main() {
         }
     );
 
-    let path = results_dir().join("table2_server_metrics.csv");
-    table.write_csv(&path).expect("write CSV");
-    println!(
-        "\ngenerated in {:.1?}; CSV: {}",
-        t0.elapsed(),
-        path.display()
-    );
+    write_results("table2_server_metrics.csv", &table);
+    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

@@ -1,10 +1,14 @@
 //! Shared plumbing for the experiment benches: smoke-mode detection,
-//! result paths, and report rendering.
+//! the `results/` record, and report rendering.
 //!
 //! Every paper table/figure has a `[[bench]]` target in this crate with
 //! `harness = false`; each regenerates its table/series, prints it, and
-//! writes a CSV under `results/`. Set `QI_SMOKE=1` (or pass `--smoke`)
-//! to run the reduced-scale variants.
+//! records it through [`write_results`]. Set `QI_SMOKE=1` (or pass
+//! `--smoke`) to run the reduced-scale variants, which print their
+//! tables and leave `results/` alone. `scripts/bench.sh --only
+//! experiments` runs them all and fails if the committed record moved.
+
+pub mod closed_loop;
 
 use std::path::PathBuf;
 
@@ -18,18 +22,26 @@ pub fn is_smoke() -> bool {
         || std::env::args().any(|a| a == "--smoke")
 }
 
-/// True when `QI_NO_TIMING_GATES=1` (what `scripts/bench.sh
-/// --no-timing-gates` exports) waives the benches' wall-clock gates.
-/// Determinism gates never consult it.
-pub fn no_timing_gates() -> bool {
-    std::env::var("QI_NO_TIMING_GATES").is_ok_and(|v| v == "1")
-}
-
 /// The repository's `results/` directory.
 pub fn results_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results")
+}
+
+/// Record one experiment table as `results/<name>`, the tracked
+/// reproduction record. A smoke run prints the rows instead: its
+/// reduced-scale numbers must never replace the full-scale ones.
+pub fn write_results(name: &str, table: &AsciiTable) {
+    if is_smoke() {
+        print!("{}", table.to_csv());
+        println!("smoke: results/{name} not written");
+        return;
+    }
+    table
+        .write_csv(results_dir().join(name))
+        .expect("write CSV");
+    println!("wrote results/{name}");
 }
 
 /// Print one model-evaluation report in the style of the paper's

@@ -26,7 +26,7 @@
 //! Because a quiet window's deltas are all zero, dropping its samples
 //! (keeping at least one so the server block still exists) leaves every
 //! windowed sum/mean/std feature bit-unchanged: ingest shrinks at zero
-//! feature drift, the gate `benches/anomaly_scale.rs` enforces.
+//! feature drift, which `tests/sampler_props.rs` holds as a property.
 
 use qi_pfs::ops::ServerSample;
 use qi_telemetry::{MetricValue, MetricsSnapshot};

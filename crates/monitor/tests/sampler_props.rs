@@ -1,7 +1,7 @@
 //! Property-based tests for the budget-bounded adaptive sampler.
 //!
-//! Three contracts, over arbitrary per-device cumulative counter
-//! series:
+//! Four contracts, over arbitrary per-device cumulative counter
+//! series, and one fixed quiet cluster:
 //!
 //! - **Budget bound** — no `(device, window)` group ever keeps more
 //!   than `budget` samples.
@@ -10,6 +10,12 @@
 //!   one's, so tightening the budget only ever *removes* samples.
 //! - **Replay determinism** — the same config over the same stream is
 //!   byte-identical, run after run.
+//! - **Boundary survival** — the newest sample of every
+//!   `(device, window)` group, whose cumulative counters the window
+//!   features are computed from, survives bit for bit: sampling cannot
+//!   move a feature.
+//! - **It pays** — devices active one window in five shed at least 30 %
+//!   of ingest.
 
 use proptest::prelude::*;
 use qi_monitor::sampler::{AdaptiveSampler, SamplerConfig};
@@ -151,6 +157,40 @@ proptest! {
         prop_assert_eq!(sa, sb);
     }
 
+    /// The newest sample of every `(device, window)` group is in the
+    /// output unchanged, whatever the budget.
+    #[test]
+    fn newest_sample_of_every_group_survives(
+        deltas in arb_deltas(),
+        tick_ms in 50u64..1_500,
+        window_s in 1u64..4,
+        budget in 1u32..6,
+        quiet_keep in 1u32..3,
+        seed in 0u64..100,
+    ) {
+        let stream = build_stream(&deltas, tick_ms);
+        let wcfg = WindowConfig::seconds(window_s);
+        let cfg = SamplerConfig { budget, quiet_keep, seed };
+        let (kept, _) = AdaptiveSampler::run(cfg, wcfg, stream.clone());
+        let newest = |samples: &[ServerSample]| {
+            let mut m = std::collections::HashMap::new();
+            for s in samples {
+                m.insert((s.dev.0, window_of(wcfg, s)), *s);
+            }
+            m
+        };
+        let got = newest(&kept);
+        for (group, want) in newest(&stream) {
+            prop_assert_eq!(
+                got.get(&group),
+                Some(&want),
+                "device {} window {} lost its boundary sample",
+                group.0,
+                group.1
+            );
+        }
+    }
+
     /// The unbounded budget is a strict pass-through regardless of how
     /// quiet the stream is.
     #[test]
@@ -167,4 +207,31 @@ proptest! {
         prop_assert_eq!(kept, stream);
         prop_assert_eq!(stats.dropped(), 0);
     }
+}
+
+/// Eight devices sampled every 100 ms over 240 one-second windows, each
+/// active in one window out of five: the quiet four shrink to one
+/// sample, so the sampler must shed well over the 30 % that justifies it.
+#[test]
+fn mostly_quiet_devices_save_at_least_thirty_percent_of_ingest() {
+    let deltas: Vec<Vec<u64>> = (0..2_400)
+        .map(|tick| {
+            (0..8)
+                .map(|dev| u64::from((tick / 10) % 5 == dev % 5) * 3)
+                .collect()
+        })
+        .collect();
+    let cfg = SamplerConfig {
+        budget: 8,
+        quiet_keep: 1,
+        seed: 9,
+    };
+    let (_, stats) =
+        AdaptiveSampler::run(cfg, WindowConfig::seconds(1), build_stream(&deltas, 100));
+    assert_eq!(stats.seen, 19_200);
+    assert!(
+        stats.savings() >= 0.30,
+        "saved only {:.1}% of ingest",
+        stats.savings() * 100.0
+    );
 }

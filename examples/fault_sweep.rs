@@ -8,8 +8,8 @@
 //! cargo run --release --example fault_sweep
 //! ```
 //!
-//! Exits non-zero if a faulted replay is not byte-identical, so
-//! `scripts/bench.sh --smoke` can use it as a determinism gate.
+//! Exits non-zero if a faulted replay is not byte-identical;
+//! `tests/fault_injection.rs` holds the same replay check in Tier-1.
 
 use quanterference_repro::framework::prelude::*;
 use quanterference_repro::simkit::{SimDuration, SimTime};

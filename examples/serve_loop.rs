@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Exits non-zero if the serving accounting invariant breaks or the
-//! session is not byte-identical across shard counts, so
-//! `scripts/bench.sh --smoke` can use it as a determinism gate.
+//! session is not byte-identical across shard counts;
+//! `tests/telemetry_golden.rs` holds both checks in Tier-1.
 
 use quanterference_repro::serve_demo::run_serve_session;
 use quanterference_repro::simkit::QiError;

@@ -249,8 +249,7 @@ fn faulted_windows_score_above_the_healthy_p95() {
     );
 
     // Detection survives budget-bounded sampling, and the sampler
-    // actually paid for itself on this session (the bench gate's 30%
-    // floor, asserted here without criterion).
+    // actually paid for itself on this session (the 30% floor).
     let stats = session.sampled.sampler.expect("sampler stats");
     assert!(
         stats.savings() >= 0.30,

@@ -305,6 +305,72 @@ fn sharded_controlled_replay_is_byte_identical() {
     }
 }
 
+/// Every client of an 8-OSS cluster streams 1 MiB writes to its own
+/// file, each start staggered by a distinct sub-RPC delay. The stagger
+/// breaks the clients' symmetry, which would otherwise complete whole
+/// cohorts of ops at one instant — and record order *within* an instant
+/// is the one surface the parallel merge does not reproduce (DESIGN.md,
+/// parallel simulation, residual ties).
+fn dense_write_run(shards: u32) -> RunTrace {
+    use quanterference_repro::pfs::prelude::{FileKey, IoOp, NodeId, ProgramStep};
+    const MIB: u64 = 1024 * 1024;
+    const MIB_PER_CLIENT: u64 = 64;
+    let cfg = ClusterConfig {
+        oss_nodes: 8,
+        osts_per_oss: 1,
+        client_nodes: 16,
+        sim_shards: shards,
+        ..ClusterConfig::default()
+    };
+    let clients = cfg.client_nodes;
+    let mut cl = Cluster::builder()
+        .config(cfg)
+        .seed(7)
+        .build()
+        .expect("valid dense-write config");
+    for c in 0..clients {
+        let file = FileKey {
+            app: AppId(c),
+            num: 1,
+        };
+        let mut started = false;
+        let mut written = 0;
+        let prog = move |_now: SimTime| {
+            if !started {
+                started = true;
+                return ProgramStep::Compute(SimDuration::from_nanos(1_300 * c as u64 + 1));
+            }
+            if written == MIB_PER_CLIENT {
+                return ProgramStep::Finished;
+            }
+            written += 1;
+            ProgramStep::Op(IoOp::Write {
+                file,
+                offset: (written - 1) * MIB,
+                len: MIB,
+            })
+        };
+        cl.add_app(&format!("w{c}"), vec![Box::new(prog)], &[NodeId(c)]);
+    }
+    cl.run(t(10))
+}
+
+/// The dense leg of the shard sweep: twice the OSS count of the scenario
+/// legs above, so eight shards are a real eight-way partition, and every
+/// server busy at once.
+#[test]
+fn dense_write_replay_is_identical_at_every_shard_count() {
+    let sequential = dense_write_run(1);
+    assert_eq!(sequential.ops.len(), 16 * 64, "every write must complete");
+    for shards in [2, 4, 8] {
+        assert_traces_equivalent(
+            &sequential,
+            &dense_write_run(shards),
+            &format!("dense writes, {shards} shards vs sequential"),
+        );
+    }
+}
+
 /// A tiny dataset sweep (healthy + slow-OST conditions) whose feature
 /// matrix and labels must come out bit-identical on every backend.
 fn tiny_spec(backend: QueueBackend) -> DatasetSpec {
