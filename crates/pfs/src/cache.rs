@@ -9,10 +9,13 @@
 //! writers — the 26-41× cells in the paper's Table I.
 
 use std::collections::VecDeque;
+use std::hash::Hash;
 
+use qi_simkit::hash::IdMap;
 use qi_simkit::time::SimDuration;
 
 use crate::config::CacheConfig;
+use crate::layout::ObjKey;
 
 /// Outcome of offering a write to the cache.
 #[derive(Debug)]
@@ -129,51 +132,169 @@ impl<T> WriteCache<T> {
     }
 }
 
+/// Null link in a [`Recency`] list.
+const NIL: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
+struct RecencyNode<K, V> {
+    key: K,
+    value: V,
+    /// Towards the most recent entry.
+    newer: u32,
+    /// Towards the least recent entry; also threads the free list.
+    older: u32,
+}
+
+/// Keyed values in recency order: a doubly linked list threaded through
+/// a slab, most recently used first, plus a map from key to slab slot.
+/// A lookup that refreshes, an insert and the removal of the least
+/// recently used entry are each a hash probe and a few link writes — no
+/// scan, and no allocation once the slab has reached its working size.
+struct Recency<K, V> {
+    slots: IdMap<K, u32>,
+    nodes: Vec<RecencyNode<K, V>>,
+    newest: u32,
+    oldest: u32,
+    free: u32,
+    /// Slab node accesses, for the test that pins insert and eviction at
+    /// a constant cost.
+    #[cfg(test)]
+    visits: u64,
+}
+
+impl<K: Hash + Eq + Copy, V: Copy> Recency<K, V> {
+    fn new() -> Self {
+        Recency {
+            slots: IdMap::default(),
+            nodes: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
+            free: NIL,
+            #[cfg(test)]
+            visits: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn node(&mut self, slot: u32) -> &mut RecencyNode<K, V> {
+        #[cfg(test)]
+        {
+            self.visits += 1;
+        }
+        &mut self.nodes[slot as usize]
+    }
+
+    /// Take `slot` out of the recency list (its own links go stale).
+    fn unlink(&mut self, slot: u32) {
+        let RecencyNode { newer, older, .. } = *self.node(slot);
+        match newer {
+            NIL => self.newest = older,
+            n => self.node(n).older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.node(o).newer = newer,
+        }
+    }
+
+    /// Put the unlinked `slot` at the most recent end.
+    fn link_newest(&mut self, slot: u32) {
+        let second = self.newest;
+        let n = self.node(slot);
+        n.newer = NIL;
+        n.older = second;
+        match second {
+            NIL => self.oldest = slot,
+            s => self.node(s).newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// The value stored under `key`, which becomes the most recent.
+    fn refresh(&mut self, key: K) -> Option<&mut V> {
+        let slot = *self.slots.get(&key)?;
+        if slot != self.newest {
+            self.unlink(slot);
+            self.link_newest(slot);
+        }
+        Some(&mut self.node(slot).value)
+    }
+
+    /// Add `key`, which must be absent, as the most recent entry.
+    fn push(&mut self, key: K, value: V) {
+        let node = RecencyNode {
+            key,
+            value,
+            newer: NIL,
+            older: NIL,
+        };
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            self.free = self.node(slot).older;
+            *self.node(slot) = node;
+            slot
+        } else {
+            let slot = self.nodes.len() as u32;
+            assert!(slot != NIL, "recency slab limit exceeded");
+            self.nodes.push(node);
+            slot
+        };
+        self.link_newest(slot);
+        let prev = self.slots.insert(key, slot);
+        debug_assert!(prev.is_none(), "pushed a key that is present");
+    }
+
+    /// Remove and return the least recently used entry.
+    fn pop_oldest(&mut self) -> Option<(K, V)> {
+        let slot = self.oldest;
+        if slot == NIL {
+            return None;
+        }
+        self.unlink(slot);
+        let free = self.free;
+        let n = self.node(slot);
+        n.older = free;
+        let (key, value) = (n.key, n.value);
+        self.free = slot;
+        self.slots.remove(&key);
+        Some((key, value))
+    }
+}
+
 /// A fixed-capacity LRU membership set (used for the MDS inode cache:
 /// the first lookup of a file misses to the MDT, later lookups hit until
 /// the entry ages out).
-pub struct LruSet<K: std::hash::Hash + Eq + Copy> {
+pub struct LruSet<K: Hash + Eq + Copy> {
     capacity: usize,
-    entries: std::collections::HashMap<K, u64>,
-    tick: u64,
+    entries: Recency<K, ()>,
 }
 
-impl<K: std::hash::Hash + Eq + Copy> LruSet<K> {
+impl<K: Hash + Eq + Copy> LruSet<K> {
     /// Set holding at most `capacity` keys.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         LruSet {
             capacity,
-            entries: std::collections::HashMap::new(),
-            tick: 0,
+            entries: Recency::new(),
         }
     }
 
     /// Whether `key` is present; refreshes its recency.
     pub fn contains(&mut self, key: K) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(&key) {
-            Some(t) => {
-                *t = tick;
-                true
-            }
-            None => false,
-        }
+        self.entries.refresh(key).is_some()
     }
 
     /// Insert `key`, evicting the least recently used entry if full.
     pub fn insert(&mut self, key: K) {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.insert(key, tick);
+        if self.entries.refresh(key).is_some() {
+            return;
+        }
+        self.entries.push(key, ());
         if self.entries.len() > self.capacity {
-            let (&victim, _) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, &t)| t)
-                .expect("non-empty LRU");
-            self.entries.remove(&victim);
+            self.entries.pop_oldest();
         }
     }
 
@@ -184,7 +305,7 @@ impl<K: std::hash::Hash + Eq + Copy> LruSet<K> {
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
@@ -196,9 +317,8 @@ pub struct SmallObjectCache {
     small_max: u64,
     budget: u64,
     used: u64,
-    /// object → (bytes, last-use tick).
-    resident: std::collections::HashMap<crate::layout::ObjKey, (u64, u64)>,
-    tick: u64,
+    /// object → resident bytes, in recency order.
+    resident: Recency<ObjKey, u64>,
 }
 
 impl SmallObjectCache {
@@ -209,51 +329,34 @@ impl SmallObjectCache {
             small_max,
             budget,
             used: 0,
-            resident: std::collections::HashMap::new(),
-            tick: 0,
+            resident: Recency::new(),
         }
     }
 
     /// Whether `obj` is resident; refreshes its LRU position.
-    pub fn contains(&mut self, obj: crate::layout::ObjKey) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.resident.get_mut(&obj) {
-            Some(entry) => {
-                entry.1 = tick;
-                true
-            }
-            None => false,
-        }
+    pub fn contains(&mut self, obj: ObjKey) -> bool {
+        self.resident.refresh(obj).is_some()
     }
 
     /// Record that `obj` now holds `bytes` of data; becomes (or stays)
     /// resident when small enough.
-    pub fn touch(&mut self, obj: crate::layout::ObjKey, bytes: u64) {
+    pub fn touch(&mut self, obj: ObjKey, bytes: u64) {
         if bytes > self.small_max {
             return;
         }
-        self.tick += 1;
-        let tick = self.tick;
-        match self.resident.get_mut(&obj) {
-            Some(entry) => {
-                self.used = self.used - entry.0 + bytes.max(entry.0);
-                entry.0 = entry.0.max(bytes);
-                entry.1 = tick;
+        match self.resident.refresh(obj) {
+            Some(held) => {
+                self.used = self.used - *held + bytes.max(*held);
+                *held = bytes.max(*held);
             }
             None => {
-                self.resident.insert(obj, (bytes, tick));
+                self.resident.push(obj, bytes);
                 self.used += bytes;
             }
         }
         while self.used > self.budget && self.resident.len() > 1 {
-            let (&victim, _) = self
-                .resident
-                .iter()
-                .min_by_key(|(_, &(_, t))| t)
-                .expect("non-empty cache");
-            let (b, _) = self.resident.remove(&victim).expect("victim present");
-            self.used -= b;
+            let (_, bytes) = self.resident.pop_oldest().expect("non-empty cache");
+            self.used -= bytes;
         }
     }
 
@@ -269,7 +372,7 @@ impl SmallObjectCache {
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.len() == 0
     }
 }
 
@@ -277,7 +380,7 @@ impl SmallObjectCache {
 mod tests {
     use super::*;
     use crate::ids::{AppId, FileKey};
-    use crate::layout::ObjKey;
+    use proptest::prelude::*;
 
     fn obj(n: u64) -> ObjKey {
         ObjKey {
@@ -411,5 +514,116 @@ mod tests {
             _ => panic!(),
         };
         assert!((t2.as_secs_f64() - 2.0 * t1.as_secs_f64()).abs() < 1e-9);
+    }
+
+    /// The caches as they were first written, kept as the model: a last-
+    /// use tick per key and a scan for the least one at every eviction.
+    /// With `capacity` it is an [`LruSet`] (every key weighs one), with
+    /// `small_max` and a byte budget a [`SmallObjectCache`].
+    struct ScanLru {
+        small_max: u64,
+        budget: u64,
+        used: u64,
+        /// `(key, weight, last-use tick)`.
+        entries: Vec<(u64, u64, u64)>,
+        tick: u64,
+    }
+
+    impl ScanLru {
+        fn new(small_max: u64, budget: u64) -> Self {
+            ScanLru {
+                small_max,
+                budget,
+                used: 0,
+                entries: Vec::new(),
+                tick: 0,
+            }
+        }
+
+        fn contains(&mut self, key: u64) -> bool {
+            self.tick += 1;
+            let hit = self.entries.iter_mut().find(|e| e.0 == key);
+            hit.map(|e| e.2 = self.tick).is_some()
+        }
+
+        /// `keep_one`: the page cache never evicts its last object.
+        fn touch(&mut self, key: u64, weight: u64, keep_one: bool) {
+            if weight > self.small_max {
+                return;
+            }
+            self.tick += 1;
+            match self.entries.iter_mut().find(|e| e.0 == key) {
+                Some(e) => {
+                    self.used += weight.max(e.1) - e.1;
+                    *e = (key, weight.max(e.1), self.tick);
+                }
+                None => {
+                    self.entries.push((key, weight, self.tick));
+                    self.used += weight;
+                }
+            }
+            while self.used > self.budget && self.entries.len() > usize::from(keep_one) {
+                let oldest = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].2)
+                    .expect("non-empty model");
+                self.used -= self.entries.swap_remove(oldest).1;
+            }
+        }
+    }
+
+    proptest! {
+        /// Any touch / contains / insert script gets the same answers,
+        /// `len()` and `used()` from the recency-list caches as from the
+        /// tick-scan model, so the same entries are resident throughout.
+        #[test]
+        fn recency_list_matches_the_tick_scan(
+            script in prop::collection::vec((0u32..3, 0u64..24, 1u64..1400), 1..400),
+            capacity in 1usize..12,
+        ) {
+            let mut set = LruSet::new(capacity);
+            let mut set_model = ScanLru::new(1, capacity as u64);
+            let mut pages = SmallObjectCache::new(1000, 4000);
+            let mut pages_model = ScanLru::new(1000, 4000);
+            for (what, key, bytes) in script {
+                if what == 0 {
+                    prop_assert_eq!(set.contains(key), set_model.contains(key));
+                    prop_assert_eq!(pages.contains(obj(key)), pages_model.contains(key));
+                } else {
+                    set.insert(key);
+                    set_model.touch(key, 1, false);
+                    pages.touch(obj(key), bytes);
+                    pages_model.touch(key, bytes, true);
+                }
+                prop_assert_eq!(set.len(), set_model.entries.len());
+                prop_assert_eq!(pages.len(), pages_model.entries.len());
+                prop_assert_eq!(pages.used(), pages_model.used);
+            }
+            // Same survivors, not just as many.
+            for key in 0..24 {
+                prop_assert_eq!(set.contains(key), set_model.contains(key));
+                prop_assert_eq!(pages.contains(obj(key)), pages_model.contains(key));
+            }
+        }
+    }
+
+    /// The eviction cliff: past capacity every insert used to scan the
+    /// whole map for the least tick (212 µs each at the default 65 536
+    /// inode-cache entries). Four times capacity now costs a handful of
+    /// node accesses an insert, in a slab that stops growing, and leaves
+    /// the newest `capacity` keys — the ones the scan would have left.
+    #[test]
+    fn eviction_past_capacity_costs_a_constant() {
+        const CAPACITY: u64 = 65_536;
+        let mut set = LruSet::new(CAPACITY as usize);
+        for key in 0..4 * CAPACITY {
+            set.insert(key);
+        }
+        let per_insert = set.entries.visits as f64 / (4 * CAPACITY) as f64;
+        assert!(per_insert <= 8.0, "{per_insert} node accesses an insert");
+        assert_eq!(set.entries.nodes.len() as u64, CAPACITY + 1);
+        assert_eq!(set.len() as u64, CAPACITY);
+        for key in 0..4 * CAPACITY {
+            assert_eq!(set.contains(key), key >= 3 * CAPACITY, "key {key}");
+        }
     }
 }

@@ -18,11 +18,12 @@
 //! [`Cluster::fx`] hands realm code the [`Fx`] whose `send` realises a
 //! network transfer (at once, or at the next barrier).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use qi_faults::{FaultEvent, FaultPlan, RetryPolicy};
 use qi_simkit::error::QiError;
 use qi_simkit::event::EventQueue;
+use qi_simkit::hash::IdMap;
 use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::rng::SimRng;
 use qi_simkit::stats::OnlineStats;
@@ -183,8 +184,8 @@ enum MdtTag {
 
 /// Metadata server state.
 struct MdsState {
-    namespace: HashMap<FileKey, FileLayout>,
-    dirs: HashMap<DirKey, DirLock>,
+    namespace: IdMap<FileKey, FileLayout>,
+    dirs: IdMap<DirKey, DirLock>,
     inode_cache: LruSet<FileKey>,
     cpu_free: SimTime,
     journal_ptr: u64,
@@ -239,7 +240,7 @@ pub struct Cluster {
     /// classful TBF NRS policy of Qian et al. — data RPCs of a limited
     /// app are admitted to the OSS only as tokens accrue. Realm-owned:
     /// the buckets are consulted at delivery time, before routing.
-    tbf: HashMap<AppId, TokenBucket>,
+    tbf: IdMap<AppId, TokenBucket>,
     trace: RunTrace,
     rng: SimRng,
     tele: ClusterTelemetry,
@@ -452,8 +453,8 @@ impl Cluster {
         let journal_base = 2048;
         let journal_sectors = cfg.mds.journal_region_bytes / SECTOR_SIZE;
         let mds = MdsState {
-            namespace: HashMap::new(),
-            dirs: HashMap::new(),
+            namespace: IdMap::default(),
+            dirs: IdMap::default(),
             inode_cache: LruSet::new(cfg.mds.inode_cache_entries),
             cpu_free: SimTime::ZERO,
             journal_ptr: journal_base,
@@ -474,7 +475,7 @@ impl Cluster {
             dev_node,
             mds,
             apps: Vec::new(),
-            tbf: HashMap::new(),
+            tbf: IdMap::default(),
             trace: RunTrace {
                 samples: SampleStore::with_config(cfg.trace_store),
                 ..RunTrace::default()

@@ -7,7 +7,7 @@
 //! per-OST bump allocator, so writes interleaved from many clients
 //! fragment the disk layout — and later sequential reads pay seeks for it.
 
-use std::collections::HashMap;
+use qi_simkit::hash::IdMap;
 
 use crate::config::SECTOR_SIZE;
 use crate::ids::{DeviceId, FileKey};
@@ -103,11 +103,20 @@ pub struct SectorRange {
     pub sectors: u64,
 }
 
+/// The extents of one object, sorted by `obj_sector`, and their summed
+/// length. Extents of one object never overlap in object space, so the
+/// one covering a sector, if any, is the last that starts at or below it.
+#[derive(Default)]
+struct ObjExtents {
+    total: u64,
+    exts: Vec<Extent>,
+}
+
 /// Per-OST extent allocator and object map.
 pub struct ExtentMap {
     capacity: u64,
     next: u64,
-    objects: HashMap<ObjKey, Vec<Extent>>,
+    objects: IdMap<ObjKey, ObjExtents>,
 }
 
 impl ExtentMap {
@@ -117,7 +126,7 @@ impl ExtentMap {
         ExtentMap {
             capacity,
             next: 2048,
-            objects: HashMap::new(),
+            objects: IdMap::default(),
         }
     }
 
@@ -128,22 +137,7 @@ impl ExtentMap {
 
     /// Total sectors currently backing `key` (0 if never touched).
     pub fn object_sectors(&self, key: ObjKey) -> u64 {
-        self.objects
-            .get(&key)
-            .map(|exts| exts.iter().map(|e| e.sectors).sum())
-            .unwrap_or(0)
-    }
-
-    fn alloc(&mut self, sectors: u64) -> u64 {
-        let s = self.next;
-        self.next += sectors;
-        assert!(
-            self.next <= self.capacity,
-            "device out of space: {} > {}",
-            self.next,
-            self.capacity
-        );
-        s
+        self.objects.get(&key).map_or(0, |obj| obj.total)
     }
 
     /// Map an object byte range to device sector ranges, allocating
@@ -163,16 +157,17 @@ impl ExtentMap {
         assert!(len > 0);
         let first = obj_offset / SECTOR_SIZE;
         let last = (obj_offset + len).div_ceil(SECTOR_SIZE); // exclusive
+        let obj = self.objects.entry(key).or_default();
         let mut pos = first;
-        // Work over a local copy of the extent list index to appease the
-        // borrow checker while we may allocate.
         while pos < last {
-            let found = self.objects.get(&key).and_then(|exts| {
-                exts.iter()
-                    .find(|e| e.obj_sector <= pos && pos < e.obj_sector + e.sectors)
-                    .copied()
-            });
-            let (dev_sector, run) = match found {
+            // `after` is the first extent starting above `pos`; the one
+            // before it is the only one that can cover `pos`.
+            let after = obj.exts.partition_point(|e| e.obj_sector <= pos);
+            let covering = after
+                .checked_sub(1)
+                .map(|i| obj.exts[i])
+                .filter(|e| pos < e.obj_sector + e.sectors);
+            let (dev_sector, run) = match covering {
                 Some(e) => {
                     let skip = pos - e.obj_sector;
                     let avail = e.sectors - skip;
@@ -181,26 +176,23 @@ impl ExtentMap {
                 None => {
                     // Allocate from `pos` to the next covered sector or
                     // the end of the range, whichever is first.
-                    let next_cover = self
-                        .objects
-                        .get(&key)
-                        .map(|exts| {
-                            exts.iter()
-                                .filter(|e| e.obj_sector > pos)
-                                .map(|e| e.obj_sector)
-                                .min()
-                                .unwrap_or(last)
-                        })
-                        .unwrap_or(last)
-                        .min(last);
-                    let need = next_cover - pos;
-                    let dev = self.alloc(need);
+                    let next_cover = obj.exts.get(after).map_or(last, |e| e.obj_sector);
+                    let need = next_cover.min(last) - pos;
+                    let dev = self.next;
+                    self.next += need;
+                    assert!(
+                        self.next <= self.capacity,
+                        "device out of space: {} > {}",
+                        self.next,
+                        self.capacity
+                    );
                     let ext = Extent {
                         obj_sector: pos,
                         dev_sector: dev,
                         sectors: need,
                     };
-                    self.objects.entry(key).or_default().push(ext);
+                    obj.exts.insert(after, ext);
+                    obj.total += need;
                     (dev, need)
                 }
             };
@@ -225,6 +217,7 @@ impl ExtentMap {
 mod tests {
     use super::*;
     use crate::ids::AppId;
+    use proptest::prelude::*;
 
     fn layout(n: u32) -> FileLayout {
         FileLayout {
@@ -325,5 +318,80 @@ mod tests {
         let r = m.map(key(5), 0, 3901); // mdtest-hard file body
         let total: u64 = r.iter().map(|x| x.sectors).sum();
         assert_eq!(total, 8); // ceil(3901/512)
+    }
+
+    /// The extent map as it was first written, kept as the oracle: an
+    /// unsorted list per object, searched linearly once per sector run,
+    /// summed on demand.
+    struct LinearMap {
+        next: u64,
+        objects: Vec<(ObjKey, Vec<Extent>)>,
+    }
+
+    impl LinearMap {
+        fn object_sectors(&self, key: ObjKey) -> u64 {
+            let exts = self.objects.iter().find(|(k, _)| *k == key);
+            exts.map_or(0, |(_, exts)| exts.iter().map(|e| e.sectors).sum())
+        }
+
+        fn map(&mut self, key: ObjKey, obj_offset: u64, len: u64) -> Vec<SectorRange> {
+            if !self.objects.iter().any(|(k, _)| *k == key) {
+                self.objects.push((key, Vec::new()));
+            }
+            let (_, exts) = self.objects.iter_mut().find(|(k, _)| *k == key).unwrap();
+            let last = (obj_offset + len).div_ceil(SECTOR_SIZE);
+            let mut pos = obj_offset / SECTOR_SIZE;
+            let mut out: Vec<SectorRange> = Vec::new();
+            while pos < last {
+                let found = exts
+                    .iter()
+                    .find(|e| e.obj_sector <= pos && pos < e.obj_sector + e.sectors);
+                let (sector, sectors) = match found {
+                    Some(e) => {
+                        let skip = pos - e.obj_sector;
+                        (e.dev_sector + skip, (e.sectors - skip).min(last - pos))
+                    }
+                    None => {
+                        let above = exts.iter().map(|e| e.obj_sector).filter(|&s| s > pos);
+                        let need = above.min().unwrap_or(last).min(last) - pos;
+                        exts.push(Extent {
+                            obj_sector: pos,
+                            dev_sector: self.next,
+                            sectors: need,
+                        });
+                        self.next += need;
+                        (self.next - need, need)
+                    }
+                };
+                match out.last_mut() {
+                    Some(prev) if prev.sector + prev.sectors == sector => prev.sectors += sectors,
+                    _ => out.push(SectorRange { sector, sectors }),
+                }
+                pos += sectors;
+            }
+            out
+        }
+    }
+
+    proptest! {
+        /// Overlapping, out-of-order and sub-sector ranges over a few
+        /// interleaved objects map to the same sectors, allocate the
+        /// same space and total the same as the linear map, call by call.
+        #[test]
+        fn sorted_extents_match_the_linear_map(
+            calls in prop::collection::vec((0u64..4, 0u64..64, 1u64..6000, 1u64..40_000), 1..120),
+        ) {
+            let mut sorted = ExtentMap::new(1 << 40);
+            let mut linear = LinearMap { next: sorted.allocated(), objects: Vec::new() };
+            for (obj, slot, fine, len) in calls {
+                // Offsets on a coarse grid, nudged off sector boundaries.
+                let offset = slot * 8192 + fine % 1024;
+                prop_assert_eq!(sorted.map(key(obj), offset, len), linear.map(key(obj), offset, len));
+                prop_assert_eq!(sorted.allocated(), linear.next);
+                for obj in 0..4 {
+                    prop_assert_eq!(sorted.object_sectors(key(obj)), linear.object_sectors(key(obj)));
+                }
+            }
+        }
     }
 }

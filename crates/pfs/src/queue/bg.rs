@@ -8,8 +8,16 @@
 //! and each dispatch-time merge two, whatever the depth. The queue
 //! order a linear scan would see is the ascending `seq` order; every
 //! rule below that mentions `seq` reproduces what that scan did.
+//!
+//! A looping writer leaves dozens of rewrites of the same few extents
+//! queued, none of them adjacent to anything, and both merges would walk
+//! them all to find that out. Two small maps count the live entries per
+//! *distinct* start and end sector; a merge needs an entry that starts
+//! where the request ends or ends where it starts, so a missing key
+//! answers "no neighbour" exactly, without a walk.
 
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 use super::{MemberNode, QueuedReq, ReqKind, Side, NIL};
 
@@ -34,6 +42,10 @@ struct BgNode {
 }
 
 impl BgNode {
+    fn end(&self) -> u64 {
+        self.sector + self.sectors
+    }
+
     fn req(&self) -> QueuedReq {
         QueuedReq {
             kind: self.kind,
@@ -56,6 +68,39 @@ pub(super) struct BgQueue {
     /// sector a request ending there can start.
     longest: u64,
     by_start: BTreeSet<Key>,
+    /// Live entries per start sector and per end sector. Rewrites share
+    /// both, so these hold a few dozen keys where `by_start` holds a
+    /// thousand.
+    starts: Presence,
+    ends: Presence,
+    /// Entries visited by the submit-time walk and the dispatch-time
+    /// probes, for the tests that pin what the maps save.
+    #[cfg(test)]
+    pub(super) steps: std::cell::Cell<u64>,
+}
+
+/// How many live entries have a given sector as their start (or end).
+#[derive(Default)]
+struct Presence(BTreeMap<u64, u32>);
+
+impl Presence {
+    fn has(&self, sector: u64) -> bool {
+        self.0.contains_key(&sector)
+    }
+
+    fn add(&mut self, sector: u64) {
+        *self.0.entry(sector).or_insert(0) += 1;
+    }
+
+    fn remove(&mut self, sector: u64) {
+        let Entry::Occupied(mut e) = self.0.entry(sector) else {
+            unreachable!("no live entry counted at sector {sector}");
+        };
+        *e.get_mut() -= 1;
+        if *e.get() == 0 {
+            e.remove();
+        }
+    }
 }
 
 impl BgQueue {
@@ -67,7 +112,18 @@ impl BgQueue {
             next_seq: 0,
             longest: 0,
             by_start: BTreeSet::new(),
+            starts: Presence::default(),
+            ends: Presence::default(),
+            #[cfg(test)]
+            steps: std::cell::Cell::new(0),
         }
+    }
+
+    /// Count one entry visited by a merge walk or probe.
+    #[inline]
+    fn step(&self) {
+        #[cfg(test)]
+        self.steps.set(self.steps.get() + 1);
     }
 
     pub(super) fn is_empty(&self) -> bool {
@@ -113,6 +169,8 @@ impl BgQueue {
         self.newest = slot;
         self.longest = self.longest.max(req.sectors);
         self.by_start.insert((req.sector, seq, slot));
+        self.starts.add(req.sector);
+        self.ends.add(req.sector + req.sectors);
     }
 
     /// Take the entry in `slot` out of the queue.
@@ -127,6 +185,8 @@ impl BgQueue {
             self.newest = n.older;
         }
         self.by_start.remove(&(n.sector, n.seq, slot));
+        self.starts.remove(n.sector);
+        self.ends.remove(n.end());
         self.nodes[slot as usize].newer = self.free;
         self.free = slot;
         n
@@ -141,18 +201,30 @@ impl BgQueue {
         max_sectors: u64,
         members: &mut [MemberNode<T>],
     ) -> bool {
+        if !self.ends.has(new.sector) && !self.starts.has(new.sector + new.sectors) {
+            return false;
+        }
         let mut slot = self.newest;
         for _ in 0..depth {
             if slot == NIL {
                 break;
             }
+            self.step();
             let n = &mut self.nodes[slot as usize];
             let mut q = n.req();
             if let Some(side) = q.merge(new, max_sectors, members) {
-                if side == Side::Front {
-                    // The entry now starts lower: move its index key.
-                    self.by_start.remove(&(n.sector, n.seq, slot));
-                    self.by_start.insert((q.sector, n.seq, slot));
+                match side {
+                    Side::Front => {
+                        // The entry now starts lower: move its index key.
+                        self.by_start.remove(&(n.sector, n.seq, slot));
+                        self.by_start.insert((q.sector, n.seq, slot));
+                        self.starts.remove(n.sector);
+                        self.starts.add(q.sector);
+                    }
+                    Side::Back => {
+                        self.ends.remove(n.end());
+                        self.ends.add(q.sector + q.sectors);
+                    }
                 }
                 n.sector = q.sector;
                 n.sectors = q.sectors;
@@ -216,28 +288,57 @@ impl BgQueue {
             n.kind == req.kind && n.sectors <= room
         };
         let end = req.sector + req.sectors;
-        let back = self
-            .by_start
-            .range((end, after, 0)..=(end, u32::MAX, u32::MAX))
-            .map(|&(_, seq, slot)| (seq, slot))
-            .find(|&(_, slot)| fits(slot));
-        // An entry ending at `req.sector` starts at most `longest` (and
-        // at most `room`) sectors below it.
-        let lo = req.sector.saturating_sub(room.min(self.longest));
-        let front = self
-            .by_start
-            .range((lo, 0, 0)..(req.sector, 0, 0))
-            .filter(|&&(start, seq, slot)| {
-                seq >= after
-                    && start + self.nodes[slot as usize].sectors == req.sector
-                    && fits(slot)
-            })
-            .map(|&(_, seq, slot)| (seq, slot))
-            .min();
+        let back = if self.starts.has(end) {
+            self.by_start
+                .range((end, after, 0)..=(end, u32::MAX, u32::MAX))
+                .inspect(|_| self.step())
+                .map(|&(_, seq, slot)| (seq, slot))
+                .find(|&(_, slot)| fits(slot))
+        } else {
+            None
+        };
+        let front = if self.ends.has(req.sector) {
+            // An entry ending at `req.sector` starts at most `longest`
+            // (and at most `room`) sectors below it.
+            let lo = req.sector.saturating_sub(room.min(self.longest));
+            self.by_start
+                .range((lo, 0, 0)..(req.sector, 0, 0))
+                .inspect(|_| self.step())
+                .filter(|&&(start, seq, slot)| {
+                    seq >= after
+                        && start + self.nodes[slot as usize].sectors == req.sector
+                        && fits(slot)
+                })
+                .map(|&(_, seq, slot)| (seq, slot))
+                .min()
+        } else {
+            None
+        };
         [back, front]
             .into_iter()
             .flatten()
             .min()
             .map(|(_, slot)| slot)
+    }
+}
+
+#[cfg(test)]
+impl BgQueue {
+    /// Recount starts and ends from the live slab entries and hold the
+    /// two presence maps (and the entry index) to them.
+    pub(super) fn check(&self) {
+        let (mut starts, mut ends) = (BTreeMap::new(), BTreeMap::new());
+        let (mut slot, mut live) = (self.newest, 0);
+        while slot != NIL {
+            let n = &self.nodes[slot as usize];
+            assert!(self.by_start.contains(&(n.sector, n.seq, slot)));
+            *starts.entry(n.sector).or_insert(0) += 1;
+            *ends.entry(n.end()).or_insert(0) += 1;
+            live += 1;
+            slot = n.older;
+        }
+        assert_eq!(self.by_start.len(), live, "entry index vs slab");
+        assert_eq!(self.starts.0, starts, "start-sector counts vs slab");
+        assert_eq!(self.ends.0, ends, "end-sector counts vs slab");
     }
 }

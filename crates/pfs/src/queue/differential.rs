@@ -57,6 +57,12 @@ impl Pair {
     fn check_counters(&self) {
         assert_eq!(self.new.counters(self.now), self.old.counters(self.now));
         assert_eq!(self.new.busy(), self.old.busy());
+        self.new.bg.check();
+    }
+
+    /// Entries the indexed device's merge walk and probes have visited.
+    fn steps(&self) -> u64 {
+        self.new.bg.steps.get()
     }
 
     fn submit(&mut self, kind: ReqKind, sector: u64, sectors: u64, fg: bool) {
@@ -115,14 +121,14 @@ impl Pair {
     }
 
     /// Run the queue dry and compare everything cumulative.
-    fn finish(mut self) -> Vec<(CompletedMeta, Vec<usize>)> {
+    fn finish(&mut self) -> Vec<(CompletedMeta, Vec<usize>)> {
         while self.step() {}
         let c = self.new.counters(self.now);
         assert_eq!(c.queued_now, 0, "requests left in the queue");
         assert_eq!(c.reads_completed + c.writes_completed, c.enqueued);
         assert_eq!(self.new.depth_stats(), self.old.depth_stats());
         assert_eq!(self.new.seek_stats(), self.old.seek_stats());
-        self.completions
+        std::mem::take(&mut self.completions)
     }
 }
 
@@ -187,6 +193,69 @@ fn dispatch_merge_order_is_by_pass_then_seq() {
         ]
     );
     assert_eq!((done[1].0.sectors, done[1].0.kind), (56, W));
+}
+
+/// The queue a looping writer leaves behind: 21 extents of 93 sectors,
+/// each overlapping the next by one sector (47 008-byte records on
+/// 512-byte sectors), so no two are ever adjacent, rewritten 45 times
+/// while foreground reads keep the disk from draining them. No merge is
+/// possible, and the presence maps say so without visiting one entry:
+/// the step count is exactly 0, where a walk spends `merge_scan_depth`
+/// steps a submit and a window scan a hundred a pick.
+#[test]
+fn rewrite_storm_visits_no_entry() {
+    const EXTENTS: u64 = 21;
+    const GENERATIONS: u64 = 45;
+    let mut p = Pair::new(QueueConfig::default());
+    let mut deepest = 0;
+    for gen in 0..GENERATIONS {
+        for k in 0..EXTENTS {
+            p.submit(ReqKind::Write, 100_000 + 92 * k, 93, false);
+            if k % 7 == 0 {
+                let far = 4_000_000 + 1000 * (gen * EXTENTS + k);
+                p.submit(ReqKind::Read, far, 8, true);
+            }
+        }
+        p.advance(p.now + SimDuration::from_millis(5));
+        deepest = deepest.max(p.new.counters(p.now).queued_now);
+    }
+    assert!(deepest >= 300, "queue only {deepest} deep");
+    let done = p.finish();
+    let c = p.new.counters(p.now);
+    assert_eq!(c.read_merges + c.write_merges, 0);
+    assert_eq!(done.len() as u64, GENERATIONS * (EXTENTS + 3));
+    assert_eq!(p.steps(), 0, "entries visited for merges that cannot exist");
+}
+
+/// Where merges do happen the walk is what it was: two interleaved
+/// sequential streams behind a busy disk, each request adjacent to an
+/// entry one or two back until that entry is full. Every submit visits
+/// at most `merge_scan_depth` entries, and most of them merge.
+#[test]
+fn dense_streams_walk_within_the_scan_depth() {
+    let cfg = QueueConfig {
+        max_merge_sectors: 64,
+        merge_scan_depth: 4,
+        ..QueueConfig::default()
+    };
+    let depth = cfg.merge_scan_depth as u64;
+    let mut p = Pair::new(cfg);
+    // Tag 0 goes into service; everything after it queues.
+    p.submit(ReqKind::Write, 0, 8, false);
+    let mut walked = 0;
+    for i in 0..200 {
+        for base in [10_000, 500_000] {
+            let before = p.steps();
+            p.submit(ReqKind::Write, base + 8 * i, 8, false);
+            let spent = p.steps() - before;
+            assert!(spent <= depth, "submit {i} visited {spent} entries");
+            walked += spent;
+        }
+    }
+    assert!(walked > 0);
+    // 64-sector requests of 8-sector members: seven merges in eight.
+    assert_eq!(p.new.counters(p.now).write_merges, 2 * 200 * 7 / 8);
+    p.finish();
 }
 
 /// One scripted step: let `gap` pass, then act.

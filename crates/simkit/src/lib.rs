@@ -17,6 +17,7 @@
 //! - [`stats`] — Welford accumulators, percentiles, histograms, smoothing.
 //! - [`table`] — ASCII/CSV table output for experiment results.
 //! - [`ratelimit`] — a token bucket over simulated time.
+//! - [`hash`] — the seedless [`hash::IdMap`] hasher for simulator-internal ids.
 //!
 //! Determinism contract: given the same seed and configuration, every
 //! simulation built on this crate produces bit-identical traces, because
@@ -26,6 +27,7 @@
 pub mod epoch;
 pub mod error;
 pub mod event;
+pub mod hash;
 pub mod ratelimit;
 pub mod reference;
 pub mod ring;
