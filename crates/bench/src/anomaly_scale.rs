@@ -24,7 +24,6 @@
 
 use std::time::Instant;
 
-use qi_bench::write_results;
 use qi_pfs::ids::DeviceId;
 use qi_pfs::ops::ServerSample;
 use qi_pfs::queue::DeviceCounters;
@@ -33,6 +32,8 @@ use qi_simkit::table::AsciiTable;
 use qi_simkit::time::{SimDuration, SimTime};
 use quanterference::prelude::*;
 use quanterference_repro::anomaly_demo::{run_anomaly_session, session_scenario};
+
+use crate::Context;
 
 /// A quiet synthetic cluster: `n_dev` devices sampled every 100 ms for
 /// `n_windows` one-second windows, each device active in only one
@@ -90,8 +91,7 @@ fn boundary_drift(wcfg: WindowConfig, raw: &[ServerSample], kept: &[ServerSample
     want.iter().filter(|(k, s)| got.get(k) != Some(s)).count()
 }
 
-fn main() {
-    let t0 = Instant::now();
+pub fn run(ctx: &mut Context) {
     let wcfg = WindowConfig::seconds(1);
     let fcfg = FeatureConfig {
         client: false,
@@ -220,6 +220,5 @@ fn main() {
     row("ring.rle64.held", tight.samples.len().to_string());
     row("ring.rle64.evicted", tight.samples.evicted().to_string());
 
-    write_results("anomaly_monitoring.csv", &table);
-    println!("generated in {:.1?}", t0.elapsed());
+    ctx.write_results("anomaly_monitoring.csv", &table);
 }

@@ -1,6 +1,10 @@
-//! The closed-loop control experiment (DESIGN.md — control loop), defined
-//! once: the `control_loop` experiment prints it and writes
-//! `results/control_loop.csv`, and `tests/gates.rs` asserts on it.
+//! **Closed-loop control** (DESIGN.md — control loop): guided vs uniform
+//! throttling across three interference regimes, each run four ways —
+//! ideal, unmitigated, guided, and uniform always-on — reporting how
+//! much slowdown each controller recovered and how much background
+//! throughput it cost. Defined once: the `control_loop` experiment
+//! prints it and writes `results/control_loop.csv`, and `tests/gates.rs`
+//! asserts on the same run and pins its rows to that file.
 //!
 //! The payoff the paper motivates: "users can develop more effective
 //! methods to mitigate such impacts" (§II-B). A model is trained on the
@@ -13,11 +17,11 @@
 //! guided controller and under uniform always-on throttling. Everything
 //! is simulated time, so the outcomes are the same on every host.
 
-use qi_ml::serialize::{model_from_text, model_to_text};
-use qi_serve::{ModelRegistry, OverloadPolicy, ServeConfig, ShardedServeEngine};
 use qi_simkit::table::AsciiTable;
 use qi_simkit::time::{SimDuration, SimTime};
 use quanterference::prelude::*;
+
+use crate::Context;
 
 /// Rate given to both policies, so the comparison isolates *when* they
 /// throttle, not *how hard*.
@@ -78,36 +82,17 @@ fn scenario(r: &Regime) -> Scenario {
     }))
 }
 
-/// Serve engine rebuilt from frozen model text, so every regime deploys
-/// the identical model.
-fn fresh_service(text: &str, tenants: &[AppId]) -> ShardedServeEngine {
-    let model = model_from_text(text).expect("frozen model text parses");
-    let window = model
-        .schema()
-        .window_config()
-        .expect("trained schemas carry a window");
-    let mut registry = ModelRegistry::new(model.shape(), model.schema().clone());
-    registry.load_text(1, text).expect("frozen model loads");
-    registry.activate(1).expect("loaded version activates");
-    let cfg = ServeConfig {
-        max_batch: tenants.len().max(1),
-        max_delay: window.window,
-        queue_cap: 4 * tenants.len().max(1),
-        admission: None,
-        overload: OverloadPolicy::Shed,
-        tenants: tenants.to_vec(),
-        threads: None,
-    };
-    ShardedServeEngine::new(cfg, registry, 2).expect("two shards build")
-}
-
-fn guided_loop(text: &str, s: &Scenario) -> ControlLoop {
+/// A guided loop over a fresh two-shard engine; `serve_predictor` loads
+/// the model through its QIMODEL text, so every regime deploys the
+/// identical model.
+fn guided_loop(predictor: &Predictor, s: &Scenario) -> ControlLoop {
     let target = AppId(0);
     let noise = noise_app_ids(s);
     let mut tenants = vec![target];
     tenants.extend(noise.iter().copied());
+    let service = serve_predictor(predictor.clone(), &tenants, 2).expect("two shards build");
     ControlLoop::builder()
-        .predictor(fresh_service(text, &tenants))
+        .predictor(service)
         .policy(GuidedThrottle::new(target, noise, 1, RATE).expect("valid policy"))
         .n_devices(s.cluster.n_devices())
         .build()
@@ -138,14 +123,13 @@ pub fn run() -> Vec<RegimeOutcome> {
     };
     let (_, predictor, report) = train_and_evaluate(&spec, &tcfg, 3).expect("pipeline trains");
     println!("model F1 = {:.3}\n", report.headline_f1());
-    let text = model_to_text(&predictor.into_model());
 
     REGIMES
         .iter()
         .map(|regime| {
             let s = scenario(regime);
-            let guided =
-                evaluate_mitigation(&s, guided_loop(&text, &s)).expect("guided mitigation runs");
+            let guided = evaluate_mitigation(&s, guided_loop(&predictor, &s))
+                .expect("guided mitigation runs");
             let uniform_ctl = ControlLoop::builder()
                 .policy(UniformThrottle::new(noise_app_ids(&s), RATE).expect("valid policy"))
                 .window(WindowConfig::millis(100))
@@ -188,4 +172,15 @@ pub fn table(outcomes: &[RegimeOutcome]) -> AsciiTable {
         }
     }
     table
+}
+
+/// The `control_loop` experiment: run, print, record.
+pub fn experiment(ctx: &mut Context) {
+    let table = table(&run());
+    println!("{}", table.render());
+    println!(
+        "selective throttling engages only where the model predicts >=2x \
+         slowdown — uniform throttling pays the noise cost everywhere.\n"
+    );
+    ctx.write_results("control_loop.csv", &table);
 }

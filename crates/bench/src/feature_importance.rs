@@ -3,29 +3,19 @@
 //! importance of every client-side and server-side (Table II) feature
 //! on the trained IO500 model.
 
-use qi_bench::{is_smoke, write_results};
 use qi_simkit::table::AsciiTable;
 use quanterference::importance::permutation_importance;
-use quanterference::predict::family_spec;
-use quanterference::{generate, TrainConfig, WorkloadKind};
 
-fn main() {
-    let small = is_smoke();
-    let spec = family_spec(&WorkloadKind::IO500, small);
-    println!(
-        "Feature importance: generating the IO500 dataset ({} runs)...",
-        spec.n_runs()
-    );
-    let t0 = std::time::Instant::now();
-    let gen = generate(&spec).expect("dataset generates");
-    let (train_set, test_set) = gen.data.split(0.2, 42);
-    let tcfg = TrainConfig {
-        epochs: if small { 20 } else { 40 },
-        ..TrainConfig::default()
-    };
-    let mut model = qi_ml::train::train(&train_set, &tcfg);
-    let imp = permutation_importance(&mut model, &test_set, spec.features, 7, 3)
-        .expect("importance computes");
+use crate::{Context, Family, View};
+
+pub fn run(ctx: &mut Context) {
+    // Figure 3(a)'s model, scored on its own test side.
+    let fit = ctx.fit(Family::Io500, View::Own);
+    let mut model = fit.predictor.model().clone();
+    let test_set = &fit.split.test;
+    let features = fit.gen.schema.feature_config();
+    let imp =
+        permutation_importance(&mut model, test_set, features, 7, 3).expect("importance computes");
     println!(
         "base F1 {:.3} on {} test windows; permutation importance (top 15):\n",
         imp.base_f1,
@@ -53,6 +43,5 @@ fn main() {
         family("tgt_"),
         family("srv_")
     );
-    write_results("feature_importance.csv", &table);
-    println!("\ngenerated in {:.1?}", t0.elapsed());
+    ctx.write_results("feature_importance.csv", &table);
 }

@@ -8,19 +8,19 @@
 //! operations; most impacted ops get worse with more interference; and
 //! the two noise types hit *different* operations.
 
-use qi_bench::{is_smoke, write_results};
 use qi_simkit::percentile;
 use quanterference::experiments::{
     fig_one_a, fig_one_b, impact_ratios, series_mean, series_table, FigOneConfig,
 };
 
-fn main() {
-    let cfg = if is_smoke() {
+use crate::Context;
+
+pub fn run(ctx: &mut Context) {
+    let cfg = if ctx.small {
         FigOneConfig::smoke()
     } else {
         FigOneConfig::paper()
     };
-    let t0 = std::time::Instant::now();
 
     println!("Figure 1(a) — Enzo per-op I/O time vs write-noise intensity");
     let a = fig_one_a(&cfg, 3).expect("fig 1a generates");
@@ -62,7 +62,7 @@ fn main() {
             "MISMATCH"
         }
     );
-    write_results("fig1a_enzo_vs_write_levels.csv", &series_table(&a));
+    ctx.write_results("fig1a_enzo_vs_write_levels.csv", &series_table(&a));
 
     println!("\nFigure 1(b) — Enzo per-op I/O time, data vs metadata noise");
     let b = fig_one_b(&cfg, 3).expect("fig 1b generates");
@@ -92,7 +92,5 @@ fn main() {
             "  (none)"
         }
     );
-    write_results("fig1b_enzo_noise_types.csv", &series_table(&b));
-
-    println!("\ngenerated in {:.1?}", t0.elapsed());
+    ctx.write_results("fig1b_enzo_noise_types.csv", &series_table(&b));
 }

@@ -5,26 +5,18 @@
 //! observes a strong diagonal with the middle bin slightly better
 //! represented.
 
-use qi_bench::{is_smoke, print_report, report_table, write_results};
-use quanterference::labeling::Bins;
-use quanterference::predict::{family_spec, train_and_evaluate};
-use quanterference::{TrainConfig, WorkloadKind};
+use quanterference::TrainConfig;
 
-fn main() {
-    let small = is_smoke();
-    let mut spec = family_spec(&WorkloadKind::IO500, small);
-    spec.bins = Bins::three_class();
+use crate::{print_report, report_table, Context, Family, View};
+
+pub fn run(ctx: &mut Context) {
+    // The same windows as Figure 3(a), re-bucketed: no second simulation.
+    let gen = ctx.dataset(Family::Io500, View::ThreeClass);
     let tcfg = TrainConfig {
-        epochs: if small { 25 } else { 50 },
-        n_classes: 3,
+        epochs: if ctx.small { 25 } else { 50 },
         ..TrainConfig::default()
     };
-    println!(
-        "Figure 4: 3-class model on the IO500 grid ({} runs)...",
-        spec.n_runs()
-    );
-    let t0 = std::time::Instant::now();
-    let (gen, _, report) = train_and_evaluate(&spec, &tcfg, 42).expect("pipeline trains");
+    let (_, report) = ctx.evaluate(&gen, &tcfg);
     print_report(
         "Fig. 4 — 3-class model, IO500 (bins at 2x and 5x)",
         &gen,
@@ -49,9 +41,8 @@ fn main() {
         );
     }
 
-    write_results(
+    ctx.write_results(
         "fig4_io500_multiclass.csv",
         &report_table("io500-3class", &report),
     );
-    println!("\ngenerated in {:.1?}", t0.elapsed());
 }

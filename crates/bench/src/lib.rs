@@ -1,20 +1,81 @@
-//! Shared plumbing for the experiment benches: smoke-mode detection,
-//! the `results/` record, and report rendering.
+//! The experiments runner: every paper table/figure as one entry of
+//! [`EXPERIMENTS`], all driven by the crate's single `experiments`
+//! target (`cargo bench -p qi-bench [-- NAME...]`).
 //!
-//! Every paper table/figure has a `[[bench]]` target in this crate with
-//! `harness = false`; each regenerates its table/series, prints it, and
-//! records it through [`write_results`]. Set `QI_SMOKE=1` (or pass
-//! `--smoke`) to run the reduced-scale variants, which print their
-//! tables and leave `results/` alone. `scripts/bench.sh --only
-//! experiments` runs them all and fails if the committed record moved.
+//! Each entry regenerates its table/series, prints it with its
+//! paper-vs-measured lines, and records it through
+//! [`Context::write_results`]. The [`Context`] is what the entries
+//! share: each family's grid is simulated once and harvested under every
+//! view an experiment reads, and the binary fit on a harvest is trained
+//! once, so rows that are the same number are the same computation.
+//! Set `QI_SMOKE=1` (or pass `--smoke`) to run the reduced-scale
+//! variants, which print their rows and leave `results/` alone.
+//! `scripts/bench.sh --only experiments` runs everything and fails if
+//! the committed record moved.
 
+pub mod ablation_arch;
+pub mod ablation_features;
+pub mod ablation_model_extensions;
+pub mod ablation_window;
+pub mod anomaly_scale;
 pub mod closed_loop;
+pub mod context;
+pub mod feature_importance;
+pub mod fig1;
+pub mod fig3;
+pub mod fig4;
+pub mod fig5;
+pub mod split_leak;
+pub mod table1;
+pub mod table2;
 
 use std::path::PathBuf;
 
 use qi_simkit::table::AsciiTable;
 use quanterference::dataset::GeneratedDataset;
 use quanterference::predict::EvalReport;
+
+pub use context::{Context, Family, Fit, View};
+
+/// One paper table/figure (or ablation): the positional argument that
+/// selects it, every `results/` file it writes (it may write no other),
+/// and the code that regenerates, prints and records it.
+pub type Experiment = (&'static str, &'static [&'static str], fn(&mut Context));
+
+/// Every experiment, in the order a full run executes them.
+#[rustfmt::skip]
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1_io500_matrix", &["table1_io500_matrix.csv"], table1::run),
+    ("fig1_enzo_series", &["fig1a_enzo_vs_write_levels.csv", "fig1b_enzo_noise_types.csv"], fig1::run),
+    ("table2_server_metrics", &["table2_server_metrics.csv"], table2::run),
+    ("fig3_benchmark_models", &["fig3a_io500_confusion.csv", "fig3b_dlio_confusion.csv", "fig3_summary.csv"], fig3::run),
+    ("fig4_multiclass", &["fig4_io500_multiclass.csv"], fig4::run),
+    ("fig5_real_apps", &["fig5_amrex_confusion.csv", "fig5_enzo_confusion.csv", "fig5_openpmd_confusion.csv", "fig5_summary.csv"], fig5::run),
+    ("split_leak", &["split_leak.csv"], split_leak::run),
+    ("ablation_arch", &["ablation_arch.csv"], ablation_arch::run),
+    ("ablation_features", &["ablation_features.csv"], ablation_features::run),
+    ("ablation_window", &["ablation_window.csv"], ablation_window::run),
+    ("ablation_model_extensions", &["ablation_model_extensions.csv"], ablation_model_extensions::run),
+    ("feature_importance", &["feature_importance.csv"], feature_importance::run),
+    ("control_loop", &["control_loop.csv"], closed_loop::experiment),
+    ("anomaly_scale", &["anomaly_monitoring.csv"], anomaly_scale::run),
+];
+
+/// The experiments `names` select, in [`EXPERIMENTS`] order (all of
+/// them for an empty list), or the message for a name that is not one.
+pub fn select(names: &[String]) -> Result<Vec<&'static Experiment>, String> {
+    let valid: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    if let Some(unknown) = names.iter().find(|n| !valid.contains(&n.as_str())) {
+        return Err(format!(
+            "unknown experiment `{unknown}`; the experiments are:\n  {}",
+            valid.join("\n  ")
+        ));
+    }
+    Ok(EXPERIMENTS
+        .iter()
+        .filter(|e| names.is_empty() || names.iter().any(|n| n == e.0))
+        .collect())
+}
 
 /// True when the reduced-scale (fast) variant was requested.
 pub fn is_smoke() -> bool {
@@ -29,21 +90,6 @@ pub fn results_dir() -> PathBuf {
         .join("results")
 }
 
-/// Record one experiment table as `results/<name>`, the tracked
-/// reproduction record. A smoke run prints the rows instead: its
-/// reduced-scale numbers must never replace the full-scale ones.
-pub fn write_results(name: &str, table: &AsciiTable) {
-    if is_smoke() {
-        print!("{}", table.to_csv());
-        println!("smoke: results/{name} not written");
-        return;
-    }
-    table
-        .write_csv(results_dir().join(name))
-        .expect("write CSV");
-    println!("wrote results/{name}");
-}
-
 /// Print one model-evaluation report in the style of the paper's
 /// Figures 3-5 (dataset stats + confusion matrix + F1).
 pub fn print_report(title: &str, gen: &GeneratedDataset, report: &EvalReport) {
@@ -55,6 +101,11 @@ pub fn print_report(title: &str, gen: &GeneratedDataset, report: &EvalReport) {
         report.train_counts,
         report.test_size,
         report.test_counts,
+    );
+    println!(
+        "split leak: {} of {} test windows occur bit for bit in train \
+         ({} distinct feature blocks in the dataset)",
+        report.test_rows_in_train, report.test_size, report.distinct_rows,
     );
     println!("{}", report.render());
     println!(
@@ -119,6 +170,8 @@ pub fn summary_table(rows: &[(&str, &EvalReport)]) -> AsciiTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -134,5 +187,49 @@ mod tests {
         let t = summary_table(&[]);
         assert_eq!(t.len(), 0);
         assert!(t.render().contains("headline_f1"));
+    }
+
+    /// A new experiment cannot be left out of the record and a deleted
+    /// one cannot leave an orphan behind.
+    #[test]
+    fn the_declared_files_are_the_csvs_on_disk() {
+        let names: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "experiment named twice");
+        let declared: Vec<&str> = EXPERIMENTS.iter().flat_map(|e| e.1).copied().collect();
+        let declared_set: BTreeSet<String> = declared.iter().map(|f| f.to_string()).collect();
+        assert_eq!(declared_set.len(), declared.len(), "file declared twice");
+        let on_disk: BTreeSet<String> = std::fs::read_dir(results_dir())
+            .expect("results/ is tracked")
+            .map(|e| e.expect("readable entry").file_name())
+            .map(|n| n.to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".csv"))
+            .collect();
+        assert_eq!(declared_set, on_disk);
+    }
+
+    #[test]
+    fn select_keeps_table_order_and_names_the_unknown() {
+        let names = |picked: &[&str]| -> Result<Vec<&str>, String> {
+            let picked: Vec<String> = picked.iter().map(|n| n.to_string()).collect();
+            Ok(select(&picked)?.iter().map(|e| e.0).collect())
+        };
+        assert_eq!(names(&[]).expect("everything").len(), EXPERIMENTS.len());
+        assert_eq!(
+            names(&["fig4_multiclass", "table1_io500_matrix"]),
+            Ok(vec!["table1_io500_matrix", "fig4_multiclass"])
+        );
+        let err = names(&["fig3_benchmark_models", "fig6"]).expect_err("fig6 is not one");
+        assert!(
+            err.contains("`fig6`") && err.contains("fig5_real_apps"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not declare results/b.csv")]
+    fn write_results_refuses_an_undeclared_name() {
+        let undeclared =
+            |ctx: &mut Context| ctx.write_results("b.csv", &AsciiTable::new(vec!["x"]));
+        Context::new(true).run(&("writes_b", &["a.csv"], undeclared));
     }
 }

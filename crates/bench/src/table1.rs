@@ -9,24 +9,23 @@
 //! touches data tasks, and mdt-hard-read is only sensitive to metadata
 //! mutations.
 
-use qi_bench::{is_smoke, write_results};
 use quanterference::experiments::{table_one, TableOneConfig};
 use quanterference::WorkloadKind;
 
-fn main() {
-    let cfg = if is_smoke() {
+use crate::Context;
+
+pub fn run(ctx: &mut Context) {
+    let cfg = if ctx.small {
         TableOneConfig::smoke()
     } else {
         TableOneConfig::paper()
     };
     println!(
         "Table I — IO500 cross-interference slowdown matrix ({} scale)",
-        if is_smoke() { "smoke" } else { "paper" }
+        if ctx.small { "smoke" } else { "paper" }
     );
-    let t0 = std::time::Instant::now();
     let table = table_one(&cfg).expect("table generates");
     println!("{}", table.render());
-    println!("generated in {:.1?}", t0.elapsed());
 
     // Shape checks mirroring the paper's two key insights (§II-A).
     let cell = |a, b| table.cell(a, b).unwrap_or(f64::NAN);
@@ -67,5 +66,5 @@ fn main() {
     let min = col.iter().cloned().fold(f64::NAN, f64::min);
     println!("  under the SAME ior-easy-write noise, task slowdowns span {min:.2}x..{max:.2}x");
 
-    write_results("table1_io500_matrix.csv", &table.to_table());
+    ctx.write_results("table1_io500_matrix.csv", &table.to_table());
 }

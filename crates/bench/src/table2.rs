@@ -4,7 +4,6 @@
 //! *discriminates between I/O patterns*: it runs four contrasting loads
 //! and prints the windowed sum/mean/std of every metric on one OST.
 
-use qi_bench::{is_smoke, write_results};
 use qi_monitor::server::{server_windows, SERVER_SERIES};
 use qi_monitor::window::WindowConfig;
 use qi_pfs::config::ClusterConfig;
@@ -13,6 +12,8 @@ use qi_simkit::table::AsciiTable;
 use qi_simkit::time::SimDuration;
 use quanterference::scenario::Scenario;
 use quanterference::WorkloadKind;
+
+use crate::Context;
 
 fn run_load(kind: Option<WorkloadKind>, small: bool) -> Vec<(String, [f64; 3])> {
     let mut cluster = if small {
@@ -66,8 +67,8 @@ fn run_load(kind: Option<WorkloadKind>, small: bool) -> Vec<(String, [f64; 3])> 
     }
 }
 
-fn main() {
-    let small = is_smoke();
+pub fn run(ctx: &mut Context) {
+    let small = ctx.small;
     let loads: [(&str, Option<WorkloadKind>); 4] = [
         ("metadata-only (idle OST)", None),
         (
@@ -84,7 +85,6 @@ fn main() {
         ),
     ];
     println!("Table II — server-side metrics on OST 0, busiest 1 s window per load\n");
-    let t0 = std::time::Instant::now();
     let mut per_load = Vec::new();
     for (label, kind) in loads {
         per_load.push((label, run_load(kind, small)));
@@ -132,6 +132,5 @@ fn main() {
         }
     );
 
-    write_results("table2_server_metrics.csv", &table);
-    println!("\ngenerated in {:.1?}", t0.elapsed());
+    ctx.write_results("table2_server_metrics.csv", &table);
 }

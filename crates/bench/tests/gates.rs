@@ -44,7 +44,7 @@ fn guided_helps_acts_and_costs_less_than_uniform_in_every_regime() {
 
 /// `results/control_loop.csv` is a golden: the committed record is what
 /// the experiment produces. Regenerate it with `cargo bench -p qi-bench
-/// --bench control_loop` and review the diff.
+/// -- control_loop` and review the diff.
 #[test]
 fn rows_equal_the_committed_csv() {
     let committed = std::fs::read_to_string(results_dir().join("control_loop.csv"))

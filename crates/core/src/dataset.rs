@@ -170,6 +170,49 @@ impl GeneratedDataset {
         }
         c
     }
+
+    /// The paper's 80/20 protocol: a seeded shuffle of *windows*
+    /// ([`Dataset::split`] with 0.2), returned with the index lists so
+    /// `meta` can follow either side. Every experiment and
+    /// [`crate::predict::evaluate`] split here and nowhere else.
+    pub fn split(&self, seed: u64) -> Split {
+        let (train_idx, test_idx) = self.data.split_indices(0.2, seed);
+        Split {
+            train: self.data.subset(&train_idx),
+            test: self.data.subset(&test_idx),
+            train_idx,
+            test_idx,
+        }
+    }
+}
+
+/// A train/test partition of a [`GeneratedDataset`].
+#[derive(Debug)]
+pub struct Split {
+    /// Training samples.
+    pub train: Dataset,
+    /// Held-out samples.
+    pub test: Dataset,
+    /// `train`'s samples as indices into the generated `data` / `meta`.
+    pub train_idx: Vec<usize>,
+    /// `test`'s samples as indices into the generated `data` / `meta`.
+    pub test_idx: Vec<usize>,
+}
+
+/// How a simulated grid is harvested into samples: the four
+/// [`DatasetSpec`] fields no simulation reads. One pass over a grid can
+/// be harvested under any number of views ([`generate_views`]); the
+/// spec's own four fields are its default view ([`DatasetSpec::view`]).
+#[derive(Clone, Debug)]
+pub struct DatasetView {
+    /// Monitor window length.
+    pub window: WindowConfig,
+    /// Feature blocks to include.
+    pub features: FeatureConfig,
+    /// Label bins.
+    pub bins: Bins,
+    /// How to fill feature cells whose monitor data went missing.
+    pub imputation: Imputation,
 }
 
 /// The scenario grid to run for a dataset.
@@ -232,6 +275,17 @@ impl DatasetSpec {
         }
     }
 
+    /// The view [`generate`] harvests under: this spec's own `window`,
+    /// `features`, `bins` and `imputation`.
+    pub fn view(&self) -> DatasetView {
+        DatasetView {
+            window: self.window,
+            features: self.features,
+            bins: self.bins.clone(),
+            imputation: self.imputation,
+        }
+    }
+
     fn scenario(&self, target: WorkloadKind, seed: u64) -> Scenario {
         Scenario {
             target,
@@ -260,20 +314,21 @@ impl DatasetSpec {
     }
 }
 
-/// Per-run harvest: feature blocks, labels, and provenance.
+/// One run's harvest under one view: feature blocks, labels, provenance.
 type RunSamples = (Vec<Vec<f32>>, Vec<usize>, Vec<SampleMeta>);
 
-/// Everything harvested for one `(target, seed)` key: the baseline's
-/// own windows (when requested) plus each interfered combo's samples,
-/// tagged with the combo's position in the canonical grid order.
+/// Everything harvested for one `(target, seed)` key, each run under
+/// every view: the baseline's own windows (when requested) plus each
+/// interfered combo's samples, tagged with the combo's position in the
+/// canonical grid order.
 struct KeyHarvest {
-    base_samples: Option<RunSamples>,
-    combo_samples: Vec<(usize, RunSamples)>,
+    base_samples: Option<Vec<RunSamples>>,
+    combo_samples: Vec<(usize, Vec<RunSamples>)>,
 }
 
 /// Run the grid on an explicit pool handle (shared with the caller's
 /// other parallel work) and build the labelled dataset. Output is
-/// byte-identical for every thread count — see [`generate`].
+/// byte-identical for every thread count — see [`generate_views`].
 pub fn generate_on(
     pool: &rayon::ThreadPool,
     spec: &DatasetSpec,
@@ -281,7 +336,17 @@ pub fn generate_on(
     pool.install(|| generate(spec))
 }
 
-/// Run the grid (in parallel) and build the labelled dataset.
+/// Run the grid (in parallel) and build the labelled dataset under the
+/// spec's own view: [`generate_views`] with one view.
+pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
+    let mut one = generate_views(spec, &[spec.view()])?;
+    Ok(one.pop().expect("one dataset per view"))
+}
+
+/// Run the grid once (in parallel) and harvest every run under each of
+/// `views`, returning one labelled dataset per view, in order. Each
+/// equals what [`generate`] returns for the spec carrying that view:
+/// nothing a view holds reaches the simulation.
 ///
 /// Scheduling: one job per `(target, seed)` key runs that key's
 /// baseline and then fans its interfered combos out as nested parallel
@@ -292,7 +357,10 @@ pub fn generate_on(
 /// keeps the output byte-identical to the sequential run at any thread
 /// count. Baselines always run healthy: a faulted combo's labels
 /// measure its slowdown against fault-free hardware.
-pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
+pub fn generate_views(
+    spec: &DatasetSpec,
+    views: &[DatasetView],
+) -> Result<Vec<GeneratedDataset>, QiError> {
     let n_devices = spec.cluster.n_devices();
     if spec.faults.is_empty() {
         return Err(QiError::Config(
@@ -336,13 +404,20 @@ pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
                 )));
             }
             let base = Arc::new(trace);
+            // One run's samples under each view, in `views` order.
+            let harvest = |trace: &RunTrace, idx: &BaselineIndex, noise, fault| {
+                let under = |view| {
+                    collect_samples(view, trace, app, idx, n_devices, target, noise, fault, seed)
+                };
+                views.iter().map(under).collect::<Vec<RunSamples>>()
+            };
             let my_combos: &[usize] = combos_by_key
                 .get(&(target, seed))
                 .map(Vec::as_slice)
                 .unwrap_or(&[]);
-            let combo_samples: Vec<(usize, RunSamples)> = my_combos
+            let combo_samples: Vec<(usize, Vec<RunSamples>)> = my_combos
                 .par_iter()
-                .map(|&ci| -> Result<(usize, RunSamples), QiError> {
+                .map(|&ci| -> Result<(usize, Vec<RunSamples>), QiError> {
                     let (_, noise, intensity, _, fault) = combos[ci];
                     let mut scenario =
                         spec.scenario(target, seed)
@@ -355,33 +430,13 @@ pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
                     let (run_app, run_trace) = scenario.run()?;
                     debug_assert_eq!(run_app, app);
                     let idx = BaselineIndex::new(&base, run_app);
-                    let samples = collect_samples(
-                        spec,
-                        &run_trace,
-                        run_app,
-                        &idx,
-                        n_devices,
-                        target,
-                        Some((noise, intensity)),
-                        fault,
-                        seed,
-                    );
-                    Ok((ci, samples))
+                    let noise = Some((noise, intensity));
+                    Ok((ci, harvest(&run_trace, &idx, noise, fault)))
                 })
                 .collect::<Result<_, _>>()?;
             let base_samples = spec.include_baseline_windows.then(|| {
                 let idx = BaselineIndex::new(&base, app);
-                collect_samples(
-                    spec,
-                    &base,
-                    app,
-                    &idx,
-                    n_devices,
-                    target,
-                    None,
-                    FaultSpec::Healthy,
-                    seed,
-                )
+                harvest(&base, &idx, None, FaultSpec::Healthy)
             });
             Ok(KeyHarvest {
                 base_samples,
@@ -393,8 +448,8 @@ pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
     // Stitch: interfered combos in canonical grid order first, then the
     // baseline windows in `base_keys` order — the exact order the old
     // two-phase implementation produced.
-    let mut per_combo: Vec<Option<RunSamples>> = combos.iter().map(|_| None).collect();
-    let mut base_runs: Vec<RunSamples> = Vec::new();
+    let mut per_combo: Vec<Option<Vec<RunSamples>>> = combos.iter().map(|_| None).collect();
+    let mut base_runs: Vec<Vec<RunSamples>> = Vec::new();
     for harvest in harvests {
         for (ci, samples) in harvest.combo_samples {
             debug_assert!(per_combo[ci].is_none(), "combo {ci} harvested twice");
@@ -405,36 +460,42 @@ pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
         }
     }
 
-    let mut samples = Vec::new();
-    let mut labels = Vec::new();
-    let mut meta = Vec::new();
+    let mut stitched: Vec<RunSamples> = views.iter().map(|_| RunSamples::default()).collect();
+    let mut stitch = |run: Vec<RunSamples>| {
+        for (all, (s, l, m)) in stitched.iter_mut().zip(run) {
+            all.0.extend(s);
+            all.1.extend(l);
+            all.2.extend(m);
+        }
+    };
     for (ci, run) in per_combo.into_iter().enumerate() {
-        let Some((s, l, m)) = run else {
+        let Some(run) = run else {
             return Err(QiError::Pipeline(format!("combo {ci} was never harvested")));
         };
-        samples.extend(s);
-        labels.extend(l);
-        meta.extend(m);
+        stitch(run);
     }
-    for (s, l, m) in base_runs {
-        samples.extend(s);
-        labels.extend(l);
-        meta.extend(m);
-    }
-    if samples.is_empty() {
-        return Err(QiError::Pipeline("dataset grid produced no samples".into()));
-    }
-    Ok(GeneratedDataset {
-        data: Dataset::from_samples(samples, labels, n_devices as usize),
-        meta,
-        bins: spec.bins.clone(),
-        schema: FeatureSchema::current(spec.window, spec.features, spec.imputation),
-    })
+    base_runs.into_iter().for_each(&mut stitch);
+
+    views
+        .iter()
+        .zip(stitched)
+        .map(|(view, (samples, labels, meta))| {
+            if samples.is_empty() {
+                return Err(QiError::Pipeline("dataset grid produced no samples".into()));
+            }
+            Ok(GeneratedDataset {
+                data: Dataset::from_samples(samples, labels, n_devices as usize),
+                meta,
+                bins: view.bins.clone(),
+                schema: FeatureSchema::current(view.window, view.features, view.imputation),
+            })
+        })
+        .collect()
 }
 
 #[allow(clippy::too_many_arguments)]
 fn collect_samples(
-    spec: &DatasetSpec,
+    view: &DatasetView,
     trace: &RunTrace,
     app: AppId,
     baseline: &BaselineIndex,
@@ -444,14 +505,14 @@ fn collect_samples(
     fault: FaultSpec,
     seed: u64,
 ) -> RunSamples {
-    let levels = window_degradation(baseline, trace, app, spec.window);
+    let levels = window_degradation(baseline, trace, app, view.window);
     let vectors = window_vectors_with(
         trace,
         app,
-        spec.window,
-        spec.features,
+        view.window,
+        view.features,
         n_devices,
-        spec.imputation,
+        view.imputation,
     );
     let mut windows: Vec<u64> = levels.keys().copied().collect();
     windows.sort_unstable();
@@ -462,7 +523,7 @@ fn collect_samples(
         let Some(v) = vectors.get(&w) else { continue };
         let level = levels[&w];
         xs.push(v.clone());
-        ys.push(spec.bins.classify(level));
+        ys.push(view.bins.classify(level));
         ms.push(SampleMeta {
             target,
             noise,
@@ -498,6 +559,24 @@ mod tests {
             FeatureSchema::current(spec.window, spec.features, spec.imputation)
         );
         assert_eq!(gen.schema.vector_len(), gen.data.n_features());
+
+        // The dataset-level split hands back the index lists that keep
+        // `meta` aligned with either side, a fifth of the windows held out.
+        let split = gen.split(9);
+        let n = gen.data.len();
+        assert_eq!(split.test.len(), (n as f64 * 0.2).round() as usize);
+        assert_eq!(split.train_idx.len() + split.test_idx.len(), n);
+        for (side, idx) in [
+            (&split.train, &split.train_idx),
+            (&split.test, &split.test_idx),
+        ] {
+            assert_eq!(side.x.data(), gen.data.subset(idx).x.data());
+            let labels: Vec<usize> = idx
+                .iter()
+                .map(|&i| gen.bins.classify(gen.meta[i].level))
+                .collect();
+            assert_eq!(side.y, labels);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Shared experiment harnesses: one function per paper table/figure.
-//! The `qi-bench` targets are thin wrappers around these, so integration
-//! tests and examples can reuse the exact same code paths.
+//! Table I, Figure 1 and the fail-slow probe as library functions, so
+//! the `qi-bench` experiments runner, the integration tests and the
+//! examples run the same code.
 
 use rayon::prelude::*;
 
@@ -134,12 +134,6 @@ fn scenario_for(cfg: &TableOneConfig, target: WorkloadKind, seed: u64) -> Scenar
         warmup: cfg.warmup,
         fault_plan: None,
     }
-}
-
-/// Regenerate Table I on an explicit pool handle (shared with the
-/// caller's other parallel work).
-pub fn table_one_on(pool: &rayon::ThreadPool, cfg: &TableOneConfig) -> Result<TableOne, QiError> {
-    pool.install(|| table_one(cfg))
 }
 
 /// Regenerate the paper's Table I: run every IO500 task standalone and
@@ -305,16 +299,14 @@ fn rank0_series(trace: &RunTrace, app: AppId) -> Vec<f64> {
     ops.into_iter().map(|(_, d)| d).collect()
 }
 
-/// Regenerate Figure 1(a): Enzo per-op I/O time under increasing
-/// amounts of `ior-easy-write` interference (baseline, then 1..=levels
-/// instances).
-pub fn fig_one_a(cfg: &FigOneConfig, levels: u32) -> Result<Vec<EnzoSeries>, QiError> {
-    let mut jobs: Vec<(String, u32)> = vec![("baseline".into(), 0)];
-    for l in 1..=levels {
-        jobs.push((format!("{l}x ior-easy-write"), l));
-    }
+/// One Figure 1 series per job: the Enzo proxy alone (`None`) or under
+/// `instances` of a noise kind, all in parallel.
+fn enzo_series(
+    cfg: &FigOneConfig,
+    jobs: Vec<(String, Option<(WorkloadKind, u32)>)>,
+) -> Result<Vec<EnzoSeries>, QiError> {
     jobs.par_iter()
-        .map(|(label, instances)| -> Result<EnzoSeries, QiError> {
+        .map(|(label, noise)| -> Result<EnzoSeries, QiError> {
             let mut s = Scenario {
                 target: WorkloadKind::Enzo,
                 target_ranks: cfg.target_ranks,
@@ -326,10 +318,10 @@ pub fn fig_one_a(cfg: &FigOneConfig, levels: u32) -> Result<Vec<EnzoSeries>, QiE
                 warmup: cfg.warmup,
                 fault_plan: None,
             };
-            if *instances > 0 {
+            if let Some((kind, instances)) = *noise {
                 s = s.with_interference(InterferenceSpec {
-                    kind: WorkloadKind::IorEasyWrite,
-                    instances: *instances,
+                    kind,
+                    instances,
                     ranks: cfg.noise_ranks,
                 });
             }
@@ -342,48 +334,35 @@ pub fn fig_one_a(cfg: &FigOneConfig, levels: u32) -> Result<Vec<EnzoSeries>, QiE
         .collect()
 }
 
+/// Regenerate Figure 1(a): Enzo per-op I/O time under increasing
+/// amounts of `ior-easy-write` interference (baseline, then 1..=levels
+/// instances).
+pub fn fig_one_a(cfg: &FigOneConfig, levels: u32) -> Result<Vec<EnzoSeries>, QiError> {
+    let mut jobs = vec![("baseline".to_string(), None)];
+    for l in 1..=levels {
+        let noise = (WorkloadKind::IorEasyWrite, l);
+        jobs.push((format!("{l}x ior-easy-write"), Some(noise)));
+    }
+    enzo_series(cfg, jobs)
+}
+
 /// Regenerate Figure 1(b): Enzo per-op I/O time under a data-intensive
 /// (`ior-easy-write`) vs a metadata-intensive (`mdt-easy-write`)
 /// background, plus the baseline.
 pub fn fig_one_b(cfg: &FigOneConfig, instances: u32) -> Result<Vec<EnzoSeries>, QiError> {
-    let jobs: Vec<(String, Option<WorkloadKind>)> = vec![
+    let noise = |kind| Some((kind, instances));
+    let jobs = vec![
         ("baseline".into(), None),
         (
             "data-intensive (ior-easy-write)".into(),
-            Some(WorkloadKind::IorEasyWrite),
+            noise(WorkloadKind::IorEasyWrite),
         ),
         (
             "metadata-intensive (mdt-easy-write)".into(),
-            Some(WorkloadKind::MdtEasyWrite),
+            noise(WorkloadKind::MdtEasyWrite),
         ),
     ];
-    jobs.par_iter()
-        .map(|(label, kind)| -> Result<EnzoSeries, QiError> {
-            let mut s = Scenario {
-                target: WorkloadKind::Enzo,
-                target_ranks: cfg.target_ranks,
-                interference: Vec::new(),
-                cluster: cfg.cluster.clone(),
-                seed: cfg.seed,
-                deadline: cfg.deadline,
-                small: cfg.small,
-                warmup: cfg.warmup,
-                fault_plan: None,
-            };
-            if let Some(k) = kind {
-                s = s.with_interference(InterferenceSpec {
-                    kind: *k,
-                    instances,
-                    ranks: cfg.noise_ranks,
-                });
-            }
-            let (app, trace) = s.run()?;
-            Ok(EnzoSeries {
-                label: label.clone(),
-                durations: moving_average(&rank0_series(&trace, app), cfg.smooth),
-            })
-        })
-        .collect()
+    enzo_series(cfg, jobs)
 }
 
 /// Render Figure 1 series as a CSV-ready table (op index + one column

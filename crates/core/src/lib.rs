@@ -46,8 +46,8 @@ pub mod scenario;
 pub mod prelude {
     pub use crate::anomaly::{feature_rows, AnomalyDetector, AnomalyReport, WindowScore};
     pub use crate::dataset::{
-        generate, generate_on, window_vectors, window_vectors_with, DatasetSpec, FaultSpec,
-        GeneratedDataset, SampleMeta,
+        generate, generate_on, generate_views, window_vectors, window_vectors_with, DatasetSpec,
+        DatasetView, FaultSpec, GeneratedDataset, SampleMeta, Split,
     };
     pub use crate::experiments::{fig_one_a, fig_one_b, table_one, FigOneConfig, TableOneConfig};
     pub use crate::importance::{permutation_importance, FeatureImportance};
@@ -55,7 +55,7 @@ pub mod prelude {
     pub use crate::mitigation::{
         evaluate_mitigation, noise_app_ids, serve_predictor, MitigationOutcome,
     };
-    pub use crate::predict::{family_spec, train_and_evaluate, EvalReport, Predictor};
+    pub use crate::predict::{evaluate, family_spec, train_and_evaluate, EvalReport, Predictor};
     pub use crate::report::{summarize, RunReport};
     pub use crate::scenario::{completion_slowdown, target_duration, InterferenceSpec, Scenario};
     pub use qi_control::{

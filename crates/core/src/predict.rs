@@ -2,7 +2,7 @@
 //! server keeps receiving window metrics and answers "how much slowdown
 //! is this application about to experience?" (paper §III-C, deployment).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use qi_ml::data::Dataset;
 use qi_ml::matrix::Matrix;
@@ -16,10 +16,11 @@ use qi_simkit::error::QiError;
 use qi_telemetry::{MetricValue, MetricsSnapshot};
 use qi_workloads::registry::WorkloadKind;
 
-use crate::dataset::{generate, window_vectors_with, DatasetSpec, GeneratedDataset};
+use crate::dataset::{generate, window_vectors_with, DatasetSpec, GeneratedDataset, Split};
 use crate::labeling::Bins;
 
 /// A trained interference predictor bound to its monitoring config.
+#[derive(Clone)]
 pub struct Predictor {
     model: TrainedModel,
     window: WindowConfig,
@@ -161,24 +162,75 @@ pub struct EvalReport {
     pub train_counts: Vec<usize>,
     /// Test-set class counts.
     pub test_counts: Vec<usize>,
+    /// Test samples whose whole feature block (every cell of every
+    /// server, compared as bits) also occurs on the training side: what
+    /// the window-level split leaks.
+    pub test_rows_in_train: usize,
+    /// Distinct feature blocks in the whole dataset, both sides.
+    pub distinct_rows: usize,
     /// Confusion matrix on the held-out test set.
     pub cm: qi_ml::metrics::ConfusionMatrix,
     /// Bin labels for rendering.
     pub labels: Vec<String>,
     /// Pipeline telemetry: the model's `ml.train.*` metrics plus
-    /// `ml.eval.*` gauges (accuracy, macro-F1, headline F1) and split
-    /// sizes. Deterministic for a fixed spec, config, and seed.
+    /// `ml.eval.*` gauges (accuracy, macro-F1, headline F1), split
+    /// sizes and the leak counters. Deterministic for a fixed spec,
+    /// config, and seed.
     pub metrics: MetricsSnapshot,
 }
 
 impl EvalReport {
+    /// The report for a model of any kind scored on `split.test`: `cm`
+    /// is its confusion matrix, `metrics` whatever telemetry its
+    /// training produced (the `ml.eval.*` entries are added here).
+    pub fn new(
+        gen: &GeneratedDataset,
+        split: &Split,
+        cm: qi_ml::metrics::ConfusionMatrix,
+        mut metrics: MetricsSnapshot,
+    ) -> Self {
+        let count = |d: &Dataset| {
+            let mut c = d.class_counts();
+            c.resize(gen.bins.n_classes(), 0);
+            c
+        };
+        let block = gen.data.n_servers * gen.data.n_features();
+        let bits = |i: &usize| -> Vec<u32> {
+            let cells = &gen.data.x.data()[i * block..(i + 1) * block];
+            cells.iter().map(|v| v.to_bits()).collect()
+        };
+        let train_rows: HashSet<Vec<u32>> = split.train_idx.iter().map(bits).collect();
+        let test_rows_in_train = split
+            .test_idx
+            .iter()
+            .filter(|i| train_rows.contains(&bits(i)))
+            .count();
+        let mut all_rows = train_rows;
+        all_rows.extend(split.test_idx.iter().map(bits));
+        let counter = |n: usize| MetricValue::Counter(n as u64);
+        metrics.put("ml.eval.accuracy", MetricValue::Gauge(cm.accuracy()));
+        metrics.put("ml.eval.macro_f1", MetricValue::Gauge(cm.macro_f1()));
+        metrics.put("ml.eval.headline_f1", MetricValue::Gauge(headline_f1(&cm)));
+        metrics.put("ml.eval.train_samples", counter(split.train.len()));
+        metrics.put("ml.eval.test_samples", counter(split.test.len()));
+        metrics.put("ml.eval.test_rows_in_train", counter(test_rows_in_train));
+        metrics.put("ml.eval.distinct_rows", counter(all_rows.len()));
+        EvalReport {
+            train_size: split.train.len(),
+            test_size: split.test.len(),
+            train_counts: count(&split.train),
+            test_counts: count(&split.test),
+            test_rows_in_train,
+            distinct_rows: all_rows.len(),
+            cm,
+            labels: gen.bins.labels(),
+            metrics,
+        }
+    }
+
     /// Positive-class F1 (binary) or macro-F1 (multi-class).
     pub fn headline_f1(&self) -> f64 {
-        if self.cm.n_classes() == 2 {
-            self.cm.f1_positive()
-        } else {
-            self.cm.macro_f1()
-        }
+        headline_f1(&self.cm)
     }
 
     /// Render the confusion matrix with its labels.
@@ -188,60 +240,53 @@ impl EvalReport {
     }
 }
 
+fn headline_f1(cm: &qi_ml::metrics::ConfusionMatrix) -> f64 {
+    if cm.n_classes() == 2 {
+        cm.f1_positive()
+    } else {
+        cm.macro_f1()
+    }
+}
+
+/// Train with `tcfg` on the 80/20 split of an already generated dataset
+/// and evaluate on the held-out side. The predictor's monitoring
+/// binding and the class count come from the dataset itself (`schema`,
+/// `bins`, `data.n_servers`).
+pub fn evaluate(
+    gen: &GeneratedDataset,
+    tcfg: &qi_ml::train::TrainConfig,
+    split_seed: u64,
+) -> Result<(Predictor, EvalReport), QiError> {
+    let split = gen.split(split_seed);
+    let mut tcfg = tcfg.clone();
+    tcfg.n_classes = gen.bins.n_classes();
+    let mut model = qi_ml::train::train_with_schema(&split.train, &tcfg, gen.schema.clone())?;
+    let cm = model.evaluate(&split.test);
+    let report = EvalReport::new(gen, &split, cm, model.metrics.clone());
+    let window = gen.schema.window_config().ok_or_else(|| {
+        QiError::Config("a generated dataset's schema is bound to a window".into())
+    })?;
+    let predictor = Predictor::new(
+        model,
+        window,
+        gen.schema.feature_config(),
+        gen.data.n_servers as u32,
+        gen.bins.clone(),
+        gen.schema.imputation(),
+    )?;
+    Ok((predictor, report))
+}
+
 /// Generate a dataset from `spec`, train with `tcfg` on an 80/20 split,
-/// and evaluate — the full Figure 3/4/5 pipeline for one family.
+/// and evaluate — the full Figure 3/4/5 pipeline for one family:
+/// [`generate`] then [`evaluate`].
 pub fn train_and_evaluate(
     spec: &DatasetSpec,
     tcfg: &qi_ml::train::TrainConfig,
     split_seed: u64,
 ) -> Result<(GeneratedDataset, Predictor, EvalReport), QiError> {
     let gen = generate(spec)?;
-    let (train_set, test_set) = gen.data.split(0.2, split_seed);
-    let mut tcfg = tcfg.clone();
-    tcfg.n_classes = spec.bins.n_classes();
-    let mut model = qi_ml::train::train_with_schema(&train_set, &tcfg, gen.schema.clone())?;
-    let cm = model.evaluate(&test_set);
-    let count = |d: &Dataset| {
-        let mut c = vec![0usize; spec.bins.n_classes()];
-        for &y in &d.y {
-            c[y] += 1;
-        }
-        c
-    };
-    let mut metrics = model.metrics.clone();
-    metrics.put("ml.eval.accuracy", MetricValue::Gauge(cm.accuracy()));
-    metrics.put("ml.eval.macro_f1", MetricValue::Gauge(cm.macro_f1()));
-    let headline = if cm.n_classes() == 2 {
-        cm.f1_positive()
-    } else {
-        cm.macro_f1()
-    };
-    metrics.put("ml.eval.headline_f1", MetricValue::Gauge(headline));
-    metrics.put(
-        "ml.eval.train_samples",
-        MetricValue::Counter(train_set.len() as u64),
-    );
-    metrics.put(
-        "ml.eval.test_samples",
-        MetricValue::Counter(test_set.len() as u64),
-    );
-    let report = EvalReport {
-        train_size: train_set.len(),
-        test_size: test_set.len(),
-        train_counts: count(&train_set),
-        test_counts: count(&test_set),
-        cm,
-        labels: spec.bins.labels(),
-        metrics,
-    };
-    let predictor = Predictor::new(
-        model,
-        spec.window,
-        spec.features,
-        spec.cluster.n_devices(),
-        spec.bins.clone(),
-        spec.imputation,
-    )?;
+    let (predictor, report) = evaluate(&gen, tcfg, split_seed)?;
     Ok((gen, predictor, report))
 }
 
@@ -319,6 +364,36 @@ mod tests {
         let truth = crate::labeling::window_degradation(&idx, &noisy, app, spec.window);
         let scored = predictor.score_run(&noisy, app, &truth).expect("scores");
         assert!(!scored.is_empty());
+    }
+
+    #[test]
+    fn report_counts_test_rows_that_also_sit_in_train() {
+        // Ten windows, the last five bit-for-bit copies of the first five.
+        let block = |i: usize| vec![(i % 5) as f32, 1.0, -0.5, 2.0];
+        let gen = GeneratedDataset {
+            data: Dataset::from_samples((0..10).map(block).collect(), vec![0; 10], 2),
+            meta: Vec::new(),
+            bins: Bins::binary(),
+            schema: FeatureSchema::custom(2),
+        };
+        let split = gen.split(5);
+        assert_eq!((split.train.len(), split.test.len()), (8, 2));
+        let twins_in_train = split
+            .test_idx
+            .iter()
+            .filter(|&&i| split.train_idx.contains(&((i + 5) % 10)))
+            .count();
+        let cm = qi_ml::metrics::ConfusionMatrix::new(2);
+        let report = EvalReport::new(&gen, &split, cm, MetricsSnapshot::new());
+        assert_eq!(report.distinct_rows, 5);
+        assert_eq!(report.test_rows_in_train, twins_in_train);
+        let counter = |name: &str| report.metrics.counter(name);
+        assert_eq!(counter("ml.eval.distinct_rows"), Some(5));
+        assert_eq!(
+            counter("ml.eval.test_rows_in_train"),
+            Some(twins_in_train as u64)
+        );
+        assert_eq!(counter("ml.eval.test_samples"), Some(2));
     }
 
     #[test]

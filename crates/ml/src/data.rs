@@ -91,9 +91,11 @@ impl Dataset {
         }
     }
 
-    /// Random split into (train, test) with `test_fraction` of samples
-    /// reserved for testing — the paper's 80/20 protocol with 0.2.
-    pub fn split(&self, test_fraction: f64, seed: u64) -> (Dataset, Dataset) {
+    /// The seeded shuffle behind [`Dataset::split`]: the sample indices
+    /// of the `(train, test)` sides, each in subset order, together a
+    /// partition of `0..len`. Callers that keep per-sample data beside
+    /// the dataset use the lists to keep it aligned with the two sides.
+    pub fn split_indices(&self, test_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
         assert!((0.0..1.0).contains(&test_fraction));
         let mut idx: Vec<usize> = (0..self.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -103,8 +105,15 @@ impl Dataset {
         }
         let n_test = ((self.len() as f64) * test_fraction).round() as usize;
         let n_test = n_test.clamp(1, self.len().saturating_sub(1).max(1));
-        let (test_idx, train_idx) = idx.split_at(n_test);
-        (self.subset(train_idx), self.subset(test_idx))
+        let train_idx = idx.split_off(n_test);
+        (train_idx, idx)
+    }
+
+    /// Random split into (train, test) with `test_fraction` of samples
+    /// reserved for testing — the paper's 80/20 protocol with 0.2.
+    pub fn split(&self, test_fraction: f64, seed: u64) -> (Dataset, Dataset) {
+        let (train_idx, test_idx) = self.split_indices(test_fraction, seed);
+        (self.subset(&train_idx), self.subset(&test_idx))
     }
 }
 

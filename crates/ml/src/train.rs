@@ -107,6 +107,7 @@ impl std::fmt::Display for ModelShape {
 
 /// A trained model: network + the standardiser fitted on its training
 /// data. Apply to raw (unstandardised) feature blocks.
+#[derive(Clone)]
 pub struct TrainedModel {
     net: KernelNet,
     standardizer: Standardizer,

@@ -236,6 +236,18 @@ proptest! {
         let mut orig: Vec<f32> = (0..n).map(|i| d.sample_rows(i).get(0, 0)).collect();
         orig.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         prop_assert_eq!(all, orig);
+        // The index lists partition `0..n` and name the two sides
+        // sample for sample, bit for bit.
+        let (train_idx, test_idx) = d.split_indices(frac, seed);
+        let mut seen: Vec<usize> = train_idx.iter().chain(&test_idx).copied().collect();
+        seen.sort_unstable();
+        prop_assert_eq!(seen, (0..n).collect::<Vec<_>>());
+        for (side, idx) in [(&train, &train_idx), (&test, &test_idx)] {
+            let picked = d.subset(idx);
+            prop_assert_eq!(&side.y, &picked.y);
+            let bits = |d: &Dataset| d.x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(side), bits(&picked));
+        }
     }
 
     /// QIMODEL round trip is bit-identical for ANY valid model: the

@@ -2,11 +2,11 @@
 # What `cargo test -q` does not run. Every gate is a Tier-1 test; these
 # two stages regenerate the record and check the measuring instrument:
 #
-#   experiments  the thirteen paper experiments (`cargo bench -p qi-bench`),
-#                which rewrite results/*.csv; the committed record must
-#                come out unchanged (~3.5 min at full scale). --smoke runs
-#                them at reduced scale, printing their rows and leaving
-#                results/ alone.
+#   experiments  every paper experiment in one process (`cargo bench -p
+#                qi-bench`), which rewrites results/*.csv; the committed
+#                record must come out unchanged (about a minute at full
+#                scale). --smoke runs them at reduced scale, printing
+#                their rows and leaving results/ alone.
 #   benchmark    the benchmark/ package BENCHMARK.json declares (outside
 #                the workspace): its tests, then every workload once at
 #                the golden seed, so a change that breaks its build or
@@ -37,7 +37,9 @@ while [[ $# -gt 0 ]]; do
 done
 
 if [[ $only != benchmark ]]; then
+    start=$SECONDS
     cargo bench -p qi-bench
+    echo "bench.sh: experiments stage took $((SECONDS - start)) s (build included)"
     if [[ -n "$(git status --porcelain -- results/)" ]]; then
         git status --short -- results/ >&2
         echo "bench.sh: results/ no longer matches the committed record" >&2

@@ -17,9 +17,7 @@ use proptest::prelude::*;
 use qi_control::{Hysteresis, HysteresisGate};
 use qi_simkit::{SimDuration, SimTime};
 use quanterference_repro::framework::prelude::*;
-use quanterference_repro::ml::{model_from_text, model_to_text};
 use quanterference_repro::pfs::ids::DeviceId;
-use quanterference_repro::serve::{ModelRegistry, OverloadPolicy, ServeConfig, ShardedServeEngine};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -63,10 +61,11 @@ fn scenario(faulted: bool) -> Scenario {
     )
 }
 
-/// Train the smoke predictor once and freeze it as registry text; every
-/// controlled run rebuilds its serve engine from these bytes, so the
-/// model is identical across the whole grid by construction.
-fn trained_model_text() -> String {
+/// Train the smoke predictor once; every controlled run deploys a clone
+/// of it through `serve_predictor`, which loads the model's QIMODEL text
+/// into a fresh registry, so the model is identical across the whole
+/// grid by construction.
+fn trained_predictor() -> Predictor {
     let mut spec = DatasetSpec::smoke();
     spec.seeds = (1..=4).collect();
     spec.window = WindowConfig::millis(100);
@@ -75,40 +74,19 @@ fn trained_model_text() -> String {
         ..TrainConfig::default()
     };
     let (_, predictor, _) = train_and_evaluate(&spec, &tcfg, 3).expect("smoke training");
-    model_to_text(&predictor.into_model())
-}
-
-/// A fresh two-shard serve engine loaded from the frozen model text.
-fn fresh_service(text: &str, tenants: &[AppId]) -> ShardedServeEngine {
-    let model = model_from_text(text).expect("frozen model text parses");
-    let window = model
-        .schema()
-        .window_config()
-        .expect("trained schemas carry a window");
-    let mut registry = ModelRegistry::new(model.shape(), model.schema().clone());
-    registry.load_text(1, text).expect("frozen model loads");
-    registry.activate(1).expect("loaded version activates");
-    let cfg = ServeConfig {
-        max_batch: tenants.len().max(1),
-        max_delay: window.window,
-        queue_cap: 4 * tenants.len().max(1),
-        admission: None,
-        overload: OverloadPolicy::Shed,
-        tenants: tenants.to_vec(),
-        threads: None,
-    };
-    ShardedServeEngine::new(cfg, registry, 2).expect("two shards build")
+    predictor
 }
 
 /// One guided controlled run of `scenario(faulted)`.
-fn guided_run(text: &str, faulted: bool) -> (AppId, RunTrace) {
+fn guided_run(predictor: &Predictor, faulted: bool) -> (AppId, RunTrace) {
     let s = scenario(faulted);
     let target = AppId(0);
     let noise = noise_app_ids(&s);
     let mut tenants = vec![target];
     tenants.extend(noise.iter().copied());
+    let service = serve_predictor(predictor.clone(), &tenants, 2).expect("two shards build");
     let ctl = ControlLoop::builder()
-        .predictor(fresh_service(text, &tenants))
+        .predictor(service)
         .policy(GuidedThrottle::new(target, noise, 1, 5.0e6).expect("valid policy"))
         .n_devices(s.cluster.n_devices())
         .build()
@@ -170,9 +148,9 @@ fn assert_grid_matches(golden: &(AppId, RunTrace), run: impl Fn() -> (AppId, Run
 
 #[test]
 fn guided_control_loop_replays_byte_identically() {
-    let text = trained_model_text();
+    let predictor = trained_predictor();
     for faulted in [false, true] {
-        let golden = guided_run(&text, faulted);
+        let golden = guided_run(&predictor, faulted);
         let ctx = format!("guided (faulted={faulted})");
         assert!(
             !golden.1.directives.is_empty(),
@@ -188,7 +166,7 @@ fn guided_control_loop_replays_byte_identically() {
                 "{ctx}: the fault plan must visibly bite"
             );
         }
-        assert_grid_matches(&golden, || guided_run(&text, faulted), &ctx);
+        assert_grid_matches(&golden, || guided_run(&predictor, faulted), &ctx);
     }
 }
 

@@ -41,6 +41,38 @@ fn baseline_and_interfered_runs_are_deterministic() {
     );
 }
 
+/// Two datasets are the same bytes: features, labels, every provenance
+/// field, and the schema.
+fn assert_same_dataset(a: &GeneratedDataset, b: &GeneratedDataset, ctx: &str) {
+    let bits = |g: &GeneratedDataset| {
+        g.data
+            .x
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(a), bits(b), "feature bytes diverged: {ctx}");
+    assert_eq!(a.data.y, b.data.y, "labels diverged: {ctx}");
+    assert_eq!(a.data.n_servers, b.data.n_servers, "{ctx}");
+    assert_eq!(a.meta.len(), b.meta.len(), "{ctx}");
+    for (ma, mb) in a.meta.iter().zip(&b.meta) {
+        let fields = |m: &SampleMeta| {
+            (
+                m.target,
+                m.noise,
+                m.fault,
+                m.seed,
+                m.window,
+                m.level.to_bits(),
+            )
+        };
+        assert_eq!(fields(ma), fields(mb), "provenance diverged: {ctx}");
+    }
+    assert_eq!(a.bins, b.bins, "{ctx}");
+    assert_eq!(a.schema, b.schema, "{ctx}");
+}
+
 #[test]
 fn dataset_sweep_is_byte_identical_across_repeat_runs_and_thread_counts() {
     // Two generations in one process use differently seeded HashMaps
@@ -53,32 +85,59 @@ fn dataset_sweep_is_byte_identical_across_repeat_runs_and_thread_counts() {
     spec.include_baseline_windows = true;
     let a = generate(&spec).expect("first sweep");
     let b = generate(&spec).expect("second sweep");
-    assert_eq!(a.data.y, b.data.y);
-    assert_eq!(a.data.x.data(), b.data.x.data(), "feature bytes diverged");
-    assert_eq!(a.meta.len(), b.meta.len());
-    for (ma, mb) in a.meta.iter().zip(b.meta.iter()) {
-        assert_eq!(ma.window, mb.window);
-        assert_eq!(ma.seed, mb.seed);
-    }
-    for threads in [1, 2, 8] {
+    assert_same_dataset(&a, &b, "repeat run");
+    let pool = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("explicit thread counts always build");
         assert_eq!(pool.current_num_threads(), threads);
+        pool
+    };
+    for threads in [1, 2, 8] {
         // The pool override is scoped: it must not leak into callers.
         let ambient = rayon::current_num_threads();
-        let c = generate_on(&pool, &spec).expect("pooled sweep");
+        let c = generate_on(&pool(threads), &spec).expect("pooled sweep");
         assert_eq!(rayon::current_num_threads(), ambient);
-        assert_eq!(a.data.y, c.data.y, "labels diverged at {threads} threads");
-        assert_eq!(
-            a.data.x.data(),
-            c.data.x.data(),
-            "feature bytes diverged at {threads} threads"
-        );
-        assert_eq!(a.meta.len(), c.meta.len());
-        for (ma, mc) in a.meta.iter().zip(c.meta.iter()) {
-            assert_eq!((ma.window, ma.seed), (mc.window, mc.seed));
+        assert_same_dataset(&a, &c, &format!("{threads} threads"));
+    }
+
+    // One simulation harvested under three views at once equals three
+    // single-view sweeps: nothing a view holds reaches the simulation.
+    let own = spec.view();
+    let views = [
+        own.clone(),
+        DatasetView {
+            window: WindowConfig::millis(100),
+            features: FeatureConfig {
+                client: true,
+                server: false,
+            },
+            ..own.clone()
+        },
+        DatasetView {
+            bins: Bins::three_class(),
+            ..own
+        },
+    ];
+    let single = |view: &DatasetView| {
+        let mut spec = spec.clone();
+        spec.window = view.window;
+        spec.features = view.features;
+        spec.bins = view.bins.clone();
+        spec.imputation = view.imputation;
+        generate(&spec).expect("single-view sweep")
+    };
+    let singles = [a, single(&views[1]), single(&views[2])];
+    assert_ne!(singles[0].data.len(), singles[1].data.len());
+    assert_ne!(singles[0].data.y, singles[2].data.y);
+    for threads in [1, 2] {
+        let together = pool(threads)
+            .install(|| generate_views(&spec, &views))
+            .expect("three-view sweep");
+        assert_eq!(together.len(), views.len());
+        for (v, (one, alone)) in together.iter().zip(&singles).enumerate() {
+            assert_same_dataset(one, alone, &format!("view {v} at {threads} threads"));
         }
     }
 }
