@@ -6,17 +6,17 @@
 //! close (1 ns after the boundary — after the boundary's own events,
 //! before anything from the next window). Each tick:
 //!
-//! 1. **Ingest** every trace event the simulator appended since the
-//!    last tick whose event time is at or before the closed window's
-//!    boundary `B`, in the canonical merge order (samples → RPCs → ops
-//!    at equal times), then [`FeaturePipeline::advance_to`]`(B)` so the
-//!    window closes even if it was quiet. Events past `B` (already
-//!    recorded because the tick itself runs 1 ns later) stay for the
-//!    next tick — the pipeline watermark never passes the boundary.
-//! 2. **Predict**: each emitted window yields one request per active
-//!    app (ascending app id, exactly like the offline replay driver),
-//!    submitted to the attached [`ShardedServeEngine`] at the tick instant,
-//!    then flushed with `finish` so every admitted request is answered
+//! 1. **Ingest** ([`FeaturePipeline::ingest_until`]`(trace, B)`): every
+//!    trace event the simulator appended since the last tick whose
+//!    event time is at or before the closed window's boundary `B`, in
+//!    the monitor's canonical merge order, then the watermark advances
+//!    to `B` so the window closes even if it was quiet. Events past `B`
+//!    (already recorded because the tick itself runs 1 ns later) stay
+//!    for the next tick.
+//! 2. **Predict** ([`WindowFeed::submit`], then `finish`): each emitted
+//!    window yields one request per active app — the same function the
+//!    offline replay driver submits through — at the tick instant, and
+//!    the engine is flushed so every admitted request is answered
 //!    within the tick.
 //! 3. **Decide**: the policy states its desired posture from the
 //!    closed window's predictions (sorted by window then tenant).
@@ -30,7 +30,7 @@
 use qi_monitor::{FeaturePipeline, WindowConfig};
 use qi_pfs::control::{ClusterController, ControlDirective};
 use qi_pfs::ops::RunTrace;
-use qi_serve::{Admission, PredictRequest, Prediction, ShardedServeEngine};
+use qi_serve::{Prediction, ReplaySummary, ShardedServeEngine, WindowFeed};
 use qi_simkit::error::QiError;
 use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricId, MetricValue, MetricsSnapshot, Registry};
@@ -52,11 +52,7 @@ const DIRECTIVE_LABELS: [&str; 6] = [
 #[derive(Clone, Copy)]
 struct Ids {
     ticks: MetricId,
-    windows: MetricId,
-    requests: MetricId,
     predictions: MetricId,
-    stale: MetricId,
-    shed: MetricId,
     errors: MetricId,
     desired: MetricId,
     emitted: MetricId,
@@ -70,13 +66,11 @@ struct Ids {
 /// [`Cluster::install_controller`](qi_pfs::cluster::Cluster::install_controller).
 pub struct ControlLoop {
     wcfg: WindowConfig,
-    pipeline: Option<FeaturePipeline>,
-    predictor: Option<ShardedServeEngine>,
+    /// The prediction service, with the monitor pipeline and window
+    /// feed its registry prescribes.
+    served: Option<(ShardedServeEngine, FeaturePipeline, WindowFeed)>,
     policy: Box<dyn MitigationPolicy>,
     gate: HysteresisGate,
-    cur_op: usize,
-    cur_rpc: usize,
-    cur_sample: usize,
     desired: Vec<ControlDirective>,
     reg: Registry,
     ids: Ids,
@@ -104,89 +98,18 @@ impl ControlLoop {
         self.gate.stats()
     }
 
-    /// Ingest trace deltas up to `bound` and run them through the
-    /// pipeline and predictor; appends every prediction answered this
-    /// tick to `preds`.
-    fn observe(
-        &mut self,
-        now: SimTime,
-        bound: SimTime,
-        trace: &RunTrace,
-        preds: &mut Vec<Prediction>,
-    ) -> Result<(), QiError> {
-        let Some(pipeline) = self.pipeline.as_mut() else {
+    /// One tick's observation: ingest the trace up to `bound`, submit
+    /// each window that closed, and flush the engine within the tick so
+    /// decisions never wait on a half-full batch. What was answered is
+    /// in the feed's tally.
+    fn observe(&mut self, now: SimTime, bound: SimTime, trace: &RunTrace) -> Result<(), QiError> {
+        let Some((engine, pipeline, feed)) = self.served.as_mut() else {
             return Ok(());
         };
-        let predictor = self
-            .predictor
-            .as_mut()
-            .expect("a pipeline is only built alongside a predictor");
-        // The tick runs 1 ns after the boundary, so the trace may
-        // already hold events past `bound` (their events carried a
-        // lower sequence number than the tick's). Ingest only up to the
-        // boundary; each stream is time-sorted, so a partition point
-        // splits it exactly.
-        let ops = &trace.ops[self.cur_op..];
-        let ops = &ops[..ops.partition_point(|o| o.completed <= bound)];
-        let rpcs = &trace.rpcs[self.cur_rpc..];
-        let rpcs = &rpcs[..rpcs.partition_point(|r| r.issued <= bound)];
-        // The sample store may be a bounded ring; read it through the
-        // logical-index accessor, which resumes exactly where the last
-        // tick stopped regardless of representation.
-        let samples: Vec<_> = trace
-            .samples
-            .iter_from(self.cur_sample as u64)
-            .take_while(|s| s.time <= bound)
-            .collect();
-        let samples = &samples[..];
-        self.cur_op += ops.len();
-        self.cur_rpc += rpcs.len();
-        self.cur_sample += samples.len();
-
-        let mut ready = Vec::new();
-        let (mut oi, mut ri, mut si) = (0usize, 0usize, 0usize);
-        loop {
-            let t_op = ops.get(oi).map(|o| o.completed);
-            let t_rpc = rpcs.get(ri).map(|r| r.issued);
-            let t_smp = samples.get(si).map(|s| s.time);
-            let Some(next) = [t_smp, t_rpc, t_op].into_iter().flatten().min() else {
-                break;
-            };
-            if t_smp == Some(next) {
-                ready.extend(pipeline.push_sample(&samples[si])?);
-                si += 1;
-            } else if t_rpc == Some(next) {
-                ready.extend(pipeline.push_rpc(&rpcs[ri])?);
-                ri += 1;
-            } else {
-                ready.extend(pipeline.push_op(&ops[oi])?);
-                oi += 1;
-            }
+        for w in pipeline.ingest_until(trace, bound)? {
+            feed.submit(engine, now, &w)?;
         }
-        ready.extend(pipeline.advance_to(bound)?);
-
-        for ew in &ready {
-            self.reg.inc(self.ids.windows);
-            for (app, block, _avail) in pipeline.feature_blocks(ew) {
-                self.reg.inc(self.ids.requests);
-                let req = PredictRequest {
-                    tenant: app,
-                    window: ew.window,
-                    block,
-                };
-                let (admission, done) = predictor.submit(now, req)?;
-                preds.extend(done);
-                match admission {
-                    Admission::Enqueued => {}
-                    Admission::Stale(_) => self.reg.inc(self.ids.stale),
-                    Admission::Shed => self.reg.inc(self.ids.shed),
-                }
-            }
-        }
-        // Flush within the tick so decisions never wait on a half-full
-        // batch: every admitted request is answered before the policy
-        // runs.
-        preds.extend(predictor.finish(now)?);
+        feed.summary.predictions.extend(engine.finish(now)?);
         Ok(())
     }
 }
@@ -205,13 +128,16 @@ impl ClusterController for ControlLoop {
     ) {
         self.reg.inc(self.ids.ticks);
         let bound = self.wcfg.start_of(window + 1);
-        let mut preds: Vec<Prediction> = Vec::new();
-        if self.observe(now, bound, trace, &mut preds).is_err() {
+        if self.observe(now, bound, trace).is_err() {
             // A serving/pipeline failure must not stall the simulation:
             // count it and decide from whatever arrived (possibly
             // nothing — guided policies treat that as cool).
             self.reg.inc(self.ids.errors);
         }
+        let mut preds: Vec<Prediction> = match self.served.as_mut() {
+            Some((_, _, feed)) => std::mem::take(&mut feed.summary.predictions),
+            None => Vec::new(),
+        };
         self.reg.add(self.ids.predictions, preds.len() as u64);
         preds.sort_by_key(|p| (p.window, p.tenant.0));
         let this_window: Vec<Prediction> =
@@ -245,6 +171,12 @@ impl ClusterController for ControlLoop {
 
     fn metrics_into(&self, snap: &mut MetricsSnapshot) {
         snap.absorb("", &self.reg.snapshot());
+        let idle = ReplaySummary::default();
+        let tally = (self.served.as_ref()).map_or(&idle, |(_, _, feed)| &feed.summary);
+        snap.put("control.windows", MetricValue::Counter(tally.windows));
+        snap.put("control.requests", MetricValue::Counter(tally.submitted));
+        snap.put("control.stale", MetricValue::Counter(tally.stale));
+        snap.put("control.shed", MetricValue::Counter(tally.shed));
         let s = self.gate.stats();
         snap.put("control.gate.engages", MetricValue::Counter(s.engages));
         snap.put("control.gate.releases", MetricValue::Counter(s.releases));
@@ -294,8 +226,9 @@ impl ControlLoopBuilder {
         self
     }
 
-    /// Number of OSTs in the cluster (required with a predictor: it
-    /// fixes the feature-block width, exactly as in training).
+    /// Number of OSTs in the cluster (required with a predictor, and
+    /// checked against the server count its registry expects: it fixes
+    /// the feature-block width, exactly as in training).
     pub fn n_devices(mut self, n: u32) -> Self {
         self.n_devices = Some(n);
         self
@@ -320,15 +253,16 @@ impl ControlLoopBuilder {
                 policy.name()
             )));
         }
-        let (wcfg, pipeline) = match &self.predictor {
-            Some(service) => {
-                let schema = service.registry().expected_schema();
-                let wcfg = schema.window_config().ok_or_else(|| {
-                    QiError::Control(format!(
-                        "predictor schema [{schema}] has no window length; \
-                         the loop cannot derive its tick interval"
-                    ))
+        let (wcfg, served) = match self.predictor {
+            Some(engine) => {
+                let n_devices = self.n_devices.ok_or_else(|| {
+                    QiError::Control(
+                        "a predictor-driven loop needs n_devices(..) to size feature blocks".into(),
+                    )
                 })?;
+                let (pipeline, feed) =
+                    WindowFeed::bind(&engine, n_devices).map_err(QiError::Control)?;
+                let wcfg = pipeline.window_config();
                 if let Some(explicit) = self.window {
                     if explicit != wcfg {
                         return Err(QiError::Control(format!(
@@ -338,13 +272,7 @@ impl ControlLoopBuilder {
                         )));
                     }
                 }
-                let n_devices = self.n_devices.ok_or_else(|| {
-                    QiError::Control(
-                        "a predictor-driven loop needs n_devices(..) to size feature blocks".into(),
-                    )
-                })?;
-                let fcfg = schema.feature_config();
-                (wcfg, Some(FeaturePipeline::new(wcfg, fcfg, n_devices)))
+                (wcfg, Some((engine, pipeline, feed)))
             }
             None => {
                 let wcfg = self.window.ok_or_else(|| {
@@ -365,11 +293,7 @@ impl ControlLoopBuilder {
         let mut reg = Registry::new();
         let ids = Ids {
             ticks: reg.counter("control.ticks"),
-            windows: reg.counter("control.windows"),
-            requests: reg.counter("control.requests"),
             predictions: reg.counter("control.predictions"),
-            stale: reg.counter("control.stale"),
-            shed: reg.counter("control.shed"),
             errors: reg.counter("control.errors"),
             desired: reg.counter("control.desired"),
             emitted: reg.counter("control.emitted"),
@@ -380,13 +304,9 @@ impl ControlLoopBuilder {
 
         Ok(ControlLoop {
             wcfg,
-            pipeline,
-            predictor: self.predictor,
+            served,
             policy,
             gate,
-            cur_op: 0,
-            cur_rpc: 0,
-            cur_sample: 0,
             desired: Vec::new(),
             reg,
             ids,

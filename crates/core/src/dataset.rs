@@ -24,35 +24,23 @@ use crate::scenario::{InterferenceSpec, Scenario};
 
 /// Assemble, for every window in which `target` completed operations,
 /// the flattened per-server feature block (`n_devices × features`).
-pub fn window_vectors(
-    trace: &RunTrace,
-    target: AppId,
-    wcfg: WindowConfig,
-    fcfg: FeatureConfig,
-    n_devices: u32,
-) -> HashMap<u64, Vec<f32>> {
-    window_vectors_with(trace, target, wcfg, fcfg, n_devices, Imputation::Zero)
-}
-
-/// Like [`window_vectors`], but with an explicit [`Imputation`] policy
-/// for feature cells whose monitor data is missing.
 ///
 /// This is a thin adapter over the canonical
 /// [`FeaturePipeline`][qi_monitor::pipeline::FeaturePipeline]: batch
 /// dataset generation and the online serving path drive the same
 /// windowing, accumulation, and vector-assembly code, so the two can
-/// never drift apart. See [`FeaturePipeline::run_vectors`].
+/// never drift apart. See [`FeaturePipeline::run_vectors`]. The last
+/// parameter can only say [`Imputation::Zero`], which is what the
+/// pipeline does; see [`Imputation`] for why it is still here.
 pub fn window_vectors_with(
     trace: &RunTrace,
     target: AppId,
     wcfg: WindowConfig,
     fcfg: FeatureConfig,
     n_devices: u32,
-    imputation: Imputation,
+    _imputation: Imputation,
 ) -> HashMap<u64, Vec<f32>> {
-    FeaturePipeline::new(wcfg, fcfg, n_devices)
-        .with_imputation(imputation)
-        .run_vectors(trace, target)
+    FeaturePipeline::new(wcfg, fcfg, n_devices).run_vectors(trace, target)
 }
 
 /// A server-degradation condition swept as a dataset dimension, so
@@ -211,7 +199,8 @@ pub struct DatasetView {
     pub features: FeatureConfig,
     /// Label bins.
     pub bins: Bins,
-    /// How to fill feature cells whose monitor data went missing.
+    /// How missing feature cells are filled: with zeros (see
+    /// [`Imputation`] for why the field is still here).
     pub imputation: Imputation,
 }
 
@@ -248,7 +237,8 @@ pub struct DatasetSpec {
     /// Server-degradation conditions; every grid combo runs once per
     /// entry. `[Healthy]` reproduces the fault-free grid exactly.
     pub faults: Vec<FaultSpec>,
-    /// How to fill feature cells whose monitor data went missing.
+    /// How missing feature cells are filled: with zeros (see
+    /// [`Imputation`] for why the field is still here).
     pub imputation: Imputation,
 }
 
@@ -637,12 +627,13 @@ mod tests {
         let spec = DatasetSpec::smoke();
         let scenario = spec.scenario(WorkloadKind::IorEasyRead, 1);
         let (app, trace) = scenario.run().expect("scenario runs");
-        let vecs = window_vectors(
+        let vecs = window_vectors_with(
             &trace,
             app,
             spec.window,
             spec.features,
             spec.cluster.n_devices(),
+            spec.imputation,
         );
         assert!(!vecs.is_empty());
         for v in vecs.values() {

@@ -46,8 +46,8 @@ pub mod scenario;
 pub mod prelude {
     pub use crate::anomaly::{feature_rows, AnomalyDetector, AnomalyReport, WindowScore};
     pub use crate::dataset::{
-        generate, generate_on, generate_views, window_vectors, window_vectors_with, DatasetSpec,
-        DatasetView, FaultSpec, GeneratedDataset, SampleMeta, Split,
+        generate, generate_on, generate_views, window_vectors_with, DatasetSpec, DatasetView,
+        FaultSpec, GeneratedDataset, SampleMeta, Split,
     };
     pub use crate::experiments::{fig_one_a, fig_one_b, table_one, FigOneConfig, TableOneConfig};
     pub use crate::importance::{permutation_importance, FeatureImportance};

@@ -291,6 +291,49 @@ mod tests {
     }
 
     #[test]
+    fn mis_sized_loop_is_refused_at_build() {
+        // The registry fixes the server count; a loop sized otherwise
+        // would have every request refused for its shape and, counting
+        // the errors, never act. (The check needs a `ModelShape`, which
+        // `qi-control` cannot name: hence this crate.)
+        use qi_ml::train::ModelShape;
+        use qi_monitor::{FeatureConfig, FeatureSchema, Imputation};
+        let engine = || {
+            let fcfg = FeatureConfig::default();
+            let schema = FeatureSchema::current(WindowConfig::seconds(1), fcfg, Imputation::Zero);
+            let shape = ModelShape {
+                n_servers: 5,
+                n_features: fcfg.len(),
+                n_classes: 2,
+            };
+            let cfg = ServeConfig {
+                max_batch: 1,
+                max_delay: qi_simkit::time::SimDuration::from_secs(1),
+                queue_cap: 4,
+                admission: None,
+                overload: OverloadPolicy::Shed,
+                tenants: vec![AppId(0)],
+                threads: None,
+            };
+            ShardedServeEngine::new(cfg, ModelRegistry::new(shape, schema), 1).expect("builds")
+        };
+        let sized = |n: u32| {
+            ControlLoop::builder()
+                .predictor(engine())
+                .policy(GuidedThrottle::new(AppId(0), vec![AppId(1)], 1, 1e6).expect("valid"))
+                .n_devices(n)
+                .build()
+        };
+        let Err(err) = sized(4) else {
+            panic!("four devices against five servers must not build");
+        };
+        assert!(matches!(err, QiError::Control(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains('4') && msg.contains('5'), "{msg}");
+        assert!(sized(5).is_ok());
+    }
+
+    #[test]
     fn guided_throttling_recovers_target_performance() {
         // Train a quick model on the smoke grid, at 100 ms windows so
         // the online loop gets several decision points inside the short

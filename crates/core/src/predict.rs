@@ -27,7 +27,6 @@ pub struct Predictor {
     features: FeatureConfig,
     n_devices: u32,
     bins: Bins,
-    imputation: Imputation,
 }
 
 impl Predictor {
@@ -69,7 +68,6 @@ impl Predictor {
             features,
             n_devices,
             bins,
-            imputation,
         })
     }
 
@@ -125,7 +123,7 @@ impl Predictor {
             self.window,
             self.features,
             self.n_devices,
-            self.imputation,
+            Imputation::Zero,
         );
         let mut windows: Vec<u64> = vectors.keys().copied().collect();
         windows.sort_unstable();

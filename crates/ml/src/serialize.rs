@@ -503,6 +503,21 @@ mod tests {
     }
 
     #[test]
+    fn device_mean_imputation_is_refused_by_name() {
+        // A file that asks for the per-device-mean fill no pipeline
+        // implements must not load as if it had asked for zeros.
+        let (model, _) = trained();
+        let text = model_to_text(&model);
+        assert!(text.contains("schema.imputation zero\n"));
+        let asked = with_valid_checksum(
+            &text.replace("schema.imputation zero", "schema.imputation device_mean"),
+        );
+        let e = model_from_text(&asked).err().expect("device_mean rejected");
+        assert!(e.message.contains("unknown schema imputation"), "{e}");
+        assert!(e.message.contains("device_mean"), "{e}");
+    }
+
+    #[test]
     fn tampered_schema_digest_is_rejected() {
         let (model, _) = trained();
         let text = model_to_text(&model);

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use qi_pfs::ids::{AppId, OpToken};
+use qi_pfs::ids::AppId;
 use qi_pfs::ops::{OpKind, OpRecord, RpcRecord, RunTrace};
 use qi_simkit::time::SimDuration;
 
@@ -21,7 +21,9 @@ use crate::features::FeatureConfig;
 use crate::pipeline::FeaturePipeline;
 use crate::window::WindowConfig;
 
-/// Client-side metrics for one `(application, window)` cell.
+/// Client-side metrics for one `(application, window)` cell:
+/// aggregates only. The labelling stage, which matches individual
+/// operations against a baseline, reads them from the `RunTrace`.
 #[derive(Clone, Debug, Default)]
 pub struct ClientWindow {
     /// Completed read operations.
@@ -38,9 +40,6 @@ pub struct ClientWindow {
     pub io_time: SimDuration,
     /// Per-device targeting counters, indexed by device id.
     pub per_dev: Vec<DevTargeting>,
-    /// Ops that completed in this window, with their durations —
-    /// retained for the labelling stage (matched against the baseline).
-    pub ops: Vec<(OpToken, OpKind, SimDuration)>,
 }
 
 /// How much of an application's window load targeted one device.
@@ -84,7 +83,6 @@ impl ClientWindow {
             _ => self.metas += 1,
         }
         self.io_time += op.duration();
-        self.ops.push((op.token, op.kind, op.duration()));
     }
 
     /// Accumulate one issued RPC's per-server targeting into this cell.
@@ -155,7 +153,7 @@ pub fn client_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qi_pfs::ids::DeviceId;
+    use qi_pfs::ids::{DeviceId, OpToken};
     use qi_pfs::ops::{OpRecord, RpcRecord};
     use qi_simkit::time::SimTime;
 
@@ -226,7 +224,6 @@ mod tests {
         let w = client_windows(&trace(), WindowConfig::seconds(1), 4);
         let w0 = &w[&(AppId(0), 0)];
         assert_eq!(w0.io_time, SimDuration::from_millis(200));
-        assert_eq!(w0.ops.len(), 1);
     }
 
     #[test]

@@ -122,18 +122,19 @@ impl FeatureAvailability {
     }
 }
 
-/// How to fill feature cells whose monitor data is missing.
+/// How feature cells whose monitor data is missing are filled: with
+/// zeros ([`FeatureAvailability`] tells "no data" from "measured zero").
+/// A per-device mean was once a second variant, which serving could
+/// never honour — an online stream has no whole-run mean. The type and
+/// the parameters that carry it (`DatasetSpec::imputation`,
+/// `window_vectors_with`, `Predictor::new`) stay because QIMODEL files
+/// have a `schema.imputation` line and callers outside this workspace's
+/// control (the frozen `benchmark/` package) pass one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Imputation {
-    /// Missing blocks become zeros (the historical behaviour).
+    /// Missing blocks become zeros.
     #[default]
     Zero,
-    /// Missing *server* blocks are imputed from the per-device mean of
-    /// the windows that do have server data (client blocks still zero:
-    /// a missing client window genuinely means "no client activity
-    /// observed"). Applied by the dataset assembly layer, which owns the
-    /// cross-window view needed to compute the means.
-    DeviceMean,
 }
 
 impl Imputation {
@@ -141,7 +142,6 @@ impl Imputation {
     pub const fn token(self) -> &'static str {
         match self {
             Imputation::Zero => "zero",
-            Imputation::DeviceMean => "device_mean",
         }
     }
 
@@ -149,78 +149,65 @@ impl Imputation {
     pub fn from_token(s: &str) -> Option<Self> {
         match s {
             "zero" => Some(Imputation::Zero),
-            "device_mean" => Some(Imputation::DeviceMean),
             _ => None,
         }
     }
 }
 
-/// Build the feature vector for one server, given the application's
-/// client window (if it had any activity) and the server's window (if
-/// any samples landed there). Missing cells contribute zeros.
+/// Append the feature vector for one server to `out`, given the
+/// application's client window (if it had any activity) and the
+/// server's window (if any samples landed there). Missing cells
+/// contribute zeros; the returned mask says which blocks were backed by
+/// real monitor data (fault plans and monitoring gaps leave holes).
 pub fn server_vector(
     cfg: FeatureConfig,
     client: Option<&ClientWindow>,
     server: Option<&ServerWindow>,
     dev: DeviceId,
     window: SimDuration,
-) -> Vec<f32> {
-    server_vector_masked(cfg, client, server, dev, window).0
-}
-
-/// Like [`server_vector`], but also report which blocks were backed by
-/// real monitor data — callers that need to degrade gracefully (fault
-/// plans, monitoring gaps) use the mask to distinguish measured zeros
-/// from absent data and to drive [`Imputation`].
-pub fn server_vector_masked(
-    cfg: FeatureConfig,
-    client: Option<&ClientWindow>,
-    server: Option<&ServerWindow>,
-    dev: DeviceId,
-    window: SimDuration,
-) -> (Vec<f32>, FeatureAvailability) {
-    let avail = FeatureAvailability {
-        client: client.is_some(),
-        server: server.is_some(),
-    };
-    let mut v = Vec::with_capacity(cfg.len());
+    out: &mut Vec<f32>,
+) -> FeatureAvailability {
+    let before = out.len();
     if cfg.client {
         match client {
             Some(c) => {
-                v.push(c.reads as f32);
-                v.push(c.writes as f32);
-                v.push(c.metas as f32);
-                v.push(c.total_ops() as f32);
-                v.push(c.bytes_read as f32 / 1e6);
-                v.push(c.bytes_written as f32 / 1e6);
-                v.push(c.total_bytes() as f32 / 1e6);
-                v.push(c.io_time.as_millis_f64() as f32);
-                v.push((c.throughput(window) / 1e6) as f32);
-                v.push(c.iops(window) as f32);
                 let t = c.per_dev.get(dev.index()).copied().unwrap_or_default();
-                v.push(t.read_reqs as f32);
-                v.push(t.write_reqs as f32);
-                v.push(t.meta_reqs as f32);
-                v.push(t.bytes_read as f32 / 1e6);
-                v.push(t.bytes_written as f32 / 1e6);
+                out.extend([
+                    c.reads as f32,
+                    c.writes as f32,
+                    c.metas as f32,
+                    c.total_ops() as f32,
+                    c.bytes_read as f32 / 1e6,
+                    c.bytes_written as f32 / 1e6,
+                    c.total_bytes() as f32 / 1e6,
+                    c.io_time.as_millis_f64() as f32,
+                    (c.throughput(window) / 1e6) as f32,
+                    c.iops(window) as f32,
+                    t.read_reqs as f32,
+                    t.write_reqs as f32,
+                    t.meta_reqs as f32,
+                    t.bytes_read as f32 / 1e6,
+                    t.bytes_written as f32 / 1e6,
+                ]);
             }
-            None => v.extend(std::iter::repeat_n(0.0, N_CLIENT_GLOBAL + N_CLIENT_TARGET)),
+            None => out.extend([0.0; N_CLIENT_GLOBAL + N_CLIENT_TARGET]),
         }
     }
     if cfg.server {
         match server {
             Some(s) => {
                 for ss in &s.series {
-                    v.push(ss.sum as f32);
-                    v.push(ss.mean as f32);
-                    v.push(ss.std as f32);
+                    out.extend([ss.sum as f32, ss.mean as f32, ss.std as f32]);
                 }
             }
-            None => v.extend(std::iter::repeat_n(0.0, N_SERVER)),
+            None => out.extend([0.0; N_SERVER]),
         }
     }
-    debug_assert_eq!(v.len(), cfg.len());
-    (v, avail)
+    debug_assert_eq!(out.len() - before, cfg.len());
+    FeatureAvailability {
+        client: client.is_some(),
+        server: server.is_some(),
+    }
 }
 
 #[cfg(test)]
@@ -229,12 +216,31 @@ mod tests {
     use crate::client::DevTargeting;
     use crate::server::SeriesStats;
 
+    /// One server's vector under the default configuration and a
+    /// one-second window, with its availability mask.
+    fn vector(
+        client: Option<&ClientWindow>,
+        server: Option<&ServerWindow>,
+        dev: u32,
+    ) -> (Vec<f32>, FeatureAvailability) {
+        let mut v = Vec::new();
+        let avail = server_vector(
+            FeatureConfig::default(),
+            client,
+            server,
+            DeviceId(dev),
+            SimDuration::from_secs(1),
+            &mut v,
+        );
+        (v, avail)
+    }
+
     #[test]
     fn full_vector_has_documented_length() {
         let cfg = FeatureConfig::default();
         assert_eq!(cfg.len(), N_FEATURES);
         assert_eq!(feature_names(cfg).len(), N_FEATURES);
-        let v = server_vector(cfg, None, None, DeviceId(0), SimDuration::from_secs(1));
+        let (v, _) = vector(None, None, 0);
         assert_eq!(v.len(), N_FEATURES);
         assert!(v.iter().all(|&x| x == 0.0));
     }
@@ -265,13 +271,7 @@ mod tests {
         };
         cw.per_dev[1].read_reqs = 5;
         cw.per_dev[1].bytes_read = 1_000_000;
-        let v = server_vector(
-            FeatureConfig::default(),
-            Some(&cw),
-            None,
-            DeviceId(1),
-            SimDuration::from_secs(1),
-        );
+        let (v, _) = vector(Some(&cw), None, 1);
         assert_eq!(v[0], 3.0); // cl_reads
         assert_eq!(v[4], 2.0); // cl_read_mb
         assert_eq!(v[10], 5.0); // tgt_read_reqs
@@ -286,13 +286,7 @@ mod tests {
             mean: 5.5,
             std: 1.5,
         };
-        let v = server_vector(
-            FeatureConfig::default(),
-            None,
-            Some(&sw),
-            DeviceId(0),
-            SimDuration::from_secs(1),
-        );
+        let (v, _) = vector(None, Some(&sw), 0);
         let base = N_CLIENT_GLOBAL + N_CLIENT_TARGET;
         assert_eq!(v[base], 11.0);
         assert_eq!(v[base + 1], 5.5);
@@ -302,8 +296,7 @@ mod tests {
     #[test]
     fn availability_mask_tracks_missing_blocks() {
         let cfg = FeatureConfig::default();
-        let w = SimDuration::from_secs(1);
-        let (_, a) = server_vector_masked(cfg, None, None, DeviceId(0), w);
+        let (_, a) = vector(None, None, 0);
         assert_eq!(
             a,
             FeatureAvailability {
@@ -313,7 +306,7 @@ mod tests {
         );
         assert!(!a.is_complete(cfg));
         let cw = ClientWindow::default();
-        let (_, a) = server_vector_masked(cfg, Some(&cw), None, DeviceId(0), w);
+        let (_, a) = vector(Some(&cw), None, 0);
         assert!(a.client && !a.server);
         // A disabled block cannot make a vector incomplete.
         assert!(a.is_complete(FeatureConfig {
@@ -321,7 +314,7 @@ mod tests {
             server: false
         }));
         let sw = ServerWindow::default();
-        let (_, a) = server_vector_masked(cfg, Some(&cw), Some(&sw), DeviceId(0), w);
+        let (_, a) = vector(Some(&cw), Some(&sw), 0);
         assert!(a.is_complete(cfg));
     }
 
@@ -340,28 +333,24 @@ mod tests {
         assert_eq!(FULL, N_FEATURES);
         const { assert!(EMPTY) };
         let mut set = std::collections::HashSet::new();
-        set.insert((FeatureConfig::default(), Imputation::DeviceMean));
-        assert!(set.contains(&(FeatureConfig::default(), Imputation::DeviceMean)));
+        set.insert((FeatureConfig::default(), Imputation::Zero));
+        assert!(set.contains(&(FeatureConfig::default(), Imputation::Zero)));
     }
 
     #[test]
     fn imputation_tokens_round_trip() {
-        for imp in [Imputation::Zero, Imputation::DeviceMean] {
-            assert_eq!(Imputation::from_token(imp.token()), Some(imp));
-        }
+        assert_eq!(
+            Imputation::from_token(Imputation::Zero.token()),
+            Some(Imputation::Zero)
+        );
+        assert_eq!(Imputation::from_token("device_mean"), None);
         assert_eq!(Imputation::from_token("bogus"), None);
     }
 
     #[test]
     fn out_of_range_device_targets_zero() {
         let cw = ClientWindow::default(); // per_dev empty
-        let v = server_vector(
-            FeatureConfig::default(),
-            Some(&cw),
-            None,
-            DeviceId(5),
-            SimDuration::from_secs(1),
-        );
+        let (v, _) = vector(Some(&cw), None, 5);
         assert_eq!(v[10], 0.0);
     }
 }

@@ -3,9 +3,11 @@
 //! The paper's two runtime monitors, reimplemented over simulator traces:
 //!
 //! - [`pipeline`] — the **one** featurization path: the incremental
-//!   [`FeaturePipeline`] (windowing → accumulation → vector assembly)
-//!   that both the batch entry points and the online serving layer
-//!   drive, so training and serving cannot drift apart.
+//!   [`FeaturePipeline`] (three-stream merge → windowing → accumulation
+//!   → feature-block assembly), each step defined once. The batch entry
+//!   points, the replay driver and the control loop all enter through
+//!   `ingest_trace` / `ingest_until` / `run_streams`, so training and
+//!   serving cannot drift apart.
 //! - [`schema`] — the versioned [`FeatureSchema`] describing a
 //!   pipeline's vector layout, embedded in trained models and
 //!   validated when a model is bound to a pipeline.
@@ -16,8 +18,9 @@
 //! - [`server`] — the Lustre server-side monitor: per-second device
 //!   counters reduced to windowed sum/mean/std (paper §III-B, Table II).
 //!   `server_windows` is a batch adapter over the pipeline.
-//! - [`features`] — assembly of the per-server vectors fed to the
-//!   kernel-based network (paper §III-C).
+//! - [`features`] — the per-server vector fed to the kernel-based
+//!   network (paper §III-C): one function writes it. Missing cells are
+//!   zeros, flagged by an availability mask.
 //! - [`sampler`] — the budget-bounded adaptive downsampler that thins
 //!   quiet per-device series (and restores full rate on activity or an
 //!   anomaly alert) before they reach the pipeline.

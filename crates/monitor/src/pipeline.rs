@@ -1,17 +1,20 @@
-//! The one featurization path (windowing → accumulation → vectors).
+//! The one featurization path (merge → windowing → accumulation →
+//! vectors).
 //!
 //! At deployment time the paper's framework receives metrics
 //! continuously — the MPI aggregator flushes its shared-memory buffer
 //! each window, and the training server consumes window after window
 //! (§III-A/C). [`FeaturePipeline`] implements that incremental engine
-//! once, and it is the *only* aggregation implementation in the
-//! workspace: the batch entry points ([`crate::client::client_windows`],
-//! [`crate::server::server_windows`], and the dataset layer's
-//! window-vector assembly) are thin adapters that drive this same
-//! engine over a finished [`RunTrace`]. Training and serving therefore
-//! cannot drift apart — there is exactly one place where a feature is
-//! defined, and the pipeline describes its own layout as a versioned
-//! [`FeatureSchema`].
+//! once, and every step from a trace to a feature block has one
+//! definition here: one merge of the three event streams (behind
+//! [`FeaturePipeline::ingest_trace`], [`FeaturePipeline::ingest_until`]
+//! and the batch [`FeaturePipeline::run_streams`]), one accumulation
+//! ([`ClientWindow::record_op`]/[`ClientWindow::record_rpc`],
+//! [`FeaturePipeline::push_sample`]) and one block assembler
+//! ([`EmittedWindow::feature_blocks`]). The dataset harvest, the replay
+//! driver and the control loop are callers of these, so training and
+//! serving cannot drift apart, and the pipeline describes its own
+//! layout as a versioned [`FeatureSchema`].
 //!
 //! Event-time merge order matters at window boundaries: a server sample
 //! at time `t` describes the interval `(t-1s, t]`, which belongs to the
@@ -20,21 +23,20 @@
 //! ties as samples → RPCs → ops, so a boundary-time sample's delta is
 //! accumulated before the op rolls the window forward.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use qi_pfs::ids::{AppId, DeviceId};
 use qi_pfs::ops::{OpRecord, RpcRecord, RunTrace, ServerSample};
 
 use crate::client::ClientWindow;
-use crate::features::{
-    server_vector_masked, FeatureAvailability, FeatureConfig, Imputation, N_SERVER,
-};
+use crate::features::{server_vector, FeatureAvailability, FeatureConfig, Imputation};
 use crate::schema::FeatureSchema;
 use crate::server::{ServerWindow, N_SERVER_SERIES};
 use crate::window::WindowConfig;
 use qi_simkit::error::QiError;
 use qi_simkit::stats::OnlineStats;
-use qi_simkit::time::SimTime;
+use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 /// An event arrived behind the pipeline's watermark. Surfaced as the
@@ -71,53 +73,73 @@ pub struct EmittedWindow {
 }
 
 impl EmittedWindow {
+    /// One application's flattened block for this window (`n_devices ×
+    /// cfg.len()`, row-major), each server's cells written straight into
+    /// it, and the availability mask over all of its servers.
+    fn block(
+        &self,
+        client: &ClientWindow,
+        cfg: FeatureConfig,
+        n_devices: u32,
+        window: SimDuration,
+    ) -> (Vec<f32>, FeatureAvailability) {
+        let mut block = Vec::with_capacity(n_devices as usize * cfg.len());
+        let mut avail = FeatureAvailability {
+            client: true,
+            server: true,
+        };
+        for d in 0..n_devices {
+            let dev = DeviceId(d);
+            let server = self.servers.get(&dev);
+            avail.server &=
+                server_vector(cfg, Some(client), server, dev, window, &mut block).server;
+        }
+        (block, avail)
+    }
+
     /// Assemble, for every application active in this window, the
-    /// flattened per-server feature block the predictor consumes
-    /// (`n_devices × cfg.len()`, row-major) together with its
-    /// availability mask — the online equivalent of the dataset
-    /// layer's window vectors for a single emitted window. The
-    /// serving layer turns each returned `(app, block)` pair into one
-    /// prediction request, so apps come back sorted by id to keep the
+    /// flattened per-server feature block the predictor consumes with
+    /// its availability mask — what the dataset layer trains on and
+    /// what the serving layer turns into one prediction request per
+    /// `(app, block)` pair, so apps come back sorted by id to keep the
     /// request order deterministic.
     pub fn feature_blocks(
         &self,
         cfg: FeatureConfig,
         n_devices: u32,
-        window: qi_simkit::time::SimDuration,
+        window: SimDuration,
     ) -> Vec<(AppId, Vec<f32>, FeatureAvailability)> {
-        let mut apps: Vec<AppId> = self.clients.keys().copied().collect();
-        apps.sort_unstable_by_key(|a| a.0);
+        let mut apps: Vec<(&AppId, &ClientWindow)> = self.clients.iter().collect();
+        apps.sort_unstable_by_key(|(app, _)| app.0);
         apps.into_iter()
-            .map(|app| {
-                let client = self.clients.get(&app);
-                let mut block = Vec::with_capacity(n_devices as usize * cfg.len());
-                let mut avail = FeatureAvailability {
-                    client: client.is_some(),
-                    server: true,
-                };
-                for d in 0..n_devices {
-                    let dev = DeviceId(d);
-                    let (v, a) =
-                        server_vector_masked(cfg, client, self.servers.get(&dev), dev, window);
-                    avail.server &= a.server;
-                    block.extend(v);
-                }
+            .map(|(&app, client)| {
+                let (block, avail) = self.block(client, cfg, n_devices, window);
                 (app, block, avail)
             })
             .collect()
     }
 }
 
+/// How far into one [`RunTrace`] a pipeline has read: records taken
+/// from `ops` and from `rpcs`, and the logical index into `samples`
+/// ([`qi_pfs::store::SampleStore::iter_from`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct TraceCursor {
+    op: usize,
+    rpc: usize,
+    sample: u64,
+}
+
 /// The incremental window builder — the canonical feature pipeline.
 /// All pushed inputs must arrive in non-decreasing time order (as they
 /// do from the simulator and from real collectors); the batch helpers
 /// ([`FeaturePipeline::run_windows`]/[`FeaturePipeline::run_vectors`])
-/// stable-sort a finished trace into that order first.
+/// stable-sort a finished trace into that order first if they must.
 pub struct FeaturePipeline {
     cfg: WindowConfig,
     fcfg: FeatureConfig,
-    imputation: Imputation,
     n_devices: u32,
+    cursor: TraceCursor,
     watermark: SimTime,
     current: u64,
     clients: HashMap<AppId, ClientWindow>,
@@ -133,13 +155,13 @@ pub struct FeaturePipeline {
 }
 
 impl FeaturePipeline {
-    /// New pipeline starting at window 0, with [`Imputation::Zero`].
+    /// New pipeline starting at window 0.
     pub fn new(cfg: WindowConfig, fcfg: FeatureConfig, n_devices: u32) -> Self {
         FeaturePipeline {
             cfg,
             fcfg,
-            imputation: Imputation::Zero,
             n_devices,
+            cursor: TraceCursor::default(),
             watermark: SimTime::ZERO,
             current: 0,
             clients: HashMap::new(),
@@ -153,18 +175,11 @@ impl FeaturePipeline {
         }
     }
 
-    /// Set the imputation policy applied by the batch vector assembly
-    /// (recorded in the schema either way).
-    pub fn with_imputation(mut self, imputation: Imputation) -> Self {
-        self.imputation = imputation;
-        self
-    }
-
     /// The versioned schema describing every vector this pipeline
     /// assembles. Models trained on this pipeline's output carry this
     /// schema; the serving layer refuses any other.
     pub fn schema(&self) -> FeatureSchema {
-        FeatureSchema::current(self.cfg, self.fcfg, self.imputation)
+        FeatureSchema::current(self.cfg, self.fcfg, Imputation::Zero)
     }
 
     /// The window configuration.
@@ -175,11 +190,6 @@ impl FeaturePipeline {
     /// The feature-block configuration.
     pub fn feature_config(&self) -> FeatureConfig {
         self.fcfg
-    }
-
-    /// The imputation policy.
-    pub fn imputation(&self) -> Imputation {
-        self.imputation
     }
 
     /// Windows emitted so far.
@@ -326,7 +336,7 @@ impl FeaturePipeline {
             self.roll_to(SimTime(sample.time.as_nanos() - 1), &mut out);
         }
         if let Some(prev) = self.last_sample.get(&sample.dev) {
-            let deltas = crate::server::delta_series_pub(prev, sample);
+            let deltas = crate::server::delta_series(prev, sample);
             let acc = self.server_acc.entry(sample.dev).or_default();
             for (stat, d) in acc.iter_mut().zip(deltas) {
                 stat.push(d);
@@ -345,165 +355,122 @@ impl FeaturePipeline {
         out
     }
 
-    /// Assemble this window's per-app feature blocks under the
-    /// pipeline's own configuration (see [`EmittedWindow::feature_blocks`]).
-    pub fn feature_blocks(
-        &self,
-        ew: &EmittedWindow,
-    ) -> Vec<(AppId, Vec<f32>, FeatureAvailability)> {
-        ew.feature_blocks(self.fcfg, self.n_devices, self.cfg.window)
-    }
-
-    /// Drive pre-sorted event streams through the pipeline in canonical
-    /// merge order: by time, ties broken samples → RPCs → ops (see the
-    /// module docs for why boundary-time samples must go first).
+    /// The one merge: drive time-sorted streams through the pipeline by
+    /// time, ties broken samples → RPCs → ops (module docs), resuming at
+    /// the cursor — where `samples` starts — and moving it past each
+    /// event taken. With a `bound`, events after it are left and the
+    /// watermark then advances to it; without, the streams are drained.
+    /// An out-of-order event is an error that leaves the cursor on it.
     fn drive_merged(
         &mut self,
-        ops: &[&OpRecord],
-        rpcs: &[&RpcRecord],
-        samples: &[&ServerSample],
-        out: &mut Vec<EmittedWindow>,
-    ) -> Result<(), QiError> {
-        let (mut oi, mut ri, mut si) = (0usize, 0usize, 0usize);
+        ops: &[OpRecord],
+        rpcs: &[RpcRecord],
+        samples: impl Iterator<Item = ServerSample>,
+        bound: Option<SimTime>,
+    ) -> Result<Vec<EmittedWindow>, QiError> {
+        let mut samples = samples.peekable();
+        let mut out = Vec::new();
         loop {
-            let t_op = ops.get(oi).map(|o| o.completed);
-            let t_rpc = rpcs.get(ri).map(|r| r.issued);
-            let t_smp = samples.get(si).map(|s| s.time);
-            let Some(next) = [t_smp, t_rpc, t_op].into_iter().flatten().min() else {
-                return Ok(());
+            let t_op = ops.get(self.cursor.op).map(|o| o.completed);
+            let t_rpc = rpcs.get(self.cursor.rpc).map(|r| r.issued);
+            let t_smp = samples.peek().map(|s| s.time);
+            let next = [t_smp, t_rpc, t_op].into_iter().flatten().min();
+            let Some(next) = next.filter(|&t| bound.is_none_or(|b| t <= b)) else {
+                break;
             };
-            if t_smp == Some(next) {
-                out.extend(self.push_sample(samples[si])?);
-                si += 1;
+            if let Some(sample) = samples.next_if(|s| s.time == next) {
+                out.extend(self.push_sample(&sample)?);
+                self.cursor.sample += 1;
             } else if t_rpc == Some(next) {
-                out.extend(self.push_rpc(rpcs[ri])?);
-                ri += 1;
+                out.extend(self.push_rpc(&rpcs[self.cursor.rpc])?);
+                self.cursor.rpc += 1;
             } else {
-                out.extend(self.push_op(ops[oi])?);
-                oi += 1;
+                out.extend(self.push_op(&ops[self.cursor.op])?);
+                self.cursor.op += 1;
             }
         }
-    }
-
-    /// Stream a finished trace's events through the pipeline in the
-    /// order given (each stream must already be time-sorted, as
-    /// simulator traces are), returning every window finalised so far.
-    /// Call [`FeaturePipeline::finish`] afterwards for the final
-    /// partial window. Errors if any stream is out of order.
-    pub fn ingest_trace(&mut self, trace: &RunTrace) -> Result<Vec<EmittedWindow>, QiError> {
-        let ops: Vec<&OpRecord> = trace.ops.iter().collect();
-        let rpcs: Vec<&RpcRecord> = trace.rpcs.iter().collect();
-        let samples: Vec<ServerSample> = trace.samples.to_vec();
-        let sample_refs: Vec<&ServerSample> = samples.iter().collect();
-        let mut out = Vec::new();
-        self.drive_merged(&ops, &rpcs, &sample_refs, &mut out)?;
+        if let Some(bound) = bound {
+            out.extend(self.advance_to(bound)?);
+        }
         Ok(out)
     }
 
+    /// Stream what this pipeline has not yet read of `trace` (a pipeline
+    /// follows one trace; each stream must be time-sorted, as simulator
+    /// traces are, or this errors), returning every window finalised on
+    /// the way. [`FeaturePipeline::finish`] flushes the last, partial one.
+    pub fn ingest_trace(&mut self, trace: &RunTrace) -> Result<Vec<EmittedWindow>, QiError> {
+        let samples = trace.samples.iter_from(self.cursor.sample);
+        self.drive_merged(&trace.ops, &trace.rpcs, samples, None)
+    }
+
+    /// The incremental form of [`FeaturePipeline::ingest_trace`], for a
+    /// reader that follows a trace while it grows (the control loop's
+    /// tick): take every unread event at or before `bound`, then
+    /// [`advance_to`](FeaturePipeline::advance_to)`(bound)`. Events past
+    /// the bound stay for the next call — the watermark never passes it.
+    pub fn ingest_until(
+        &mut self,
+        trace: &RunTrace,
+        bound: SimTime,
+    ) -> Result<Vec<EmittedWindow>, QiError> {
+        let samples = trace.samples.iter_from(self.cursor.sample);
+        self.drive_merged(&trace.ops, &trace.rpcs, samples, Some(bound))
+    }
+
     /// Batch entry point: run a finished trace through the pipeline and
-    /// return every emitted window. Event streams are stable-sorted by
-    /// time first, so any trace is accepted (already-sorted simulator
-    /// traces keep their within-tie order and sort in linear time).
+    /// return every emitted window, in any stream order (see
+    /// [`FeaturePipeline::run_streams`]).
     pub fn run_windows(self, trace: &RunTrace) -> Vec<EmittedWindow> {
         self.run_streams(&trace.ops, &trace.rpcs, &trace.samples.to_vec())
     }
 
     /// Like [`FeaturePipeline::run_windows`] over bare event slices —
     /// what the batch adapters use to feed only the streams they own.
+    /// A stream that is not already time-sorted (simulator traces are)
+    /// is copied and stable-sorted first, so any trace is accepted.
     pub fn run_streams(
         mut self,
         ops: &[OpRecord],
         rpcs: &[RpcRecord],
         samples: &[ServerSample],
     ) -> Vec<EmittedWindow> {
-        let mut ops: Vec<&OpRecord> = ops.iter().collect();
-        ops.sort_by_key(|o| o.completed);
-        let mut rpcs: Vec<&RpcRecord> = rpcs.iter().collect();
-        rpcs.sort_by_key(|r| r.issued);
-        let mut samples: Vec<&ServerSample> = samples.iter().collect();
-        samples.sort_by_key(|s| s.time);
-        let mut out = Vec::new();
-        self.drive_merged(&ops, &rpcs, &samples, &mut out)
+        let ops = sorted_by_key(ops, |o| o.completed);
+        let rpcs = sorted_by_key(rpcs, |r| r.issued);
+        let samples = sorted_by_key(samples, |s| s.time);
+        let mut out = self
+            .drive_merged(&ops, &rpcs, samples.iter().copied(), None)
             .expect("sorted streams cannot be out of order");
         out.extend(self.finish());
         out
     }
 
-    /// Batch entry point: assemble, for every window in which `target`
-    /// completed operations or issued RPCs, the flattened per-server
-    /// feature block (`n_devices × features`), applying the pipeline's
-    /// imputation policy to missing server blocks. This is the vector
-    /// assembly the dataset layer trains on — built from the same
-    /// emitted windows the serving layer predicts on.
+    /// Batch entry point: for every window in which `target` completed
+    /// operations or issued RPCs, its flattened per-server feature
+    /// block (`n_devices × features`). This is the vector assembly the
+    /// dataset layer trains on — the same blocks, from the same emitted
+    /// windows, the serving layer predicts on.
     pub fn run_vectors(self, trace: &RunTrace, target: AppId) -> HashMap<u64, Vec<f32>> {
-        let (cfg, fcfg, n_devices, imputation) =
-            (self.cfg, self.fcfg, self.n_devices, self.imputation);
-        let windows = self.run_windows(trace);
-        let flen = fcfg.len();
-        let mut out = HashMap::new();
-        // (window, device index) pairs whose server block was missing.
-        let mut holes: Vec<(u64, usize)> = Vec::new();
-        for ew in &windows {
-            let Some(client) = ew.clients.get(&target) else {
-                continue;
-            };
-            let mut block = Vec::with_capacity(n_devices as usize * flen);
-            for d in 0..n_devices {
-                let dev = DeviceId(d);
-                let (v, avail) =
-                    server_vector_masked(fcfg, Some(client), ew.servers.get(&dev), dev, cfg.window);
-                if fcfg.server && !avail.server {
-                    holes.push((ew.window, d as usize));
-                }
-                block.extend(v);
-            }
-            out.insert(ew.window, block);
-        }
-        if imputation == Imputation::DeviceMean && !holes.is_empty() {
-            impute_device_means(&mut out, &holes, n_devices as usize, flen);
-        }
-        out
+        let (fcfg, n_devices, window) = (self.fcfg, self.n_devices, self.cfg.window);
+        self.run_windows(trace)
+            .iter()
+            .filter_map(|ew| {
+                let client = ew.clients.get(&target)?;
+                Some((ew.window, ew.block(client, fcfg, n_devices, window).0))
+            })
+            .collect()
     }
 }
 
-/// Back-fill missing server blocks with per-device means. The server
-/// block occupies the last [`N_SERVER`] cells of each per-device slice;
-/// only windows/devices listed in `holes` are rewritten, and only from
-/// windows *not* listed there (so imputed zeros never feed the means).
-fn impute_device_means(
-    blocks: &mut HashMap<u64, Vec<f32>>,
-    holes: &[(u64, usize)],
-    n_devices: usize,
-    flen: usize,
-) {
-    let hole_set: std::collections::HashSet<(u64, usize)> = holes.iter().copied().collect();
-    let srv_off = flen - N_SERVER;
-    for d in 0..n_devices {
-        let mut sum = vec![0.0f64; N_SERVER];
-        let mut n = 0u64;
-        for (&w, block) in blocks.iter() {
-            if hole_set.contains(&(w, d)) {
-                continue;
-            }
-            let base = d * flen + srv_off;
-            for (acc, &x) in sum.iter_mut().zip(&block[base..base + N_SERVER]) {
-                *acc += x as f64;
-            }
-            n += 1;
-        }
-        if n == 0 {
-            continue; // no donor windows: leave the zeros in place
-        }
-        let mean: Vec<f32> = sum.iter().map(|&s| (s / n as f64) as f32).collect();
-        for &(w, hd) in holes {
-            if hd != d {
-                continue;
-            }
-            if let Some(block) = blocks.get_mut(&w) {
-                let base = d * flen + srv_off;
-                block[base..base + N_SERVER].copy_from_slice(&mean);
-            }
-        }
+/// `events` as they are when already sorted by `key`, else a stably
+/// sorted copy.
+fn sorted_by_key<T: Clone, K: Ord>(events: &[T], key: impl Fn(&T) -> K) -> Cow<'_, [T]> {
+    if events.is_sorted_by_key(&key) {
+        Cow::Borrowed(events)
+    } else {
+        let mut sorted = events.to_vec();
+        sorted.sort_by_key(key);
+        Cow::Owned(sorted)
     }
 }
 
@@ -729,12 +696,42 @@ mod tests {
 
     #[test]
     fn schema_reflects_pipeline_configuration() {
-        let p = pipeline(WindowConfig::seconds(1), 4).with_imputation(Imputation::DeviceMean);
+        let p = pipeline(WindowConfig::seconds(1), 4);
         let s = p.schema();
         assert_eq!(s.window_config(), Some(WindowConfig::seconds(1)));
         assert_eq!(s.feature_config(), FeatureConfig::default());
-        assert_eq!(s.imputation(), Imputation::DeviceMean);
+        assert_eq!(s.imputation(), Imputation::Zero);
         assert_eq!(s.vector_len(), crate::features::N_FEATURES);
+    }
+
+    #[test]
+    fn a_failed_ingest_leaves_the_cursor_on_the_failing_event() {
+        // Ops at 100, 900, 400 ms: the third is behind the watermark.
+        // The bounded ingest takes the first two and stops ON the third
+        // — not past the whole delta — so every later call reports the
+        // same event instead of silently skipping it.
+        let mut trace = RunTrace::default();
+        for (seq, ms) in [100, 900, 400, 1_500].into_iter().enumerate() {
+            trace.ops.push(op(0, seq as u64, ms));
+        }
+        let mut m = pipeline(WindowConfig::seconds(1), 1);
+        let stuck = TraceCursor {
+            op: 2,
+            ..TraceCursor::default()
+        };
+        for _ in 0..2 {
+            let err = m
+                .ingest_until(&trace, SimTime::from_secs(1))
+                .expect_err("the 400 ms op is behind the 900 ms watermark");
+            assert!(err.to_string().contains("out of order"), "{err}");
+            assert_eq!(m.cursor, stuck);
+        }
+        assert_eq!(
+            m.metrics_snapshot().counter("monitor.ops_ingested"),
+            Some(2)
+        );
+        assert!(m.ingest_trace(&trace).is_err(), "the whole-trace form too");
+        assert_eq!(m.cursor, stuck);
     }
 
     #[test]

@@ -52,13 +52,8 @@ pub struct ServerWindow {
     pub samples: u32,
 }
 
-/// Per-second deltas between two consecutive samples of one device
-/// (exposed for the streaming monitor).
-pub fn delta_series_pub(prev: &ServerSample, cur: &ServerSample) -> [f64; N_SERVER_SERIES] {
-    delta_series(prev, cur)
-}
-
-fn delta_series(prev: &ServerSample, cur: &ServerSample) -> [f64; N_SERVER_SERIES] {
+/// Per-second deltas between two consecutive samples of one device.
+pub(crate) fn delta_series(prev: &ServerSample, cur: &ServerSample) -> [f64; N_SERVER_SERIES] {
     let p = &prev.counters;
     let c = &cur.counters;
     [

@@ -4,6 +4,13 @@
 //! streams. This is the train/serve-skew guarantee the whole refactor
 //! exists for: there is one aggregation definition, and whichever way
 //! events reach it, the numbers that come out are the same bits.
+//!
+//! The hand-written event-at-a-time loop below (`stream_trace`) is the
+//! reference the pipeline's own merge is held to. Two more properties
+//! cover the ways that merge is entered: the control tick's pattern
+//! (the same trace ingested in bounded steps) against one whole-trace
+//! ingest, and `run_streams` over a shuffled copy against the sorted
+//! one.
 
 use std::collections::HashMap;
 
@@ -182,7 +189,6 @@ fn assert_client_eq(a: &ClientWindow, b: &ClientWindow) {
     assert_eq!(a.bytes_read, b.bytes_read);
     assert_eq!(a.bytes_written, b.bytes_written);
     assert_eq!(a.io_time, b.io_time);
-    assert_eq!(a.ops, b.ops, "op attribution order diverged");
     assert_eq!(a.per_dev.len(), b.per_dev.len());
     for (x, y) in a.per_dev.iter().zip(&b.per_dev) {
         assert_eq!(
@@ -212,6 +218,102 @@ fn assert_server_eq(a: &ServerWindow, b: &ServerWindow) {
         assert_eq!(x.sum.to_bits(), y.sum.to_bits());
         assert_eq!(x.mean.to_bits(), y.mean.to_bits());
         assert_eq!(x.std.to_bits(), y.std.to_bits());
+    }
+}
+
+/// Two runs of the pipeline emitted the same thing: the same window
+/// indices in the same order, the same client cells and server
+/// statistics, the same feature-block bits. Windows with no content are
+/// left out — a bounded ingest closes quiet windows at its bound that a
+/// whole-trace ingest never sees end.
+fn assert_emitted_eq(a: &[EmittedWindow], b: &[EmittedWindow], cfg: WindowConfig, n_devices: u32) {
+    let fcfg = FeatureConfig::default();
+    let content = |ws: &[EmittedWindow]| -> Vec<usize> {
+        (0..ws.len())
+            .filter(|&i| !ws[i].clients.is_empty() || !ws[i].servers.is_empty())
+            .collect()
+    };
+    let (ia, ib) = (content(a), content(b));
+    assert_eq!(ia.len(), ib.len(), "non-empty window counts differ");
+    for (&i, &j) in ia.iter().zip(&ib) {
+        let (x, y) = (&a[i], &b[j]);
+        assert_eq!(x.window, y.window);
+        assert_eq!(x.clients.len(), y.clients.len());
+        for (app, cw) in &x.clients {
+            assert_client_eq(cw, &y.clients[app]);
+        }
+        assert_eq!(x.servers.len(), y.servers.len());
+        for (dev, sw) in &x.servers {
+            assert_server_eq(sw, &y.servers[dev]);
+        }
+        let bits = |w: &EmittedWindow| -> Vec<(u32, Vec<u32>)> {
+            w.feature_blocks(fcfg, n_devices, cfg.window)
+                .into_iter()
+                .map(|(app, block, _)| (app.0, block.iter().map(|f| f.to_bits()).collect()))
+                .collect()
+        };
+        assert_eq!(
+            bits(x),
+            bits(y),
+            "feature block bits diverged in window {}",
+            x.window
+        );
+    }
+}
+
+/// Put a sample, an RPC and an op on the same instant `t` — the tie
+/// the canonical merge order exists for. The sample repeats device 0's
+/// latest counters, so its delta is zero wherever it lands in the
+/// device's series.
+fn tie_at(trace: &mut RunTrace, t: SimTime) {
+    let mut samples = trace.samples.to_vec();
+    let at = samples.partition_point(|s| s.time <= t);
+    let latest = samples[..at].iter().rev().find(|s| s.dev == DeviceId(0));
+    let tied = ServerSample {
+        time: t,
+        dev: DeviceId(0),
+        counters: latest.map(|s| s.counters).unwrap_or_default(),
+        dirty_bytes: latest.map_or(0, |s| s.dirty_bytes),
+        throttled_now: 0,
+    };
+    samples.insert(at, tied);
+    trace.samples = samples.into_iter().collect();
+    let at = trace.rpcs.partition_point(|r| r.issued <= t);
+    trace.rpcs.insert(
+        at,
+        RpcRecord {
+            app: AppId(1),
+            dev: DeviceId(0),
+            kind: OpKind::Write,
+            bytes: 4096,
+            issued: t,
+        },
+    );
+    let at = trace.ops.partition_point(|o| o.completed <= t);
+    trace.ops.insert(
+        at,
+        OpRecord {
+            token: OpToken {
+                app: AppId(1),
+                rank: 1,
+                seq: 0,
+            },
+            kind: OpKind::Write,
+            bytes: 4096,
+            issued: SimTime(t.as_nanos().saturating_sub(1_000_000)),
+            completed: t,
+        },
+    );
+}
+
+/// A deterministic Fisher–Yates shuffle (the vendored proptest has no
+/// shuffle strategy).
+fn shuffle<T>(xs: &mut [T], mut seed: u64) {
+    for i in (1..xs.len()).rev() {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        xs.swap(i, (seed >> 33) as usize % (i + 1));
     }
 }
 
@@ -260,18 +362,86 @@ proptest! {
                 let mut batch_block = Vec::with_capacity(block.len());
                 for d in 0..n_devices {
                     let dev = DeviceId(d);
-                    batch_block.extend(server_vector(
+                    server_vector(
                         fcfg,
                         client,
                         batch_servers.get(&(dev, ew.window)),
                         dev,
                         cfg.window,
-                    ));
+                        &mut batch_block,
+                    );
                 }
                 let streamed: Vec<u32> = block.iter().map(|f| f.to_bits()).collect();
                 let batched: Vec<u32> = batch_block.iter().map(|f| f.to_bits()).collect();
                 prop_assert_eq!(&streamed, &batched, "feature block bits diverged in window {}", ew.window);
             }
         }
+    }
+
+    /// The control tick's pattern: the trace ingested in bounded steps
+    /// at arbitrary bounds — one of them exactly on a window boundary
+    /// where a sample, an RPC and an op tie — then drained, emits what
+    /// one whole-trace ingest emits, which is what the reference loop
+    /// emits.
+    #[test]
+    fn bounded_steps_match_one_whole_trace_ingest(
+        ops in arb_ops(),
+        cluster in (1u32..4).prop_flat_map(|n| (Just(n), arb_rpcs(n), arb_samples(n))),
+        tie_window in 1u64..8,
+        bounds_ms in prop::collection::vec(0u64..9_000, 0..12),
+    ) {
+        let (n_devices, rpcs, samples) = cluster;
+        let cfg = WindowConfig::seconds(1);
+        let mut trace = build_trace(&ops, &rpcs, &samples);
+        let boundary = cfg.start_of(tie_window);
+        tie_at(&mut trace, boundary);
+        let mut bounds: Vec<SimTime> = bounds_ms.iter().map(|&ms| SimTime::from_millis(ms)).collect();
+        bounds.push(boundary);
+        bounds.sort();
+
+        let fresh = || FeaturePipeline::new(cfg, FeatureConfig::default(), n_devices);
+        let mut whole = fresh();
+        let mut at_once = whole.ingest_trace(&trace).expect("sorted trace");
+        at_once.extend(whole.finish());
+
+        let mut stepped = fresh();
+        let mut in_steps = Vec::new();
+        for &bound in &bounds {
+            let closed = stepped.ingest_until(&trace, bound).expect("sorted trace");
+            for w in &closed {
+                prop_assert!(cfg.start_of(w.window + 1) <= bound, "window {} closed early", w.window);
+            }
+            in_steps.extend(closed);
+        }
+        in_steps.extend(stepped.ingest_trace(&trace).expect("sorted trace"));
+        in_steps.extend(stepped.finish());
+
+        assert_emitted_eq(&in_steps, &at_once, cfg, n_devices);
+        assert_emitted_eq(&at_once, &stream_trace(&trace, cfg, n_devices), cfg, n_devices);
+    }
+
+    /// `run_streams` accepts its streams in any order: a shuffled copy
+    /// emits what the sorted one does (and the sorted one is not copied
+    /// to find that out — see `run_windows_accepts_an_unsorted_trace`).
+    #[test]
+    fn run_streams_over_a_shuffled_copy_equals_the_sorted_one(
+        ops in arb_ops(),
+        cluster in (1u32..4).prop_flat_map(|n| (Just(n), arb_rpcs(n), arb_samples(n))),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (n_devices, rpcs, samples) = cluster;
+        let cfg = WindowConfig::seconds(1);
+        let trace = build_trace(&ops, &rpcs, &samples);
+        let sorted_samples = trace.samples.to_vec();
+        let (mut s_ops, mut s_rpcs, mut s_samples) =
+            (trace.ops.clone(), trace.rpcs.clone(), sorted_samples.clone());
+        shuffle(&mut s_ops, seed);
+        shuffle(&mut s_rpcs, seed ^ 0x9e37_79b9);
+        shuffle(&mut s_samples, seed.rotate_left(17));
+
+        let fresh = || FeaturePipeline::new(cfg, FeatureConfig::default(), n_devices);
+        let sorted = fresh().run_streams(&trace.ops, &trace.rpcs, &sorted_samples);
+        let shuffled = fresh().run_streams(&s_ops, &s_rpcs, &s_samples);
+        assert_emitted_eq(&shuffled, &sorted, cfg, n_devices);
     }
 }

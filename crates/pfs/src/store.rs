@@ -129,6 +129,10 @@ pub struct RleRing {
     recorded: u64,
     live: u64,
     evicted: u64,
+    /// No device's sample times ever went backwards, so the merged
+    /// iteration order is the sorted `(time, device)` order and can be
+    /// walked from either end ([`SampleStore::iter_from`]).
+    time_ordered: bool,
 }
 
 impl RleRing {
@@ -140,6 +144,7 @@ impl RleRing {
             recorded: 0,
             live: 0,
             evicted: 0,
+            time_ordered: true,
         }
     }
 
@@ -152,6 +157,9 @@ impl RleRing {
         let di = s.dev.index();
         if di >= self.tails.len() {
             self.tails.resize(di + 1, None);
+        }
+        if let Some(t) = &self.tails[di] {
+            self.time_ordered &= s.time >= t.time_at(t.count - 1);
         }
         match &mut self.tails[di] {
             Some(t) if t.can_extend(&s) => {
@@ -323,16 +331,30 @@ impl SampleStore {
     /// count every sample ever pushed (evicted ones first). Evicted
     /// history cannot be replayed: a `from` below the eviction count
     /// resumes at the oldest held sample. Incremental readers (the
-    /// control loop) use this to pick up exactly where they left off.
+    /// monitor's bounded ingest) pick up where they left off with this
+    /// every tick, so resuming near the end must not cost the history
+    /// before it: the unbounded store slices, the ring walks back from
+    /// the end when that is the shorter way.
     pub fn iter_from(&self, from: u64) -> SampleIter<'_> {
-        let mut it = self.iter();
         let skip = from.saturating_sub(self.evicted());
-        for _ in 0..skip {
-            if it.next().is_none() {
-                break;
+        match self {
+            SampleStore::Unbounded(v) => {
+                let skip = usize::try_from(skip).map_or(v.len(), |n| n.min(v.len()));
+                SampleIter::Slice(v[skip..].iter())
+            }
+            SampleStore::Ring(r) => {
+                let mut it = self.iter();
+                let rest = (r.len() as u64).saturating_sub(skip);
+                if r.time_ordered && rest < skip {
+                    it.seek_from_end(rest);
+                } else {
+                    for _ in 0..skip.min(r.len() as u64) {
+                        it.next();
+                    }
+                }
+                it
             }
         }
-        it
     }
 
     /// Materialise the held samples in iteration order.
@@ -378,10 +400,57 @@ pub enum SampleIter<'a> {
     },
 }
 
+// Steps taken by sample iterators on this thread: one per `next`, one
+// per sample stepped back over.
+#[cfg(test)]
+thread_local! {
+    static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_step() {
+    #[cfg(test)]
+    STEPS.with(|s| s.set(s.get() + 1));
+}
+
+impl SampleIter<'_> {
+    /// Position a time-ordered merge `rest` samples before its end: park
+    /// every cursor past its device's last segment, then `rest` times
+    /// step back the device whose previous sample has the greatest
+    /// `(time, device)` key — `next` in reverse.
+    fn seek_from_end(&mut self, rest: u64) {
+        let SampleIter::Merge { lists, cursors } = self else {
+            return;
+        };
+        for (cursor, list) in cursors.iter_mut().zip(lists.iter()) {
+            *cursor = (list.len(), 0);
+        }
+        for _ in 0..rest {
+            count_step();
+            let last = cursors
+                .iter()
+                .enumerate()
+                .filter_map(|(d, &(si, off))| {
+                    let (si, off) = match off.checked_sub(1) {
+                        Some(off) => (si, off),
+                        None => (si.checked_sub(1)?, lists[d][si - 1].count - 1),
+                    };
+                    Some((lists[d][si].time_at(off), d, si, off))
+                })
+                .max_by_key(|&(t, d, ..)| (t, d));
+            let Some((_, d, si, off)) = last else {
+                return;
+            };
+            cursors[d] = (si, off);
+        }
+    }
+}
+
 impl Iterator for SampleIter<'_> {
     type Item = ServerSample;
 
     fn next(&mut self) -> Option<ServerSample> {
+        count_step();
         match self {
             SampleIter::Slice(it) => it.next().copied(),
             SampleIter::Merge { lists, cursors } => {
@@ -493,6 +562,72 @@ mod tests {
         assert_eq!(tail, expect[3..]);
         // A cursor pointing into evicted history clamps to oldest held.
         assert_eq!(store.iter_from(2).count(), 5);
+    }
+
+    fn ring_of(stream: &[ServerSample], capacity: usize) -> SampleStore {
+        let mut ring = SampleStore::with_config(TraceStoreConfig::RleRing { capacity });
+        for s in stream {
+            ring.push(*s);
+        }
+        ring
+    }
+
+    #[test]
+    fn iter_from_equals_skipping_at_every_offset() {
+        // Tick-shaped streams (idle, one busy device), devices on
+        // different periods and phases, duplicate timestamps, and a
+        // device whose clock steps back (never walked from the end).
+        let mut uneven = Vec::new();
+        for t in 1..=40u64 {
+            uneven.push(sample(t * 3, 0, t / 7));
+            if t % 2 == 0 {
+                uneven.push(sample(t * 3, 1, 0));
+            }
+            if t % 5 == 0 {
+                uneven.extend([sample(t * 3 + 1, 2, t); 3]);
+            }
+        }
+        let mut backwards = tick_stream(6, 2, Some(0));
+        backwards.push(sample(2, 1, 0));
+        backwards.push(sample(3, 1, 0));
+        for (stream, capacity) in [
+            (tick_stream(25, 3, None), 1024),
+            (tick_stream(25, 3, Some(1)), 1024),
+            (tick_stream(25, 3, Some(1)), 5),
+            (uneven, 1024),
+            (backwards, 1024),
+        ] {
+            let ring = ring_of(&stream, capacity);
+            let held = ring.to_vec();
+            for skip in 0..=held.len() + 1 {
+                let got: Vec<_> = ring.iter_from(ring.evicted() + skip as u64).collect();
+                let want: Vec<_> = held.iter().skip(skip).copied().collect();
+                assert_eq!(got, want, "skip {skip} of {}", held.len());
+            }
+        }
+    }
+
+    #[test]
+    fn iter_from_near_the_end_costs_what_it_yields_not_the_history() {
+        let steps_of = |store: &SampleStore, from: u64| {
+            STEPS.with(|s| s.set(0));
+            let yielded = store.iter_from(from).count() as u64;
+            (yielded, STEPS.with(|s| s.get()))
+        };
+        // One `next` a sample plus the closing `None`; the ring also
+        // steps back over each sample once. 60 000 samples of history,
+        // busy device or all idle, cost nothing.
+        let busy = tick_stream(20_000, 3, Some(2));
+        let unbounded: SampleStore = busy.iter().copied().collect();
+        let end = unbounded.len() as u64;
+        assert_eq!(steps_of(&unbounded, end - 10), (10, 11));
+        assert_eq!(steps_of(&ring_of(&busy, 1 << 16), end - 10), (10, 21));
+        let idle = ring_of(&tick_stream(20_000, 3, None), 16);
+        assert_eq!(idle.storage_cells(), 3);
+        assert_eq!(steps_of(&idle, end - 10), (10, 21));
+        // From the front half the ring steps forward: never more than
+        // twice what it yields.
+        assert_eq!(steps_of(&idle, 100), (end - 100, end + 1));
     }
 
     #[test]

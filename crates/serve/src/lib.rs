@@ -29,8 +29,10 @@
 //! - [`driver`] — replays a finished [`qi_pfs::ops::RunTrace`] through
 //!   the [`qi_monitor::FeaturePipeline`] and a [`ShardedServeEngine`]
 //!   in event-time order, the deterministic stand-in for a live metric
-//!   stream. The pipeline configuration is derived from the registry's
-//!   expected schema, so replay and validation can never disagree.
+//!   stream. [`WindowFeed`] derives the pipeline from the registry's
+//!   expected schema and shape, and turns each emitted window into
+//!   requests — for the replay and for the online control loop alike —
+//!   so serving and validation can never disagree.
 //!
 //! Determinism argument: no wall clock is ever read — arrival times,
 //! batch-delay deadlines, admission grants, and the modelled inference
@@ -50,7 +52,7 @@ pub mod engine;
 pub mod registry;
 pub mod sharded;
 
-pub use driver::{replay_trace, ReplaySummary};
+pub use driver::{replay_trace, ReplaySummary, WindowFeed};
 pub use engine::{Admission, OverloadPolicy, PredictRequest, Prediction, ServeConfig};
 pub use registry::ModelRegistry;
 pub use sharded::{shard_of_tenant, ShardWorker, ShardedServeEngine};

@@ -1,10 +1,10 @@
 //! Drive the *streaming* feature pipeline the way the deployed
-//! framework would: events flow in time order, windows are emitted the
-//! moment they can no longer change, and each emitted window is
-//! immediately classified by the trained predictor — the online loop of
-//! the paper's Figure 2. The pipeline here is the very same code batch
-//! dataset generation runs, so what the model sees online is what it
-//! was trained on.
+//! framework would: the trace is read a window boundary at a time,
+//! windows are emitted the moment they can no longer change, and each
+//! emitted window is classified by the trained predictor — the online
+//! loop of the paper's Figure 2. The pipeline here is the very same
+//! code batch dataset generation runs, so what the model sees online is
+//! what it was trained on.
 //!
 //! ```sh
 //! cargo run --release --example streaming_windows
@@ -41,13 +41,22 @@ fn main() -> Result<(), QiError> {
     let (app, trace) = scenario.run()?;
     let n_devices = scenario.cluster.n_devices();
 
-    // 3. Stream the trace through the pipeline in event-time order. The
-    //    pipeline merges ops (by completion), RPCs (by issue), and
-    //    server samples (by sample time) internally and emits every
-    //    window the instant its close time passes the watermark.
+    // 3. Follow the trace the way the control loop's tick does: at each
+    //    window boundary, ingest what happened up to it. The pipeline
+    //    merges ops (by completion), RPCs (by issue) and server samples
+    //    (by sample time) itself and hands back every window that
+    //    closed; the last call drains what the last boundary left.
     let mut pipeline = FeaturePipeline::new(spec.window, spec.features, n_devices);
     println!("pipeline schema: {}", pipeline.schema());
-    let mut emitted: Vec<EmittedWindow> = pipeline.ingest_trace(&trace)?;
+    let last = trace
+        .ops
+        .last()
+        .map_or(0, |o| spec.window.index_of(o.completed));
+    let mut emitted: Vec<EmittedWindow> = Vec::new();
+    for w in 1..=last {
+        emitted.extend(pipeline.ingest_until(&trace, spec.window.start_of(w))?);
+    }
+    emitted.extend(pipeline.ingest_trace(&trace)?);
     emitted.extend(pipeline.finish());
     println!(
         "streamed {} ops, {} rpcs, {} samples -> {} finalized windows",

@@ -17,6 +17,7 @@ def dp(n): . * pow(10; n) | round / pow(10; n);
   + " | \(layer("sim_big_sharded"; "pfs.parsim.speedup") | dp(3))"
   + " | \(layer("paper_grid"; "rayon.join_us") | dp(1))"
   + " | \(layer("paper_grid"; "core.generate.pool_efficiency") | dp(3))"
+  + " | \(layer("paper_grid"; "monitor.ns_per_record") | dp(1))"
   + " | \(layer("serve_stream"; "serve.workers2.speedup") | dp(3))"
   + " | \(layer("paper_grid"; "control.tick_us_per_window") | dp(2))"
   + " | \(layer("paper_grid"; "ml.f1_binary") | dp(4)) |",

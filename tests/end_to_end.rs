@@ -212,12 +212,13 @@ fn feature_blocks_have_stable_shape_across_runs() {
             ranks: 2,
         });
     let (app, trace) = scenario.run().expect("scenario runs");
-    let vecs = window_vectors(
+    let vecs = window_vectors_with(
         &trace,
         app,
         spec.window,
         spec.features,
         scenario.cluster.n_devices(),
+        spec.imputation,
     );
     assert!(!vecs.is_empty());
     let expect = scenario.cluster.n_devices() as usize * spec.features.len();

@@ -142,7 +142,7 @@ proptest! {
         let wcfg = WindowConfig {
             window: qi_simkit::SimDuration::from_millis(window_ms),
         };
-        let vecs = window_vectors(&trace, app, wcfg, FeatureConfig::default(), s.cluster.n_devices());
+        let vecs = window_vectors_with(&trace, app, wcfg, FeatureConfig::default(), s.cluster.n_devices(), Imputation::Zero);
         for v in vecs.values() {
             prop_assert!(v.iter().all(|x| x.is_finite()));
         }
