@@ -9,7 +9,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qi_ml::data::Dataset;
-use qi_ml::metrics::ConfusionMatrix;
 use qi_ml::train::TrainedModel;
 use qi_monitor::features::{feature_names, FeatureConfig};
 use qi_simkit::error::QiError;
@@ -39,19 +38,6 @@ impl FeatureImportance {
     }
 }
 
-fn f1_of(model: &mut TrainedModel, data: &Dataset) -> f64 {
-    let preds = model.predict(data);
-    let mut cm = ConfusionMatrix::new(model.n_classes());
-    for (&actual, pred) in data.y.iter().zip(preds) {
-        cm.record(actual, pred);
-    }
-    if cm.n_classes() == 2 {
-        cm.f1_positive()
-    } else {
-        cm.macro_f1()
-    }
-}
-
 /// Compute permutation importance of every per-server feature on `data`
 /// (typically the held-out test set), averaging over `repeats`
 /// permutations per feature.
@@ -75,7 +61,7 @@ pub fn permutation_importance(
             got: data.n_features(),
         });
     }
-    let base_f1 = f1_of(model, data);
+    let base_f1 = model.evaluate(data).headline_f1();
     let rows = data.x.rows();
     let mut drops = Vec::with_capacity(names.len());
     for f in 0..names.len() {
@@ -93,7 +79,7 @@ pub fn permutation_importance(
                 shuffled.x.set(i, f, b);
                 shuffled.x.set(j, f, a);
             }
-            total_drop += base_f1 - f1_of(model, &shuffled);
+            total_drop += base_f1 - model.evaluate(&shuffled).headline_f1();
         }
         drops.push(total_drop / repeats as f64);
     }
@@ -150,7 +136,7 @@ mod tests {
         // Can't use the real schema (widths differ); call the internals
         // directly instead with handmade names.
         let names: Vec<String> = (0..4).map(|i| format!("f{i}")).collect();
-        let base = f1_of(&mut model, &data);
+        let base = model.evaluate(&data).headline_f1();
         assert!(base > 0.95, "model failed to learn: {base}");
         // Permute each column by hand and compare drops.
         let mut drops = Vec::new();
@@ -164,7 +150,7 @@ mod tests {
                 shuffled.x.set(i, f, b);
                 shuffled.x.set(j, f, a);
             }
-            drops.push(base - f1_of(&mut model, &shuffled));
+            drops.push(base - model.evaluate(&shuffled).headline_f1());
         }
         let _ = (names, fake_cfg);
         let max_noise = drops[1..].iter().cloned().fold(f64::MIN, f64::max);

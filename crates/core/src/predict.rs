@@ -208,7 +208,7 @@ impl EvalReport {
         let counter = |n: usize| MetricValue::Counter(n as u64);
         metrics.put("ml.eval.accuracy", MetricValue::Gauge(cm.accuracy()));
         metrics.put("ml.eval.macro_f1", MetricValue::Gauge(cm.macro_f1()));
-        metrics.put("ml.eval.headline_f1", MetricValue::Gauge(headline_f1(&cm)));
+        metrics.put("ml.eval.headline_f1", MetricValue::Gauge(cm.headline_f1()));
         metrics.put("ml.eval.train_samples", counter(split.train.len()));
         metrics.put("ml.eval.test_samples", counter(split.test.len()));
         metrics.put("ml.eval.test_rows_in_train", counter(test_rows_in_train));
@@ -226,23 +226,16 @@ impl EvalReport {
         }
     }
 
-    /// Positive-class F1 (binary) or macro-F1 (multi-class).
+    /// Positive-class F1 (binary) or macro-F1 (multi-class):
+    /// [`qi_ml::metrics::ConfusionMatrix::headline_f1`] of the test set.
     pub fn headline_f1(&self) -> f64 {
-        headline_f1(&self.cm)
+        self.cm.headline_f1()
     }
 
     /// Render the confusion matrix with its labels.
     pub fn render(&self) -> String {
         let labels: Vec<&str> = self.labels.iter().map(String::as_str).collect();
         self.cm.render(&labels)
-    }
-}
-
-fn headline_f1(cm: &qi_ml::metrics::ConfusionMatrix) -> f64 {
-    if cm.n_classes() == 2 {
-        cm.f1_positive()
-    } else {
-        cm.macro_f1()
     }
 }
 

@@ -2,7 +2,8 @@
 //! work ("we plan to further investigate other possible network
 //! architectures, such as transformers", §VI), implemented as an
 //! extension and compared against the kernel network in
-//! `ablation_model_extensions`.
+//! `ablation_model_extensions`. [`train_attention`] fits it through the
+//! kernel network's own loop and protocol.
 //!
 //! Architecture: each server's feature vector is embedded into `d_model`
 //! dims by a shared dense layer, one single-head scaled-dot-product
@@ -12,14 +13,19 @@
 //! every parameter is shared across server positions, so the model stays
 //! permutation-aware rather than slot-bound.
 
+use qi_simkit::error::QiError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::data::{Dataset, Standardizer};
 use crate::layers::{Dense, Mlp};
 use crate::matrix::Matrix;
+use crate::metrics::ConfusionMatrix;
 use crate::optim::Adam;
+use crate::train::{check_fit, fit_classifier, TrainConfig};
 
 /// Single-head self-attention interference classifier.
+#[derive(Clone)]
 pub struct AttentionNet {
     embed: Dense,
     wq: Dense,
@@ -32,14 +38,13 @@ pub struct AttentionNet {
     cache: Option<Cache>,
 }
 
+#[derive(Clone)]
 struct Cache {
     batch: usize,
-    embedded: Matrix, // (B*S) × d
-    q: Matrix,        // (B*S) × d
+    q: Matrix, // (B*S) × d
     k: Matrix,
     v: Matrix,
     attn: Vec<Matrix>, // per sample: S × S softmaxed scores
-    pooled: Matrix,    // B × d
 }
 
 impl AttentionNet {
@@ -118,12 +123,10 @@ impl AttentionNet {
         let logits = self.head.forward(&pooled);
         self.cache = Some(Cache {
             batch,
-            embedded,
             q,
             k,
             v,
             attn,
-            pooled,
         });
         logits
     }
@@ -189,8 +192,6 @@ impl AttentionNet {
         }
         // The embedding is the first layer: dL/dx has no reader.
         self.embed.backward_params(&d_emb);
-        // Silence unused warnings for fields retained for inspection.
-        let _ = (&cache.embedded, &cache.pooled);
     }
 
     /// Apply accumulated gradients via Adam.
@@ -209,6 +210,70 @@ impl AttentionNet {
     pub fn last_attention(&self, sample: usize) -> Option<&Matrix> {
         self.cache.as_ref().and_then(|c| c.attn.get(sample))
     }
+}
+
+/// An attention classifier [`train_attention`] fitted, with the
+/// standardiser fitted on its training data: apply to raw features.
+pub struct AttentionModel {
+    net: AttentionNet,
+    standardizer: Standardizer,
+    /// Mean training loss per epoch.
+    pub loss_curve: Vec<f32>,
+    /// Validation loss per epoch when early stopping was enabled.
+    pub val_curve: Vec<f32>,
+}
+
+impl AttentionModel {
+    /// `samples × n_classes` logits for every sample of `data`.
+    pub fn logits(&mut self, data: &Dataset) -> Matrix {
+        self.net.forward(&self.standardizer.apply(data).x)
+    }
+
+    /// The confusion matrix on the labelled `data`.
+    pub fn evaluate(&mut self, data: &Dataset) -> ConfusionMatrix {
+        let logits = self.logits(data);
+        let mut cm = ConfusionMatrix::new(self.net.n_classes());
+        for (r, &actual) in data.y.iter().enumerate() {
+            cm.record_logits(actual, logits.row(r));
+        }
+        cm
+    }
+}
+
+/// Fit an attention classifier (`d_model` wide, head hidden widths
+/// `head_hidden`) by [`crate::train::train`]'s protocol: its loop, class
+/// weighting and early stopping. Errors with [`QiError::Config`],
+/// naming the field, on an input [`crate::train::train_with_schema`]
+/// rejects, a zero `d_model`, or fewer than two classes.
+pub fn train_attention(
+    train_set: &Dataset,
+    cfg: &TrainConfig,
+    d_model: usize,
+    head_hidden: &[usize],
+) -> Result<AttentionModel, QiError> {
+    check_fit(train_set, cfg)?;
+    if d_model == 0 || cfg.n_classes < 2 {
+        return Err(QiError::Config(format!(
+            "attention needs d_model >= 1 and TrainConfig.n_classes >= 2, got {d_model} and {}",
+            cfg.n_classes
+        )));
+    }
+    let (net, standardizer, log) = fit_classifier(train_set, cfg, 0xA77, |set| {
+        AttentionNet::new(
+            set.n_features(),
+            set.n_servers,
+            d_model,
+            head_hidden,
+            cfg.n_classes,
+            cfg.seed,
+        )
+    });
+    Ok(AttentionModel {
+        net,
+        standardizer,
+        loss_curve: log.loss_curve,
+        val_curve: log.val_curve,
+    })
 }
 
 #[cfg(test)]
@@ -309,5 +374,82 @@ mod tests {
             net.forward(&x).data().to_vec()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Label = "server 0 is hot", two servers of two features.
+    fn hot_set(n: usize) -> Dataset {
+        let samples = (0..n)
+            .map(|i| {
+                let hot = if i % 2 == 0 { 3.0 } else { 0.0 };
+                vec![hot + (i % 5) as f32 * 0.1, 0.5, (i % 3) as f32 * 0.2, 1.0]
+            })
+            .collect();
+        Dataset::from_samples(
+            samples,
+            (0..n).map(|i| usize::from(i % 2 == 0)).collect(),
+            2,
+        )
+    }
+
+    #[test]
+    fn train_attention_early_stops_through_the_shared_loop() {
+        let cfg = TrainConfig {
+            epochs: 40,
+            batch: 16,
+            early_stop: Some(crate::train::EarlyStop {
+                patience: 3,
+                val_fraction: 0.25,
+            }),
+            ..TrainConfig::default()
+        };
+        let mut model = train_attention(&hot_set(80), &cfg, 8, &[8]).expect("valid fit");
+        assert_eq!(model.val_curve.len(), model.loss_curve.len());
+        assert!(!model.loss_curve.is_empty());
+        assert!(model.evaluate(&hot_set(40)).accuracy() > 0.9);
+    }
+
+    #[test]
+    fn train_attention_names_the_bad_field_instead_of_panicking() {
+        let data = hot_set(20);
+        let base = TrainConfig {
+            epochs: 1,
+            ..TrainConfig::default()
+        };
+        let config_err =
+            |set: &Dataset, cfg: TrainConfig, d_model: usize, names: &str| match train_attention(
+                set,
+                &cfg,
+                d_model,
+                &[4],
+            ) {
+                Err(QiError::Config(msg)) => assert!(msg.contains(names), "{msg}"),
+                Err(other) => panic!("expected a Config error naming {names}, got {other}"),
+                Ok(_) => panic!("expected a Config error naming {names}, got a model"),
+            };
+        let empty = Dataset {
+            x: Matrix::zeros(0, 2),
+            y: Vec::new(),
+            n_servers: 2,
+        };
+        config_err(&empty, base.clone(), 4, "no samples");
+        let zero_batch = TrainConfig {
+            batch: 0,
+            ..base.clone()
+        };
+        config_err(&data, zero_batch, 4, "TrainConfig.batch");
+        let one_class = TrainConfig {
+            n_classes: 1,
+            ..base.clone()
+        };
+        config_err(&data, one_class, 4, "TrainConfig.n_classes");
+        let bad_val = TrainConfig {
+            early_stop: Some(crate::train::EarlyStop {
+                patience: 2,
+                val_fraction: 1.0,
+            }),
+            ..base.clone()
+        };
+        config_err(&data, bad_val, 4, "early_stop.val_fraction");
+        config_err(&data, base, 0, "d_model");
     }
 }

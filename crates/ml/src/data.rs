@@ -98,11 +98,7 @@ impl Dataset {
     pub fn split_indices(&self, test_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
         assert!((0.0..1.0).contains(&test_fraction));
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for i in (1..idx.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            idx.swap(i, j);
-        }
+        shuffle(&mut idx, &mut StdRng::seed_from_u64(seed));
         let n_test = ((self.len() as f64) * test_fraction).round() as usize;
         let n_test = n_test.clamp(1, self.len().saturating_sub(1).max(1));
         let train_idx = idx.split_off(n_test);
@@ -114,6 +110,15 @@ impl Dataset {
     pub fn split(&self, test_fraction: f64, seed: u64) -> (Dataset, Dataset) {
         let (train_idx, test_idx) = self.split_indices(test_fraction, seed);
         (self.subset(&train_idx), self.subset(&test_idx))
+    }
+}
+
+/// The crate's one Fisher–Yates: every epoch of the training loop and
+/// every [`Dataset::split_indices`] draw their order through it.
+pub(crate) fn shuffle(order: &mut [usize], rng: &mut StdRng) {
+    for i in (1..order.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        order.swap(i, j);
     }
 }
 
@@ -161,11 +166,36 @@ impl Standardizer {
         }
     }
 
+    /// Fit on `data`; returns the standardiser and `data` standardised:
+    /// the step every fit starts with.
+    pub fn fit_apply(data: &Dataset) -> (Self, Dataset) {
+        let st = Standardizer::fit(&data.x);
+        let standardized = st.apply(data);
+        (st, standardized)
+    }
+
+    /// A standardised copy of `data`.
+    pub fn apply(&self, data: &Dataset) -> Dataset {
+        let mut x = data.x.clone();
+        self.transform(&mut x);
+        Dataset {
+            x,
+            y: data.y.clone(),
+            n_servers: data.n_servers,
+        }
+    }
+
     /// Transform a matrix in place.
     pub fn transform(&self, x: &mut Matrix) {
         assert_eq!(x.cols(), self.mean.len());
-        for r in 0..x.rows() {
-            let row = x.row_mut(r);
+        self.transform_rows(x.data_mut());
+    }
+
+    /// The z-score `(v - mean) / std`, in place, of every value of the
+    /// row-major rows in `x`: the one expression training, evaluation
+    /// and serving standardise through.
+    pub(crate) fn transform_rows(&self, x: &mut [f32]) {
+        for row in x.chunks_exact_mut(self.mean.len().max(1)) {
             for ((v, &m), &s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
                 *v = (*v - m) / s;
             }

@@ -17,9 +17,8 @@
 //!   row fetched from cache is used twice.
 //! - [`InferScratch`] — caller-owned ping-pong activation buffers. One
 //!   scratch per serving shard; capacity grows to the largest batch seen
-//!   and is reused forever after.
-//! - [`standardize_into`] — the z-score transform written into a scratch
-//!   buffer instead of a cloned `Matrix`.
+//!   and is reused forever after; `predict_batch_into` stages the
+//!   input in it and standardises it there.
 //! - [`argmax_row`] — the crate's one argmax, total over every `f32`
 //!   row: a NaN among the logits (an `inf` feature can put `inf − inf`
 //!   into the last layer) loses to every number instead of panicking.
@@ -39,7 +38,8 @@
 /// these across batches removes every per-batch allocation from serving.
 #[derive(Default)]
 pub struct InferScratch {
-    /// Standardized input staging (written by [`standardize_into`]).
+    /// Standardized input staging (see
+    /// [`crate::train::TrainedModel::predict_batch_into`]).
     pub(crate) x: Vec<f32>,
     pub(crate) a: Vec<f32>,
     pub(crate) b: Vec<f32>,
@@ -49,28 +49,6 @@ impl InferScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         InferScratch::default()
-    }
-}
-
-/// Z-score standardisation into `out`: element-for-element the same
-/// `(v - mean) / std` the training-side `Standardizer::transform`
-/// computes, so the two paths see bit-identical standardized inputs.
-pub(crate) fn standardize_into(
-    x: &[f32],
-    cols: usize,
-    mean: &[f32],
-    std: &[f32],
-    out: &mut Vec<f32>,
-) {
-    debug_assert_eq!(mean.len(), cols);
-    debug_assert_eq!(std.len(), cols);
-    debug_assert_eq!(x.len() % cols, 0);
-    out.clear();
-    out.reserve(x.len());
-    for row in x.chunks_exact(cols) {
-        for ((&v, &m), &s) in row.iter().zip(mean).zip(std) {
-            out.push((v - m) / s);
-        }
     }
 }
 
@@ -330,8 +308,8 @@ mod tests {
         let st = Standardizer::fit(&m);
         let mut viamatrix = m.clone();
         st.transform(&mut viamatrix);
-        let mut out = Vec::new();
-        standardize_into(&x, 4, st.mean(), st.std(), &mut out);
+        let mut out = x.clone();
+        st.transform_rows(&mut out);
         assert_eq!(out, viamatrix.data());
     }
 

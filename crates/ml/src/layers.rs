@@ -62,18 +62,24 @@ impl Dense {
     /// ReLU clamp when `relu`; keeps the input for backprop.
     pub fn forward(&mut self, x: &Matrix, relu: bool) -> Matrix {
         let mut y = Vec::new();
+        self.fused(x.data(), x.rows(), relu, &mut y);
+        self.input = Some(x.clone());
+        Matrix::from_vec(x.rows(), self.outputs(), y)
+    }
+
+    /// `act(x·W + b)` over `rows` row-major rows of `x`, into `out`:
+    /// the one call into [`dense_fused`] every forward makes.
+    fn fused(&self, x: &[f32], rows: usize, relu: bool, out: &mut Vec<f32>) {
         dense_fused(
-            x.data(),
-            x.rows(),
+            x,
+            rows,
             self.inputs(),
             self.w.data(),
             self.outputs(),
             &self.b,
             relu,
-            &mut y,
+            out,
         );
-        self.input = Some(x.clone());
-        Matrix::from_vec(x.rows(), self.outputs(), y)
     }
 
     /// Parameter gradients from dL/dy (the pre-activation gradient),
@@ -182,47 +188,25 @@ impl Mlp {
         scratch: &'s mut InferScratch,
     ) -> &'s [f32] {
         let InferScratch { a, b, .. } = scratch;
-        self.forward_into_bufs(x, rows, a, b)
+        self.forward_into_bufs(x, rows, a, b).0
     }
 
     /// [`Mlp::forward_into`] over explicit ping-pong buffers, so callers
     /// holding a destructured [`InferScratch`] (e.g. to keep `x` staged)
-    /// can chain through the same allocation.
+    /// can chain through the same allocation: the first layer reads `x`
+    /// into `a`, the rest run the [`chain`]. Returns the buffer holding
+    /// the output, then the free one.
     pub(crate) fn forward_into_bufs<'s>(
         &self,
         x: &[f32],
         rows: usize,
         a: &'s mut Vec<f32>,
         b: &'s mut Vec<f32>,
-    ) -> &'s [f32] {
+    ) -> (&'s mut Vec<f32>, &'s mut Vec<f32>) {
         assert_eq!(x.len(), rows * self.inputs(), "input shape mismatch");
-        let n = self.layers.len();
-        let l0 = &self.layers[0];
-        dense_fused(
-            x,
-            rows,
-            l0.inputs(),
-            l0.w.data(),
-            l0.outputs(),
-            &l0.b,
-            n > 1,
-            a,
-        );
-        let (mut cur, mut nxt) = (a, b);
-        for (i, l) in self.layers.iter().enumerate().skip(1) {
-            dense_fused(
-                cur,
-                rows,
-                l.inputs(),
-                l.w.data(),
-                l.outputs(),
-                &l.b,
-                i + 1 < n,
-                nxt,
-            );
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        cur
+        let (first, rest) = self.layers.split_first().expect("non-empty");
+        first.fused(x, rows, !rest.is_empty(), a);
+        chain(rest, rows, a, b)
     }
 
     /// Backward pass from dL/dy: parameter gradients in every layer;
@@ -299,6 +283,25 @@ impl Mlp {
         }
         Mlp { layers }
     }
+}
+
+/// The layer chain every immutable forward runs: each of `layers` reads
+/// `cur` (`rows` rows) and writes `nxt`, then the two swap, with ReLU
+/// after every layer but the last. Returns the buffer holding the
+/// output, then the free one, so a second network can continue from
+/// where the first stopped (the kernel network's head after its kernel).
+pub(crate) fn chain<'s>(
+    layers: &[Dense],
+    rows: usize,
+    mut cur: &'s mut Vec<f32>,
+    mut nxt: &'s mut Vec<f32>,
+) -> (&'s mut Vec<f32>, &'s mut Vec<f32>) {
+    let n = layers.len();
+    for (i, l) in layers.iter().enumerate() {
+        l.fused(cur, rows, i + 1 < n, nxt);
+        std::mem::swap(&mut cur, &mut nxt);
+    }
+    (cur, nxt)
 }
 
 #[cfg(test)]

@@ -20,10 +20,13 @@
 //!   epilogue) that training, `predict*` and serving all run, the
 //!   allocation-free serving plumbing around it, and the total argmax.
 //! - [`loss`] — weighted softmax cross-entropy.
-//! - [`optim`] — Adam and SGD.
+//! - [`optim`] — Adam.
 //! - [`model`] — the kernel-based network.
 //! - [`data`] — datasets, 80/20 splits, z-score standardisation.
-//! - [`train`] — the training loop.
+//! - [`train`] — the one minibatch loop and its three callers: the
+//!   kernel classifier ([`train::train`]), the level regressor
+//!   ([`regress::train_regression`]) and the attention extension
+//!   ([`attention::train_attention`]).
 //! - [`metrics`] — confusion matrices, precision/recall/F1.
 
 pub mod anomaly;
@@ -41,14 +44,14 @@ pub mod serialize;
 pub mod train;
 
 pub use anomaly::{AnomalyScorer, AnomalyVerdict, ForestConfig, IsolationForest};
-pub use attention::AttentionNet;
+pub use attention::{train_attention, AttentionModel, AttentionNet};
 pub use data::{Dataset, Standardizer};
 pub use infer::InferScratch;
-pub use loss::{inverse_frequency_weights, softmax, softmax_cross_entropy};
+pub use loss::{softmax, softmax_cross_entropy, tempered_frequency_weights};
 pub use matrix::Matrix;
 pub use metrics::ConfusionMatrix;
 pub use model::KernelNet;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use regress::{mse_loss, train_regression, RegressionModel};
 pub use serialize::{load_model, model_from_text, model_to_text, save_model, ModelParseError};
 pub use train::{train, TrainConfig, TrainedModel};

@@ -51,11 +51,6 @@ pub fn softmax_cross_entropy(
     (loss / n, grad)
 }
 
-/// Inverse-frequency class weights, normalised to mean 1.
-pub fn inverse_frequency_weights(labels: &[usize], n_classes: usize) -> Vec<f32> {
-    tempered_frequency_weights(labels, n_classes, 1.0)
-}
-
 /// Class weights proportional to `(1 / frequency)^exponent`, normalised
 /// to mean 1 over the classes present. `exponent = 1` is full
 /// inverse-frequency weighting; `0.5` tempers it (full weighting
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn inverse_frequency_prefers_rare_class() {
         let labels = [0, 0, 0, 0, 0, 0, 1, 1];
-        let w = inverse_frequency_weights(&labels, 2);
+        let w = tempered_frequency_weights(&labels, 2, 1.0);
         assert!(w[1] > w[0]);
         let mean = (w[0] + w[1]) / 2.0;
         assert!((mean - 1.0).abs() < 1e-6);
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn missing_class_gets_zero_weight() {
         let labels = [0, 0, 2];
-        let w = inverse_frequency_weights(&labels, 3);
+        let w = tempered_frequency_weights(&labels, 3, 1.0);
         assert_eq!(w[1], 0.0);
         assert!(w[0] > 0.0 && w[2] > 0.0);
     }

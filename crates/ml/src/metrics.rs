@@ -122,6 +122,16 @@ impl ConfusionMatrix {
         self.f1(1)
     }
 
+    /// The score the paper's figures headline: positive-class F1 for a
+    /// binary matrix, macro-F1 otherwise.
+    pub fn headline_f1(&self) -> f64 {
+        if self.n == 2 {
+            self.f1_positive()
+        } else {
+            self.macro_f1()
+        }
+    }
+
     /// Binary-classification counts `(tn, fp, fn, tp)`.
     pub fn binary_counts(&self) -> (u64, u64, u64, u64) {
         assert_eq!(self.n, 2, "binary_counts on a multi-class matrix");
@@ -293,6 +303,21 @@ mod tests {
         assert_eq!(cm.f1_positive(), 0.0);
         assert!((cm.accuracy() - 0.5).abs() < 1e-12);
         assert!(cm.macro_f1().is_finite());
+    }
+
+    #[test]
+    fn the_headline_is_positive_f1_when_binary_and_macro_f1_otherwise() {
+        let binary = sample_cm();
+        assert_eq!(binary.headline_f1(), binary.f1_positive());
+        assert_ne!(binary.headline_f1(), binary.macro_f1());
+        let mut three = ConfusionMatrix::new(3);
+        for (a, p) in [(0, 0), (0, 1), (1, 1), (2, 2), (2, 2), (2, 1)] {
+            three.record(a, p);
+        }
+        assert_eq!(three.headline_f1(), three.macro_f1());
+        assert_ne!(three.headline_f1(), three.f1_positive());
+        assert_eq!(ConfusionMatrix::new(2).headline_f1(), 0.0);
+        assert_eq!(ConfusionMatrix::new(3).headline_f1(), 0.0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::infer::{dense_fused, InferScratch};
-use crate::layers::Mlp;
+use crate::infer::InferScratch;
+use crate::layers::{chain, Mlp};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 
@@ -105,11 +105,11 @@ impl KernelNet {
         self.forward_into_bufs(x, rows, a, b)
     }
 
-    /// [`KernelNet::forward_into`] over explicit ping-pong buffers.
-    /// The kernel MLP's `(batch*S) × 1` output re-reads in place as the
-    /// head's `batch × S` input (both row-major), so the whole network
-    /// runs as one fused layer chain across two buffers with no
-    /// reshape copy.
+    /// [`KernelNet::forward_into`] over explicit ping-pong buffers: the
+    /// kernel MLP, then the head's layers continuing the same [`chain`]
+    /// from the buffer the kernel left. The kernel's `(batch*S) × 1`
+    /// output re-reads in place as the head's `batch × S` input (both
+    /// row-major), so there is no reshape copy.
     pub(crate) fn forward_into_bufs<'s>(
         &self,
         x: &[f32],
@@ -118,51 +118,8 @@ impl KernelNet {
         b: &'s mut Vec<f32>,
     ) -> &'s [f32] {
         assert_eq!(rows % self.n_servers, 0, "rows not a multiple of n_servers");
-        assert_eq!(x.len(), rows * self.n_features(), "input shape mismatch");
-        let batch = rows / self.n_servers;
-        let kl = self.kernel.layers();
-        let nk = kl.len();
-        let l0 = &kl[0];
-        dense_fused(
-            x,
-            rows,
-            l0.inputs(),
-            l0.weights().data(),
-            l0.outputs(),
-            l0.bias(),
-            nk > 1,
-            a,
-        );
-        let (mut cur, mut nxt) = (a, b);
-        for (i, l) in kl.iter().enumerate().skip(1) {
-            dense_fused(
-                cur,
-                rows,
-                l.inputs(),
-                l.weights().data(),
-                l.outputs(),
-                l.bias(),
-                i + 1 < nk,
-                nxt,
-            );
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        let hl = self.head.layers();
-        let nh = hl.len();
-        for (i, l) in hl.iter().enumerate() {
-            dense_fused(
-                cur,
-                batch,
-                l.inputs(),
-                l.weights().data(),
-                l.outputs(),
-                l.bias(),
-                i + 1 < nh,
-                nxt,
-            );
-            std::mem::swap(&mut cur, &mut nxt);
-        }
-        cur
+        let (scores, free) = self.kernel.forward_into_bufs(x, rows, a, b);
+        chain(self.head.layers(), rows / self.n_servers, scores, free).0
     }
 
     /// Backward from dL/dlogits; accumulates gradients in both MLPs.

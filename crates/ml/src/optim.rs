@@ -1,4 +1,4 @@
-//! Optimizers: Adam (the default) and plain SGD for ablations.
+//! The optimizer: Adam, which every fit steps through.
 
 /// Adam with bias correction. State for each parameter tensor is created
 /// lazily and keyed by a caller-provided stable slot index.
@@ -65,26 +65,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD (used by the optimizer ablation).
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with a fixed learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Update `param` in place.
-    pub fn step(&self, param: &mut [f32], grad: &[f32]) {
-        assert_eq!(param.len(), grad.len());
-        for (p, &g) in param.iter_mut().zip(grad) {
-            *p -= self.lr * g;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,14 +98,6 @@ mod tests {
         for &x in &b {
             assert!((x - 5.0).abs() < 1e-2);
         }
-    }
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut x = vec![1.0f32];
-        let sgd = Sgd::new(0.5);
-        sgd.step(&mut x, &[2.0]);
-        assert_eq!(x[0], 0.0);
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! predict the exact slowdown ratio", §IV-A). This module implements the
 //! alternative so the design choice can be quantified: a kernel network
 //! with a single linear output trained on `ln(level)` with MSE, whose
-//! predictions can be thresholded back into the paper's bins. The
-//! `ablation_model_extensions` bench compares both.
+//! predictions can be thresholded back into the paper's bins. It fits
+//! through the crate's one minibatch loop (`train::fit`, the
+//! classifier's), with MSE in place of cross-entropy; the
+//! `ablation_model_extensions` experiment compares both.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use qi_simkit::error::QiError;
 
 use crate::data::{Dataset, Standardizer};
 use crate::matrix::Matrix;
 use crate::model::KernelNet;
-use crate::optim::Adam;
-use crate::train::TrainConfig;
+use crate::train::{check_fit, fit, TrainConfig};
 
 /// Mean-squared-error loss and gradient for a single-output prediction.
 pub fn mse_loss(pred: &Matrix, targets: &[f32]) -> (f32, Matrix) {
@@ -43,9 +43,7 @@ pub struct RegressionModel {
 impl RegressionModel {
     /// Predict the degradation level (≥ ~0) for every sample of `data`.
     pub fn predict_levels(&mut self, data: &Dataset) -> Vec<f64> {
-        let mut x = data.x.clone();
-        self.standardizer.transform(&mut x);
-        let out = self.net.forward(&x);
+        let out = self.net.forward(&self.standardizer.apply(data).x);
         (0..out.rows())
             .map(|r| (out.get(r, 0) as f64).exp())
             .collect()
@@ -53,65 +51,52 @@ impl RegressionModel {
 }
 
 /// Train a level regressor on `data` with per-sample raw degradation
-/// `levels` (the pre-binning values from dataset generation). Targets
-/// are log-transformed: levels span 1x to 40x+, and the log keeps the
-/// loss from being dominated by the extreme tail.
-pub fn train_regression(data: &Dataset, levels: &[f64], cfg: &TrainConfig) -> RegressionModel {
-    assert_eq!(data.len(), levels.len());
-    assert!(!data.is_empty());
-    let standardizer = Standardizer::fit(&data.x);
-    let mut x = data.x.clone();
-    standardizer.transform(&mut x);
-    let std_data = Dataset {
-        x,
-        y: data.y.clone(),
-        n_servers: data.n_servers,
-    };
+/// `levels` (the pre-binning values from dataset generation), on
+/// `ln(level)`: levels span 1x to 40x+, and the log keeps the loss from
+/// being dominated by the extreme tail. `cfg.early_stop` and
+/// `cfg.class_weight_exponent` do not apply. Errors with
+/// [`QiError::Config`], naming the field, on a level count other than
+/// the sample count or an input every fit rejects.
+pub fn train_regression(
+    data: &Dataset,
+    levels: &[f64],
+    cfg: &TrainConfig,
+) -> Result<RegressionModel, QiError> {
+    check_fit(data, cfg)?;
+    if levels.len() != data.len() {
+        return Err(QiError::Config(format!(
+            "levels holds {} values for {} samples",
+            levels.len(),
+            data.len()
+        )));
+    }
+    let (standardizer, set) = Standardizer::fit_apply(data);
     let targets: Vec<f32> = levels.iter().map(|&l| (l.max(1e-3) as f32).ln()).collect();
-
     let mut net = KernelNet::new(
-        std_data.n_features(),
-        std_data.n_servers,
+        set.n_features(),
+        set.n_servers,
         &cfg.kernel_hidden,
         &cfg.head_hidden,
         1,
         cfg.seed,
     );
-    let mut opt = Adam::new(cfg.lr);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7E62);
-    let n = std_data.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut loss_curve = Vec::with_capacity(cfg.epochs);
-    for _ in 0..cfg.epochs {
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            order.swap(i, j);
-        }
-        let mut epoch_loss = 0.0;
-        let mut batches = 0;
-        for chunk in order.chunks(cfg.batch) {
-            let sub = std_data.subset(chunk);
-            let t: Vec<f32> = chunk.iter().map(|&i| targets[i]).collect();
-            let pred = net.forward(&sub.x);
-            let (loss, grad) = mse_loss(&pred, &t);
-            net.backward(&grad);
-            net.apply(&mut opt);
-            epoch_loss += loss;
-            batches += 1;
-        }
-        loss_curve.push(epoch_loss / batches.max(1) as f32);
-        opt.set_lr(opt.lr() * cfg.lr_decay);
-    }
-    RegressionModel {
+    let mse = |out: &Matrix, _: &Dataset, idx: &[usize]| {
+        let t: Vec<f32> = idx.iter().map(|&i| targets[i]).collect();
+        mse_loss(out, &t)
+    };
+    let log = fit(&mut net, &set, cfg, 0x7E62, mse, None);
+    Ok(RegressionModel {
         net,
         standardizer,
-        loss_curve,
-    }
+        loss_curve: log.loss_curve,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn synth(n: usize) -> (Dataset, Vec<f64>) {
         // Level = 1 + 3 * mean(hot feature), recoverable from features.
@@ -154,7 +139,7 @@ mod tests {
             lr: 3e-3,
             ..TrainConfig::default()
         };
-        let mut model = train_regression(&data, &levels, &cfg);
+        let mut model = train_regression(&data, &levels, &cfg).expect("valid fit");
         let preds = model.predict_levels(&data);
         let mae: f64 = preds
             .iter()
@@ -177,7 +162,7 @@ mod tests {
             lr: 3e-3,
             ..TrainConfig::default()
         };
-        let mut model = train_regression(&data, &levels, &cfg);
+        let mut model = train_regression(&data, &levels, &cfg).expect("valid fit");
         let preds = model.predict_levels(&data);
         let correct = preds
             .iter()
@@ -189,5 +174,46 @@ mod tests {
             "acc {correct}/{}",
             data.len()
         );
+    }
+
+    /// The message of the `Config` error `train_regression` returns.
+    fn config_error(data: &Dataset, levels: &[f64], cfg: &TrainConfig) -> String {
+        match train_regression(data, levels, cfg) {
+            Err(QiError::Config(msg)) => msg,
+            Err(other) => panic!("expected a Config error, got {other}"),
+            Ok(_) => panic!("expected a Config error, got a model"),
+        }
+    }
+
+    #[test]
+    fn a_level_count_other_than_the_sample_count_is_a_config_error() {
+        let (data, levels) = synth(20);
+        let msg = config_error(&data, &levels[..19], &TrainConfig::default());
+        assert!(
+            msg.contains("levels holds 19 values for 20 samples"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn an_empty_set_is_a_config_error() {
+        let empty = Dataset {
+            x: Matrix::zeros(0, 4),
+            y: Vec::new(),
+            n_servers: 3,
+        };
+        let msg = config_error(&empty, &[], &TrainConfig::default());
+        assert!(msg.contains("no samples"), "{msg}");
+    }
+
+    #[test]
+    fn a_zero_batch_is_a_config_error() {
+        let (data, levels) = synth(20);
+        let cfg = TrainConfig {
+            batch: 0,
+            ..TrainConfig::default()
+        };
+        let msg = config_error(&data, &levels, &cfg);
+        assert!(msg.contains("TrainConfig.batch"), "{msg}");
     }
 }

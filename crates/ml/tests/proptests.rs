@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qi_ml::data::{Dataset, Standardizer};
 use qi_ml::layers::{Dense, Mlp};
-use qi_ml::loss::{inverse_frequency_weights, softmax, softmax_cross_entropy};
+use qi_ml::loss::{softmax, softmax_cross_entropy, tempered_frequency_weights};
 use qi_ml::matrix::Matrix;
 use qi_ml::metrics::ConfusionMatrix;
 use qi_ml::model::KernelNet;
@@ -190,7 +190,7 @@ proptest! {
     fn class_weights_order_by_rarity(
         labels in prop::collection::vec(0usize..3, 3..300),
     ) {
-        let w = inverse_frequency_weights(&labels, 3);
+        let w = tempered_frequency_weights(&labels, 3, 1.0);
         let mut counts = [0usize; 3];
         for &l in &labels {
             counts[l] += 1;

@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# Non-test Rust lines, per crate: each .rs file counts the lines above
+# its first `mod tests {` (the whole file if it has none). Files under a
+# tests/ or benches/ directory, benchmark/ and vendor/ are not counted.
+#
+# Usage: scripts/loc.sh [REV] [PATH...]
+#   Without REV, the table for the working tree (tracked and untracked,
+#   not ignored). With REV, the table for REV beside it and the
+#   difference. PATHs narrow both sides (default: the whole repo).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+rev=
+if [[ $# -gt 0 && ! -e $1 ]] && git rev-parse -q --verify "$1^{commit}" >/dev/null; then
+    rev=$1
+    shift
+fi
+paths=("$@")
+
+# One "<crate> <lines>" line per counted file at SRC: the working tree
+# when SRC is empty, else that revision. A crate is crates/<name>, or
+# the top-level directory for everything else (src, examples).
+count() {
+    local src=$1 files f
+    if [[ -z $src ]]; then
+        files=$(git ls-files --cached --others --exclude-standard -- "${paths[@]}")
+    else
+        files=$(git ls-tree -r --name-only "$src" -- "${paths[@]}")
+    fi
+    { grep -E '\.rs$' <<<"$files" || true; } |
+        { grep -Ev '(^|/)(tests|benches)/|^(benchmark|vendor)/' || true; } |
+        while read -r f; do
+            if [[ -z $src ]]; then cat "$f"; else git show "$src:$f"; fi |
+                awk -v f="$f" '
+                    /^[[:space:]]*mod tests \{/ { stop = 1 }
+                    !stop { n++ }
+                    END {
+                        c = f
+                        if (c ~ /^crates\//) { split(c, p, "/"); c = p[1] "/" p[2] }
+                        else sub(/\/.*/, "", c)
+                        print c, n + 0
+                    }'
+        done
+}
+
+if [[ -z $rev ]]; then
+    count "" | awk '
+        { s[$1] += $2; t += $2 }
+        END {
+            printf "%-22s %8s\n", "crate", "lines"
+            for (c in s) printf "%-22s %8d\n", c, s[c] | "sort"
+            close("sort")
+            printf "%-22s %8d\n", "total", t
+        }'
+else
+    { count "$rev" | sed 's/^/old /'; count "" | sed 's/^/new /'; } | awk -v rev="$rev" '
+        { seen[$2] = 1 }
+        $1 == "old" { a[$2] += $3; ta += $3 }
+        $1 == "new" { b[$2] += $3; tb += $3 }
+        END {
+            printf "%-22s %8s %8s %8s\n", "crate", substr(rev, 1, 8), "now", "diff"
+            for (c in seen) printf "%-22s %8d %8d %+8d\n", c, a[c], b[c], b[c] - a[c] | "sort"
+            close("sort")
+            printf "%-22s %8d %8d %+8d\n", "total", ta, tb, tb - ta
+        }'
+fi
