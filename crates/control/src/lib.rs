@@ -43,15 +43,6 @@
 //! [`RunTrace::directives`](qi_pfs::ops::RunTrace) — is therefore a
 //! pure function of the run and byte-identical across reruns and rayon
 //! thread counts.
-//!
-//! Under the parallel simulator (`ClusterConfig::sim_shards > 1`) the
-//! tick instants are additionally pinned to epoch boundaries: the
-//! cluster inserts mini-epoch barriers at every window close and at
-//! close + 1 ns, so a tick always runs after every delivery up to the
-//! close has materialised and merged, and the directives it emits reach
-//! every shard's admission-cap replica before any later shard event
-//! executes. Controlled runs are therefore bit-identical at any shard
-//! count too (DESIGN.md, "Parallel simulation").
 
 #![forbid(unsafe_code)]
 

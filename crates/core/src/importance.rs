@@ -6,9 +6,9 @@
 //! F1 drops.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use qi_ml::data::Dataset;
+use qi_ml::data::{shuffle, Dataset};
 use qi_ml::train::TrainedModel;
 use qi_monitor::features::{feature_names, FeatureConfig};
 use qi_simkit::error::QiError;
@@ -62,7 +62,6 @@ pub fn permutation_importance(
         });
     }
     let base_f1 = model.evaluate(data).headline_f1();
-    let rows = data.x.rows();
     let mut drops = Vec::with_capacity(names.len());
     for f in 0..names.len() {
         let mut total_drop = 0.0;
@@ -70,15 +69,7 @@ pub fn permutation_importance(
             let mut rng = StdRng::seed_from_u64(
                 seed ^ (f as u64).wrapping_mul(0x9E37_79B9) ^ (r as u64) << 40,
             );
-            let mut shuffled = data.clone();
-            // Fisher-Yates over the feature column (all per-server rows).
-            for i in (1..rows).rev() {
-                let j = rng.gen_range(0..=i);
-                let a = shuffled.x.get(i, f);
-                let b = shuffled.x.get(j, f);
-                shuffled.x.set(i, f, b);
-                shuffled.x.set(j, f, a);
-            }
+            let shuffled = permute_column(data, f, &mut rng);
             total_drop += base_f1 - model.evaluate(&shuffled).headline_f1();
         }
         drops.push(total_drop / repeats as f64);
@@ -88,6 +79,18 @@ pub fn permutation_importance(
         drops,
         base_f1,
     })
+}
+
+/// A copy of `data` with feature column `f` (all per-server rows)
+/// reordered by one seeded Fisher–Yates draw.
+fn permute_column(data: &Dataset, f: usize, rng: &mut StdRng) -> Dataset {
+    let mut order: Vec<usize> = (0..data.x.rows()).collect();
+    shuffle(&mut order, rng);
+    let mut out = data.clone();
+    for (i, &src) in order.iter().enumerate() {
+        out.x.set(i, f, data.x.get(src, f));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -142,14 +145,7 @@ mod tests {
         let mut drops = Vec::new();
         for f in 0..4 {
             let mut rng = StdRng::seed_from_u64(11 + f as u64);
-            let mut shuffled = data.clone();
-            for i in (1..shuffled.x.rows()).rev() {
-                let j = rng.gen_range(0..=i);
-                let a = shuffled.x.get(i, f);
-                let b = shuffled.x.get(j, f);
-                shuffled.x.set(i, f, b);
-                shuffled.x.set(j, f, a);
-            }
+            let shuffled = permute_column(&data, f, &mut rng);
             drops.push(base - model.evaluate(&shuffled).headline_f1());
         }
         let _ = (names, fake_cfg);

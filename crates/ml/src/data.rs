@@ -113,9 +113,10 @@ impl Dataset {
     }
 }
 
-/// The crate's one Fisher–Yates: every epoch of the training loop and
-/// every [`Dataset::split_indices`] draw their order through it.
-pub(crate) fn shuffle(order: &mut [usize], rng: &mut StdRng) {
+/// The one Fisher–Yates: every epoch of the training loop, every
+/// [`Dataset::split_indices`] and every permutation-importance column
+/// draw their order through it.
+pub fn shuffle(order: &mut [usize], rng: &mut StdRng) {
     for i in (1..order.len()).rev() {
         let j = rng.gen_range(0..=i);
         order.swap(i, j);

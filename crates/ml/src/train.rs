@@ -39,7 +39,11 @@ pub struct TrainConfig {
     /// Exponent tempering the inverse-frequency class weights
     /// (1.0 = full reweighting, 0.5 = square-root tempering, 0 = none).
     pub class_weight_exponent: f32,
-    /// Optional early stopping on a held-out validation split.
+    /// Optional early stopping on a held-out validation split. Applies
+    /// to the classifier ([`train`]) and attention
+    /// ([`train_attention`](crate::attention::train_attention)) fits
+    /// only; [`train_regression`](crate::regress::train_regression)
+    /// ignores it.
     pub early_stop: Option<EarlyStop>,
 }
 

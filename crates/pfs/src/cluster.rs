@@ -9,16 +9,10 @@
 //! network. Metadata ops go to the MDS: CPU, lookup cache, per-directory
 //! locks, and journal writes on the MDT device.
 //!
-//! Routing surface: the OSS/OST side lives in server shards
-//! ([`crate::shard`]), everything else ("the realm") here. Three
-//! functions hold the two decisions that differ between the sequential
-//! loop and the epoch loop ([`parsim`]), and nothing else may encode
-//! them: [`Cluster::owner`] says which shard, if any, owns an event;
-//! [`Cluster::post`] schedules an event on its owner's queue; and
-//! [`Cluster::fx`] hands realm code the [`Fx`] whose `send` realises a
-//! network transfer (at once, or at the next barrier).
+//! The OSS/OST side lives in [`crate::servers`]; clients, the MDS/MDT,
+//! retries and control live here.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use qi_faults::{FaultEvent, FaultPlan, RetryPolicy};
 use qi_simkit::error::QiError;
@@ -28,7 +22,7 @@ use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::rng::SimRng;
 use qi_simkit::stats::OnlineStats;
 use qi_simkit::time::{SimDuration, SimTime};
-use qi_telemetry::{MetricValue, MetricsSnapshot, Registry};
+use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::arena::{Slab, SlabKey};
 use crate::cache::LruSet;
@@ -42,16 +36,8 @@ use crate::ops::{
     IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace, ServerSample,
 };
 use crate::queue::{BlockDevice, Dispatch, Member, ReqKind};
-use crate::shard::{
-    Ev, Fx, MetaOp, Msg, NetFx, SendIntent, ShardCell, ShardState, SHARD_DISK_STALLS, SHARD_PARKED,
-    SHARD_RESUMED,
-};
+use crate::servers::{Ev, Fx, MetaOp, Msg, Servers};
 use crate::store::SampleStore;
-
-/// The epoch loop (`sim_shards > 1`): a child module so it can reach
-/// the cluster's internals without widening their visibility.
-#[path = "parsim.rs"]
-mod parsim;
 
 /// Client-side per-op syscall/dispatch overhead.
 const CLIENT_OP_OVERHEAD: SimDuration = SimDuration::from_micros(5);
@@ -220,26 +206,21 @@ struct AppState {
 /// [`run`]: Cluster::run
 pub struct Cluster {
     cfg: ClusterConfig,
-    /// The realm event queue: clients, network deliveries, MDS/MDT, and
-    /// control — everything [`Cluster::owner`] maps to `None`. In the
-    /// sequential loop it also carries the single shard's events.
+    /// The one event queue.
     events: EventQueue<Ev>,
     net: Network,
-    /// Server shards in ascending OSS order. Always at least one; the
-    /// sequential loop is simply the one-shard special case.
-    shards: Vec<ShardCell>,
-    /// Owning shard of each global OST index.
-    ost_shard: Vec<usize>,
-    /// The MDT device: realm-owned (metadata is not sharded). The
-    /// journal is synchronous, so no write-back cache.
+    /// Every OSS node and its OSTs.
+    servers: Servers,
+    /// The MDT device. The journal is synchronous, so no write-back
+    /// cache.
     mdt_dev: BlockDevice<MdtTag>,
     dev_node: Vec<NodeId>,
     mds: MdsState,
     apps: Vec<AppState>,
     /// Per-application server-side token-bucket filters (bytes/s), the
     /// classful TBF NRS policy of Qian et al. — data RPCs of a limited
-    /// app are admitted to the OSS only as tokens accrue. Realm-owned:
-    /// the buckets are consulted at delivery time, before routing.
+    /// app are admitted to the OSS only as tokens accrue. The buckets
+    /// are consulted at delivery time, before the OSS CPU stage.
     tbf: IdMap<AppId, TokenBucket>,
     trace: RunTrace,
     rng: SimRng,
@@ -275,23 +256,10 @@ pub struct Cluster {
     /// gates the `pfs.control.*` snapshot block so uncontrolled runs
     /// keep their historical (golden) key set.
     control_used: bool,
-    /// Per-app admission cap on concurrently admitted data RPCs per OST
-    /// (master copy; every shard holds a replica the realm updates when
-    /// a directive lands).
-    inflight_caps: BTreeMap<u32, u32>,
     /// Per-OST avoidance flags for new layouts; empty means no steering.
     avoid_osts: Vec<bool>,
     /// Scratch directive buffer for control ticks.
     scratch_directives: Vec<ControlDirective>,
-    /// True when the epoch loop drives the run (more than one shard);
-    /// fixed at construction from `sim_shards` and the topology.
-    par: bool,
-    /// Epoch loop: network sends produced by realm handlers inside the
-    /// current epoch, applied at the barrier.
-    realm_outbox: Vec<SendIntent>,
-    /// Epoch loop: MDT monitor samples taken inside the current epoch,
-    /// merged with shard samples at the barrier.
-    realm_samples: Vec<ServerSample>,
 }
 
 /// Deterministic 64-bit mix of a file key, used for placement and inode
@@ -385,14 +353,6 @@ impl ClusterBuilder {
         if cfg.sample_interval == SimDuration::ZERO {
             return Err(QiError::Config("sample_interval must be non-zero".into()));
         }
-        if cfg.sim_shards == 0 {
-            return Err(QiError::Config("sim_shards must be at least 1".into()));
-        }
-        if cfg.sim_shards > 1 && cfg.net.latency == SimDuration::ZERO {
-            return Err(QiError::Config(
-                "sim_shards > 1 requires non-zero network latency (the epoch lookahead)".into(),
-            ));
-        }
         self.fault_plan.validate(
             cfg.n_devices() as usize,
             cfg.n_nodes() as usize,
@@ -423,31 +383,12 @@ impl Cluster {
         let mds_node = NodeId(cfg.client_nodes + cfg.oss_nodes);
         dev_node.push(mds_node);
 
-        // Partition the OSS nodes into contiguous shards (ascending, so
-        // global OST order equals shard order + local order). One shard
-        // (the default) is the classic sequential simulator.
-        let n_shards = cfg.sim_shards.min(cfg.oss_nodes).max(1);
         // In-flight events scale with concurrently outstanding chunk
         // RPCs: a few per rank per striped OST plus device completions.
         // Pre-sizing kills backend regrowth in long runs; 64 slots per
         // node is comfortably above the steady-state high-water mark at
-        // every config we run. Shard queues carry events only under the
-        // epoch loop.
+        // every config we run.
         let queue_slots = cfg.n_nodes() as usize * 64;
-        let shard_slots = if n_shards > 1 { queue_slots } else { 0 };
-        let mut shards = Vec::with_capacity(n_shards as usize);
-        let mut ost_shard = Vec::with_capacity(n_osts);
-        for s in 0..n_shards {
-            let oss_lo = s * cfg.oss_nodes / n_shards;
-            let oss_hi = (s + 1) * cfg.oss_nodes / n_shards;
-            for _ in 0..(oss_hi - oss_lo) * cfg.osts_per_oss {
-                ost_shard.push(s as usize);
-            }
-            shards.push(ShardCell::new(
-                ShardState::new(&cfg, oss_lo, oss_hi),
-                EventQueue::with_capacity_and_backend(shard_slots, cfg.event_queue),
-            ));
-        }
         let mdt_dev = BlockDevice::new(cfg.queue.clone(), Disk::new(cfg.mdt_disk.clone()));
 
         let journal_base = 2048;
@@ -468,9 +409,7 @@ impl Cluster {
         Cluster {
             net: Network::new(cfg.net.clone(), cfg.n_nodes()),
             events: EventQueue::with_capacity_and_backend(queue_slots, cfg.event_queue),
-            par: n_shards > 1,
-            shards,
-            ost_shard,
+            servers: Servers::new(&cfg),
             mdt_dev,
             dev_node,
             mds,
@@ -498,79 +437,28 @@ impl Cluster {
             control_interval: SimDuration::ZERO,
             control_window: 0,
             control_used: false,
-            inflight_caps: BTreeMap::new(),
             avoid_osts: Vec::new(),
             scratch_directives: Vec::new(),
-            realm_outbox: Vec::new(),
-            realm_samples: Vec::new(),
             cfg,
         }
     }
 
-    /// The shard that owns `ev` — the one place that knows which events
-    /// are server-side. `None` is the realm: clients, MDS, the MDT
-    /// device, control and retries, plus the kinds that are never
-    /// posted because each queue schedules its own (`SendLater`,
-    /// `Sample`, `AdmissionRecheck`).
-    fn owner(&self, ev: &Ev) -> Option<usize> {
-        let dev = match ev {
-            Ev::OssProcess(msg) | Ev::TbfAdmitted(msg) => match msg {
-                Msg::ReadReq { dev, .. } | Msg::WriteReq { dev, .. } => dev.0,
-                Msg::MetaReq { .. } | Msg::OpDone { .. } => unreachable!("not a data RPC"),
-            },
-            Ev::DiskDone { dev }
-            | Ev::DiskIdle { dev }
-            | Ev::FailSlow { dev, .. }
-            | Ev::DiskStall { dev, .. } => *dev,
-            Ev::OssFactor { oss, .. } => oss * self.cfg.osts_per_oss,
-            Ev::RankNext { .. }
-            | Ev::Deliver(_)
-            | Ev::MdsProcess(_)
-            | Ev::SendLater { .. }
-            | Ev::MdsLockRun { .. }
-            | Ev::Sample
-            | Ev::Control
-            | Ev::RpcTimeout { .. }
-            | Ev::RpcResend { .. }
-            | Ev::AdmissionRecheck { .. } => return None,
-        };
-        // The MDT (the one device past the OSTs) is realm-owned.
-        self.ost_shard.get(dev as usize).copied()
-    }
-
-    /// Schedule `ev` at `at` on its owner's queue: the shard's under the
-    /// epoch loop, the realm's otherwise.
-    fn post(&mut self, at: SimTime, ev: Ev) {
-        match self.owner(&ev) {
-            Some(s) if self.par => self.shards[s].q.schedule(at, ev),
-            _ => self.events.schedule(at, ev),
-        }
-    }
-
-    /// The realm's effect context: the realm queue plus the network,
-    /// live in the sequential loop and deferred to the barrier under
-    /// epochs.
+    /// The effect context for client and MDS code: the event queue and the
+    /// network.
     fn fx(&mut self) -> Fx<'_> {
         Fx {
             q: &mut self.events,
-            net: if self.par {
-                NetFx::Deferred(&mut self.realm_outbox)
-            } else {
-                NetFx::Direct(&mut self.net)
-            },
+            net: &mut self.net,
         }
     }
 
-    /// Run one shard-owned event inline against the realm queue and the
-    /// live network: the sequential loop only. Under epochs shard events
-    /// live on shard queues and run in `ShardCell::run_epoch`.
-    fn shard_event(&mut self, s: usize, now: SimTime, ev: Ev) {
-        debug_assert!(!self.par, "shard event on the realm queue under epochs");
+    /// Run one OSS/OST event.
+    fn server_event(&mut self, now: SimTime, ev: Ev) {
         let mut fx = Fx {
             q: &mut self.events,
-            net: NetFx::Direct(&mut self.net),
+            net: &mut self.net,
         };
-        self.shards[s].st.handle(now, ev, &self.cfg, &mut fx);
+        self.servers.handle(now, ev, &self.cfg, &mut fx);
     }
 
     /// Cluster configuration.
@@ -703,12 +591,12 @@ impl Cluster {
                 if *max_inflight == 0 {
                     return Err(QiError::Control("inflight cap must be >= 1".into()));
                 }
-                self.inflight_caps.insert(app.0, *max_inflight);
+                self.servers.inflight_caps.insert(app.0, *max_inflight);
                 self.tele.control_caps += 1;
                 self.cap_changed(at, app.0);
             }
             ControlDirective::ClearCapInflight { app } => {
-                self.inflight_caps.remove(&app.0);
+                self.servers.inflight_caps.remove(&app.0);
                 self.tele.control_cap_clears += 1;
                 self.cap_changed(at, app.0);
             }
@@ -768,22 +656,14 @@ impl Cluster {
             .schedule(now + self.control_interval, Ev::Control);
     }
 
-    /// A cap directive for `app` landed: push the master cap table to
-    /// every shard's replica, then re-admit parked RPCs under the new
-    /// cap. The realm runs strictly before the shards inside an epoch,
-    /// so the sequential loop rechecks inline while the epoch loop
-    /// queues the recheck on each shard at the directive instant (shard
-    /// clocks are still at the previous epoch boundary).
+    /// A cap directive for `app` landed: re-admit parked RPCs under the
+    /// new cap.
     fn cap_changed(&mut self, at: SimTime, app: u32) {
-        for s in 0..self.shards.len() {
-            self.shards[s].st.inflight_caps = self.inflight_caps.clone();
-            let ev = Ev::AdmissionRecheck { app };
-            if self.par {
-                self.shards[s].q.schedule(at, ev);
-            } else {
-                self.shard_event(s, at, ev);
-            }
-        }
+        let mut fx = Fx {
+            q: &mut self.events,
+            net: &mut self.net,
+        };
+        self.servers.admission_recheck(at, app, &self.cfg, &mut fx);
     }
 
     /// Schedule a fail-slow injection: from `at` onward, `dev` services
@@ -792,7 +672,8 @@ impl Cluster {
     pub fn inject_fail_slow(&mut self, dev: DeviceId, at: SimTime, factor: f64) {
         assert!(dev.0 < self.cfg.n_devices(), "no such device");
         assert!(factor >= 1.0);
-        self.post(at, Ev::FailSlow { dev: dev.0, factor });
+        self.events
+            .schedule(at, Ev::FailSlow { dev: dev.0, factor });
     }
 
     /// Pre-populate a file (namespace entry + contiguous extents) without
@@ -832,14 +713,13 @@ impl Cluster {
                     file,
                     stripe: c.stripe,
                 };
-                let st = &mut self.shards[self.ost_shard[c.dev.index()]].st;
-                let li = c.dev.index() - st.ost_lo as usize;
-                st.extents[li].map(key, c.obj_offset, c.len);
+                let i = c.dev.index();
+                self.servers.extents[i].map(key, c.obj_offset, c.len);
                 if small {
                     // Small pre-existing files sit in the server page
                     // cache (e.g. mdtest-hard bodies written moments
                     // before the read phase).
-                    st.read_cache[li].touch(key, c.obj_offset + c.len);
+                    self.servers.read_cache[i].touch(key, c.obj_offset + c.len);
                 }
             }
         }
@@ -938,10 +818,9 @@ impl Cluster {
         }
     }
 
-    /// Realise the fault plan: post its one-shot events to their owners'
-    /// queues (plan order is kept per queue, so equal-time faults on one
-    /// device replay alike under both loops) and install its window
-    /// rules. Called once when a run starts.
+    /// Realise the fault plan: schedule its one-shot events in plan
+    /// order and install its window rules. Called once when a run
+    /// starts.
     fn schedule_fault_plan(&mut self) {
         let plan = std::mem::take(&mut self.fault_plan);
         for ev in plan.events() {
@@ -952,11 +831,12 @@ impl Cluster {
                     from,
                     until,
                 } => {
-                    self.post(from, Ev::FailSlow { dev, factor });
-                    self.post(until, Ev::FailSlow { dev, factor: 1.0 });
+                    self.events.schedule(from, Ev::FailSlow { dev, factor });
+                    self.events
+                        .schedule(until, Ev::FailSlow { dev, factor: 1.0 });
                 }
                 FaultEvent::DiskStall { dev, at, duration } => {
-                    self.post(
+                    self.events.schedule(
                         at,
                         Ev::DiskStall {
                             dev,
@@ -996,7 +876,7 @@ impl Cluster {
                     restart,
                     remaining,
                 } => {
-                    self.post(
+                    self.events.schedule(
                         at,
                         Ev::OssFactor {
                             oss,
@@ -1004,7 +884,7 @@ impl Cluster {
                         },
                     );
                     if let Some(r) = restart {
-                        self.post(r, Ev::OssFactor { oss, factor: 1.0 });
+                        self.events.schedule(r, Ev::OssFactor { oss, factor: 1.0 });
                     }
                 }
                 FaultEvent::MdsLockStorm {
@@ -1029,13 +909,9 @@ impl Cluster {
         self.run_inner(deadline, Some(app))
     }
 
-    /// The one run start and the one run end; only the loop in between
-    /// differs with the shard count.
     fn run_inner(mut self, deadline: SimTime, stop_app: Option<AppId>) -> RunTrace {
         self.schedule_fault_plan();
-        // Kick every rank and the sampler chains: the realm's (the MDT,
-        // and every OST too in the sequential loop) plus, under epochs,
-        // one per shard.
+        // Kick every rank and the sampler chain.
         for a in 0..self.apps.len() {
             for r in 0..self.apps[a].ranks.len() {
                 self.events.schedule(
@@ -1047,13 +923,8 @@ impl Cluster {
                 );
             }
         }
-        let first_sample = SimTime::ZERO + self.cfg.sample_interval;
-        self.events.schedule(first_sample, Ev::Sample);
-        if self.par {
-            for sh in &mut self.shards {
-                sh.q.schedule(first_sample, Ev::Sample);
-            }
-        }
+        self.events
+            .schedule(SimTime::ZERO + self.cfg.sample_interval, Ev::Sample);
         if self.controller.is_some() {
             // First tick 1 ns after the first window boundary: every
             // event of a window (boundary samples included) is handled
@@ -1065,21 +936,16 @@ impl Cluster {
             );
         }
 
-        if self.par {
-            self.run_epochs(deadline, stop_app);
-        } else {
-            while let Some((now, ev)) = self.events.pop_until(deadline) {
-                self.handle(now, ev);
-                if let Some(app) = stop_app {
-                    if self.trace.app_completion[app.0 as usize].is_some() {
-                        break;
-                    }
+        while let Some((now, ev)) = self.events.pop_until(deadline) {
+            self.handle(now, ev);
+            if let Some(app) = stop_app {
+                if self.trace.app_completion[app.0 as usize].is_some() {
+                    break;
                 }
             }
         }
         self.trace.end = self.events.now();
-        self.trace.events_processed =
-            self.events.processed() + self.shards.iter().map(|sh| sh.q.processed()).sum::<u64>();
+        self.trace.events_processed = self.events.processed();
         self.trace.metrics = self.metrics_snapshot(self.events.now());
         self.trace
     }
@@ -1092,26 +958,10 @@ impl Cluster {
     /// state, so the snapshot is byte-stable across identical runs.
     fn metrics_snapshot(&self, now: SimTime) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        // Shards hold contiguous ascending OST ranges, so walking them
-        // in order reproduces the historical global device order.
-        let mut i = 0usize;
-        for sh in &self.shards {
-            for dev in &sh.st.devices {
-                put_dev(&mut snap, &format!("pfs.ost{i}"), dev, now);
-                i += 1;
-            }
+        for (i, dev) in self.servers.devices.iter().enumerate() {
+            put_dev(&mut snap, &format!("pfs.ost{i}"), dev, now);
         }
         put_dev(&mut snap, "pfs.mdt", &self.mdt_dev, now);
-        // Shard-side counters (fault/control activity on the server
-        // shards) fold into the same snapshot keys the sequential
-        // telemetry always used, via the canonical registry merge.
-        let mut sreg = Registry::new();
-        for sh in &self.shards {
-            sreg.merge(&sh.st.reg)
-                .expect("shards use a uniform metric schema");
-        }
-        let ss = sreg.snapshot();
-        let shard_counter = |name: &str| ss.counter(name).unwrap_or(0);
         let elapsed = now.as_secs_f64();
         let nic = |snap: &mut MetricsSnapshot, label: String, node: NodeId| {
             let busy = self.net.nic_busy(node).as_secs_f64();
@@ -1164,7 +1014,7 @@ impl Cluster {
         }
         snap.put(
             "pfs.faults.disk_stalls",
-            MetricValue::Counter(self.tele.disk_stalls + shard_counter(SHARD_DISK_STALLS)),
+            MetricValue::Counter(self.tele.disk_stalls + self.servers.disk_stalls),
         );
         snap.put(
             "pfs.faults.lock_storm_revocations",
@@ -1178,11 +1028,11 @@ impl Cluster {
                 ("applied", self.tele.control_applied),
                 ("cap_clears", self.tele.control_cap_clears),
                 ("caps", self.tele.control_caps),
-                ("parked", shard_counter(SHARD_PARKED)),
+                ("parked", self.servers.parked),
                 ("rate_clears", self.tele.control_rate_clears),
                 ("rate_limits", self.tele.control_rate_limits),
                 ("rejected", self.tele.control_rejected),
-                ("resumed", shard_counter(SHARD_RESUMED)),
+                ("resumed", self.servers.resumed),
                 ("retarget_clears", self.tele.control_retarget_clears),
                 ("retarget_layouts", self.tele.control_retarget_layouts),
                 ("retargets", self.tele.control_retargets),
@@ -1197,12 +1047,19 @@ impl Cluster {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
-        // Shard-owned events reach the realm queue only in the
-        // sequential loop; under epochs `post` puts them on shard queues.
-        if let Some(s) = self.owner(&ev) {
-            return self.shard_event(s, now, ev);
-        }
+        let n_osts = self.cfg.n_osts();
         match ev {
+            Ev::OssProcess(_) | Ev::TbfAdmitted(_) | Ev::OssFactor { .. } => {
+                self.server_event(now, ev)
+            }
+            Ev::DiskDone { dev }
+            | Ev::DiskIdle { dev }
+            | Ev::FailSlow { dev, .. }
+            | Ev::DiskStall { dev, .. }
+                if dev < n_osts =>
+            {
+                self.server_event(now, ev)
+            }
             Ev::RankNext { app, rank } => self.rank_next(now, app, rank),
             Ev::Deliver(msg) => self.deliver(now, msg),
             Ev::MdsProcess(msg) => self.mds_process(now, msg),
@@ -1223,7 +1080,7 @@ impl Cluster {
             Ev::Control => self.control_tick(now),
             Ev::RpcTimeout { seq } => self.rpc_timeout(now, seq),
             Ev::RpcResend { seq } => self.rpc_resend(now, seq),
-            // Device events `owner` left to the realm: the MDT's.
+            // Device events past the OSTs: the MDT's.
             Ev::DiskDone { .. } => self.mdt_disk_done(now),
             Ev::DiskIdle { .. } => {
                 let d = self.mdt_dev.idle_check(now);
@@ -1235,10 +1092,6 @@ impl Cluster {
                 let d = self.mdt_dev.stall(now, until);
                 self.mdt_dispatch(now, d);
             }
-            Ev::OssProcess(_)
-            | Ev::TbfAdmitted(_)
-            | Ev::OssFactor { .. }
-            | Ev::AdmissionRecheck { .. } => unreachable!("shard event without a shard"),
         }
     }
 
@@ -1501,11 +1354,7 @@ impl Cluster {
 
     // ---------------------------------------------------------- routing
 
-    /// A network message arrives at `now`. The sequential loop calls
-    /// this when the `Deliver` event pops; the epoch loop calls it for
-    /// data RPCs as they leave the mailbox (ahead of the shard clocks,
-    /// hence the `post` even when admission is immediate) and queues
-    /// everything else as a realm `Deliver`.
+    /// A network message arrives at `now` (its `Deliver` event popped).
     fn deliver(&mut self, now: SimTime, msg: Msg) {
         match msg {
             Msg::ReadReq { len, token, .. } | Msg::WriteReq { len, token, .. } => {
@@ -1517,8 +1366,8 @@ impl Cluster {
                     None => now,
                 };
                 let ev = Ev::TbfAdmitted(msg);
-                if admitted > now || self.par {
-                    self.post(admitted, ev);
+                if admitted > now {
+                    self.events.schedule(admitted, ev);
                 } else {
                     self.handle(now, ev);
                 }
@@ -1721,29 +1570,20 @@ impl Cluster {
 
     // --------------------------------------------------------- sampling
 
-    /// One realm sampler tick. The sequential loop walks every device
-    /// in global order straight into the trace; under epochs the shards
-    /// sample their own devices and the MDT sample waits with theirs for
-    /// the barrier, which merges them in that same (time, device) order.
+    /// One sampler tick: every device in global order (the OSTs, then
+    /// the MDT) straight into the trace.
     fn take_sample(&mut self, now: SimTime) {
         self.tele.samples_taken += 1;
-        let mdt = ServerSample {
+        for sample in self.servers.samples(now) {
+            self.trace.samples.push(sample);
+        }
+        self.trace.samples.push(ServerSample {
             time: now,
             dev: self.mdt(),
             counters: self.mdt_dev.counters(now),
             dirty_bytes: 0,
             throttled_now: 0,
-        };
-        if self.par {
-            self.realm_samples.push(mdt);
-            return;
-        }
-        for sh in &self.shards {
-            for sample in sh.st.samples(now) {
-                self.trace.samples.push(sample);
-            }
-        }
-        self.trace.samples.push(mdt);
+        });
     }
 }
 
@@ -1781,117 +1621,6 @@ mod tests {
 
     fn script(ops: Vec<IoOp>) -> Box<dyn RankProgram> {
         Box::new(Script { ops, i: 0 })
-    }
-
-    /// What `owner` must answer on a 2-shard, 4-OST cluster (two OSTs
-    /// per OSS, so OSS `i` is shard `i`; device 4 is the MDT). No
-    /// wildcard arm: a new `Ev` variant does not compile until it is
-    /// classified here and in `owner`.
-    fn expected_owner(ev: &Ev) -> Option<usize> {
-        let shard_of = |dev: u32| (dev < 4).then_some(dev as usize / 2);
-        match ev {
-            Ev::OssProcess(msg) | Ev::TbfAdmitted(msg) => match msg {
-                Msg::ReadReq { dev, .. } | Msg::WriteReq { dev, .. } => shard_of(dev.0),
-                Msg::MetaReq { .. } | Msg::OpDone { .. } => panic!("not a data RPC"),
-            },
-            Ev::DiskDone { dev }
-            | Ev::DiskIdle { dev }
-            | Ev::FailSlow { dev, .. }
-            | Ev::DiskStall { dev, .. } => shard_of(*dev),
-            Ev::OssFactor { oss, .. } => Some(*oss as usize),
-            Ev::RankNext { .. }
-            | Ev::Deliver(_)
-            | Ev::MdsProcess(_)
-            | Ev::SendLater { .. }
-            | Ev::MdsLockRun { .. }
-            | Ev::Sample
-            | Ev::Control
-            | Ev::RpcTimeout { .. }
-            | Ev::RpcResend { .. }
-            | Ev::AdmissionRecheck { .. } => None,
-        }
-    }
-
-    #[test]
-    fn owner_maps_every_event_to_the_shard_holding_its_device() {
-        let mut cfg = ClusterConfig::small();
-        cfg.sim_shards = 2;
-        let cl = cluster(cfg, 1);
-        assert_eq!((cl.shards.len(), cl.config().n_osts()), (2, 4));
-        let token = OpToken {
-            app: AppId(0),
-            rank: 0,
-            seq: 0,
-        };
-        let client = NodeId(0);
-        let dir = DirKey {
-            app: AppId(0),
-            num: 0,
-        };
-        let obj = ObjKey {
-            file: file(1),
-            stripe: 0,
-        };
-        let read = |dev: u32| Msg::ReadReq {
-            dev: DeviceId(dev),
-            obj,
-            obj_off: 0,
-            len: 1,
-            token,
-            client,
-        };
-        let write = |dev: u32| Msg::WriteReq {
-            dev: DeviceId(dev),
-            obj,
-            obj_off: 0,
-            len: 1,
-            token,
-            client,
-        };
-        let seq = Slab::new().insert(());
-        let mut evs = vec![
-            Ev::RankNext { app: 0, rank: 0 },
-            Ev::Deliver(read(3)),
-            Ev::MdsProcess(Msg::MetaReq {
-                op: MetaOp::Close,
-                token,
-                client,
-            }),
-            Ev::SendLater {
-                src: NodeId(4),
-                dst: client,
-                payload: 0,
-                token,
-            },
-            Ev::MdsLockRun { token, client, dir },
-            Ev::Sample,
-            Ev::Control,
-            Ev::RpcTimeout { seq },
-            Ev::RpcResend { seq },
-            Ev::AdmissionRecheck { app: 0 },
-        ];
-        for oss in 0..2 {
-            evs.push(Ev::OssFactor { oss, factor: 2.0 });
-        }
-        // OSTs 0..4 and, for the device events, the MDT (device 4).
-        for dev in 0..5 {
-            if dev < 4 {
-                evs.push(Ev::OssProcess(read(dev)));
-                evs.push(Ev::TbfAdmitted(write(dev)));
-            }
-            evs.push(Ev::DiskDone { dev });
-            evs.push(Ev::DiskIdle { dev });
-            evs.push(Ev::FailSlow { dev, factor: 2.0 });
-            let until = SimTime::from_secs(1);
-            evs.push(Ev::DiskStall { dev, until });
-        }
-        for (i, ev) in evs.iter().enumerate() {
-            assert_eq!(cl.owner(ev), expected_owner(ev), "event #{i}");
-        }
-        // One literal answer per kind of owner, not via `expected_owner`.
-        assert_eq!(cl.owner(&Ev::DiskDone { dev: 1 }), Some(0));
-        assert_eq!(cl.owner(&Ev::TbfAdmitted(write(2))), Some(1));
-        assert_eq!(cl.owner(&Ev::DiskIdle { dev: 4 }), None);
     }
 
     #[test]

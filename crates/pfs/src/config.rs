@@ -245,14 +245,11 @@ pub struct ClusterConfig {
     /// prior releases); the RLE ring bounds trace memory on long runs
     /// and is proven read-equivalent by the differential suite.
     pub trace_store: TraceStoreConfig,
-    /// Number of parallel server shards the simulation loop may use.
-    /// `1` (the default) runs the classic sequential loop. Values above
-    /// 1 partition the OSS/OST set into that many contiguous shards and
-    /// drive them on the ambient rayon pool with conservative epoch
-    /// synchronisation; clamped to `oss_nodes`. Every shard count
-    /// produces bit-identical traces and telemetry (enforced by the
-    /// differential replay harness) — this knob only trades wall-clock
-    /// time for cores.
+    /// Accepted and ignored for every value, 0 included: the simulator
+    /// has one sequential event loop, so every value runs the same
+    /// events and yields the same [`RunTrace`](crate::ops::RunTrace).
+    /// Kept so configurations that set it still build; parallelism
+    /// lives across independent runs, not inside one.
     pub sim_shards: u32,
 }
 

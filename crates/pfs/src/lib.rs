@@ -51,7 +51,7 @@ pub mod layout;
 pub mod net;
 pub mod ops;
 pub mod queue;
-mod shard;
+mod servers;
 pub mod store;
 
 /// Convenient glob-import surface for building and running clusters.

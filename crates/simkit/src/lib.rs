@@ -8,8 +8,6 @@
 //! - [`time`] — integer-nanosecond [`SimTime`]/[`SimDuration`].
 //! - [`event`] — the deterministic calendar-wheel [`EventQueue`]
 //!   ([`QueueBackend`] selects the reference double for tests).
-//! - [`epoch`] — conservative epoch boundaries and deterministic
-//!   cross-shard mailboxes for parallel simulation.
 //! - [`reference`] — the naive sorted-`Vec` queue double backing the
 //!   differential tests.
 //! - [`rng`] — seeded [`SimRng`] with substream derivation.
@@ -24,7 +22,6 @@
 //! (a) time is integral, (b) event ties break by insertion order, and
 //! (c) all randomness flows from [`SimRng`] substreams.
 
-pub mod epoch;
 pub mod error;
 pub mod event;
 pub mod hash;
@@ -36,7 +33,6 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use epoch::{EpochSchedule, Mailbox};
 pub use error::QiError;
 pub use event::{EventQueue, QueueBackend};
 pub use ratelimit::TokenBucket;

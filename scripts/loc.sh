@@ -2,6 +2,9 @@
 # Non-test Rust lines, per crate: each .rs file counts the lines above
 # its first `mod tests {` (the whole file if it has none). Files under a
 # tests/ or benches/ directory, benchmark/ and vendor/ are not counted.
+# The `panics` column counts `.unwrap()` and `.expect(` calls in those
+# same lines, comment lines (doc examples included) left out: the panic
+# audit's number.
 #
 # Usage: scripts/loc.sh [REV] [PATH...]
 #   Without REV, the table for the working tree (tracked and untracked,
@@ -17,7 +20,7 @@ if [[ $# -gt 0 && ! -e $1 ]] && git rev-parse -q --verify "$1^{commit}" >/dev/nu
 fi
 paths=("$@")
 
-# One "<crate> <lines>" line per counted file at SRC: the working tree
+# One "<crate> <lines> <panics>" line per counted file at SRC: the working tree
 # when SRC is empty, else that revision. A crate is crates/<name>, or
 # the top-level directory for everything else (src, examples).
 count() {
@@ -34,33 +37,36 @@ count() {
                 awk -v f="$f" '
                     /^[[:space:]]*mod tests \{/ { stop = 1 }
                     !stop { n++ }
+                    !stop && !/^[[:space:]]*\/\// { u += gsub(/\.unwrap\(\)|\.expect\(/, "&") }
                     END {
                         c = f
                         if (c ~ /^crates\//) { split(c, p, "/"); c = p[1] "/" p[2] }
                         else sub(/\/.*/, "", c)
-                        print c, n + 0
+                        print c, n + 0, u + 0
                     }'
         done
 }
 
 if [[ -z $rev ]]; then
     count "" | awk '
-        { s[$1] += $2; t += $2 }
+        { s[$1] += $2; t += $2; q[$1] += $3; tq += $3 }
         END {
-            printf "%-22s %8s\n", "crate", "lines"
-            for (c in s) printf "%-22s %8d\n", c, s[c] | "sort"
+            printf "%-22s %8s %8s\n", "crate", "lines", "panics"
+            for (c in s) printf "%-22s %8d %8d\n", c, s[c], q[c] | "sort"
             close("sort")
-            printf "%-22s %8d\n", "total", t
+            printf "%-22s %8d %8d\n", "total", t, tq
         }'
 else
     { count "$rev" | sed 's/^/old /'; count "" | sed 's/^/new /'; } | awk -v rev="$rev" '
         { seen[$2] = 1 }
-        $1 == "old" { a[$2] += $3; ta += $3 }
-        $1 == "new" { b[$2] += $3; tb += $3 }
+        $1 == "old" { a[$2] += $3; ta += $3; pa[$2] += $4; tpa += $4 }
+        $1 == "new" { b[$2] += $3; tb += $3; pb[$2] += $4; tpb += $4 }
         END {
-            printf "%-22s %8s %8s %8s\n", "crate", substr(rev, 1, 8), "now", "diff"
-            for (c in seen) printf "%-22s %8d %8d %+8d\n", c, a[c], b[c], b[c] - a[c] | "sort"
+            r = substr(rev, 1, 8)
+            printf "%-22s %26s   %26s\n", "", "----------- lines", "---------- panics"
+            printf "%-22s %8s %8s %8s   %8s %8s %8s\n", "crate", r, "now", "diff", r, "now", "diff"
+            for (c in seen) printf "%-22s %8d %8d %+8d   %8d %8d %+8d\n", c, a[c], b[c], b[c] - a[c], pa[c], pb[c], pb[c] - pa[c] | "sort"
             close("sort")
-            printf "%-22s %8d %8d %+8d\n", "total", ta, tb, tb - ta
+            printf "%-22s %8d %8d %+8d   %8d %8d %+8d\n", "total", ta, tb, tb - ta, tpa, tpb, tpb - tpa
         }'
 fi
