@@ -32,14 +32,15 @@ use qi_pfs::control::{ClusterController, ControlDirective};
 use qi_pfs::ops::RunTrace;
 use qi_serve::{Prediction, ReplaySummary, ShardedServeEngine, WindowFeed};
 use qi_simkit::error::QiError;
+use qi_simkit::stats::Histogram;
 use qi_simkit::time::{SimDuration, SimTime};
-use qi_telemetry::{MetricId, MetricValue, MetricsSnapshot, Registry};
+use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::gate::{GateStats, Hysteresis, HysteresisGate};
 use crate::policy::{MitigationPolicy, WindowObservation};
 
-/// All directive labels, for up-front counter registration (stable
-/// snapshot key sets).
+/// All directive labels, one counter each, so the snapshot key set is
+/// the same whatever was emitted.
 const DIRECTIVE_LABELS: [&str; 6] = [
     "rate_limit",
     "clear_rate_limit",
@@ -49,16 +50,34 @@ const DIRECTIVE_LABELS: [&str; 6] = [
     "clear_avoid_osts",
 ];
 
-#[derive(Clone, Copy)]
-struct Ids {
-    ticks: MetricId,
-    predictions: MetricId,
-    errors: MetricId,
-    desired: MetricId,
-    emitted: MetricId,
-    desired_per_tick: MetricId,
-    emitted_per_tick: MetricId,
-    directive: [MetricId; 6],
+/// The loop's own counters (`control.*`), written by
+/// [`ClusterController::metrics_into`].
+struct LoopStats {
+    ticks: u64,
+    predictions: u64,
+    errors: u64,
+    desired: u64,
+    emitted: u64,
+    /// Directives desired and emitted per tick.
+    desired_per_tick: Histogram,
+    emitted_per_tick: Histogram,
+    /// Emitted directives per kind, in `DIRECTIVE_LABELS` order.
+    directive: [u64; 6],
+}
+
+impl LoopStats {
+    fn new() -> Self {
+        LoopStats {
+            ticks: 0,
+            predictions: 0,
+            errors: 0,
+            desired: 0,
+            emitted: 0,
+            desired_per_tick: Histogram::new(0.0, 16.0, 16),
+            emitted_per_tick: Histogram::new(0.0, 16.0, 16),
+            directive: [0; 6],
+        }
+    }
 }
 
 /// The prediction-guided mitigation controller. Build one with
@@ -72,8 +91,7 @@ pub struct ControlLoop {
     policy: Box<dyn MitigationPolicy>,
     gate: HysteresisGate,
     desired: Vec<ControlDirective>,
-    reg: Registry,
-    ids: Ids,
+    stats: LoopStats,
 }
 
 impl ControlLoop {
@@ -126,19 +144,19 @@ impl ClusterController for ControlLoop {
         trace: &RunTrace,
         out: &mut Vec<ControlDirective>,
     ) {
-        self.reg.inc(self.ids.ticks);
+        self.stats.ticks += 1;
         let bound = self.wcfg.start_of(window + 1);
         if self.observe(now, bound, trace).is_err() {
             // A serving/pipeline failure must not stall the simulation:
             // count it and decide from whatever arrived (possibly
             // nothing — guided policies treat that as cool).
-            self.reg.inc(self.ids.errors);
+            self.stats.errors += 1;
         }
         let mut preds: Vec<Prediction> = match self.served.as_mut() {
             Some((_, _, feed)) => std::mem::take(&mut feed.summary.predictions),
             None => Vec::new(),
         };
-        self.reg.add(self.ids.predictions, preds.len() as u64);
+        self.stats.predictions += preds.len() as u64;
         preds.sort_by_key(|p| (p.window, p.tenant.0));
         let this_window: Vec<Prediction> =
             preds.into_iter().filter(|p| p.window == window).collect();
@@ -150,27 +168,52 @@ impl ClusterController for ControlLoop {
             predictions: &this_window,
         };
         self.policy.decide(&obs, &mut self.desired);
-        self.reg.add(self.ids.desired, self.desired.len() as u64);
-        self.reg
-            .observe(self.ids.desired_per_tick, self.desired.len() as f64);
+        self.stats.desired += self.desired.len() as u64;
+        self.stats
+            .desired_per_tick
+            .record(self.desired.len() as f64);
 
         let before = out.len();
         self.gate.filter(&self.desired, out);
         let emitted = &out[before..];
-        self.reg.add(self.ids.emitted, emitted.len() as u64);
-        self.reg
-            .observe(self.ids.emitted_per_tick, emitted.len() as f64);
+        self.stats.emitted += emitted.len() as u64;
+        self.stats.emitted_per_tick.record(emitted.len() as f64);
         for d in emitted {
+            // `DIRECTIVE_LABELS` holds every `ControlDirective::label`.
             let i = DIRECTIVE_LABELS
                 .iter()
                 .position(|&l| l == d.label())
-                .expect("every directive label is registered");
-            self.reg.inc(self.ids.directive[i]);
+                .expect("every directive label is listed");
+            self.stats.directive[i] += 1;
         }
     }
 
     fn metrics_into(&self, snap: &mut MetricsSnapshot) {
-        snap.absorb("", &self.reg.snapshot());
+        let st = &self.stats;
+        for (name, v) in [
+            ("ticks", st.ticks),
+            ("predictions", st.predictions),
+            ("errors", st.errors),
+            ("desired", st.desired),
+            ("emitted", st.emitted),
+        ] {
+            snap.put(&format!("control.{name}"), MetricValue::Counter(v));
+        }
+        for (label, &v) in DIRECTIVE_LABELS.iter().zip(&st.directive) {
+            snap.put(
+                &format!("control.directive.{label}"),
+                MetricValue::Counter(v),
+            );
+        }
+        for (name, h) in [
+            ("desired_per_tick", &st.desired_per_tick),
+            ("emitted_per_tick", &st.emitted_per_tick),
+        ] {
+            snap.put(
+                &format!("control.{name}"),
+                MetricValue::Histogram(h.clone()),
+            );
+        }
         let idle = ReplaySummary::default();
         let tally = (self.served.as_ref()).map_or(&idle, |(_, _, feed)| &feed.summary);
         snap.put("control.windows", MetricValue::Counter(tally.windows));
@@ -290,26 +333,13 @@ impl ControlLoopBuilder {
         }
         let gate = HysteresisGate::new(self.hysteresis)?;
 
-        let mut reg = Registry::new();
-        let ids = Ids {
-            ticks: reg.counter("control.ticks"),
-            predictions: reg.counter("control.predictions"),
-            errors: reg.counter("control.errors"),
-            desired: reg.counter("control.desired"),
-            emitted: reg.counter("control.emitted"),
-            desired_per_tick: reg.histogram("control.desired_per_tick", 0.0, 16.0, 16),
-            emitted_per_tick: reg.histogram("control.emitted_per_tick", 0.0, 16.0, 16),
-            directive: DIRECTIVE_LABELS.map(|l| reg.counter(&format!("control.directive.{l}"))),
-        };
-
         Ok(ControlLoop {
             wcfg,
             served,
             policy,
             gate,
             desired: Vec::new(),
-            reg,
-            ids,
+            stats: LoopStats::new(),
         })
     }
 }

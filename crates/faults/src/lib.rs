@@ -23,10 +23,10 @@ use qi_simkit::{QiError, SimDuration, SimTime};
 /// starts at [`SimTime::ZERO`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
-    /// Multiply one OST device's disk service time by `factor` over
+    /// Multiply one device's disk service time by `factor` over
     /// `[from, until)`. Applied by `disk.rs` (the rotational model).
     SlowDisk {
-        /// Target device index (0-based across all OSTs).
+        /// Target device index (the OSTs from 0, then the MDT).
         dev: u32,
         /// Service-time multiplier, `>= 1.0`.
         factor: f64,
@@ -35,7 +35,7 @@ pub enum FaultEvent {
         /// Window end (factor reverts to 1.0).
         until: SimTime,
     },
-    /// Freeze one OST's block queue: nothing dispatches for `duration`
+    /// Freeze one device's block queue: nothing dispatches for `duration`
     /// starting at `at`. In-flight requests finish; new dispatch waits.
     /// Applied by `queue.rs`.
     DiskStall {
@@ -79,7 +79,7 @@ pub enum FaultEvent {
     /// An OSS loses service threads at `at`: its effective CPU cost per
     /// RPC is divided by `remaining` (the fraction of threads left, in
     /// `(0, 1]`). Optionally restarts to full capacity at `restart`.
-    /// Applied by `cluster.rs` (the serial OSS CPU model).
+    /// Applied by `servers.rs` (the serial OSS CPU model).
     OssThreadCrash {
         /// OSS index (0-based).
         oss: u32,
@@ -93,7 +93,7 @@ pub enum FaultEvent {
     /// MDS lock storm over `[from, until)`: every directory-lock
     /// acquisition behaves like an owner switch (forced revocation) and
     /// revocations take `revoke_factor`× as long. Applied by
-    /// `cluster.rs` (the MDS lock path).
+    /// `mds.rs` (the MDS lock path).
     MdsLockStorm {
         /// Window start.
         from: SimTime,

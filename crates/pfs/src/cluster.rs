@@ -9,42 +9,41 @@
 //! network. Metadata ops go to the MDS: CPU, lookup cache, per-directory
 //! locks, and journal writes on the MDT device.
 //!
-//! The OSS/OST side lives in [`crate::servers`]; clients, the MDS/MDT,
-//! retries and control live here.
-
-use std::collections::VecDeque;
+//! Every piece of state has one owner, and each owner writes its own
+//! telemetry block:
+//!
+//! - [`crate::servers`] — every OSS/OST (`OssProcess`, `TbfAdmitted`,
+//!   `OssFactor`, and the device events of OSTs);
+//! - [`crate::mds`] — the MDS and its MDT, namespace and layout
+//!   placement included (`MdsProcess`, `MdsLockRun`, and the MDT's
+//!   device events);
+//! - [`crate::control`] — the controller tick (`Control`), the TBF table
+//!   and directive application;
+//! - this module — the builder, the run loop, fault realisation, the
+//!   client ranks and their retries (`RankNext`, `SendLater`,
+//!   `RpcTimeout`, `RpcResend`), the sampler (`Sample`), and the routing
+//!   of every event, `Deliver` included, to its owner.
 
 use qi_faults::{FaultEvent, FaultPlan, RetryPolicy};
 use qi_simkit::error::QiError;
 use qi_simkit::event::EventQueue;
-use qi_simkit::hash::IdMap;
-use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::rng::SimRng;
-use qi_simkit::stats::OnlineStats;
 use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::arena::{Slab, SlabKey};
-use crate::cache::LruSet;
-use crate::config::{ClusterConfig, StripeConfig, SECTOR_SIZE};
-use crate::control::{ClusterController, ControlDirective, DirectiveRecord};
-use crate::disk::Disk;
-use crate::ids::{AppId, DeviceId, DirKey, FileKey, NodeId, OpToken};
-use crate::layout::{chunks, chunks_into, Chunk, FileLayout, ObjKey};
+use crate::config::{ClusterConfig, StripeConfig};
+use crate::control::{ClusterController, ControlDirective, ControlPlane, Plant};
+use crate::ids::{AppId, DeviceId, FileKey, NodeId, OpToken};
+use crate::layout::{Chunk, FileLayout, ObjKey};
+use crate::mds::{Mds, META_MSG_BYTES};
 use crate::net::{LinkFate, LinkFault, LinkFaultKind, Network};
-use crate::ops::{
-    IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace, ServerSample,
-};
-use crate::queue::{BlockDevice, Dispatch, Member, ReqKind};
+use crate::ops::{IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace};
 use crate::servers::{Ev, Fx, MetaOp, Msg, Servers};
 use crate::store::SampleStore;
 
 /// Client-side per-op syscall/dispatch overhead.
 const CLIENT_OP_OVERHEAD: SimDuration = SimDuration::from_micros(5);
-/// Payload bytes of a metadata request/reply.
-const META_MSG_BYTES: u64 = 1024;
-/// Sectors per metadata device operation (4 KiB records).
-const META_SECTORS: u64 = 8;
 
 /// A dropped client request awaiting retry, keyed by a
 /// generation-versioned slab key: stale timeout/resend events for a
@@ -57,128 +56,6 @@ struct RetryState {
     token: OpToken,
     /// Resends performed so far.
     attempt: u32,
-}
-
-/// Per-directory metadata lock with FIFO waiters (each remembers when it
-/// enqueued, for lock-wait telemetry).
-#[derive(Default)]
-struct DirLock {
-    busy: bool,
-    waiters: VecDeque<(OpToken, NodeId, SimTime)>,
-    /// Client that last held the lock; a different client pays a
-    /// revocation round-trip before its mutation runs.
-    last_client: Option<NodeId>,
-}
-
-/// Scalar telemetry the cluster accumulates outside the per-device
-/// counters; folded into [`RunTrace::metrics`] when a run ends. All
-/// values derive from simulated time and deterministic state only.
-#[derive(Default)]
-struct ClusterTelemetry {
-    /// Time each mutation waited for its directory lock, in microseconds
-    /// (uncontended acquisitions observe 0).
-    lock_wait_us: OnlineStats,
-    /// Lock acquisitions that paid a revocation round-trip because the
-    /// lock last belonged to a different client.
-    lock_revocations: u64,
-    /// Lookups served from the inode cache (real or modelled hit).
-    lookup_cache_hits: u64,
-    /// Lookups that had to read the inode from the MDT.
-    lookup_cache_misses: u64,
-    /// Server-side monitor sampling ticks taken.
-    samples_taken: u64,
-    /// Client requests lost in transit (injected `RpcDrop` faults).
-    rpc_dropped: u64,
-    /// Client requests delivered late (injected `RpcDelay` faults).
-    rpc_delayed: u64,
-    /// Client-side reply waits that expired.
-    rpc_timeouts: u64,
-    /// Requests resent after a timeout.
-    rpc_retries: u64,
-    /// Operations abandoned because the retry budget ran out.
-    rpc_failed_ops: u64,
-    /// Operations abandoned because their per-op deadline passed.
-    rpc_deadline_exceeded: u64,
-    /// Injected `DiskStall` events that fired.
-    disk_stalls: u64,
-    /// Lock revocations forced by an `MdsLockStorm` window.
-    lock_storm_revocations: u64,
-    /// Control directives applied successfully.
-    control_applied: u64,
-    /// Control directives rejected as invalid (bad app, bad rate, all
-    /// OSTs avoided).
-    control_rejected: u64,
-    /// Rate-limit installs / clears applied.
-    control_rate_limits: u64,
-    control_rate_clears: u64,
-    /// Admission-cap installs / clears applied.
-    control_caps: u64,
-    control_cap_clears: u64,
-    /// Avoid-OSTs installs / clears applied.
-    control_retargets: u64,
-    control_retarget_clears: u64,
-    /// New file layouts that were steered around avoided OSTs.
-    control_retarget_layouts: u64,
-}
-
-/// Put one device's block-layer counters and distributions into the
-/// snapshot under the prefix `p` (`pfs.ost{i}` or `pfs.mdt`).
-fn put_dev<T>(snap: &mut MetricsSnapshot, p: &str, dev: &BlockDevice<T>, now: SimTime) {
-    let c = dev.counters(now);
-    for (field, v) in [
-        ("reads_completed", c.reads_completed),
-        ("writes_completed", c.writes_completed),
-        ("sectors_read", c.sectors_read),
-        ("sectors_written", c.sectors_written),
-        ("read_merges", c.read_merges),
-        ("write_merges", c.write_merges),
-        ("enqueued", c.enqueued),
-        ("wait_ns", c.wait_ns),
-        ("busy_ns", c.busy_ns),
-    ] {
-        snap.put(&format!("{p}.{field}"), MetricValue::Counter(v));
-    }
-    snap.put(
-        &format!("{p}.queue_depth"),
-        MetricValue::Stats(dev.depth_stats().clone()),
-    );
-    snap.put(
-        &format!("{p}.seek_sectors"),
-        MetricValue::Stats(dev.seek_stats().clone()),
-    );
-    snap.put(
-        &format!("{p}.service_us"),
-        MetricValue::Histogram(dev.service_time_hist().clone()),
-    );
-}
-
-/// Completion payload attached to MDT block requests.
-enum MdtTag {
-    /// Journal write completing a namespace mutation.
-    Journal {
-        token: OpToken,
-        client: NodeId,
-        dir: DirKey,
-    },
-    /// Inode read completing a lookup miss.
-    Lookup {
-        token: OpToken,
-        client: NodeId,
-        file: FileKey,
-    },
-}
-
-/// Metadata server state.
-struct MdsState {
-    namespace: IdMap<FileKey, FileLayout>,
-    dirs: IdMap<DirKey, DirLock>,
-    inode_cache: LruSet<FileKey>,
-    cpu_free: SimTime,
-    journal_ptr: u64,
-    journal_base: u64,
-    journal_sectors: u64,
-    inode_base: u64,
-    inode_sectors: u64,
 }
 
 /// Per-rank execution state.
@@ -201,30 +78,30 @@ struct AppState {
     ranks_left: u32,
 }
 
+/// When `token`'s operation was issued, while it is still its rank's
+/// current operation.
+fn issued_if_current(apps: &[AppState], token: OpToken) -> Option<SimTime> {
+    match apps[token.app.0 as usize].ranks[token.rank as usize].cur {
+        Some((t, _, _, issued)) if t == token => Some(issued),
+        _ => None,
+    }
+}
+
 /// The whole simulated cluster. Build it, add applications, then [`run`].
 ///
 /// [`run`]: Cluster::run
 pub struct Cluster {
     cfg: ClusterConfig,
-    /// The one event queue.
-    events: EventQueue<Ev>,
-    net: Network,
+    /// The one event queue, and the network.
+    fx: Fx,
     /// Every OSS node and its OSTs.
     servers: Servers,
-    /// The MDT device. The journal is synchronous, so no write-back
-    /// cache.
-    mdt_dev: BlockDevice<MdtTag>,
-    dev_node: Vec<NodeId>,
-    mds: MdsState,
+    /// The MDS and its MDT.
+    mds: Mds,
+    /// The controller, the TBF table and directive application.
+    control: ControlPlane,
     apps: Vec<AppState>,
-    /// Per-application server-side token-bucket filters (bytes/s), the
-    /// classful TBF NRS policy of Qian et al. — data RPCs of a limited
-    /// app are admitted to the OSS only as tokens accrue. The buckets
-    /// are consulted at delivery time, before the OSS CPU stage.
-    tbf: IdMap<AppId, TokenBucket>,
     trace: RunTrace,
-    rng: SimRng,
-    tele: ClusterTelemetry,
     /// The validated fault schedule; realised as events when a run starts.
     fault_plan: FaultPlan,
     /// Client retry/timeout/backoff policy for lost requests.
@@ -233,47 +110,27 @@ pub struct Cluster {
     /// jitter). Healthy runs never draw from it, so adding a fault plan
     /// cannot perturb the main RNG's value stream.
     fault_rng: SimRng,
-    /// Active `MdsLockStorm` windows: (from, until, revoke_factor).
-    lock_storms: Vec<(SimTime, SimTime, f64)>,
     /// Dropped requests awaiting timeout/retry, keyed by slab key; the
     /// key's generation makes stale `RpcTimeout`/`RpcResend` events for a
     /// recycled slot harmless (they miss on lookup).
     retry_states: Slab<RetryState>,
-    /// Scratch buffers reused across events so the hot path performs no
-    /// per-event heap allocation. Each user `std::mem::take`s the buffer,
-    /// clears it, fills and drains it, then puts it back.
+    /// Chunk buffer reused across ops so issuing one allocates nothing.
     scratch_chunks: Vec<Chunk>,
-    scratch_members: Vec<Member<MdtTag>>,
-    /// The installed mitigation controller, ticked once per control
-    /// interval; `None` on uncontrolled runs (the common case — every
-    /// control-path check below is a cheap is-empty/is-none test).
-    controller: Option<Box<dyn ClusterController>>,
-    /// Controller tick interval, sampled at install time.
-    control_interval: SimDuration,
-    /// Index of the next window the controller will close.
-    control_window: u64,
-    /// True once a controller was installed or a directive applied;
-    /// gates the `pfs.control.*` snapshot block so uncontrolled runs
-    /// keep their historical (golden) key set.
-    control_used: bool,
-    /// Per-OST avoidance flags for new layouts; empty means no steering.
-    avoid_osts: Vec<bool>,
-    /// Scratch directive buffer for control ticks.
-    scratch_directives: Vec<ControlDirective>,
-}
-
-/// Deterministic 64-bit mix of a file key, used for placement and inode
-/// slots. Placement must depend only on the file's identity — never on
-/// creation order — so that a file lands on the same OSTs in a baseline
-/// run and an interfered run.
-fn file_hash(file: FileKey) -> u64 {
-    let mut z = (file.app.0 as u64)
-        .wrapping_shl(32)
-        .wrapping_add(file.num)
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    /// Server-side monitor sampling ticks taken.
+    samples_taken: u64,
+    /// Injected `DiskStall` events that fired, on OSTs and the MDT.
+    disk_stalls: u64,
+    /// Client requests lost in transit (injected `RpcDrop` faults), and
+    /// delivered late (injected `RpcDelay` faults).
+    rpc_dropped: u64,
+    rpc_delayed: u64,
+    /// Client-side reply waits that expired, and requests resent after
+    /// one.
+    rpc_timeouts: u64,
+    rpc_retries: u64,
+    /// Operations abandoned because their per-op deadline passed. (All
+    /// abandoned operations are `RunTrace::failed_ops`.)
+    rpc_deadline_exceeded: u64,
 }
 
 /// Fluent constructor for [`Cluster`], and the only supported way to
@@ -374,91 +231,39 @@ impl Cluster {
     }
 
     fn construct(cfg: ClusterConfig, seed: u64, fault_plan: FaultPlan, retry: RetryPolicy) -> Self {
-        let n_osts = cfg.n_osts() as usize;
-        let mut dev_node = Vec::with_capacity(n_osts + 1);
-        for i in 0..n_osts {
-            let oss = i as u32 / cfg.osts_per_oss;
-            dev_node.push(NodeId(cfg.client_nodes + oss));
-        }
-        let mds_node = NodeId(cfg.client_nodes + cfg.oss_nodes);
-        dev_node.push(mds_node);
-
         // In-flight events scale with concurrently outstanding chunk
         // RPCs: a few per rank per striped OST plus device completions.
         // Pre-sizing kills backend regrowth in long runs; 64 slots per
         // node is comfortably above the steady-state high-water mark at
         // every config we run.
         let queue_slots = cfg.n_nodes() as usize * 64;
-        let mdt_dev = BlockDevice::new(cfg.queue.clone(), Disk::new(cfg.mdt_disk.clone()));
-
-        let journal_base = 2048;
-        let journal_sectors = cfg.mds.journal_region_bytes / SECTOR_SIZE;
-        let mds = MdsState {
-            namespace: IdMap::default(),
-            dirs: IdMap::default(),
-            inode_cache: LruSet::new(cfg.mds.inode_cache_entries),
-            cpu_free: SimTime::ZERO,
-            journal_ptr: journal_base,
-            journal_base,
-            journal_sectors,
-            inode_base: journal_base + journal_sectors,
-            inode_sectors: (cfg.mdt_disk.capacity_sectors - journal_base - journal_sectors) / 2,
-        };
-        let rng = SimRng::new(seed).substream(0xC10D);
-        let fault_rng = SimRng::new(seed).substream(0xFA17);
         Cluster {
-            net: Network::new(cfg.net.clone(), cfg.n_nodes()),
-            events: EventQueue::with_capacity_and_backend(queue_slots, cfg.event_queue),
+            fx: Fx {
+                q: EventQueue::with_capacity_and_backend(queue_slots, cfg.event_queue),
+                net: Network::new(cfg.net.clone(), cfg.n_nodes()),
+            },
             servers: Servers::new(&cfg),
-            mdt_dev,
-            dev_node,
-            mds,
+            mds: Mds::new(&cfg, SimRng::new(seed).substream(0xC10D)),
+            control: ControlPlane::default(),
             apps: Vec::new(),
-            tbf: IdMap::default(),
             trace: RunTrace {
                 samples: SampleStore::with_config(cfg.trace_store),
                 ..RunTrace::default()
             },
-            rng,
-            tele: ClusterTelemetry {
-                // The derived default is not the empty accumulator (its
-                // min/max start at 0, not ±inf).
-                lock_wait_us: OnlineStats::new(),
-                ..ClusterTelemetry::default()
-            },
             fault_plan,
             retry,
-            fault_rng,
-            lock_storms: Vec::new(),
+            fault_rng: SimRng::new(seed).substream(0xFA17),
             retry_states: Slab::new(),
             scratch_chunks: Vec::new(),
-            scratch_members: Vec::new(),
-            controller: None,
-            control_interval: SimDuration::ZERO,
-            control_window: 0,
-            control_used: false,
-            avoid_osts: Vec::new(),
-            scratch_directives: Vec::new(),
+            samples_taken: 0,
+            disk_stalls: 0,
+            rpc_dropped: 0,
+            rpc_delayed: 0,
+            rpc_timeouts: 0,
+            rpc_retries: 0,
+            rpc_deadline_exceeded: 0,
             cfg,
         }
-    }
-
-    /// The effect context for client and MDS code: the event queue and the
-    /// network.
-    fn fx(&mut self) -> Fx<'_> {
-        Fx {
-            q: &mut self.events,
-            net: &mut self.net,
-        }
-    }
-
-    /// Run one OSS/OST event.
-    fn server_event(&mut self, now: SimTime, ev: Ev) {
-        let mut fx = Fx {
-            q: &mut self.events,
-            net: &mut self.net,
-        };
-        self.servers.handle(now, ev, &self.cfg, &mut fx);
     }
 
     /// Cluster configuration.
@@ -528,28 +333,13 @@ impl Cluster {
         AppId(self.apps.len() as u32)
     }
 
-    /// Install a server-side token-bucket filter for `app`'s data RPCs:
-    /// at most `bytes_per_sec` of payload is admitted to the object
-    /// servers (burst of one second's worth), queuing the excess — the
-    /// classful TBF policy of Qian et al. (the paper's reference [13]).
-    pub fn set_app_rate_limit(&mut self, app: AppId, bytes_per_sec: f64) {
-        assert!(bytes_per_sec > 0.0);
-        self.tbf
-            .insert(app, TokenBucket::new(bytes_per_sec, bytes_per_sec));
-    }
-
     /// Install a mitigation controller: from the run's start it is
     /// ticked once per [`ClusterController::interval`], 1 ns after each
     /// window boundary (strictly after every event of the closed
     /// window), and its directives are applied through
     /// [`Cluster::apply_directive`]. At most one controller per run.
     pub fn install_controller(&mut self, controller: Box<dyn ClusterController>) {
-        let interval = controller.interval();
-        assert!(interval > SimDuration::ZERO, "zero control interval");
-        assert!(self.controller.is_none(), "controller already installed");
-        self.control_interval = interval;
-        self.controller = Some(controller);
-        self.control_used = true;
+        self.control.install(controller);
     }
 
     /// Apply one typed control directive, the single entry point every
@@ -557,113 +347,33 @@ impl Cluster {
     /// nothing when the directive is invalid (unknown app, non-finite
     /// or non-positive rate, zero cap, every OST avoided); successful
     /// applications are recorded in [`RunTrace::directives`].
+    ///
+    /// A `RateLimit` installs a server-side token-bucket filter for the
+    /// app's data RPCs: at most `bytes_per_sec` of payload is admitted
+    /// to the object servers (burst of one second's worth), queuing the
+    /// excess — the classful TBF policy of Qian et al. (the paper's
+    /// reference [13]).
     pub fn apply_directive(
         &mut self,
         at: SimTime,
         window: u64,
         directive: ControlDirective,
     ) -> Result<(), QiError> {
-        self.control_used = true;
-        if let Some(app) = directive.app() {
-            if app.0 as usize >= self.apps.len() {
-                return Err(QiError::Control(format!(
-                    "directive targets unknown app {}",
-                    app.0
-                )));
-            }
-        }
-        match &directive {
-            ControlDirective::RateLimit { app, bytes_per_sec } => {
-                if !bytes_per_sec.is_finite() || *bytes_per_sec <= 0.0 {
-                    return Err(QiError::Control(format!(
-                        "rate limit must be finite and positive, got {bytes_per_sec}"
-                    )));
-                }
-                self.tbf
-                    .insert(*app, TokenBucket::new(*bytes_per_sec, *bytes_per_sec));
-                self.tele.control_rate_limits += 1;
-            }
-            ControlDirective::ClearRateLimit { app } => {
-                self.tbf.remove(app);
-                self.tele.control_rate_clears += 1;
-            }
-            ControlDirective::CapInflight { app, max_inflight } => {
-                if *max_inflight == 0 {
-                    return Err(QiError::Control("inflight cap must be >= 1".into()));
-                }
-                self.servers.inflight_caps.insert(app.0, *max_inflight);
-                self.tele.control_caps += 1;
-                self.cap_changed(at, app.0);
-            }
-            ControlDirective::ClearCapInflight { app } => {
-                self.servers.inflight_caps.remove(&app.0);
-                self.tele.control_cap_clears += 1;
-                self.cap_changed(at, app.0);
-            }
-            ControlDirective::AvoidOsts { osts } => {
-                let n_osts = self.cfg.n_osts();
-                let mut avoided = vec![false; n_osts as usize];
-                for d in osts {
-                    if d.0 >= n_osts {
-                        return Err(QiError::Control(format!(
-                            "cannot avoid non-OST device {}",
-                            d.0
-                        )));
-                    }
-                    avoided[d.0 as usize] = true;
-                }
-                if avoided.iter().all(|&b| b) {
-                    return Err(QiError::Control(
-                        "cannot avoid every OST: layouts need a target".into(),
-                    ));
-                }
-                self.avoid_osts = avoided;
-                self.tele.control_retargets += 1;
-            }
-            ControlDirective::ClearAvoidOsts => {
-                self.avoid_osts.clear();
-                self.tele.control_retarget_clears += 1;
-            }
-        }
-        self.tele.control_applied += 1;
-        self.trace.directives.push(DirectiveRecord {
-            at,
-            window,
-            directive,
-        });
-        Ok(())
+        let (control, mut plant) = self.plant();
+        control.apply(at, window, directive, &mut plant)
     }
 
-    /// One controller tick: close window `control_window`, apply the
-    /// controller's directives, reschedule the next tick.
-    fn control_tick(&mut self, now: SimTime) {
-        let Some(mut ctl) = self.controller.take() else {
-            return;
+    /// The control plane, and the rest of the cluster it acts on.
+    fn plant(&mut self) -> (&mut ControlPlane, Plant<'_>) {
+        let plant = Plant {
+            cfg: &self.cfg,
+            n_apps: self.apps.len(),
+            servers: &mut self.servers,
+            mds: &mut self.mds,
+            fx: &mut self.fx,
+            trace: &mut self.trace,
         };
-        let window = self.control_window;
-        self.control_window += 1;
-        let mut out = std::mem::take(&mut self.scratch_directives);
-        out.clear();
-        ctl.on_window(now, window, &self.trace, &mut out);
-        for d in out.drain(..) {
-            if self.apply_directive(now, window, d).is_err() {
-                self.tele.control_rejected += 1;
-            }
-        }
-        self.scratch_directives = out;
-        self.controller = Some(ctl);
-        self.events
-            .schedule(now + self.control_interval, Ev::Control);
-    }
-
-    /// A cap directive for `app` landed: re-admit parked RPCs under the
-    /// new cap.
-    fn cap_changed(&mut self, at: SimTime, app: u32) {
-        let mut fx = Fx {
-            q: &mut self.events,
-            net: &mut self.net,
-        };
-        self.servers.admission_recheck(at, app, &self.cfg, &mut fx);
+        (&mut self.control, plant)
     }
 
     /// Schedule a fail-slow injection: from `at` onward, `dev` services
@@ -672,15 +382,14 @@ impl Cluster {
     pub fn inject_fail_slow(&mut self, dev: DeviceId, at: SimTime, factor: f64) {
         assert!(dev.0 < self.cfg.n_devices(), "no such device");
         assert!(factor >= 1.0);
-        self.events
-            .schedule(at, Ev::FailSlow { dev: dev.0, factor });
+        self.fx.schedule(at, Ev::FailSlow { dev: dev.0, factor });
     }
 
     /// Pre-populate a file (namespace entry + contiguous extents) without
     /// simulating any I/O — the equivalent of a dataset that existed
     /// before the measured run. OSTs are assigned round-robin.
     pub fn precreate_file(&mut self, file: FileKey, len: u64, stripe: Option<StripeConfig>) {
-        let layout = self.make_layout(file, stripe);
+        let layout = self.mds.make_layout(&self.cfg, file, stripe);
         self.install_file(file, len, layout);
     }
 
@@ -702,62 +411,8 @@ impl Cluster {
     }
 
     fn install_file(&mut self, file: FileKey, len: u64, layout: FileLayout) {
-        // Pre-existing files were created by an earlier phase of the same
-        // workload sequence (e.g. mdtest-hard-write before -read), so
-        // their inodes are warm in the MDS cache.
-        self.mds.inode_cache.insert(file);
-        if len > 0 {
-            let small = len <= self.cfg.cache.small_object_max;
-            for c in chunks(&layout, 0, len) {
-                let key = ObjKey {
-                    file,
-                    stripe: c.stripe,
-                };
-                let i = c.dev.index();
-                self.servers.extents[i].map(key, c.obj_offset, c.len);
-                if small {
-                    // Small pre-existing files sit in the server page
-                    // cache (e.g. mdtest-hard bodies written moments
-                    // before the read phase).
-                    self.servers.read_cache[i].touch(key, c.obj_offset + c.len);
-                }
-            }
-        }
-        self.mds.namespace.insert(file, layout);
-    }
-
-    fn make_layout(&mut self, file: FileKey, stripe: Option<StripeConfig>) -> FileLayout {
-        let s = stripe.unwrap_or(self.cfg.stripe);
-        let n_osts = self.cfg.n_osts();
-        // Stripe re-targeting: with an avoidance set installed, place
-        // over the allowed OSTs only (same hash-round-robin rule on the
-        // reduced list). The empty set takes the historical formula
-        // verbatim, keeping uncontrolled runs byte-identical.
-        if self.avoid_osts.iter().any(|&b| b) {
-            let allowed: Vec<u32> = (0..n_osts)
-                .filter(|&i| !self.avoid_osts[i as usize])
-                .collect();
-            let count = s.stripe_count.clamp(1, allowed.len() as u32) as usize;
-            let start = (file_hash(file) % allowed.len() as u64) as usize;
-            self.tele.control_retarget_layouts += 1;
-            return FileLayout {
-                stripe_size: s.stripe_size,
-                osts: (0..count)
-                    .map(|i| DeviceId(allowed[(start + i) % allowed.len()]))
-                    .collect(),
-            };
-        }
-        let count = s.stripe_count.clamp(1, n_osts);
-        let start = (file_hash(file) % n_osts as u64) as u32;
-        FileLayout {
-            stripe_size: s.stripe_size,
-            osts: (0..count).map(|i| DeviceId((start + i) % n_osts)).collect(),
-        }
-    }
-
-    fn send(&mut self, now: SimTime, src: NodeId, dst: NodeId, payload: u64, msg: Msg) {
-        self.fx()
-            .send(now, src, dst, payload, SimDuration::ZERO, Some(msg));
+        self.servers.preload(&self.cfg, file, len, &layout);
+        self.mds.install(file, layout);
     }
 
     /// Roll the link fate of one client request and put it on the wire.
@@ -771,17 +426,17 @@ impl Cluster {
         payload: u64,
         msg: Msg,
     ) -> Option<Msg> {
-        match self.net.fate(now, src, dst, &mut self.fault_rng) {
+        match self.fx.net.fate(now, src, dst, &mut self.fault_rng) {
             LinkFate::Deliver(extra) => {
                 if extra > SimDuration::ZERO {
-                    self.tele.rpc_delayed += 1;
+                    self.rpc_delayed += 1;
                 }
-                self.fx().send(now, src, dst, payload, extra, Some(msg));
+                self.fx.send(now, src, dst, payload, extra, Some(msg));
                 None
             }
             LinkFate::Dropped => {
-                self.tele.rpc_dropped += 1;
-                self.fx()
+                self.rpc_dropped += 1;
+                self.fx
                     .send(now, src, dst, payload, SimDuration::ZERO, None);
                 Some(msg)
             }
@@ -813,7 +468,7 @@ impl Cluster {
                 token,
                 attempt: 0,
             });
-            self.events
+            self.fx
                 .schedule(now + self.retry.rpc_timeout, Ev::RpcTimeout { seq });
         }
     }
@@ -831,18 +486,12 @@ impl Cluster {
                     from,
                     until,
                 } => {
-                    self.events.schedule(from, Ev::FailSlow { dev, factor });
-                    self.events
-                        .schedule(until, Ev::FailSlow { dev, factor: 1.0 });
+                    self.fx.schedule(from, Ev::FailSlow { dev, factor });
+                    self.fx.schedule(until, Ev::FailSlow { dev, factor: 1.0 });
                 }
                 FaultEvent::DiskStall { dev, at, duration } => {
-                    self.events.schedule(
-                        at,
-                        Ev::DiskStall {
-                            dev,
-                            until: at + duration,
-                        },
-                    );
+                    let until = at + duration;
+                    self.fx.schedule(at, Ev::DiskStall { dev, until });
                 }
                 FaultEvent::RpcDrop {
                     src,
@@ -850,7 +499,7 @@ impl Cluster {
                     prob,
                     from,
                     until,
-                } => self.net.add_fault(LinkFault {
+                } => self.fx.net.add_fault(LinkFault {
                     src: src.map(NodeId),
                     dst: dst.map(NodeId),
                     from,
@@ -863,7 +512,7 @@ impl Cluster {
                     delay,
                     from,
                     until,
-                } => self.net.add_fault(LinkFault {
+                } => self.fx.net.add_fault(LinkFault {
                     src: src.map(NodeId),
                     dst: dst.map(NodeId),
                     from,
@@ -876,22 +525,17 @@ impl Cluster {
                     restart,
                     remaining,
                 } => {
-                    self.events.schedule(
-                        at,
-                        Ev::OssFactor {
-                            oss,
-                            factor: 1.0 / remaining,
-                        },
-                    );
+                    let factor = 1.0 / remaining;
+                    self.fx.schedule(at, Ev::OssFactor { oss, factor });
                     if let Some(r) = restart {
-                        self.events.schedule(r, Ev::OssFactor { oss, factor: 1.0 });
+                        self.fx.schedule(r, Ev::OssFactor { oss, factor: 1.0 });
                     }
                 }
                 FaultEvent::MdsLockStorm {
                     from,
                     until,
                     revoke_factor,
-                } => self.lock_storms.push((from, until, revoke_factor)),
+                } => self.mds.add_lock_storm(from, until, revoke_factor),
             }
         }
     }
@@ -914,29 +558,17 @@ impl Cluster {
         // Kick every rank and the sampler chain.
         for a in 0..self.apps.len() {
             for r in 0..self.apps[a].ranks.len() {
-                self.events.schedule(
-                    SimTime::ZERO,
-                    Ev::RankNext {
-                        app: a as u32,
-                        rank: r as u32,
-                    },
-                );
+                let (app, rank) = (a as u32, r as u32);
+                self.fx.schedule(SimTime::ZERO, Ev::RankNext { app, rank });
             }
         }
-        self.events
+        self.fx
             .schedule(SimTime::ZERO + self.cfg.sample_interval, Ev::Sample);
-        if self.controller.is_some() {
-            // First tick 1 ns after the first window boundary: every
-            // event of a window (boundary samples included) is handled
-            // before the tick that closes it, so the controller sees
-            // exactly the batch-pipeline window content.
-            self.events.schedule(
-                SimTime::ZERO + self.control_interval + SimDuration::from_nanos(1),
-                Ev::Control,
-            );
+        if let Some(at) = self.control.first_tick() {
+            self.fx.schedule(at, Ev::Control);
         }
 
-        while let Some((now, ev)) = self.events.pop_until(deadline) {
+        while let Some((now, ev)) = self.fx.q.pop_until(deadline) {
             self.handle(now, ev);
             if let Some(app) = stop_app {
                 if self.trace.app_completion[app.0 as usize].is_some() {
@@ -944,199 +576,136 @@ impl Cluster {
                 }
             }
         }
-        self.trace.end = self.events.now();
-        self.trace.events_processed = self.events.processed();
-        self.trace.metrics = self.metrics_snapshot(self.events.now());
+        let end = self.fx.q.now();
+        self.trace.end = end;
+        self.trace.events_processed = self.fx.q.processed();
+        self.trace.metrics = self.metrics_snapshot(end);
         self.trace
     }
 
-    /// Assemble the cluster-wide telemetry snapshot at `now`: per-device
-    /// block-layer counters and distributions (`pfs.ost{i}.*`,
-    /// `pfs.mdt.*`), per-server NIC traffic and utilisation
-    /// (`pfs.nic.*`), and MDS metadata statistics (`pfs.mds.*`). Every
-    /// value derives from simulated time and deterministic event-loop
-    /// state, so the snapshot is byte-stable across identical runs.
+    /// Assemble the cluster-wide telemetry snapshot at `now`, each owner
+    /// writing its own block: per-device block-layer counters and
+    /// distributions (`pfs.ost{i}.*` from the servers, `pfs.mdt.*` and
+    /// the MDS statistics `pfs.mds.*` from the MDS), per-server NIC
+    /// traffic and utilisation (`pfs.nic.*`), and the sampler,
+    /// fault/retry and control counters. Every value derives from
+    /// simulated time and deterministic event-loop state, so the
+    /// snapshot is byte-stable across identical runs.
     fn metrics_snapshot(&self, now: SimTime) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for (i, dev) in self.servers.devices.iter().enumerate() {
-            put_dev(&mut snap, &format!("pfs.ost{i}"), dev, now);
-        }
-        put_dev(&mut snap, "pfs.mdt", &self.mdt_dev, now);
+        let controlled = self.control.used();
+        self.servers.metrics_into(&mut snap, now, controlled);
+        self.mds.metrics_into(&mut snap, now, controlled);
+        self.control.metrics_into(&mut snap, &self.trace.directives);
         let elapsed = now.as_secs_f64();
-        let nic = |snap: &mut MetricsSnapshot, label: String, node: NodeId| {
-            let busy = self.net.nic_busy(node).as_secs_f64();
-            snap.put(
-                &format!("{label}.bytes"),
-                MetricValue::Counter(self.net.nic_bytes(node)),
-            );
-            snap.put(&format!("{label}.busy_us"), MetricValue::Gauge(busy * 1e6));
+        let oss_nodes =
+            (0..self.cfg.oss_nodes).map(|j| (format!("oss{j}"), j * self.cfg.osts_per_oss));
+        for (label, dev) in oss_nodes.chain([("mds".to_string(), self.cfg.n_osts())]) {
+            let node = self.cfg.node_of(DeviceId(dev));
+            let busy = self.fx.net.nic_busy(node).as_secs_f64();
             let util = if elapsed > 0.0 { busy / elapsed } else { 0.0 };
-            snap.put(&format!("{label}.util"), MetricValue::Gauge(util));
-        };
-        for j in 0..self.cfg.oss_nodes {
-            let node = NodeId(self.cfg.client_nodes + j);
-            nic(&mut snap, format!("pfs.nic.oss{j}"), node);
+            let bytes = MetricValue::Counter(self.fx.net.nic_bytes(node));
+            let nic = [
+                ("bytes", bytes),
+                ("busy_us", MetricValue::Gauge(busy * 1e6)),
+                ("util", MetricValue::Gauge(util)),
+            ];
+            for (field, v) in nic {
+                snap.put(&format!("pfs.nic.{label}.{field}"), v);
+            }
         }
-        let mds_node = NodeId(self.cfg.client_nodes + self.cfg.oss_nodes);
-        nic(&mut snap, "pfs.nic.mds".to_string(), mds_node);
-        snap.put(
-            "pfs.mds.lock_wait_us",
-            MetricValue::Stats(self.tele.lock_wait_us.clone()),
-        );
-        snap.put(
-            "pfs.mds.lock_revocations",
-            MetricValue::Counter(self.tele.lock_revocations),
-        );
-        snap.put(
-            "pfs.mds.lookup_cache_hits",
-            MetricValue::Counter(self.tele.lookup_cache_hits),
-        );
-        snap.put(
-            "pfs.mds.lookup_cache_misses",
-            MetricValue::Counter(self.tele.lookup_cache_misses),
-        );
-        snap.put(
-            "pfs.sampler.samples",
-            MetricValue::Counter(self.tele.samples_taken),
-        );
         // Fault/retry counters are emitted unconditionally (zero on
         // healthy runs) so snapshots keep a stable key set whether or
         // not a plan was installed.
-        for (field, v) in [
-            ("deadline_exceeded", self.tele.rpc_deadline_exceeded),
-            ("delayed", self.tele.rpc_delayed),
-            ("dropped", self.tele.rpc_dropped),
-            ("failed_ops", self.tele.rpc_failed_ops),
-            ("retries", self.tele.rpc_retries),
-            ("timeouts", self.tele.rpc_timeouts),
+        for (key, v) in [
+            ("pfs.sampler.samples", self.samples_taken),
+            ("pfs.faults.disk_stalls", self.disk_stalls),
+            ("pfs.rpc.deadline_exceeded", self.rpc_deadline_exceeded),
+            ("pfs.rpc.delayed", self.rpc_delayed),
+            ("pfs.rpc.dropped", self.rpc_dropped),
+            ("pfs.rpc.failed_ops", self.trace.failed_ops.len() as u64),
+            ("pfs.rpc.retries", self.rpc_retries),
+            ("pfs.rpc.timeouts", self.rpc_timeouts),
         ] {
-            snap.put(&format!("pfs.rpc.{field}"), MetricValue::Counter(v));
-        }
-        snap.put(
-            "pfs.faults.disk_stalls",
-            MetricValue::Counter(self.tele.disk_stalls + self.servers.disk_stalls),
-        );
-        snap.put(
-            "pfs.faults.lock_storm_revocations",
-            MetricValue::Counter(self.tele.lock_storm_revocations),
-        );
-        // The control block appears only on controlled runs (a
-        // controller installed or a directive applied), so snapshots of
-        // uncontrolled runs keep their historical golden key set.
-        if self.control_used {
-            for (field, v) in [
-                ("applied", self.tele.control_applied),
-                ("cap_clears", self.tele.control_cap_clears),
-                ("caps", self.tele.control_caps),
-                ("parked", self.servers.parked),
-                ("rate_clears", self.tele.control_rate_clears),
-                ("rate_limits", self.tele.control_rate_limits),
-                ("rejected", self.tele.control_rejected),
-                ("resumed", self.servers.resumed),
-                ("retarget_clears", self.tele.control_retarget_clears),
-                ("retarget_layouts", self.tele.control_retarget_layouts),
-                ("retargets", self.tele.control_retargets),
-            ] {
-                snap.put(&format!("pfs.control.{field}"), MetricValue::Counter(v));
-            }
-            if let Some(ctl) = &self.controller {
-                ctl.metrics_into(&mut snap);
-            }
+            snap.put(key, MetricValue::Counter(v));
         }
         snap
     }
 
+    /// Route one event to its owner.
     fn handle(&mut self, now: SimTime, ev: Ev) {
-        let n_osts = self.cfg.n_osts();
         match ev {
             Ev::OssProcess(_) | Ev::TbfAdmitted(_) | Ev::OssFactor { .. } => {
-                self.server_event(now, ev)
+                self.servers.handle(now, ev, &self.cfg, &mut self.fx)
             }
             Ev::DiskDone { dev }
             | Ev::DiskIdle { dev }
             | Ev::FailSlow { dev, .. }
-            | Ev::DiskStall { dev, .. }
-                if dev < n_osts =>
-            {
-                self.server_event(now, ev)
+            | Ev::DiskStall { dev, .. } => {
+                if let Ev::DiskStall { .. } = ev {
+                    self.disk_stalls += 1;
+                }
+                if dev < self.cfg.n_osts() {
+                    self.servers.handle(now, ev, &self.cfg, &mut self.fx)
+                } else {
+                    self.mds.handle(now, ev, &self.cfg, &mut self.fx)
+                }
+            }
+            Ev::MdsProcess(_) | Ev::MdsLockRun { .. } => {
+                self.mds.handle(now, ev, &self.cfg, &mut self.fx)
+            }
+            Ev::Control => {
+                let (control, mut plant) = self.plant();
+                control.tick(now, &mut plant);
             }
             Ev::RankNext { app, rank } => self.rank_next(now, app, rank),
             Ev::Deliver(msg) => self.deliver(now, msg),
-            Ev::MdsProcess(msg) => self.mds_process(now, msg),
             Ev::SendLater {
                 src,
                 dst,
                 payload,
                 token,
-            } => self.send(now, src, dst, payload, Msg::OpDone { token }),
-            Ev::MdsLockRun { token, client, dir } => {
-                self.start_journal_write(now, token, client, dir)
+            } => {
+                let msg = Some(Msg::OpDone { token });
+                self.fx.send(now, src, dst, payload, SimDuration::ZERO, msg)
             }
             Ev::Sample => {
                 self.take_sample(now);
-                self.events
-                    .schedule(now + self.cfg.sample_interval, Ev::Sample);
+                self.fx.schedule(now + self.cfg.sample_interval, Ev::Sample);
             }
-            Ev::Control => self.control_tick(now),
             Ev::RpcTimeout { seq } => self.rpc_timeout(now, seq),
             Ev::RpcResend { seq } => self.rpc_resend(now, seq),
-            // Device events past the OSTs: the MDT's.
-            Ev::DiskDone { .. } => self.mdt_disk_done(now),
-            Ev::DiskIdle { .. } => {
-                let d = self.mdt_dev.idle_check(now);
-                self.mdt_dispatch(now, d);
-            }
-            Ev::FailSlow { factor, .. } => self.mdt_dev.disk_mut().set_fail_slow(factor),
-            Ev::DiskStall { until, .. } => {
-                self.tele.disk_stalls += 1;
-                let d = self.mdt_dev.stall(now, until);
-                self.mdt_dispatch(now, d);
-            }
         }
     }
 
     // ------------------------------------------------------ RPC retries
 
-    /// True while `token` is still the rank's current operation.
-    fn op_is_current(&self, token: OpToken) -> bool {
-        let st = &self.apps[token.app.0 as usize].ranks[token.rank as usize];
-        matches!(st.cur, Some((t, _, _, _)) if t == token)
-    }
-
     /// A reply wait expired: retry with backoff, or give up when the
     /// retry budget or the per-op deadline is exhausted.
     fn rpc_timeout(&mut self, now: SimTime, seq: SlabKey) {
-        let Some(state) = self.retry_states.get(seq) else {
+        let Some(state) = self.retry_states.get_mut(seq) else {
             return;
         };
         let token = state.token;
-        if !self.op_is_current(token) {
+        let Some(issued) = issued_if_current(&self.apps, token) else {
             self.retry_states.remove(seq);
             return;
-        }
-        self.tele.rpc_timeouts += 1;
-        let issued = self.apps[token.app.0 as usize].ranks[token.rank as usize]
-            .cur
-            .expect("current op")
-            .3;
+        };
+        self.rpc_timeouts += 1;
         let deadline_hit = self.retry.op_deadline.is_some_and(|dl| now >= issued + dl);
-        let exhausted = state.attempt >= self.retry.max_retries;
-        if deadline_hit || exhausted {
+        if deadline_hit || state.attempt >= self.retry.max_retries {
             if deadline_hit {
-                self.tele.rpc_deadline_exceeded += 1;
+                self.rpc_deadline_exceeded += 1;
             }
             self.retry_states.remove(seq);
             self.fail_op_part(now, token);
             return;
         }
-        let attempt = {
-            let state = self.retry_states.get_mut(seq).expect("retry state present");
-            state.attempt += 1;
-            state.attempt
-        };
-        self.tele.rpc_retries += 1;
+        state.attempt += 1;
+        let attempt = state.attempt;
+        self.rpc_retries += 1;
         let backoff = self.retry.backoff(attempt, &mut self.fault_rng);
-        self.events.schedule(now + backoff, Ev::RpcResend { seq });
+        self.fx.schedule(now + backoff, Ev::RpcResend { seq });
     }
 
     /// Backoff elapsed: resend the stored request, consulting the link
@@ -1145,14 +714,14 @@ impl Cluster {
         let Some(state) = self.retry_states.get(seq) else {
             return;
         };
-        if !self.op_is_current(state.token) {
+        if issued_if_current(&self.apps, state.token).is_none() {
             self.retry_states.remove(seq);
             return;
         }
         let (src, dst, payload, msg) = (state.src, state.dst, state.payload, state.msg.clone());
         if self.transmit(now, src, dst, payload, msg).is_some() {
             // Dropped again: the stored copy waits for the next timeout.
-            self.events
+            self.fx
                 .schedule(now + self.retry.rpc_timeout, Ev::RpcTimeout { seq });
         } else {
             self.retry_states.remove(seq);
@@ -1162,7 +731,7 @@ impl Cluster {
     /// Abandon one chunk of an operation. The op is recorded as failed
     /// (and the rank moves on) once every outstanding chunk resolves.
     fn fail_op_part(&mut self, now: SimTime, token: OpToken) {
-        if !self.op_is_current(token) {
+        if issued_if_current(&self.apps, token).is_none() {
             return;
         }
         self.apps[token.app.0 as usize].ranks[token.rank as usize].failed = true;
@@ -1181,7 +750,7 @@ impl Cluster {
         };
         match step {
             ProgramStep::Compute(d) => {
-                self.events.schedule(now + d, Ev::RankNext { app, rank });
+                self.fx.schedule(now + d, Ev::RankNext { app, rank });
             }
             ProgramStep::Finished => {
                 let a = &mut self.apps[app as usize];
@@ -1200,6 +769,7 @@ impl Cluster {
 
     fn issue_op(&mut self, now: SimTime, app: u32, rank: u32, op: IoOp) {
         let issued = now + CLIENT_OP_OVERHEAD;
+        let kind = op.kind();
         let token = {
             let st = &mut self.apps[app as usize].ranks[rank as usize];
             let token = OpToken {
@@ -1208,30 +778,16 @@ impl Cluster {
                 seq: st.seq,
             };
             st.seq += 1;
-            st.cur = Some((token, op.kind(), op.bytes(), issued));
+            st.cur = Some((token, kind, op.bytes(), issued));
             token
         };
         let client = self.apps[app as usize].nodes[rank as usize];
         match op {
             IoOp::Read { file, offset, len } | IoOp::Write { file, offset, len } => {
-                let is_read = matches!(
-                    self.apps[app as usize].ranks[rank as usize].cur,
-                    Some((_, OpKind::Read, _, _))
-                );
                 // Owned scratch: the loop body re-borrows `self` mutably.
                 let mut cs = std::mem::take(&mut self.scratch_chunks);
                 cs.clear();
-                match self.mds.namespace.get(&file) {
-                    Some(layout) => chunks_into(layout, offset, len, &mut cs),
-                    None => {
-                        // Data op on a file never created in this run:
-                        // auto-register with the default stripe (the
-                        // file "already existed").
-                        let layout = self.make_layout(file, None);
-                        chunks_into(&layout, offset, len, &mut cs);
-                        self.mds.namespace.insert(file, layout);
-                    }
-                }
+                self.mds.chunks_into(&self.cfg, file, offset, len, &mut cs);
                 self.apps[app as usize].ranks[rank as usize].outstanding = cs.len() as u32;
                 for c in cs.drain(..) {
                     let obj = ObjKey {
@@ -1241,35 +797,32 @@ impl Cluster {
                     self.trace.rpcs.push(RpcRecord {
                         app: AppId(app),
                         dev: c.dev,
-                        kind: if is_read { OpKind::Read } else { OpKind::Write },
+                        kind,
                         bytes: c.len,
                         issued,
                     });
-                    let dst = self.dev_node[c.dev.index()];
-                    let (payload, msg) = if is_read {
-                        (
-                            0,
-                            Msg::ReadReq {
-                                dev: c.dev,
-                                obj,
-                                obj_off: c.obj_offset,
-                                len: c.len,
-                                token,
-                                client,
-                            },
-                        )
+                    let dst = self.cfg.node_of(c.dev);
+                    let (dev, obj_off, len) = (c.dev, c.obj_offset, c.len);
+                    let (payload, msg) = if kind == OpKind::Read {
+                        let msg = Msg::ReadReq {
+                            dev,
+                            obj,
+                            obj_off,
+                            len,
+                            token,
+                            client,
+                        };
+                        (0, msg)
                     } else {
-                        (
-                            c.len,
-                            Msg::WriteReq {
-                                dev: c.dev,
-                                obj,
-                                obj_off: c.obj_offset,
-                                len: c.len,
-                                token,
-                                client,
-                            },
-                        )
+                        let msg = Msg::WriteReq {
+                            dev,
+                            obj,
+                            obj_off,
+                            len,
+                            token,
+                            client,
+                        };
+                        (len, msg)
                     };
                     self.send_request(issued, client, dst, payload, msg, token);
                 }
@@ -1277,7 +830,7 @@ impl Cluster {
             }
             meta => {
                 self.apps[app as usize].ranks[rank as usize].outstanding = 1;
-                let mop = match meta {
+                let op = match meta {
                     IoOp::Open { file } | IoOp::Stat { file } => MetaOp::Lookup { file },
                     IoOp::Close { .. } => MetaOp::Close,
                     IoOp::Create { file, dir, stripe } => MetaOp::Mutate {
@@ -1292,26 +845,13 @@ impl Cluster {
                 self.trace.rpcs.push(RpcRecord {
                     app: AppId(app),
                     dev: mdt,
-                    kind: self.apps[app as usize].ranks[rank as usize]
-                        .cur
-                        .expect("current op")
-                        .1,
+                    kind,
                     bytes: 0,
                     issued,
                 });
-                let dst = self.dev_node[mdt.index()];
-                self.send_request(
-                    issued,
-                    client,
-                    dst,
-                    META_MSG_BYTES,
-                    Msg::MetaReq {
-                        op: mop,
-                        token,
-                        client,
-                    },
-                    token,
-                );
+                let dst = self.cfg.node_of(mdt);
+                let msg = Msg::MetaReq { op, token, client };
+                self.send_request(issued, client, dst, META_MSG_BYTES, msg, token);
             }
         }
     }
@@ -1331,7 +871,6 @@ impl Cluster {
                 // At least one chunk was abandoned by the retry layer:
                 // the op failed, but the rank still makes progress.
                 st.failed = false;
-                self.tele.rpc_failed_ops += 1;
                 self.trace.failed_ops.push(token);
             } else {
                 self.trace.ops.push(OpRecord {
@@ -1342,7 +881,7 @@ impl Cluster {
                     completed: now,
                 });
             }
-            self.events.schedule(
+            self.fx.schedule(
                 now,
                 Ev::RankNext {
                     app: token.app.0,
@@ -1361,211 +900,17 @@ impl Cluster {
                 // Server-side TBF admission, if this app is rate-limited.
                 // The wait happens BEFORE the CPU stage so a throttled
                 // app cannot head-of-line block other applications.
-                let admitted = match self.tbf.get_mut(&token.app) {
-                    Some(bucket) => bucket.earliest(now, len as f64),
-                    None => now,
-                };
+                let admitted = self.control.admit(now, token.app, len);
                 let ev = Ev::TbfAdmitted(msg);
                 if admitted > now {
-                    self.events.schedule(admitted, ev);
+                    self.fx.schedule(admitted, ev);
                 } else {
-                    self.handle(now, ev);
+                    self.servers.handle(now, ev, &self.cfg, &mut self.fx);
                 }
             }
-            Msg::MetaReq { ref op, .. } => {
-                let cost = match op {
-                    MetaOp::Mutate { .. } => self.cfg.mds.cpu_per_mutation,
-                    _ => self.cfg.mds.cpu_per_op,
-                };
-                let start = now.max(self.mds.cpu_free);
-                let done = start + cost;
-                self.mds.cpu_free = done;
-                self.events.schedule(done, Ev::MdsProcess(msg));
-            }
+            Msg::MetaReq { .. } => self.mds.deliver(now, msg, &self.cfg, &mut self.fx),
             Msg::OpDone { token } => self.op_part_done(now, token),
         }
-    }
-
-    // -------------------------------------------------------------- MDT
-
-    /// Submit a metadata block request on the MDT and realise its
-    /// dispatch outcome.
-    fn submit_mdt(&mut self, now: SimTime, kind: ReqKind, sector: u64, sectors: u64, tag: MdtTag) {
-        let d = self.mdt_dev.submit(now, kind, sector, sectors, true, tag);
-        self.mdt_dispatch(now, d);
-    }
-
-    fn mdt_dispatch(&mut self, now: SimTime, d: Dispatch) {
-        let dev = self.cfg.n_osts();
-        match d {
-            Dispatch::Started(dur) => self.events.schedule(now + dur, Ev::DiskDone { dev }),
-            Dispatch::Anticipating(at) => self.events.schedule(at, Ev::DiskIdle { dev }),
-            Dispatch::Idle => {}
-        }
-    }
-
-    // -------------------------------------------------------------- MDS
-
-    fn journal_alloc(&mut self) -> u64 {
-        let s = self.mds.journal_ptr;
-        self.mds.journal_ptr += self.cfg.mds.journal_record_bytes / SECTOR_SIZE;
-        if self.mds.journal_ptr >= self.mds.journal_base + self.mds.journal_sectors {
-            self.mds.journal_ptr = self.mds.journal_base;
-        }
-        s
-    }
-
-    fn inode_sector(&self, file: FileKey) -> u64 {
-        // Spread inode reads over the inode region, 4 KiB aligned.
-        let h = (file.app.0 as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(file.num.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let slots = (self.mds.inode_sectors / META_SECTORS).max(1);
-        self.mds.inode_base + (h % slots) * META_SECTORS
-    }
-
-    /// Begin a mutation that holds `dir`'s lock: pay the lock revocation
-    /// round-trip first when the lock last belonged to a different
-    /// client, then journal the change.
-    fn run_under_dir_lock(&mut self, now: SimTime, token: OpToken, client: NodeId, dir: DirKey) {
-        // `MdsLockStorm`: inside a storm window every acquisition pays a
-        // (possibly lengthened) revocation, as if lock ownership were
-        // thrashing across the whole client population.
-        let storm = self
-            .lock_storms
-            .iter()
-            .find(|&&(from, until, _)| now >= from && now < until)
-            .map(|&(_, _, f)| f);
-        let lock = self.mds.dirs.get_mut(&dir).expect("locked dir");
-        let switch = lock.last_client != Some(client) || storm.is_some();
-        lock.last_client = Some(client);
-        if switch {
-            self.tele.lock_revocations += 1;
-            let revoke = match storm {
-                Some(f) => {
-                    self.tele.lock_storm_revocations += 1;
-                    if f != 1.0 {
-                        SimDuration::from_secs_f64(self.cfg.mds.lock_revoke.as_secs_f64() * f)
-                    } else {
-                        self.cfg.mds.lock_revoke
-                    }
-                }
-                None => self.cfg.mds.lock_revoke,
-            };
-            let at = now + revoke;
-            self.events
-                .schedule(at, Ev::MdsLockRun { token, client, dir });
-        } else {
-            self.start_journal_write(now, token, client, dir);
-        }
-    }
-
-    fn start_journal_write(&mut self, now: SimTime, token: OpToken, client: NodeId, dir: DirKey) {
-        let sector = self.journal_alloc();
-        self.submit_mdt(
-            now,
-            ReqKind::Write,
-            sector,
-            META_SECTORS,
-            MdtTag::Journal { token, client, dir },
-        );
-    }
-
-    fn mds_process(&mut self, now: SimTime, msg: Msg) {
-        let Msg::MetaReq { op, token, client } = msg else {
-            unreachable!("only metadata RPCs reach the MDS");
-        };
-        let mds_node = self.dev_node[self.mdt().index()];
-        match op {
-            MetaOp::Lookup { file } => {
-                let hit = self.mds.inode_cache.contains(file)
-                    || self.rng.chance(self.cfg.mds.lookup_cache_hit);
-                if hit {
-                    self.tele.lookup_cache_hits += 1;
-                } else {
-                    self.tele.lookup_cache_misses += 1;
-                }
-                if hit {
-                    self.send(now, mds_node, client, META_MSG_BYTES, Msg::OpDone { token });
-                } else {
-                    let sector = self.inode_sector(file);
-                    self.submit_mdt(
-                        now,
-                        ReqKind::Read,
-                        sector,
-                        META_SECTORS,
-                        MdtTag::Lookup {
-                            token,
-                            client,
-                            file,
-                        },
-                    );
-                }
-            }
-            MetaOp::Close => {
-                self.send(now, mds_node, client, META_MSG_BYTES, Msg::OpDone { token });
-            }
-            MetaOp::Mutate { create, dir } => {
-                if let Some((file, stripe)) = create {
-                    let layout = self.make_layout(file, stripe);
-                    self.mds.namespace.insert(file, layout);
-                    // The creator's MDS holds the fresh inode.
-                    self.mds.inode_cache.insert(file);
-                }
-                let lock = self.mds.dirs.entry(dir).or_default();
-                if lock.busy {
-                    lock.waiters.push_back((token, client, now));
-                } else {
-                    lock.busy = true;
-                    self.tele.lock_wait_us.push(0.0);
-                    self.run_under_dir_lock(now, token, client, dir);
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------ disks
-
-    /// An MDT block request completed: only metadata tags can appear.
-    fn mdt_disk_done(&mut self, now: SimTime) {
-        let mut members = std::mem::take(&mut self.scratch_members);
-        let (_meta, next) = self.mdt_dev.complete_into(now, &mut members);
-        self.mdt_dispatch(now, next);
-        for m in members.drain(..) {
-            match m.tag {
-                MdtTag::Journal { token, client, dir } => {
-                    let src = self.dev_node[self.mdt().index()];
-                    self.send(now, src, client, META_MSG_BYTES, Msg::OpDone { token });
-                    // Release the directory lock; start the next waiter.
-                    let next_waiter = {
-                        let lock = self.mds.dirs.get_mut(&dir).expect("locked dir");
-                        match lock.waiters.pop_front() {
-                            Some(w) => Some(w),
-                            None => {
-                                lock.busy = false;
-                                None
-                            }
-                        }
-                    };
-                    if let Some((t, c, since)) = next_waiter {
-                        self.tele
-                            .lock_wait_us
-                            .push(now.saturating_since(since).as_secs_f64() * 1e6);
-                        self.run_under_dir_lock(now, t, c, dir);
-                    }
-                }
-                MdtTag::Lookup {
-                    token,
-                    client,
-                    file,
-                } => {
-                    self.mds.inode_cache.insert(file);
-                    let src = self.dev_node[self.mdt().index()];
-                    self.send(now, src, client, META_MSG_BYTES, Msg::OpDone { token });
-                }
-            }
-        }
-        self.scratch_members = members;
     }
 
     // --------------------------------------------------------- sampling
@@ -1573,23 +918,18 @@ impl Cluster {
     /// One sampler tick: every device in global order (the OSTs, then
     /// the MDT) straight into the trace.
     fn take_sample(&mut self, now: SimTime) {
-        self.tele.samples_taken += 1;
+        self.samples_taken += 1;
         for sample in self.servers.samples(now) {
             self.trace.samples.push(sample);
         }
-        self.trace.samples.push(ServerSample {
-            time: now,
-            dev: self.mdt(),
-            counters: self.mdt_dev.counters(now),
-            dirty_bytes: 0,
-            throttled_now: 0,
-        });
+        self.trace.samples.push(self.mds.sample(now, &self.cfg));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::DirKey;
 
     fn file(num: u64) -> FileKey {
         FileKey { app: AppId(0), num }
@@ -2002,8 +1342,9 @@ mod tests {
                 })
                 .collect();
             let app = cl.add_app("w", vec![script(ops)], &[NodeId(0)]);
-            if let Some(rate) = limit {
-                cl.set_app_rate_limit(app, rate);
+            if let Some(bytes_per_sec) = limit {
+                let d = ControlDirective::RateLimit { app, bytes_per_sec };
+                cl.apply_directive(SimTime::ZERO, 0, d).expect("valid rate");
             }
             let trace = cl.run_until_app(app, SimTime::from_secs(60));
             trace.completion_of(app).expect("finished").as_secs_f64()
@@ -2015,6 +1356,83 @@ mod tests {
             limited > free * 3.0 && limited > 4.0,
             "TBF ineffective: free {free} limited {limited}"
         );
+    }
+
+    #[test]
+    fn disk_faults_hold_ost_and_mdt_work_until_the_stall_ends() {
+        // OSTs and the MDT share one device-event path: a stall and a
+        // slow window on OST 0 and on the MDT, each stall catching one
+        // request issued inside it.
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let cfg = ClusterConfig::small();
+        let mdt = cfg.n_osts();
+        let (ost_end, mdt_end) = (ms(400), ms(900));
+        let stall = |dev: u32, from: SimTime, until: SimTime| FaultEvent::DiskStall {
+            dev,
+            at: from,
+            duration: until.saturating_since(from),
+        };
+        let slow = |dev: u32, from: SimTime, until: SimTime| FaultEvent::SlowDisk {
+            dev,
+            factor: 3.0,
+            from,
+            until,
+        };
+        let plan = FaultPlan::new()
+            .with(stall(0, ms(100), ost_end))
+            .with(slow(0, ost_end, ms(500)))
+            .with(stall(mdt, ms(600), mdt_end))
+            .with(slow(mdt, mdt_end, ms(1000)));
+        let mut cl = Cluster::builder()
+            .config(cfg)
+            .seed(1)
+            .fault_plan(plan)
+            .build()
+            .expect("valid plan");
+
+        /// Issue one op at `at`, then finish.
+        struct At(SimTime, Option<IoOp>);
+        impl RankProgram for At {
+            fn next(&mut self, now: SimTime) -> ProgramStep {
+                if now < self.0 {
+                    return ProgramStep::Compute(self.0.saturating_since(now));
+                }
+                self.1.take().map_or(ProgramStep::Finished, ProgramStep::Op)
+            }
+        }
+        let ost0 = vec![cl.ost(0)];
+        cl.precreate_file_on(file(1), 64 * 1024 * 1024, 1024 * 1024, ost0);
+        let read = IoOp::Read {
+            file: file(1),
+            offset: 0,
+            len: 1024 * 1024,
+        };
+        let create = IoOp::Create {
+            file: file(2),
+            dir: DirKey {
+                app: AppId(0),
+                num: 0,
+            },
+            stripe: None,
+        };
+        let reader = cl.add_app("r", vec![Box::new(At(ms(150), Some(read)))], &[NodeId(0)]);
+        let creator = cl.add_app("c", vec![Box::new(At(ms(650), Some(create)))], &[NodeId(1)]);
+        let trace = cl.run(SimTime::from_secs(5));
+
+        assert_eq!(trace.metrics.counter("pfs.faults.disk_stalls"), Some(2));
+        for (app, end) in [(reader, ost_end), (creator, mdt_end)] {
+            let op = trace
+                .ops
+                .iter()
+                .find(|o| o.token.app == app)
+                .expect("op completed");
+            assert!(op.issued < end, "{:?} issued after its stall", op.kind);
+            assert!(
+                op.completed >= end,
+                "{:?} finished inside its stall",
+                op.kind
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use qi_simkit::event::QueueBackend;
 
+use crate::ids::{DeviceId, NodeId};
 use crate::store::TraceStoreConfig;
 use qi_simkit::time::SimDuration;
 
@@ -306,6 +307,14 @@ impl ClusterConfig {
     pub fn n_nodes(&self) -> u32 {
         self.client_nodes + self.oss_nodes + 1
     }
+
+    /// The node hosting device `dev`. Nodes are numbered clients, then
+    /// OSS, then the MDS; OST `i` sits on OSS `i / osts_per_oss`, so the
+    /// MDT (device `n_osts()`) lands on the MDS node.
+    #[inline]
+    pub fn node_of(&self, dev: DeviceId) -> NodeId {
+        NodeId(self.client_nodes + dev.0 / self.osts_per_oss)
+    }
 }
 
 #[cfg(test)]
@@ -325,6 +334,11 @@ mod tests {
         let c = ClusterConfig::small();
         assert_eq!(c.n_osts(), 4);
         assert_eq!(c.n_nodes(), 7);
+        // Clients 0..4, OSS 4 and 5 with two OSTs each, MDS 6.
+        let nodes: Vec<u32> = (0..c.n_devices())
+            .map(|d| c.node_of(DeviceId(d)).0)
+            .collect();
+        assert_eq!(nodes, [4, 4, 5, 5, 6]);
     }
 
     #[test]

@@ -15,16 +15,28 @@
 //! [`RunTrace::directives`], so a finished trace replays the full
 //! decision sequence.
 //!
+//! Inside the cluster, `ControlPlane` owns the controller and its tick
+//! clock, the token-bucket table and the count of rejected directives;
+//! it validates every directive and applies it to the owner of the
+//! state it changes (the TBF table here, admission caps in the OSS
+//! layer, the avoidance set on the MDS).
+//!
 //! [`Cluster`]: crate::cluster::Cluster
 //! [`Cluster::install_controller`]: crate::cluster::Cluster::install_controller
 //! [`Cluster::apply_directive`]: crate::cluster::Cluster::apply_directive
 //! [`RunTrace::directives`]: crate::ops::RunTrace::directives
 
+use qi_simkit::error::QiError;
+use qi_simkit::hash::IdMap;
+use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::time::{SimDuration, SimTime};
-use qi_telemetry::MetricsSnapshot;
+use qi_telemetry::{MetricValue, MetricsSnapshot};
 
+use crate::config::ClusterConfig;
 use crate::ids::{AppId, DeviceId};
+use crate::mds::Mds;
 use crate::ops::RunTrace;
+use crate::servers::{Ev, Fx, Servers};
 
 /// One typed mitigation action. Engage directives (`RateLimit`,
 /// `CapInflight`, `AvoidOsts`) install an actuator; each has a matching
@@ -149,6 +161,205 @@ pub trait ClusterController: Send {
     /// once when the run ends). Default: nothing.
     fn metrics_into(&self, snap: &mut MetricsSnapshot) {
         let _ = snap;
+    }
+}
+
+/// What a directive acts on: the cluster state outside the control
+/// plane, borrowed for one directive or one tick.
+pub(crate) struct Plant<'a> {
+    pub(crate) cfg: &'a ClusterConfig,
+    /// Applications registered so far (valid app ids are below this).
+    pub(crate) n_apps: usize,
+    pub(crate) servers: &'a mut Servers,
+    pub(crate) mds: &'a mut Mds,
+    pub(crate) fx: &'a mut Fx,
+    pub(crate) trace: &'a mut RunTrace,
+}
+
+/// The cluster's control plane: the installed controller and its tick
+/// clock, the per-app token-bucket filters, and the rejected-directive
+/// count.
+#[derive(Default)]
+pub(crate) struct ControlPlane {
+    /// Per-application server-side token-bucket filters (bytes/s), the
+    /// classful TBF NRS policy of Qian et al. — data RPCs of a limited
+    /// app are admitted to the OSS only as tokens accrue. The buckets
+    /// are consulted at delivery time, before the OSS CPU stage.
+    tbf: IdMap<AppId, TokenBucket>,
+    /// The installed mitigation controller, ticked once per control
+    /// interval; `None` on uncontrolled runs.
+    controller: Option<Box<dyn ClusterController>>,
+    /// Controller tick interval, sampled at install time.
+    interval: SimDuration,
+    /// Index of the next window the controller will close.
+    window: u64,
+    /// True once a controller was installed or a directive applied;
+    /// gates the `pfs.control.*` snapshot block so uncontrolled runs
+    /// keep their historical (golden) key set.
+    used: bool,
+    /// Directive buffer reused across ticks.
+    scratch: Vec<ControlDirective>,
+    /// Controller directives rejected as invalid (bad app, bad rate,
+    /// all OSTs avoided). The applied ones are counted from
+    /// [`RunTrace::directives`], which records each of them.
+    rejected: u64,
+}
+
+impl ControlPlane {
+    /// Install the run's controller. At most one per run.
+    pub(crate) fn install(&mut self, controller: Box<dyn ClusterController>) {
+        let interval = controller.interval();
+        assert!(interval > SimDuration::ZERO, "zero control interval");
+        assert!(self.controller.is_none(), "controller already installed");
+        self.interval = interval;
+        self.controller = Some(controller);
+        self.used = true;
+    }
+
+    /// When the first tick fires, if a controller is installed: 1 ns
+    /// after the first window boundary, so every event of a window
+    /// (boundary samples included) is handled before the tick that
+    /// closes it and the controller sees exactly the batch-pipeline
+    /// window content.
+    pub(crate) fn first_tick(&self) -> Option<SimTime> {
+        let at = SimTime::ZERO + self.interval + SimDuration::from_nanos(1);
+        self.controller.as_ref().map(|_| at)
+    }
+
+    /// True on controlled runs: a controller installed or a directive
+    /// applied.
+    pub(crate) fn used(&self) -> bool {
+        self.used
+    }
+
+    /// The instant `app`'s data RPC of `bytes` payload clears its
+    /// token-bucket filter: `now` when the app is not rate-limited.
+    #[inline]
+    pub(crate) fn admit(&mut self, now: SimTime, app: AppId, bytes: u64) -> SimTime {
+        match self.tbf.get_mut(&app) {
+            Some(bucket) => bucket.earliest(now, bytes as f64),
+            None => now,
+        }
+    }
+
+    /// Validate and apply one directive at `at`, closing `window`; see
+    /// [`Cluster::apply_directive`](crate::cluster::Cluster::apply_directive).
+    pub(crate) fn apply(
+        &mut self,
+        at: SimTime,
+        window: u64,
+        directive: ControlDirective,
+        p: &mut Plant,
+    ) -> Result<(), QiError> {
+        self.used = true;
+        if let Some(app) = directive.app() {
+            if app.0 as usize >= p.n_apps {
+                return Err(QiError::Control(format!(
+                    "directive targets unknown app {}",
+                    app.0
+                )));
+            }
+        }
+        match &directive {
+            ControlDirective::RateLimit { app, bytes_per_sec } => {
+                if !bytes_per_sec.is_finite() || *bytes_per_sec <= 0.0 {
+                    return Err(QiError::Control(format!(
+                        "rate limit must be finite and positive, got {bytes_per_sec}"
+                    )));
+                }
+                self.tbf
+                    .insert(*app, TokenBucket::new(*bytes_per_sec, *bytes_per_sec));
+            }
+            ControlDirective::ClearRateLimit { app } => {
+                self.tbf.remove(app);
+            }
+            ControlDirective::CapInflight { app, max_inflight } => {
+                if *max_inflight == 0 {
+                    return Err(QiError::Control("inflight cap must be >= 1".into()));
+                }
+                p.servers
+                    .set_inflight_cap(at, app.0, Some(*max_inflight), p.cfg, p.fx);
+            }
+            ControlDirective::ClearCapInflight { app } => {
+                p.servers.set_inflight_cap(at, app.0, None, p.cfg, p.fx);
+            }
+            ControlDirective::AvoidOsts { osts } => {
+                let n_osts = p.cfg.n_osts();
+                let mut avoided = vec![false; n_osts as usize];
+                for d in osts {
+                    if d.0 >= n_osts {
+                        return Err(QiError::Control(format!(
+                            "cannot avoid non-OST device {}",
+                            d.0
+                        )));
+                    }
+                    avoided[d.0 as usize] = true;
+                }
+                if avoided.iter().all(|&b| b) {
+                    return Err(QiError::Control(
+                        "cannot avoid every OST: layouts need a target".into(),
+                    ));
+                }
+                p.mds.avoid_osts(avoided);
+            }
+            ControlDirective::ClearAvoidOsts => p.mds.avoid_osts(Vec::new()),
+        }
+        p.trace.directives.push(DirectiveRecord {
+            at,
+            window,
+            directive,
+        });
+        Ok(())
+    }
+
+    /// One controller tick: close the next window, apply the
+    /// controller's directives (counting the invalid ones), schedule
+    /// the next tick.
+    pub(crate) fn tick(&mut self, now: SimTime, p: &mut Plant) {
+        let Some(mut ctl) = self.controller.take() else {
+            return;
+        };
+        let window = self.window;
+        self.window += 1;
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        ctl.on_window(now, window, p.trace, &mut out);
+        for d in out.drain(..) {
+            if self.apply(now, window, d, p).is_err() {
+                self.rejected += 1;
+            }
+        }
+        self.scratch = out;
+        self.controller = Some(ctl);
+        p.fx.schedule(now + self.interval, Ev::Control);
+    }
+
+    /// On controlled runs, put the directive counters
+    /// (`pfs.control.*`) and the controller's own metrics into `snap`;
+    /// `applied` is the run's [`RunTrace::directives`].
+    pub(crate) fn metrics_into(&self, snap: &mut MetricsSnapshot, applied: &[DirectiveRecord]) {
+        if !self.used {
+            return;
+        }
+        let count = |label: &str| {
+            let of_kind = applied.iter().filter(|r| r.directive.label() == label);
+            of_kind.count() as u64
+        };
+        for (field, v) in [
+            ("applied", applied.len() as u64),
+            ("cap_clears", count("clear_cap_inflight")),
+            ("caps", count("cap_inflight")),
+            ("rate_clears", count("clear_rate_limit")),
+            ("rate_limits", count("rate_limit")),
+            ("rejected", self.rejected),
+            ("retarget_clears", count("clear_avoid_osts")),
+            ("retargets", count("avoid_osts")),
+        ] {
+            snap.put(&format!("pfs.control.{field}"), MetricValue::Counter(v));
+        }
+        if let Some(ctl) = &self.controller {
+            ctl.metrics_into(snap);
+        }
     }
 }
 

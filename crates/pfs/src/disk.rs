@@ -57,11 +57,6 @@ impl Disk {
         self.degrade = factor;
     }
 
-    /// Current fail-slow multiplier (1.0 = healthy).
-    pub fn fail_slow_factor(&self) -> f64 {
-        self.degrade
-    }
-
     /// The configuration this disk was built with.
     pub fn config(&self) -> &DiskConfig {
         &self.cfg

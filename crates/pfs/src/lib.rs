@@ -13,8 +13,9 @@
 //! - [`cache`] — OSS write-back cache with dirty throttling.
 //! - [`net`] — per-node NIC serialization (fan-in contention).
 //! - [`layout`] — Lustre-style striping and per-OST extent allocation.
-//! - [`cluster`] — the event loop wiring clients, OSS/OSTs, and the
-//!   MDS/MDT (namespace, directory locks, journal) together.
+//! - [`cluster`] — the event loop wiring clients, the OSS/OSTs and the
+//!   MDS/MDT (namespace, directory locks, journal) together, each layer
+//!   the one owner of its state.
 //! - [`ops`] — workload-facing operations, rank programs, trace records.
 //! - [`control`] — the typed mitigation control plane: directives,
 //!   actuators, and the per-window controller hook.
@@ -48,6 +49,7 @@ pub mod control;
 pub mod disk;
 pub mod ids;
 pub mod layout;
+mod mds;
 pub mod net;
 pub mod ops;
 pub mod queue;

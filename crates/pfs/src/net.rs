@@ -134,11 +134,6 @@ impl Network {
         &self.cfg
     }
 
-    /// Earliest time `node`'s NIC is free.
-    pub fn nic_free_at(&self, node: NodeId) -> SimTime {
-        self.nics[node.0 as usize].free_at
-    }
-
     /// Total bytes moved through `node`'s NIC so far.
     pub fn nic_bytes(&self, node: NodeId) -> u64 {
         self.nics[node.0 as usize].bytes

@@ -32,6 +32,7 @@ use std::collections::VecDeque;
 
 use qi_simkit::stats::{Histogram, OnlineStats};
 use qi_simkit::time::{SimDuration, SimTime};
+use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::config::QueueConfig;
 use crate::disk::Disk;
@@ -293,6 +294,32 @@ impl<T> BlockDevice<T> {
     /// microseconds.
     pub fn service_time_hist(&self) -> &Histogram {
         self.disk.service_time_hist()
+    }
+
+    /// Put this device's block-layer counters and distributions at `now`
+    /// into `snap` under the prefix `p` (`pfs.ost{i}` or `pfs.mdt`).
+    pub fn metrics_into(&self, snap: &mut MetricsSnapshot, p: &str, now: SimTime) {
+        let c = self.counters(now);
+        for (field, v) in [
+            ("reads_completed", c.reads_completed),
+            ("writes_completed", c.writes_completed),
+            ("sectors_read", c.sectors_read),
+            ("sectors_written", c.sectors_written),
+            ("read_merges", c.read_merges),
+            ("write_merges", c.write_merges),
+            ("enqueued", c.enqueued),
+            ("wait_ns", c.wait_ns),
+            ("busy_ns", c.busy_ns),
+        ] {
+            snap.put(&format!("{p}.{field}"), MetricValue::Counter(v));
+        }
+        let stats = |s: &OnlineStats| MetricValue::Stats(s.clone());
+        snap.put(&format!("{p}.queue_depth"), stats(&self.depth_stats));
+        snap.put(&format!("{p}.seek_sectors"), stats(&self.seek_stats));
+        snap.put(
+            &format!("{p}.service_us"),
+            MetricValue::Histogram(self.service_time_hist().clone()),
+        );
     }
 
     /// Allocate a member slot (recycling freed slots first).

@@ -1,22 +1,25 @@
 //! The object-server side of the cluster: every OSS node and its OSTs.
 //!
 //! [`Servers`] owns the devices, extent maps, caches, CPU clocks,
-//! admission tables and fault/control counters of the OSS/OST layer.
+//! admission tables and admission counters of the OSS/OST layer.
 //! `Cluster` hands it the server-side events and an [`Fx`]: the event
 //! queue plus the network, so [`Fx::send`] is the one way any handler,
-//! server or client side, puts a message on the wire.
+//! client, OSS or MDS side, puts a message on the wire, and
+//! [`Fx::device_event`] the one place a device reacts to an idle check,
+//! a fail-slow change or a stall, OST and MDT alike.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use qi_simkit::event::EventQueue;
 use qi_simkit::time::{SimDuration, SimTime};
+use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::arena::{Slab, SlabKey};
 use crate::cache::{Admit, SmallObjectCache, WriteCache};
 use crate::config::{ClusterConfig, StripeConfig, SECTOR_SIZE};
 use crate::disk::Disk;
 use crate::ids::{DeviceId, DirKey, FileKey, NodeId, OpToken};
-use crate::layout::{ExtentMap, ObjKey, SectorRange};
+use crate::layout::{chunks, ExtentMap, FileLayout, ObjKey, SectorRange};
 use crate::net::Network;
 use crate::ops::ServerSample;
 use crate::queue::{BlockDevice, Dispatch, Member, ReqKind};
@@ -145,19 +148,20 @@ pub(crate) enum Ev {
     RpcResend { seq: SlabKey },
 }
 
-/// Effect context a handler runs against: the event queue and the
-/// network.
-pub(crate) struct Fx<'a> {
-    pub(crate) q: &'a mut EventQueue<Ev>,
-    pub(crate) net: &'a mut Network,
+/// Effect context every handler runs against: the cluster's one event
+/// queue and its network.
+pub(crate) struct Fx {
+    pub(crate) q: EventQueue<Ev>,
+    pub(crate) net: Network,
 }
 
-impl Fx<'_> {
+impl Fx {
     /// Put one transfer on the network at `now` and schedule its
     /// delivery. `extra` is fault-injected delivery delay and `msg` is
     /// `None` for a dropped request (it occupies both NICs but delivers
     /// nothing); server replies pass zero and `Some`, since
     /// server→client replies always deliver.
+    #[inline]
     pub(crate) fn send(
         &mut self,
         now: SimTime,
@@ -174,39 +178,68 @@ impl Fx<'_> {
     }
 
     /// Schedule an event.
+    #[inline]
     pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
         self.q.schedule(at, ev);
+    }
+
+    /// Realise device `dev`'s dispatch outcome: schedule the completion
+    /// of the request it started, or the re-check when its anticipation
+    /// window (or stall) ends.
+    #[inline]
+    pub(crate) fn dispatch(&mut self, now: SimTime, dev: u32, d: Dispatch) {
+        match d {
+            Dispatch::Started(dur) => self.q.schedule(now + dur, Ev::DiskDone { dev }),
+            Dispatch::Anticipating(at) => self.q.schedule(at, Ev::DiskIdle { dev }),
+            Dispatch::Idle => {}
+        }
+    }
+
+    /// Apply a `DiskIdle`, `FailSlow` or `DiskStall` event to `device`,
+    /// whoever owns it and whatever its tag. (`DiskDone` stays with the
+    /// owner: only it knows what its tags complete.)
+    pub(crate) fn device_event<T>(&mut self, now: SimTime, device: &mut BlockDevice<T>, ev: Ev) {
+        match ev {
+            Ev::DiskIdle { dev } => {
+                let d = device.idle_check(now);
+                self.dispatch(now, dev, d);
+            }
+            Ev::FailSlow { factor, .. } => device.disk_mut().set_fail_slow(factor),
+            Ev::DiskStall { dev, until } => {
+                let d = device.stall(now, until);
+                self.dispatch(now, dev, d);
+            }
+            _ => unreachable!("not a device event"),
+        }
     }
 }
 
 /// All OSS/OST state, indexed by global OSS and OST number.
 pub(crate) struct Servers {
     /// OST block devices, in global OST order.
-    pub(crate) devices: Vec<BlockDevice<OstTag>>,
-    pub(crate) extents: Vec<ExtentMap>,
-    pub(crate) caches: Vec<WriteCache<PendingWrite>>,
-    pub(crate) read_cache: Vec<SmallObjectCache>,
-    pub(crate) oss_cpu_free: Vec<SimTime>,
+    devices: Vec<BlockDevice<OstTag>>,
+    extents: Vec<ExtentMap>,
+    caches: Vec<WriteCache<PendingWrite>>,
+    read_cache: Vec<SmallObjectCache>,
+    oss_cpu_free: Vec<SimTime>,
     /// Per-OSS CPU cost multiplier (1.0 = healthy; `OssThreadCrash`
     /// raises it, restart resets it).
-    pub(crate) oss_cpu_factor: Vec<f64>,
+    oss_cpu_factor: Vec<f64>,
     /// In-flight read/sync-write chunks, keyed by slab index.
-    pub(crate) chunk_pending: Slab<ChunkPending>,
+    chunk_pending: Slab<ChunkPending>,
     /// Per-app admission cap on concurrently admitted data RPCs per OST.
-    pub(crate) inflight_caps: BTreeMap<u32, u32>,
+    inflight_caps: BTreeMap<u32, u32>,
     /// Admitted-RPC counts per (app, OST); entries exist only while the
     /// app is capped. Ordered: drain order must be deterministic.
-    pub(crate) adm_active: BTreeMap<(u32, u32), u32>,
+    adm_active: BTreeMap<(u32, u32), u32>,
     /// RPCs parked at admission, FIFO per (app, OST).
-    pub(crate) adm_waiting: BTreeMap<(u32, u32), VecDeque<Msg>>,
+    adm_waiting: BTreeMap<(u32, u32), VecDeque<Msg>>,
     /// Scratch buffers reused across events (no per-event allocation).
-    pub(crate) scratch_ranges: Vec<SectorRange>,
-    pub(crate) scratch_members: Vec<Member<OstTag>>,
-    /// Injected OST `DiskStall` events that fired.
-    pub(crate) disk_stalls: u64,
+    scratch_ranges: Vec<SectorRange>,
+    scratch_members: Vec<Member<OstTag>>,
     /// Data RPCs parked at an inflight cap, and later re-admitted.
-    pub(crate) parked: u64,
-    pub(crate) resumed: u64,
+    parked: u64,
+    resumed: u64,
 }
 
 impl Servers {
@@ -242,47 +275,68 @@ impl Servers {
             adm_waiting: BTreeMap::new(),
             scratch_ranges: Vec::new(),
             scratch_members: Vec::new(),
-            disk_stalls: 0,
             parked: 0,
             resumed: 0,
         }
     }
 
-    /// Node hosting an OST.
-    #[inline]
-    fn node_of(&self, cfg: &ClusterConfig, dev: DeviceId) -> NodeId {
-        NodeId(cfg.client_nodes + dev.0 / cfg.osts_per_oss)
-    }
-
-    /// Handle one server-side event.
+    /// Handle one server-side event: an admitted or processed data RPC,
+    /// an OSS CPU factor change, or an OST's device event.
     pub(crate) fn handle(&mut self, now: SimTime, ev: Ev, cfg: &ClusterConfig, fx: &mut Fx) {
         match ev {
             Ev::TbfAdmitted(msg) => self.oss_admit(now, msg, cfg, fx),
             Ev::OssProcess(msg) => self.oss_process(now, msg, cfg, fx),
             Ev::DiskDone { dev } => self.disk_done(now, dev, cfg, fx),
-            Ev::DiskIdle { dev } => {
-                let d = self.devices[dev as usize].idle_check(now);
-                self.dispatch(now, dev, d, fx);
-            }
-            Ev::FailSlow { dev, factor } => {
-                self.devices[dev as usize].disk_mut().set_fail_slow(factor);
-            }
-            Ev::DiskStall { dev, until } => {
-                self.disk_stalls += 1;
-                let d = self.devices[dev as usize].stall(now, until);
-                self.dispatch(now, dev, d, fx);
+            Ev::DiskIdle { dev } | Ev::FailSlow { dev, .. } | Ev::DiskStall { dev, .. } => {
+                fx.device_event(now, &mut self.devices[dev as usize], ev)
             }
             Ev::OssFactor { oss, factor } => self.oss_cpu_factor[oss as usize] = factor,
             _ => unreachable!("client or MDS event routed to the servers"),
         }
     }
 
-    fn dispatch(&mut self, now: SimTime, dev: u32, d: Dispatch, fx: &mut Fx) {
-        match d {
-            Dispatch::Started(dur) => fx.schedule(now + dur, Ev::DiskDone { dev }),
-            Dispatch::Anticipating(at) => fx.schedule(at, Ev::DiskIdle { dev }),
-            Dispatch::Idle => {}
+    /// Lay a pre-existing file's objects out on their OSTs without any
+    /// I/O. Small files start resident in the page cache (e.g.
+    /// mdtest-hard bodies written moments before the read phase).
+    pub(crate) fn preload(
+        &mut self,
+        cfg: &ClusterConfig,
+        file: FileKey,
+        len: u64,
+        layout: &FileLayout,
+    ) {
+        if len == 0 {
+            return;
         }
+        let small = len <= cfg.cache.small_object_max;
+        for c in chunks(layout, 0, len) {
+            let key = ObjKey {
+                file,
+                stripe: c.stripe,
+            };
+            let i = c.dev.index();
+            self.extents[i].map(key, c.obj_offset, c.len);
+            if small {
+                self.read_cache[i].touch(key, c.obj_offset + c.len);
+            }
+        }
+    }
+
+    /// Install (`Some`) or clear (`None`) `app`'s admission cap, then
+    /// re-admit its parked RPCs under the new cap.
+    pub(crate) fn set_inflight_cap(
+        &mut self,
+        now: SimTime,
+        app: u32,
+        cap: Option<u32>,
+        cfg: &ClusterConfig,
+        fx: &mut Fx,
+    ) {
+        match cap {
+            Some(cap) => self.inflight_caps.insert(app, cap),
+            None => self.inflight_caps.remove(&app),
+        };
+        self.admission_recheck(now, app, cfg, fx);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -299,7 +353,7 @@ impl Servers {
     ) {
         let i = dev.index();
         let d = self.devices[i].submit(now, kind, sector, sectors, foreground, tag);
-        self.dispatch(now, dev.0, d, fx);
+        fx.dispatch(now, dev.0, d);
     }
 
     /// Mark `obj` resident in `dev`'s page cache if, and only if, the
@@ -316,7 +370,7 @@ impl Servers {
     /// Admit a data RPC to its OSS (post-TBF): if the issuing app has
     /// an inflight cap and the target OST is at it, park the RPC; else
     /// count it (capped apps only) and start the CPU stage.
-    pub(crate) fn oss_admit(&mut self, now: SimTime, msg: Msg, cfg: &ClusterConfig, fx: &mut Fx) {
+    fn oss_admit(&mut self, now: SimTime, msg: Msg, cfg: &ClusterConfig, fx: &mut Fx) {
         if !self.inflight_caps.is_empty() {
             let (dev, app) = match &msg {
                 Msg::ReadReq { dev, token, .. } | Msg::WriteReq { dev, token, .. } => {
@@ -378,7 +432,7 @@ impl Servers {
                     fx.schedule(
                         now + memcpy,
                         Ev::SendLater {
-                            src: self.node_of(cfg, dev),
+                            src: cfg.node_of(dev),
                             dst: client,
                             payload: len,
                             token,
@@ -444,7 +498,7 @@ impl Servers {
                         fx.schedule(
                             now + absorb,
                             Ev::SendLater {
-                                src: self.node_of(cfg, dev),
+                                src: cfg.node_of(dev),
                                 dst: client,
                                 payload: 0,
                                 token,
@@ -519,11 +573,13 @@ impl Servers {
         let i = dev as usize;
         let mut members = std::mem::take(&mut self.scratch_members);
         let (_meta, next) = self.devices[i].complete_into(now, &mut members);
-        self.dispatch(now, dev, next, fx);
+        fx.dispatch(now, dev, next);
         let mut flushed_bytes = 0u64;
         for m in members.drain(..) {
             match m.tag {
                 OstTag::ReadChunk { chunk } | OstTag::SyncChunk { chunk } => {
+                    // A chunk's entry lives until its last member completes:
+                    // it is removed only below, when `remaining` hits zero.
                     let finished = {
                         let p = self
                             .chunk_pending
@@ -537,7 +593,7 @@ impl Servers {
                         if let Some((obj, _end)) = p.touched {
                             self.touch_small(cfg, p.dev, obj);
                         }
-                        let src = self.node_of(cfg, p.dev);
+                        let src = cfg.node_of(p.dev);
                         fx.send(
                             now,
                             src,
@@ -561,7 +617,7 @@ impl Servers {
                 fx.schedule(
                     now + r.absorb,
                     Ev::SendLater {
-                        src: self.node_of(cfg, d),
+                        src: cfg.node_of(d),
                         dst: client,
                         payload: 0,
                         token,
@@ -575,13 +631,7 @@ impl Servers {
     /// After a cap change for `app`: admit parked RPCs while the new cap
     /// (or its absence) leaves headroom, in ascending OST order then
     /// FIFO — deterministic regardless of park order across OSTs.
-    pub(crate) fn admission_recheck(
-        &mut self,
-        now: SimTime,
-        app: u32,
-        cfg: &ClusterConfig,
-        fx: &mut Fx,
-    ) {
+    fn admission_recheck(&mut self, now: SimTime, app: u32, cfg: &ClusterConfig, fx: &mut Fx) {
         if self.adm_waiting.is_empty() {
             return;
         }
@@ -635,19 +685,30 @@ impl Servers {
             return;
         }
         let Some(msg) = self.adm_waiting.get_mut(&key).and_then(|q| q.pop_front()) else {
-            if *self.adm_active.get(&key).expect("entry present") == 0
-                && !self.inflight_caps.contains_key(&app)
-            {
+            if *active == 0 && !self.inflight_caps.contains_key(&app) {
                 self.adm_active.remove(&key);
             }
             return;
         };
-        *self.adm_active.get_mut(&key).expect("entry present") += 1;
+        *active += 1;
         self.resumed += 1;
         if self.adm_waiting.get(&key).is_some_and(|q| q.is_empty()) {
             self.adm_waiting.remove(&key);
         }
         self.oss_cpu_start(now, msg, cfg, fx);
+    }
+
+    /// Put every OST's block-layer block (`pfs.ost{i}.*`) into `snap`,
+    /// and on controlled runs the admission counters
+    /// (`pfs.control.parked`, `pfs.control.resumed`).
+    pub(crate) fn metrics_into(&self, snap: &mut MetricsSnapshot, now: SimTime, controlled: bool) {
+        for (i, dev) in self.devices.iter().enumerate() {
+            dev.metrics_into(snap, &format!("pfs.ost{i}"), now);
+        }
+        if controlled {
+            snap.put("pfs.control.parked", MetricValue::Counter(self.parked));
+            snap.put("pfs.control.resumed", MetricValue::Counter(self.resumed));
+        }
     }
 
     /// One monitor sample per OST at `now`, in device order — the only

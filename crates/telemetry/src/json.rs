@@ -445,21 +445,22 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::MetricValue;
+    use qi_simkit::stats::{Histogram, OnlineStats};
 
     fn sample_snapshot() -> MetricsSnapshot {
-        let mut reg = Registry::new();
-        let c = reg.counter("pfs.ost0.ops");
-        let g = reg.gauge("pfs.nic0.util");
-        let s = reg.stats("mds.lock_wait_us");
-        let h = reg.histogram("disk0.service_us", 0.0, 1000.0, 4);
-        reg.add(c, 123);
-        reg.set(g, 0.375);
-        reg.observe(s, 12.5);
-        reg.observe(s, 20.0);
-        reg.observe(h, 5.0);
-        reg.observe(h, 2000.0);
-        reg.snapshot()
+        let mut s = OnlineStats::new();
+        s.push(12.5);
+        s.push(20.0);
+        let mut h = Histogram::new(0.0, 1000.0, 4);
+        h.record(5.0);
+        h.record(2000.0);
+        let mut snap = MetricsSnapshot::new();
+        snap.put("pfs.ost0.ops", MetricValue::Counter(123));
+        snap.put("pfs.nic0.util", MetricValue::Gauge(0.375));
+        snap.put("mds.lock_wait_us", MetricValue::Stats(s));
+        snap.put("disk0.service_us", MetricValue::Histogram(h));
+        snap
     }
 
     #[test]
@@ -473,9 +474,8 @@ mod tests {
 
     #[test]
     fn empty_stats_round_trip() {
-        let mut reg = Registry::new();
-        reg.stats("never_observed");
-        let snap = reg.snapshot();
+        let mut snap = MetricsSnapshot::new();
+        snap.put("never_observed", MetricValue::Stats(OnlineStats::new()));
         let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parses");
         assert_eq!(snap, back);
     }
@@ -490,7 +490,7 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let mut snap = MetricsSnapshot::new();
-        snap.put("weird\"name\\with\nescapes", crate::MetricValue::Counter(1));
+        snap.put("weird\"name\\with\nescapes", MetricValue::Counter(1));
         let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parses");
         assert_eq!(snap, back);
     }

@@ -12,22 +12,26 @@
 //!    identical runs produce *byte-identical* snapshots regardless of
 //!    repeat count or `RAYON_NUM_THREADS` (locked in by the golden and
 //!    determinism suites under `tests/`).
-//! 2. **Cheap on the hot path.** Metrics are registered once and then
-//!    updated through a copyable [`MetricId`] index — no string hashing
-//!    per event.
+//! 2. **Cheap on the hot path.** Nothing is registered or looked up by
+//!    name while a run is going: each component keeps plain fields
+//!    (`u64` counters, an `OnlineStats`, a `Histogram`) and names them
+//!    once, when it writes its own block into a snapshot through a
+//!    `metrics_into(&self, &mut MetricsSnapshot)` method.
 //! 3. **Stable rendering.** [`MetricsSnapshot`] orders metrics by name
 //!    (a `BTreeMap`) and both renderers — [`MetricsSnapshot::to_json`]
 //!    and [`MetricsSnapshot::to_prometheus_text`] — are pure functions
-//!    of that map.
+//!    of that map, so the order blocks are written in never shows.
 //!
 //! ## Metric kinds
 //!
-//! | kind | update | rendered as |
-//! |------|--------|-------------|
-//! | counter | [`Registry::add`] / [`Registry::inc`] | monotone `u64` |
-//! | gauge | [`Registry::set`] | last-written `f64` |
-//! | stats | [`Registry::observe`] | Welford summary (count/sum/mean/min/max/stddev) |
-//! | histogram | [`Registry::observe`] | fixed-width buckets + under/overflow |
+//! Every kind enters a snapshot through [`MetricsSnapshot::put`]:
+//!
+//! | kind | [`MetricValue`] | rendered as |
+//! |------|-----------------|-------------|
+//! | counter | `Counter(u64)` | monotone `u64` |
+//! | gauge | `Gauge(f64)` | last-written `f64` |
+//! | stats | `Stats(OnlineStats)` | Welford summary (count/sum/mean/min/max/stddev) |
+//! | histogram | `Histogram(Histogram)` | fixed-width buckets + under/overflow |
 //!
 //! `stats` and `histogram` reuse [`qi_simkit::stats::OnlineStats`] and
 //! [`qi_simkit::stats::Histogram`].
@@ -35,18 +39,21 @@
 //! ## Example
 //!
 //! ```
-//! use qi_telemetry::{Registry, MetricValue};
+//! use qi_simkit::stats::OnlineStats;
+//! use qi_telemetry::{MetricValue, MetricsSnapshot};
 //!
-//! let mut reg = Registry::new();
-//! let ops = reg.counter("pfs.ost0.ops");
-//! let depth = reg.stats("pfs.ost0.queue_depth");
-//! reg.inc(ops);
-//! reg.observe(depth, 3.0);
+//! // A component's plain fields...
+//! let ops = 1u64;
+//! let mut depth = OnlineStats::new();
+//! depth.push(3.0);
+//! // ...written into a snapshot as its block.
+//! let mut snap = MetricsSnapshot::new();
+//! snap.put("pfs.ost0.ops", MetricValue::Counter(ops));
+//! snap.put("pfs.ost0.queue_depth", MetricValue::Stats(depth));
 //!
-//! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("pfs.ost0.ops"), Some(1));
 //! let json = snap.to_json();
-//! let back = qi_telemetry::MetricsSnapshot::from_json(&json).unwrap();
+//! let back = MetricsSnapshot::from_json(&json).unwrap();
 //! assert_eq!(snap, back);
 //! assert_eq!(json, back.to_json()); // byte-stable round trip
 //! ```
@@ -54,7 +61,6 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 use qi_simkit::stats::{Histogram, OnlineStats};
 
@@ -63,8 +69,8 @@ mod prom;
 
 pub use json::JsonError;
 
-/// One metric's current value. The enum is the snapshot-side twin of the
-/// registry entry; see the crate docs for the kind semantics.
+/// One metric's current value; see the crate docs for the kind
+/// semantics.
 #[derive(Clone, Debug, PartialEq)]
 pub enum MetricValue {
     /// Monotonically increasing event count.
@@ -89,245 +95,13 @@ impl MetricValue {
     }
 }
 
-/// Cheap, copyable handle to a registered metric; obtained from the
-/// `Registry::counter`/`gauge`/`stats`/`histogram` registration calls
-/// and passed to the update methods on hot paths.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MetricId(usize);
-
-struct Entry {
-    name: String,
-    value: MetricValue,
-}
-
-/// A set of named metrics, updated in place and exported via
-/// [`Registry::snapshot`].
-///
-/// Registration is get-or-create by name: registering the same name
-/// twice with the same kind returns the same [`MetricId`]; re-registering
-/// under a different kind panics (programmer error). Each simulated
-/// subsystem owns its own registry — there is intentionally no global
-/// one, because globals are where nondeterminism creeps in.
-#[derive(Default)]
-pub struct Registry {
-    entries: Vec<Entry>,
-    index: HashMap<String, usize>,
-}
-
-impl Registry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
-    fn register(&mut self, name: &str, value: MetricValue) -> MetricId {
-        if let Some(&i) = self.index.get(name) {
-            let have = self.entries[i].value.kind();
-            let want = value.kind();
-            assert!(
-                have == want,
-                "metric `{name}` already registered as {have}, requested {want}"
-            );
-            return MetricId(i);
-        }
-        let i = self.entries.len();
-        self.entries.push(Entry {
-            name: name.to_string(),
-            value,
-        });
-        self.index.insert(name.to_string(), i);
-        MetricId(i)
-    }
-
-    /// Register (or look up) a counter.
-    pub fn counter(&mut self, name: &str) -> MetricId {
-        self.register(name, MetricValue::Counter(0))
-    }
-
-    /// Register (or look up) a gauge.
-    pub fn gauge(&mut self, name: &str) -> MetricId {
-        self.register(name, MetricValue::Gauge(0.0))
-    }
-
-    /// Register (or look up) a Welford-summary metric.
-    pub fn stats(&mut self, name: &str) -> MetricId {
-        self.register(name, MetricValue::Stats(OnlineStats::new()))
-    }
-
-    /// Register (or look up) a histogram with `n_buckets` equal-width
-    /// buckets over `[lo, hi)`.
-    pub fn histogram(&mut self, name: &str, lo: f64, hi: f64, n_buckets: usize) -> MetricId {
-        self.register(
-            name,
-            MetricValue::Histogram(Histogram::new(lo, hi, n_buckets)),
-        )
-    }
-
-    /// Add `delta` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: MetricId, delta: u64) {
-        match &mut self.entries[id.0].value {
-            MetricValue::Counter(c) => *c += delta,
-            other => panic!("add() on non-counter metric ({})", other.kind()),
-        }
-    }
-
-    /// Add 1 to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: MetricId) {
-        self.add(id, 1);
-    }
-
-    /// Set a gauge to `v`.
-    #[inline]
-    pub fn set(&mut self, id: MetricId, v: f64) {
-        match &mut self.entries[id.0].value {
-            MetricValue::Gauge(g) => *g = v,
-            other => panic!("set() on non-gauge metric ({})", other.kind()),
-        }
-    }
-
-    /// Record one observation into a stats or histogram metric.
-    #[inline]
-    pub fn observe(&mut self, id: MetricId, v: f64) {
-        match &mut self.entries[id.0].value {
-            MetricValue::Stats(s) => s.push(v),
-            MetricValue::Histogram(h) => h.record(v),
-            other => panic!("observe() on non-observable metric ({})", other.kind()),
-        }
-    }
-
-    /// Overwrite a metric wholesale — used by exporters that already hold
-    /// a finished `OnlineStats`/`Histogram` from a simulated component.
-    pub fn put(&mut self, name: &str, value: MetricValue) {
-        if let Some(&i) = self.index.get(name) {
-            self.entries[i].value = value;
-        } else {
-            self.register(name, value);
-        }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Export the current values as an immutable, name-sorted snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            metrics: self
-                .entries
-                .iter()
-                .map(|e| (e.name.clone(), e.value.clone()))
-                .collect(),
-        }
-    }
-
-    /// Merge `other` into this registry, name by name in ascending key
-    /// order (parallel shard reduction).
-    ///
-    /// Shared names combine kind-wise: counters and gauges sum, stats
-    /// and histograms merge their accumulators. Names only present in
-    /// `other` are registered here, in ascending order — so the merged
-    /// registry's layout depends only on the *set* of inputs, never on
-    /// each input's registration order. Gauges lose their last-writer
-    /// semantics under a merge (shards must only use gauges for
-    /// summable quantities).
-    ///
-    /// Unlike [`Registry::register`], a kind conflict is an `Err`, not a
-    /// panic — merging telemetry from a foreign shard is an operation
-    /// whose failure the caller must be able to report. The merge is
-    /// validated up front: on `Err` this registry is unchanged.
-    pub fn merge(&mut self, other: &Registry) -> Result<(), MergeError> {
-        let mut incoming: Vec<&Entry> = other.entries.iter().collect();
-        incoming.sort_by(|a, b| a.name.cmp(&b.name));
-        for e in &incoming {
-            if let Some(&i) = self.index.get(&e.name) {
-                let (have, want) = (self.entries[i].value.kind(), e.value.kind());
-                if have != want {
-                    return Err(MergeError::KindConflict {
-                        name: e.name.clone(),
-                        have,
-                        want,
-                    });
-                }
-                if let (MetricValue::Histogram(a), MetricValue::Histogram(b)) =
-                    (&self.entries[i].value, &e.value)
-                {
-                    if a.lo() != b.lo()
-                        || a.hi() != b.hi()
-                        || a.buckets().len() != b.buckets().len()
-                    {
-                        return Err(MergeError::HistogramShape {
-                            name: e.name.clone(),
-                        });
-                    }
-                }
-            }
-        }
-        for e in incoming {
-            match self.index.get(&e.name) {
-                Some(&i) => match (&mut self.entries[i].value, &e.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
-                    (MetricValue::Stats(a), MetricValue::Stats(b)) => a.merge(b),
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                    _ => unreachable!("kinds validated above"),
-                },
-                None => {
-                    self.register(&e.name, e.value.clone());
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Why a [`Registry::merge`] was rejected. The target registry is left
-/// untouched in every error case.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MergeError {
-    /// The same name is registered with different kinds.
-    KindConflict {
-        /// Conflicting metric name.
-        name: String,
-        /// Kind already registered in the target.
-        have: &'static str,
-        /// Kind arriving from the merged registry.
-        want: &'static str,
-    },
-    /// Two histograms share a name but not bounds/bucket count.
-    HistogramShape {
-        /// Conflicting metric name.
-        name: String,
-    },
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::KindConflict { name, have, want } => {
-                write!(f, "metric `{name}`: cannot merge {want} into {have}")
-            }
-            MergeError::HistogramShape { name } => {
-                write!(f, "metric `{name}`: histogram shapes differ")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-/// An immutable, name-sorted export of a [`Registry`] at one instant.
+/// A name-sorted set of metrics at one instant, filled block by block
+/// through [`MetricsSnapshot::put`].
 ///
 /// Snapshots are plain data: they can be attached to run artefacts
 /// (`RunTrace`, `EvalReport`), rendered (JSON / Prometheus text),
-/// parsed back ([`MetricsSnapshot::from_json`]), merged, and diffed.
+/// parsed back ([`MetricsSnapshot::from_json`]), absorbed into one
+/// another, and diffed.
 /// Equality is structural, and `to_json` output is byte-stable: two
 /// snapshots are equal iff their JSON renderings are identical.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -482,39 +256,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_is_get_or_create() {
-        let mut reg = Registry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("x");
-        assert_eq!(a, b);
-        assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
+    #[should_panic(expected = "kind mismatch")]
     fn kind_conflicts_panic() {
-        let mut reg = Registry::new();
-        reg.counter("x");
-        reg.gauge("x");
+        let mut before = MetricsSnapshot::new();
+        before.put("x", MetricValue::Counter(1));
+        let mut after = MetricsSnapshot::new();
+        after.put("x", MetricValue::Gauge(1.0));
+        after.diff(&before);
     }
 
     #[test]
     fn updates_land_in_snapshot() {
-        let mut reg = Registry::new();
-        let c = reg.counter("ops");
-        let g = reg.gauge("util");
-        let s = reg.stats("depth");
-        let h = reg.histogram("svc", 0.0, 10.0, 5);
-        reg.add(c, 41);
-        reg.inc(c);
-        reg.set(g, 0.75);
-        reg.observe(s, 2.0);
-        reg.observe(s, 4.0);
-        reg.observe(h, 3.0);
-        reg.observe(h, 100.0);
-        let snap = reg.snapshot();
+        let mut s = OnlineStats::new();
+        s.push(2.0);
+        s.push(4.0);
+        let mut h = Histogram::new(0.0, 10.0, 5);
+        h.record(3.0);
+        h.record(100.0);
+        let mut snap = MetricsSnapshot::new();
+        snap.put("ops", MetricValue::Counter(41));
+        snap.put("ops", MetricValue::Counter(42)); // replaces
+        snap.put("util", MetricValue::Gauge(0.75));
+        snap.put("depth", MetricValue::Stats(s));
+        snap.put("svc", MetricValue::Histogram(h));
+        assert_eq!(snap.len(), 4);
         assert_eq!(snap.counter("ops"), Some(42));
         assert_eq!(snap.gauge("util"), Some(0.75));
+        assert_eq!(snap.counter("util"), None, "kind-typed getters");
         let st = snap.stats("depth").unwrap();
         assert_eq!(st.count(), 2);
         assert_eq!(st.mean(), 3.0);
@@ -525,16 +293,16 @@ mod tests {
 
     #[test]
     fn diff_subtracts_counters_and_windows_stats() {
-        let mut reg = Registry::new();
-        let c = reg.counter("ops");
-        let s = reg.stats("lat");
-        reg.add(c, 10);
-        reg.observe(s, 1.0);
-        let before = reg.snapshot();
-        reg.add(c, 5);
-        reg.observe(s, 3.0);
-        reg.observe(s, 5.0);
-        let after = reg.snapshot();
+        let mut lat = OnlineStats::new();
+        lat.push(1.0);
+        let mut before = MetricsSnapshot::new();
+        before.put("ops", MetricValue::Counter(10));
+        before.put("lat", MetricValue::Stats(lat.clone()));
+        lat.push(3.0);
+        lat.push(5.0);
+        let mut after = MetricsSnapshot::new();
+        after.put("ops", MetricValue::Counter(15));
+        after.put("lat", MetricValue::Stats(lat));
         let d = after.diff(&before);
         assert_eq!(d.counter("ops"), Some(5));
         let ds = d.stats("lat").unwrap();
@@ -549,85 +317,5 @@ mod tests {
         let mut out = MetricsSnapshot::new();
         out.absorb("sub", &a);
         assert_eq!(out.counter("sub.x"), Some(1));
-    }
-
-    #[test]
-    fn merge_combines_kind_wise() {
-        let mut a = Registry::new();
-        let ac = a.counter("ops");
-        let ag = a.gauge("bytes");
-        let as_ = a.stats("lat");
-        a.add(ac, 3);
-        a.set(ag, 1.5);
-        a.observe(as_, 2.0);
-        let mut b = Registry::new();
-        let bc = b.counter("ops");
-        let bs = b.stats("lat");
-        let bonly = b.counter("extra");
-        b.add(bc, 4);
-        b.observe(bs, 6.0);
-        b.inc(bonly);
-        a.merge(&b).expect("merge succeeds");
-        let snap = a.snapshot();
-        assert_eq!(snap.counter("ops"), Some(7));
-        assert_eq!(snap.gauge("bytes"), Some(1.5));
-        assert_eq!(snap.counter("extra"), Some(1));
-        let s = snap.stats("lat").unwrap();
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 4.0);
-    }
-
-    #[test]
-    fn merge_kind_conflict_is_an_error_and_leaves_target_unchanged() {
-        let mut a = Registry::new();
-        let c = a.counter("x");
-        a.add(c, 2);
-        let yc = a.counter("y");
-        a.add(yc, 9);
-        let before = a.snapshot();
-        let mut b = Registry::new();
-        // `y` sorts after `x`: the conflict is found *after* a mergeable
-        // entry, and the up-front validation must still roll nothing in.
-        let bx = b.counter("x");
-        b.add(bx, 1);
-        b.gauge("y");
-        let err = a.merge(&b).expect_err("kind conflict");
-        assert_eq!(
-            err,
-            MergeError::KindConflict {
-                name: "y".into(),
-                have: "counter",
-                want: "gauge",
-            }
-        );
-        assert_eq!(a.snapshot(), before, "failed merge mutated the target");
-    }
-
-    #[test]
-    fn merge_histogram_shape_mismatch_is_an_error() {
-        let mut a = Registry::new();
-        a.histogram("h", 0.0, 100.0, 10);
-        let mut b = Registry::new();
-        b.histogram("h", 0.0, 100.0, 20);
-        let err = a.merge(&b).expect_err("shape mismatch");
-        assert_eq!(err, MergeError::HistogramShape { name: "h".into() });
-    }
-
-    #[test]
-    fn merge_appends_new_names_in_ascending_order() {
-        let mut a = Registry::new();
-        a.counter("m");
-        let mut b = Registry::new();
-        // Registered out of order on purpose.
-        b.counter("z");
-        b.counter("a");
-        b.counter("q");
-        a.merge(&b).expect("merge succeeds");
-        let mut c = Registry::new();
-        c.counter("m");
-        c.counter("a");
-        c.counter("q");
-        c.counter("z");
-        assert_eq!(a.snapshot(), c.snapshot());
     }
 }

@@ -93,7 +93,8 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::MetricValue;
+    use qi_simkit::stats::{Histogram, OnlineStats};
 
     #[test]
     fn sanitize_makes_legal_names() {
@@ -103,12 +104,13 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative() {
-        let mut reg = Registry::new();
-        let h = reg.histogram("svc", 0.0, 3.0, 3);
+        let mut h = Histogram::new(0.0, 3.0, 3);
         for v in [-1.0, 0.5, 1.5, 1.6, 99.0] {
-            reg.observe(h, v);
+            h.record(v);
         }
-        let text = reg.snapshot().to_prometheus_text();
+        let mut snap = MetricsSnapshot::new();
+        snap.put("svc", MetricValue::Histogram(h));
+        let text = snap.to_prometheus_text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "# TYPE svc histogram");
         assert_eq!(lines[1], "svc_bucket{le=\"1\"} 2"); // underflow + 0.5
@@ -120,14 +122,13 @@ mod tests {
 
     #[test]
     fn every_sample_line_is_name_space_value() {
-        let mut reg = Registry::new();
-        let c = reg.counter("a.b");
-        let g = reg.gauge("g");
-        let s = reg.stats("s");
-        reg.add(c, 7);
-        reg.set(g, 1.25);
-        reg.observe(s, 2.0);
-        let text = reg.snapshot().to_prometheus_text();
+        let mut s = OnlineStats::new();
+        s.push(2.0);
+        let mut snap = MetricsSnapshot::new();
+        snap.put("a.b", MetricValue::Counter(7));
+        snap.put("g", MetricValue::Gauge(1.25));
+        snap.put("s", MetricValue::Stats(s));
+        let text = snap.to_prometheus_text();
         for line in text.lines() {
             if line.starts_with('#') {
                 continue;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Non-test Rust lines, per crate: each .rs file counts the lines above
 # its first `mod tests {` (the whole file if it has none). Files under a
-# tests/ or benches/ directory, benchmark/ and vendor/ are not counted.
+# tests/ or benches/ directory, benchmark/ and vendor/ are not counted,
+# nor is a file some counted file declares `#[cfg(test)] mod name;`.
 # The `panics` column counts `.unwrap()` and `.expect(` calls in those
 # same lines, comment lines (doc examples included) left out: the panic
 # audit's number.
@@ -23,17 +24,41 @@ paths=("$@")
 # One "<crate> <lines> <panics>" line per counted file at SRC: the working tree
 # when SRC is empty, else that revision. A crate is crates/<name>, or
 # the top-level directory for everything else (src, examples).
+show() {
+    if [[ -z $1 ]]; then cat "$2"; else git show "$1:$2"; fi
+}
+
 count() {
-    local src=$1 files f
+    local src=$1 files f skip
     if [[ -z $src ]]; then
         files=$(git ls-files --cached --others --exclude-standard -- "${paths[@]}")
     else
         files=$(git ls-tree -r --name-only "$src" -- "${paths[@]}")
     fi
-    { grep -E '\.rs$' <<<"$files" || true; } |
-        { grep -Ev '(^|/)(tests|benches)/|^(benchmark|vendor)/' || true; } |
+    files=$({ grep -E '\.rs$' <<<"$files" || true; } |
+        { grep -Ev '(^|/)(tests|benches)/|^(benchmark|vendor)/' || true; })
+    # The paths a `#[cfg(test)] mod name;` (attribute on its own line or
+    # the same one) can load: dir/name.rs and dir/name/mod.rs, where dir
+    # is the declaring file's own directory for lib.rs, main.rs and
+    # mod.rs, and its stem's directory otherwise.
+    skip=$(while read -r f; do
+        [[ -n $f ]] || continue
+        show "$src" "$f" | awk -v f="$f" '
+            BEGIN {
+                d = f; sub(/\.rs$/, "", d)
+                if (d ~ /(^|\/)(lib|main|mod)$/) sub(/[^\/]*$/, "", d); else d = d "/"
+            }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+            t && match($0, /mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*;/) {
+                m = substr($0, RSTART + 3, RLENGTH - 4); gsub(/[[:space:]]/, "", m)
+                print d m ".rs"; print d m "/mod.rs"
+            }
+            !/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { t = 0 }'
+    done <<<"$files")
+    { grep -vxF -f <(printf '%s\n' "$skip") <<<"$files" || true; } |
         while read -r f; do
-            if [[ -z $src ]]; then cat "$f"; else git show "$src:$f"; fi |
+            [[ -n $f ]] || continue
+            show "$src" "$f" |
                 awk -v f="$f" '
                     /^[[:space:]]*mod tests \{/ { stop = 1 }
                     !stop { n++ }
