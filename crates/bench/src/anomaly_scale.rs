@@ -11,23 +11,19 @@
 //!    for the quiet regime the boundary drift: how many newest samples
 //!    of a `(device, window)` group — the cumulative counters the
 //!    window features are computed from — sampling changed or lost.
-//! 3. Trace-store memory proxy: stored cells and approximate bytes of
-//!    the unbounded `Vec` store vs the RLE ring on the same faulted
-//!    run, plus a tight ring's eviction accounting.
 //!
-//! 2 and 3 are simulated-time counts and go to
+//! 2's rows are simulated-time counts and go to
 //! `results/anomaly_monitoring.csv`. What must hold of them is asserted
 //! in Tier-1: `crates/monitor/tests/sampler_props.rs` (the newest sample
 //! of every group survives; the quiet regime saves ≥ 30 %) and
 //! `tests/anomaly_detection.rs` (the session saves ≥ 30 % with the same
-//! windows flagged; the ring reads back like the unbounded store).
+//! windows flagged).
 
 use std::time::Instant;
 
 use qi_pfs::ids::DeviceId;
 use qi_pfs::ops::ServerSample;
 use qi_pfs::queue::DeviceCounters;
-use qi_pfs::store::TraceStoreConfig;
 use qi_simkit::table::AsciiTable;
 use qi_simkit::time::{SimDuration, SimTime};
 use quanterference::prelude::*;
@@ -64,17 +60,6 @@ fn quiet_stream(n_dev: usize, n_windows: usize) -> Vec<ServerSample> {
     out
 }
 
-/// The window a sample belongs to (a sample on an exact boundary closes
-/// the window ending there) — mirrors the sampler's grouping.
-fn window_of(wcfg: WindowConfig, s: &ServerSample) -> u64 {
-    let t = s.time.as_nanos();
-    if t == 0 {
-        0
-    } else {
-        wcfg.index_of(SimTime(t - 1))
-    }
-}
-
 /// How many `(device, window)` boundary samples — the newest sample of
 /// each group — changed or vanished under sampling. Zero means the
 /// sampler cannot have moved any window feature.
@@ -82,7 +67,7 @@ fn boundary_drift(wcfg: WindowConfig, raw: &[ServerSample], kept: &[ServerSample
     let newest = |stream: &[ServerSample]| {
         let mut m = std::collections::HashMap::new();
         for s in stream {
-            m.insert((s.dev.0, window_of(wcfg, s)), *s);
+            m.insert((s.dev.0, wcfg.sample_index_of(s.time)), *s);
         }
         m
     };
@@ -180,45 +165,6 @@ pub fn run(ctx: &mut Context) {
         session.faulted.n_flagged(),
         session.sampled.n_flagged()
     );
-
-    // ---------------------------------------------------- ring memory
-    let run_with_store = |store: TraceStoreConfig| {
-        let mut scn = session_scenario(11, true);
-        scn.cluster.trace_store = store;
-        scn.run().expect("store-backed run").1
-    };
-    let unbounded = run_with_store(TraceStoreConfig::Unbounded);
-    let ring = run_with_store(TraceStoreConfig::RleRing { capacity: 4096 });
-    let tight = run_with_store(TraceStoreConfig::RleRing { capacity: 64 });
-    let n = unbounded.samples.len();
-    let cell_ratio = ring.samples.storage_cells() as f64 / n.max(1) as f64;
-    println!(
-        "ring memory: {} samples; unbounded ~{} B; rle ring {} cells ~{} B \
-         ({:.2}x cells); tight ring held {} / evicted {}",
-        n,
-        unbounded.samples.approx_bytes(),
-        ring.samples.storage_cells(),
-        ring.samples.approx_bytes(),
-        cell_ratio,
-        tight.samples.len(),
-        tight.samples.evicted(),
-    );
-    row("ring.samples", n.to_string());
-    row(
-        "ring.unbounded_bytes",
-        unbounded.samples.approx_bytes().to_string(),
-    );
-    row(
-        "ring.rle4096.cells",
-        ring.samples.storage_cells().to_string(),
-    );
-    row(
-        "ring.rle4096.bytes",
-        ring.samples.approx_bytes().to_string(),
-    );
-    row("ring.rle4096.cell_ratio", format!("{cell_ratio:.4}"));
-    row("ring.rle64.held", tight.samples.len().to_string());
-    row("ring.rle64.evicted", tight.samples.evicted().to_string());
 
     ctx.write_results("anomaly_monitoring.csv", &table);
 }

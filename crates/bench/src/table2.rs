@@ -42,7 +42,7 @@ fn run_load(kind: Option<WorkloadKind>, small: bool) -> Vec<(String, [f64; 3])> 
         s.run()
     }
     .expect("scenario runs");
-    let windows = server_windows(&trace.samples.to_vec(), WindowConfig::seconds(1));
+    let windows = server_windows(&trace.samples, WindowConfig::seconds(1));
     // Pick the busiest mid-run window of OST 0 by completed requests.
     let dev = DeviceId(0);
     let best = windows

@@ -24,6 +24,8 @@
 //! sampler's `monitor.sampler.*` accounting into the same snapshot —
 //! the ingest-cost story of the adaptive-monitoring satellite.
 
+use std::borrow::Cow;
+
 use qi_ml::anomaly::{AnomalyScorer, ForestConfig};
 use qi_monitor::features::FeatureConfig;
 use qi_monitor::pipeline::FeaturePipeline;
@@ -172,19 +174,17 @@ impl AnomalyDetector {
 
     /// Score every `(window, app)` vector of `trace`.
     ///
-    /// The sample stream is read through the trace-store accessor API
-    /// (ring-buffer and unbounded stores score identically), optionally
-    /// thinned by the adaptive sampler, then driven through the
-    /// canonical pipeline; each emitted feature block gets an
-    /// [`qi_ml::anomaly::AnomalyVerdict`].
+    /// The sample stream, thinned by the adaptive sampler when one is
+    /// configured, is driven through the canonical pipeline; each
+    /// emitted feature block gets an [`qi_ml::anomaly::AnomalyVerdict`].
     pub fn analyze(&self, trace: &RunTrace) -> AnomalyReport {
-        let samples = trace.samples.to_vec();
         let (samples, sampler) = match self.sampler {
             Some(cfg) => {
-                let (kept, stats) = AdaptiveSampler::run(cfg, self.wcfg, samples);
-                (kept, Some(stats))
+                let (kept, stats) =
+                    AdaptiveSampler::run(cfg, self.wcfg, trace.samples.iter().copied());
+                (Cow::Owned(kept), Some(stats))
             }
-            None => (samples, None),
+            None => (Cow::Borrowed(trace.samples.as_slice()), None),
         };
         let windows = FeaturePipeline::new(self.wcfg, self.fcfg, self.n_devices).run_streams(
             &trace.ops,

@@ -121,13 +121,12 @@ impl EmittedWindow {
 }
 
 /// How far into one [`RunTrace`] a pipeline has read: records taken
-/// from `ops` and from `rpcs`, and the logical index into `samples`
-/// ([`qi_pfs::store::SampleStore::iter_from`]).
+/// from `ops`, `rpcs` and `samples`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct TraceCursor {
     op: usize,
     rpc: usize,
-    sample: u64,
+    sample: usize,
 }
 
 /// The incremental window builder — the canonical feature pipeline.
@@ -244,9 +243,8 @@ impl FeaturePipeline {
         Ok(())
     }
 
-    /// Advance to `t`'s window, emitting every completed window before it.
-    fn roll_to(&mut self, t: SimTime, out: &mut Vec<EmittedWindow>) {
-        let w = self.cfg.index_of(t);
+    /// Advance to window `w`, emitting every completed window before it.
+    fn roll_to(&mut self, w: u64, out: &mut Vec<EmittedWindow>) {
         while self.current < w {
             out.push(self.flush_current());
         }
@@ -298,7 +296,7 @@ impl FeaturePipeline {
         self.check_order(op.completed)?;
         self.ops_ingested += 1;
         let mut out = Vec::new();
-        self.roll_to(op.completed, &mut out);
+        self.roll_to(self.cfg.index_of(op.completed), &mut out);
         self.client_cell(op.token.app).record_op(op);
         Ok(out)
     }
@@ -308,7 +306,7 @@ impl FeaturePipeline {
         self.check_order(rpc.issued)?;
         self.rpcs_ingested += 1;
         let mut out = Vec::new();
-        self.roll_to(rpc.issued, &mut out);
+        self.roll_to(self.cfg.index_of(rpc.issued), &mut out);
         self.client_cell(rpc.app).record_rpc(rpc);
         Ok(out)
     }
@@ -322,7 +320,7 @@ impl FeaturePipeline {
     pub fn advance_to(&mut self, t: SimTime) -> Result<Vec<EmittedWindow>, QiError> {
         self.check_order(t)?;
         let mut out = Vec::new();
-        self.roll_to(t, &mut out);
+        self.roll_to(self.cfg.index_of(t), &mut out);
         Ok(out)
     }
 
@@ -331,10 +329,7 @@ impl FeaturePipeline {
         self.check_order(sample.time)?;
         self.samples_ingested += 1;
         let mut out = Vec::new();
-        // The interval (prev, cur] belongs to the window holding its end.
-        if sample.time.as_nanos() > 0 {
-            self.roll_to(SimTime(sample.time.as_nanos() - 1), &mut out);
-        }
+        self.roll_to(self.cfg.sample_index_of(sample.time), &mut out);
         if let Some(prev) = self.last_sample.get(&sample.dev) {
             let deltas = crate::server::delta_series(prev, sample);
             let acc = self.server_acc.entry(sample.dev).or_default();
@@ -357,29 +352,28 @@ impl FeaturePipeline {
 
     /// The one merge: drive time-sorted streams through the pipeline by
     /// time, ties broken samples → RPCs → ops (module docs), resuming at
-    /// the cursor — where `samples` starts — and moving it past each
-    /// event taken. With a `bound`, events after it are left and the
-    /// watermark then advances to it; without, the streams are drained.
-    /// An out-of-order event is an error that leaves the cursor on it.
+    /// the cursor and moving it past each event taken. With a `bound`,
+    /// events after it are left and the watermark then advances to it;
+    /// without, the streams are drained. An out-of-order event is an
+    /// error that leaves the cursor on it.
     fn drive_merged(
         &mut self,
         ops: &[OpRecord],
         rpcs: &[RpcRecord],
-        samples: impl Iterator<Item = ServerSample>,
+        samples: &[ServerSample],
         bound: Option<SimTime>,
     ) -> Result<Vec<EmittedWindow>, QiError> {
-        let mut samples = samples.peekable();
         let mut out = Vec::new();
         loop {
             let t_op = ops.get(self.cursor.op).map(|o| o.completed);
             let t_rpc = rpcs.get(self.cursor.rpc).map(|r| r.issued);
-            let t_smp = samples.peek().map(|s| s.time);
+            let t_smp = samples.get(self.cursor.sample).map(|s| s.time);
             let next = [t_smp, t_rpc, t_op].into_iter().flatten().min();
             let Some(next) = next.filter(|&t| bound.is_none_or(|b| t <= b)) else {
                 break;
             };
-            if let Some(sample) = samples.next_if(|s| s.time == next) {
-                out.extend(self.push_sample(&sample)?);
+            if t_smp == Some(next) {
+                out.extend(self.push_sample(&samples[self.cursor.sample])?);
                 self.cursor.sample += 1;
             } else if t_rpc == Some(next) {
                 out.extend(self.push_rpc(&rpcs[self.cursor.rpc])?);
@@ -400,8 +394,7 @@ impl FeaturePipeline {
     /// traces are, or this errors), returning every window finalised on
     /// the way. [`FeaturePipeline::finish`] flushes the last, partial one.
     pub fn ingest_trace(&mut self, trace: &RunTrace) -> Result<Vec<EmittedWindow>, QiError> {
-        let samples = trace.samples.iter_from(self.cursor.sample);
-        self.drive_merged(&trace.ops, &trace.rpcs, samples, None)
+        self.drive_merged(&trace.ops, &trace.rpcs, &trace.samples, None)
     }
 
     /// The incremental form of [`FeaturePipeline::ingest_trace`], for a
@@ -414,15 +407,14 @@ impl FeaturePipeline {
         trace: &RunTrace,
         bound: SimTime,
     ) -> Result<Vec<EmittedWindow>, QiError> {
-        let samples = trace.samples.iter_from(self.cursor.sample);
-        self.drive_merged(&trace.ops, &trace.rpcs, samples, Some(bound))
+        self.drive_merged(&trace.ops, &trace.rpcs, &trace.samples, Some(bound))
     }
 
     /// Batch entry point: run a finished trace through the pipeline and
     /// return every emitted window, in any stream order (see
     /// [`FeaturePipeline::run_streams`]).
     pub fn run_windows(self, trace: &RunTrace) -> Vec<EmittedWindow> {
-        self.run_streams(&trace.ops, &trace.rpcs, &trace.samples.to_vec())
+        self.run_streams(&trace.ops, &trace.rpcs, &trace.samples)
     }
 
     /// Like [`FeaturePipeline::run_windows`] over bare event slices —
@@ -439,7 +431,7 @@ impl FeaturePipeline {
         let rpcs = sorted_by_key(rpcs, |r| r.issued);
         let samples = sorted_by_key(samples, |s| s.time);
         let mut out = self
-            .drive_merged(&ops, &rpcs, samples.iter().copied(), None)
+            .drive_merged(&ops, &rpcs, &samples, None)
             .expect("sorted streams cannot be out of order");
         out.extend(self.finish());
         out
@@ -688,8 +680,7 @@ mod tests {
         let w1 = emitted.iter().find(|e| e.window == 1).expect("window 1");
         assert_eq!(w1.clients[&AppId(0)].reads, 1);
         // And the batch adapter sees the identical split.
-        let batch =
-            crate::server::server_windows(&trace.samples.to_vec(), WindowConfig::seconds(1));
+        let batch = crate::server::server_windows(&trace.samples, WindowConfig::seconds(1));
         assert_eq!(batch[&(DeviceId(0), 0)].series[0].sum, 40.0);
         assert!(!batch.contains_key(&(DeviceId(0), 1)));
     }

@@ -193,23 +193,11 @@ impl AdaptiveSampler {
         self.stats.metrics_snapshot()
     }
 
-    /// The window a sample at `t` belongs to — the window its delta
-    /// lands in downstream: a sample at an exact boundary describes the
-    /// interval *ending* there (matching `FeaturePipeline`'s
-    /// boundary-tie semantics).
-    fn window_of(&self, s: &ServerSample) -> u64 {
-        let t = s.time.as_nanos();
-        if t == 0 {
-            0
-        } else {
-            self.wcfg.index_of(qi_simkit::time::SimTime(t - 1))
-        }
-    }
-
     /// Offer one sample (nondecreasing time order). Returns the samples
     /// released by windows that closed before it.
     pub fn push(&mut self, s: ServerSample) -> Vec<ServerSample> {
-        let w = self.window_of(&s);
+        // Grouped by the window its delta lands in downstream.
+        let w = self.wcfg.sample_index_of(s.time);
         let mut out = Vec::new();
         if w > self.current {
             self.flush_into(&mut out);
@@ -409,14 +397,13 @@ mod tests {
             quiet_keep: 1,
             seed: 1,
         };
-        let (out, _) = AdaptiveSampler::run(cfg, WindowConfig::seconds(1), stream(2));
+        let wcfg = WindowConfig::seconds(1);
+        let (out, _) = AdaptiveSampler::run(cfg, wcfg, stream(2));
         for w in 0..2u64 {
             for d in 0..2u32 {
                 let n = out
                     .iter()
-                    .filter(|s| {
-                        s.dev == DeviceId(d) && (s.time.as_nanos() - 1) / 1_000_000_000 == w
-                    })
+                    .filter(|s| s.dev == DeviceId(d) && wcfg.sample_index_of(s.time) == w)
                     .count();
                 assert!(n <= 3, "window {w} dev {d}: {n} kept");
             }

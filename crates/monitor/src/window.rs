@@ -41,6 +41,13 @@ impl WindowConfig {
         t.as_nanos() / self.window.as_nanos()
     }
 
+    /// Index of the window a server sample taken at `t` belongs to. The
+    /// sample describes the interval ending at `t`, so one on a boundary
+    /// closes the window ending there; one at `t = 0` is in window 0.
+    pub fn sample_index_of(&self, t: SimTime) -> u64 {
+        self.index_of(SimTime(t.as_nanos().saturating_sub(1)))
+    }
+
     /// Number of whole windows fully contained in `[0, end)`.
     pub fn count_until(&self, end: SimTime) -> u64 {
         end.as_nanos() / self.window.as_nanos()
@@ -63,6 +70,15 @@ mod tests {
         assert_eq!(w.index_of(SimTime::from_millis(1999)), 0);
         assert_eq!(w.index_of(SimTime::from_millis(2000)), 1);
         assert_eq!(w.index_of(SimTime::from_secs(9)), 4);
+    }
+
+    #[test]
+    fn a_sample_on_a_boundary_closes_the_window_ending_there() {
+        let w = WindowConfig::seconds(2);
+        assert_eq!(w.sample_index_of(SimTime::ZERO), 0);
+        assert_eq!(w.sample_index_of(SimTime::from_secs(2)), 0);
+        assert_eq!(w.sample_index_of(SimTime(2_000_000_001)), 1);
+        assert_eq!(w.sample_index_of(SimTime::from_secs(4)), 1);
     }
 
     #[test]

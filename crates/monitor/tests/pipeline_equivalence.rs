@@ -118,7 +118,6 @@ fn build_trace(
     trace.rpcs.sort_by_key(|r| r.issued);
     let mut clocks: HashMap<u32, u64> = HashMap::new();
     let mut counters: HashMap<u32, DeviceCounters> = HashMap::new();
-    let mut svec: Vec<ServerSample> = Vec::new();
     for &(
         dev,
         gap_ms,
@@ -138,7 +137,7 @@ fn build_trace(
         c.wait_ns += d_wait;
         c.weighted_depth_ns += d_depth;
         c.busy_ns += d_busy;
-        svec.push(ServerSample {
+        trace.samples.push(ServerSample {
             time: SimTime::from_millis(*t),
             dev: DeviceId(dev),
             counters: *c,
@@ -146,8 +145,7 @@ fn build_trace(
             throttled_now: 0,
         });
     }
-    svec.sort_by_key(|s| s.time);
-    trace.samples = svec.into_iter().collect();
+    trace.samples.sort_by_key(|s| s.time);
     trace
 }
 
@@ -157,7 +155,7 @@ fn build_trace(
 fn stream_trace(trace: &RunTrace, cfg: WindowConfig, n_devices: u32) -> Vec<EmittedWindow> {
     let mut p = FeaturePipeline::new(cfg, FeatureConfig::default(), n_devices);
     let mut emitted = Vec::new();
-    let samples = trace.samples.to_vec();
+    let samples = &trace.samples;
     let (mut oi, mut ri, mut si) = (0, 0, 0);
     loop {
         let t_op = trace.ops.get(oi).map(|o| o.completed);
@@ -266,9 +264,11 @@ fn assert_emitted_eq(a: &[EmittedWindow], b: &[EmittedWindow], cfg: WindowConfig
 /// latest counters, so its delta is zero wherever it lands in the
 /// device's series.
 fn tie_at(trace: &mut RunTrace, t: SimTime) {
-    let mut samples = trace.samples.to_vec();
-    let at = samples.partition_point(|s| s.time <= t);
-    let latest = samples[..at].iter().rev().find(|s| s.dev == DeviceId(0));
+    let at = trace.samples.partition_point(|s| s.time <= t);
+    let latest = trace.samples[..at]
+        .iter()
+        .rev()
+        .find(|s| s.dev == DeviceId(0));
     let tied = ServerSample {
         time: t,
         dev: DeviceId(0),
@@ -276,8 +276,7 @@ fn tie_at(trace: &mut RunTrace, t: SimTime) {
         dirty_bytes: latest.map_or(0, |s| s.dirty_bytes),
         throttled_now: 0,
     };
-    samples.insert(at, tied);
-    trace.samples = samples.into_iter().collect();
+    trace.samples.insert(at, tied);
     let at = trace.rpcs.partition_point(|r| r.issued <= t);
     trace.rpcs.insert(
         at,
@@ -331,7 +330,7 @@ proptest! {
         let fcfg = FeatureConfig::default();
 
         let batch_clients = client_windows(&trace, cfg, n_devices);
-        let batch_servers = server_windows(&trace.samples.to_vec(), cfg);
+        let batch_servers = server_windows(&trace.samples, cfg);
         let emitted = stream_trace(&trace, cfg, n_devices);
 
         // Every streamed cell equals its batch counterpart, field for
@@ -432,15 +431,14 @@ proptest! {
         let (n_devices, rpcs, samples) = cluster;
         let cfg = WindowConfig::seconds(1);
         let trace = build_trace(&ops, &rpcs, &samples);
-        let sorted_samples = trace.samples.to_vec();
         let (mut s_ops, mut s_rpcs, mut s_samples) =
-            (trace.ops.clone(), trace.rpcs.clone(), sorted_samples.clone());
+            (trace.ops.clone(), trace.rpcs.clone(), trace.samples.clone());
         shuffle(&mut s_ops, seed);
         shuffle(&mut s_rpcs, seed ^ 0x9e37_79b9);
         shuffle(&mut s_samples, seed.rotate_left(17));
 
         let fresh = || FeaturePipeline::new(cfg, FeatureConfig::default(), n_devices);
-        let sorted = fresh().run_streams(&trace.ops, &trace.rpcs, &sorted_samples);
+        let sorted = fresh().run_streams(&trace.ops, &trace.rpcs, &trace.samples);
         let shuffled = fresh().run_streams(&s_ops, &s_rpcs, &s_samples);
         assert_emitted_eq(&shuffled, &sorted, cfg, n_devices);
     }

@@ -66,18 +66,6 @@ fn arb_deltas() -> impl Strategy<Value = Vec<Vec<u64>>> {
     })
 }
 
-/// The window a sample belongs to, mirroring the sampler's boundary
-/// semantics (a sample at an exact boundary closes the window ending
-/// there).
-fn window_of(wcfg: WindowConfig, s: &ServerSample) -> u64 {
-    let t = s.time.as_nanos();
-    if t == 0 {
-        0
-    } else {
-        wcfg.index_of(SimTime(t - 1))
-    }
-}
-
 proptest! {
     /// No `(device, window)` group ever exceeds the budget, and the
     /// accounting adds up.
@@ -97,7 +85,7 @@ proptest! {
         prop_assert_eq!(stats.kept as usize, kept.len());
         let mut counts = std::collections::HashMap::new();
         for s in &kept {
-            let k = (s.dev.0, window_of(wcfg, s));
+            let k = (s.dev.0, wcfg.sample_index_of(s.time));
             *counts.entry(k).or_insert(0u32) += 1;
         }
         for ((dev, win), c) in counts {
@@ -175,7 +163,7 @@ proptest! {
         let newest = |samples: &[ServerSample]| {
             let mut m = std::collections::HashMap::new();
             for s in samples {
-                m.insert((s.dev.0, window_of(wcfg, s)), *s);
+                m.insert((s.dev.0, wcfg.sample_index_of(s.time)), *s);
             }
             m
         };

@@ -40,7 +40,6 @@ use crate::mds::{Mds, META_MSG_BYTES};
 use crate::net::{LinkFate, LinkFault, LinkFaultKind, Network};
 use crate::ops::{IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace};
 use crate::servers::{Ev, Fx, MetaOp, Msg, Servers};
-use crate::store::SampleStore;
 
 /// Client-side per-op syscall/dispatch overhead.
 const CLIENT_OP_OVERHEAD: SimDuration = SimDuration::from_micros(5);
@@ -246,10 +245,7 @@ impl Cluster {
             mds: Mds::new(&cfg, SimRng::new(seed).substream(0xC10D)),
             control: ControlPlane::default(),
             apps: Vec::new(),
-            trace: RunTrace {
-                samples: SampleStore::with_config(cfg.trace_store),
-                ..RunTrace::default()
-            },
+            trace: RunTrace::default(),
             fault_plan,
             retry,
             fault_rng: SimRng::new(seed).substream(0xFA17),

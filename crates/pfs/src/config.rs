@@ -7,7 +7,6 @@
 use qi_simkit::event::QueueBackend;
 
 use crate::ids::{DeviceId, NodeId};
-use crate::store::TraceStoreConfig;
 use qi_simkit::time::SimDuration;
 
 /// Bytes per simulated disk sector.
@@ -241,11 +240,6 @@ pub struct ClusterConfig {
     /// through the naive queue double and compare traces byte for byte;
     /// everything else leaves the calendar default.
     pub event_queue: QueueBackend,
-    /// Storage policy for the run's server-sample series. The default
-    /// unbounded `Vec` keeps the exact full history (byte-identical to
-    /// prior releases); the RLE ring bounds trace memory on long runs
-    /// and is proven read-equivalent by the differential suite.
-    pub trace_store: TraceStoreConfig,
     /// Accepted and ignored for every value, 0 included: the simulator
     /// has one sequential event loop, so every value runs the same
     /// events and yields the same [`RunTrace`](crate::ops::RunTrace).
@@ -271,7 +265,6 @@ impl Default for ClusterConfig {
             stripe: StripeConfig::default(),
             sample_interval: SimDuration::from_secs(1),
             event_queue: QueueBackend::Calendar,
-            trace_store: TraceStoreConfig::default(),
             sim_shards: 1,
         }
     }

@@ -54,7 +54,6 @@ pub mod net;
 pub mod ops;
 pub mod queue;
 mod servers;
-pub mod store;
 
 /// Convenient glob-import surface for building and running clusters.
 pub mod prelude {
@@ -66,7 +65,6 @@ pub mod prelude {
     pub use crate::ops::{
         IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace, ServerSample,
     };
-    pub use crate::store::{SampleStore, TraceStoreConfig};
     pub use qi_faults::{FaultEvent, FaultPlan, RetryPolicy};
     pub use qi_simkit::{QiError, QueueBackend};
 }

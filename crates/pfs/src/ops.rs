@@ -14,7 +14,6 @@ use crate::config::StripeConfig;
 use crate::control::DirectiveRecord;
 use crate::ids::{AppId, DeviceId, DirKey, FileKey, OpToken};
 use crate::queue::DeviceCounters;
-use crate::store::SampleStore;
 
 /// Classification of I/O operations, matching the three groups the
 /// client-side monitor counts (read / write / metadata).
@@ -236,12 +235,8 @@ pub struct RunTrace {
     pub ops: Vec<OpRecord>,
     /// Issued RPCs, in issue order.
     pub rpcs: Vec<RpcRecord>,
-    /// Per-second server samples, grouped by time then device. Stored
-    /// behind the [`SampleStore`] accessor API so a run can keep either
-    /// the exact unbounded history (default) or a bounded run-length
-    /// ring (`ClusterConfig::trace_store`); all readers go through
-    /// [`SampleStore::iter`] and are agnostic to the representation.
-    pub samples: SampleStore,
+    /// Per-second server samples, grouped by time then device.
+    pub samples: Vec<ServerSample>,
     /// Per-app completion time (set when every rank finished).
     pub app_completion: Vec<Option<SimTime>>,
     /// Operations abandoned by the RPC retry layer (deadline exceeded or

@@ -11,7 +11,6 @@
 //! - [`reference`] — the naive sorted-`Vec` queue double backing the
 //!   differential tests.
 //! - [`rng`] — seeded [`SimRng`] with substream derivation.
-//! - [`ring`] — bounded [`RingBuffer`] with eviction accounting.
 //! - [`stats`] — Welford accumulators, percentiles, histograms, smoothing.
 //! - [`table`] — ASCII/CSV table output for experiment results.
 //! - [`ratelimit`] — a token bucket over simulated time.
@@ -27,7 +26,6 @@ pub mod event;
 pub mod hash;
 pub mod ratelimit;
 pub mod reference;
-pub mod ring;
 pub mod rng;
 pub mod stats;
 pub mod table;
@@ -36,7 +34,6 @@ pub mod time;
 pub use error::QiError;
 pub use event::{EventQueue, QueueBackend};
 pub use ratelimit::TokenBucket;
-pub use ring::RingBuffer;
 pub use rng::SimRng;
 pub use stats::{moving_average, percentile, Histogram, OnlineStats};
 pub use table::{fmt_bytes, fmt_f64, AsciiTable};

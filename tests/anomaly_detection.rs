@@ -1,8 +1,8 @@
-//! The PR-9 differential harness: anomaly detection, adaptive
-//! sampling, and the bounded trace store proven equivalent to their
-//! reference paths on real simulator traces.
+//! The differential harness for anomaly detection and adaptive
+//! sampling: each proven equivalent to its reference path on real
+//! simulator traces.
 //!
-//! Four gates:
+//! Three gates:
 //!
 //! 1. **Scorer determinism** — fitting and scoring the isolation
 //!    forest is bit-identical across reruns and across rayon pools of
@@ -11,18 +11,13 @@
 //!    [`AdaptiveSampler`] is a pass-through: the feature pipeline
 //!    emits byte-identical windows whether the sampler sits in front
 //!    of it or not.
-//! 3. **Trace-store equivalence** — a run recorded into the RLE
-//!    ring-buffer store reads back exactly like the unbounded `Vec`
-//!    store: same samples, same telemetry, same feature vectors.
-//! 4. **ROC separation** — on the canonical anomaly session, every
+//! 3. **ROC separation** — on the canonical anomaly session, every
 //!    faulted window (all OSTs slowed 7×, MDS lock storm) scores
 //!    strictly above the healthy p95 threshold, no healthy held-out
 //!    window does, and detection survives budget-bounded sampling.
 
 use quanterference_repro::anomaly_demo::{run_anomaly_session, session_scenario};
 use quanterference_repro::framework::prelude::*;
-use quanterference_repro::pfs::ops::RunTrace;
-use quanterference_repro::pfs::store::TraceStoreConfig;
 
 fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
@@ -119,7 +114,7 @@ fn unbounded_budget_sampler_is_equivalent_to_no_sampler() {
     let scn = session_scenario(11, true);
     let n_devices = scn.cluster.n_devices();
     let (_, trace) = scn.run().expect("faulted run");
-    let raw = trace.samples.to_vec();
+    let raw = &trace.samples;
     assert!(!raw.is_empty(), "scenario produced no server samples");
 
     let (kept, stats) = AdaptiveSampler::run(
@@ -129,12 +124,12 @@ fn unbounded_budget_sampler_is_equivalent_to_no_sampler() {
             seed: 9,
         },
         wcfg,
-        raw.clone(),
+        raw.iter().copied(),
     );
     assert_eq!(stats.seen, stats.kept, "unbounded budget dropped samples");
-    assert_eq!(kept, raw, "pass-through reordered or altered samples");
+    assert_eq!(&kept, raw, "pass-through reordered or altered samples");
 
-    let direct = window_fingerprint(&trace.ops, &trace.rpcs, &raw, wcfg, fcfg, n_devices);
+    let direct = window_fingerprint(&trace.ops, &trace.rpcs, raw, wcfg, fcfg, n_devices);
     let sampled = window_fingerprint(&trace.ops, &trace.rpcs, &kept, wcfg, fcfg, n_devices);
     assert_eq!(
         direct, sampled,
@@ -143,78 +138,6 @@ fn unbounded_budget_sampler_is_equivalent_to_no_sampler() {
 }
 
 // -------------------------------------------------------------- gate 3
-
-fn run_with_store(store: TraceStoreConfig) -> RunTrace {
-    let mut scn = session_scenario(11, true);
-    scn.cluster.trace_store = store;
-    let (_, trace) = scn.run().expect("scenario runs");
-    trace
-}
-
-#[test]
-fn ring_buffer_store_reads_back_like_the_unbounded_store() {
-    let (wcfg, fcfg) = session_cfgs();
-    let reference = run_with_store(TraceStoreConfig::Unbounded);
-    let n = reference.samples.len();
-    assert!(n > 0);
-
-    // Large enough that nothing evicts: every read path must agree.
-    let ring = run_with_store(TraceStoreConfig::RleRing { capacity: 4096 });
-    assert_eq!(ring.samples.evicted(), 0);
-    assert_eq!(ring.samples, reference.samples, "logical sample equality");
-    assert_eq!(ring.samples.to_vec(), reference.samples.to_vec());
-    assert_eq!(
-        ring.metrics.to_json(),
-        reference.metrics.to_json(),
-        "simulator telemetry depends on the store backend"
-    );
-    let n_devices = session_scenario(11, true).cluster.n_devices();
-    assert_eq!(
-        feature_rows(&ring, wcfg, fcfg, n_devices),
-        feature_rows(&reference, wcfg, fcfg, n_devices),
-        "feature extraction depends on the store backend"
-    );
-    // The RLE ring actually compresses: fewer stored segments than raw
-    // samples (idle devices collapse into strided runs).
-    assert!(
-        ring.samples.storage_cells() < n,
-        "RLE kept {} cells for {n} samples",
-        ring.samples.storage_cells()
-    );
-
-    // A tight ring drops the oldest samples but keeps exact accounting,
-    // and what it still holds is a per-device suffix of the run
-    // (eviction drops whole sealed segments, so cut points differ per
-    // device).
-    let bounded = run_with_store(TraceStoreConfig::RleRing { capacity: 8 });
-    assert!(bounded.samples.evicted() > 0, "capacity 8 evicted nothing");
-    assert_eq!(bounded.samples.recorded(), n as u64);
-    let held: Vec<_> = bounded.samples.to_vec();
-    assert_eq!(bounded.samples.evicted() + held.len() as u64, n as u64);
-    let per_dev = |samples: &[qi_pfs::ops::ServerSample], dev: u32| -> Vec<_> {
-        samples.iter().filter(|s| s.dev.0 == dev).cloned().collect()
-    };
-    let all = reference.samples.to_vec();
-    for dev in 0..session_scenario(11, true).cluster.n_devices() {
-        let held_dev = per_dev(&held, dev);
-        let all_dev = per_dev(&all, dev);
-        assert!(
-            held_dev.len() <= all_dev.len()
-                && held_dev == all_dev[all_dev.len() - held_dev.len()..],
-            "device {dev}: bounded ring holds a non-suffix of its series"
-        );
-    }
-    assert_eq!(
-        bounded
-            .samples
-            .iter_from(bounded.samples.evicted())
-            .collect::<Vec<_>>(),
-        held,
-        "iter_from(evicted) must resume at the oldest held sample"
-    );
-}
-
-// -------------------------------------------------------------- gate 4
 
 #[test]
 fn faulted_windows_score_above_the_healthy_p95() {

@@ -175,7 +175,7 @@ fn monitors_cover_every_active_window() {
     let wcfg = WindowConfig::seconds(1);
     let n_dev = s.cluster.n_devices();
     let cw = client_windows(&trace, wcfg, n_dev);
-    let sw = server_windows(&trace.samples.to_vec(), wcfg);
+    let sw = server_windows(&trace.samples, wcfg);
     assert!(cw.keys().any(|(a, _)| *a == app));
     // Every client window of the target must have matching server
     // windows for the sampled period (except the final partial window).
