@@ -36,19 +36,12 @@ use qi_simkit::stats::Histogram;
 use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricValue, MetricsSnapshot};
 
-use crate::gate::{GateStats, Hysteresis, HysteresisGate};
+use crate::gate::{Hysteresis, HysteresisGate};
 use crate::policy::{MitigationPolicy, WindowObservation};
 
-/// All directive labels, one counter each, so the snapshot key set is
-/// the same whatever was emitted.
-const DIRECTIVE_LABELS: [&str; 6] = [
-    "rate_limit",
-    "clear_rate_limit",
-    "cap_inflight",
-    "clear_cap_inflight",
-    "avoid_osts",
-    "clear_avoid_osts",
-];
+/// Both directive labels, engage first, one counter each, so the
+/// snapshot key set is the same whatever was emitted.
+const DIRECTIVE_LABELS: [&str; 2] = ["rate_limit", "clear_rate_limit"];
 
 /// The loop's own counters (`control.*`), written by
 /// [`ClusterController::metrics_into`].
@@ -61,8 +54,8 @@ struct LoopStats {
     /// Directives desired and emitted per tick.
     desired_per_tick: Histogram,
     emitted_per_tick: Histogram,
-    /// Emitted directives per kind, in `DIRECTIVE_LABELS` order.
-    directive: [u64; 6],
+    /// Emitted engage and clear directives, in `DIRECTIVE_LABELS` order.
+    directive: [u64; 2],
 }
 
 impl LoopStats {
@@ -75,7 +68,7 @@ impl LoopStats {
             emitted: 0,
             desired_per_tick: Histogram::new(0.0, 16.0, 16),
             emitted_per_tick: Histogram::new(0.0, 16.0, 16),
-            directive: [0; 6],
+            directive: [0; 2],
         }
     }
 }
@@ -109,11 +102,6 @@ impl ControlLoop {
     /// The window configuration the loop ticks on.
     pub fn window_config(&self) -> WindowConfig {
         self.wcfg
-    }
-
-    /// Cumulative hysteresis-gate counters.
-    pub fn gate_stats(&self) -> GateStats {
-        self.gate.stats()
     }
 
     /// One tick's observation: ingest the trace up to `bound`, submit
@@ -179,12 +167,7 @@ impl ClusterController for ControlLoop {
         self.stats.emitted += emitted.len() as u64;
         self.stats.emitted_per_tick.record(emitted.len() as f64);
         for d in emitted {
-            // `DIRECTIVE_LABELS` holds every `ControlDirective::label`.
-            let i = DIRECTIVE_LABELS
-                .iter()
-                .position(|&l| l == d.label())
-                .expect("every directive label is listed");
-            self.stats.directive[i] += 1;
+            self.stats.directive[usize::from(!d.is_engage())] += 1;
         }
     }
 

@@ -7,15 +7,16 @@
 //! desires), enforces a cooldown after every flip (the next
 //! `cooldown_windows` flip attempts in the opposite direction are
 //! swallowed), and resolves conflicts (a policy desiring both engage
-//! and release for one subject in one window: engage wins). The
-//! emitted stream therefore never contains an engage and a release for
-//! the same subject in the same window, and never a release for a
-//! subject that is not engaged — the determinism suite property-tests
-//! exactly this.
+//! and release for one subject in one window: engage wins). A subject
+//! is the app a directive targets. The emitted stream therefore never
+//! contains an engage and a release for the same subject in the same
+//! window, and never a release for a subject that is not engaged — the
+//! determinism suite property-tests exactly this.
 
 use std::collections::BTreeMap;
 
 use qi_pfs::control::ControlDirective;
+use qi_pfs::ids::AppId;
 use qi_simkit::error::QiError;
 
 /// Debounce configuration for the gate.
@@ -39,30 +40,6 @@ impl Default for Hysteresis {
             release_windows: 2,
             cooldown_windows: 2,
         }
-    }
-}
-
-/// What the gate is keyed on: each engage/clear directive pair gets its
-/// own debounce state.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-enum Subject {
-    /// `RateLimit`/`ClearRateLimit` for one app.
-    Rate(u32),
-    /// `CapInflight`/`ClearCapInflight` for one app.
-    Cap(u32),
-    /// `AvoidOsts`/`ClearAvoidOsts` (cluster-global).
-    Layout,
-}
-
-fn subject_of(d: &ControlDirective) -> Subject {
-    match d {
-        ControlDirective::RateLimit { app, .. } | ControlDirective::ClearRateLimit { app } => {
-            Subject::Rate(app.0)
-        }
-        ControlDirective::CapInflight { app, .. } | ControlDirective::ClearCapInflight { app } => {
-            Subject::Cap(app.0)
-        }
-        ControlDirective::AvoidOsts { .. } | ControlDirective::ClearAvoidOsts => Subject::Layout,
     }
 }
 
@@ -98,7 +75,8 @@ pub struct GateStats {
 /// time via [`filter`](HysteresisGate::filter).
 pub struct HysteresisGate {
     cfg: Hysteresis,
-    states: BTreeMap<Subject, SubjectState>,
+    /// Debounce state per subject: the app a directive targets.
+    states: BTreeMap<AppId, SubjectState>,
     stats: GateStats,
 }
 
@@ -134,25 +112,20 @@ impl HysteresisGate {
     pub fn filter(&mut self, desired: &[ControlDirective], out: &mut Vec<ControlDirective>) {
         // Conflict pre-pass: engage wins over release per subject, and
         // only the first directive per subject is processed.
-        let mut posture: BTreeMap<Subject, (bool, bool)> = BTreeMap::new();
+        let mut posture: BTreeMap<AppId, (bool, bool)> = BTreeMap::new();
         for d in desired {
-            let e = posture.entry(subject_of(d)).or_insert((false, false));
+            let e = posture.entry(d.app()).or_insert((false, false));
             if d.is_engage() {
                 e.0 = true;
             } else {
                 e.1 = true;
             }
         }
-        for (&subj, &(eng, rel)) in &posture {
-            if eng && rel {
-                self.stats.conflicts += 1;
-                let _ = subj;
-            }
-        }
+        self.stats.conflicts += posture.values().filter(|&&(eng, rel)| eng && rel).count() as u64;
 
-        let mut done: Vec<Subject> = Vec::new();
+        let mut done: Vec<AppId> = Vec::new();
         for d in desired {
-            let subj = subject_of(d);
+            let subj = d.app();
             let (eng, rel) = posture[&subj];
             if eng && rel && !d.is_engage() {
                 continue; // engage wins; drop the conflicting release
@@ -165,15 +138,15 @@ impl HysteresisGate {
         }
     }
 
-    fn step(&mut self, subj: Subject, d: &ControlDirective, out: &mut Vec<ControlDirective>) {
+    fn step(&mut self, subj: AppId, d: &ControlDirective, out: &mut Vec<ControlDirective>) {
         let st = self.states.entry(subj).or_default();
         if d.is_engage() {
             if st.engaged {
                 st.streak_release = 0;
-                if st.active.as_ref() != Some(d) {
-                    st.active = Some(d.clone());
+                if st.active != Some(*d) {
+                    st.active = Some(*d);
                     self.stats.updates += 1;
-                    out.push(d.clone());
+                    out.push(*d);
                 }
             } else if st.cooldown_left > 0 {
                 st.cooldown_left -= 1;
@@ -184,10 +157,10 @@ impl HysteresisGate {
                 if st.streak_engage >= self.cfg.engage_windows {
                     st.engaged = true;
                     st.streak_engage = 0;
-                    st.active = Some(d.clone());
+                    st.active = Some(*d);
                     st.cooldown_left = self.cfg.cooldown_windows;
                     self.stats.engages += 1;
-                    out.push(d.clone());
+                    out.push(*d);
                 } else {
                     self.stats.suppressed_hysteresis += 1;
                 }
@@ -206,7 +179,7 @@ impl HysteresisGate {
                 st.active = None;
                 st.cooldown_left = self.cfg.cooldown_windows;
                 self.stats.releases += 1;
-                out.push(d.clone());
+                out.push(*d);
             } else {
                 self.stats.suppressed_hysteresis += 1;
             }

@@ -12,17 +12,15 @@
 //! The pieces, in dataflow order:
 //!
 //! - [`policy`] — [`MitigationPolicy`]: per-window decision functions
-//!   from predictions to *desired* posture. [`GuidedThrottle`] throttles
-//!   the noise applications only while the target's predicted severity
-//!   is hot (optionally also capping their per-OST admitted RPCs and
-//!   steering new file layouts away from predicted-hot OSTs);
-//!   [`UniformThrottle`] is the always-on baseline the guided policy
-//!   must beat on background-throughput cost.
+//!   from predictions to *desired* posture. [`GuidedThrottle`]
+//!   rate-limits the noise applications only while the target's
+//!   predicted severity is hot; [`UniformThrottle`] is the always-on
+//!   baseline the guided policy must beat on background-throughput cost.
 //! - [`gate`] — [`HysteresisGate`]: debounces posture flips
 //!   ([`Hysteresis`] streak lengths), swallows post-flip flip attempts
 //!   (cooldown), deduplicates already-applied directives, and resolves
 //!   engage/release conflicts (engage wins). Its output never contains
-//!   conflicting directives for one subject in one window — a property
+//!   conflicting directives for one app in one window — a property
 //!   the determinism suite tests exhaustively.
 //! - [`controller`] — [`ControlLoop`]: the
 //!   [`ClusterController`](qi_pfs::control::ClusterController) the

@@ -11,7 +11,7 @@
 //! a threshold), [`UniformThrottle`] the always-on baseline.
 
 use qi_pfs::control::ControlDirective;
-use qi_pfs::ids::{AppId, DeviceId};
+use qi_pfs::ids::AppId;
 use qi_serve::Prediction;
 use qi_simkit::error::QiError;
 use qi_simkit::time::SimTime;
@@ -48,16 +48,13 @@ pub trait MitigationPolicy: Send {
 }
 
 /// Prediction-guided throttling: while the target's predicted severity
-/// bin is ≥ `min_class`, rate-limit every noise app (optionally also
-/// capping its per-OST admitted RPCs and steering new layouts away from
-/// a hot OST set); otherwise desire everything cleared.
+/// bin is ≥ `min_class`, rate-limit every noise app; otherwise desire
+/// every noise app's limit cleared.
 pub struct GuidedThrottle {
     target: AppId,
     noise: Vec<AppId>,
     min_class: usize,
     bytes_per_sec: f64,
-    cap_inflight: Option<u32>,
-    avoid_osts: Option<Vec<DeviceId>>,
 }
 
 impl GuidedThrottle {
@@ -91,31 +88,7 @@ impl GuidedThrottle {
             noise,
             min_class,
             bytes_per_sec,
-            cap_inflight: None,
-            avoid_osts: None,
         })
-    }
-
-    /// Also cap each noise app to `max_inflight` admitted data RPCs per
-    /// OST while engaged.
-    pub fn with_inflight_cap(mut self, max_inflight: u32) -> Result<Self, QiError> {
-        if max_inflight == 0 {
-            return Err(QiError::Control("inflight cap must be >= 1".into()));
-        }
-        self.cap_inflight = Some(max_inflight);
-        Ok(self)
-    }
-
-    /// Also steer newly created layouts away from `osts` while engaged
-    /// (predicted-hot servers).
-    pub fn with_retarget(mut self, osts: Vec<DeviceId>) -> Result<Self, QiError> {
-        if osts.is_empty() {
-            return Err(QiError::Control(
-                "retargeting needs a non-empty OST set to avoid".into(),
-            ));
-        }
-        self.avoid_osts = Some(osts);
-        Ok(self)
     }
 }
 
@@ -131,30 +104,14 @@ impl MitigationPolicy for GuidedThrottle {
             .find(|p| p.tenant == self.target)
             .is_some_and(|p| p.class >= self.min_class);
         for &app in &self.noise {
-            if hot {
-                out.push(ControlDirective::RateLimit {
+            out.push(if hot {
+                ControlDirective::RateLimit {
                     app,
                     bytes_per_sec: self.bytes_per_sec,
-                });
-                if let Some(cap) = self.cap_inflight {
-                    out.push(ControlDirective::CapInflight {
-                        app,
-                        max_inflight: cap,
-                    });
                 }
             } else {
-                out.push(ControlDirective::ClearRateLimit { app });
-                if self.cap_inflight.is_some() {
-                    out.push(ControlDirective::ClearCapInflight { app });
-                }
-            }
-        }
-        if let Some(osts) = &self.avoid_osts {
-            if hot {
-                out.push(ControlDirective::AvoidOsts { osts: osts.clone() });
-            } else {
-                out.push(ControlDirective::ClearAvoidOsts);
-            }
+                ControlDirective::ClearRateLimit { app }
+            });
         }
     }
 }
@@ -230,10 +187,7 @@ mod tests {
         assert!(GuidedThrottle::new(AppId(0), vec![AppId(0)], 1, 1e6).is_err());
         assert!(GuidedThrottle::new(AppId(0), vec![AppId(1)], 1, 0.0).is_err());
         assert!(GuidedThrottle::new(AppId(0), vec![AppId(1)], 1, f64::NAN).is_err());
-        let p = GuidedThrottle::new(AppId(0), vec![AppId(1)], 1, 1e6).expect("valid");
-        assert!(p.with_inflight_cap(0).is_err());
-        let p = GuidedThrottle::new(AppId(0), vec![AppId(1)], 1, 1e6).expect("valid");
-        assert!(p.with_retarget(vec![]).is_err());
+        assert!(GuidedThrottle::new(AppId(0), vec![AppId(1)], 1, 1e6).is_ok());
     }
 
     #[test]

@@ -154,7 +154,6 @@ fn throttled_windows(trace: &RunTrace, wcfg: WindowConfig) -> HashSet<u64> {
                     out.extend(start + 1..=rec.window);
                 }
             }
-            _ => {}
         }
     }
     let end_window = wcfg.index_of(trace.end);

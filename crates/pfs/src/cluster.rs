@@ -338,11 +338,11 @@ impl Cluster {
         self.control.install(controller);
     }
 
-    /// Apply one typed control directive, the single entry point every
-    /// actuator hangs off. Returns `Err(QiError::Control)` and changes
+    /// Apply one typed control directive, the single entry point of the
+    /// control plane. Returns `Err(QiError::Control)` and changes
     /// nothing when the directive is invalid (unknown app, non-finite
-    /// or non-positive rate, zero cap, every OST avoided); successful
-    /// applications are recorded in [`RunTrace::directives`].
+    /// or non-positive rate); successful applications are recorded in
+    /// [`RunTrace::directives`].
     ///
     /// A `RateLimit` installs a server-side token-bucket filter for the
     /// app's data RPCs: at most `bytes_per_sec` of payload is admitted
@@ -362,10 +362,7 @@ impl Cluster {
     /// The control plane, and the rest of the cluster it acts on.
     fn plant(&mut self) -> (&mut ControlPlane, Plant<'_>) {
         let plant = Plant {
-            cfg: &self.cfg,
             n_apps: self.apps.len(),
-            servers: &mut self.servers,
-            mds: &mut self.mds,
             fx: &mut self.fx,
             trace: &mut self.trace,
         };
@@ -589,9 +586,8 @@ impl Cluster {
     /// snapshot is byte-stable across identical runs.
     fn metrics_snapshot(&self, now: SimTime) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        let controlled = self.control.used();
-        self.servers.metrics_into(&mut snap, now, controlled);
-        self.mds.metrics_into(&mut snap, now, controlled);
+        self.servers.metrics_into(&mut snap, now);
+        self.mds.metrics_into(&mut snap, now);
         self.control.metrics_into(&mut snap, &self.trace.directives);
         let elapsed = now.as_secs_f64();
         let oss_nodes =
@@ -1352,6 +1348,90 @@ mod tests {
             limited > free * 3.0 && limited > 4.0,
             "TBF ineffective: free {free} limited {limited}"
         );
+    }
+
+    #[test]
+    fn invalid_directives_are_rejected_and_never_recorded() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        let writes = || -> Vec<IoOp> {
+            (0..16)
+                .map(|i| IoOp::Write {
+                    file: file(1),
+                    offset: i * 1024 * 1024,
+                    len: 1024 * 1024,
+                })
+                .collect()
+        };
+        let rate = |app, bytes_per_sec| ControlDirective::RateLimit { app, bytes_per_sec };
+
+        // Direct application: an unknown app, then every rate that is
+        // not finite and positive. Each fails and records nothing.
+        let mut cl = cluster(ClusterConfig::small(), 7);
+        let app = cl.add_app("w", vec![script(writes())], &[NodeId(0)]);
+        let unknown = AppId(app.0 + 1);
+        let invalid = [
+            rate(unknown, 1e6),
+            ControlDirective::ClearRateLimit { app: unknown },
+            rate(app, 0.0),
+            rate(app, -1e6),
+            rate(app, f64::NAN),
+            rate(app, f64::INFINITY),
+            rate(app, f64::NEG_INFINITY),
+        ];
+        for d in invalid {
+            let res = cl.apply_directive(SimTime::ZERO, 0, d);
+            assert!(matches!(res, Err(QiError::Control(_))), "{d:?}: {res:?}");
+            assert!(cl.trace.directives.is_empty(), "{d:?} was recorded");
+        }
+
+        /// Emits one invalid directive per tick and counts its ticks.
+        struct Invalid {
+            app: AppId,
+            ticks: Arc<AtomicU64>,
+        }
+        impl ClusterController for Invalid {
+            fn interval(&self) -> SimDuration {
+                SimDuration::from_millis(1)
+            }
+            fn on_window(
+                &mut self,
+                _now: SimTime,
+                window: u64,
+                _trace: &RunTrace,
+                out: &mut Vec<ControlDirective>,
+            ) {
+                self.ticks.fetch_add(1, Ordering::Relaxed);
+                out.push(if window.is_multiple_of(2) {
+                    ControlDirective::RateLimit {
+                        app: self.app,
+                        bytes_per_sec: 0.0,
+                    }
+                } else {
+                    ControlDirective::ClearRateLimit {
+                        app: AppId(self.app.0 + 1),
+                    }
+                });
+            }
+        }
+
+        // Installed: the run completes, and every tick's directive is
+        // counted as rejected.
+        let ticks = Arc::new(AtomicU64::new(0));
+        let mut cl = cluster(ClusterConfig::small(), 7);
+        let app = cl.add_app("w", vec![script(writes())], &[NodeId(0)]);
+        cl.install_controller(Box::new(Invalid {
+            app,
+            ticks: Arc::clone(&ticks),
+        }));
+        let trace = cl.run_until_app(app, SimTime::from_secs(60));
+        assert!(trace.completion_of(app).is_some(), "run did not complete");
+        let ticks = ticks.load(Ordering::Relaxed);
+        assert!(ticks > 1, "the controller ticked {ticks} times");
+        assert!(trace.directives.is_empty());
+        assert_eq!(trace.metrics.counter("pfs.control.rejected"), Some(ticks));
+        assert_eq!(trace.metrics.counter("pfs.control.applied"), Some(0));
     }
 
     #[test]

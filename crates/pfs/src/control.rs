@@ -8,18 +8,15 @@
 //! every event of the closed window, so the controller observes exactly
 //! the window content a batch pipeline would. It answers with
 //! [`ControlDirective`]s, which the cluster applies through one typed
-//! entry point ([`Cluster::apply_directive`]) driving three actuator
-//! families: server-side token-bucket QoS throttling, per-(app, OST)
-//! admission / queue-depth caps, and stripe re-targeting away from
-//! avoided OSTs. Every applied directive is recorded in
-//! [`RunTrace::directives`], so a finished trace replays the full
-//! decision sequence.
+//! entry point ([`Cluster::apply_directive`]) driving one actuator: a
+//! per-app server-side token-bucket filter, the classful TBF QoS policy.
+//! Every applied directive is recorded in [`RunTrace::directives`], so a
+//! finished trace replays the full decision sequence.
 //!
 //! Inside the cluster, `ControlPlane` owns the controller and its tick
 //! clock, the token-bucket table and the count of rejected directives;
-//! it validates every directive and applies it to the owner of the
-//! state it changes (the TBF table here, admission caps in the OSS
-//! layer, the avoidance set on the MDS).
+//! it validates every directive and applies it to the TBF table, which
+//! data RPCs clear on delivery before the OSS CPU stage.
 //!
 //! [`Cluster`]: crate::cluster::Cluster
 //! [`Cluster::install_controller`]: crate::cluster::Cluster::install_controller
@@ -32,16 +29,13 @@ use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::time::{SimDuration, SimTime};
 use qi_telemetry::{MetricValue, MetricsSnapshot};
 
-use crate::config::ClusterConfig;
-use crate::ids::{AppId, DeviceId};
-use crate::mds::Mds;
+use crate::ids::AppId;
 use crate::ops::RunTrace;
-use crate::servers::{Ev, Fx, Servers};
+use crate::servers::{Ev, Fx};
 
-/// One typed mitigation action. Engage directives (`RateLimit`,
-/// `CapInflight`, `AvoidOsts`) install an actuator; each has a matching
-/// clear directive that restores the default behaviour.
-#[derive(Clone, Debug, PartialEq)]
+/// One typed mitigation action: `RateLimit` engages an app's
+/// token-bucket filter, `ClearRateLimit` removes it.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ControlDirective {
     /// Install a server-side token-bucket filter for `app`'s data RPCs
     /// (bytes of payload per second, burst of one second's worth) — the
@@ -57,50 +51,21 @@ pub enum ControlDirective {
         /// Application to release.
         app: AppId,
     },
-    /// Cap the number of `app`'s data RPCs concurrently past admission
-    /// on any single OST; the excess queues FIFO per (app, OST).
-    CapInflight {
-        /// Application to cap.
-        app: AppId,
-        /// Maximum concurrent admitted RPCs per OST; must be ≥ 1.
-        max_inflight: u32,
-    },
-    /// Remove `app`'s admission cap, draining its parked RPCs.
-    ClearCapInflight {
-        /// Application to release.
-        app: AppId,
-    },
-    /// Steer *newly created* file layouts away from these OSTs
-    /// (predicted-hot servers). Replaces any previous avoidance set;
-    /// existing layouts are untouched. At least one OST must remain.
-    AvoidOsts {
-        /// OSTs new layouts should skip.
-        osts: Vec<DeviceId>,
-    },
-    /// Restore default (hash-round-robin over all OSTs) placement.
-    ClearAvoidOsts,
 }
 
 impl ControlDirective {
-    /// The application this directive targets, if it is per-app.
-    pub fn app(&self) -> Option<AppId> {
+    /// The application this directive targets.
+    pub fn app(&self) -> AppId {
         match self {
-            ControlDirective::RateLimit { app, .. }
-            | ControlDirective::ClearRateLimit { app }
-            | ControlDirective::CapInflight { app, .. }
-            | ControlDirective::ClearCapInflight { app } => Some(*app),
-            ControlDirective::AvoidOsts { .. } | ControlDirective::ClearAvoidOsts => None,
+            ControlDirective::RateLimit { app, .. } | ControlDirective::ClearRateLimit { app } => {
+                *app
+            }
         }
     }
 
     /// True for directives that install an actuator (vs. clear one).
     pub fn is_engage(&self) -> bool {
-        matches!(
-            self,
-            ControlDirective::RateLimit { .. }
-                | ControlDirective::CapInflight { .. }
-                | ControlDirective::AvoidOsts { .. }
-        )
+        matches!(self, ControlDirective::RateLimit { .. })
     }
 
     /// Short stable label for telemetry keys and tables.
@@ -108,10 +73,6 @@ impl ControlDirective {
         match self {
             ControlDirective::RateLimit { .. } => "rate_limit",
             ControlDirective::ClearRateLimit { .. } => "clear_rate_limit",
-            ControlDirective::CapInflight { .. } => "cap_inflight",
-            ControlDirective::ClearCapInflight { .. } => "clear_cap_inflight",
-            ControlDirective::AvoidOsts { .. } => "avoid_osts",
-            ControlDirective::ClearAvoidOsts => "clear_avoid_osts",
         }
     }
 }
@@ -164,14 +125,12 @@ pub trait ClusterController: Send {
     }
 }
 
-/// What a directive acts on: the cluster state outside the control
-/// plane, borrowed for one directive or one tick.
+/// The cluster state outside the control plane that a directive or a
+/// tick reads or writes, borrowed for one directive or one tick.
 pub(crate) struct Plant<'a> {
-    pub(crate) cfg: &'a ClusterConfig,
     /// Applications registered so far (valid app ids are below this).
     pub(crate) n_apps: usize,
-    pub(crate) servers: &'a mut Servers,
-    pub(crate) mds: &'a mut Mds,
+    /// The event queue the next tick is scheduled on.
     pub(crate) fx: &'a mut Fx,
     pub(crate) trace: &'a mut RunTrace,
 }
@@ -199,8 +158,8 @@ pub(crate) struct ControlPlane {
     used: bool,
     /// Directive buffer reused across ticks.
     scratch: Vec<ControlDirective>,
-    /// Controller directives rejected as invalid (bad app, bad rate,
-    /// all OSTs avoided). The applied ones are counted from
+    /// Controller directives rejected as invalid (unknown app, or a rate
+    /// that is not finite and positive). The applied ones are counted from
     /// [`RunTrace::directives`], which records each of them.
     rejected: u64,
 }
@@ -226,12 +185,6 @@ impl ControlPlane {
         self.controller.as_ref().map(|_| at)
     }
 
-    /// True on controlled runs: a controller installed or a directive
-    /// applied.
-    pub(crate) fn used(&self) -> bool {
-        self.used
-    }
-
     /// The instant `app`'s data RPC of `bytes` payload clears its
     /// token-bucket filter: `now` when the app is not rate-limited.
     #[inline]
@@ -252,57 +205,26 @@ impl ControlPlane {
         p: &mut Plant,
     ) -> Result<(), QiError> {
         self.used = true;
-        if let Some(app) = directive.app() {
-            if app.0 as usize >= p.n_apps {
-                return Err(QiError::Control(format!(
-                    "directive targets unknown app {}",
-                    app.0
-                )));
-            }
+        let app = directive.app();
+        if app.0 as usize >= p.n_apps {
+            return Err(QiError::Control(format!(
+                "directive targets unknown app {}",
+                app.0
+            )));
         }
-        match &directive {
-            ControlDirective::RateLimit { app, bytes_per_sec } => {
-                if !bytes_per_sec.is_finite() || *bytes_per_sec <= 0.0 {
+        match directive {
+            ControlDirective::RateLimit { bytes_per_sec, .. } => {
+                if !bytes_per_sec.is_finite() || bytes_per_sec <= 0.0 {
                     return Err(QiError::Control(format!(
                         "rate limit must be finite and positive, got {bytes_per_sec}"
                     )));
                 }
                 self.tbf
-                    .insert(*app, TokenBucket::new(*bytes_per_sec, *bytes_per_sec));
+                    .insert(app, TokenBucket::new(bytes_per_sec, bytes_per_sec));
             }
-            ControlDirective::ClearRateLimit { app } => {
-                self.tbf.remove(app);
+            ControlDirective::ClearRateLimit { .. } => {
+                self.tbf.remove(&app);
             }
-            ControlDirective::CapInflight { app, max_inflight } => {
-                if *max_inflight == 0 {
-                    return Err(QiError::Control("inflight cap must be >= 1".into()));
-                }
-                p.servers
-                    .set_inflight_cap(at, app.0, Some(*max_inflight), p.cfg, p.fx);
-            }
-            ControlDirective::ClearCapInflight { app } => {
-                p.servers.set_inflight_cap(at, app.0, None, p.cfg, p.fx);
-            }
-            ControlDirective::AvoidOsts { osts } => {
-                let n_osts = p.cfg.n_osts();
-                let mut avoided = vec![false; n_osts as usize];
-                for d in osts {
-                    if d.0 >= n_osts {
-                        return Err(QiError::Control(format!(
-                            "cannot avoid non-OST device {}",
-                            d.0
-                        )));
-                    }
-                    avoided[d.0 as usize] = true;
-                }
-                if avoided.iter().all(|&b| b) {
-                    return Err(QiError::Control(
-                        "cannot avoid every OST: layouts need a target".into(),
-                    ));
-                }
-                p.mds.avoid_osts(avoided);
-            }
-            ControlDirective::ClearAvoidOsts => p.mds.avoid_osts(Vec::new()),
         }
         p.trace.directives.push(DirectiveRecord {
             at,
@@ -347,13 +269,9 @@ impl ControlPlane {
         };
         for (field, v) in [
             ("applied", applied.len() as u64),
-            ("cap_clears", count("clear_cap_inflight")),
-            ("caps", count("cap_inflight")),
             ("rate_clears", count("clear_rate_limit")),
             ("rate_limits", count("rate_limit")),
             ("rejected", self.rejected),
-            ("retarget_clears", count("clear_avoid_osts")),
-            ("retargets", count("avoid_osts")),
         ] {
             snap.put(&format!("pfs.control.{field}"), MetricValue::Counter(v));
         }
@@ -373,18 +291,12 @@ mod tests {
             app: AppId(3),
             bytes_per_sec: 1e6,
         };
-        assert_eq!(d.app(), Some(AppId(3)));
+        assert_eq!(d.app(), AppId(3));
         assert!(d.is_engage());
         assert_eq!(d.label(), "rate_limit");
-        let c = ControlDirective::ClearCapInflight { app: AppId(3) };
+        let c = ControlDirective::ClearRateLimit { app: AppId(3) };
         assert!(!c.is_engage());
-        assert_eq!(c.app(), Some(AppId(3)));
-        let a = ControlDirective::AvoidOsts {
-            osts: vec![DeviceId(0)],
-        };
-        assert_eq!(a.app(), None);
-        assert!(a.is_engage());
-        assert!(!ControlDirective::ClearAvoidOsts.is_engage());
-        assert_eq!(ControlDirective::ClearAvoidOsts.label(), "clear_avoid_osts");
+        assert_eq!(c.app(), AppId(3));
+        assert_eq!(c.label(), "clear_rate_limit");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! [`Mds`] owns the namespace (every file's layout), the per-directory
 //! locks, the inode cache, the MDS CPU clock, the journal, the MDT block
-//! device, the active `MdsLockStorm` windows, the OST-avoidance set new
-//! layouts are placed by, and the counters of all of these. `Cluster`
+//! device, the active `MdsLockStorm` windows, and the counters of all
+//! of these. `Cluster`
 //! hands it metadata requests as they arrive ([`Mds::deliver`]) and the
 //! metadata events — `MdsProcess`, `MdsLockRun` and the MDT's device
 //! events — through the same [`Fx`] the OSS/OST side runs against.
@@ -89,8 +89,6 @@ pub(crate) struct Mds {
     rng: SimRng,
     /// Active `MdsLockStorm` windows: (from, until, revoke_factor).
     lock_storms: Vec<(SimTime, SimTime, f64)>,
-    /// Per-OST avoidance flags for new layouts; empty means no steering.
-    avoid_osts: Vec<bool>,
     /// Completed MDT members, reused across completions.
     scratch_members: Vec<Member<MdtTag>>,
     /// Time each mutation waited for its directory lock, in microseconds
@@ -105,8 +103,6 @@ pub(crate) struct Mds {
     lookup_cache_misses: u64,
     /// Lock revocations forced by an `MdsLockStorm` window.
     lock_storm_revocations: u64,
-    /// New file layouts that were steered around avoided OSTs.
-    retarget_layouts: u64,
 }
 
 impl Mds {
@@ -126,7 +122,6 @@ impl Mds {
             mdt: BlockDevice::new(cfg.queue.clone(), Disk::new(cfg.mdt_disk.clone())),
             rng,
             lock_storms: Vec::new(),
-            avoid_osts: Vec::new(),
             scratch_members: Vec::new(),
             // The derived default is not the empty accumulator (its
             // min/max start at 0, not ±inf).
@@ -135,7 +130,6 @@ impl Mds {
             lookup_cache_hits: 0,
             lookup_cache_misses: 0,
             lock_storm_revocations: 0,
-            retarget_layouts: 0,
         }
     }
 
@@ -209,43 +203,19 @@ impl Mds {
     /// Place a new file: `stripe_count` OSTs (the configured default
     /// when `stripe` is `None`), consecutive from a hash of the file.
     pub(crate) fn make_layout(
-        &mut self,
+        &self,
         cfg: &ClusterConfig,
         file: FileKey,
         stripe: Option<StripeConfig>,
     ) -> FileLayout {
         let s = stripe.unwrap_or(cfg.stripe);
         let n_osts = cfg.n_osts();
-        // Stripe re-targeting: with an avoidance set installed, place
-        // over the allowed OSTs only (same hash-round-robin rule on the
-        // reduced list). The empty set takes the historical formula
-        // verbatim, keeping uncontrolled runs byte-identical.
-        if self.avoid_osts.iter().any(|&b| b) {
-            let allowed: Vec<u32> = (0..n_osts)
-                .filter(|&i| !self.avoid_osts[i as usize])
-                .collect();
-            let count = s.stripe_count.clamp(1, allowed.len() as u32) as usize;
-            let start = (file_hash(file) % allowed.len() as u64) as usize;
-            self.retarget_layouts += 1;
-            return FileLayout {
-                stripe_size: s.stripe_size,
-                osts: (0..count)
-                    .map(|i| DeviceId(allowed[(start + i) % allowed.len()]))
-                    .collect(),
-            };
-        }
         let count = s.stripe_count.clamp(1, n_osts);
         let start = (file_hash(file) % n_osts as u64) as u32;
         FileLayout {
             stripe_size: s.stripe_size,
             osts: (0..count).map(|i| DeviceId((start + i) % n_osts)).collect(),
         }
-    }
-
-    /// Steer new layouts around the OSTs flagged in `avoided` (one flag
-    /// per OST); an empty set restores default placement.
-    pub(crate) fn avoid_osts(&mut self, avoided: Vec<bool>) {
-        self.avoid_osts = avoided;
     }
 
     /// Open an `MdsLockStorm` window.
@@ -440,9 +410,8 @@ impl Mds {
     }
 
     /// Put the MDT's block-layer block (`pfs.mdt.*`), the MDS statistics
-    /// (`pfs.mds.*`) and the lock-storm count into `snap`, and on
-    /// controlled runs the count of steered layouts.
-    pub(crate) fn metrics_into(&self, snap: &mut MetricsSnapshot, now: SimTime, controlled: bool) {
+    /// (`pfs.mds.*`) and the lock-storm count into `snap`.
+    pub(crate) fn metrics_into(&self, snap: &mut MetricsSnapshot, now: SimTime) {
         self.mdt.metrics_into(snap, "pfs.mdt", now);
         snap.put(
             "pfs.mds.lock_wait_us",
@@ -459,11 +428,5 @@ impl Mds {
             "pfs.faults.lock_storm_revocations",
             MetricValue::Counter(self.lock_storm_revocations),
         );
-        if controlled {
-            snap.put(
-                "pfs.control.retarget_layouts",
-                MetricValue::Counter(self.retarget_layouts),
-            );
-        }
     }
 }

@@ -1,18 +1,16 @@
 //! The object-server side of the cluster: every OSS node and its OSTs.
 //!
-//! [`Servers`] owns the devices, extent maps, caches, CPU clocks,
-//! admission tables and admission counters of the OSS/OST layer.
+//! [`Servers`] owns the devices, extent maps, caches and CPU clocks of
+//! the OSS/OST layer.
 //! `Cluster` hands it the server-side events and an [`Fx`]: the event
 //! queue plus the network, so [`Fx::send`] is the one way any handler,
 //! client, OSS or MDS side, puts a message on the wire, and
 //! [`Fx::device_event`] the one place a device reacts to an idle check,
 //! a fail-slow change or a stall, OST and MDT alike.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use qi_simkit::event::EventQueue;
 use qi_simkit::time::{SimDuration, SimTime};
-use qi_telemetry::{MetricValue, MetricsSnapshot};
+use qi_telemetry::MetricsSnapshot;
 
 use crate::arena::{Slab, SlabKey};
 use crate::cache::{Admit, SmallObjectCache, WriteCache};
@@ -227,19 +225,9 @@ pub(crate) struct Servers {
     oss_cpu_factor: Vec<f64>,
     /// In-flight read/sync-write chunks, keyed by slab index.
     chunk_pending: Slab<ChunkPending>,
-    /// Per-app admission cap on concurrently admitted data RPCs per OST.
-    inflight_caps: BTreeMap<u32, u32>,
-    /// Admitted-RPC counts per (app, OST); entries exist only while the
-    /// app is capped. Ordered: drain order must be deterministic.
-    adm_active: BTreeMap<(u32, u32), u32>,
-    /// RPCs parked at admission, FIFO per (app, OST).
-    adm_waiting: BTreeMap<(u32, u32), VecDeque<Msg>>,
     /// Scratch buffers reused across events (no per-event allocation).
     scratch_ranges: Vec<SectorRange>,
     scratch_members: Vec<Member<OstTag>>,
-    /// Data RPCs parked at an inflight cap, and later re-admitted.
-    parked: u64,
-    resumed: u64,
 }
 
 impl Servers {
@@ -270,13 +258,8 @@ impl Servers {
             oss_cpu_free: vec![SimTime::ZERO; n_oss],
             oss_cpu_factor: vec![1.0; n_oss],
             chunk_pending: Slab::with_capacity(64),
-            inflight_caps: BTreeMap::new(),
-            adm_active: BTreeMap::new(),
-            adm_waiting: BTreeMap::new(),
             scratch_ranges: Vec::new(),
             scratch_members: Vec::new(),
-            parked: 0,
-            resumed: 0,
         }
     }
 
@@ -284,7 +267,7 @@ impl Servers {
     /// an OSS CPU factor change, or an OST's device event.
     pub(crate) fn handle(&mut self, now: SimTime, ev: Ev, cfg: &ClusterConfig, fx: &mut Fx) {
         match ev {
-            Ev::TbfAdmitted(msg) => self.oss_admit(now, msg, cfg, fx),
+            Ev::TbfAdmitted(msg) => self.oss_cpu_start(now, msg, cfg, fx),
             Ev::OssProcess(msg) => self.oss_process(now, msg, cfg, fx),
             Ev::DiskDone { dev } => self.disk_done(now, dev, cfg, fx),
             Ev::DiskIdle { dev } | Ev::FailSlow { dev, .. } | Ev::DiskStall { dev, .. } => {
@@ -322,23 +305,6 @@ impl Servers {
         }
     }
 
-    /// Install (`Some`) or clear (`None`) `app`'s admission cap, then
-    /// re-admit its parked RPCs under the new cap.
-    pub(crate) fn set_inflight_cap(
-        &mut self,
-        now: SimTime,
-        app: u32,
-        cap: Option<u32>,
-        cfg: &ClusterConfig,
-        fx: &mut Fx,
-    ) {
-        match cap {
-            Some(cap) => self.inflight_caps.insert(app, cap),
-            None => self.inflight_caps.remove(&app),
-        };
-        self.admission_recheck(now, app, cfg, fx);
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn submit_block(
         &mut self,
@@ -367,32 +333,8 @@ impl Servers {
         }
     }
 
-    /// Admit a data RPC to its OSS (post-TBF): if the issuing app has
-    /// an inflight cap and the target OST is at it, park the RPC; else
-    /// count it (capped apps only) and start the CPU stage.
-    fn oss_admit(&mut self, now: SimTime, msg: Msg, cfg: &ClusterConfig, fx: &mut Fx) {
-        if !self.inflight_caps.is_empty() {
-            let (dev, app) = match &msg {
-                Msg::ReadReq { dev, token, .. } | Msg::WriteReq { dev, token, .. } => {
-                    (*dev, token.app)
-                }
-                _ => unreachable!("only data RPCs reach the OSS"),
-            };
-            if let Some(&cap) = self.inflight_caps.get(&app.0) {
-                let key = (app.0, dev.0);
-                let active = self.adm_active.entry(key).or_insert(0);
-                if *active >= cap {
-                    self.parked += 1;
-                    self.adm_waiting.entry(key).or_default().push_back(msg);
-                    return;
-                }
-                *active += 1;
-            }
-        }
-        self.oss_cpu_start(now, msg, cfg, fx);
-    }
-
-    /// Schedule an admitted data RPC onto its OSS node's CPU.
+    /// Schedule a data RPC that cleared its app's TBF onto its OSS
+    /// node's CPU.
     fn oss_cpu_start(&mut self, now: SimTime, msg: Msg, cfg: &ClusterConfig, fx: &mut Fx) {
         let dev = match &msg {
             Msg::ReadReq { dev, .. } | Msg::WriteReq { dev, .. } => *dev,
@@ -438,7 +380,6 @@ impl Servers {
                             token,
                         },
                     );
-                    self.admission_release(now, token.app.0, dev, cfg, fx);
                     return;
                 }
                 let mut ranges = std::mem::take(&mut self.scratch_ranges);
@@ -504,7 +445,6 @@ impl Servers {
                                 token,
                             },
                         );
-                        self.admission_release(now, token.app.0, dev, cfg, fx);
                     }
                     Admit::Throttled => {} // released by a later flush
                     Admit::Sync => {
@@ -602,7 +542,6 @@ impl Servers {
                             SimDuration::ZERO,
                             Some(Msg::OpDone { token: p.token }),
                         );
-                        self.admission_release(now, p.token.app.0, p.dev, cfg, fx);
                     }
                 }
                 OstTag::Flush { dirty_bytes } => flushed_bytes += dirty_bytes,
@@ -623,91 +562,14 @@ impl Servers {
                         token,
                     },
                 );
-                self.admission_release(now, token.app.0, d, cfg, fx);
             }
         }
     }
 
-    /// After a cap change for `app`: admit parked RPCs while the new cap
-    /// (or its absence) leaves headroom, in ascending OST order then
-    /// FIFO — deterministic regardless of park order across OSTs.
-    fn admission_recheck(&mut self, now: SimTime, app: u32, cfg: &ClusterConfig, fx: &mut Fx) {
-        if self.adm_waiting.is_empty() {
-            return;
-        }
-        let cap = self.inflight_caps.get(&app).copied().unwrap_or(u32::MAX);
-        let keys: Vec<(u32, u32)> = self
-            .adm_waiting
-            .range((app, 0)..=(app, u32::MAX))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            loop {
-                let active = self.adm_active.get(&key).copied().unwrap_or(0);
-                if active >= cap {
-                    break;
-                }
-                let Some(msg) = self.adm_waiting.get_mut(&key).and_then(|q| q.pop_front()) else {
-                    break;
-                };
-                *self.adm_active.entry(key).or_insert(0) += 1;
-                self.resumed += 1;
-                self.oss_cpu_start(now, msg, cfg, fx);
-            }
-            if self.adm_waiting.get(&key).is_some_and(|q| q.is_empty()) {
-                self.adm_waiting.remove(&key);
-            }
-        }
-    }
-
-    /// A capped data RPC finished its OSS/disk journey: free its
-    /// admission slot and admit the next parked RPC if the cap allows.
-    fn admission_release(
-        &mut self,
-        now: SimTime,
-        app: u32,
-        dev: DeviceId,
-        cfg: &ClusterConfig,
-        fx: &mut Fx,
-    ) {
-        if self.adm_active.is_empty() {
-            return;
-        }
-        let key = (app, dev.0);
-        let Some(active) = self.adm_active.get_mut(&key) else {
-            return;
-        };
-        // An RPC admitted before the cap was (re)installed may release
-        // against a fresh counter; saturate instead of underflowing.
-        *active = active.saturating_sub(1);
-        let cap = self.inflight_caps.get(&app).copied().unwrap_or(u32::MAX);
-        if *active >= cap {
-            return;
-        }
-        let Some(msg) = self.adm_waiting.get_mut(&key).and_then(|q| q.pop_front()) else {
-            if *active == 0 && !self.inflight_caps.contains_key(&app) {
-                self.adm_active.remove(&key);
-            }
-            return;
-        };
-        *active += 1;
-        self.resumed += 1;
-        if self.adm_waiting.get(&key).is_some_and(|q| q.is_empty()) {
-            self.adm_waiting.remove(&key);
-        }
-        self.oss_cpu_start(now, msg, cfg, fx);
-    }
-
-    /// Put every OST's block-layer block (`pfs.ost{i}.*`) into `snap`,
-    /// and on controlled runs the admission counters
-    /// (`pfs.control.parked`, `pfs.control.resumed`).
-    pub(crate) fn metrics_into(&self, snap: &mut MetricsSnapshot, now: SimTime, controlled: bool) {
+    /// Put every OST's block-layer block (`pfs.ost{i}.*`) into `snap`.
+    pub(crate) fn metrics_into(&self, snap: &mut MetricsSnapshot, now: SimTime) {
         for (i, dev) in self.devices.iter().enumerate() {
             dev.metrics_into(snap, &format!("pfs.ost{i}"), now);
-        }
-        if controlled {
-            snap.put("pfs.control.parked", MetricValue::Counter(self.parked));
-            snap.put("pfs.control.resumed", MetricValue::Counter(self.resumed));
         }
     }
 

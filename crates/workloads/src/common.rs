@@ -205,8 +205,8 @@ impl RankProgram for DelayedProgram {
 /// application finishes after one pass (target mode). `start_delay`
 /// holds every rank in compute before its first operation.
 ///
-/// Mitigation is NOT deployed here: rate limiting, admission caps, and
-/// layout steering are server-side actuators applied through
+/// Mitigation is NOT deployed here: rate limiting is a server-side
+/// actuator applied through
 /// `qi_pfs::cluster::Cluster::apply_directive` (normally by an installed
 /// `qi-control` control loop), so workload programs stay
 /// timing-independent.

@@ -17,7 +17,6 @@ use proptest::prelude::*;
 use qi_control::{Hysteresis, HysteresisGate};
 use qi_simkit::{SimDuration, SimTime};
 use quanterference_repro::framework::prelude::*;
-use quanterference_repro::pfs::ids::DeviceId;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -188,37 +187,24 @@ fn uniform_control_loop_replays_byte_identically() {
 // engaged — on arbitrary desire streams and gate configurations.
 // ---------------------------------------------------------------------
 
-/// The gate's conflict unit, re-derived independently of the crate's
-/// private `Subject` type: rate limits and inflight caps are per-app,
-/// layout steering is cluster-global.
-fn subject(d: &ControlDirective) -> (u8, u32) {
+/// The gate's conflict unit, re-derived independently of the gate:
+/// the app a rate limit or its clear targets.
+fn subject(d: &ControlDirective) -> u32 {
     match d {
-        ControlDirective::RateLimit { app, .. } | ControlDirective::ClearRateLimit { app } => {
-            (0, app.0)
-        }
-        ControlDirective::CapInflight { app, .. } | ControlDirective::ClearCapInflight { app } => {
-            (1, app.0)
-        }
-        ControlDirective::AvoidOsts { .. } | ControlDirective::ClearAvoidOsts => (2, 0),
+        ControlDirective::RateLimit { app, .. } | ControlDirective::ClearRateLimit { app } => app.0,
     }
 }
 
 fn arb_directive() -> impl Strategy<Value = ControlDirective> {
-    (0u8..6, 0u32..3, 1u32..4).prop_map(|(kind, a, v)| match kind {
-        0 => ControlDirective::RateLimit {
-            app: AppId(a),
-            bytes_per_sec: f64::from(v) * 1.0e6,
-        },
-        1 => ControlDirective::ClearRateLimit { app: AppId(a) },
-        2 => ControlDirective::CapInflight {
-            app: AppId(a),
-            max_inflight: v,
-        },
-        3 => ControlDirective::ClearCapInflight { app: AppId(a) },
-        4 => ControlDirective::AvoidOsts {
-            osts: (0..v).map(DeviceId).collect(),
-        },
-        _ => ControlDirective::ClearAvoidOsts,
+    (0u8..2, 0u32..3, 1u32..4).prop_map(|(kind, a, v)| {
+        if kind == 0 {
+            ControlDirective::RateLimit {
+                app: AppId(a),
+                bytes_per_sec: f64::from(v) * 1.0e6,
+            }
+        } else {
+            ControlDirective::ClearRateLimit { app: AppId(a) }
+        }
     })
 }
 

@@ -155,7 +155,7 @@ fn injected_replay_is_byte_identical_across_backends_and_threads() {
 }
 
 /// One predictorless uniform-throttle controlled run of the scenario on
-/// a four-OSS cluster: directives, rate limits and admission caps.
+/// a four-OSS cluster: directives and rate limits.
 fn controlled_run(backend: QueueBackend, faulted: bool, sim_shards: u32) -> RunTrace {
     let mut s = scenario(backend, faulted);
     s.cluster.oss_nodes = 4;
