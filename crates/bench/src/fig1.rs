@@ -10,20 +10,16 @@
 
 use qi_simkit::percentile;
 use quanterference::experiments::{
-    fig_one_a, fig_one_b, impact_ratios, series_mean, series_table, FigOneConfig,
+    experiment_spec, fig_one_a, fig_one_b, impact_ratios, series_mean, series_table,
 };
 
 use crate::Context;
 
 pub fn run(ctx: &mut Context) {
-    let cfg = if ctx.small {
-        FigOneConfig::smoke()
-    } else {
-        FigOneConfig::paper()
-    };
+    let spec = experiment_spec(ctx.small);
 
     println!("Figure 1(a) — Enzo per-op I/O time vs write-noise intensity");
-    let a = fig_one_a(&cfg, 3).expect("fig 1a generates");
+    let a = fig_one_a(&spec, 3).expect("fig 1a generates");
     for s in &a {
         println!(
             "  {:<24} mean op time {:>9.3} ms",
@@ -65,7 +61,7 @@ pub fn run(ctx: &mut Context) {
     ctx.write_results("fig1a_enzo_vs_write_levels.csv", &series_table(&a));
 
     println!("\nFigure 1(b) — Enzo per-op I/O time, data vs metadata noise");
-    let b = fig_one_b(&cfg, 3).expect("fig 1b generates");
+    let b = fig_one_b(&spec, 3).expect("fig 1b generates");
     for s in &b {
         println!(
             "  {:<38} mean op time {:>9.3} ms",

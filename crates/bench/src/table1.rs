@@ -9,22 +9,17 @@
 //! touches data tasks, and mdt-hard-read is only sensitive to metadata
 //! mutations.
 
-use quanterference::experiments::{table_one, TableOneConfig};
+use quanterference::experiments::{experiment_spec, table_one};
 use quanterference::WorkloadKind;
 
 use crate::Context;
 
 pub fn run(ctx: &mut Context) {
-    let cfg = if ctx.small {
-        TableOneConfig::smoke()
-    } else {
-        TableOneConfig::paper()
-    };
     println!(
         "Table I — IO500 cross-interference slowdown matrix ({} scale)",
         if ctx.small { "smoke" } else { "paper" }
     );
-    let table = table_one(&cfg).expect("table generates");
+    let table = table_one(&experiment_spec(ctx.small)).expect("table generates");
     println!("{}", table.render());
 
     // Shape checks mirroring the paper's two key insights (§II-A).

@@ -2,7 +2,6 @@
 //! baselines, and assemble per-server feature vectors into datasets.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use rayon::prelude::*;
 
@@ -276,7 +275,7 @@ impl DatasetSpec {
         }
     }
 
-    fn scenario(&self, target: WorkloadKind, seed: u64) -> Scenario {
+    pub(crate) fn scenario(&self, target: WorkloadKind, seed: u64) -> Scenario {
         Scenario {
             target,
             target_ranks: self.target_ranks,
@@ -307,15 +306,6 @@ impl DatasetSpec {
 /// One run's harvest under one view: feature blocks, labels, provenance.
 type RunSamples = (Vec<Vec<f32>>, Vec<usize>, Vec<SampleMeta>);
 
-/// Everything harvested for one `(target, seed)` key, each run under
-/// every view: the baseline's own windows (when requested) plus each
-/// interfered combo's samples, tagged with the combo's position in the
-/// canonical grid order.
-struct KeyHarvest {
-    base_samples: Option<Vec<RunSamples>>,
-    combo_samples: Vec<(usize, Vec<RunSamples>)>,
-}
-
 /// Run the grid on an explicit pool handle (shared with the caller's
 /// other parallel work) and build the labelled dataset. Output is
 /// byte-identical for every thread count — see [`generate_views`].
@@ -333,25 +323,34 @@ pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
     Ok(one.pop().expect("one dataset per view"))
 }
 
-/// Run the grid once (in parallel) and harvest every run under each of
-/// `views`, returning one labelled dataset per view, in order. Each
-/// equals what [`generate`] returns for the spec carrying that view:
-/// nothing a view holds reaches the simulation.
+/// One interfered run of a grid: its position in the canonical order
+/// (targets × noises × intensities × seeds × faults) is its index in
+/// what [`run_grid`] returns.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Combo {
+    pub(crate) target: WorkloadKind,
+    pub(crate) noise: WorkloadKind,
+    pub(crate) intensity: u32,
+    pub(crate) seed: u64,
+    pub(crate) fault: FaultSpec,
+}
+
+/// Run `spec`'s grid in parallel and keep what the callers ask for from
+/// each run: `baseline(target, seed, app, trace)` once per `(target,
+/// seed)` key, in key order, and `interfered(combo, app, baseline,
+/// trace)` once per [`Combo`], in canonical order.
 ///
-/// Scheduling: one job per `(target, seed)` key runs that key's
-/// baseline and then fans its interfered combos out as nested parallel
-/// jobs, so baselines and interfered runs of *different* keys overlap
-/// instead of serialising phase-by-phase behind a grid-wide barrier.
-/// Samples are stitched in the canonical grid order (targets × noises ×
-/// intensities × seeds × faults, then baseline windows per key), which
-/// keeps the output byte-identical to the sequential run at any thread
-/// count. Baselines always run healthy: a faulted combo's labels
-/// measure its slowdown against fault-free hardware.
-pub fn generate_views(
+/// Scheduling: one job per key runs that key's baseline and then fans
+/// its combos out as nested parallel jobs, so baselines and interfered
+/// runs of *different* keys overlap instead of serialising behind a
+/// grid-wide barrier. Results are returned in fixed order, so every
+/// caller's output is identical at any thread count. Baselines always
+/// run healthy: a faulted combo is measured against fault-free hardware.
+pub(crate) fn run_grid<B: Send, C: Send>(
     spec: &DatasetSpec,
-    views: &[DatasetView],
-) -> Result<Vec<GeneratedDataset>, QiError> {
-    let n_devices = spec.cluster.n_devices();
+    baseline: impl Fn(WorkloadKind, u64, AppId, &RunTrace) -> B + Sync,
+    interfered: impl Fn(&Combo, AppId, &RunTrace, &RunTrace) -> C + Sync,
+) -> Result<(Vec<B>, Vec<C>), QiError> {
     if spec.faults.is_empty() {
         return Err(QiError::Config(
             "dataset spec has no fault conditions; use [FaultSpec::Healthy]".into(),
@@ -364,107 +363,130 @@ pub fn generate_views(
         .flat_map(|&t| spec.seeds.iter().map(move |&s| (t, s)))
         .collect();
 
-    // The canonical combo order (the pre-parallel stitch order); the
-    // fault dimension is innermost, so `[Healthy]` reproduces the
+    // The fault dimension is innermost, so `[Healthy]` reproduces the
     // fault-free grid order exactly.
-    let mut combos: Vec<(WorkloadKind, WorkloadKind, u32, u64, FaultSpec)> = Vec::new();
-    for &t in &spec.targets {
-        for &n in &spec.noise_kinds {
-            for &i in &spec.intensities {
-                for &s in &spec.seeds {
-                    for &f in &spec.faults {
-                        combos.push((t, n, i, s, f));
+    let mut combos: Vec<Combo> = Vec::new();
+    for &target in &spec.targets {
+        for &noise in &spec.noise_kinds {
+            for &intensity in &spec.intensities {
+                for &seed in &spec.seeds {
+                    for &fault in &spec.faults {
+                        combos.push(Combo {
+                            target,
+                            noise,
+                            intensity,
+                            seed,
+                            fault,
+                        });
                     }
                 }
             }
         }
     }
     let mut combos_by_key: HashMap<(WorkloadKind, u64), Vec<usize>> = HashMap::new();
-    for (ci, &(t, _, _, s, _)) in combos.iter().enumerate() {
-        combos_by_key.entry((t, s)).or_default().push(ci);
+    for (ci, c) in combos.iter().enumerate() {
+        combos_by_key
+            .entry((c.target, c.seed))
+            .or_default()
+            .push(ci);
     }
 
-    let harvests: Vec<KeyHarvest> = base_keys
+    type KeyResult<B, C> = (B, Vec<(usize, C)>);
+    let per_key: Vec<KeyResult<B, C>> = base_keys
         .par_iter()
-        .map(|&(target, seed)| -> Result<KeyHarvest, QiError> {
-            let (app, trace) = spec.scenario(target, seed).run()?;
-            if trace.completion_of(app).is_none() {
+        .map(|&(target, seed)| -> Result<KeyResult<B, C>, QiError> {
+            let (app, base) = spec.scenario(target, seed).run()?;
+            if base.completion_of(app).is_none() {
                 return Err(QiError::Incomplete(format!(
                     "baseline {target} (seed {seed}) hit the deadline"
                 )));
             }
-            let base = Arc::new(trace);
-            // One run's samples under each view, in `views` order.
-            let harvest = |trace: &RunTrace, idx: &BaselineIndex, noise, fault| {
-                let under = |view| {
-                    collect_samples(view, trace, app, idx, n_devices, target, noise, fault, seed)
-                };
-                views.iter().map(under).collect::<Vec<RunSamples>>()
-            };
             let my_combos: &[usize] = combos_by_key
                 .get(&(target, seed))
                 .map(Vec::as_slice)
                 .unwrap_or(&[]);
-            let combo_samples: Vec<(usize, Vec<RunSamples>)> = my_combos
+            let runs: Vec<(usize, C)> = my_combos
                 .par_iter()
-                .map(|&ci| -> Result<(usize, Vec<RunSamples>), QiError> {
-                    let (_, noise, intensity, _, fault) = combos[ci];
+                .map(|&ci| -> Result<(usize, C), QiError> {
+                    let combo = &combos[ci];
                     let mut scenario =
                         spec.scenario(target, seed)
                             .with_interference(InterferenceSpec {
-                                kind: noise,
-                                instances: intensity,
+                                kind: combo.noise,
+                                instances: combo.intensity,
                                 ranks: spec.noise_ranks,
                             });
-                    scenario.fault_plan = fault.plan(&spec.cluster);
-                    let (run_app, run_trace) = scenario.run()?;
+                    scenario.fault_plan = combo.fault.plan(&spec.cluster);
+                    let (run_app, trace) = scenario.run()?;
                     debug_assert_eq!(run_app, app);
-                    let idx = BaselineIndex::new(&base, run_app);
-                    let noise = Some((noise, intensity));
-                    Ok((ci, harvest(&run_trace, &idx, noise, fault)))
+                    Ok((ci, interfered(combo, app, &base, &trace)))
                 })
                 .collect::<Result<_, _>>()?;
-            let base_samples = spec.include_baseline_windows.then(|| {
-                let idx = BaselineIndex::new(&base, app);
-                harvest(&base, &idx, None, FaultSpec::Healthy)
-            });
-            Ok(KeyHarvest {
-                base_samples,
-                combo_samples,
-            })
+            Ok((baseline(target, seed, app, &base), runs))
         })
         .collect::<Result<_, _>>()?;
 
-    // Stitch: interfered combos in canonical grid order first, then the
-    // baseline windows in `base_keys` order — the exact order the old
-    // two-phase implementation produced.
-    let mut per_combo: Vec<Option<Vec<RunSamples>>> = combos.iter().map(|_| None).collect();
-    let mut base_runs: Vec<Vec<RunSamples>> = Vec::new();
-    for harvest in harvests {
-        for (ci, samples) in harvest.combo_samples {
-            debug_assert!(per_combo[ci].is_none(), "combo {ci} harvested twice");
-            per_combo[ci] = Some(samples);
-        }
-        if let Some(b) = harvest.base_samples {
-            base_runs.push(b);
+    let mut slots: Vec<Option<C>> = combos.iter().map(|_| None).collect();
+    let mut bases = Vec::with_capacity(per_key.len());
+    for (base, runs) in per_key {
+        bases.push(base);
+        for (ci, run) in runs {
+            debug_assert!(slots[ci].is_none(), "combo {ci} run twice");
+            slots[ci] = Some(run);
         }
     }
+    let runs = slots
+        .into_iter()
+        .enumerate()
+        .map(|(ci, run)| run.ok_or_else(|| QiError::Pipeline(format!("combo {ci} was never run"))))
+        .collect::<Result<_, _>>()?;
+    Ok((bases, runs))
+}
+
+/// Run the grid once (in parallel, see [`run_grid`]) and harvest every
+/// run under each of `views`, returning one labelled dataset per view,
+/// in order. Each equals what [`generate`] returns for the spec carrying
+/// that view: nothing a view holds reaches the simulation. Samples come
+/// in canonical grid order, then the baseline windows per `(target,
+/// seed)` key, byte-identical at any thread count.
+pub fn generate_views(
+    spec: &DatasetSpec,
+    views: &[DatasetView],
+) -> Result<Vec<GeneratedDataset>, QiError> {
+    let n_devices = spec.cluster.n_devices();
+    // One run's samples under each view, in `views` order.
+    let harvest = |trace: &RunTrace, app, base: &RunTrace, target, noise, fault, seed| {
+        let idx = BaselineIndex::new(base, app);
+        let under = |view| {
+            collect_samples(
+                view, trace, app, &idx, n_devices, target, noise, fault, seed,
+            )
+        };
+        views.iter().map(under).collect::<Vec<RunSamples>>()
+    };
+    let (base_runs, combo_runs) = run_grid(
+        spec,
+        |target, seed, app, base| {
+            spec.include_baseline_windows
+                .then(|| harvest(base, app, base, target, None, FaultSpec::Healthy, seed))
+        },
+        |c, app, base, trace| {
+            let noise = Some((c.noise, c.intensity));
+            harvest(trace, app, base, c.target, noise, c.fault, c.seed)
+        },
+    )?;
 
     let mut stitched: Vec<RunSamples> = views.iter().map(|_| RunSamples::default()).collect();
-    let mut stitch = |run: Vec<RunSamples>| {
+    let runs = combo_runs
+        .into_iter()
+        .chain(base_runs.into_iter().flatten());
+    for run in runs {
         for (all, (s, l, m)) in stitched.iter_mut().zip(run) {
             all.0.extend(s);
             all.1.extend(l);
             all.2.extend(m);
         }
-    };
-    for (ci, run) in per_combo.into_iter().enumerate() {
-        let Some(run) = run else {
-            return Err(QiError::Pipeline(format!("combo {ci} was never harvested")));
-        };
-        stitch(run);
     }
-    base_runs.into_iter().for_each(&mut stitch);
 
     views
         .iter()

@@ -1,9 +1,12 @@
 //! Table I, Figure 1 and the fail-slow probe as library functions, so
 //! the `qi-bench` experiments runner, the integration tests and the
-//! examples run the same code.
+//! examples run the same code. Table I and Figure 1 are
+//! [`DatasetSpec`] grids run by the same parallel `(target, seed)`
+//! runner as the training datasets; each keeps only what it reports
+//! from a run (a duration, a slowdown, a per-op series), so every
+//! number is identical at any thread count.
 
-use rayon::prelude::*;
-
+use qi_faults::FaultEvent;
 use qi_pfs::config::ClusterConfig;
 use qi_pfs::ids::AppId;
 use qi_pfs::ops::RunTrace;
@@ -13,57 +16,39 @@ use qi_simkit::table::{fmt_f64, AsciiTable};
 use qi_simkit::time::SimDuration;
 use qi_workloads::registry::WorkloadKind;
 
-use crate::scenario::{completion_slowdown, InterferenceSpec, Scenario};
+use crate::dataset::{run_grid, Combo, DatasetSpec, FaultSpec};
+use crate::scenario::{completion_slowdown, target_duration, Scenario};
 
-/// Configuration for the Table I slowdown matrix.
-#[derive(Clone, Debug)]
-pub struct TableOneConfig {
-    /// Concurrent interference instances (paper: 3).
-    pub instances: u32,
-    /// Ranks per target application.
-    pub target_ranks: u32,
-    /// Ranks per interference instance.
-    pub noise_ranks: u32,
-    /// Seeds; the reported slowdown is the mean over seeds (paper
-    /// averages 3 consecutive runs).
-    pub seeds: Vec<u64>,
-    /// Cluster description.
-    pub cluster: ClusterConfig,
-    /// Use reduced-scale workloads.
-    pub small: bool,
-    /// Steady-state warmup before the target starts.
-    pub warmup: SimDuration,
-    /// Per-run deadline.
-    pub deadline: SimDuration,
-}
-
-impl TableOneConfig {
-    /// Paper-shaped configuration on the default 11-node cluster.
-    pub fn paper() -> Self {
-        TableOneConfig {
-            instances: 3,
-            target_ranks: 4,
-            noise_ranks: 2,
-            seeds: vec![1, 2, 3],
-            cluster: ClusterConfig::default(),
-            small: false,
-            warmup: SimDuration::from_secs(6),
-            deadline: SimDuration::from_secs(3600),
-        }
+/// The grid Table I and Figure 1 run on. At paper scale: the seven
+/// IO500 tasks crossed with themselves at 3 noise instances, 4 target
+/// and 2 noise ranks, seeds 1–3, on the default cluster. `small` runs
+/// 2 instances, 2 target ranks and seed 1 on the small cluster.
+pub fn experiment_spec(small: bool) -> DatasetSpec {
+    let io500 = WorkloadKind::IO500.to_vec();
+    let paper = DatasetSpec {
+        targets: io500.clone(),
+        noise_kinds: io500,
+        intensities: vec![3],
+        seeds: vec![1, 2, 3],
+        target_ranks: 4,
+        noise_ranks: 2,
+        cluster: ClusterConfig::default(),
+        small: false,
+        deadline: SimDuration::from_secs(3600),
+        faults: vec![FaultSpec::Healthy],
+        ..DatasetSpec::smoke()
+    };
+    if !small {
+        return paper;
     }
-
-    /// Fast variant for tests.
-    pub fn smoke() -> Self {
-        TableOneConfig {
-            instances: 2,
-            target_ranks: 2,
-            noise_ranks: 2,
-            seeds: vec![1],
-            cluster: ClusterConfig::small(),
-            small: true,
-            warmup: SimDuration::from_secs(3),
-            deadline: SimDuration::from_secs(1800),
-        }
+    DatasetSpec {
+        intensities: vec![2],
+        seeds: vec![1],
+        target_ranks: 2,
+        cluster: ClusterConfig::small(),
+        small: true,
+        deadline: SimDuration::from_secs(1800),
+        ..paper
     }
 }
 
@@ -122,107 +107,48 @@ impl TableOne {
     }
 }
 
-fn scenario_for(cfg: &TableOneConfig, target: WorkloadKind, seed: u64) -> Scenario {
-    Scenario {
-        target,
-        target_ranks: cfg.target_ranks,
-        interference: Vec::new(),
-        cluster: cfg.cluster.clone(),
-        seed,
-        deadline: cfg.deadline,
-        small: cfg.small,
-        warmup: cfg.warmup,
-        fault_plan: None,
+/// Regenerate the paper's Table I: run every task of `spec.targets`
+/// standalone and under each of the same tasks as noise, and report
+/// mean completion-time slowdowns over the seeds. A spec whose noise
+/// kinds differ from its targets, or that has other than one intensity
+/// or no seed, is a [`QiError::Config`].
+pub fn table_one(spec: &DatasetSpec) -> Result<TableOne, QiError> {
+    if spec.noise_kinds != spec.targets || spec.intensities.len() != 1 || spec.seeds.is_empty() {
+        return Err(QiError::Config(
+            "Table I crosses its targets with themselves, at one intensity and at least one seed"
+                .into(),
+        ));
     }
-}
+    let (durations, slowdowns) = run_grid(
+        spec,
+        |_, _, app, base| target_duration(base, app).map(|d| d.as_secs_f64()),
+        |_, app, base, trace| completion_slowdown(base, trace, app).unwrap_or(f64::NAN),
+    )?;
 
-/// Regenerate the paper's Table I: run every IO500 task standalone and
-/// under each of the seven interference patterns, and report mean
-/// completion-time slowdowns.
-///
-/// Scheduling: one job per `(task, seed)` runs the baseline and then
-/// fans that row's interfered cells out as nested parallel jobs, so
-/// baselines and cells of different rows overlap instead of
-/// serialising behind a matrix-wide barrier. Cell results are reduced
-/// in canonical `(row, col, seed)` order, so the matrix is identical at
-/// every thread count.
-pub fn table_one(cfg: &TableOneConfig) -> Result<TableOne, QiError> {
-    let tasks = WorkloadKind::IO500.to_vec();
-    let base_jobs: Vec<(usize, u64)> = (0..tasks.len())
-        .flat_map(|t| cfg.seeds.iter().map(move |&s| (t, s)))
-        .collect();
-
-    // One job per (task, seed): baseline first, then that row's cells.
-    type RowResult = ((AppId, RunTrace), Vec<f64>);
-    let per_key: Vec<RowResult> = base_jobs
-        .par_iter()
-        .map(|&(t, s)| -> Result<RowResult, QiError> {
-            let (app, base) = scenario_for(cfg, tasks[t], s).run()?;
-            if base.completion_of(app).is_none() {
-                return Err(QiError::Incomplete(format!(
-                    "baseline {} (seed {s}) hit the deadline",
-                    tasks[t]
-                )));
-            }
-            let cols: Vec<usize> = (0..tasks.len()).collect();
-            let slowdowns: Vec<f64> = cols
-                .par_iter()
-                .map(|&c| -> Result<f64, QiError> {
-                    let scenario =
-                        scenario_for(cfg, tasks[t], s).with_interference(InterferenceSpec {
-                            kind: tasks[c],
-                            instances: cfg.instances,
-                            ranks: cfg.noise_ranks,
-                        });
-                    let (cell_app, trace) = scenario.run()?;
-                    Ok(completion_slowdown(&base, &trace, cell_app).unwrap_or(f64::NAN))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(((app, base), slowdowns))
-        })
-        .collect::<Result<_, _>>()?;
-
-    // Reduce in canonical (row, col, seed) order: for a fixed cell the
-    // seed contributions sum in ascending-seed order, exactly as the
-    // old flat cells loop did, keeping the f64 accumulation identical.
-    let n = tasks.len();
-    let mut sums = vec![vec![0.0; n]; n];
-    let mut counts = vec![vec![0u32; n]; n];
-    for (&(t, _), (_, slowdowns)) in base_jobs.iter().zip(&per_key) {
-        for (c, &v) in slowdowns.iter().enumerate() {
-            if v.is_finite() {
-                sums[t][c] += v;
-                counts[t][c] += 1;
-            }
+    // Canonical order puts each cell's runs (seeds × faults) next to
+    // each other, cells row-major: sum them in that order, as every
+    // earlier implementation did, so the f64 means are unchanged.
+    let n = spec.targets.len();
+    let mut matrix = vec![vec![f64::NAN; n]; n];
+    let per_cell = spec.seeds.len() * spec.faults.len();
+    for (cell, runs) in slowdowns.chunks(per_cell).enumerate() {
+        let (sum, count) = runs
+            .iter()
+            .filter(|v| v.is_finite())
+            .fold((0.0, 0u32), |(sum, count), &v| (sum + v, count + 1));
+        if count > 0 {
+            matrix[cell / n][cell % n] = sum / count as f64;
         }
     }
-    let matrix: Vec<Vec<f64>> = (0..n)
-        .map(|r| {
-            (0..n)
-                .map(|c| {
-                    if counts[r][c] == 0 {
-                        f64::NAN
-                    } else {
-                        sums[r][c] / counts[r][c] as f64
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let n_seeds = cfg.seeds.len();
-    let baseline_secs: Vec<f64> = (0..n)
-        .map(|t| {
-            let vals: Vec<f64> = (0..n_seeds)
-                .filter_map(|si| {
-                    let ((app, trace), _) = &per_key[t * n_seeds + si];
-                    crate::scenario::target_duration(trace, *app).map(|d| d.as_secs_f64())
-                })
-                .collect();
+    let baseline_secs = durations
+        .chunks(spec.seeds.len())
+        .map(|row| {
+            let vals: Vec<f64> = row.iter().flatten().copied().collect();
             vals.iter().sum::<f64>() / vals.len().max(1) as f64
         })
         .collect();
     Ok(TableOne {
-        tasks,
+        tasks: spec.targets.clone(),
         matrix,
         baseline_secs,
     })
@@ -237,57 +163,6 @@ pub struct EnzoSeries {
     pub durations: Vec<f64>,
 }
 
-/// Configuration for the Figure 1 experiment.
-#[derive(Clone, Debug)]
-pub struct FigOneConfig {
-    /// Ranks of the Enzo proxy.
-    pub target_ranks: u32,
-    /// Ranks per interference instance.
-    pub noise_ranks: u32,
-    /// Cluster description.
-    pub cluster: ClusterConfig,
-    /// Reduced-scale workloads.
-    pub small: bool,
-    /// Moving-average window (ops), as in the paper's smoothing.
-    pub smooth: usize,
-    /// Seed.
-    pub seed: u64,
-    /// Warmup and deadline as in Table I.
-    pub warmup: SimDuration,
-    /// Per-run deadline.
-    pub deadline: SimDuration,
-}
-
-impl FigOneConfig {
-    /// Paper-shaped configuration.
-    pub fn paper() -> Self {
-        FigOneConfig {
-            target_ranks: 4,
-            noise_ranks: 2,
-            cluster: ClusterConfig::default(),
-            small: false,
-            smooth: 9,
-            seed: 1,
-            warmup: SimDuration::from_secs(6),
-            deadline: SimDuration::from_secs(3600),
-        }
-    }
-
-    /// Fast variant for tests.
-    pub fn smoke() -> Self {
-        FigOneConfig {
-            target_ranks: 2,
-            noise_ranks: 2,
-            cluster: ClusterConfig::small(),
-            small: true,
-            smooth: 5,
-            seed: 1,
-            warmup: SimDuration::from_secs(3),
-            deadline: SimDuration::from_secs(1800),
-        }
-    }
-}
-
 /// Per-op durations of rank 0 of the target, ordered by op index.
 fn rank0_series(trace: &RunTrace, app: AppId) -> Vec<f64> {
     let mut ops: Vec<_> = trace
@@ -299,70 +174,63 @@ fn rank0_series(trace: &RunTrace, app: AppId) -> Vec<f64> {
     ops.into_iter().map(|(_, d)| d).collect()
 }
 
-/// One Figure 1 series per job: the Enzo proxy alone (`None`) or under
-/// `instances` of a noise kind, all in parallel.
-fn enzo_series(
-    cfg: &FigOneConfig,
-    jobs: Vec<(String, Option<(WorkloadKind, u32)>)>,
+/// One Figure 1 panel: the Enzo proxy alone, then under each of
+/// `noise_kinds` × `intensities` in grid order, on `spec` narrowed to
+/// its first seed. Series are smoothed over 9 ops (5 at smoke scale).
+fn fig_one_panel(
+    spec: &DatasetSpec,
+    noise_kinds: Vec<WorkloadKind>,
+    intensities: Vec<u32>,
+    label: impl Fn(&Combo) -> String + Sync,
 ) -> Result<Vec<EnzoSeries>, QiError> {
-    jobs.par_iter()
-        .map(|(label, noise)| -> Result<EnzoSeries, QiError> {
-            let mut s = Scenario {
-                target: WorkloadKind::Enzo,
-                target_ranks: cfg.target_ranks,
-                interference: Vec::new(),
-                cluster: cfg.cluster.clone(),
-                seed: cfg.seed,
-                deadline: cfg.deadline,
-                small: cfg.small,
-                warmup: cfg.warmup,
-                fault_plan: None,
-            };
-            if let Some((kind, instances)) = *noise {
-                s = s.with_interference(InterferenceSpec {
-                    kind,
-                    instances,
-                    ranks: cfg.noise_ranks,
-                });
-            }
-            let (app, trace) = s.run()?;
-            Ok(EnzoSeries {
-                label: label.clone(),
-                durations: moving_average(&rank0_series(&trace, app), cfg.smooth),
-            })
-        })
-        .collect()
+    let Some(&seed) = spec.seeds.first() else {
+        return Err(QiError::Config("Figure 1 needs a seed".into()));
+    };
+    let spec = DatasetSpec {
+        targets: vec![WorkloadKind::Enzo],
+        noise_kinds,
+        intensities,
+        seeds: vec![seed],
+        ..spec.clone()
+    };
+    let smooth = if spec.small { 5 } else { 9 };
+    let series = |app, trace: &RunTrace| moving_average(&rank0_series(trace, app), smooth);
+    let (baseline, interfered) = run_grid(
+        &spec,
+        |_, _, app, base| EnzoSeries {
+            label: "baseline".into(),
+            durations: series(app, base),
+        },
+        |combo, app, _, trace| EnzoSeries {
+            label: label(combo),
+            durations: series(app, trace),
+        },
+    )?;
+    Ok(baseline.into_iter().chain(interfered).collect())
 }
 
 /// Regenerate Figure 1(a): Enzo per-op I/O time under increasing
 /// amounts of `ior-easy-write` interference (baseline, then 1..=levels
 /// instances).
-pub fn fig_one_a(cfg: &FigOneConfig, levels: u32) -> Result<Vec<EnzoSeries>, QiError> {
-    let mut jobs = vec![("baseline".to_string(), None)];
-    for l in 1..=levels {
-        let noise = (WorkloadKind::IorEasyWrite, l);
-        jobs.push((format!("{l}x ior-easy-write"), Some(noise)));
-    }
-    enzo_series(cfg, jobs)
+pub fn fig_one_a(spec: &DatasetSpec, levels: u32) -> Result<Vec<EnzoSeries>, QiError> {
+    let noise = vec![WorkloadKind::IorEasyWrite];
+    fig_one_panel(spec, noise, (1..=levels).collect(), |c| {
+        format!("{}x {}", c.intensity, c.noise)
+    })
 }
 
 /// Regenerate Figure 1(b): Enzo per-op I/O time under a data-intensive
 /// (`ior-easy-write`) vs a metadata-intensive (`mdt-easy-write`)
 /// background, plus the baseline.
-pub fn fig_one_b(cfg: &FigOneConfig, instances: u32) -> Result<Vec<EnzoSeries>, QiError> {
-    let noise = |kind| Some((kind, instances));
-    let jobs = vec![
-        ("baseline".into(), None),
-        (
-            "data-intensive (ior-easy-write)".into(),
-            noise(WorkloadKind::IorEasyWrite),
-        ),
-        (
-            "metadata-intensive (mdt-easy-write)".into(),
-            noise(WorkloadKind::MdtEasyWrite),
-        ),
-    ];
-    enzo_series(cfg, jobs)
+pub fn fig_one_b(spec: &DatasetSpec, instances: u32) -> Result<Vec<EnzoSeries>, QiError> {
+    let noise = vec![WorkloadKind::IorEasyWrite, WorkloadKind::MdtEasyWrite];
+    fig_one_panel(spec, noise, vec![instances], |c| {
+        let kind = match c.noise {
+            WorkloadKind::MdtEasyWrite => "metadata-intensive",
+            _ => "data-intensive",
+        };
+        format!("{kind} ({})", c.noise)
+    })
 }
 
 /// Render Figure 1 series as a CSV-ready table (op index + one column
@@ -429,9 +297,12 @@ impl FailSlowReport {
 }
 
 /// Run the fail-slow probe: execute `scenario` (which must have NO
-/// interference) with device `dev` degrading by `factor` from `at`,
-/// label windows against the healthy baseline, and ask the trained
-/// `predictor` which windows it would have flagged as interference.
+/// interference) with device `dev` degrading by `factor` from `at` to
+/// the run's deadline (a [`FaultEvent::SlowDisk`] on the scenario's fault
+/// plan), label windows against the healthy baseline, and ask the
+/// trained `predictor` which windows it would have flagged as
+/// interference. A bad device, factor or window is a
+/// [`QiError::FaultPlan`].
 pub fn fail_slow_probe(
     scenario: &Scenario,
     predictor: &mut crate::predict::Predictor,
@@ -445,7 +316,16 @@ pub fn fail_slow_probe(
         ));
     }
     let (app, healthy) = scenario.run()?;
-    let (_, sick) = scenario.run_with(|cl| cl.inject_fail_slow(dev, at, factor))?;
+    // Without interference the target starts at once: the run's
+    // deadline is `scenario.deadline` after time zero.
+    let mut plan = scenario.fault_plan.clone().unwrap_or_default();
+    plan.push(FaultEvent::SlowDisk {
+        dev: dev.0,
+        factor,
+        from: at,
+        until: qi_simkit::SimTime::ZERO + scenario.deadline,
+    });
+    let (_, sick) = scenario.clone().with_fault_plan(plan).run()?;
     let idx = crate::labeling::BaselineIndex::new(&healthy, app);
     let wcfg = predictor.window_config();
     let levels = crate::labeling::window_degradation(&idx, &sick, app, wcfg);
@@ -475,16 +355,15 @@ mod tests {
 
     #[test]
     fn smoke_table_one_has_sane_structure() {
-        // Run only a 2x2 corner via a trimmed task list by checking the
-        // full smoke table would be slow; instead run the full smoke
-        // config once (it is the central experiment, worth the seconds).
-        let cfg = TableOneConfig::smoke();
-        let t = table_one(&cfg).expect("table one runs");
+        // The full smoke grid, once: it is the central experiment,
+        // worth the seconds.
+        let t = table_one(&experiment_spec(true)).expect("table one runs");
         assert_eq!(t.tasks.len(), 7);
         assert_eq!(t.matrix.len(), 7);
         // All cells present and >= ~1 (interference can't speed you up
         // much; allow small jitter below 1).
         for row in &t.matrix {
+            assert_eq!(row.len(), 7);
             for &v in row {
                 assert!(v.is_finite(), "missing cell");
                 assert!(v > 0.5, "nonsense slowdown {v}");
@@ -505,8 +384,7 @@ mod tests {
 
     #[test]
     fn smoke_fig_one_a_shows_interference() {
-        let cfg = FigOneConfig::smoke();
-        let series = fig_one_a(&cfg, 2).expect("fig 1a runs");
+        let series = fig_one_a(&experiment_spec(true), 2).expect("fig 1a runs");
         assert_eq!(series.len(), 3);
         assert_eq!(series[0].label, "baseline");
         let base = series_mean(&series[0]);
@@ -552,6 +430,38 @@ mod tests {
         );
         assert!(report.misattribution_rate() >= 0.0);
         assert!(report.flagged_windows <= report.degraded_windows);
+        // A device the cluster lacks, or a speed-up, is a typed error.
+        for (dev, factor) in [(999, 8.0), (0, 0.5)] {
+            let dev = qi_pfs::ids::DeviceId(dev);
+            let at = qi_simkit::SimTime::ZERO;
+            let err = fail_slow_probe(&scenario, &mut predictor, dev, at, factor)
+                .err()
+                .expect("bad injection is rejected");
+            assert!(matches!(err, QiError::FaultPlan(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn table_one_rejects_a_grid_that_is_not_square() {
+        let spec = experiment_spec(true);
+        let bad = [
+            DatasetSpec {
+                noise_kinds: vec![WorkloadKind::IorEasyRead],
+                ..spec.clone()
+            },
+            DatasetSpec {
+                intensities: vec![1, 2],
+                ..spec.clone()
+            },
+            DatasetSpec {
+                seeds: vec![],
+                ..spec
+            },
+        ];
+        for spec in &bad {
+            let err = table_one(spec).err().expect("not a Table I grid");
+            assert!(matches!(err, QiError::Config(_)), "{err}");
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod prelude {
         generate, generate_on, generate_views, window_vectors_with, DatasetSpec, DatasetView,
         FaultSpec, GeneratedDataset, SampleMeta, Split,
     };
-    pub use crate::experiments::{fig_one_a, fig_one_b, table_one, FigOneConfig, TableOneConfig};
+    pub use crate::experiments::{experiment_spec, fig_one_a, fig_one_b, table_one};
     pub use crate::importance::{permutation_importance, FeatureImportance};
     pub use crate::labeling::{window_degradation, BaselineIndex, Bins};
     pub use crate::mitigation::{

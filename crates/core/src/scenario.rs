@@ -123,7 +123,7 @@ impl Scenario {
     }
 
     /// Like [`Scenario::run`], but lets the caller adjust the freshly
-    /// built cluster (e.g. inject a fail-slow device) after the
+    /// built cluster (e.g. install a controller) after the
     /// applications are deployed and before the event loop starts.
     pub fn run_with(
         &self,

@@ -43,6 +43,7 @@ use std::path::Path;
 
 use qi_monitor::features::{FeatureConfig, Imputation};
 use qi_monitor::schema::FeatureSchema;
+use qi_simkit::hash::fnv1a;
 
 use crate::data::Standardizer;
 use crate::layers::{Dense, Mlp};
@@ -79,16 +80,6 @@ fn floats_to_hex(v: &[f32]) -> String {
         let _ = write!(out, "{:08x}", x.to_bits());
     }
     out
-}
-
-/// FNV-1a 64-bit over the serialized body (all lines above `check`).
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn hex_to_floats(s: &str) -> Result<Vec<f32>, ModelParseError> {
@@ -154,7 +145,7 @@ pub fn model_to_text(model: &TrainedModel) -> String {
             idx += 1;
         }
     }
-    let sum = fnv1a(out.trim_end());
+    let sum = fnv1a(out.trim_end().as_bytes());
     let _ = writeln!(out, "check {sum:016x}");
     out
 }
@@ -184,7 +175,7 @@ pub fn model_from_text(text: &str) -> Result<TrainedModel, ModelParseError> {
     }
     let stored = u64::from_str_radix(stored_str, 16)
         .map_err(|_| err(format!("bad checksum {:?}", check_line.trim())))?;
-    let computed = fnv1a(body);
+    let computed = fnv1a(body.as_bytes());
     if stored != computed {
         return Err(err(format!(
             "checksum mismatch: file says {stored:016x}, content hashes to {computed:016x}"
@@ -451,7 +442,7 @@ mod tests {
     /// under test (not the outer integrity check) trips the parser.
     fn with_valid_checksum(text: &str) -> String {
         let (body, _) = text.trim_end().rsplit_once('\n').expect("check line");
-        format!("{body}\ncheck {:016x}\n", fnv1a(body))
+        format!("{body}\ncheck {:016x}\n", fnv1a(body.as_bytes()))
     }
 
     #[test]
@@ -495,7 +486,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n")
             .replace("QIMODEL v2", "QIMODEL v1");
-        let v1_text = format!("{v1_body}\ncheck {:016x}\n", fnv1a(&v1_body));
+        let v1_text = format!("{v1_body}\ncheck {:016x}\n", fnv1a(v1_body.as_bytes()));
         let e = model_from_text(&v1_text)
             .err()
             .expect("legacy file rejected");

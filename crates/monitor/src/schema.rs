@@ -18,6 +18,7 @@ use std::fmt;
 use crate::features::{FeatureConfig, Imputation, N_CLIENT_GLOBAL, N_CLIENT_TARGET};
 use crate::server::SERVER_SERIES;
 use crate::window::WindowConfig;
+use qi_simkit::hash::fnv1a;
 use qi_simkit::time::SimDuration;
 
 /// Current schema layout version. Bump when the *meaning* of the
@@ -215,16 +216,6 @@ impl fmt::Display for FeatureSchema {
             self.digest,
         )
     }
-}
-
-/// FNV-1a 64-bit hash (same construction as the QIMODEL checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

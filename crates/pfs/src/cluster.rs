@@ -369,15 +369,6 @@ impl Cluster {
         (&mut self.control, plant)
     }
 
-    /// Schedule a fail-slow injection: from `at` onward, `dev` services
-    /// every request `factor`× slower (1.0 restores health). Models the
-    /// gray-failure drives of Lu et al.'s Perseus.
-    pub fn inject_fail_slow(&mut self, dev: DeviceId, at: SimTime, factor: f64) {
-        assert!(dev.0 < self.cfg.n_devices(), "no such device");
-        assert!(factor >= 1.0);
-        self.fx.schedule(at, Ev::FailSlow { dev: dev.0, factor });
-    }
-
     /// Pre-populate a file (namespace entry + contiguous extents) without
     /// simulating any I/O — the equivalent of a dataset that existed
     /// before the measured run. OSTs are assigned round-robin.

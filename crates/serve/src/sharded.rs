@@ -61,6 +61,7 @@ use qi_ml::train::TrainedModel;
 use qi_ml::InferScratch;
 use qi_pfs::ids::AppId;
 use qi_simkit::error::QiError;
+use qi_simkit::hash::fnv1a;
 use qi_simkit::ratelimit::TokenBucket;
 use qi_simkit::stats::{Histogram, OnlineStats};
 use qi_simkit::time::{SimDuration, SimTime};
@@ -77,14 +78,7 @@ use crate::registry::ModelRegistry;
 /// processes and platforms — the routing table is part of the
 /// engine's observable contract (see the routing-stability test).
 pub fn shard_of_tenant(tenant: AppId, n_shards: usize) -> usize {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in tenant.0.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    (h % n_shards as u64) as usize
+    (fnv1a(&tenant.0.to_le_bytes()) % n_shards as u64) as usize
 }
 
 /// One queued request.

@@ -13,6 +13,7 @@ use qi_ml::serialize::{model_from_text, model_to_text};
 use qi_ml::train::{train, TrainConfig, TrainedModel};
 use qi_pfs::ids::AppId;
 use qi_serve::{ModelRegistry, PredictRequest, ServeConfig, ShardedServeEngine};
+use qi_simkit::hash::fnv1a;
 use qi_simkit::time::SimTime;
 use qi_telemetry::MetricsSnapshot;
 use rand::rngs::StdRng;
@@ -42,14 +43,6 @@ fn trained() -> TrainedModel {
     train(&Dataset::from_samples(samples, y, SERVERS), &cfg)
 }
 
-/// The format's integrity hash: FNV-1a 64 over everything above the
-/// `check` line.
-fn fnv1a(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Body lines of `text`, without the trailing `check` line.
 fn body_lines(text: &str) -> Vec<String> {
     let (body, _) = text.trim_end().rsplit_once('\n').expect("check line");
@@ -59,7 +52,7 @@ fn body_lines(text: &str) -> Vec<String> {
 /// Reassemble body lines under a freshly computed checksum.
 fn sealed(lines: &[String]) -> String {
     let body = lines.join("\n");
-    format!("{body}\ncheck {:016x}\n", fnv1a(&body))
+    format!("{body}\ncheck {:016x}\n", fnv1a(body.as_bytes()))
 }
 
 /// Rewrite the line starting with `key ` through `f` (tokens after the

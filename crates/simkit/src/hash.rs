@@ -11,6 +11,10 @@
 //! parser input or other outside data keeps the default hasher. No
 //! result may depend on a map's iteration order either way — the default
 //! hasher's order already differed from process to process.
+//!
+//! [`fnv1a`] is the one stable byte hash: schema digests, QIMODEL
+//! checksums and serve-shard routing are all written down or compared
+//! across processes, so they share it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -67,6 +71,13 @@ pub type IdBuild = BuildHasherDefault<IdHasher>;
 /// A `HashMap` over simulator-internal ids. Construct with `default()`.
 pub type IdMap<K, V> = HashMap<K, V, IdBuild>;
 
+/// FNV-1a, 64-bit: stable across processes, platforms and releases.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +103,13 @@ mod tests {
             file: FileKey { app, num },
             stripe,
         }
+    }
+
+    #[test]
+    fn published_fnv1a_vectors_hold() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! - [`stats`] — Welford accumulators, percentiles, histograms, smoothing.
 //! - [`table`] — ASCII/CSV table output for experiment results.
 //! - [`ratelimit`] — a token bucket over simulated time.
-//! - [`hash`] — the seedless [`hash::IdMap`] hasher for simulator-internal ids.
+//! - [`hash`] — the seedless [`hash::IdMap`] hasher for simulator-internal
+//!   ids, and the stable [`hash::fnv1a`] byte hash.
 //!
 //! Determinism contract: given the same seed and configuration, every
 //! simulation built on this crate produces bit-identical traces, because

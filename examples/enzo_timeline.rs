@@ -1,13 +1,15 @@
 //! Regenerate the paper's Figure 1: per-operation I/O times of the Enzo
 //! proxy under increasing and differently-typed background interference,
-//! rendered as an ASCII sparkline plus a CSV for plotting.
+//! rendered as an ASCII sparkline plus a CSV for plotting. Each panel is
+//! `experiment_spec(false)` narrowed to the Enzo target and one seed,
+//! run by the same parallel grid runner as Table I.
 //!
 //! ```sh
 //! cargo run --release --example enzo_timeline
 //! ```
 
 use quanterference_repro::framework::experiments::{
-    fig_one_a, fig_one_b, series_mean, series_table, EnzoSeries, FigOneConfig,
+    experiment_spec, fig_one_a, fig_one_b, series_mean, series_table, EnzoSeries,
 };
 use quanterference_repro::framework::prelude::QiError;
 
@@ -41,10 +43,10 @@ fn show(title: &str, series: &[EnzoSeries]) {
 }
 
 fn main() -> Result<(), QiError> {
-    let cfg = FigOneConfig::paper();
+    let spec = experiment_spec(false);
 
     println!("Figure 1(a): Enzo per-op I/O time vs amount of ior-easy-write noise\n");
-    let a = fig_one_a(&cfg, 3)?;
+    let a = fig_one_a(&spec, 3)?;
     show(
         "(x-axis: op index of rank 0, smoothed; bar height: op I/O time)",
         &a,
@@ -52,7 +54,7 @@ fn main() -> Result<(), QiError> {
     let _ = series_table(&a).write_csv("results/fig1a_enzo_vs_write_levels.csv");
 
     println!("Figure 1(b): Enzo per-op I/O time, data- vs metadata-intensive noise\n");
-    let b = fig_one_b(&cfg, 3)?;
+    let b = fig_one_b(&spec, 3)?;
     show(
         "(same op sequence; note different ops suffer under different noise)",
         &b,

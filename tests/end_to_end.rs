@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from simulated
 //! cluster to trained predictor, exercised end to end at smoke scale.
 
+use quanterference_repro::framework::experiments::TableOne;
 use quanterference_repro::framework::prelude::*;
 use quanterference_repro::monitor::{client_windows, server_windows};
 
@@ -94,12 +95,32 @@ fn dataset_sweep_is_byte_identical_across_repeat_runs_and_thread_counts() {
         assert_eq!(pool.current_num_threads(), threads);
         pool
     };
+    // Table I goes through the same grid runner: a 2 × 2, one-seed
+    // corner of it must come out as the same bits at every pool size.
+    let pair = vec![WorkloadKind::IorEasyRead, WorkloadKind::IorEasyWrite];
+    let corner = DatasetSpec {
+        targets: pair.clone(),
+        noise_kinds: pair,
+        ..experiment_spec(true)
+    };
+    let table_bits = |t: &TableOne| {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            t.matrix.iter().map(|r| bits(r)).collect::<Vec<_>>(),
+            bits(&t.baseline_secs),
+        )
+    };
+    let table = table_bits(&table_one(&corner).expect("Table I corner"));
     for threads in [1, 2, 8] {
         // The pool override is scoped: it must not leak into callers.
         let ambient = rayon::current_num_threads();
         let c = generate_on(&pool(threads), &spec).expect("pooled sweep");
         assert_eq!(rayon::current_num_threads(), ambient);
         assert_same_dataset(&a, &c, &format!("{threads} threads"));
+        let t = pool(threads)
+            .install(|| table_one(&corner))
+            .expect("pooled Table I");
+        assert_eq!(table_bits(&t), table, "Table I at {threads} threads");
     }
 
     // One simulation harvested under three views at once equals three

@@ -129,19 +129,22 @@ fn faulted_replay_is_byte_identical_across_backends_and_threads() {
     assert!(golden.metrics.counter("pfs.rpc.retries").unwrap_or(0) > 0);
 }
 
-/// The faulted scenario with pre-run `inject_fail_slow` calls on top:
-/// one on the MDT and one on OST 0 at the very instant the plan's
-/// `SlowDisk` on OST 0 begins. The injection is queued first, so the
-/// plan's factor must win the tie.
+/// The faulted scenario with a slow MDT added to its plan: the device
+/// path's fail-slow handling on the metadata server, not only on OSTs.
 fn injected_run(backend: QueueBackend) -> RunTrace {
-    scenario(backend, true)
-        .run_with(|cl| {
-            let (ost0, mdt) = (cl.ost(0), cl.mdt());
-            cl.inject_fail_slow(ost0, t(1), 9.0);
-            cl.inject_fail_slow(mdt, t(1), 4.0);
-        })
-        .expect("injected run completes")
-        .1
+    let mut s = scenario(backend, true);
+    let mdt = s.cluster.n_osts();
+    let plan = s
+        .fault_plan
+        .as_mut()
+        .expect("the faulted scenario has a plan");
+    plan.push(FaultEvent::SlowDisk {
+        dev: mdt,
+        factor: 4.0,
+        from: t(1),
+        until: t(600),
+    });
+    s.run().expect("injected run completes").1
 }
 
 #[test]
@@ -150,7 +153,7 @@ fn injected_replay_is_byte_identical_across_backends_and_threads() {
     assert_ne!(
         golden.metrics,
         scenario_run(QueueBackend::Calendar, true).metrics,
-        "the injections must visibly bite or this proves nothing"
+        "the slow MDT must visibly bite or this proves nothing"
     );
 }
 

@@ -1,12 +1,12 @@
 //! Integration test: the smoke-scale Table I must reproduce the paper's
 //! qualitative interference structure (who hurts whom).
 
-use quanterference_repro::framework::experiments::{table_one, TableOneConfig};
+use quanterference_repro::framework::experiments::{experiment_spec, table_one};
 use quanterference_repro::framework::WorkloadKind::*;
 
 #[test]
 fn table_one_reproduces_the_papers_shape() {
-    let table = table_one(&TableOneConfig::smoke()).expect("smoke table generates");
+    let table = table_one(&experiment_spec(true)).expect("smoke table generates");
     let cell = |a, b| table.cell(a, b).expect("cell exists");
 
     // 1. Streaming reads suffer from read noise, not from write noise.
