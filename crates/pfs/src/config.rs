@@ -238,7 +238,7 @@ pub struct ClusterConfig {
     /// Test-only: which event queue the simulation loop runs on. The
     /// differential replay harness sets `Reference` to drive whole runs
     /// through the naive queue double and compare traces byte for byte;
-    /// everything else leaves the calendar default.
+    /// everything else leaves the packed default.
     pub event_queue: QueueBackend,
     /// Accepted and ignored for every value, 0 included: the simulator
     /// has one sequential event loop, so every value runs the same
@@ -264,7 +264,7 @@ impl Default for ClusterConfig {
             oss: OssConfig::default(),
             stripe: StripeConfig::default(),
             sample_interval: SimDuration::from_secs(1),
-            event_queue: QueueBackend::Calendar,
+            event_queue: QueueBackend::Packed,
             sim_shards: 1,
         }
     }

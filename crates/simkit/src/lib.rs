@@ -6,7 +6,7 @@
 //!
 //! - [`error`] — the workspace-wide [`QiError`] type.
 //! - [`time`] — integer-nanosecond [`SimTime`]/[`SimDuration`].
-//! - [`event`] — the deterministic calendar-wheel [`EventQueue`]
+//! - [`event`] — the deterministic [`EventQueue`] on sorted packed keys
 //!   ([`QueueBackend`] selects the reference double for tests).
 //! - [`reference`] — the naive sorted-`Vec` queue double backing the
 //!   differential tests.

@@ -3,7 +3,7 @@
 //! [`ReferenceQueue`] keeps every pending entry in one `Vec`, sorted on
 //! each insert. It exists to be *obviously correct*, not fast: the
 //! property tests and the differential replay harness compare the
-//! production backend (the calendar wheel) against this model, entry
+//! production backend (the packed-key queue) against this model, entry
 //! by entry. It is also selectable as a real [`EventQueue`] backend
 //! (`QueueBackend::Reference`) so whole cluster runs can be driven
 //! through it in tests.

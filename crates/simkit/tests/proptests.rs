@@ -17,9 +17,9 @@ enum QueueOp {
 }
 
 fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
-    // Deltas span the calendar wheel's interesting bands: same-granule
-    // ties (0), level-0/1/2 residents, beyond-horizon overflow, and the
-    // u64::MAX extreme. A (selector, raw) pair per op stands in for
+    // Deltas span the bands the simulator schedules in: equal-time ties
+    // (0), RPC/CPU microseconds, disk milliseconds, far-future seconds,
+    // and the u64::MAX extreme. A (selector, raw) pair per op stands in for
     // upstream's weighted `prop_oneof!`.
     prop::collection::vec((0u32..100, 0u64..u64::MAX), 1..max_len).prop_map(|raw| {
         raw.into_iter()
@@ -85,14 +85,14 @@ fn run_epochs(backend: QueueBackend, initial: &[u64], epochs: &[Epoch]) -> Epoch
         let gap = next.map_or(1_000_000, |t| t.as_nanos() - deadline.as_nanos());
         for &(sel, r) in inserts {
             let at = match sel {
-                // Below the next pending time, where a wheel clock that
+                // Below the next pending time, where a queue whose clock
                 // ran ahead of the deadline would misplace the event.
                 0..=4 => deadline.as_nanos() + r % gap,
                 // Equal timestamps: at the deadline itself, and tied
                 // with the pending minimum (must pop after it).
                 5..=6 => deadline.as_nanos(),
                 7..=8 => next.map_or(deadline.as_nanos(), |t| t.as_nanos()),
-                // Beyond the wheel horizon: the overflow heap.
+                // Far future: seconds past the deadline.
                 _ => deadline
                     .as_nanos()
                     .saturating_add(5_000_000_000 + r % 60_000_000_000),
@@ -107,20 +107,19 @@ fn run_epochs(backend: QueueBackend, initial: &[u64], epochs: &[Epoch]) -> Epoch
     log
 }
 
-/// The calendar must tell the reference model's story for the same
+/// The packed queue must tell the reference model's story for the same
 /// epoch script.
 fn assert_epochs_agree(initial: &[u64], epochs: &[Epoch]) {
     let want = run_epochs(QueueBackend::Reference, initial, epochs);
-    let got = run_epochs(QueueBackend::Calendar, initial, epochs);
+    let got = run_epochs(QueueBackend::Packed, initial, epochs);
     assert_eq!(got.delivered, want.delivered, "delivery order");
     assert_eq!(got.marks, want.marks, "now/processed/pending");
 }
 
-/// Far-future events sit in the calendar's overflow heap, so every
-/// probe here misses the level-0 fast path: deadlines well short of
-/// them must refuse without migrating, and schedules into the gap —
-/// down to the deadline itself and up to a tie with the far minimum —
-/// must come out in `(time, seq)` order.
+/// Deadlines well short of far-future events must refuse without moving
+/// anything, and schedules into the gap — down to the deadline itself
+/// and up to a tie with the far minimum — must come out in `(time, seq)`
+/// order.
 #[test]
 fn pop_until_refuses_overflow_events_without_advancing_the_wheel() {
     const S: u64 = 1_000_000_000;
@@ -139,14 +138,14 @@ fn pop_until_refuses_overflow_events_without_advancing_the_wheel() {
 }
 
 proptest! {
-    /// Arbitrary interleaved push/pop sequences through the calendar
+    /// Arbitrary interleaved push/pop sequences through the packed
     /// backend against the naive sorted-`Vec` model, standalone and as a
     /// backend — all must emit the identical `(time, seq, event)` order,
     /// including equal-timestamp FIFO ties and `u64::MAX` deltas
     /// (clamped to absolute `u64::MAX`, the zero-width far edge).
     #[test]
     fn backends_match_reference_model_interleaved(ops in queue_ops(120)) {
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut packed = EventQueue::with_backend(QueueBackend::Packed);
         let mut refq = EventQueue::with_backend(QueueBackend::Reference);
         // A standalone naive model driven with the same (at, seq) pairs
         // the queues compute, double-checking the Reference backend too.
@@ -155,37 +154,37 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 QueueOp::Push(delta) => {
-                    let at = SimTime(cal.now().as_nanos().saturating_add(delta));
-                    cal.schedule(at, i);
+                    let at = SimTime(packed.now().as_nanos().saturating_add(delta));
+                    packed.schedule(at, i);
                     refq.schedule(at, i);
                     model.insert(at.as_nanos(), seq, i);
                     seq += 1;
                 }
                 QueueOp::Pop => {
                     let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
-                    prop_assert_eq!(cal.pop(), want, "calendar diverged at op {}", i);
+                    prop_assert_eq!(packed.pop(), want, "packed diverged at op {}", i);
                     prop_assert_eq!(refq.pop(), want, "reference diverged at op {}", i);
                 }
             }
-            prop_assert_eq!(cal.pending(), model.len());
-            prop_assert_eq!(cal.peek_time(), model.peek().map(|(at, _)| SimTime(at)));
-            prop_assert_eq!(refq.peek_time(), cal.peek_time());
+            prop_assert_eq!(packed.pending(), model.len());
+            prop_assert_eq!(packed.peek_time(), model.peek().map(|(at, _)| SimTime(at)));
+            prop_assert_eq!(refq.peek_time(), packed.peek_time());
         }
         // Drain: the tails must agree too.
         loop {
             let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
-            prop_assert_eq!(cal.pop(), want);
+            prop_assert_eq!(packed.pop(), want);
             prop_assert_eq!(refq.pop(), want);
             if want.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(cal.processed(), refq.processed());
-        prop_assert_eq!(cal.now(), refq.now());
+        prop_assert_eq!(packed.processed(), refq.processed());
+        prop_assert_eq!(packed.now(), refq.now());
     }
 
     /// Zero-time and max-time absolute schedules agree across backends
-    /// (bulk load, no interleaving — stresses the initial wheel state).
+    /// (bulk load, no interleaving — keys at both ends of `at`'s range).
     #[test]
     fn backends_match_on_extreme_absolute_times(
         raw_times in prop::collection::vec((0u32..35, 0u64..u64::MAX), 1..60),
@@ -200,16 +199,16 @@ proptest! {
                 _ => r,
             })
             .collect();
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
+        let mut packed = EventQueue::with_backend(QueueBackend::Packed);
         let mut refq = EventQueue::with_backend(QueueBackend::Reference);
         for (i, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime(t), i);
+            packed.schedule(SimTime(t), i);
             refq.schedule(SimTime(t), i);
         }
         for _ in 0..times.len() {
-            prop_assert_eq!(cal.pop(), refq.pop());
+            prop_assert_eq!(packed.pop(), refq.pop());
         }
-        prop_assert!(cal.pop().is_none() && refq.pop().is_none());
+        prop_assert!(packed.pop().is_none() && refq.pop().is_none());
     }
 
     /// Events always pop in non-decreasing time order, with ties in
@@ -274,9 +273,9 @@ proptest! {
             1..12,
         ),
     ) {
-        // Initial times and epoch lengths span the wheel's bands: one
-        // granule, level 0, the 100 us lookahead, disk-service
-        // milliseconds, and past the ~4.3 s horizon.
+        // Initial times and epoch lengths span the simulator's bands:
+        // sub-microsecond, RPC microseconds, the 100 us lookahead,
+        // disk-service milliseconds, and far-future seconds.
         let band = |sel: u32, r: u64| match sel {
             0 => 0,
             1..=2 => r % 256,

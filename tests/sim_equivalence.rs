@@ -1,11 +1,11 @@
 //! Differential replay harness for the simulator core.
 //!
-//! The calendar event queue and the arena-routed op tables are pure
+//! The packed-key event queue and the arena-routed op tables are pure
 //! performance work: they must not move a single event. This harness
 //! proves it by running the same seeded scenarios — healthy, faulted,
 //! injected, controlled and dense — under 1/2/8-thread rayon pools
 //! through the naive sorted-`Vec` `Reference` test double and the
-//! `Calendar` core, asserting bit-identical [`RunTrace`]s, telemetry
+//! `Packed` core, asserting bit-identical [`RunTrace`]s, telemetry
 //! JSON, and dataset feature blocks.
 
 use qi_simkit::{QueueBackend, SimDuration, SimTime};
@@ -16,9 +16,9 @@ fn t(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
 
-/// Every queue backend the cluster can run on. `Calendar` first: it is
+/// Every queue backend the cluster can run on. `Packed` first: it is
 /// the default and the golden the reference double is compared against.
-const BACKENDS: [QueueBackend; 2] = [QueueBackend::Calendar, QueueBackend::Reference];
+const BACKENDS: [QueueBackend; 2] = [QueueBackend::Packed, QueueBackend::Reference];
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -88,11 +88,11 @@ fn assert_traces_identical(a: &RunTrace, b: &RunTrace, ctx: &str) {
     );
 }
 
-/// Run `run` on the calendar queue as the golden, then on every backend
+/// Run `run` on the packed queue as the golden, then on every backend
 /// under every pool size, asserting each trace is bit-identical to the
 /// golden. Returns the golden so the caller can check the scenario bit.
 fn assert_replays_identically(what: &str, run: impl Fn(QueueBackend) -> RunTrace) -> RunTrace {
-    let golden = run(QueueBackend::Calendar);
+    let golden = run(QueueBackend::Packed);
     assert!(
         !golden.ops.is_empty(),
         "{what}: golden run must do real work"
@@ -152,7 +152,7 @@ fn injected_replay_is_byte_identical_across_backends_and_threads() {
     let golden = assert_replays_identically("injected", injected_run);
     assert_ne!(
         golden.metrics,
-        scenario_run(QueueBackend::Calendar, true).metrics,
+        scenario_run(QueueBackend::Packed, true).metrics,
         "the slow MDT must visibly bite or this proves nothing"
     );
 }
@@ -189,9 +189,9 @@ fn controlled_replay_is_byte_identical_across_backends_and_threads() {
 /// the same events and yields the same full trace.
 #[test]
 fn sim_shards_is_accepted_and_ignored() {
-    let one = controlled_run(QueueBackend::Calendar, true, 1);
+    let one = controlled_run(QueueBackend::Packed, true, 1);
     for sim_shards in [0, 2, 4] {
-        let got = controlled_run(QueueBackend::Calendar, true, sim_shards);
+        let got = controlled_run(QueueBackend::Packed, true, sim_shards);
         assert_traces_identical(&one, &got, &format!("sim_shards = {sim_shards} vs 1"));
     }
 }
@@ -272,7 +272,7 @@ fn tiny_spec(backend: QueueBackend) -> DatasetSpec {
 
 #[test]
 fn dataset_feature_blocks_are_bit_identical_across_backends() {
-    let golden = generate(&tiny_spec(QueueBackend::Calendar)).expect("golden sweep");
+    let golden = generate(&tiny_spec(QueueBackend::Packed)).expect("golden sweep");
     assert!(!golden.data.y.is_empty(), "sweep must produce windows");
     for threads in THREADS {
         let pool = rayon::ThreadPoolBuilder::new()
