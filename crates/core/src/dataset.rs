@@ -21,8 +21,9 @@ use qi_workloads::registry::WorkloadKind;
 use crate::labeling::{window_degradation, BaselineIndex, Bins};
 use crate::scenario::{InterferenceSpec, Scenario};
 
-/// Assemble, for every window in which `target` completed operations,
-/// the flattened per-server feature block (`n_devices × features`).
+/// Assemble, for every window in which `target` completed operations or
+/// issued RPCs, the flattened per-server feature block
+/// (`n_devices × features`).
 ///
 /// This is a thin adapter over the canonical
 /// [`FeaturePipeline`][qi_monitor::pipeline::FeaturePipeline]: batch
@@ -518,7 +519,7 @@ fn collect_samples(
     seed: u64,
 ) -> RunSamples {
     let levels = window_degradation(baseline, trace, app, view.window);
-    let vectors = window_vectors_with(
+    let mut vectors = window_vectors_with(
         trace,
         app,
         view.window,
@@ -532,9 +533,11 @@ fn collect_samples(
     let mut ys = Vec::with_capacity(windows.len());
     let mut ms = Vec::with_capacity(windows.len());
     for w in windows {
-        let Some(v) = vectors.get(&w) else { continue };
+        let Some(v) = vectors.remove(&w) else {
+            continue;
+        };
         let level = levels[&w];
-        xs.push(v.clone());
+        xs.push(v);
         ys.push(view.bins.classify(level));
         ms.push(SampleMeta {
             target,

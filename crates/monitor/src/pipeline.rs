@@ -442,9 +442,29 @@ impl FeaturePipeline {
     /// block (`n_devices × features`). This is the vector assembly the
     /// dataset layer trains on — the same blocks, from the same emitted
     /// windows, the serving layer predicts on.
+    ///
+    /// Only the target's own ops and RPCs are read, with every server
+    /// sample: another app's records write only that app's client cell,
+    /// and which event closes a window never changes what is in it (a
+    /// sample at `t'` belongs to a window no earlier than any event's at
+    /// `t < t'`, and samples merge first at equal times), so the blocks
+    /// are the bits [`FeaturePipeline::run_windows`] +
+    /// [`EmittedWindow::feature_blocks`] give for the target.
     pub fn run_vectors(self, trace: &RunTrace, target: AppId) -> HashMap<u64, Vec<f32>> {
         let (fcfg, n_devices, window) = (self.fcfg, self.n_devices, self.cfg.window);
-        self.run_windows(trace)
+        let ops: Vec<OpRecord> = trace
+            .ops
+            .iter()
+            .filter(|o| o.token.app == target)
+            .copied()
+            .collect();
+        let rpcs: Vec<RpcRecord> = trace
+            .rpcs
+            .iter()
+            .filter(|r| r.app == target)
+            .copied()
+            .collect();
+        self.run_streams(&ops, &rpcs, &trace.samples)
             .iter()
             .filter_map(|ew| {
                 let client = ew.clients.get(&target)?;

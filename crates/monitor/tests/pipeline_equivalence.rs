@@ -10,7 +10,8 @@
 //! cover the ways that merge is entered: the control tick's pattern
 //! (the same trace ingested in bounded steps) against one whole-trace
 //! ingest, and `run_streams` over a shuffled copy against the sorted
-//! one.
+//! one. A last one holds the dataset harvest's target-only read
+//! (`run_vectors`) to the all-apps path the serving tier uses.
 
 use std::collections::HashMap;
 
@@ -441,5 +442,46 @@ proptest! {
         let sorted = fresh().run_streams(&trace.ops, &trace.rpcs, &trace.samples);
         let shuffled = fresh().run_streams(&s_ops, &s_rpcs, &s_samples);
         assert_emitted_eq(&shuffled, &sorted, cfg, n_devices);
+    }
+
+    /// `run_vectors` reads only the target's ops and RPCs (plus every
+    /// sample), yet returns, f32 bit for bit, the target's block from
+    /// every window the all-apps `run_windows` + `feature_blocks` emit —
+    /// with a sample, an RPC and an op tied on window boundaries.
+    #[test]
+    fn target_only_vectors_equal_the_all_apps_blocks(
+        ops in arb_ops(),
+        cluster in (1u32..4).prop_flat_map(|n| (Just(n), arb_rpcs(n), arb_samples(n))),
+        tie_windows in prop::collection::vec(1u64..8, 1..4),
+        target in 0u32..3,
+    ) {
+        let (n_devices, rpcs, samples) = cluster;
+        let cfg = WindowConfig::seconds(1);
+        let fcfg = FeatureConfig::default();
+        let mut trace = build_trace(&ops, &rpcs, &samples);
+        for &w in &tie_windows {
+            tie_at(&mut trace, cfg.start_of(w));
+        }
+        let fresh = || FeaturePipeline::new(cfg, fcfg, n_devices);
+        let bits = |block: &[f32]| -> Vec<u32> { block.iter().map(|f| f.to_bits()).collect() };
+
+        let mut oracle: Vec<(u64, Vec<u32>)> = fresh()
+            .run_windows(&trace)
+            .iter()
+            .flat_map(|ew| {
+                ew.feature_blocks(fcfg, n_devices, cfg.window)
+                    .into_iter()
+                    .filter(|(app, _, _)| *app == AppId(target))
+                    .map(|(_, block, _)| (ew.window, bits(&block)))
+            })
+            .collect();
+        oracle.sort_unstable();
+        let mut got: Vec<(u64, Vec<u32>)> = fresh()
+            .run_vectors(&trace, AppId(target))
+            .into_iter()
+            .map(|(w, block)| (w, bits(&block)))
+            .collect();
+        got.sort_unstable();
+        prop_assert_eq!(got, oracle);
     }
 }

@@ -376,20 +376,25 @@ impl Cluster {
         self.install_file(file, len, layout);
     }
 
-    /// Like [`Cluster::precreate_file`] but with an explicit OST list
-    /// (one per stripe), for workloads that need controlled placement.
+    /// Like [`Cluster::precreate_file`] but striped over `count`
+    /// consecutive OSTs from `first` (wrapping), for workloads that need
+    /// controlled placement.
     pub fn precreate_file_on(
         &mut self,
         file: FileKey,
         len: u64,
         stripe_size: u64,
-        osts: Vec<DeviceId>,
+        first: DeviceId,
+        count: u32,
     ) {
-        assert!(!osts.is_empty());
-        for d in &osts {
-            assert!(d.0 < self.cfg.n_osts(), "placement on a non-OST device");
-        }
-        let layout = FileLayout { stripe_size, osts };
+        let n_osts = self.cfg.n_osts();
+        assert!(first.0 < n_osts, "placement on a non-OST device");
+        assert!((1..=n_osts).contains(&count), "stripe count out of range");
+        let layout = FileLayout {
+            stripe_size,
+            first,
+            count,
+        };
         self.install_file(file, len, layout);
     }
 
@@ -1104,8 +1109,8 @@ mod tests {
         let run = |with_noise: bool| -> f64 {
             let mut cl = cluster(ClusterConfig::small(), 3);
             // Everything on OST 0 so the streams genuinely share a disk.
-            let ost0 = vec![cl.ost(0)];
-            cl.precreate_file_on(file(1), 64 * 1024 * 1024, 1024 * 1024, ost0.clone());
+            let ost0 = cl.ost(0);
+            cl.precreate_file_on(file(1), 64 * 1024 * 1024, 1024 * 1024, ost0, 1);
             let reader_ops: Vec<IoOp> = (0..32)
                 .map(|i| IoOp::Read {
                     file: file(1),
@@ -1121,7 +1126,7 @@ mod tests {
                         app: AppId(99),
                         num: k,
                     };
-                    cl.precreate_file_on(nf, 512 * 1024 * 1024, 1024 * 1024, ost0.clone());
+                    cl.precreate_file_on(nf, 512 * 1024 * 1024, 1024 * 1024, ost0, 1);
                     let mut i = 0u64;
                     let noise = move |_now: SimTime| {
                         i += 1;
@@ -1157,9 +1162,9 @@ mod tests {
             let mut cfg = ClusterConfig::small();
             cfg.cache.dirty_limit = 16 * 1024 * 1024;
             let mut cl = cluster(cfg, 9);
-            let ost0 = vec![cl.ost(0)];
+            let ost0 = cl.ost(0);
             // Tiny-writer target: 60 x 3901-byte files on OST 0.
-            cl.precreate_file_on(file(1), 4096, 512, ost0.clone());
+            cl.precreate_file_on(file(1), 4096, 512, ost0, 1);
             let tiny_ops: Vec<IoOp> = (0..60)
                 .map(|i| IoOp::Write {
                     file: file(1),
@@ -1173,7 +1178,7 @@ mod tests {
                     app: AppId(77),
                     num: 0,
                 };
-                cl.precreate_file_on(bulk, 512 * 1024 * 1024, 1024 * 1024, ost0);
+                cl.precreate_file_on(bulk, 512 * 1024 * 1024, 1024 * 1024, ost0, 1);
                 let mut i = 0u64;
                 let noise = move |_now: SimTime| {
                     i += 1;
@@ -1206,8 +1211,8 @@ mod tests {
         // the same OST.
         let run = |with_bulk: bool| -> f64 {
             let mut cl = cluster(ClusterConfig::small(), 10);
-            let ost0 = vec![cl.ost(0)];
-            cl.precreate_file_on(file(1), 64 * 1024 * 1024, 1024 * 1024, ost0.clone());
+            let ost0 = cl.ost(0);
+            cl.precreate_file_on(file(1), 64 * 1024 * 1024, 1024 * 1024, ost0, 1);
             let ops: Vec<IoOp> = (0..32)
                 .map(|i| IoOp::Read {
                     file: file(1),
@@ -1221,7 +1226,7 @@ mod tests {
                     app: AppId(88),
                     num: 0,
                 };
-                cl.precreate_file_on(bulk, 512 * 1024 * 1024, 1024 * 1024, ost0);
+                cl.precreate_file_on(bulk, 512 * 1024 * 1024, 1024 * 1024, ost0, 1);
                 let mut i = 0u64;
                 let noise = move |_now: SimTime| {
                     i += 1;
@@ -1284,8 +1289,8 @@ mod tests {
         cfg.cache.dirty_limit = 8 * 1024 * 1024;
         cfg.sample_interval = SimDuration::from_millis(100);
         let mut cl = cluster(cfg, 3);
-        let ost0 = vec![cl.ost(0)];
-        cl.precreate_file_on(file(1), 256 * 1024 * 1024, 1024 * 1024, ost0);
+        let ost0 = cl.ost(0);
+        cl.precreate_file_on(file(1), 256 * 1024 * 1024, 1024 * 1024, ost0, 1);
         let ops: Vec<IoOp> = (0..128)
             .map(|i| IoOp::Write {
                 file: file(1),
@@ -1466,8 +1471,8 @@ mod tests {
                 self.1.take().map_or(ProgramStep::Finished, ProgramStep::Op)
             }
         }
-        let ost0 = vec![cl.ost(0)];
-        cl.precreate_file_on(file(1), 64 * 1024 * 1024, 1024 * 1024, ost0);
+        let ost0 = cl.ost(0);
+        cl.precreate_file_on(file(1), 64 * 1024 * 1024, 1024 * 1024, ost0, 1);
         let read = IoOp::Read {
             file: file(1),
             offset: 0,

@@ -1,8 +1,8 @@
 //! File striping and on-device extent allocation.
 //!
-//! A file is striped round-robin across `stripe_count` OSTs in
+//! A file is striped round-robin across `count` consecutive OSTs in
 //! `stripe_size` units, exactly like Lustre: byte `b` of the file lives in
-//! stripe `(b / stripe_size) % stripe_count`. Each (file, stripe) pair is
+//! stripe `(b / stripe_size) % count`. Each (file, stripe) pair is
 //! an *object* on one OST; objects own sector extents handed out by a
 //! per-OST bump allocator, so writes interleaved from many clients
 //! fragment the disk layout — and later sequential reads pay seeks for it.
@@ -12,19 +12,23 @@ use qi_simkit::hash::IdMap;
 use crate::config::SECTOR_SIZE;
 use crate::ids::{DeviceId, FileKey};
 
-/// Where the stripes of one file live.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Where the stripes of one file live: `count` consecutive OSTs from
+/// `first`, wrapping at the cluster's OST count, so stripe `i` is on
+/// OST `(first + i) % n_osts`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FileLayout {
     /// Stripe unit in bytes.
     pub stripe_size: u64,
-    /// OSTs, one per stripe, in round-robin order.
-    pub osts: Vec<DeviceId>,
+    /// OST of stripe 0.
+    pub first: DeviceId,
+    /// Stripe count (≥ 1, ≤ the cluster's OST count).
+    pub count: u32,
 }
 
 impl FileLayout {
-    /// Stripe count.
-    pub fn stripe_count(&self) -> u32 {
-        self.osts.len() as u32
+    /// The OST holding stripe `stripe`, on a cluster of `n_osts` OSTs.
+    pub fn ost(&self, stripe: u32, n_osts: u32) -> DeviceId {
+        DeviceId((self.first.0 + stripe) % n_osts)
     }
 }
 
@@ -41,21 +45,22 @@ pub struct Chunk {
     pub len: u64,
 }
 
-/// Split the file byte range `[offset, offset+len)` into per-object chunks.
+/// Split the file byte range `[offset, offset+len)` into per-object
+/// chunks, on a cluster of `n_osts` OSTs.
 ///
 /// The returned chunks partition the range exactly, in file order.
-pub fn chunks(layout: &FileLayout, offset: u64, len: u64) -> Vec<Chunk> {
+pub fn chunks(layout: &FileLayout, n_osts: u32, offset: u64, len: u64) -> Vec<Chunk> {
     let mut out = Vec::new();
-    chunks_into(layout, offset, len, &mut out);
+    chunks_into(layout, n_osts, offset, len, &mut out);
     out
 }
 
 /// [`chunks`], appending into a caller-owned buffer. The hot path reuses
 /// one scratch `Vec` across every op instead of allocating per I/O.
-pub fn chunks_into(layout: &FileLayout, offset: u64, len: u64, out: &mut Vec<Chunk>) {
+pub fn chunks_into(layout: &FileLayout, n_osts: u32, offset: u64, len: u64, out: &mut Vec<Chunk>) {
     assert!(len > 0, "zero-length I/O");
     let ss = layout.stripe_size;
-    let sc = layout.stripe_count() as u64;
+    let sc = layout.count as u64;
     let mut pos = offset;
     let end = offset + len;
     while pos < end {
@@ -65,7 +70,7 @@ pub fn chunks_into(layout: &FileLayout, offset: u64, len: u64, out: &mut Vec<Chu
         let take = (ss - within).min(end - pos);
         let obj_offset = (stripe_no / sc) * ss + within;
         out.push(Chunk {
-            dev: layout.osts[stripe as usize],
+            dev: layout.ost(stripe, n_osts),
             stripe,
             obj_offset,
             len: take,
@@ -222,7 +227,8 @@ mod tests {
     fn layout(n: u32) -> FileLayout {
         FileLayout {
             stripe_size: 1024 * 1024,
-            osts: (0..n).map(DeviceId).collect(),
+            first: DeviceId(0),
+            count: n,
         }
     }
 
@@ -239,7 +245,7 @@ mod tests {
     #[test]
     fn chunks_partition_exactly() {
         let l = layout(3);
-        let cs = chunks(&l, 500_000, 3_000_000);
+        let cs = chunks(&l, 3, 500_000, 3_000_000);
         let total: u64 = cs.iter().map(|c| c.len).sum();
         assert_eq!(total, 3_000_000);
         // Chunks are in file order and within stripe bounds.
@@ -254,22 +260,35 @@ mod tests {
         let ss = l.stripe_size;
         // Byte at offset 0 → stripe 0; ss → stripe 1; 2ss → stripe 2; 3ss → stripe 0 again.
         for (off, want) in [(0, 0u32), (ss, 1), (2 * ss, 2), (3 * ss, 0)] {
-            let c = chunks(&l, off, 1);
+            let c = chunks(&l, 3, off, 1);
             assert_eq!(c.len(), 1);
             assert_eq!(c[0].stripe, want);
         }
         // Second pass over stripe 0 lands at object offset ss.
-        let c = chunks(&l, 3 * ss, 1);
+        let c = chunks(&l, 3, 3 * ss, 1);
         assert_eq!(c[0].obj_offset, ss);
     }
 
     #[test]
     fn single_stripe_file_is_one_object() {
         let l = layout(1);
-        let cs = chunks(&l, 0, 10 * 1024 * 1024);
+        let cs = chunks(&l, 3, 0, 10 * 1024 * 1024);
         assert_eq!(cs.len(), 10);
         assert!(cs.iter().all(|c| c.stripe == 0));
         assert_eq!(cs[9].obj_offset, 9 * 1024 * 1024);
+    }
+
+    #[test]
+    fn stripes_wrap_at_the_ost_count() {
+        let l = FileLayout {
+            first: DeviceId(2),
+            ..layout(3)
+        };
+        let devs: Vec<u32> = chunks(&l, 4, 0, 4 * l.stripe_size)
+            .iter()
+            .map(|c| c.dev.0)
+            .collect();
+        assert_eq!(devs, [2, 3, 0, 2]);
     }
 
     #[test]

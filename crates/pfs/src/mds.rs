@@ -182,14 +182,15 @@ impl Mds {
         len: u64,
         out: &mut Vec<Chunk>,
     ) {
-        match self.namespace.get(&file) {
-            Some(layout) => chunks_into(layout, offset, len, out),
+        let layout = match self.namespace.get(&file) {
+            Some(&layout) => layout,
             None => {
                 let layout = self.make_layout(cfg, file, None);
-                chunks_into(&layout, offset, len, out);
                 self.namespace.insert(file, layout);
+                layout
             }
-        }
+        };
+        chunks_into(&layout, cfg.n_osts(), offset, len, out);
     }
 
     /// Register a pre-existing file. It was created by an earlier phase
@@ -210,11 +211,10 @@ impl Mds {
     ) -> FileLayout {
         let s = stripe.unwrap_or(cfg.stripe);
         let n_osts = cfg.n_osts();
-        let count = s.stripe_count.clamp(1, n_osts);
-        let start = (file_hash(file) % n_osts as u64) as u32;
         FileLayout {
             stripe_size: s.stripe_size,
-            osts: (0..count).map(|i| DeviceId((start + i) % n_osts)).collect(),
+            first: DeviceId((file_hash(file) % n_osts as u64) as u32),
+            count: s.stripe_count.clamp(1, n_osts),
         }
     }
 

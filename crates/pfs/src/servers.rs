@@ -292,7 +292,7 @@ impl Servers {
             return;
         }
         let small = len <= cfg.cache.small_object_max;
-        for c in chunks(layout, 0, len) {
+        for c in chunks(layout, cfg.n_osts(), 0, len) {
             let key = ObjKey {
                 file,
                 stripe: c.stripe,

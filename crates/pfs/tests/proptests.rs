@@ -13,7 +13,8 @@ use qi_simkit::time::{SimDuration, SimTime};
 fn layout(stripe_size: u64, count: u32) -> FileLayout {
     FileLayout {
         stripe_size,
-        osts: (0..count).map(DeviceId).collect(),
+        first: DeviceId(0),
+        count,
     }
 }
 
@@ -29,7 +30,7 @@ proptest! {
         count in 1u32..8,
     ) {
         let l = layout(stripe_kib * 1024, count);
-        let cs = chunks(&l, offset, len);
+        let cs = chunks(&l, count, offset, len);
         let total: u64 = cs.iter().map(|c| c.len).sum();
         prop_assert_eq!(total, len);
         let mut pos = offset;

@@ -68,12 +68,14 @@ impl RankProgram for ScriptProgram {
 pub enum Placement {
     /// Round-robin OST assignment with an optional stripe override.
     RoundRobin(Option<StripeConfig>),
-    /// Explicit OST list (one entry per stripe).
+    /// `count` consecutive OSTs from `first`, wrapping at the OST count.
     Explicit {
         /// Stripe unit in bytes.
         stripe_size: u64,
-        /// Target OSTs.
-        osts: Vec<DeviceId>,
+        /// OST of stripe 0.
+        first: DeviceId,
+        /// Stripe count.
+        count: u32,
     },
 }
 
@@ -226,9 +228,11 @@ pub fn deploy_delayed(
     for pf in workload.precreate(ns, ranks, &cfg) {
         match pf.placement {
             Placement::RoundRobin(stripe) => cl.precreate_file(pf.file, pf.len, stripe),
-            Placement::Explicit { stripe_size, osts } => {
-                cl.precreate_file_on(pf.file, pf.len, stripe_size, osts)
-            }
+            Placement::Explicit {
+                stripe_size,
+                first,
+                count,
+            } => cl.precreate_file_on(pf.file, pf.len, stripe_size, first, count),
         }
     }
     let programs: Vec<Box<dyn RankProgram>> = (0..ranks)
@@ -279,11 +283,6 @@ pub fn nsfile(ns: AppId, num: u64) -> FileKey {
 /// Directory key helper within a namespace.
 pub fn nsdir(ns: AppId, num: u64) -> qi_pfs::ids::DirKey {
     qi_pfs::ids::DirKey { app: ns, num }
-}
-
-/// All OSTs of a cluster configuration, for wide striping.
-pub fn all_osts(cfg: &ClusterConfig) -> Vec<DeviceId> {
-    (0..cfg.n_osts()).map(DeviceId).collect()
 }
 
 #[cfg(test)]

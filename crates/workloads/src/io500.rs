@@ -22,7 +22,7 @@ use qi_pfs::config::ClusterConfig;
 use qi_pfs::ids::{AppId, DeviceId};
 use qi_pfs::ops::IoOp;
 
-use crate::common::{all_osts, nsdir, nsfile, Placement, PrecreateFile, ScriptStep, Workload};
+use crate::common::{nsdir, nsfile, Placement, PrecreateFile, ScriptStep, Workload};
 
 /// IOR transfer size for the "hard" tasks (the IO500-mandated odd size).
 pub const IOR_HARD_XFER: u64 = 47_008;
@@ -44,8 +44,8 @@ fn mdt_file(ns: AppId, rank: u32, i: u32) -> qi_pfs::ids::FileKey {
 /// application namespace so concurrent instances spread over all OSTs
 /// the way Lustre's allocator would, while staying deterministic for a
 /// given instance across baseline/interfered runs.
-fn rank_ost(cfg: &ClusterConfig, ns: AppId, rank: u32) -> Vec<DeviceId> {
-    vec![DeviceId((rank + ns.0) % cfg.n_osts())]
+fn rank_ost(cfg: &ClusterConfig, ns: AppId, rank: u32) -> DeviceId {
+    DeviceId((rank + ns.0) % cfg.n_osts())
 }
 
 /// `ior-easy`: file-per-process sequential I/O with large transfers.
@@ -97,7 +97,8 @@ impl Workload for IorEasy {
                 len: self.file_bytes,
                 placement: Placement::Explicit {
                     stripe_size: self.xfer,
-                    osts: rank_ost(cfg, ns, r),
+                    first: rank_ost(cfg, ns, r),
+                    count: 1,
                 },
             })
             .collect()
@@ -185,7 +186,8 @@ impl Workload for IorHard {
             len: self.shared_len(ranks),
             placement: Placement::Explicit {
                 stripe_size: 1024 * 1024,
-                osts: all_osts(cfg),
+                first: DeviceId(0),
+                count: cfg.n_osts(),
             },
         }]
     }
