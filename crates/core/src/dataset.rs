@@ -2,6 +2,7 @@
 //! baselines, and assemble per-server feature vectors into datasets.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 use rayon::prelude::*;
 
@@ -347,6 +348,8 @@ pub(crate) struct Combo {
 /// grid-wide barrier. Results are returned in fixed order, so every
 /// caller's output is identical at any thread count. Baselines always
 /// run healthy: a faulted combo is measured against fault-free hardware.
+/// Each interfered run records into the buffers of a trace an earlier
+/// run handed back once harvested ([`Scenario::run_recycling`]).
 pub(crate) fn run_grid<B: Send, C: Send>(
     spec: &DatasetSpec,
     baseline: impl Fn(WorkloadKind, u64, AppId, &RunTrace) -> B + Sync,
@@ -392,6 +395,12 @@ pub(crate) fn run_grid<B: Send, C: Send>(
             .push(ci);
     }
 
+    // Finished interfered traces, handed to the next run so it records
+    // into their buffers instead of regrowing its own from zero. Every
+    // update is one push or pop, so a poisoned pool is still valid.
+    let spares: Mutex<Vec<RunTrace>> = Mutex::new(Vec::new());
+    let spares = || spares.lock().unwrap_or_else(PoisonError::into_inner);
+
     type KeyResult<B, C> = (B, Vec<(usize, C)>);
     let per_key: Vec<KeyResult<B, C>> = base_keys
         .par_iter()
@@ -418,9 +427,13 @@ pub(crate) fn run_grid<B: Send, C: Send>(
                                 ranks: spec.noise_ranks,
                             });
                     scenario.fault_plan = combo.fault.plan(&spec.cluster);
-                    let (run_app, trace) = scenario.run()?;
+                    // Its own statement: the lock is released before the run.
+                    let spare = spares().pop().unwrap_or_default();
+                    let (run_app, trace) = scenario.run_recycling(spare, |_| {})?;
                     debug_assert_eq!(run_app, app);
-                    Ok((ci, interfered(combo, app, &base, &trace)))
+                    let run = interfered(combo, app, &base, &trace);
+                    spares().push(trace);
+                    Ok((ci, run))
                 })
                 .collect::<Result<_, _>>()?;
             Ok((baseline(target, seed, app, &base), runs))

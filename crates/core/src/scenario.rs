@@ -119,7 +119,7 @@ impl Scenario {
     /// The run stops when the target completes (or at the deadline).
     /// Fails if the cluster configuration or fault plan is invalid.
     pub fn run(&self) -> Result<(AppId, RunTrace), QiError> {
-        self.run_with(|_| {})
+        self.run_recycling(RunTrace::default(), |_| {})
     }
 
     /// Like [`Scenario::run`], but lets the caller adjust the freshly
@@ -129,9 +129,24 @@ impl Scenario {
         &self,
         prepare: impl FnOnce(&mut Cluster),
     ) -> Result<(AppId, RunTrace), QiError> {
+        self.run_recycling(RunTrace::default(), prepare)
+    }
+
+    /// Like [`Scenario::run_with`], but records into `spare`'s buffers
+    /// (see [`ClusterBuilder::recycle`]): a loop over many runs hands
+    /// each finished trace back and stops regrowing its vectors. The
+    /// result is identical to a run on fresh buffers.
+    ///
+    /// [`ClusterBuilder::recycle`]: qi_pfs::cluster::ClusterBuilder::recycle
+    pub fn run_recycling(
+        &self,
+        spare: RunTrace,
+        prepare: impl FnOnce(&mut Cluster),
+    ) -> Result<(AppId, RunTrace), QiError> {
         let mut builder = Cluster::builder()
             .config(self.cluster.clone())
-            .seed(self.seed);
+            .seed(self.seed)
+            .recycle(spare);
         if let Some(plan) = &self.fault_plan {
             builder = builder.fault_plan(plan.clone());
         }

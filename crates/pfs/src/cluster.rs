@@ -38,7 +38,9 @@ use crate::ids::{AppId, DeviceId, FileKey, NodeId, OpToken};
 use crate::layout::{Chunk, FileLayout, ObjKey};
 use crate::mds::{Mds, META_MSG_BYTES};
 use crate::net::{LinkFate, LinkFault, LinkFaultKind, Network};
-use crate::ops::{IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace};
+use crate::ops::{
+    IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace, ServerSample,
+};
 use crate::servers::{Ev, Fx, MetaOp, Msg, Servers};
 
 /// Client-side per-op syscall/dispatch overhead.
@@ -152,6 +154,9 @@ pub struct ClusterBuilder {
     seed: u64,
     fault_plan: FaultPlan,
     retry: RetryPolicy,
+    /// Emptied record buffers the run records into (see
+    /// [`ClusterBuilder::recycle`]).
+    buffers: (Vec<OpRecord>, Vec<RpcRecord>, Vec<ServerSample>),
 }
 
 impl ClusterBuilder {
@@ -187,6 +192,24 @@ impl ClusterBuilder {
         self
     }
 
+    /// Record into `spare`'s `ops`, `rpcs` and `samples` buffers,
+    /// emptied, instead of growing new ones from zero. Only their
+    /// capacity carries over: everything else of `spare` is dropped and
+    /// the run's trace starts as [`RunTrace::default`].
+    pub fn recycle(mut self, spare: RunTrace) -> Self {
+        let RunTrace {
+            mut ops,
+            mut rpcs,
+            mut samples,
+            ..
+        } = spare;
+        ops.clear();
+        rpcs.clear();
+        samples.clear();
+        self.buffers = (ops, rpcs, samples);
+        self
+    }
+
     /// Validate and construct the cluster.
     pub fn build(self) -> Result<Cluster, QiError> {
         let cfg = &self.cfg;
@@ -214,11 +237,19 @@ impl ClusterBuilder {
             cfg.n_nodes() as usize,
             cfg.oss_nodes as usize,
         )?;
+        let (ops, rpcs, samples) = self.buffers;
+        let trace = RunTrace {
+            ops,
+            rpcs,
+            samples,
+            ..RunTrace::default()
+        };
         Ok(Cluster::construct(
             self.cfg,
             self.seed,
             self.fault_plan,
             self.retry,
+            trace,
         ))
     }
 }
@@ -229,7 +260,13 @@ impl Cluster {
         ClusterBuilder::new()
     }
 
-    fn construct(cfg: ClusterConfig, seed: u64, fault_plan: FaultPlan, retry: RetryPolicy) -> Self {
+    fn construct(
+        cfg: ClusterConfig,
+        seed: u64,
+        fault_plan: FaultPlan,
+        retry: RetryPolicy,
+        trace: RunTrace,
+    ) -> Self {
         // One slot per node: measured pending depth peaks at 100 events
         // on the 97-node benchmark cluster, and at 37 and 59 on the
         // paper testbed's full IO500 and DLIO grids. Deeper runs grow
@@ -244,7 +281,7 @@ impl Cluster {
             mds: Mds::new(&cfg, SimRng::new(seed).substream(0xC10D)),
             control: ControlPlane::default(),
             apps: Vec::new(),
-            trace: RunTrace::default(),
+            trace,
             fault_plan,
             retry,
             fault_rng: SimRng::new(seed).substream(0xFA17),
@@ -868,13 +905,17 @@ impl Cluster {
                     completed: now,
                 });
             }
-            self.fx.schedule(
-                now,
-                Ev::RankNext {
-                    app: token.app.0,
-                    rank: token.rank,
-                },
-            );
+            // The rank's next step is due now. Every caller returns
+            // right after this call, so when nothing else is due now the
+            // step would pop next: run it inline (see
+            // `EventQueue::claim_now`).
+            let (app, rank) = (token.app.0, token.rank);
+            debug_assert_eq!(now, self.fx.q.now());
+            if self.fx.q.claim_now() {
+                self.rank_next(now, app, rank);
+            } else {
+                self.fx.schedule(now, Ev::RankNext { app, rank });
+            }
         }
     }
 
@@ -1427,6 +1468,46 @@ mod tests {
         assert!(trace.directives.is_empty());
         assert_eq!(trace.metrics.counter("pfs.control.rejected"), Some(ticks));
         assert_eq!(trace.metrics.counter("pfs.control.applied"), Some(0));
+    }
+
+    #[test]
+    fn a_recycled_builder_keeps_only_empty_record_buffers() {
+        // A finished rate-limited run, then a failed op by hand: every
+        // field of the spare differs from the default.
+        let mut cl = cluster(ClusterConfig::small(), 5);
+        let writes = (0..8)
+            .map(|i| IoOp::Write {
+                file: file(1),
+                offset: i * 1024 * 1024,
+                len: 1024 * 1024,
+            })
+            .collect();
+        let app = cl.add_app("w", vec![script(writes)], &[NodeId(0)]);
+        let limit = ControlDirective::RateLimit {
+            app,
+            bytes_per_sec: 1e9,
+        };
+        cl.apply_directive(SimTime::ZERO, 0, limit)
+            .expect("valid directive");
+        let mut spare = cl.run(SimTime::from_secs(3));
+        spare.failed_ops.push(spare.ops[0].token);
+        assert!(!spare.rpcs.is_empty() && !spare.samples.is_empty());
+        assert!(!spare.directives.is_empty() && spare.completion_of(app).is_some());
+        let capacity = |t: &RunTrace| (t.ops.capacity(), t.rpcs.capacity(), t.samples.capacity());
+        let kept = capacity(&spare);
+
+        let cl = Cluster::builder()
+            .config(ClusterConfig::small())
+            .recycle(spare)
+            .build()
+            .expect("valid test cluster");
+        let t = &cl.trace;
+        assert!(t.ops.is_empty() && t.rpcs.is_empty() && t.samples.is_empty());
+        assert_eq!(capacity(t), kept, "the buffers are reused, not reallocated");
+        assert!(t.app_completion.is_empty() && t.failed_ops.is_empty());
+        assert!(t.directives.is_empty());
+        assert_eq!((t.end, t.events_processed), (SimTime::ZERO, 0));
+        assert_eq!(t.metrics, MetricsSnapshot::new());
     }
 
     #[test]

@@ -250,8 +250,10 @@ pub struct RunTrace {
     pub directives: Vec<DirectiveRecord>,
     /// Simulation end time.
     pub end: SimTime,
-    /// Events the simulation loop delivered to produce this trace. Not
-    /// part of the telemetry snapshot (golden renderings stay
+    /// Events the simulation loop delivered to produce this trace,
+    /// counting each continuation a handler ran inline instead of
+    /// queuing (`EventQueue::claim_now`) once, as the event it stands
+    /// for. Not part of the telemetry snapshot (golden renderings stay
     /// byte-stable); recorded for the scaling benches, which report
     /// events/second from it.
     pub events_processed: u64,

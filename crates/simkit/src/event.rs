@@ -249,6 +249,24 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Claim the current instant for a continuation the caller runs
+    /// inline instead of scheduling at [`now`]: succeeds only when no
+    /// pending event is due at or before `now`, and then counts as a
+    /// schedule at `now` popped at once (one sequence number, one
+    /// delivery). Such an event would pop next, ahead of anything the
+    /// caller schedules later, so running it inline changes no order.
+    /// On `false` nothing changes and the caller schedules as usual.
+    ///
+    /// [`now`]: EventQueue::now
+    pub fn claim_now(&mut self) -> bool {
+        if self.peek_time().is_some_and(|at| at <= self.now) {
+            return false;
+        }
+        self.seq += 1;
+        self.processed += 1;
+        true
+    }
+
     /// Remove the next event if it fires at or before `deadline`.
     fn take_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         match &mut self.backend {
@@ -471,6 +489,25 @@ mod tests {
                 let (got, _) = q.pop().expect("peeked event pops");
                 assert_eq!(got, t, "{b:?}");
             }
+        }
+    }
+
+    #[test]
+    fn claim_now_refuses_while_an_event_is_due() {
+        for b in BACKENDS {
+            let mut q = EventQueue::with_backend(b);
+            q.schedule(SimTime::from_secs(1), "tie");
+            q.schedule(SimTime::from_secs(1), "later");
+            q.schedule(SimTime::from_secs(2), "next");
+            q.pop();
+            // "later" is due at now: a continuation must queue behind it.
+            assert!(!q.claim_now(), "{b:?}");
+            assert_eq!(q.processed(), 1);
+            q.pop();
+            assert!(q.claim_now(), "{b:?}");
+            assert_eq!((q.processed(), q.pending()), (3, 1));
+            assert_eq!(q.pop(), Some((SimTime::from_secs(2), "next")), "{b:?}");
+            assert!(q.claim_now(), "an empty queue has nothing due");
         }
     }
 

@@ -9,11 +9,12 @@ use qi_simkit::table::AsciiTable;
 use qi_simkit::time::{SimDuration, SimTime};
 
 /// One step of an interleaved queue workout: schedule an event at
-/// `now + delta`, or pop (a `delta` in the sentinel band means pop).
+/// `now + delta`, pop, or claim the current instant.
 #[derive(Clone, Debug)]
 enum QueueOp {
     Push(u64),
     Pop,
+    Claim,
 }
 
 fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
@@ -24,7 +25,8 @@ fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
     prop::collection::vec((0u32..100, 0u64..u64::MAX), 1..max_len).prop_map(|raw| {
         raw.into_iter()
             .map(|(sel, r)| match sel {
-                0..=39 => QueueOp::Pop,
+                0..=34 => QueueOp::Pop,
+                35..=39 => QueueOp::Claim,
                 40..=49 => QueueOp::Push(0),
                 50..=74 => QueueOp::Push(1 + r % 1_000_000),
                 75..=89 => QueueOp::Push(1_000_000 + r % 99_000_000),
@@ -35,9 +37,9 @@ fn queue_ops(max_len: usize) -> impl Strategy<Value = Vec<QueueOp>> {
     })
 }
 
-/// One epoch of the parallel driver's use of the queue: drain through
-/// `now + len`, then — with the clock standing at the deadline — make
-/// these inserts before the next epoch begins.
+/// One epoch of a bounded drain: drain through `now + len`, then —
+/// with the clock standing at the deadline — make these inserts before
+/// the next epoch begins.
 type Epoch = (u64, Vec<(u32, u64)>);
 
 /// Everything observable of one run of the epoch pattern.
@@ -121,7 +123,7 @@ fn assert_epochs_agree(initial: &[u64], epochs: &[Epoch]) {
 /// and up to a tie with the far minimum — must come out in `(time, seq)`
 /// order.
 #[test]
-fn pop_until_refuses_overflow_events_without_advancing_the_wheel() {
+fn pop_until_refuses_far_future_events_without_moving_them() {
     const S: u64 = 1_000_000_000;
     let initial = [10 * S, 100 * S, 10 * S, 500];
     let epochs: Vec<Epoch> = vec![
@@ -138,11 +140,13 @@ fn pop_until_refuses_overflow_events_without_advancing_the_wheel() {
 }
 
 proptest! {
-    /// Arbitrary interleaved push/pop sequences through the packed
+    /// Arbitrary interleaved push/pop/claim sequences through the packed
     /// backend against the naive sorted-`Vec` model, standalone and as a
     /// backend — all must emit the identical `(time, seq, event)` order,
     /// including equal-timestamp FIFO ties and `u64::MAX` deltas
-    /// (clamped to absolute `u64::MAX`, the zero-width far edge).
+    /// (clamped to absolute `u64::MAX`, the zero-width far edge). A
+    /// claim succeeds exactly when nothing pending is due at or before
+    /// `now`, and then counts one delivery.
     #[test]
     fn backends_match_reference_model_interleaved(ops in queue_ops(120)) {
         let mut packed = EventQueue::with_backend(QueueBackend::Packed);
@@ -164,6 +168,16 @@ proptest! {
                     let want = model.pop().map(|(at, _, e)| (SimTime(at), e));
                     prop_assert_eq!(packed.pop(), want, "packed diverged at op {}", i);
                     prop_assert_eq!(refq.pop(), want, "reference diverged at op {}", i);
+                }
+                QueueOp::Claim => {
+                    let free = model.peek().is_none_or(|(at, _)| SimTime(at) > packed.now());
+                    let before = packed.processed();
+                    prop_assert_eq!(packed.claim_now(), free, "packed claim at op {}", i);
+                    prop_assert_eq!(refq.claim_now(), free, "reference claim at op {}", i);
+                    prop_assert_eq!(packed.processed(), before + u64::from(free));
+                    prop_assert_eq!(refq.processed(), packed.processed());
+                    // A claim takes a sequence number, as a schedule would.
+                    seq += u64::from(free);
                 }
             }
             prop_assert_eq!(packed.pending(), model.len());

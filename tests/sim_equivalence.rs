@@ -1,7 +1,8 @@
 //! Differential replay harness for the simulator core.
 //!
-//! The packed-key event queue and the arena-routed op tables are pure
-//! performance work: they must not move a single event. This harness
+//! The packed-key event queue, the arena-routed op tables and recycled
+//! trace buffers are pure performance work: they must not move a single
+//! event. This harness
 //! proves it by running the same seeded scenarios — healthy, faulted,
 //! injected, controlled and dense — under 1/2/8-thread rayon pools
 //! through the naive sorted-`Vec` `Reference` test double and the
@@ -194,6 +195,30 @@ fn sim_shards_is_accepted_and_ignored() {
         let got = controlled_run(QueueBackend::Packed, true, sim_shards);
         assert_traces_identical(&one, &got, &format!("sim_shards = {sim_shards} vs 1"));
     }
+}
+
+/// A run recording into buffers recycled from a larger, different run
+/// (controlled, on four OSS) is bit-identical to one on fresh buffers:
+/// only capacity carries over, and nothing reads it.
+#[test]
+fn recycled_trace_buffers_replay_identically() {
+    let fresh = scenario_run(QueueBackend::Packed, true);
+    let spare = controlled_run(QueueBackend::Packed, false, 1);
+    let lens = |t: &RunTrace| [t.ops.len(), t.rpcs.len(), t.samples.len()];
+    assert!(
+        lens(&spare).iter().zip(lens(&fresh)).all(|(s, f)| *s > f),
+        "the spare must be larger in every record stream: {:?} vs {:?}",
+        lens(&spare),
+        lens(&fresh)
+    );
+    assert!(
+        !spare.directives.is_empty(),
+        "the spare must hold directives"
+    );
+    let (_, recycled) = scenario(QueueBackend::Packed, true)
+        .run_recycling(spare, |_| {})
+        .expect("recycled run completes");
+    assert_traces_identical(&fresh, &recycled, "recycled vs fresh buffers");
 }
 
 /// Every client of an 8-OSS cluster streams 1 MiB writes to its own

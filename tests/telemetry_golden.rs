@@ -101,6 +101,20 @@ fn interfered_smoke_snapshot_matches_golden() {
     );
 }
 
+/// The simulator's own event count, which the snapshots leave out:
+/// queue work that moves no simulated event (a continuation run inline
+/// instead of queued) must still count each delivery once.
+#[test]
+fn smoke_runs_deliver_pinned_event_counts() {
+    for (what, scenario, events) in [
+        ("baseline", golden_scenario(), 338),
+        ("interfered", interfered_scenario(), 15_882),
+    ] {
+        let (_, trace) = scenario.run().expect("smoke scenario runs");
+        assert_eq!(trace.events_processed, events, "{what}");
+    }
+}
+
 #[test]
 fn golden_json_parses_and_reserialises_byte_identically() {
     if regen() {
