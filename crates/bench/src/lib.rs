@@ -15,7 +15,6 @@
 
 pub mod ablation_arch;
 pub mod ablation_features;
-pub mod ablation_model_extensions;
 pub mod ablation_window;
 pub mod anomaly_scale;
 pub mod closed_loop;
@@ -55,10 +54,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("ablation_arch", &["ablation_arch.csv"], ablation_arch::run),
     ("ablation_features", &["ablation_features.csv"], ablation_features::run),
     ("ablation_window", &["ablation_window.csv"], ablation_window::run),
-    ("ablation_model_extensions", &["ablation_model_extensions.csv"], ablation_model_extensions::run),
     ("feature_importance", &["feature_importance.csv"], feature_importance::run),
     ("control_loop", &["control_loop.csv"], closed_loop::experiment),
-    ("anomaly_scale", &["anomaly_monitoring.csv"], anomaly_scale::run),
+    ("anomaly_scale", &["anomaly_detection.csv", "anomaly_monitoring.csv"], anomaly_scale::run),
 ];
 
 /// The experiments `names` select, in [`EXPERIMENTS`] order (all of

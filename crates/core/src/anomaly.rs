@@ -22,7 +22,10 @@
 //! When an [`AdaptiveSampler`] budget is configured, the detector thins
 //! the per-device sample series *before* featurization and folds the
 //! sampler's `monitor.sampler.*` accounting into the same snapshot —
-//! the ingest-cost story of the adaptive-monitoring satellite.
+//! the ingest-cost story of the adaptive-monitoring satellite. The
+//! sampler is part of the fit: the healthy baselines are read through
+//! it too, because thinned samples shift the window features, and a
+//! forest fitted on unthinned windows flags thinned healthy ones.
 
 use std::borrow::Cow;
 
@@ -81,25 +84,51 @@ impl AnomalyReport {
     }
 }
 
+/// Every `(window, app, block)` a trace featurizes to.
+type Blocks = Vec<(u64, AppId, Vec<f32>)>;
+
+/// The one featurization every detector path runs: the trace's sample
+/// stream, thinned by `sampler` when one is given, driven with its ops
+/// and RPCs through the canonical [`FeaturePipeline`]. Returns every
+/// emitted `(window, app, block)` in window order, apps sorted inside a
+/// window, and the sampler's accounting.
+fn featurize(
+    trace: &RunTrace,
+    wcfg: WindowConfig,
+    fcfg: FeatureConfig,
+    n_devices: u32,
+    sampler: Option<SamplerConfig>,
+) -> (Blocks, Option<SamplerStats>) {
+    let (samples, stats) = match sampler {
+        Some(cfg) => {
+            let (kept, stats) = AdaptiveSampler::run(cfg, wcfg, trace.samples.iter().copied());
+            (Cow::Owned(kept), Some(stats))
+        }
+        None => (Cow::Borrowed(trace.samples.as_slice()), None),
+    };
+    let blocks = FeaturePipeline::new(wcfg, fcfg, n_devices)
+        .run_streams(&trace.ops, &trace.rpcs, &samples)
+        .iter()
+        .flat_map(|ew| {
+            ew.feature_blocks(fcfg, n_devices, wcfg.window)
+                .into_iter()
+                .map(|(app, block, _)| (ew.window, app, block))
+        })
+        .collect();
+    (blocks, stats)
+}
+
 /// Every per-`(window, app)` feature vector a trace featurizes to, in
-/// window order with apps sorted inside each window — the row set both
-/// healthy-baseline fitting and [`AnomalyDetector::analyze`] consume,
-/// assembled by the one canonical [`FeaturePipeline`].
+/// window order with apps sorted inside each window — the rows a
+/// detector without a sampler fits on and scores.
 pub fn feature_rows(
     trace: &RunTrace,
     wcfg: WindowConfig,
     fcfg: FeatureConfig,
     n_devices: u32,
 ) -> Vec<Vec<f32>> {
-    FeaturePipeline::new(wcfg, fcfg, n_devices)
-        .run_windows(trace)
-        .iter()
-        .flat_map(|ew| {
-            ew.feature_blocks(fcfg, n_devices, wcfg.window)
-                .into_iter()
-                .map(|(_, block, _)| block)
-        })
-        .collect()
+    let blocks = featurize(trace, wcfg, fcfg, n_devices, None).0;
+    blocks.into_iter().map(|(_, _, block)| block).collect()
 }
 
 /// A fitted isolation-forest detector bound to one featurization
@@ -115,7 +144,9 @@ pub struct AnomalyDetector {
 
 impl AnomalyDetector {
     /// Fit a detector on healthy-baseline traces: featurize every
-    /// trace, fit the seeded forest on the pooled rows, and set the
+    /// trace — through the budget-bounded adaptive `sampler` when one
+    /// is given, as [`AnomalyDetector::analyze`] will read every later
+    /// trace — fit the seeded forest on the pooled rows, and set the
     /// verdict threshold at the `threshold_pct` percentile of the
     /// healthy scores (e.g. `95.0`).
     pub fn fit_healthy(
@@ -123,43 +154,22 @@ impl AnomalyDetector {
         wcfg: WindowConfig,
         fcfg: FeatureConfig,
         n_devices: u32,
+        sampler: Option<SamplerConfig>,
         healthy: &[RunTrace],
         threshold_pct: f64,
     ) -> AnomalyDetector {
         let rows: Vec<Vec<f32>> = healthy
             .iter()
-            .flat_map(|t| feature_rows(t, wcfg, fcfg, n_devices))
+            .flat_map(|t| featurize(t, wcfg, fcfg, n_devices, sampler).0)
+            .map(|(_, _, block)| block)
             .collect();
         AnomalyDetector {
             scorer: AnomalyScorer::fit_healthy(forest, &rows, threshold_pct),
             wcfg,
             fcfg,
             n_devices,
-            sampler: None,
+            sampler,
         }
-    }
-
-    /// Wrap an already-fitted scorer (tests, custom fitting).
-    pub fn from_scorer(
-        scorer: AnomalyScorer,
-        wcfg: WindowConfig,
-        fcfg: FeatureConfig,
-        n_devices: u32,
-    ) -> AnomalyDetector {
-        AnomalyDetector {
-            scorer,
-            wcfg,
-            fcfg,
-            n_devices,
-            sampler: None,
-        }
-    }
-
-    /// Enable budget-bounded adaptive downsampling of the server-sample
-    /// series ahead of featurization.
-    pub fn with_sampler(mut self, cfg: SamplerConfig) -> AnomalyDetector {
-        self.sampler = Some(cfg);
-        self
     }
 
     /// The healthy-percentile verdict threshold.
@@ -172,41 +182,26 @@ impl AnomalyDetector {
         &self.scorer
     }
 
-    /// Score every `(window, app)` vector of `trace`.
-    ///
-    /// The sample stream, thinned by the adaptive sampler when one is
-    /// configured, is driven through the canonical pipeline; each
-    /// emitted feature block gets an [`qi_ml::anomaly::AnomalyVerdict`].
+    /// Score every `(window, app)` vector of `trace`, featurized the
+    /// way the detector's healthy baselines were (through its sampler,
+    /// if it has one); each block gets an
+    /// [`qi_ml::anomaly::AnomalyVerdict`].
     pub fn analyze(&self, trace: &RunTrace) -> AnomalyReport {
-        let (samples, sampler) = match self.sampler {
-            Some(cfg) => {
-                let (kept, stats) =
-                    AdaptiveSampler::run(cfg, self.wcfg, trace.samples.iter().copied());
-                (Cow::Owned(kept), Some(stats))
-            }
-            None => (Cow::Borrowed(trace.samples.as_slice()), None),
-        };
-        let windows = FeaturePipeline::new(self.wcfg, self.fcfg, self.n_devices).run_streams(
-            &trace.ops,
-            &trace.rpcs,
-            &samples,
-        );
-
-        let mut scores = Vec::new();
+        let (blocks, sampler) =
+            featurize(trace, self.wcfg, self.fcfg, self.n_devices, self.sampler);
+        let mut scores = Vec::with_capacity(blocks.len());
         let mut hist = Histogram::new(0.0, 1.0, 20);
         let mut flagged = 0u64;
-        for ew in &windows {
-            for (app, block, _) in ew.feature_blocks(self.fcfg, self.n_devices, self.wcfg.window) {
-                let v = self.scorer.verdict(&block);
-                hist.record(v.score);
-                flagged += u64::from(v.anomalous);
-                scores.push(WindowScore {
-                    window: ew.window,
-                    app,
-                    score: v.score,
-                    anomalous: v.anomalous,
-                });
-            }
+        for (window, app, block) in blocks {
+            let v = self.scorer.verdict(&block);
+            hist.record(v.score);
+            flagged += u64::from(v.anomalous);
+            scores.push(WindowScore {
+                window,
+                app,
+                score: v.score,
+                anomalous: v.anomalous,
+            });
         }
 
         let mut snapshot = MetricsSnapshot::new();
@@ -267,6 +262,7 @@ mod tests {
             wcfg,
             fcfg,
             n_devices,
+            None,
             std::slice::from_ref(&trace),
             95.0,
         );
@@ -304,6 +300,7 @@ mod tests {
             wcfg,
             fcfg,
             n_devices,
+            None,
             std::slice::from_ref(&trace),
             95.0,
         );
@@ -329,14 +326,14 @@ mod tests {
             wcfg,
             fcfg,
             n_devices,
+            Some(SamplerConfig {
+                budget: 4,
+                quiet_keep: 1,
+                seed: 9,
+            }),
             std::slice::from_ref(&trace),
             95.0,
-        )
-        .with_sampler(SamplerConfig {
-            budget: 4,
-            quiet_keep: 1,
-            seed: 9,
-        });
+        );
         let report = det.analyze(&trace);
         let stats = report.sampler.expect("sampler was configured");
         assert_eq!(stats.seen, trace.samples.len() as u64);

@@ -23,14 +23,11 @@
 //! - [`optim`] — Adam.
 //! - [`model`] — the kernel-based network.
 //! - [`data`] — datasets, 80/20 splits, z-score standardisation.
-//! - [`train`] — the one minibatch loop and its three callers: the
-//!   kernel classifier ([`train::train`]), the level regressor
-//!   ([`regress::train_regression`]) and the attention extension
-//!   ([`attention::train_attention`]).
+//! - [`train`] — the kernel network's one minibatch loop and the
+//!   classifier protocol over it ([`train::train`]).
 //! - [`metrics`] — confusion matrices, precision/recall/F1.
 
 pub mod anomaly;
-pub mod attention;
 pub mod data;
 pub mod infer;
 pub mod layers;
@@ -39,12 +36,10 @@ pub mod matrix;
 pub mod metrics;
 pub mod model;
 pub mod optim;
-pub mod regress;
 pub mod serialize;
 pub mod train;
 
 pub use anomaly::{AnomalyScorer, AnomalyVerdict, ForestConfig, IsolationForest};
-pub use attention::{train_attention, AttentionModel, AttentionNet};
 pub use data::{Dataset, Standardizer};
 pub use infer::InferScratch;
 pub use loss::{softmax, softmax_cross_entropy, tempered_frequency_weights};
@@ -52,6 +47,5 @@ pub use matrix::Matrix;
 pub use metrics::ConfusionMatrix;
 pub use model::KernelNet;
 pub use optim::Adam;
-pub use regress::{mse_loss, train_regression, RegressionModel};
 pub use serialize::{load_model, model_from_text, model_to_text, save_model, ModelParseError};
 pub use train::{train, TrainConfig, TrainedModel};

@@ -30,8 +30,7 @@ impl KernelNet {
     /// - `kernel_hidden`: hidden widths of the kernel MLP (its output is
     ///   always 1 per server).
     /// - `head_hidden`: hidden widths of the classification head.
-    /// - `n_classes`: output bins (2 for the binary model, 3 for Fig. 4,
-    ///   1 for the regression extension).
+    /// - `n_classes`: output bins (2 for the binary model, 3 for Fig. 4).
     pub fn new(
         n_features: usize,
         n_servers: usize,

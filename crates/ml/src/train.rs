@@ -1,5 +1,5 @@
-//! The one training loop, the classifier protocol over it, and
-//! trained-model inference.
+//! The kernel network's one training loop, the classifier protocol
+//! over it, and trained-model inference.
 
 use qi_monitor::schema::FeatureSchema;
 use qi_simkit::error::QiError;
@@ -8,7 +8,6 @@ use qi_telemetry::{MetricValue, MetricsSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::attention::AttentionNet;
 use crate::data::{shuffle, Dataset, Standardizer};
 use crate::infer::{argmax_row, InferScratch};
 use crate::loss::{softmax_cross_entropy, tempered_frequency_weights};
@@ -39,11 +38,7 @@ pub struct TrainConfig {
     /// Exponent tempering the inverse-frequency class weights
     /// (1.0 = full reweighting, 0.5 = square-root tempering, 0 = none).
     pub class_weight_exponent: f32,
-    /// Optional early stopping on a held-out validation split. Applies
-    /// to the classifier ([`train`]) and attention
-    /// ([`train_attention`](crate::attention::train_attention)) fits
-    /// only; [`train_regression`](crate::regress::train_regression)
-    /// ignores it.
+    /// Optional early stopping on a held-out validation split.
     pub early_stop: Option<EarlyStop>,
 }
 
@@ -259,60 +254,37 @@ impl TrainedModel {
     }
 }
 
-/// The three methods the one minibatch loop ([`fit`]) needs from a
-/// network: [`KernelNet`] and [`AttentionNet`] have them inherently.
-pub(crate) trait Trainable: Clone {
-    fn forward(&mut self, x: &Matrix) -> Matrix;
-    fn backward(&mut self, grad: &Matrix);
-    fn apply(&mut self, opt: &mut Adam);
-}
-
-// `<$net>::forward` names the inherent method (inherent items shadow
-// trait ones), so each impl delegates rather than recursing.
-macro_rules! trainable {
-    ($($net:ty),*) => {$(
-        impl Trainable for $net {
-            fn forward(&mut self, x: &Matrix) -> Matrix { <$net>::forward(self, x) }
-            fn backward(&mut self, grad: &Matrix) { <$net>::backward(self, grad) }
-            fn apply(&mut self, opt: &mut Adam) { <$net>::apply(self, opt) }
-        }
-    )*};
-}
-trainable!(KernelNet, AttentionNet);
-
 /// What one run of [`fit`] leaves beside the weights in the net.
-pub(crate) struct FitLog {
-    pub(crate) loss_curve: Vec<f32>,
-    pub(crate) val_curve: Vec<f32>,
+struct FitLog {
+    loss_curve: Vec<f32>,
+    val_curve: Vec<f32>,
     /// `ml.train.*`: epoch/batch/sample counters and the per-epoch loss
     /// distribution, derived from the loop alone (no wall clock).
-    pub(crate) metrics: MetricsSnapshot,
+    metrics: MetricsSnapshot,
 }
 
-/// The one minibatch loop every fit runs. Each epoch: a Fisher–Yates
-/// over the sample order, drawn from `cfg.seed ^ salt`; then per
-/// `cfg.batch` chunk `subset` → forward → `loss` (given the output, the
-/// batch and its sample indices into `set`) → backward → Adam step; the
-/// mean batch loss goes on the loss curve and the learning rate is
-/// multiplied by `cfg.lr_decay`. With `val = Some((set, patience))` the
-/// epoch ends on that set's unweighted cross-entropy, the loop stops
-/// after `patience` epochs without improvement, and `net` is left
-/// holding the best epoch's weights.
-pub(crate) fn fit<N: Trainable>(
-    net: &mut N,
+/// The one minibatch loop. Each epoch: a Fisher–Yates over the sample
+/// order, drawn from `cfg.seed ^ 0x5EED`; then per `cfg.batch` chunk
+/// `subset` → forward → softmax cross-entropy under the class `weights`
+/// → backward → Adam step; the mean batch loss goes on the loss curve
+/// and the learning rate is multiplied by `cfg.lr_decay`. With
+/// `val = Some((set, patience))` the epoch ends on that set's unweighted
+/// cross-entropy, the loop stops after `patience` epochs without
+/// improvement, and `net` is left holding the best epoch's weights.
+fn fit(
+    net: &mut KernelNet,
     set: &Dataset,
     cfg: &TrainConfig,
-    salt: u64,
-    mut loss: impl FnMut(&Matrix, &Dataset, &[usize]) -> (f32, Matrix),
+    weights: &[f32],
     val: Option<&(Dataset, usize)>,
 ) -> FitLog {
     let mut opt = Adam::new(cfg.lr);
     let flat = vec![1.0f32; cfg.n_classes];
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ salt);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5EED);
     let mut order: Vec<usize> = (0..set.len()).collect();
     let mut loss_curve = Vec::with_capacity(cfg.epochs);
     let mut val_curve = Vec::new();
-    let mut best: Option<(f32, N)> = None;
+    let mut best: Option<(f32, KernelNet)> = None;
     let mut since_best = 0;
     let mut batches_run: u64 = 0;
     let mut samples_seen: u64 = 0;
@@ -324,7 +296,7 @@ pub(crate) fn fit<N: Trainable>(
         for chunk in order.chunks(cfg.batch) {
             let batch = set.subset(chunk);
             let out = net.forward(&batch.x);
-            let (l, grad) = loss(&out, &batch, chunk);
+            let (l, grad) = softmax_cross_entropy(&out, &batch.y, weights);
             net.backward(&grad);
             net.apply(&mut opt);
             epoch_loss += l;
@@ -378,40 +350,10 @@ pub(crate) fn fit<N: Trainable>(
     }
 }
 
-/// The classifier protocol [`train`] and
-/// [`crate::attention::train_attention`] share: standardise `set`,
-/// carve `cfg.early_stop`'s validation split, `build` the network for
-/// the set left, weight classes by `cfg.class_weight_exponent`, and
-/// [`fit`] the network on softmax cross-entropy.
-pub(crate) fn fit_classifier<N: Trainable>(
-    set: &Dataset,
-    cfg: &TrainConfig,
-    salt: u64,
-    build: impl FnOnce(&Dataset) -> N,
-) -> (N, Standardizer, FitLog) {
-    let (standardizer, set) = Standardizer::fit_apply(set);
-    let (set, val) = match cfg.early_stop {
-        Some(es) => {
-            let (fit, val) = set.split(es.val_fraction, cfg.seed ^ 0x7A1);
-            (fit, Some((val, es.patience)))
-        }
-        None => (set, None),
-    };
-    // Built after the standardised copy, as every fit always was: with
-    // the weights allocated before that copy instead, `train_fit` read
-    // 4 % more `pass_ms` (0 of 10 pairs won) for the same arithmetic.
-    let mut net = build(&set);
-    let weights = tempered_frequency_weights(&set.y, cfg.n_classes, cfg.class_weight_exponent);
-    let ce =
-        |out: &Matrix, batch: &Dataset, _: &[usize]| softmax_cross_entropy(out, &batch.y, &weights);
-    let log = fit(&mut net, &set, cfg, salt, ce, val.as_ref());
-    (net, standardizer, log)
-}
-
-/// The caller-input checks every fit makes first, the error naming the
-/// field: a non-empty set, `cfg.batch >= 1`, every label below
-/// `cfg.n_classes`, and `early_stop.val_fraction` inside (0, 1).
-pub(crate) fn check_fit(set: &Dataset, cfg: &TrainConfig) -> Result<(), QiError> {
+/// The caller-input checks [`train_with_schema`] makes first, the error
+/// naming the field: a non-empty set, `cfg.batch >= 1`, every label
+/// below `cfg.n_classes`, and `early_stop.val_fraction` inside (0, 1).
+fn check_fit(set: &Dataset, cfg: &TrainConfig) -> Result<(), QiError> {
     let bad_val_fraction = cfg
         .early_stop
         .map(|es| es.val_fraction)
@@ -456,16 +398,27 @@ pub fn train(train_set: &Dataset, cfg: &TrainConfig) -> TrainedModel {
         train_set.n_classes() <= cfg.n_classes,
         "label exceeds configured classes"
     );
-    let (net, standardizer, log) = fit_classifier(train_set, cfg, 0x5EED, |set| {
-        KernelNet::new(
-            set.n_features(),
-            set.n_servers,
-            &cfg.kernel_hidden,
-            &cfg.head_hidden,
-            cfg.n_classes,
-            cfg.seed,
-        )
-    });
+    let (standardizer, set) = Standardizer::fit_apply(train_set);
+    let (set, val) = match cfg.early_stop {
+        Some(es) => {
+            let (fit, val) = set.split(es.val_fraction, cfg.seed ^ 0x7A1);
+            (fit, Some((val, es.patience)))
+        }
+        None => (set, None),
+    };
+    // Built after the standardised copy, as every fit always was: with
+    // the weights allocated before that copy instead, `train_fit` read
+    // 4 % more `pass_ms` (0 of 10 pairs won) for the same arithmetic.
+    let mut net = KernelNet::new(
+        set.n_features(),
+        set.n_servers,
+        &cfg.kernel_hidden,
+        &cfg.head_hidden,
+        cfg.n_classes,
+        cfg.seed,
+    );
+    let weights = tempered_frequency_weights(&set.y, cfg.n_classes, cfg.class_weight_exponent);
+    let log = fit(&mut net, &set, cfg, &weights, val.as_ref());
     TrainedModel {
         net,
         standardizer,

@@ -10,9 +10,7 @@
 
 use qi_ml::serialize::model_to_text;
 use qi_ml::train::{train, EarlyStop, TrainConfig, TrainedModel};
-use qi_ml::{
-    softmax_cross_entropy, train_attention, train_regression, Adam, AttentionNet, Dataset,
-};
+use qi_ml::Dataset;
 
 const SERVERS: usize = 4;
 const FEATS: usize = 10;
@@ -98,61 +96,6 @@ fn fallback_widths_fit_is_pinned() {
     assert_eq!(bits(&model.val_curve), FALLBACK_VAL);
 }
 
-/// The two extension models ride the same layers: the attention net
-/// (whose embedding no longer forms an input gradient) after eight
-/// full-batch steps, and the level regressor's loss curve.
-#[test]
-fn extension_fits_are_pinned() {
-    let data = synth(48);
-    let mut net = AttentionNet::new(FEATS, SERVERS, 12, &[8], 2, 3);
-    let mut opt = Adam::new(0.01);
-    for _ in 0..8 {
-        let logits = net.forward(&data.x);
-        let (_, grad) = softmax_cross_entropy(&logits, &data.y, &[1.0, 1.0]);
-        net.backward(&grad);
-        net.apply(&mut opt);
-    }
-    let logits = net.forward(&data.x);
-    assert_eq!(bits(&logits.data()[..6]), ATTENTION_LOGITS);
-
-    let levels: Vec<f64> = (0..data.len())
-        .map(|i| 1.0 + data.x.get(i * SERVERS, 0).abs() as f64 * 4.0)
-        .collect();
-    let cfg = TrainConfig {
-        epochs: 4,
-        batch: 16,
-        seed: 2,
-        ..TrainConfig::default()
-    };
-    let model = train_regression(&data, &levels, &cfg).expect("valid fit");
-    assert_eq!(bits(&model.loss_curve), REGRESSION_LOSS);
-}
-
-/// The attention fit `qi-ml` took over from the model-extensions
-/// experiment: every test logit as bits (the first six, then an FNV-1a
-/// fold of all sixty). Captured by running the experiment's private fit
-/// at the commit before the move, which weighted classes at full
-/// inverse frequency — hence exponent 1.0 here.
-#[test]
-fn attention_fit_is_pinned() {
-    let (train_set, test_set) = synth(120).split(0.25, 3);
-    let cfg = TrainConfig {
-        epochs: 5,
-        batch: 32,
-        seed: 4,
-        class_weight_exponent: 1.0,
-        ..TrainConfig::default()
-    };
-    let mut model = train_attention(&train_set, &cfg, 24, &[16]).expect("valid fit");
-    let logits = bits(model.logits(&test_set).data());
-    let fold = logits.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
-    assert_eq!(logits.len(), 60);
-    assert_eq!(logits[..6], ATTENTION_FIT_HEAD);
-    assert_eq!(fold, ATTENTION_FIT_FOLD);
-}
-
 // Captured at the commit before the training kernels changed (the
 // parent of the change that added this file), at one and two threads.
 const DEFAULT_CHECK: &str = "check ff52440b741e720f";
@@ -166,12 +109,3 @@ const FALLBACK_LOSS: [u32; 6] = [
 const FALLBACK_VAL: [u32; 6] = [
     0x3fb37ec2, 0x3f8a270c, 0x3f5f7494, 0x3f4310d1, 0x3f33206b, 0x3f283f08,
 ];
-const ATTENTION_LOGITS: [u32; 6] = [
-    0xbec47ac8, 0xbfbe0eb4, 0xbfc9810f, 0x4033ba97, 0xbf5f2c77, 0x40af2beb,
-];
-const REGRESSION_LOSS: [u32; 4] = [0x41277880, 0x410f84e8, 0x40fa41fd, 0x40d93d68];
-// Captured at the parent of the change that moved the attention fit.
-const ATTENTION_FIT_HEAD: [u32; 6] = [
-    0xbfdad961, 0x3f95ee1a, 0xc021eb4b, 0x4013f2cc, 0x3eaa8ce4, 0x3f90a218,
-];
-const ATTENTION_FIT_FOLD: u64 = 0x1921_e8ce_5584_e3af;

@@ -16,10 +16,8 @@ pub mod common;
 pub mod dlio;
 pub mod io500;
 pub mod registry;
-pub mod replay;
 
 pub use common::{
     deploy, LoopingProgram, Placement, PrecreateFile, ScriptProgram, ScriptStep, Workload,
 };
 pub use registry::WorkloadKind;
-pub use replay::TraceReplay;

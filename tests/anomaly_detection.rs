@@ -14,9 +14,11 @@
 //! 3. **ROC separation** — on the canonical anomaly session, every
 //!    faulted window (all OSTs slowed 7×, MDS lock storm) scores
 //!    strictly above the healthy p95 threshold, no healthy held-out
-//!    window does, and detection survives budget-bounded sampling.
+//!    window does, and both hold behind budget-bounded sampling.
 
-use quanterference_repro::anomaly_demo::{run_anomaly_session, session_scenario};
+use quanterference_repro::anomaly_demo::{
+    run_anomaly_session, session_featurization, session_scenario, SESSION_FOREST,
+};
 use quanterference_repro::framework::prelude::*;
 
 fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
@@ -25,18 +27,6 @@ fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
         .build()
         .expect("build rayon pool")
         .install(f)
-}
-
-/// The featurization the session uses (server-side features, 1 s
-/// windows).
-fn session_cfgs() -> (WindowConfig, FeatureConfig) {
-    (
-        WindowConfig::seconds(1),
-        FeatureConfig {
-            client: false,
-            server: true,
-        },
-    )
 }
 
 /// Per emitted window: the window index and every app's feature block
@@ -70,7 +60,7 @@ fn window_fingerprint(
 
 #[test]
 fn scorer_is_bit_deterministic_across_reruns_and_thread_pools() {
-    let (wcfg, fcfg) = session_cfgs();
+    let (wcfg, fcfg) = session_featurization();
     let scn = session_scenario(1, false);
     let n_devices = scn.cluster.n_devices();
     let (_, healthy) = scn.run().expect("healthy run");
@@ -79,13 +69,8 @@ fn scorer_is_bit_deterministic_across_reruns_and_thread_pools() {
     let probe = feature_rows(&faulted, wcfg, fcfg, n_devices);
     assert!(!rows.is_empty() && !probe.is_empty());
 
-    let forest = ForestConfig {
-        n_trees: 50,
-        sample_size: 64,
-        seed: 7,
-    };
     let run = || {
-        let scorer = AnomalyScorer::fit_healthy(forest, &rows, 95.0);
+        let scorer = AnomalyScorer::fit_healthy(SESSION_FOREST, &rows, 95.0);
         let scores: Vec<u64> = scorer
             .forest()
             .score_batch(&probe)
@@ -110,7 +95,7 @@ fn scorer_is_bit_deterministic_across_reruns_and_thread_pools() {
 
 #[test]
 fn unbounded_budget_sampler_is_equivalent_to_no_sampler() {
-    let (wcfg, fcfg) = session_cfgs();
+    let (wcfg, fcfg) = session_featurization();
     let scn = session_scenario(11, true);
     let n_devices = scn.cluster.n_devices();
     let (_, trace) = scn.run().expect("faulted run");
@@ -154,25 +139,27 @@ fn faulted_windows_score_above_the_healthy_p95() {
     assert!(!session.faulted.scores.is_empty());
     for ws in &session.faulted.scores {
         assert!(
-            ws.score > session.threshold,
+            ws.score > session.faulted.threshold,
             "faulted window {} (app {}) scored {:.4} <= threshold {:.4}",
             ws.window,
             ws.app.0,
             ws.score,
-            session.threshold
+            session.faulted.threshold
         );
         assert!(ws.anomalous);
     }
     // The healthy manifold margin is real, not epsilon-thin.
     assert!(
-        session.faulted.max_score() > session.threshold + 0.05,
+        session.faulted.max_score() > session.faulted.threshold + 0.05,
         "margin too thin: {:.4} vs {:.4}",
         session.faulted.max_score(),
-        session.threshold
+        session.faulted.threshold
     );
 
     // Detection survives budget-bounded sampling, and the sampler
-    // actually paid for itself on this session (the 30% floor).
+    // actually paid for itself on this session (the 30% floor). The
+    // sampled detector was fitted through the same sampler, so it
+    // carries its own threshold.
     let stats = session.sampled.sampler.expect("sampler stats");
     assert!(
         stats.savings() >= 0.30,
@@ -186,13 +173,26 @@ fn faulted_windows_score_above_the_healthy_p95() {
     );
     for ws in &session.sampled.scores {
         assert!(
-            ws.score > session.threshold,
+            ws.score > session.sampled.threshold,
             "sampled faulted window {} scored {:.4} <= threshold {:.4}",
             ws.window,
             ws.score,
-            session.threshold
+            session.sampled.threshold
         );
     }
+    // Read through the sampler, the held-out healthy run stays as quiet
+    // as it does without one. A forest fitted on unthinned windows
+    // flags 12 of its 15 windows here.
+    assert_eq!(
+        session.sampled_healthy.scores.len(),
+        session.healthy.scores.len(),
+        "sampling changed the scored healthy window set"
+    );
+    assert_eq!(
+        session.sampled_healthy.n_flagged(),
+        0,
+        "held-out healthy windows above threshold behind the sampler"
+    );
 
     // Telemetry namespaces: anomaly.* appears only because a scorer
     // ran; sampler counters only on the sampled leg.
