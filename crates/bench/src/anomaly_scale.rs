@@ -361,14 +361,14 @@ pub fn run(ctx: &mut Context) {
     // Quiet regime: only quiet-window thinning, so the ingest reduction
     // must come at zero boundary drift.
     let quiet = quiet_stream(8, 240);
-    let (kept, quiet_stats) = AdaptiveSampler::run(
+    let (kept, quiet_stats) = sampler::thin(
         SamplerConfig {
             budget: 8,
             quiet_keep: 1,
             seed: 9,
         },
         wcfg,
-        quiet.clone(),
+        &quiet,
     );
     let drift = boundary_drift(wcfg, &quiet, &kept);
     // Session regime: the faulted run behind the session's own budget.

@@ -19,7 +19,7 @@
 //!   simulator or pipeline registries, so every pre-existing golden
 //!   artefact stays byte-unchanged when no scorer is installed.
 //!
-//! When an [`AdaptiveSampler`] budget is configured, the detector thins
+//! When a [`SamplerConfig`] budget is configured, the detector thins
 //! the per-device sample series *before* featurization and folds the
 //! sampler's `monitor.sampler.*` accounting into the same snapshot —
 //! the ingest-cost story of the adaptive-monitoring satellite. The
@@ -32,7 +32,7 @@ use std::borrow::Cow;
 use qi_ml::anomaly::{AnomalyScorer, ForestConfig};
 use qi_monitor::features::FeatureConfig;
 use qi_monitor::pipeline::FeaturePipeline;
-use qi_monitor::sampler::{AdaptiveSampler, SamplerConfig, SamplerStats};
+use qi_monitor::sampler::{thin, SamplerConfig, SamplerStats};
 use qi_monitor::window::WindowConfig;
 use qi_pfs::ids::AppId;
 use qi_pfs::ops::RunTrace;
@@ -101,7 +101,7 @@ fn featurize(
 ) -> (Blocks, Option<SamplerStats>) {
     let (samples, stats) = match sampler {
         Some(cfg) => {
-            let (kept, stats) = AdaptiveSampler::run(cfg, wcfg, trace.samples.iter().copied());
+            let (kept, stats) = thin(cfg, wcfg, &trace.samples);
             (Cow::Owned(kept), Some(stats))
         }
         None => (Cow::Borrowed(trace.samples.as_slice()), None),

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use qi_ml::anomaly::{AnomalyScorer, AnomalyVerdict, ForestConfig, IsolationForest};
     pub use qi_ml::train::TrainConfig;
     pub use qi_monitor::features::{FeatureAvailability, FeatureConfig, Imputation};
-    pub use qi_monitor::sampler::{AdaptiveSampler, SamplerConfig, SamplerStats};
+    pub use qi_monitor::sampler::{self, SamplerConfig, SamplerStats};
     pub use qi_monitor::schema::{FeatureSchema, SCHEMA_VERSION};
     pub use qi_monitor::window::WindowConfig;
     pub use qi_pfs::cluster::{Cluster, ClusterBuilder};

@@ -39,7 +39,7 @@ pub use client::{client_windows, ClientWindow, DevTargeting};
 pub use dxt::{export_dxt, import_dxt, DxtParseError};
 pub use features::{feature_names, server_vector, FeatureConfig, Imputation, N_FEATURES};
 pub use pipeline::{EmittedWindow, FeaturePipeline, OutOfOrder};
-pub use sampler::{AdaptiveSampler, SamplerConfig, SamplerStats};
+pub use sampler::{SamplerConfig, SamplerStats};
 pub use schema::{FeatureSchema, SCHEMA_VERSION};
 pub use server::{server_windows, SeriesStats, ServerWindow, N_SERVER_SERIES, SERVER_SERIES};
 pub use window::WindowConfig;

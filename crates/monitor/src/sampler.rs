@@ -2,11 +2,10 @@
 //!
 //! Uniform full-rate sampling of every device is mostly waste on real
 //! clusters: I/O is bursty, and a quiet device's samples repeat the
-//! previous ones (cumulative counters frozen). [`AdaptiveSampler`] sits
-//! between the raw per-device series and the ingest path, keeping every
-//! sample of a device-window that showed *activity* (any counter delta,
-//! cache dirt, or throttling) — or while an external alert, e.g. a high
-//! anomaly score, is raised — and only `quiet_keep` samples otherwise.
+//! previous ones (cumulative counters frozen). [`thin`] sits between
+//! the raw per-device series and the ingest path, keeping every sample
+//! of a device-window that showed *activity* (any counter delta, cache
+//! dirt, or throttling) and only `quiet_keep` samples otherwise.
 //!
 //! Determinism and budget discipline, as pinned by the property suite:
 //!
@@ -29,6 +28,7 @@
 //! feature drift, which `tests/sampler_props.rs` holds as a property.
 
 use qi_pfs::ops::ServerSample;
+use qi_pfs::queue::DeviceCounters;
 use qi_telemetry::{MetricValue, MetricsSnapshot};
 
 use crate::window::WindowConfig;
@@ -68,8 +68,6 @@ pub struct SamplerStats {
     pub active_windows: u64,
     /// Device-windows classified quiet (downsampled).
     pub quiet_windows: u64,
-    /// Device-windows kept at full rate because an alert was raised.
-    pub alert_windows: u64,
 }
 
 impl SamplerStats {
@@ -88,9 +86,8 @@ impl SamplerStats {
     }
 
     /// Telemetry rendering of the counters (`monitor.sampler.*`
-    /// namespace) — the same snapshot a live [`AdaptiveSampler`]
-    /// exports, so batch callers of [`AdaptiveSampler::run`] can fold
-    /// sampler accounting into their own artefacts.
+    /// namespace), so callers of [`thin`] can fold sampler accounting
+    /// into their own artefacts.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         snap.put("monitor.sampler.seen", MetricValue::Counter(self.seen));
@@ -107,20 +104,8 @@ impl SamplerStats {
             "monitor.sampler.quiet_windows",
             MetricValue::Counter(self.quiet_windows),
         );
-        snap.put(
-            "monitor.sampler.alert_windows",
-            MetricValue::Counter(self.alert_windows),
-        );
         snap
     }
-}
-
-/// One buffered sample awaiting its window's close.
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    sample: ServerSample,
-    /// Arrival order within the run (keeps emission stable).
-    arrival: u64,
 }
 
 /// SplitMix64-style avalanche for the keep-priority hash.
@@ -130,209 +115,103 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The streaming downsampler. Push samples in nondecreasing time order;
-/// each push (and the final [`AdaptiveSampler::finish`]) returns the
-/// samples released by any windows that closed, in arrival order.
-#[derive(Clone, Debug)]
-pub struct AdaptiveSampler {
-    cfg: SamplerConfig,
-    wcfg: WindowConfig,
-    /// Window currently buffering.
-    current: u64,
-    /// Buffered samples of the current window, in arrival order.
-    pending: Vec<Pending>,
-    /// Devices (by index) that showed activity in the current window.
-    active_now: Vec<bool>,
-    /// Last sample ever seen per device index (across windows), for
-    /// delta-based activity detection on the full seen stream.
-    last_seen: Vec<Option<ServerSample>>,
-    /// External alert (e.g. anomaly score above threshold): keep every
-    /// device at full rate while raised.
-    alert: bool,
-    arrivals: u64,
-    stats: SamplerStats,
+/// Deterministic keep priority of one sample: lower survives longer.
+fn priority(seed: u64, s: &ServerSample) -> u64 {
+    mix64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(((s.dev.0 as u64) << 1) ^ 0x5851_F42D_4C95_7F2D)
+            .wrapping_add(s.time.as_nanos().rotate_left(17)),
+    )
 }
 
-impl AdaptiveSampler {
-    /// New sampler aggregating on `wcfg` windows.
-    pub fn new(cfg: SamplerConfig, wcfg: WindowConfig) -> Self {
-        AdaptiveSampler {
-            cfg,
-            wcfg,
-            current: 0,
-            pending: Vec::new(),
-            active_now: Vec::new(),
-            last_seen: Vec::new(),
-            alert: false,
-            arrivals: 0,
-            stats: SamplerStats::default(),
-        }
-    }
-
-    /// Raise or clear the external alert. While raised, every
-    /// device-window closing is kept at full rate (budget), restoring
-    /// full observability the moment the anomaly score crosses its
-    /// threshold.
-    pub fn set_alert(&mut self, on: bool) {
-        self.alert = on;
-    }
-
-    /// Whether the external alert is currently raised.
-    pub fn alert(&self) -> bool {
-        self.alert
-    }
-
-    /// Cumulative accounting.
-    pub fn stats(&self) -> SamplerStats {
-        self.stats
-    }
-
-    /// Telemetry snapshot of the sampler counters
-    /// (`monitor.sampler.*` namespace).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.stats.metrics_snapshot()
-    }
-
-    /// Offer one sample (nondecreasing time order). Returns the samples
-    /// released by windows that closed before it.
-    pub fn push(&mut self, s: ServerSample) -> Vec<ServerSample> {
+/// Run the policy over a finished sample series, window by window.
+///
+/// A sample joins the open window unless its
+/// [`WindowConfig::sample_index_of`] is later, so a late sample lands
+/// in the window open when it arrives. Per device and window, an
+/// active device-window keeps up to `budget` samples and a quiet one
+/// up to `quiet_keep`; the kept samples come back in input order.
+pub fn thin(
+    cfg: SamplerConfig,
+    wcfg: WindowConfig,
+    samples: &[ServerSample],
+) -> (Vec<ServerSample>, SamplerStats) {
+    let mut stats = SamplerStats {
+        seen: samples.len() as u64,
+        ..SamplerStats::default()
+    };
+    // Counters of the last sample seen per device index, across
+    // windows. A device not yet seen reads all-zero, so a first
+    // sighting with nonzero counters counts as activity.
+    let mut last_seen: Vec<DeviceCounters> = Vec::new();
+    let mut out = Vec::new();
+    let mut order: Vec<usize> = Vec::new();
+    let mut kept: Vec<usize> = Vec::new();
+    let mut current = 0;
+    let mut start = 0;
+    while start < samples.len() {
         // Grouped by the window its delta lands in downstream.
-        let w = self.wcfg.sample_index_of(s.time);
-        let mut out = Vec::new();
-        if w > self.current {
-            self.flush_into(&mut out);
-            self.current = w;
-        }
-        self.stats.seen += 1;
-        let di = s.dev.index();
-        if di >= self.last_seen.len() {
-            self.last_seen.resize(di + 1, None);
-            self.active_now.resize(di + 1, false);
-        }
-        // Activity: any counter motion against the previous *seen*
-        // sample of this device, or visible cache pressure. Judged on
-        // the full stream so classification is budget-independent.
-        let moved = match &self.last_seen[di] {
-            Some(prev) => prev.counters != s.counters,
-            // First sighting: nonzero cumulative counters mean the
-            // device was already active.
-            None => s.counters != Default::default(),
-        };
-        if moved || s.dirty_bytes > 0 || s.throttled_now > 0 {
-            self.active_now[di] = true;
-        }
-        self.last_seen[di] = Some(s);
-        self.pending.push(Pending {
-            sample: s,
-            arrival: self.arrivals,
-        });
-        self.arrivals += 1;
-        out
-    }
-
-    /// Close the stream, releasing the final window.
-    pub fn finish(mut self) -> (Vec<ServerSample>, SamplerStats) {
-        let mut out = Vec::new();
-        self.flush_into(&mut out);
-        (out, self.stats)
-    }
-
-    /// Run the whole policy over a finished stream.
-    pub fn run(
-        cfg: SamplerConfig,
-        wcfg: WindowConfig,
-        samples: impl IntoIterator<Item = ServerSample>,
-    ) -> (Vec<ServerSample>, SamplerStats) {
-        let mut sampler = AdaptiveSampler::new(cfg, wcfg);
-        let mut out = Vec::new();
-        for s in samples {
-            out.extend(sampler.push(s));
-        }
-        let (tail, stats) = sampler.finish();
-        out.extend(tail);
-        (out, stats)
-    }
-
-    /// Deterministic keep priority of one sample: lower survives longer.
-    fn priority(&self, s: &ServerSample) -> u64 {
-        mix64(
-            self.cfg
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(((s.dev.0 as u64) << 1) ^ 0x5851_F42D_4C95_7F2D)
-                .wrapping_add(s.time.as_nanos().rotate_left(17)),
-        )
-    }
-
-    /// Seal the current window: per device, decide its rate and keep
-    /// the surviving samples, released in arrival order.
-    fn flush_into(&mut self, out: &mut Vec<ServerSample>) {
-        if self.pending.is_empty() {
-            for a in &mut self.active_now {
-                *a = false;
+        current = current.max(wcfg.sample_index_of(samples[start].time));
+        let len = samples[start..]
+            .iter()
+            .take_while(|s| wcfg.sample_index_of(s.time) <= current)
+            .count();
+        order.clear();
+        order.extend(start..start + len);
+        // Stable, so each device's group stays in input order.
+        order.sort_by_key(|&i| samples[i].dev);
+        kept.clear();
+        for group in order.chunk_by(|&a, &b| samples[a].dev == samples[b].dev) {
+            let di = samples[group[0]].dev.index();
+            if di >= last_seen.len() {
+                last_seen.resize(di + 1, DeviceCounters::default());
             }
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        // Group by device, preserving arrival order within each group.
-        let n_dev = self.active_now.len();
-        let mut by_dev: Vec<Vec<Pending>> = vec![Vec::new(); n_dev];
-        for p in pending {
-            by_dev[p.sample.dev.index()].push(p);
-        }
-        let mut kept: Vec<Pending> = Vec::new();
-        for (di, group) in by_dev.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
+            // Activity: any counter motion against the previous *seen*
+            // sample of this device, or visible cache pressure. Judged
+            // on the full series so classification is budget-independent.
+            let mut active = false;
+            for &i in group {
+                let s = &samples[i];
+                active |= s.counters != last_seen[di] || s.dirty_bytes > 0 || s.throttled_now > 0;
+                last_seen[di] = s.counters;
             }
-            let full_rate = self.alert || self.active_now[di];
-            if self.alert {
-                self.stats.alert_windows += 1;
-            }
-            if full_rate {
-                self.stats.active_windows += 1;
+            if active {
+                stats.active_windows += 1;
             } else {
-                self.stats.quiet_windows += 1;
+                stats.quiet_windows += 1;
             }
             // An unbounded budget disables the policy outright — the
             // documented sampler-off equivalence.
-            let target = if self.cfg.budget == u32::MAX || full_rate {
-                self.cfg.budget
+            let target = if cfg.budget == u32::MAX || active {
+                cfg.budget
             } else {
-                self.cfg.quiet_keep.min(self.cfg.budget)
+                cfg.quiet_keep.min(cfg.budget)
             } as usize;
             if group.len() <= target {
-                kept.extend(group);
-                continue;
+                kept.extend_from_slice(group);
+            } else if let [oldest, middle @ .., newest] = group {
+                // Nested-in-budget selection: the newest sample first,
+                // then the oldest, then lowest priority hash — each
+                // prefix of this fixed ranking is the kept set of a
+                // smaller budget.
+                let mut middle = middle.to_vec();
+                middle.sort_unstable_by_key(|&i| (priority(cfg.seed, &samples[i]), i));
+                kept.extend([*newest, *oldest].into_iter().chain(middle).take(target));
             }
-            // Nested-in-budget selection: the newest sample first, then
-            // the oldest, then lowest priority hash — each prefix of
-            // this fixed ranking is the kept set of a smaller budget.
-            let mut ranked: Vec<usize> = Vec::with_capacity(group.len());
-            ranked.push(group.len() - 1);
-            if group.len() > 1 {
-                ranked.push(0);
-            }
-            let mut middle: Vec<usize> = (1..group.len() - 1).collect();
-            middle.sort_by_key(|&i| (self.priority(&group[i].sample), i));
-            ranked.extend(middle);
-            ranked.truncate(target);
-            kept.extend(ranked.into_iter().map(|i| group[i]));
+            // Otherwise a lone sample over its target: the target is 0.
         }
-        kept.sort_by_key(|p| p.arrival);
-        self.stats.kept += kept.len() as u64;
-        out.extend(kept.into_iter().map(|p| p.sample));
-        for a in &mut self.active_now {
-            *a = false;
-        }
+        kept.sort_unstable();
+        out.extend(kept.iter().map(|&i| samples[i]));
+        start += len;
     }
+    stats.kept = out.len() as u64;
+    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qi_pfs::ids::DeviceId;
-    use qi_pfs::queue::DeviceCounters;
     use qi_simkit::time::SimTime;
 
     fn sample(ms: u64, dev: u32, reads: u64) -> ServerSample {
@@ -362,11 +241,7 @@ mod tests {
     #[test]
     fn unbounded_budget_is_a_pass_through() {
         let input = stream(3);
-        let (out, stats) = AdaptiveSampler::run(
-            SamplerConfig::default(),
-            WindowConfig::seconds(1),
-            input.clone(),
-        );
+        let (out, stats) = thin(SamplerConfig::default(), WindowConfig::seconds(1), &input);
         assert_eq!(out, input);
         assert_eq!(stats.kept, stats.seen);
         assert_eq!(stats.savings(), 0.0);
@@ -380,7 +255,7 @@ mod tests {
             seed: 7,
         };
         let input = stream(4);
-        let (out, stats) = AdaptiveSampler::run(cfg, WindowConfig::seconds(1), input);
+        let (out, stats) = thin(cfg, WindowConfig::seconds(1), &input);
         let quiet: Vec<_> = out.iter().filter(|s| s.dev == DeviceId(0)).collect();
         let active: Vec<_> = out.iter().filter(|s| s.dev == DeviceId(1)).collect();
         assert_eq!(quiet.len(), 4, "one survivor per quiet window");
@@ -398,7 +273,7 @@ mod tests {
             seed: 1,
         };
         let wcfg = WindowConfig::seconds(1);
-        let (out, _) = AdaptiveSampler::run(cfg, wcfg, stream(2));
+        let (out, _) = thin(cfg, wcfg, &stream(2));
         for w in 0..2u64 {
             for d in 0..2u32 {
                 let n = out
@@ -411,53 +286,132 @@ mod tests {
     }
 
     #[test]
-    fn alert_restores_full_rate() {
-        let cfg = SamplerConfig {
-            budget: 64,
-            quiet_keep: 1,
-            seed: 3,
-        };
-        let mut sampler = AdaptiveSampler::new(cfg, WindowConfig::seconds(1));
-        sampler.set_alert(true);
-        let mut out = Vec::new();
-        for s in stream(2) {
-            out.extend(sampler.push(s));
-        }
-        let stats_mid = sampler.stats();
-        let (tail, stats) = sampler.finish();
-        out.extend(tail);
-        assert_eq!(out.len(), 40, "alert keeps everything");
-        assert!(stats.alert_windows >= stats_mid.alert_windows);
-        assert_eq!(stats.quiet_windows, 0);
-    }
-
-    #[test]
     fn replay_is_byte_identical() {
         let cfg = SamplerConfig {
             budget: 4,
             quiet_keep: 2,
             seed: 99,
         };
-        let a = AdaptiveSampler::run(cfg, WindowConfig::seconds(1), stream(5));
-        let b = AdaptiveSampler::run(cfg, WindowConfig::seconds(1), stream(5));
+        let a = thin(cfg, WindowConfig::seconds(1), &stream(5));
+        let b = thin(cfg, WindowConfig::seconds(1), &stream(5));
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
     }
 
+    /// Five 200 ms ticks per 1 s window over three windows. Device 0 is
+    /// quiet but for one late sample, device 1 counts up in windows 0
+    /// and 2, and device 2 is first seen with nonzero counters and
+    /// later shows only cache dirt.
+    fn mixed_stream() -> Vec<ServerSample> {
+        let mut out = Vec::new();
+        for t in 1..=15u64 {
+            let ms = t * 200;
+            let w = (ms - 1) / 1000;
+            out.push(sample(ms, 0, u64::from(t > 6)));
+            out.push(sample(ms, 1, if w == 1 { 5 } else { t }));
+            if t >= 3 {
+                let mut s = sample(ms, 2, 7);
+                s.dirty_bytes = u64::from(t == 12) * 4096;
+                out.push(s);
+            }
+            if t == 6 {
+                // Late: stamped in window 0, arriving once window 1 is
+                // open, with the counter motion that makes device 0
+                // active there.
+                out.push(sample(900, 0, 1));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn pinned_selection_of_a_mixed_stream() {
+        let run = |budget, quiet_keep| {
+            let cfg = SamplerConfig {
+                budget,
+                quiet_keep,
+                seed: 7,
+            };
+            let (out, stats) = thin(cfg, WindowConfig::seconds(1), &mixed_stream());
+            let kept: Vec<(u64, u32)> = out
+                .iter()
+                .map(|s| (s.time.as_nanos() / 1_000_000, s.dev.0))
+                .collect();
+            (kept, stats)
+        };
+        let stats = |kept| SamplerStats {
+            seen: 44,
+            kept,
+            active_windows: 5,
+            quiet_windows: 4,
+        };
+        // Window 1 keeps device 0's late sample after the one it
+        // arrived behind: output is input order, not time order.
+        assert_eq!(
+            run(3, 1),
+            (
+                vec![
+                    (200, 1),
+                    (600, 2),
+                    (800, 1),
+                    (800, 2),
+                    (1000, 0),
+                    (1000, 1),
+                    (1000, 2),
+                    (1200, 0),
+                    (900, 0),
+                    (2000, 0),
+                    (2000, 1),
+                    (2000, 2),
+                    (2200, 1),
+                    (2200, 2),
+                    (2400, 2),
+                    (2800, 1),
+                    (3000, 0),
+                    (3000, 1),
+                    (3000, 2),
+                ],
+                stats(19)
+            )
+        );
+        assert_eq!(
+            run(3, 0),
+            (
+                vec![
+                    (200, 1),
+                    (600, 2),
+                    (800, 1),
+                    (800, 2),
+                    (1000, 1),
+                    (1000, 2),
+                    (1200, 0),
+                    (900, 0),
+                    (2000, 0),
+                    (2200, 1),
+                    (2200, 2),
+                    (2400, 2),
+                    (2800, 1),
+                    (3000, 1),
+                    (3000, 2),
+                ],
+                stats(15)
+            )
+        );
+        assert_eq!(run(0, 1), (vec![], stats(0)));
+    }
+
     #[test]
     fn telemetry_namespace_is_sampler_scoped() {
-        let (_, _) = AdaptiveSampler::run(
+        let (_, stats) = thin(
             SamplerConfig::default(),
             WindowConfig::seconds(1),
-            stream(1),
+            &stream(1),
         );
-        let mut sampler = AdaptiveSampler::new(SamplerConfig::default(), WindowConfig::seconds(1));
-        for s in stream(1) {
-            sampler.push(s);
-        }
-        let snap = sampler.metrics_snapshot();
+        let snap = stats.metrics_snapshot();
         assert_eq!(snap.counter("monitor.sampler.seen"), Some(20));
-        assert!(snap.counter("monitor.sampler.kept").is_some());
-        assert!(snap.counter("monitor.sampler.dropped").is_some());
+        for key in ["kept", "dropped", "active_windows", "quiet_windows"] {
+            assert!(snap.counter(&format!("monitor.sampler.{key}")).is_some());
+        }
+        assert_eq!(snap.len(), 5);
     }
 }

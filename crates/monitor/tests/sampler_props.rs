@@ -18,7 +18,7 @@
 //!   of ingest.
 
 use proptest::prelude::*;
-use qi_monitor::sampler::{AdaptiveSampler, SamplerConfig};
+use qi_monitor::sampler::{thin, SamplerConfig};
 use qi_monitor::window::WindowConfig;
 use qi_pfs::ids::DeviceId;
 use qi_pfs::ops::ServerSample;
@@ -80,7 +80,7 @@ proptest! {
         let stream = build_stream(&deltas, tick_ms);
         let wcfg = WindowConfig::seconds(window_s);
         let cfg = SamplerConfig { budget, quiet_keep: 1, seed };
-        let (kept, stats) = AdaptiveSampler::run(cfg, wcfg, stream.clone());
+        let (kept, stats) = thin(cfg, wcfg, &stream);
         prop_assert_eq!(stats.seen as usize, stream.len());
         prop_assert_eq!(stats.kept as usize, kept.len());
         let mut counts = std::collections::HashMap::new();
@@ -111,8 +111,8 @@ proptest! {
         let wcfg = WindowConfig::seconds(window_s);
         let tight = SamplerConfig { budget: small, quiet_keep: 1, seed };
         let loose = SamplerConfig { budget: small + extra, quiet_keep: 1, seed };
-        let (kept_tight, _) = AdaptiveSampler::run(tight, wcfg, stream.clone());
-        let (kept_loose, _) = AdaptiveSampler::run(loose, wcfg, stream);
+        let (kept_tight, _) = thin(tight, wcfg, &stream);
+        let (kept_loose, _) = thin(loose, wcfg, &stream);
         // Subsequence check: every tight sample appears, in order, in
         // the loose output.
         let mut it = kept_loose.iter();
@@ -139,8 +139,8 @@ proptest! {
         let stream = build_stream(&deltas, tick_ms);
         let wcfg = WindowConfig::seconds(window_s);
         let cfg = SamplerConfig { budget, quiet_keep, seed };
-        let (a, sa) = AdaptiveSampler::run(cfg, wcfg, stream.clone());
-        let (b, sb) = AdaptiveSampler::run(cfg, wcfg, stream);
+        let (a, sa) = thin(cfg, wcfg, &stream);
+        let (b, sb) = thin(cfg, wcfg, &stream);
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
     }
@@ -159,7 +159,7 @@ proptest! {
         let stream = build_stream(&deltas, tick_ms);
         let wcfg = WindowConfig::seconds(window_s);
         let cfg = SamplerConfig { budget, quiet_keep, seed };
-        let (kept, _) = AdaptiveSampler::run(cfg, wcfg, stream.clone());
+        let (kept, _) = thin(cfg, wcfg, &stream);
         let newest = |samples: &[ServerSample]| {
             let mut m = std::collections::HashMap::new();
             for s in samples {
@@ -191,7 +191,7 @@ proptest! {
         let stream = build_stream(&deltas, tick_ms);
         let wcfg = WindowConfig::seconds(window_s);
         let cfg = SamplerConfig { budget: u32::MAX, quiet_keep: 1, seed };
-        let (kept, stats) = AdaptiveSampler::run(cfg, wcfg, stream.clone());
+        let (kept, stats) = thin(cfg, wcfg, &stream);
         prop_assert_eq!(kept, stream);
         prop_assert_eq!(stats.dropped(), 0);
     }
@@ -214,8 +214,7 @@ fn mostly_quiet_devices_save_at_least_thirty_percent_of_ingest() {
         quiet_keep: 1,
         seed: 9,
     };
-    let (_, stats) =
-        AdaptiveSampler::run(cfg, WindowConfig::seconds(1), build_stream(&deltas, 100));
+    let (_, stats) = thin(cfg, WindowConfig::seconds(1), &build_stream(&deltas, 100));
     assert_eq!(stats.seen, 19_200);
     assert!(
         stats.savings() >= 0.30,

@@ -137,13 +137,15 @@ impl OnlineStats {
 }
 
 /// `p`-th percentile (0..=100) of a sample, by linear interpolation.
-/// Returns 0 for an empty slice.
+/// Returns 0 for an empty slice. The sample is ordered by
+/// [`f64::total_cmp`], so a NaN sorts last (first if its sign bit is
+/// set) instead of panicking.
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
     let mut v: Vec<f64> = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    v.sort_by(f64::total_cmp);
     let p = p.clamp(0.0, 100.0) / 100.0;
     let pos = p * (v.len() - 1) as f64;
     let lo = pos.floor() as usize;
@@ -375,6 +377,11 @@ mod tests {
         assert_eq!(percentile(&xs, 100.0), 4.0);
         assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
         assert_eq!(percentile(&[], 50.0), 0.0);
+        // A NaN sorts last: the lower ranks still read the finite values.
+        let with_nan = [3.0, f64::NAN, 1.0];
+        assert_eq!(percentile(&with_nan, 0.0), 1.0);
+        assert_eq!(percentile(&with_nan, 50.0), 3.0);
+        assert!(percentile(&with_nan, 100.0).is_nan());
     }
 
     #[test]

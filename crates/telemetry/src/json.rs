@@ -131,12 +131,12 @@ impl MetricsSnapshot {
     /// Parse a snapshot previously rendered by [`MetricsSnapshot::to_json`].
     pub fn from_json(input: &str) -> Result<MetricsSnapshot, JsonError> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
         };
         let root = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing data after JSON document"));
         }
         let obj = root.as_object("document")?;
@@ -280,7 +280,7 @@ impl Json {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -293,7 +293,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\n' || b == b'\t' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -303,10 +303,10 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -327,7 +327,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -338,7 +338,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let val = self.value()?;
             fields.push((key, val));
             self.skip_ws();
@@ -354,7 +354,7 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -376,7 +376,7 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -393,11 +393,13 @@ impl<'a> Parser<'a> {
                         Some(b'n') => out.push('\n'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.text.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             out.push(
@@ -410,12 +412,20 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as
+                    // one slice: both are ASCII, so the run ends on a
+                    // character boundary.
+                    let rest = &self.text.as_bytes()[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let chunk = self
+                        .text
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(chunk);
+                    self.pos += run;
                 }
             }
         }
@@ -436,8 +446,10 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a number"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in number"))?;
+        let raw = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid UTF-8 in number"))?;
         Ok(Json::Num(raw.to_string()))
     }
 }
@@ -493,5 +505,24 @@ mod tests {
         snap.put("weird\"name\\with\nescapes", MetricValue::Counter(1));
         let back = MetricsSnapshot::from_json(&snap.to_json()).expect("parses");
         assert_eq!(snap, back);
+    }
+
+    #[test]
+    fn multi_byte_names_and_unicode_escapes_round_trip() {
+        let mut snap = MetricsSnapshot::new();
+        // Multi-byte runs on both sides of escapes, and a control
+        // character the writer renders as a `\u` escape.
+        for name in ["lat.µs", "日本\\語\"ost", "rocket.🚀\u{1}.ops", "é"] {
+            snap.put(name, MetricValue::Counter(name.len() as u64));
+        }
+        let json = snap.to_json();
+        assert!(json.contains("\\u0001"), "{json}");
+        let back = MetricsSnapshot::from_json(&json).expect("parses");
+        assert_eq!(snap, back);
+        assert_eq!(json, back.to_json());
+        // A `\u` escape the writer never emits decodes to its character.
+        let hand = json.replace("\"é\"", "\"\\u00e9\"");
+        assert_ne!(hand, json);
+        assert_eq!(MetricsSnapshot::from_json(&hand).expect("parses"), snap);
     }
 }

@@ -8,7 +8,7 @@
 //!    forest is bit-identical across reruns and across rayon pools of
 //!    1, 2, and 8 worker threads.
 //! 2. **Sampler-off equivalence** — an unbounded-budget
-//!    [`AdaptiveSampler`] is a pass-through: the feature pipeline
+//!    [`sampler::thin`] is a pass-through: the feature pipeline
 //!    emits byte-identical windows whether the sampler sits in front
 //!    of it or not.
 //! 3. **ROC separation** — on the canonical anomaly session, every
@@ -102,14 +102,14 @@ fn unbounded_budget_sampler_is_equivalent_to_no_sampler() {
     let raw = &trace.samples;
     assert!(!raw.is_empty(), "scenario produced no server samples");
 
-    let (kept, stats) = AdaptiveSampler::run(
+    let (kept, stats) = sampler::thin(
         SamplerConfig {
             budget: u32::MAX,
             quiet_keep: 1,
             seed: 9,
         },
         wcfg,
-        raw.iter().copied(),
+        raw,
     );
     assert_eq!(stats.seen, stats.kept, "unbounded budget dropped samples");
     assert_eq!(&kept, raw, "pass-through reordered or altered samples");
