@@ -27,7 +27,7 @@ use crate::scenario::{InterferenceSpec, Scenario};
 /// (`n_devices × features`).
 ///
 /// This is a thin adapter over the canonical
-/// [`FeaturePipeline`][qi_monitor::pipeline::FeaturePipeline]: batch
+/// [`FeaturePipeline`]: batch
 /// dataset generation and the online serving path drive the same
 /// windowing, accumulation, and vector-assembly code, so the two can
 /// never drift apart. See [`FeaturePipeline::run_vectors`]. The last
@@ -457,7 +457,7 @@ pub(crate) fn run_grid<B: Send, C: Send>(
     Ok((bases, runs))
 }
 
-/// Run the grid once (in parallel, see [`run_grid`]) and harvest every
+/// Run the grid once (in parallel, see `run_grid`) and harvest every
 /// run under each of `views`, returning one labelled dataset per view,
 /// in order. Each equals what [`generate`] returns for the spec carrying
 /// that view: nothing a view holds reaches the simulation. Samples come

@@ -6,7 +6,7 @@
 //! *immutable* model: many shards reading one set of weights, no
 //! per-batch allocation, nothing retained. Both call the same kernel:
 //!
-//! - [`dense_fused`] — one dense layer with the bias add and ReLU fused
+//! - `dense_fused` — one dense layer with the bias add and ReLU fused
 //!   into the accumulation epilogue, dispatched to width-specialised
 //!   micro-kernels (the serve shapes have tiny output widths: 32, 16, 1,
 //!   2). Each kernel keeps a whole output row of accumulators on the
@@ -19,7 +19,7 @@
 //!   scratch per serving shard; capacity grows to the largest batch seen
 //!   and is reused forever after; `predict_batch_into` stages the
 //!   input in it and standardises it there.
-//! - [`argmax_row`] — the crate's one argmax, total over every `f32`
+//! - `argmax_row` — the crate's one argmax, total over every `f32`
 //!   row: a NaN among the logits (an `inf` feature can put `inf − inf`
 //!   into the last layer) loses to every number instead of panicking.
 //!
@@ -31,7 +31,11 @@
 //! bit-identical to the naive `matmul` → `add_row_vec` → clamp
 //! composition — checked for arbitrary shapes, against a reference
 //! written from those public `Matrix` operations, by the property suite
-//! in `crates/ml/tests/fused_infer.rs`.
+//! in `crates/ml/tests/fused_infer.rs`. The kernels run through
+//! `matrix::wide`, eight lanes wide where the CPU has AVX2, with the same
+//! bits (see there).
+
+use crate::matrix::wide;
 
 /// Caller-owned scratch for the immutable inference path: an input
 /// staging buffer plus two ping-pong activation buffers. Reusing one of
@@ -74,11 +78,30 @@ pub(crate) fn dense_fused(
     debug_assert_eq!(bias.len(), out_w);
     out.clear();
     out.reserve(rows * out_w);
-    // Width-specialised micro-kernels: with `W` a compile-time constant
-    // the accumulator array lives entirely in registers and the `j`
-    // loop unrolls/vectorizes. The widths below cover every layer shape
-    // the serve models use (and the common test shapes); anything else
-    // takes the tiled dynamic fallback.
+    wide(
+        #[inline(always)]
+        || dense_rows(x, rows, in_w, w, out_w, bias, relu, out),
+    );
+}
+
+/// The body of [`dense_fused`] that [`wide`] compiles twice.
+// Width-specialised micro-kernels: with `W` a compile-time constant the
+// accumulator array lives entirely in registers and the `j` loop
+// unrolls/vectorizes. The widths below cover every layer shape the
+// serve models use (and the common test shapes); anything else takes
+// the tiled dynamic fallback.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn dense_rows(
+    x: &[f32],
+    rows: usize,
+    in_w: usize,
+    w: &[f32],
+    out_w: usize,
+    bias: &[f32],
+    relu: bool,
+    out: &mut Vec<f32>,
+) {
     match out_w {
         1 => dense_rows_fixed::<1>(x, rows, in_w, w, bias, relu, out),
         2 => dense_rows_fixed::<2>(x, rows, in_w, w, bias, relu, out),
@@ -118,6 +141,7 @@ fn finish<const W: usize>(acc: &mut [f32; W], bias: &[f32], relu: bool) {
 
 /// Register-tiled kernel for a compile-time output width `W`, two input
 /// rows per pass (each streamed weight row is used twice).
+#[inline(always)]
 fn dense_rows_fixed<const W: usize>(
     x: &[f32],
     rows: usize,
@@ -165,6 +189,7 @@ fn dense_rows_fixed<const W: usize>(
 /// pass like [`dense_rows_fixed`], preserving the ascending-`k`
 /// single-accumulator order per element.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn dense_rows_any(
     x: &[f32],
     rows: usize,
@@ -293,6 +318,38 @@ mod tests {
                             got, want,
                             "mismatch at rows={rows} in_w={in_w} out_w={out_w} relu={relu}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`dense_rows`] called directly (the baseline compilation) and
+    /// through [`dense_fused`] (dispatched by [`wide`]) gives the same
+    /// bits: every specialised width and three fallback ones, odd and
+    /// even row counts, inputs up to 299 wide, signed zeros, subnormals,
+    /// infinities and NaN. The vector code under test exists only in an
+    /// optimised build (`cargo test --release`).
+    #[test]
+    fn wide_dense_matches_the_baseline_bitwise() {
+        use crate::matrix::{assert_wide_bits, say_what_wide_runs, sprinkle_specials};
+        say_what_wide_runs();
+        for &out_w in &[1usize, 2, 3, 4, 5, 6, 8, 12, 16, 17, 24, 32, 40] {
+            for &rows in &[1usize, 2, 5, 8] {
+                for &in_w in &[1usize, 7, 42, 299] {
+                    let mut x = hash_fill(rows * in_w, 1);
+                    sprinkle_specials(&mut x, in_w);
+                    let mut w = hash_fill(in_w * out_w, 2);
+                    sprinkle_specials(&mut w[out_w..], out_w);
+                    let mut bias = hash_fill(out_w, 3);
+                    bias[0] = -0.0;
+                    for relu in [false, true] {
+                        let mut base = Vec::new();
+                        dense_rows(&x, rows, in_w, &w, out_w, &bias, relu, &mut base);
+                        let mut got = Vec::new();
+                        dense_fused(&x, rows, in_w, &w, out_w, &bias, relu, &mut got);
+                        let what = format!("rows={rows} in_w={in_w} out_w={out_w} relu={relu}");
+                        assert_wide_bits(&base, &got, &what);
                     }
                 }
             }

@@ -1,7 +1,7 @@
 //! Dense layers and the MLP container, with manual backprop.
 //!
 //! There is one forward kernel: every layer, training or serving, runs
-//! through [`crate::infer::dense_fused`] (bias and ReLU in the
+//! through `crate::infer::dense_fused` (bias and ReLU in the
 //! accumulation epilogue). Training differs only in what it keeps: each
 //! [`Dense`] retains its input, which is also the previous layer's
 //! post-ReLU activation, so ReLU's backward needs no mask of its own —

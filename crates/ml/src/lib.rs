@@ -23,9 +23,15 @@
 //! - [`optim`] — Adam.
 //! - [`model`] — the kernel-based network.
 //! - [`data`] — datasets, 80/20 splits, z-score standardisation.
-//! - [`train`] — the kernel network's one minibatch loop and the
-//!   classifier protocol over it ([`train::train`]).
+//! - [`train`](mod@train) — the kernel network's one minibatch loop
+//!   and the classifier protocol over it ([`train::train`]).
 //! - [`metrics`] — confusion matrices, precision/recall/F1.
+//!
+//! The crate's one `unsafe` block is the AVX2 dispatch in
+//! `matrix::wide`; the lint below keeps any other from landing without
+//! its `// SAFETY:` argument.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod anomaly;
 pub mod data;

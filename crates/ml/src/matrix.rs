@@ -16,8 +16,91 @@
 //! `t_matmul` (`xᵀ · grad`, the weight gradient) is a zero-skipping axpy
 //! over rows — both ascending `k` into one accumulator from `+0.0`, so
 //! both equal the textbook dot product bit for bit.
+//!
+//! Every row kernel here and the fused forward in [`crate::infer`] run
+//! through `wide`, which compiles them a second time with AVX2 and
+//! picks that copy once the CPU reports it: eight lanes per
+//! instruction instead of four, and the same bits, since each element
+//! is still one ascending-`k` sum of separately rounded products.
 
 use rayon::prelude::*;
+
+/// Runs `f` compiled with AVX2 enabled when the CPU reports AVX2, and
+/// as the baseline build compiled it otherwise. The kernels it wraps are
+/// `#[inline(always)]`, and so is the closure at every call: LLVM keeps
+/// a large closure out of line otherwise, and the AVX2 function would
+/// only jump to its baseline copy. A body left out of line still
+/// compiles four lanes wide.
+///
+/// Both copies give the same bits. Rust neither contracts `acc += a * b`
+/// into a fused multiply-add nor reassociates float arithmetic, so each
+/// element is the same ascending-`k` sum of separately rounded products
+/// at any width. Only `avx2` is enabled, never `fma`, and the crate
+/// calls no `mul_add`: a fused multiply-add rounds once where the
+/// kernels round twice, and would move every fit. A NaN result may
+/// carry another sign (Rust leaves it unspecified); every other bit is
+/// equal. `is_x86_feature_detected!` caches its answer, so the choice
+/// is one atomic load a call.
+#[inline(always)]
+pub(crate) fn wide<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2")]
+        fn avx2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: `avx2` requires the AVX2 instructions and nothing
+            // else, and the CPU has just reported them.
+            return unsafe { avx2(f) };
+        }
+    }
+    f()
+}
+
+/// Says, on a CPU without AVX2, that the tests of [`wide`] compare the
+/// baseline build with itself there.
+#[cfg(test)]
+pub(crate) fn say_what_wide_runs() {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return;
+    }
+    eprintln!("no AVX2 on this CPU: the baseline build is compared with itself");
+}
+
+/// Asserts that a kernel's output through [`wide`] (`got`) equals its
+/// baseline compilation's (`base`): the same bits everywhere, except
+/// that a NaN need only meet a NaN. Rust leaves the sign and payload of
+/// a NaN result unspecified, and they do differ here: which operand an
+/// addition of two NaNs returns depends on the order LLVM gives the
+/// commutative `fadd`.
+#[cfg(test)]
+pub(crate) fn assert_wide_bits(base: &[f32], got: &[f32], what: &str) {
+    let bits = |v: &[f32]| {
+        v.iter()
+            .map(|x| if x.is_nan() { None } else { Some(x.to_bits()) })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(base), bits(got), "{what}");
+}
+
+/// Swaps values the vector units could treat differently into `v`, a
+/// row-major block with rows of `row_len`: signed zeros and subnormals
+/// every seventh element, and infinities and NaN in the first row only,
+/// so the other rows' sums stay finite.
+#[cfg(test)]
+pub(crate) fn sprinkle_specials(v: &mut [f32], row_len: usize) {
+    const FINITE: [f32; 4] = [0.0, -0.0, 1.0e-40, -f32::MIN_POSITIVE / 4.0];
+    const NONFINITE: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (n, x) in v.iter_mut().step_by(7).enumerate() {
+        *x = FINITE[n % FINITE.len()];
+    }
+    let first = row_len.min(v.len());
+    for (n, x) in v[..first].iter_mut().skip(2).step_by(5).enumerate() {
+        *x = NONFINITE[n % NONFINITE.len()];
+    }
+}
 
 /// Row-major matrix of `f32`.
 #[derive(Clone, Debug, PartialEq)]
@@ -167,7 +250,10 @@ impl Matrix {
         }
         let work = m * k * n;
         if work < BLOCK_MIN_WORK {
-            self.matmul_rows_simple(other, 0, &mut out.data);
+            wide(
+                #[inline(always)]
+                || self.matmul_rows_simple(other, 0, &mut out.data),
+            );
             return out;
         }
         let sparse = self.sampled_zero_fraction() >= SPARSE_SKIP_FRACTION;
@@ -180,16 +266,25 @@ impl Matrix {
                 .enumerate()
                 .for_each(|(j, block)| {
                     let r0 = j * rows_per_job;
-                    match &packed {
-                        Some(p) => self.matmul_rows_blocked(p, r0, block),
-                        None => self.matmul_rows_skip(other, r0, block),
-                    }
+                    wide(
+                        #[inline(always)]
+                        || match &packed {
+                            Some(p) => self.matmul_rows_blocked(p, r0, block),
+                            None => self.matmul_rows_skip(other, r0, block),
+                        },
+                    )
                 });
         } else if sparse {
-            self.matmul_rows_skip(other, 0, &mut out.data);
+            wide(
+                #[inline(always)]
+                || self.matmul_rows_skip(other, 0, &mut out.data),
+            );
         } else {
             let packed = PackedB::pack(other);
-            self.matmul_rows_blocked(&packed, 0, &mut out.data);
+            wide(
+                #[inline(always)]
+                || self.matmul_rows_blocked(&packed, 0, &mut out.data),
+            );
         }
         out
     }
@@ -215,6 +310,7 @@ impl Matrix {
 
     /// Plain row-major axpy kernel (no packing, no skip) for the rows
     /// starting at `r0` whose output occupies `out_block`.
+    #[inline(always)]
     fn matmul_rows_simple(&self, other: &Matrix, r0: usize, out_block: &mut [f32]) {
         let n = other.cols;
         let rows = out_block.len() / n;
@@ -232,6 +328,7 @@ impl Matrix {
 
     /// Zero-skip axpy kernel for sparse left matrices (the branch only
     /// pays for itself when most `a` elements are zero).
+    #[inline(always)]
     fn matmul_rows_skip(&self, other: &Matrix, r0: usize, out_block: &mut [f32]) {
         let n = other.cols;
         let rows = out_block.len() / n;
@@ -256,6 +353,7 @@ impl Matrix {
     /// (panel blocks ascending, `kk` within each ascending), so the
     /// accumulation order — and therefore every bit of the result —
     /// matches [`Matrix::matmul_rows_simple`].
+    #[inline(always)]
     fn matmul_rows_blocked(&self, packed: &PackedB, r0: usize, out_block: &mut [f32]) {
         let k = self.cols;
         let n = packed.n;
@@ -289,6 +387,18 @@ impl Matrix {
     pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
+        wide(
+            #[inline(always)]
+            || self.t_matmul_rows(other, &mut out.data),
+        );
+        out
+    }
+
+    /// The body of [`Matrix::t_matmul`] that [`wide`] compiles twice:
+    /// row `r` of `other`, scaled by each nonzero `self[r][i]`, added
+    /// into output row `i`.
+    #[inline(always)]
+    fn t_matmul_rows(&self, other: &Matrix, out: &mut [f32]) {
         for r in 0..self.rows {
             let a_row = self.row(r);
             let b_row = other.row(r);
@@ -296,13 +406,12 @@ impl Matrix {
                 if a == 0.0 {
                     continue;
                 }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
+                let out_row = &mut out[i * other.cols..(i + 1) * other.cols];
                 for (o, &b) in out_row.iter_mut().zip(b_row) {
                     *o += a * b;
                 }
             }
         }
-        out
     }
 
     /// `self · otherᵀ`: transposes `other` once (it is the small
@@ -572,6 +681,92 @@ mod tests {
     fn dense_probe_stays_on_dense_path() {
         let a = filled(64, 64, 5);
         assert!(a.sampled_zero_fraction() < SPARSE_SKIP_FRACTION);
+    }
+
+    /// `filled` with [`sprinkle_specials`] applied.
+    fn with_specials(mut a: Matrix) -> Matrix {
+        let cols = a.cols;
+        sprinkle_specials(a.data_mut(), cols);
+        a
+    }
+
+    /// `kernel` on a zeroed `len`-element output twice: as the baseline
+    /// compiled it, and through [`wide`].
+    fn both(len: usize, kernel: impl Fn(&mut [f32])) -> (Vec<f32>, Vec<f32>) {
+        let (mut base, mut got) = (vec![0.0; len], vec![0.0; len]);
+        kernel(&mut base);
+        wide(
+            #[inline(always)]
+            || kernel(&mut got),
+        );
+        (base, got)
+    }
+
+    /// Each row kernel called directly (the baseline compilation) and
+    /// through [`wide`] gives the same bits, on the simple, zero-skip,
+    /// blocked and 4-thread parallel paths and in `t_matmul`. The vector
+    /// code under test exists only in an optimised build
+    /// (`cargo test --release`).
+    #[test]
+    fn wide_kernels_match_the_baseline_bitwise() {
+        say_what_wide_runs();
+        let mut sparse = filled(160, 128, 3);
+        for (i, v) in sparse.data_mut().iter_mut().enumerate() {
+            if i % 16 != 0 {
+                *v = if i % 3 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        let cases = [
+            (with_specials(filled(8, 8, 1)), filled(8, 9, 2)),
+            (filled(9, 5, 1), with_specials(filled(5, 7, 2))),
+            (with_specials(filled(80, 90, 1)), filled(90, 70, 2)),
+            (filled(150, 160, 1), with_specials(filled(160, 170, 2))),
+            (sparse, with_specials(filled(128, 128, 4))),
+            (with_specials(filled(257, 129, 1)), filled(129, 131, 2)),
+        ];
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        for (a, b) in &cases {
+            let what = format!("{}x{}x{}", a.rows, a.cols, b.cols);
+            let len = a.rows * b.cols;
+            let packed = PackedB::pack(b);
+            let (simple, got) = both(
+                len,
+                #[inline(always)]
+                |o| a.matmul_rows_simple(b, 0, o),
+            );
+            assert_wide_bits(&simple, &got, &format!("simple {what}"));
+            let (skip, got) = both(
+                len,
+                #[inline(always)]
+                |o| a.matmul_rows_skip(b, 0, o),
+            );
+            assert_wide_bits(&skip, &got, &format!("skip {what}"));
+            let (blocked, got) = both(
+                len,
+                #[inline(always)]
+                |o| a.matmul_rows_blocked(&packed, 0, o),
+            );
+            assert_wide_bits(&blocked, &got, &format!("blocked {what}"));
+            // The dispatcher on four threads: the parallel path where the
+            // product is big enough, every chunk through `wide`.
+            let base = if len * a.cols < BLOCK_MIN_WORK {
+                simple
+            } else if a.sampled_zero_fraction() >= SPARSE_SKIP_FRACTION {
+                skip
+            } else {
+                blocked
+            };
+            let got = pool.install(|| a.matmul(b));
+            assert_wide_bits(&base, got.data(), &format!("matmul {what}"));
+
+            let g = with_specials(filled(a.rows, 13, 5));
+            let mut base = vec![0.0; a.cols * g.cols];
+            a.t_matmul_rows(&g, &mut base);
+            assert_wide_bits(&base, a.t_matmul(&g).data(), &format!("t_matmul {what}"));
+        }
     }
 
     #[test]

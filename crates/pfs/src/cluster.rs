@@ -12,9 +12,9 @@
 //! Every piece of state has one owner, and each owner writes its own
 //! telemetry block:
 //!
-//! - [`crate::servers`] — every OSS/OST (`OssProcess`, `TbfAdmitted`,
+//! - `crate::servers` — every OSS/OST (`OssProcess`, `TbfAdmitted`,
 //!   `OssFactor`, and the device events of OSTs);
-//! - [`crate::mds`] — the MDS and its MDT, namespace and layout
+//! - `crate::mds` — the MDS and its MDT, namespace and layout
 //!   placement included (`MdsProcess`, `MdsLockRun`, and the MDT's
 //!   device events);
 //! - [`crate::control`] — the controller tick (`Control`), the TBF table
@@ -384,7 +384,7 @@ impl Cluster {
     /// app's data RPCs: at most `bytes_per_sec` of payload is admitted
     /// to the object servers (burst of one second's worth), queuing the
     /// excess — the classful TBF policy of Qian et al. (the paper's
-    /// reference [13]).
+    /// reference \[13\]).
     pub fn apply_directive(
         &mut self,
         at: SimTime,

@@ -4,7 +4,7 @@
 //! [`RunTrace`] is pushed through the canonical
 //! [`FeaturePipeline`] — the same windowing/accumulation/assembly code
 //! training data was built with — and the instant a window is emitted,
-//! one [`PredictRequest`](crate::engine::PredictRequest) per active
+//! one [`PredictRequest`] per active
 //! application is submitted to the engine at that window's close time.
 //! Because every timestamp comes from the trace, replaying the same
 //! trace yields the same requests at the same simulated instants — and

@@ -205,10 +205,9 @@ impl Shard {
         }
         let (version, model) =
             active.ok_or_else(|| QiError::Serve("no active model version".into()))?;
-        let batch = std::mem::take(&mut lane.pending);
-        let k = batch.len();
+        let k = lane.pending.len();
         row_buf.clear();
-        for p in &batch {
+        for p in &lane.pending {
             row_buf.extend_from_slice(&p.req.block);
         }
         model.predict_batch_into(row_buf, k, scratch, class_buf);
@@ -220,7 +219,8 @@ impl Shard {
         lane.stats.batch_size.push(k as f64);
         lane.stats.infer.record(cost.as_nanos() as f64 / 1_000.0);
         let mut out = Vec::with_capacity(k);
-        for (p, &class) in batch.into_iter().zip(class_buf.iter()) {
+        // Drained in place, so the lane keeps its queue's allocation.
+        for (p, &class) in lane.pending.drain(..).zip(class_buf.iter()) {
             let queued = now.saturating_since(p.arrival);
             lane.stats
                 .queue_wait

@@ -8,7 +8,7 @@
 //! - [`time`] — integer-nanosecond [`SimTime`]/[`SimDuration`].
 //! - [`event`] — the deterministic [`EventQueue`] on sorted packed keys
 //!   ([`QueueBackend`] selects the reference double for tests).
-//! - [`reference`] — the naive sorted-`Vec` queue double backing the
+//! - [`reference`](mod@reference) — the naive sorted-`Vec` queue double backing the
 //!   differential tests.
 //! - [`rng`] — seeded [`SimRng`] with substream derivation.
 //! - [`stats`] — Welford accumulators, percentiles, histograms, smoothing.

@@ -16,7 +16,10 @@
 # Usage: scripts/bench.sh [--smoke] [--only experiments|benchmark]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Before either stage: the formatting and the docs, with every rustdoc
+# warning (a broken or ambiguous intra-doc link) an error.
 cargo fmt --check
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
 usage() {
     echo "usage: scripts/bench.sh [--smoke] [--only experiments|benchmark]" >&2
