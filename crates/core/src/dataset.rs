@@ -2,7 +2,6 @@
 //! baselines, and assemble per-server feature vectors into datasets.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
 
 use rayon::prelude::*;
 
@@ -12,6 +11,7 @@ use qi_monitor::features::{FeatureConfig, Imputation};
 use qi_monitor::pipeline::FeaturePipeline;
 use qi_monitor::schema::FeatureSchema;
 use qi_monitor::window::WindowConfig;
+use qi_pfs::cluster::Cluster;
 use qi_pfs::config::ClusterConfig;
 use qi_pfs::ids::AppId;
 use qi_pfs::ops::RunTrace;
@@ -20,7 +20,7 @@ use qi_simkit::time::{SimDuration, SimTime};
 use qi_workloads::registry::WorkloadKind;
 
 use crate::labeling::{window_degradation, BaselineIndex, Bins};
-use crate::scenario::{InterferenceSpec, Scenario};
+use crate::scenario::{InterferenceSpec, Scenario, WarmedUp, TARGET};
 
 /// Assemble, for every window in which `target` completed operations or
 /// issued RPCs, the flattened per-server feature block
@@ -337,19 +337,87 @@ pub(crate) struct Combo {
     pub(crate) fault: FaultSpec,
 }
 
+/// `spec`'s interfered runs in canonical order (targets × noises ×
+/// intensities × seeds × faults), each with the index of its `(target,
+/// seed)` baseline in target-major order. The fault dimension is
+/// innermost, so `[Healthy]` reproduces the fault-free grid order.
+fn combos(spec: &DatasetSpec) -> Vec<(Combo, usize)> {
+    let mut combos = Vec::with_capacity(spec.n_runs());
+    for (ti, &target) in spec.targets.iter().enumerate() {
+        for &noise in &spec.noise_kinds {
+            for &intensity in &spec.intensities {
+                for (si, &seed) in spec.seeds.iter().enumerate() {
+                    for &fault in &spec.faults {
+                        let combo = Combo {
+                            target,
+                            noise,
+                            intensity,
+                            seed,
+                            fault,
+                        };
+                        combos.push((combo, ti * spec.seeds.len() + si));
+                    }
+                }
+            }
+        }
+    }
+    combos
+}
+
+/// The interfered scenario of `combo`.
+fn interfered_scenario(spec: &DatasetSpec, combo: &Combo) -> Scenario {
+    let mut scenario =
+        spec.scenario(combo.target, combo.seed)
+            .with_interference(InterferenceSpec {
+                kind: combo.noise,
+                instances: combo.intensity,
+                ranks: spec.noise_ranks,
+            });
+    scenario.fault_plan = combo.fault.plan(&spec.cluster);
+    scenario
+}
+
+/// Indices into `combos` grouped by warm-up: two combos share one when
+/// they differ only in targets that preload the same files
+/// ([`Scenario::target_preloads`]), since until the target's first step
+/// nothing else of it touches the cluster. Groups come in the order of
+/// their first member, members in canonical order.
+fn warm_up_groups(spec: &DatasetSpec, combos: &[(Combo, usize)]) -> Vec<Vec<usize>> {
+    let preloads: Vec<_> = combos
+        .iter()
+        .map(|(c, _)| interfered_scenario(spec, c).target_preloads())
+        .collect();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (ci, (c, _)) in combos.iter().enumerate() {
+        let shares = |g: &&mut Vec<usize>| {
+            let (lead, _) = &combos[g[0]];
+            (lead.noise, lead.intensity, lead.seed, lead.fault)
+                == (c.noise, c.intensity, c.seed, c.fault)
+                && preloads[g[0]] == preloads[ci]
+        };
+        match groups.iter_mut().find(shares) {
+            Some(group) => group.push(ci),
+            None => groups.push(vec![ci]),
+        }
+    }
+    groups
+}
+
 /// Run `spec`'s grid in parallel and keep what the callers ask for from
 /// each run: `baseline(target, seed, app, trace)` once per `(target,
 /// seed)` key, in key order, and `interfered(combo, app, baseline,
 /// trace)` once per [`Combo`], in canonical order.
 ///
-/// Scheduling: one job per key runs that key's baseline and then fans
-/// its combos out as nested parallel jobs, so baselines and interfered
-/// runs of *different* keys overlap instead of serialising behind a
-/// grid-wide barrier. Results are returned in fixed order, so every
-/// caller's output is identical at any thread count. Baselines always
-/// run healthy: a faulted combo is measured against fault-free hardware.
-/// Each interfered run records into the buffers of a trace an earlier
-/// run handed back once harvested ([`Scenario::run_recycling`]).
+/// The baselines run first, one job each; they always run healthy, so
+/// a faulted combo is measured against fault-free hardware. Then one
+/// job per [`warm_up_groups`] group runs the noise alone through the
+/// warm-up once and finishes every member from a copy of it, the last
+/// member from the original ([`WarmedUp::finish_as`]). Interfered runs
+/// record only the target's ops and RPCs, all the callers read. Results
+/// are returned in fixed order, so every caller's output is identical
+/// at any thread count.
+///
+/// [`WarmedUp::finish_as`]: crate::scenario::WarmedUp::finish_as
 pub(crate) fn run_grid<B: Send, C: Send>(
     spec: &DatasetSpec,
     baseline: impl Fn(WorkloadKind, u64, AppId, &RunTrace) -> B + Sync,
@@ -366,95 +434,61 @@ pub(crate) fn run_grid<B: Send, C: Send>(
         .iter()
         .flat_map(|&t| spec.seeds.iter().map(move |&s| (t, s)))
         .collect();
-
-    // The fault dimension is innermost, so `[Healthy]` reproduces the
-    // fault-free grid order exactly.
-    let mut combos: Vec<Combo> = Vec::new();
-    for &target in &spec.targets {
-        for &noise in &spec.noise_kinds {
-            for &intensity in &spec.intensities {
-                for &seed in &spec.seeds {
-                    for &fault in &spec.faults {
-                        combos.push(Combo {
-                            target,
-                            noise,
-                            intensity,
-                            seed,
-                            fault,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    let mut combos_by_key: HashMap<(WorkloadKind, u64), Vec<usize>> = HashMap::new();
-    for (ci, c) in combos.iter().enumerate() {
-        combos_by_key
-            .entry((c.target, c.seed))
-            .or_default()
-            .push(ci);
-    }
-
-    // Finished interfered traces, handed to the next run so it records
-    // into their buffers instead of regrowing its own from zero. Every
-    // update is one push or pop, so a poisoned pool is still valid.
-    let spares: Mutex<Vec<RunTrace>> = Mutex::new(Vec::new());
-    let spares = || spares.lock().unwrap_or_else(PoisonError::into_inner);
-
-    type KeyResult<B, C> = (B, Vec<(usize, C)>);
-    let per_key: Vec<KeyResult<B, C>> = base_keys
+    let bases: Vec<(B, AppId, RunTrace)> = base_keys
         .par_iter()
-        .map(|&(target, seed)| -> Result<KeyResult<B, C>, QiError> {
+        .map(|&(target, seed)| -> Result<(B, AppId, RunTrace), QiError> {
             let (app, base) = spec.scenario(target, seed).run()?;
             if base.completion_of(app).is_none() {
                 return Err(QiError::Incomplete(format!(
                     "baseline {target} (seed {seed}) hit the deadline"
                 )));
             }
-            let my_combos: &[usize] = combos_by_key
-                .get(&(target, seed))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let runs: Vec<(usize, C)> = my_combos
-                .par_iter()
-                .map(|&ci| -> Result<(usize, C), QiError> {
-                    let combo = &combos[ci];
-                    let mut scenario =
-                        spec.scenario(target, seed)
-                            .with_interference(InterferenceSpec {
-                                kind: combo.noise,
-                                instances: combo.intensity,
-                                ranks: spec.noise_ranks,
-                            });
-                    scenario.fault_plan = combo.fault.plan(&spec.cluster);
-                    // Its own statement: the lock is released before the run.
-                    let spare = spares().pop().unwrap_or_default();
-                    let (run_app, trace) = scenario.run_recycling(spare, |_| {})?;
-                    debug_assert_eq!(run_app, app);
-                    let run = interfered(combo, app, &base, &trace);
-                    spares().push(trace);
-                    Ok((ci, run))
-                })
-                .collect::<Result<_, _>>()?;
-            Ok((baseline(target, seed, app, &base), runs))
+            Ok((baseline(target, seed, app, &base), app, base))
+        })
+        .collect::<Result<_, _>>()?;
+    let (base_runs, bases): (Vec<B>, Vec<(AppId, RunTrace)>) = bases
+        .into_iter()
+        .map(|(b, app, base)| (b, (app, base)))
+        .unzip();
+
+    let combos = combos(spec);
+    let groups = warm_up_groups(spec, &combos);
+    let per_group: Vec<Vec<(usize, C)>> = groups
+        .par_iter()
+        .map(|members| -> Result<Vec<(usize, C)>, QiError> {
+            let Some((&last, rest)) = members.split_last() else {
+                return Ok(Vec::new());
+            };
+            let lead = interfered_scenario(spec, &combos[last].0);
+            let warm = lead.warm_up(Cluster::builder().record_only(TARGET), |_| {})?;
+            let mut runs = Vec::with_capacity(members.len());
+            let mut finish = |ci: usize, from: WarmedUp| -> Result<(), QiError> {
+                let (combo, key) = &combos[ci];
+                let (app, trace) = from.finish_as(&interfered_scenario(spec, combo))?;
+                let (base_app, base) = &bases[*key];
+                debug_assert_eq!(app, *base_app);
+                runs.push((ci, interfered(combo, app, base, &trace)));
+                Ok(())
+            };
+            for &ci in rest {
+                finish(ci, warm.try_clone()?)?;
+            }
+            finish(last, warm)?;
+            Ok(runs)
         })
         .collect::<Result<_, _>>()?;
 
     let mut slots: Vec<Option<C>> = combos.iter().map(|_| None).collect();
-    let mut bases = Vec::with_capacity(per_key.len());
-    for (base, runs) in per_key {
-        bases.push(base);
-        for (ci, run) in runs {
-            debug_assert!(slots[ci].is_none(), "combo {ci} run twice");
-            slots[ci] = Some(run);
-        }
+    for (ci, run) in per_group.into_iter().flatten() {
+        debug_assert!(slots[ci].is_none(), "combo {ci} run twice");
+        slots[ci] = Some(run);
     }
     let runs = slots
         .into_iter()
         .enumerate()
         .map(|(ci, run)| run.ok_or_else(|| QiError::Pipeline(format!("combo {ci} was never run"))))
         .collect::<Result<_, _>>()?;
-    Ok((bases, runs))
+    Ok((base_runs, runs))
 }
 
 /// Run the grid once (in parallel, see `run_grid`) and harvest every
@@ -658,6 +692,81 @@ mod tests {
         .plan(&cluster)
         .expect("plan");
         assert_eq!(one.events().len(), 1);
+    }
+
+    /// The benchmark's IO500 grid: the seven tasks crossed with
+    /// themselves at three intensities, on one seed.
+    fn io500_grid() -> DatasetSpec {
+        let mut spec = crate::predict::family_spec(&WorkloadKind::IO500, true);
+        spec.seeds = vec![1];
+        spec
+    }
+
+    #[test]
+    fn the_io500_grid_warms_up_84_times_for_147_runs() {
+        let spec = io500_grid();
+        let combos = combos(&spec);
+        assert_eq!(combos.len(), 147);
+        let groups = warm_up_groups(&spec, &combos);
+        assert_eq!(groups.len(), 84);
+        // Per noise and intensity, the targets split four ways.
+        use WorkloadKind::*;
+        let expected = [
+            vec![IorEasyWrite, IorEasyRead],
+            vec![IorHardWrite, IorHardRead],
+            vec![MdtEasyWrite, MdtHardWrite],
+            vec![MdtHardRead],
+        ];
+        for class in &expected {
+            let count = groups
+                .iter()
+                .filter(|g| {
+                    g.len() == class.len()
+                        && g.iter().all(|&ci| class.contains(&combos[ci].0.target))
+                })
+                .count();
+            assert_eq!(count, 21, "{class:?}");
+        }
+        for g in &groups {
+            assert!(g.windows(2).all(|w| w[0] < w[1]), "members in grid order");
+        }
+    }
+
+    #[test]
+    fn only_targets_with_equal_preloads_share_a_warm_up() {
+        let mut spec = io500_grid();
+        spec.intensities = vec![2];
+        spec.seeds = vec![1, 2];
+        spec.faults = vec![
+            FaultSpec::Healthy,
+            FaultSpec::SlowOst {
+                dev: 0,
+                factor: 4.0,
+                from_s: 1,
+                dur_s: 2,
+            },
+        ];
+        let combos = combos(&spec);
+        let groups = warm_up_groups(&spec, &combos);
+        let mut group_of = vec![usize::MAX; combos.len()];
+        for (gi, g) in groups.iter().enumerate() {
+            for &ci in g {
+                assert_eq!(group_of[ci], usize::MAX, "combo {ci} in two groups");
+                group_of[ci] = gi;
+            }
+        }
+        let preloads: Vec<_> = combos
+            .iter()
+            .map(|(c, _)| interfered_scenario(&spec, c).target_preloads())
+            .collect();
+        for (a, (ca, _)) in combos.iter().enumerate() {
+            for (b, (cb, _)) in combos.iter().enumerate() {
+                let same_noise = (ca.noise, ca.intensity, ca.seed, ca.fault)
+                    == (cb.noise, cb.intensity, cb.seed, cb.fault);
+                let shares = same_noise && preloads[a] == preloads[b];
+                assert_eq!(group_of[a] == group_of[b], shares, "{ca:?} / {cb:?}");
+            }
+        }
     }
 
     #[test]

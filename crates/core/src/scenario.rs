@@ -5,14 +5,17 @@
 //! the original application").
 
 use qi_faults::FaultPlan;
-use qi_pfs::cluster::Cluster;
+use qi_pfs::cluster::{Cluster, ClusterBuilder};
 use qi_pfs::config::ClusterConfig;
 use qi_pfs::ids::{AppId, NodeId};
 use qi_pfs::ops::RunTrace;
 use qi_simkit::error::QiError;
 use qi_simkit::time::{SimDuration, SimTime};
-use qi_workloads::common::deploy_delayed;
+use qi_workloads::common::{deploy_delayed, rank_programs, PrecreateFile};
 use qi_workloads::registry::WorkloadKind;
+
+/// The target's [`AppId`]: a scenario deploys it first.
+pub const TARGET: AppId = AppId(0);
 
 /// One interference source: `instances` concurrent looping copies of a
 /// workload, each with `ranks` ranks.
@@ -114,12 +117,35 @@ impl Scenario {
         }
     }
 
+    /// How long the noise runs alone: [`Scenario::warmup`], or nothing
+    /// when there is no noise.
+    fn warmup_len(&self) -> SimDuration {
+        if self.interference.is_empty() {
+            SimDuration::ZERO
+        } else {
+            self.warmup
+        }
+    }
+
+    /// The files the target preloads. With the noise, the seed, the
+    /// fault plan and the rest of the configuration they fix the
+    /// cluster's state at the end of the warm-up: until then the
+    /// target's ranks only wait, so scenarios that differ only in
+    /// targets with equal preloads can finish from one warm-up
+    /// ([`WarmedUp::finish_as`]).
+    pub fn target_preloads(&self) -> Vec<PrecreateFile> {
+        self.build_workload(self.target)
+            .precreate(TARGET, self.target_ranks, &self.cluster)
+    }
+
     /// Execute the scenario. Returns the target's [`AppId`] and the trace.
     ///
     /// The run stops when the target completes (or at the deadline).
-    /// Fails if the cluster configuration or fault plan is invalid.
+    /// Fails if the cluster configuration or fault plan is invalid, or
+    /// if the scenario has noise but only one client node, which the
+    /// target and the noise would have to share.
     pub fn run(&self) -> Result<(AppId, RunTrace), QiError> {
-        self.run_recycling(RunTrace::default(), |_| {})
+        self.run_with(|_| {})
     }
 
     /// Like [`Scenario::run`], but lets the caller adjust the freshly
@@ -129,24 +155,25 @@ impl Scenario {
         &self,
         prepare: impl FnOnce(&mut Cluster),
     ) -> Result<(AppId, RunTrace), QiError> {
-        self.run_recycling(RunTrace::default(), prepare)
+        Ok(self.warm_up(Cluster::builder(), prepare)?.finish(self))
     }
 
-    /// Like [`Scenario::run_with`], but records into `spare`'s buffers
-    /// (see [`ClusterBuilder::recycle`]): a loop over many runs hands
-    /// each finished trace back and stops regrowing its vectors. The
-    /// result is identical to a run on fresh buffers.
-    ///
-    /// [`ClusterBuilder::recycle`]: qi_pfs::cluster::ClusterBuilder::recycle
-    pub fn run_recycling(
+    /// Build the cluster from `builder` with this scenario's
+    /// configuration, seed and fault plan, deploy the target and the
+    /// noise, let `prepare` adjust it, and run the noise alone through
+    /// the warm-up: every event before the target's first step.
+    pub fn warm_up(
         &self,
-        spare: RunTrace,
+        builder: ClusterBuilder,
         prepare: impl FnOnce(&mut Cluster),
-    ) -> Result<(AppId, RunTrace), QiError> {
-        let mut builder = Cluster::builder()
-            .config(self.cluster.clone())
-            .seed(self.seed)
-            .recycle(spare);
+    ) -> Result<WarmedUp, QiError> {
+        if !self.interference.is_empty() && self.cluster.client_nodes < 2 {
+            return Err(QiError::Config(format!(
+                "interference runs on other nodes than the target, but the cluster has {} client node(s)",
+                self.cluster.client_nodes
+            )));
+        }
+        let mut builder = builder.config(self.cluster.clone()).seed(self.seed);
         if let Some(plan) = &self.fault_plan {
             builder = builder.fault_plan(plan.clone());
         }
@@ -154,11 +181,7 @@ impl Scenario {
         let target_nodes = self.target_nodes();
         let noise_nodes = self.noise_nodes();
         let target_w = self.build_workload(self.target);
-        let warmup = if self.interference.is_empty() {
-            SimDuration::ZERO
-        } else {
-            self.warmup
-        };
+        let warmup = self.warmup_len();
         let target = deploy_delayed(
             &mut cl,
             &target_w,
@@ -168,6 +191,7 @@ impl Scenario {
             false,
             warmup,
         );
+        debug_assert_eq!(target, TARGET);
         // Spread interference instances over the noise nodes, one node
         // offset per instance so they don't all share a NIC.
         let mut salt = 1u64;
@@ -191,14 +215,55 @@ impl Scenario {
             }
         }
         prepare(&mut cl);
-        let deadline = SimTime::ZERO + warmup + self.deadline;
-        let trace = cl.run_until_app(target, deadline);
-        Ok((target, trace))
+        cl.run_before(SimTime::ZERO + warmup);
+        Ok(WarmedUp { cluster: cl })
     }
 
     /// Execute the baseline variant.
     pub fn run_baseline(&self) -> Result<(AppId, RunTrace), QiError> {
         self.as_baseline().run()
+    }
+}
+
+/// A scenario's cluster run through its warm-up ([`Scenario::warm_up`]):
+/// the noise has run alone, and the target's ranks wait for their first
+/// step.
+pub struct WarmedUp {
+    cluster: Cluster,
+}
+
+impl WarmedUp {
+    /// A copy, to finish another scenario from the same warm-up. Fails
+    /// with [`QiError::Control`] if `prepare` installed a controller.
+    pub fn try_clone(&self) -> Result<WarmedUp, QiError> {
+        Ok(WarmedUp {
+            cluster: self.cluster.try_clone()?,
+        })
+    }
+
+    /// Run on until `scenario`'s target completes, or its deadline.
+    fn finish(self, scenario: &Scenario) -> (AppId, RunTrace) {
+        let deadline = SimTime::ZERO + scenario.warmup_len() + scenario.deadline;
+        (TARGET, self.cluster.run_until_app(TARGET, deadline))
+    }
+
+    /// Finish as `scenario`, which differs from the warmed-up one at
+    /// most in a target with the same [`Scenario::target_preloads`]:
+    /// its target's programs take over the waiting ranks. The result
+    /// equals `scenario.run()`.
+    pub fn finish_as(mut self, scenario: &Scenario) -> Result<(AppId, RunTrace), QiError> {
+        let w = scenario.build_workload(scenario.target);
+        let programs = rank_programs(
+            &w,
+            TARGET,
+            scenario.target_ranks,
+            scenario.seed,
+            false,
+            SimDuration::ZERO,
+            &scenario.cluster,
+        );
+        self.cluster.replace_programs(TARGET, &w.name(), programs)?;
+        Ok(self.finish(scenario))
     }
 }
 
@@ -250,6 +315,22 @@ mod tests {
             assert!(!n.contains(node), "node {node:?} shared");
         }
         assert_eq!(t.len() + n.len(), s.cluster.client_nodes as usize);
+    }
+
+    #[test]
+    fn interference_needs_a_client_node_of_its_own() {
+        let mut s = small(WorkloadKind::IorEasyWrite, 3);
+        s.cluster.client_nodes = 1;
+        assert_eq!(s.target_nodes(), s.noise_nodes(), "one node for both");
+        let (app, alone) = s.run().expect("a baseline needs one node");
+        assert!(alone.completion_of(app).is_some());
+        let noisy = s.with_interference(InterferenceSpec {
+            kind: WorkloadKind::IorEasyRead,
+            instances: 1,
+            ranks: 1,
+        });
+        let shared = noisy.run().map(|(app, _)| app);
+        assert!(matches!(shared, Err(QiError::Config(_))), "{shared:?}");
     }
 
     #[test]

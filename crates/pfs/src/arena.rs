@@ -51,6 +51,7 @@ impl std::fmt::Display for SlabKey {
     }
 }
 
+#[derive(Clone)]
 enum Slot<T> {
     /// Value of the free-list link: the next free slot, or `u32::MAX`.
     Vacant(u32),
@@ -60,6 +61,7 @@ enum Slot<T> {
 const FREE_NIL: u32 = u32::MAX;
 
 /// A slab allocator with generation-versioned keys. See the module docs.
+#[derive(Clone)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     /// Per-slot generation, bumped on each removal.

@@ -46,6 +46,7 @@ pub struct Released<T> {
 }
 
 /// Per-device write-back cache state.
+#[derive(Clone)]
 pub struct WriteCache<T> {
     cfg: CacheConfig,
     dirty: u64,
@@ -150,6 +151,7 @@ struct RecencyNode<K, V> {
 /// A lookup that refreshes, an insert and the removal of the least
 /// recently used entry are each a hash probe and a few link writes — no
 /// scan, and no allocation once the slab has reached its working size.
+#[derive(Clone)]
 struct Recency<K, V> {
     slots: IdMap<K, u32>,
     nodes: Vec<RecencyNode<K, V>>,
@@ -267,6 +269,7 @@ impl<K: Hash + Eq + Copy, V: Copy> Recency<K, V> {
 /// A fixed-capacity LRU membership set (used for the MDS inode cache:
 /// the first lookup of a file misses to the MDT, later lookups hit until
 /// the entry ages out).
+#[derive(Clone)]
 pub struct LruSet<K: Hash + Eq + Copy> {
     capacity: usize,
     entries: Recency<K, ()>,
@@ -313,6 +316,7 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
 ///
 /// Reads of resident objects are served from memory. Objects become
 /// resident when written or first read, if they are small enough.
+#[derive(Clone)]
 pub struct SmallObjectCache {
     small_max: u64,
     budget: u64,

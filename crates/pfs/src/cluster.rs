@@ -38,9 +38,7 @@ use crate::ids::{AppId, DeviceId, FileKey, NodeId, OpToken};
 use crate::layout::{Chunk, FileLayout, ObjKey};
 use crate::mds::{Mds, META_MSG_BYTES};
 use crate::net::{LinkFate, LinkFault, LinkFaultKind, Network};
-use crate::ops::{
-    IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace, ServerSample,
-};
+use crate::ops::{IoOp, OpKind, OpRecord, ProgramStep, RankProgram, RpcRecord, RunTrace};
 use crate::servers::{Ev, Fx, MetaOp, Msg, Servers};
 
 /// Client-side per-op syscall/dispatch overhead.
@@ -49,6 +47,7 @@ const CLIENT_OP_OVERHEAD: SimDuration = SimDuration::from_micros(5);
 /// A dropped client request awaiting retry, keyed by a
 /// generation-versioned slab key: stale timeout/resend events for a
 /// recycled slot miss on lookup instead of acting on the wrong request.
+#[derive(Clone)]
 struct RetryState {
     msg: Msg,
     src: NodeId,
@@ -60,6 +59,7 @@ struct RetryState {
 }
 
 /// Per-rank execution state.
+#[derive(Clone)]
 struct RankState {
     seq: u64,
     outstanding: u32,
@@ -71,6 +71,7 @@ struct RankState {
 }
 
 /// One application instance.
+#[derive(Clone)]
 struct AppState {
     name: String,
     programs: Vec<Option<Box<dyn RankProgram>>>,
@@ -132,6 +133,12 @@ pub struct Cluster {
     /// Operations abandoned because their per-op deadline passed. (All
     /// abandoned operations are `RunTrace::failed_ops`.)
     rpc_deadline_exceeded: u64,
+    /// The one app whose op and RPC records the trace keeps, if set (see
+    /// [`ClusterBuilder::record_only`]).
+    record_only: Option<AppId>,
+    /// Set once the run has started: the fault plan is realised and
+    /// every rank, the sampler and the controller are kicked.
+    started: bool,
 }
 
 /// Fluent constructor for [`Cluster`], and the only supported way to
@@ -154,9 +161,7 @@ pub struct ClusterBuilder {
     seed: u64,
     fault_plan: FaultPlan,
     retry: RetryPolicy,
-    /// Emptied record buffers the run records into (see
-    /// [`ClusterBuilder::recycle`]).
-    buffers: (Vec<OpRecord>, Vec<RpcRecord>, Vec<ServerSample>),
+    record_only: Option<AppId>,
 }
 
 impl ClusterBuilder {
@@ -192,21 +197,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Record into `spare`'s `ops`, `rpcs` and `samples` buffers,
-    /// emptied, instead of growing new ones from zero. Only their
-    /// capacity carries over: everything else of `spare` is dropped and
-    /// the run's trace starts as [`RunTrace::default`].
-    pub fn recycle(mut self, spare: RunTrace) -> Self {
-        let RunTrace {
-            mut ops,
-            mut rpcs,
-            mut samples,
-            ..
-        } = spare;
-        ops.clear();
-        rpcs.clear();
-        samples.clear();
-        self.buffers = (ops, rpcs, samples);
+    /// Keep only `app`'s records in [`RunTrace::ops`] and
+    /// [`RunTrace::rpcs`]. The simulation is unchanged, and so is the
+    /// rest of the trace: samples, completions, failed ops, directives,
+    /// metrics and the event count.
+    pub fn record_only(mut self, app: AppId) -> Self {
+        self.record_only = Some(app);
         self
     }
 
@@ -237,20 +233,7 @@ impl ClusterBuilder {
             cfg.n_nodes() as usize,
             cfg.oss_nodes as usize,
         )?;
-        let (ops, rpcs, samples) = self.buffers;
-        let trace = RunTrace {
-            ops,
-            rpcs,
-            samples,
-            ..RunTrace::default()
-        };
-        Ok(Cluster::construct(
-            self.cfg,
-            self.seed,
-            self.fault_plan,
-            self.retry,
-            trace,
-        ))
+        Ok(Cluster::construct(self))
     }
 }
 
@@ -260,13 +243,14 @@ impl Cluster {
         ClusterBuilder::new()
     }
 
-    fn construct(
-        cfg: ClusterConfig,
-        seed: u64,
-        fault_plan: FaultPlan,
-        retry: RetryPolicy,
-        trace: RunTrace,
-    ) -> Self {
+    fn construct(builder: ClusterBuilder) -> Self {
+        let ClusterBuilder {
+            cfg,
+            seed,
+            fault_plan,
+            retry,
+            record_only,
+        } = builder;
         // One slot per node: measured pending depth peaks at 100 events
         // on the 97-node benchmark cluster, and at 37 and 59 on the
         // paper testbed's full IO500 and DLIO grids. Deeper runs grow
@@ -281,7 +265,7 @@ impl Cluster {
             mds: Mds::new(&cfg, SimRng::new(seed).substream(0xC10D)),
             control: ControlPlane::default(),
             apps: Vec::new(),
-            trace,
+            trace: RunTrace::default(),
             fault_plan,
             retry,
             fault_rng: SimRng::new(seed).substream(0xFA17),
@@ -294,8 +278,40 @@ impl Cluster {
             rpc_timeouts: 0,
             rpc_retries: 0,
             rpc_deadline_exceeded: 0,
+            record_only,
+            started: false,
             cfg,
         }
+    }
+
+    /// A copy of this cluster, before or during its run: run on from
+    /// here, it delivers the same events and records the same trace as
+    /// this one would. Fails with [`QiError::Control`] when a controller
+    /// is installed, since a controller cannot be copied.
+    pub fn try_clone(&self) -> Result<Cluster, QiError> {
+        Ok(Cluster {
+            cfg: self.cfg.clone(),
+            fx: self.fx.clone(),
+            servers: self.servers.clone(),
+            mds: self.mds.clone(),
+            control: self.control.try_clone()?,
+            apps: self.apps.clone(),
+            trace: self.trace.clone(),
+            fault_plan: self.fault_plan.clone(),
+            retry: self.retry,
+            fault_rng: self.fault_rng.clone(),
+            retry_states: self.retry_states.clone(),
+            scratch_chunks: Vec::new(),
+            samples_taken: self.samples_taken,
+            disk_stalls: self.disk_stalls,
+            rpc_dropped: self.rpc_dropped,
+            rpc_delayed: self.rpc_delayed,
+            rpc_timeouts: self.rpc_timeouts,
+            rpc_retries: self.rpc_retries,
+            rpc_deadline_exceeded: self.rpc_deadline_exceeded,
+            record_only: self.record_only,
+            started: self.started,
+        })
     }
 
     /// Cluster configuration.
@@ -357,6 +373,40 @@ impl Cluster {
     /// Name of an application.
     pub fn app_name(&self, app: AppId) -> &str {
         &self.apps[app.0 as usize].name
+    }
+
+    /// Give `app` a new name and new rank programs. Its ranks' pending
+    /// wake-ups then call the new programs, so this is how one cluster
+    /// state is continued with different applications. Fails with
+    /// [`QiError::Config`], changing nothing, when `app` is unknown,
+    /// the program count is not its rank count, or any of its ranks has
+    /// issued an operation or finished.
+    pub fn replace_programs(
+        &mut self,
+        app: AppId,
+        name: &str,
+        programs: Vec<Box<dyn RankProgram>>,
+    ) -> Result<(), QiError> {
+        let Some(a) = self.apps.get_mut(app.0 as usize) else {
+            return Err(QiError::Config(format!("no application {}", app.0)));
+        };
+        if programs.len() != a.ranks.len() {
+            return Err(QiError::Config(format!(
+                "{} programs for the {} ranks of {}",
+                programs.len(),
+                a.ranks.len(),
+                a.name
+            )));
+        }
+        if a.ranks.iter().any(|r| r.seq > 0 || r.done) {
+            return Err(QiError::Config(format!(
+                "{} has started: its programs can no longer be replaced",
+                a.name
+            )));
+        }
+        a.name = name.to_string();
+        a.programs = programs.into_iter().map(Some).collect();
+        Ok(())
     }
 
     /// The [`AppId`] the *next* [`Cluster::add_app`] call will return.
@@ -567,20 +617,40 @@ impl Cluster {
 
     /// Run until `deadline` (or until no events remain). Consumes the
     /// cluster and returns its trace.
-    pub fn run(self, deadline: SimTime) -> RunTrace {
-        self.run_inner(deadline, None)
+    pub fn run(mut self, deadline: SimTime) -> RunTrace {
+        self.start();
+        self.advance(deadline, None);
+        self.finish()
     }
 
     /// Run until application `app` completes (all ranks finished), or
     /// until `deadline` as a safety stop. The trace's
     /// [`RunTrace::completion_of`] tells which happened.
-    pub fn run_until_app(self, app: AppId, deadline: SimTime) -> RunTrace {
-        self.run_inner(deadline, Some(app))
+    pub fn run_until_app(mut self, app: AppId, deadline: SimTime) -> RunTrace {
+        self.start();
+        self.advance(deadline, Some(app));
+        self.finish()
     }
 
-    fn run_inner(mut self, deadline: SimTime, stop_app: Option<AppId>) -> RunTrace {
+    /// Start the run if it has not started, then deliver every event due
+    /// strictly before `instant`, as [`Cluster::run`] would. Finishing
+    /// with `run` or [`Cluster::run_until_app`] then gives the trace an
+    /// uninterrupted run gives, provided the app `run_until_app` waits
+    /// for does not complete before `instant`.
+    pub fn run_before(&mut self, instant: SimTime) {
+        self.start();
+        if let Some(last) = instant.as_nanos().checked_sub(1) {
+            self.advance(SimTime(last), None);
+        }
+    }
+
+    /// Realise the fault plan and kick every rank, the sampler chain and
+    /// the controller, once.
+    fn start(&mut self) {
+        if std::mem::replace(&mut self.started, true) {
+            return;
+        }
         self.schedule_fault_plan();
-        // Kick every rank and the sampler chain.
         for a in 0..self.apps.len() {
             for r in 0..self.apps[a].ranks.len() {
                 let (app, rank) = (a as u32, r as u32);
@@ -592,8 +662,12 @@ impl Cluster {
         if let Some(at) = self.control.first_tick() {
             self.fx.schedule(at, Ev::Control);
         }
+    }
 
-        while let Some((now, ev)) = self.fx.q.pop_until(deadline) {
+    /// Deliver every event due at or before `through`, stopping early
+    /// once `stop_app` completes.
+    fn advance(&mut self, through: SimTime, stop_app: Option<AppId>) {
+        while let Some((now, ev)) = self.fx.q.pop_until(through) {
             self.handle(now, ev);
             if let Some(app) = stop_app {
                 if self.trace.app_completion[app.0 as usize].is_some() {
@@ -601,6 +675,10 @@ impl Cluster {
                 }
             }
         }
+    }
+
+    /// Close the trace: end time, event count and telemetry snapshot.
+    fn finish(mut self) -> RunTrace {
         let end = self.fx.q.now();
         self.trace.end = end;
         self.trace.events_processed = self.fx.q.processed();
@@ -818,13 +896,15 @@ impl Cluster {
                         file,
                         stripe: c.stripe,
                     };
-                    self.trace.rpcs.push(RpcRecord {
-                        app: AppId(app),
-                        dev: c.dev,
-                        kind,
-                        bytes: c.len,
-                        issued,
-                    });
+                    if self.records(app) {
+                        self.trace.rpcs.push(RpcRecord {
+                            app: AppId(app),
+                            dev: c.dev,
+                            kind,
+                            bytes: c.len,
+                            issued,
+                        });
+                    }
                     let dst = self.cfg.node_of(c.dev);
                     let (dev, obj_off, len) = (c.dev, c.obj_offset, c.len);
                     let (payload, msg) = if kind == OpKind::Read {
@@ -866,18 +946,26 @@ impl Cluster {
                     IoOp::Read { .. } | IoOp::Write { .. } => unreachable!(),
                 };
                 let mdt = self.mdt();
-                self.trace.rpcs.push(RpcRecord {
-                    app: AppId(app),
-                    dev: mdt,
-                    kind,
-                    bytes: 0,
-                    issued,
-                });
+                if self.records(app) {
+                    self.trace.rpcs.push(RpcRecord {
+                        app: AppId(app),
+                        dev: mdt,
+                        kind,
+                        bytes: 0,
+                        issued,
+                    });
+                }
                 let dst = self.cfg.node_of(mdt);
                 let msg = Msg::MetaReq { op, token, client };
                 self.send_request(issued, client, dst, META_MSG_BYTES, msg, token);
             }
         }
+    }
+
+    /// Whether the trace keeps app `app`'s op and RPC records.
+    #[inline]
+    fn records(&self, app: u32) -> bool {
+        self.record_only.is_none_or(|only| only.0 == app)
     }
 
     fn op_part_done(&mut self, now: SimTime, token: OpToken) {
@@ -896,7 +984,7 @@ impl Cluster {
                 // the op failed, but the rank still makes progress.
                 st.failed = false;
                 self.trace.failed_ops.push(token);
-            } else {
+            } else if self.records(token.app.0) {
                 self.trace.ops.push(OpRecord {
                     token,
                     kind,
@@ -972,6 +1060,7 @@ mod tests {
     }
 
     /// A program issuing a fixed list of ops, then finishing.
+    #[derive(Clone)]
     struct Script {
         ops: Vec<IoOp>,
         i: usize,
@@ -984,6 +1073,10 @@ mod tests {
             } else {
                 ProgramStep::Finished
             }
+        }
+
+        fn boxed_copy(&self) -> Box<dyn RankProgram> {
+            Box::new(self.clone())
         }
     }
 
@@ -1470,44 +1563,142 @@ mod tests {
         assert_eq!(trace.metrics.counter("pfs.control.applied"), Some(0));
     }
 
-    #[test]
-    fn a_recycled_builder_keeps_only_empty_record_buffers() {
-        // A finished rate-limited run, then a failed op by hand: every
-        // field of the spare differs from the default.
-        let mut cl = cluster(ClusterConfig::small(), 5);
-        let writes = (0..8)
-            .map(|i| IoOp::Write {
-                file: file(1),
-                offset: i * 1024 * 1024,
-                len: 1024 * 1024,
-            })
-            .collect();
-        let app = cl.add_app("w", vec![script(writes)], &[NodeId(0)]);
-        let limit = ControlDirective::RateLimit {
-            app,
-            bytes_per_sec: 1e9,
-        };
-        cl.apply_directive(SimTime::ZERO, 0, limit)
-            .expect("valid directive");
-        let mut spare = cl.run(SimTime::from_secs(3));
-        spare.failed_ops.push(spare.ops[0].token);
-        assert!(!spare.rpcs.is_empty() && !spare.samples.is_empty());
-        assert!(!spare.directives.is_empty() && spare.completion_of(app).is_some());
-        let capacity = |t: &RunTrace| (t.ops.capacity(), t.rpcs.capacity(), t.samples.capacity());
-        let kept = capacity(&spare);
-
-        let cl = Cluster::builder()
+    /// A writer on node 0 and, from 1 s on, a reader of a precreated
+    /// file on node 1, both on OST 0.
+    fn writer_and_late_reader(builder: ClusterBuilder) -> (Cluster, AppId, AppId) {
+        let mut cl = builder
             .config(ClusterConfig::small())
-            .recycle(spare)
+            .seed(5)
             .build()
             .expect("valid test cluster");
-        let t = &cl.trace;
-        assert!(t.ops.is_empty() && t.rpcs.is_empty() && t.samples.is_empty());
-        assert_eq!(capacity(t), kept, "the buffers are reused, not reallocated");
-        assert!(t.app_completion.is_empty() && t.failed_ops.is_empty());
-        assert!(t.directives.is_empty());
-        assert_eq!((t.end, t.events_processed), (SimTime::ZERO, 0));
-        assert_eq!(t.metrics, MetricsSnapshot::new());
+        let ost0 = cl.ost(0);
+        cl.precreate_file_on(file(2), 16 * 1024 * 1024, 1024 * 1024, ost0, 1);
+        let mib = |i: u64, read: bool| {
+            let (offset, len) = (i * 1024 * 1024, 1024 * 1024);
+            if read {
+                IoOp::Read {
+                    file: file(2),
+                    offset,
+                    len,
+                }
+            } else {
+                IoOp::Write {
+                    file: file(1),
+                    offset,
+                    len,
+                }
+            }
+        };
+        let writer = cl.add_app(
+            "w",
+            vec![script((0..64).map(|i| mib(i, false)).collect())],
+            &[NodeId(0)],
+        );
+        let mut reads: Vec<IoOp> = (0..16).map(|i| mib(i, true)).collect();
+        let mut waited = false;
+        let reader = move |now: SimTime| {
+            if !std::mem::replace(&mut waited, true) {
+                return ProgramStep::Compute(SimTime::from_secs(1).saturating_since(now));
+            }
+            reads.pop().map_or(ProgramStep::Finished, ProgramStep::Op)
+        };
+        let reader = cl.add_app("r", vec![Box::new(reader)], &[NodeId(1)]);
+        (cl, writer, reader)
+    }
+
+    #[test]
+    fn a_copy_runs_on_like_the_original() {
+        let (whole, _, reader) = writer_and_late_reader(Cluster::builder());
+        let whole = whole.run_until_app(reader, SimTime::from_secs(60));
+        for at in [
+            SimTime::ZERO,
+            SimTime::from_millis(300),
+            SimTime::from_secs(1),
+        ] {
+            let (mut cl, _, _) = writer_and_late_reader(Cluster::builder());
+            cl.run_before(at);
+            let copy = cl.try_clone().expect("no controller installed");
+            for t in [cl, copy].map(|c| c.run_until_app(reader, SimTime::from_secs(60))) {
+                assert_eq!(t.ops, whole.ops, "continued from {at}");
+                assert_eq!(t.rpcs, whole.rpcs);
+                assert_eq!(t.samples, whole.samples);
+                assert_eq!(t.app_completion, whole.app_completion);
+                assert_eq!(
+                    (t.end, t.events_processed),
+                    (whole.end, whole.events_processed)
+                );
+                assert_eq!(t.metrics, whole.metrics);
+            }
+        }
+    }
+
+    #[test]
+    fn record_only_keeps_one_apps_records_and_the_rest_of_the_trace() {
+        let (all, writer, reader) = writer_and_late_reader(Cluster::builder());
+        let all = all.run_until_app(reader, SimTime::from_secs(60));
+        let (one, _, _) = writer_and_late_reader(Cluster::builder().record_only(reader));
+        let one = one.run_until_app(reader, SimTime::from_secs(60));
+        assert!(all.ops_of(writer).count() > 0, "the writer ran");
+        let ops: Vec<OpRecord> = all.ops_of(reader).copied().collect();
+        let rpcs: Vec<RpcRecord> = all
+            .rpcs
+            .iter()
+            .filter(|r| r.app == reader)
+            .copied()
+            .collect();
+        assert!(!ops.is_empty() && !rpcs.is_empty());
+        assert_eq!(one.ops, ops);
+        assert_eq!(one.rpcs, rpcs);
+        assert_eq!(one.samples, all.samples);
+        assert_eq!(one.app_completion, all.app_completion);
+        assert_eq!(
+            (one.end, one.events_processed),
+            (all.end, all.events_processed)
+        );
+        assert_eq!(one.metrics, all.metrics);
+    }
+
+    #[test]
+    fn replace_programs_refuses_an_app_that_has_started() {
+        let (mut cl, writer, reader) = writer_and_late_reader(Cluster::builder());
+        let reads = || vec![script(vec![]), script(vec![])];
+        let refused = cl.replace_programs(reader, "r2", reads());
+        assert!(matches!(refused, Err(QiError::Config(_))), "{refused:?}");
+        let unknown = cl.replace_programs(AppId(9), "x", vec![script(vec![])]);
+        assert!(matches!(unknown, Err(QiError::Config(_))), "{unknown:?}");
+        cl.run_before(SimTime::from_millis(500));
+        // The writer has issued ops by now; the reader only computed.
+        let started = cl.replace_programs(writer, "w2", vec![script(vec![])]);
+        assert!(matches!(started, Err(QiError::Config(_))), "{started:?}");
+        assert_eq!(cl.app_name(writer), "w");
+        cl.replace_programs(reader, "r2", vec![script(vec![])])
+            .expect("the reader has issued nothing");
+        assert_eq!(cl.app_name(reader), "r2");
+        // Its pending wake-up at 1 s now asks the empty script.
+        let t = cl.run_until_app(reader, SimTime::from_secs(60));
+        assert_eq!(t.completion_of(reader), Some(SimTime::from_secs(1)));
+        assert_eq!(t.ops_of(reader).count(), 0);
+    }
+
+    #[test]
+    fn a_cluster_with_a_controller_cannot_be_copied() {
+        struct Idle;
+        impl ClusterController for Idle {
+            fn interval(&self) -> SimDuration {
+                SimDuration::from_millis(100)
+            }
+            fn on_window(
+                &mut self,
+                _: SimTime,
+                _: u64,
+                _: &RunTrace,
+                _: &mut Vec<ControlDirective>,
+            ) {
+            }
+        }
+        let (mut cl, _, _) = writer_and_late_reader(Cluster::builder());
+        cl.install_controller(Box::new(Idle));
+        assert!(matches!(cl.try_clone(), Err(QiError::Control(_))));
     }
 
     #[test]
@@ -1543,6 +1734,7 @@ mod tests {
             .expect("valid plan");
 
         /// Issue one op at `at`, then finish.
+        #[derive(Clone)]
         struct At(SimTime, Option<IoOp>);
         impl RankProgram for At {
             fn next(&mut self, now: SimTime) -> ProgramStep {
@@ -1550,6 +1742,10 @@ mod tests {
                     return ProgramStep::Compute(self.0.saturating_since(now));
                 }
                 self.1.take().map_or(ProgramStep::Finished, ProgramStep::Op)
+            }
+
+            fn boxed_copy(&self) -> Box<dyn RankProgram> {
+                Box::new(self.clone())
             }
         }
         let ost0 = cl.ost(0);

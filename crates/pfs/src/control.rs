@@ -165,6 +165,25 @@ pub(crate) struct ControlPlane {
 }
 
 impl ControlPlane {
+    /// A copy of this control plane. Fails when a controller is
+    /// installed: a controller cannot be copied.
+    pub(crate) fn try_clone(&self) -> Result<Self, QiError> {
+        if self.controller.is_some() {
+            return Err(QiError::Control(
+                "a cluster with a controller installed cannot be copied".into(),
+            ));
+        }
+        Ok(ControlPlane {
+            tbf: self.tbf.clone(),
+            controller: None,
+            interval: self.interval,
+            window: self.window,
+            used: self.used,
+            scratch: Vec::new(),
+            rejected: self.rejected,
+        })
+    }
+
     /// Install the run's controller. At most one per run.
     pub(crate) fn install(&mut self, controller: Box<dyn ClusterController>) {
         let interval = controller.interval();

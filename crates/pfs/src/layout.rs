@@ -111,13 +111,14 @@ pub struct SectorRange {
 /// The extents of one object, sorted by `obj_sector`, and their summed
 /// length. Extents of one object never overlap in object space, so the
 /// one covering a sector, if any, is the last that starts at or below it.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ObjExtents {
     total: u64,
     exts: Vec<Extent>,
 }
 
 /// Per-OST extent allocator and object map.
+#[derive(Clone)]
 pub struct ExtentMap {
     capacity: u64,
     next: u64,

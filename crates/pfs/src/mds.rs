@@ -32,7 +32,7 @@ const META_SECTORS: u64 = 8;
 
 /// Per-directory metadata lock with FIFO waiters (each remembers when it
 /// enqueued, for lock-wait telemetry).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct DirLock {
     busy: bool,
     waiters: VecDeque<(OpToken, NodeId, SimTime)>,
@@ -42,6 +42,7 @@ struct DirLock {
 }
 
 /// Completion payload attached to MDT block requests.
+#[derive(Clone)]
 enum MdtTag {
     /// Journal write completing a namespace mutation.
     Journal {
@@ -72,6 +73,7 @@ fn file_hash(file: FileKey) -> u64 {
 }
 
 /// The MDS and its MDT.
+#[derive(Clone)]
 pub(crate) struct Mds {
     namespace: IdMap<FileKey, FileLayout>,
     dirs: IdMap<DirKey, DirLock>,

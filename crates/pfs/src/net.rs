@@ -84,6 +84,7 @@ impl Nic {
 }
 
 /// The cluster network: one NIC per node.
+#[derive(Clone)]
 pub struct Network {
     cfg: NetConfig,
     nics: Vec<Nic>,

@@ -164,14 +164,28 @@ pub enum ProgramStep {
 pub trait RankProgram: Send {
     /// Produce the next step.
     fn next(&mut self, now: SimTime) -> ProgramStep;
+
+    /// A boxed copy in this program's current state: it returns the same
+    /// steps from here on. Copying a cluster copies its programs.
+    fn boxed_copy(&self) -> Box<dyn RankProgram>;
+}
+
+impl Clone for Box<dyn RankProgram> {
+    fn clone(&self) -> Self {
+        self.boxed_copy()
+    }
 }
 
 impl<F> RankProgram for F
 where
-    F: FnMut(SimTime) -> ProgramStep + Send,
+    F: FnMut(SimTime) -> ProgramStep + Send + Clone + 'static,
 {
     fn next(&mut self, now: SimTime) -> ProgramStep {
         self(now)
+    }
+
+    fn boxed_copy(&self) -> Box<dyn RankProgram> {
+        Box::new(self.clone())
     }
 }
 
@@ -229,7 +243,7 @@ pub struct ServerSample {
 }
 
 /// Everything a simulated execution produces.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct RunTrace {
     /// Completed operations, in completion order.
     pub ops: Vec<OpRecord>,

@@ -217,6 +217,7 @@ impl Dispatch {
 }
 
 /// A storage device: request queue + rotational disk + dispatch policy.
+#[derive(Clone)]
 pub struct BlockDevice<T> {
     cfg: QueueConfig,
     disk: Disk,

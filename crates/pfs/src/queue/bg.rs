@@ -58,6 +58,7 @@ impl BgNode {
     }
 }
 
+#[derive(Clone)]
 pub(super) struct BgQueue {
     nodes: Vec<BgNode>,
     free: u32,
@@ -80,7 +81,7 @@ pub(super) struct BgQueue {
 }
 
 /// How many live entries have a given sector as their start (or end).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Presence(BTreeMap<u64, u32>);
 
 impl Presence {

@@ -23,6 +23,7 @@ use crate::ops::ServerSample;
 use crate::queue::{BlockDevice, Dispatch, Member, ReqKind};
 
 /// Completion payload attached to OST block requests.
+#[derive(Clone)]
 pub(crate) enum OstTag {
     /// Foreground read belonging to a client read chunk.
     ReadChunk { chunk: SlabKey },
@@ -33,6 +34,7 @@ pub(crate) enum OstTag {
 }
 
 /// A write waiting in (or moving through) an OSS cache.
+#[derive(Clone)]
 pub(crate) struct PendingWrite {
     pub(crate) token: OpToken,
     pub(crate) client: NodeId,
@@ -43,6 +45,7 @@ pub(crate) struct PendingWrite {
 }
 
 /// In-flight chunk bookkeeping (reads and sync writes).
+#[derive(Clone)]
 pub(crate) struct ChunkPending {
     pub(crate) remaining: u32,
     pub(crate) token: OpToken,
@@ -99,6 +102,7 @@ pub(crate) enum MetaOp {
 }
 
 /// Simulator events, all on the cluster's one queue.
+#[derive(Clone)]
 pub(crate) enum Ev {
     /// Ask a rank for its next step.
     RankNext { app: u32, rank: u32 },
@@ -148,6 +152,7 @@ pub(crate) enum Ev {
 
 /// Effect context every handler runs against: the cluster's one event
 /// queue and its network.
+#[derive(Clone)]
 pub(crate) struct Fx {
     pub(crate) q: EventQueue<Ev>,
     pub(crate) net: Network,
@@ -213,6 +218,7 @@ impl Fx {
 }
 
 /// All OSS/OST state, indexed by global OSS and OST number.
+#[derive(Clone)]
 pub(crate) struct Servers {
     /// OST block devices, in global OST order.
     devices: Vec<BlockDevice<OstTag>>,

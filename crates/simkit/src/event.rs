@@ -44,6 +44,7 @@ const SLOT_BITS: u32 = 24;
 const SEQ_BITS: u32 = 64 - SLOT_BITS;
 
 /// Sorted packed keys over a payload slot table.
+#[derive(Clone)]
 struct PackedQueue<E> {
     /// One key per pending event, `at << 64 | seq << SLOT_BITS | slot`,
     /// sorted descending so the `(at, seq)` minimum is the last.
@@ -110,6 +111,7 @@ impl<E> PackedQueue<E> {
 
 // ----------------------------------------------------------- EventQueue
 
+#[derive(Clone)]
 enum Backend<E> {
     Packed(PackedQueue<E>),
     Reference(ReferenceQueue<E>),
@@ -124,6 +126,7 @@ enum Backend<E> {
 /// The backing store is selectable (see [`QueueBackend`]) so tests can
 /// run whole simulations on the reference model; both backends deliver
 /// the exact same `(time, seq)` order.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     backend: Backend<E>,
     which: QueueBackend,

@@ -14,6 +14,7 @@
 ///
 /// Entries are kept sorted *descending* so the minimum sits at the end
 /// and `pop` is O(1); `insert` is O(n) — fine for a test double.
+#[derive(Clone)]
 pub struct ReferenceQueue<E> {
     items: Vec<(u64, u64, E)>,
 }

@@ -26,6 +26,7 @@ pub enum ScriptStep {
 }
 
 /// A rank program that replays a fixed script then finishes.
+#[derive(Clone)]
 pub struct ScriptProgram {
     steps: Vec<ScriptStep>,
     i: usize,
@@ -61,10 +62,14 @@ impl RankProgram for ScriptProgram {
             None => ProgramStep::Finished,
         }
     }
+
+    fn boxed_copy(&self) -> Box<dyn RankProgram> {
+        Box::new(self.clone())
+    }
 }
 
 /// Where a precreated file's data lives.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Placement {
     /// Round-robin OST assignment with an optional stripe override.
     RoundRobin(Option<StripeConfig>),
@@ -80,7 +85,7 @@ pub enum Placement {
 }
 
 /// A file that must exist (with data) before the workload starts.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PrecreateFile {
     /// File identity (within the workload's namespace).
     pub file: FileKey,
@@ -117,6 +122,7 @@ pub trait Workload: Send + Sync {
 /// it (with a varied seed) each time it drains — this is how background
 /// interference instances are "kept active for the entirety" of a run, as
 /// in the paper's Table I methodology.
+#[derive(Clone)]
 pub struct LoopingProgram {
     workload: Arc<dyn Workload>,
     ns: AppId,
@@ -171,12 +177,17 @@ impl RankProgram for LoopingProgram {
             step => step,
         }
     }
+
+    fn boxed_copy(&self) -> Box<dyn RankProgram> {
+        Box::new(self.clone())
+    }
 }
 
 /// A program that computes for `delay` before running its inner program.
 /// Used to let interference reach steady state (caches filled, queues
 /// deep) before a measured target starts — the paper's Table I keeps
 /// interference "active for the entirety" of the measured runs.
+#[derive(Clone)]
 pub struct DelayedProgram {
     delay: Option<SimDuration>,
     inner: Box<dyn RankProgram>,
@@ -198,6 +209,10 @@ impl RankProgram for DelayedProgram {
             Some(d) if d > SimDuration::ZERO => ProgramStep::Compute(d),
             _ => self.inner.next(now),
         }
+    }
+
+    fn boxed_copy(&self) -> Box<dyn RankProgram> {
+        Box::new(self.clone())
     }
 }
 
@@ -235,7 +250,24 @@ pub fn deploy_delayed(
             } => cl.precreate_file_on(pf.file, pf.len, stripe_size, first, count),
         }
     }
-    let programs: Vec<Box<dyn RankProgram>> = (0..ranks)
+    let programs = rank_programs(workload, ns, ranks, seed, looping, start_delay, &cfg);
+    let app = cl.add_app(&workload.name(), programs, nodes);
+    debug_assert_eq!(app, ns, "namespace/app id mismatch");
+    app
+}
+
+/// The rank programs [`deploy_delayed`] registers for `workload` in
+/// namespace `ns`, one per rank.
+pub fn rank_programs(
+    workload: &Arc<dyn Workload>,
+    ns: AppId,
+    ranks: u32,
+    seed: u64,
+    looping: bool,
+    start_delay: SimDuration,
+    cfg: &ClusterConfig,
+) -> Vec<Box<dyn RankProgram>> {
+    (0..ranks)
         .map(|r| -> Box<dyn RankProgram> {
             let inner: Box<dyn RankProgram> = if looping {
                 Box::new(LoopingProgram::new(
@@ -247,9 +279,7 @@ pub fn deploy_delayed(
                     cfg.clone(),
                 ))
             } else {
-                Box::new(ScriptProgram::new(
-                    workload.script(ns, r, ranks, seed, &cfg),
-                ))
+                Box::new(ScriptProgram::new(workload.script(ns, r, ranks, seed, cfg)))
             };
             if start_delay > SimDuration::ZERO {
                 Box::new(DelayedProgram::new(start_delay, inner))
@@ -257,10 +287,7 @@ pub fn deploy_delayed(
                 inner
             }
         })
-        .collect();
-    let app = cl.add_app(&workload.name(), programs, nodes);
-    debug_assert_eq!(app, ns, "namespace/app id mismatch");
-    app
+        .collect()
 }
 
 /// [`deploy_delayed`] with no start delay.

@@ -16,10 +16,11 @@
 # Usage: scripts/bench.sh [--smoke] [--only experiments|benchmark]
 set -euo pipefail
 cd "$(dirname "$0")/.."
-# Before either stage: the formatting and the docs, with every rustdoc
-# warning (a broken or ambiguous intra-doc link) an error.
+# Before either stage: the formatting and the docs of every workspace
+# crate, vendored ones included, with every rustdoc warning (a broken or
+# ambiguous intra-doc link) an error.
 cargo fmt --check
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 usage() {
     echo "usage: scripts/bench.sh [--smoke] [--only experiments|benchmark]" >&2

@@ -1,13 +1,14 @@
 //! Differential replay harness for the simulator core.
 //!
-//! The packed-key event queue, the arena-routed op tables and recycled
-//! trace buffers are pure performance work: they must not move a single
+//! The packed-key event queue, the arena-routed op tables and shared
+//! warm-ups are pure performance work: they must not move a single
 //! event. This harness
 //! proves it by running the same seeded scenarios — healthy, faulted,
 //! injected, controlled and dense — under 1/2/8-thread rayon pools
 //! through the naive sorted-`Vec` `Reference` test double and the
-//! `Packed` core, asserting bit-identical [`RunTrace`]s, telemetry
-//! JSON, and dataset feature blocks.
+//! `Packed` core, and by finishing two targets from one copied warm-up,
+//! asserting bit-identical [`RunTrace`]s, telemetry JSON, and dataset
+//! feature blocks.
 
 use qi_simkit::{QueueBackend, SimDuration, SimTime};
 use quanterference_repro::framework::prelude::*;
@@ -197,28 +198,57 @@ fn sim_shards_is_accepted_and_ignored() {
     }
 }
 
-/// A run recording into buffers recycled from a larger, different run
-/// (controlled, on four OSS) is bit-identical to one on fresh buffers:
-/// only capacity carries over, and nothing reads it.
+/// Two targets that preload the same files continue from one warm-up,
+/// the way the dataset grid runs them: one from a copy, the other from
+/// the original. Each equals its own fresh run, with ops and RPCs
+/// compared on the target (a grid warm-up records no other app's). The
+/// fault plan's windows open during the warm-up, and a sampler tick is
+/// due at the very instant the target's ranks wake.
 #[test]
-fn recycled_trace_buffers_replay_identically() {
-    let fresh = scenario_run(QueueBackend::Packed, true);
-    let spare = controlled_run(QueueBackend::Packed, false, 1);
-    let lens = |t: &RunTrace| [t.ops.len(), t.rpcs.len(), t.samples.len()];
-    assert!(
-        lens(&spare).iter().zip(lens(&fresh)).all(|(s, f)| *s > f),
-        "the spare must be larger in every record stream: {:?} vs {:?}",
-        lens(&spare),
-        lens(&fresh)
-    );
-    assert!(
-        !spare.directives.is_empty(),
-        "the spare must hold directives"
-    );
-    let (_, recycled) = scenario(QueueBackend::Packed, true)
-        .run_recycling(spare, |_| {})
-        .expect("recycled run completes");
-    assert_traces_identical(&fresh, &recycled, "recycled vs fresh buffers");
+fn targets_finish_from_one_warm_up_like_fresh_runs() {
+    use quanterference_repro::framework::scenario::TARGET;
+    let member = |target| Scenario {
+        target,
+        ..scenario(QueueBackend::Packed, true)
+    };
+    let read = member(WorkloadKind::IorEasyRead);
+    let write = member(WorkloadKind::IorEasyWrite);
+    assert_eq!(read.target_preloads(), write.target_preloads());
+    let warmup = read.warmup.as_nanos();
+    assert_eq!(warmup % read.cluster.sample_interval.as_nanos(), 0);
+    let plan = read.fault_plan.as_ref().expect("the faulted scenario");
+    assert!(plan.events().iter().any(|e| matches!(
+        e,
+        FaultEvent::SlowDisk { from, .. } if (1..warmup).contains(&from.as_nanos())
+    )));
+
+    let warm = read
+        .warm_up(Cluster::builder().record_only(TARGET), |_| {})
+        .expect("the warm-up runs");
+    let copy = warm.try_clone().expect("no controller is installed");
+    for (s, from) in [(&write, copy), (&read, warm)] {
+        let ctx = format!("{} from a shared warm-up", s.target);
+        let (app, got) = from.finish_as(s).expect("the target finishes");
+        let (fresh_app, fresh) = s.run().expect("the fresh run completes");
+        assert_eq!(app, fresh_app);
+        assert!(got.completion_of(app).is_some(), "{ctx}: incomplete");
+        let projected = RunTrace {
+            ops: fresh.ops_of(app).copied().collect(),
+            rpcs: fresh
+                .rpcs
+                .iter()
+                .filter(|r| r.app == app)
+                .copied()
+                .collect(),
+            ..fresh.clone()
+        };
+        let noise_before_start = fresh
+            .ops
+            .iter()
+            .any(|o| o.token.app != app && o.completed.as_nanos() < warmup);
+        assert!(noise_before_start, "{ctx}: the warm-up did nothing");
+        assert_traces_identical(&projected, &got, &ctx);
+    }
 }
 
 /// Every client of an 8-OSS cluster streams 1 MiB writes to its own
