@@ -321,8 +321,9 @@ pub fn generate_on(
 /// Run the grid (in parallel) and build the labelled dataset under the
 /// spec's own view: [`generate_views`] with one view.
 pub fn generate(spec: &DatasetSpec) -> Result<GeneratedDataset, QiError> {
-    let mut one = generate_views(spec, &[spec.view()])?;
-    Ok(one.pop().expect("one dataset per view"))
+    generate_views(spec, &[spec.view()])?
+        .pop()
+        .ok_or_else(|| QiError::Pipeline("no dataset for the spec's view".into()))
 }
 
 /// One interfered run of a grid: its position in the canonical order

@@ -1,12 +1,10 @@
-//! Table I, Figure 1 and the fail-slow probe as library functions, so
-//! the `qi-bench` experiments runner, the integration tests and the
-//! examples run the same code. Table I and Figure 1 are
-//! [`DatasetSpec`] grids run by the same parallel `(target, seed)`
-//! runner as the training datasets; each keeps only what it reports
-//! from a run (a duration, a slowdown, a per-op series), so every
-//! number is identical at any thread count.
+//! Table I and Figure 1 as library functions, so the `qi-bench`
+//! experiments runner, the integration tests and the examples run the
+//! same code. Both are [`DatasetSpec`] grids run by the same parallel
+//! `(target, seed)` runner as the training datasets; each keeps only
+//! what it reports from a run (a duration, a slowdown, a per-op
+//! series), so every number is identical at any thread count.
 
-use qi_faults::FaultEvent;
 use qi_pfs::config::ClusterConfig;
 use qi_pfs::ids::AppId;
 use qi_pfs::ops::RunTrace;
@@ -17,7 +15,7 @@ use qi_simkit::time::SimDuration;
 use qi_workloads::registry::WorkloadKind;
 
 use crate::dataset::{run_grid, Combo, DatasetSpec, FaultSpec};
-use crate::scenario::{completion_slowdown, target_duration, Scenario};
+use crate::scenario::{completion_slowdown, target_duration};
 
 /// The grid Table I and Figure 1 run on. At paper scale: the seven
 /// IO500 tasks crossed with themselves at 3 noise instances, 4 target
@@ -269,86 +267,6 @@ pub fn impact_ratios(baseline: &EnzoSeries, interfered: &EnzoSeries) -> Vec<f64>
         .collect()
 }
 
-/// Result of the fail-slow robustness experiment: does the interference
-/// predictor *confuse* a gray-failing device with cross-application
-/// interference? (Lu et al.'s Perseus — the source of the paper's
-/// severity bins — detects fail-slow; this probes the boundary between
-/// the two phenomena.)
-pub struct FailSlowReport {
-    /// Windows whose measured degradation (vs the healthy baseline) was
-    /// at or above the binary threshold.
-    pub degraded_windows: usize,
-    /// Degraded windows the model attributed to interference (flagged
-    /// >=2x) even though no interference was present.
-    pub flagged_windows: usize,
-    /// Windows with target activity, total.
-    pub total_windows: usize,
-}
-
-impl FailSlowReport {
-    /// Fraction of fail-slow-degraded windows mis-attributed to
-    /// interference.
-    pub fn misattribution_rate(&self) -> f64 {
-        if self.degraded_windows == 0 {
-            return 0.0;
-        }
-        self.flagged_windows as f64 / self.degraded_windows as f64
-    }
-}
-
-/// Run the fail-slow probe: execute `scenario` (which must have NO
-/// interference) with device `dev` degrading by `factor` from `at` to
-/// the run's deadline (a [`FaultEvent::SlowDisk`] on the scenario's fault
-/// plan), label windows against the healthy baseline, and ask the
-/// trained `predictor` which windows it would have flagged as
-/// interference. A bad device, factor or window is a
-/// [`QiError::FaultPlan`].
-pub fn fail_slow_probe(
-    scenario: &Scenario,
-    predictor: &mut crate::predict::Predictor,
-    dev: qi_pfs::ids::DeviceId,
-    at: qi_simkit::SimTime,
-    factor: f64,
-) -> Result<FailSlowReport, QiError> {
-    if !scenario.interference.is_empty() {
-        return Err(QiError::Config(
-            "the fail-slow probe isolates device failure from interference".into(),
-        ));
-    }
-    let (app, healthy) = scenario.run()?;
-    // Without interference the target starts at once: the run's
-    // deadline is `scenario.deadline` after time zero.
-    let mut plan = scenario.fault_plan.clone().unwrap_or_default();
-    plan.push(FaultEvent::SlowDisk {
-        dev: dev.0,
-        factor,
-        from: at,
-        until: qi_simkit::SimTime::ZERO + scenario.deadline,
-    });
-    let (_, sick) = scenario.clone().with_fault_plan(plan).run()?;
-    let idx = crate::labeling::BaselineIndex::new(&healthy, app);
-    let wcfg = predictor.window_config();
-    let levels = crate::labeling::window_degradation(&idx, &sick, app, wcfg);
-    let bins = crate::labeling::Bins::binary();
-    let predictions: std::collections::HashMap<u64, usize> =
-        predictor.predict_run(&sick, app)?.into_iter().collect();
-    let mut degraded = 0;
-    let mut flagged = 0;
-    for (w, lv) in &levels {
-        if bins.classify(*lv) >= 1 {
-            degraded += 1;
-            if predictions.get(w).copied().unwrap_or(0) >= 1 {
-                flagged += 1;
-            }
-        }
-    }
-    Ok(FailSlowReport {
-        degraded_windows: degraded,
-        flagged_windows: flagged,
-        total_windows: levels.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,50 +313,6 @@ mod tests {
         let max = ratios.iter().cloned().fold(0.0, f64::max);
         let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max / min.max(1e-9) > 1.5, "impact uniform: {min}..{max}");
-    }
-
-    #[test]
-    fn fail_slow_probe_reports_degradation() {
-        // Train nothing fancy: a tiny model on the smoke grid.
-        let spec = crate::dataset::DatasetSpec::smoke();
-        let tcfg = qi_ml::train::TrainConfig {
-            epochs: 8,
-            ..Default::default()
-        };
-        let (_, mut predictor, _) =
-            crate::predict::train_and_evaluate(&spec, &tcfg, 2).expect("pipeline runs");
-        let scenario = Scenario {
-            cluster: qi_pfs::config::ClusterConfig::small(),
-            small: true,
-            target_ranks: 2,
-            ..Scenario::baseline(WorkloadKind::IorEasyRead, 31)
-        };
-        let report = fail_slow_probe(
-            &scenario,
-            &mut predictor,
-            qi_pfs::ids::DeviceId(0),
-            qi_simkit::SimTime::ZERO,
-            8.0,
-        )
-        .expect("probe runs");
-        // An 8x fail-slow OST must degrade at least one window of a
-        // reader whose files live partly on it.
-        assert!(report.total_windows > 0);
-        assert!(
-            report.degraded_windows > 0,
-            "fail-slow injection had no visible effect"
-        );
-        assert!(report.misattribution_rate() >= 0.0);
-        assert!(report.flagged_windows <= report.degraded_windows);
-        // A device the cluster lacks, or a speed-up, is a typed error.
-        for (dev, factor) in [(999, 8.0), (0, 0.5)] {
-            let dev = qi_pfs::ids::DeviceId(dev);
-            let at = qi_simkit::SimTime::ZERO;
-            let err = fail_slow_probe(&scenario, &mut predictor, dev, at, factor)
-                .err()
-                .expect("bad injection is rejected");
-            assert!(matches!(err, QiError::FaultPlan(_)), "{err}");
-        }
     }
 
     #[test]

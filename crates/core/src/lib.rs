@@ -37,7 +37,6 @@ pub mod importance;
 pub mod labeling;
 pub mod mitigation;
 pub mod predict;
-pub mod report;
 pub mod scenario;
 
 /// Common imports for framework users: one stop for scenario running,
@@ -56,7 +55,6 @@ pub mod prelude {
         evaluate_mitigation, noise_app_ids, serve_predictor, MitigationOutcome,
     };
     pub use crate::predict::{evaluate, family_spec, train_and_evaluate, EvalReport, Predictor};
-    pub use crate::report::{summarize, RunReport};
     pub use crate::scenario::{completion_slowdown, target_duration, InterferenceSpec, Scenario};
     pub use qi_control::{
         ControlLoop, ControlLoopBuilder, GuidedThrottle, Hysteresis, MitigationPolicy,

@@ -85,6 +85,7 @@ impl Dense {
     /// Parameter gradients from dL/dy (the pre-activation gradient),
     /// without forming dL/dx.
     pub fn backward_params(&mut self, grad_out: &Matrix) {
+        // Every caller (`Mlp`'s backward, via training) runs `forward` first.
         let x = self.input.as_ref().expect("backward before forward");
         self.grad_w = x.t_matmul(grad_out);
         self.grad_b = grad_out.col_sums();
@@ -159,6 +160,7 @@ impl Mlp {
 
     /// Output width.
     pub fn outputs(&self) -> usize {
+        // `new` and `from_layers` both assert at least one layer.
         self.layers.last().expect("non-empty").outputs()
     }
 
@@ -204,6 +206,7 @@ impl Mlp {
         b: &'s mut Vec<f32>,
     ) -> (&'s mut Vec<f32>, &'s mut Vec<f32>) {
         assert_eq!(x.len(), rows * self.inputs(), "input shape mismatch");
+        // `new` and `from_layers` both assert at least one layer.
         let (first, rest) = self.layers.split_first().expect("non-empty");
         first.fused(x, rows, !rest.is_empty(), a);
         chain(rest, rows, a, b)
@@ -237,6 +240,7 @@ impl Mlp {
             // layer's post-ReLU activation: positive exactly where the
             // clamp let the value through, `+0.0` everywhere else (what
             // NaN and `-0.0` became), never NaN.
+            // Training runs `forward` before every backward pass.
             let a = layer.input.as_ref().expect("backward before forward");
             for (d, &a) in g.data_mut().iter_mut().zip(a.data()) {
                 if a <= 0.0 {

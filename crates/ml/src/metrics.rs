@@ -12,8 +12,6 @@
 
 use qi_simkit::table::AsciiTable;
 
-use crate::infer::argmax_row;
-
 /// An `n × n` confusion matrix; rows are ground truth, columns are
 /// predictions (matching the paper's figures: true negatives top-left,
 /// true positives bottom-right for the binary case).
@@ -37,14 +35,6 @@ impl ConfusionMatrix {
     pub fn record(&mut self, actual: usize, predicted: usize) {
         assert!(actual < self.n && predicted < self.n);
         self.counts[actual * self.n + predicted] += 1;
-    }
-
-    /// Record one sample from its row of logits (one per class): the
-    /// prediction is the crate's total argmax ([`crate::infer`]), so a
-    /// NaN or infinite logit is an answer and never a panic.
-    pub fn record_logits(&mut self, actual: usize, logits: &[f32]) {
-        assert_eq!(logits.len(), self.n, "one logit per class");
-        self.record(actual, argmax_row(logits));
     }
 
     /// Number of classes.
@@ -132,17 +122,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Binary-classification counts `(tn, fp, fn, tp)`.
-    pub fn binary_counts(&self) -> (u64, u64, u64, u64) {
-        assert_eq!(self.n, 2, "binary_counts on a multi-class matrix");
-        (
-            self.get(0, 0),
-            self.get(0, 1),
-            self.get(1, 0),
-            self.get(1, 1),
-        )
-    }
-
     /// Render as an ASCII table with the given class labels.
     pub fn render(&self, labels: &[&str]) -> String {
         assert_eq!(labels.len(), self.n);
@@ -191,25 +170,8 @@ mod tests {
     }
 
     #[test]
-    fn record_logits_is_total_over_non_finite_rows() {
-        let (nan, inf) = (f32::NAN, f32::INFINITY);
-        let mut cm = ConfusionMatrix::new(3);
-        cm.record_logits(0, &[nan, 1.0, 0.5]); // a NaN never wins
-        cm.record_logits(1, &[0.0, inf, nan]);
-        cm.record_logits(2, &[-inf, nan, -inf]); // the last maximum wins a tie
-        cm.record_logits(0, &[nan, nan, nan]); // nothing comparable: class 0
-        cm.record_logits(2, &[0.1, 0.7, 0.7]);
-        assert_eq!(cm.get(0, 1), 1);
-        assert_eq!(cm.get(1, 1), 1);
-        assert_eq!(cm.get(2, 2), 2);
-        assert_eq!(cm.get(0, 0), 1);
-        assert_eq!(cm.total(), 5);
-    }
-
-    #[test]
-    fn binary_counts_and_accuracy() {
+    fn accuracy_and_total_of_a_binary_matrix() {
         let cm = sample_cm();
-        assert_eq!(cm.binary_counts(), (50, 10, 5, 35));
         assert!((cm.accuracy() - 0.85).abs() < 1e-12);
         assert_eq!(cm.total(), 100);
     }

@@ -115,13 +115,6 @@ pub struct FeatureAvailability {
     pub server: bool,
 }
 
-impl FeatureAvailability {
-    /// True when every enabled block was backed by data.
-    pub fn is_complete(&self, cfg: FeatureConfig) -> bool {
-        (!cfg.client || self.client) && (!cfg.server || self.server)
-    }
-}
-
 /// How feature cells whose monitor data is missing are filled: with
 /// zeros ([`FeatureAvailability`] tells "no data" from "measured zero").
 /// A per-device mean was once a second variant, which serving could
@@ -295,7 +288,6 @@ mod tests {
 
     #[test]
     fn availability_mask_tracks_missing_blocks() {
-        let cfg = FeatureConfig::default();
         let (_, a) = vector(None, None, 0);
         assert_eq!(
             a,
@@ -304,18 +296,12 @@ mod tests {
                 server: false
             }
         );
-        assert!(!a.is_complete(cfg));
         let cw = ClientWindow::default();
         let (_, a) = vector(Some(&cw), None, 0);
         assert!(a.client && !a.server);
-        // A disabled block cannot make a vector incomplete.
-        assert!(a.is_complete(FeatureConfig {
-            client: true,
-            server: false
-        }));
         let sw = ServerWindow::default();
         let (_, a) = vector(Some(&cw), Some(&sw), 0);
-        assert!(a.is_complete(cfg));
+        assert!(a.client && a.server);
     }
 
     #[test]

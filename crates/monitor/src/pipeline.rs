@@ -430,6 +430,7 @@ impl FeaturePipeline {
         let ops = sorted_by_key(ops, |o| o.completed);
         let rpcs = sorted_by_key(rpcs, |r| r.issued);
         let samples = sorted_by_key(samples, |s| s.time);
+        // The three streams were sorted just above, so none is out of order.
         let mut out = self
             .drive_merged(&ops, &rpcs, &samples, None)
             .expect("sorted streams cannot be out of order");

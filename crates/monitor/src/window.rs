@@ -48,11 +48,6 @@ impl WindowConfig {
         self.index_of(SimTime(t.as_nanos().saturating_sub(1)))
     }
 
-    /// Number of whole windows fully contained in `[0, end)`.
-    pub fn count_until(&self, end: SimTime) -> u64 {
-        end.as_nanos() / self.window.as_nanos()
-    }
-
     /// Start instant of window `w`.
     pub fn start_of(&self, w: u64) -> SimTime {
         SimTime(w * self.window.as_nanos())
@@ -84,8 +79,7 @@ mod tests {
     #[test]
     fn count_and_start_round_trip() {
         let w = WindowConfig::seconds(3);
-        assert_eq!(w.count_until(SimTime::from_secs(9)), 3);
-        assert_eq!(w.count_until(SimTime::from_secs(10)), 3);
         assert_eq!(w.start_of(2), SimTime::from_secs(6));
+        assert_eq!(w.index_of(w.start_of(2)), 2);
     }
 }

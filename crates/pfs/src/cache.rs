@@ -121,6 +121,7 @@ impl<T> WriteCache<T> {
             if !self.fits(b) {
                 break;
             }
+            // `front()` just returned this entry.
             let (tag, b) = self.throttled.pop_front().expect("non-empty front");
             self.dirty += b;
             released.push(Released {
@@ -359,6 +360,7 @@ impl SmallObjectCache {
             }
         }
         while self.used > self.budget && self.resident.len() > 1 {
+            // The loop guard holds `len() > 1`: there is an entry to pop.
             let (_, bytes) = self.resident.pop_oldest().expect("non-empty cache");
             self.used -= bytes;
         }

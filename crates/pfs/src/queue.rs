@@ -550,6 +550,7 @@ impl<T> BlockDevice<T> {
     ) -> (CompletedMeta, Dispatch) {
         out.clear();
         self.advance_depth_integral(now);
+        // The event loop completes a device only when its request's service ends.
         let req = self.in_service.take().expect("complete() with idle disk");
         // Drain the member list into `out`, pushing freed slots onto the
         // free list as we go.
@@ -558,6 +559,7 @@ impl<T> BlockDevice<T> {
             let n = &mut self.members[idx as usize];
             let next = n.next;
             out.push(Member {
+                // A member keeps its tag until this drain takes it, once.
                 tag: n.tag.take().expect("live member"),
                 arrival: n.arrival,
                 sectors: n.sectors,

@@ -140,6 +140,7 @@ impl BgQueue {
             self.longest = 0;
         }
         let seq = self.next_seq;
+        // With the reset above, overflow needs 2^32 pushes between two drains.
         self.next_seq = seq
             .checked_add(1)
             .expect("background queue never drained across 2^32 requests");
@@ -269,6 +270,7 @@ impl BgQueue {
             while let Some(slot) = self.neighbour(&req, after, max_sectors) {
                 let q = self.unlink(slot);
                 after = q.seq + 1;
+                // `neighbour` returns only entries `merge` accepts.
                 req.merge(&q.req(), max_sectors, members)
                     .expect("an indexed neighbour merges");
                 merges += 1;

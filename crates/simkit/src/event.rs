@@ -22,7 +22,7 @@
 //! [`ReferenceQueue`]: crate::reference::ReferenceQueue
 
 use crate::reference::ReferenceQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Which data structure an [`EventQueue`] runs on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -216,12 +216,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.backend {
@@ -297,6 +291,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     const BACKENDS: [QueueBackend; 2] = [QueueBackend::Packed, QueueBackend::Reference];
 
@@ -339,19 +334,6 @@ mod tests {
             }
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
             assert_eq!(order, (50..150).collect::<Vec<_>>(), "{b:?}");
-        }
-    }
-
-    #[test]
-    fn schedule_after_uses_current_clock() {
-        for b in BACKENDS {
-            let mut q = EventQueue::with_backend(b);
-            q.schedule(SimTime::from_secs(5), "first");
-            q.pop();
-            q.schedule_after(SimDuration::from_secs(1), "second");
-            let (t, e) = q.pop().unwrap();
-            assert_eq!(e, "second");
-            assert_eq!(t, SimTime::from_secs(6), "{b:?}");
         }
     }
 

@@ -37,5 +37,5 @@ pub use event::{EventQueue, QueueBackend};
 pub use ratelimit::TokenBucket;
 pub use rng::SimRng;
 pub use stats::{moving_average, percentile, Histogram, OnlineStats};
-pub use table::{fmt_bytes, fmt_f64, AsciiTable};
+pub use table::{fmt_f64, AsciiTable};
 pub use time::{SimDuration, SimTime};

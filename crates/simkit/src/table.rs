@@ -106,22 +106,6 @@ pub fn fmt_f64(x: f64, prec: usize) -> String {
     }
 }
 
-/// Format a byte count with a binary-unit suffix.
-pub fn fmt_bytes(bytes: u64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = bytes as f64;
-    let mut u = 0;
-    while v >= 1024.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    if u == 0 {
-        format!("{bytes} B")
-    } else {
-        format!("{v:.2} {}", UNITS[u])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,8 +158,5 @@ mod tests {
     fn fmt_helpers() {
         assert_eq!(fmt_f64(1.23456, 2), "1.23");
         assert_eq!(fmt_f64(f64::NAN, 2), "-");
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(1536), "1.50 KiB");
-        assert_eq!(fmt_bytes(3 * 1024 * 1024), "3.00 MiB");
     }
 }

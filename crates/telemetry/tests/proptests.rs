@@ -1,5 +1,5 @@
 //! Property tests for the statistical accumulators qi-telemetry snapshots
-//! carry, and for the snapshot serialisation itself.
+//! carry, and for the snapshot's JSON writer.
 //!
 //! The merge properties matter because accumulators may be reduced
 //! across independently collected parts: merging split streams must
@@ -104,32 +104,34 @@ proptest! {
         prop_assert_eq!(a, whole);
     }
 
+    /// The writer's "shortest round-trip" claim: every finite gauge's
+    /// rendered token parses back to the same bits. Gauges are drawn
+    /// from raw bit patterns, so subnormals and extreme exponents occur.
     #[test]
-    fn snapshot_json_roundtrip_is_lossless_and_byte_stable(
-        counters in prop::collection::vec(0u64..u64::MAX, 1..6),
-        gauges in prop::collection::vec(-1e12f64..1e12, 1..6),
-        samples in prop::collection::vec(-1e3f64..1e3, 0..40),
+    fn snapshot_json_gauge_tokens_parse_back_to_the_same_bits(
+        bits in prop::collection::vec(0u64..u64::MAX, 1..8),
     ) {
+        let gauges: Vec<f64> = bits
+            .iter()
+            .map(|&b| f64::from_bits(b))
+            .filter(|g| g.is_finite())
+            .collect();
         let mut snap = MetricsSnapshot::new();
-        for (i, &c) in counters.iter().enumerate() {
-            snap.put(&format!("c{i}.count"), MetricValue::Counter(c));
-        }
         for (i, &g) in gauges.iter().enumerate() {
             snap.put(&format!("g{i}.level"), MetricValue::Gauge(g));
         }
-        let mut s = OnlineStats::new();
-        let mut h = Histogram::new(-1e3, 1e3, 7);
-        for &x in &samples {
-            s.push(x);
-            h.record(x);
-        }
-        snap.put("dist.stats", MetricValue::Stats(s));
-        snap.put("dist.hist", MetricValue::Histogram(h));
-
         let json = snap.to_json();
-        let back = MetricsSnapshot::from_json(&json)
-            .map_err(|e| TestCaseError::fail(format!("round-trip parse failed: {e}")))?;
-        prop_assert_eq!(&back, &snap);
-        prop_assert_eq!(back.to_json(), json);
+        for (i, &g) in gauges.iter().enumerate() {
+            let key = format!("\"g{i}.level\": {{\"type\": \"gauge\", \"value\": ");
+            let start = json
+                .find(&key)
+                .ok_or_else(|| TestCaseError::fail(format!("g{i} missing from {json}")))?
+                + key.len();
+            let token = &json[start..start + json[start..].find('}').unwrap_or(0)];
+            let back: f64 = token
+                .parse()
+                .map_err(|e| TestCaseError::fail(format!("token `{token}`: {e}")))?;
+            prop_assert_eq!(back.to_bits(), g.to_bits(), "token `{}`", token);
+        }
     }
 }

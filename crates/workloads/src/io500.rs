@@ -365,125 +365,6 @@ impl Workload for MdtHard {
     }
 }
 
-/// The remaining mdtest phases of the full IO500 run: `stat` and
-/// `delete` over the files created by the corresponding write phase, in
-/// either the private-directory ("easy") or shared-directory ("hard")
-/// layout. These are not among the seven tasks of the paper's Table I,
-/// but they broaden the interference-pattern vocabulary available to the
-/// dataset generator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MdtOp {
-    /// `stat` every file.
-    Stat,
-    /// `unlink` every file (acquires the directory lock per file).
-    Delete,
-}
-
-/// An mdtest stat/delete phase.
-#[derive(Clone, Debug)]
-pub struct MdtPhase {
-    /// Shared directory ("hard") vs a private directory per rank ("easy").
-    pub shared_dir: bool,
-    /// Which phase.
-    pub op: MdtOp,
-    /// Files per rank.
-    pub files_per_rank: u32,
-    /// Body bytes of the precreated files (0 for the easy layout).
-    pub body: u64,
-}
-
-impl MdtPhase {
-    /// `mdtest-easy-stat` at reproduction scale.
-    pub fn easy_stat() -> Self {
-        MdtPhase {
-            shared_dir: false,
-            op: MdtOp::Stat,
-            files_per_rank: 500,
-            body: 0,
-        }
-    }
-
-    /// `mdtest-easy-delete` at reproduction scale.
-    pub fn easy_delete() -> Self {
-        MdtPhase {
-            op: MdtOp::Delete,
-            ..MdtPhase::easy_stat()
-        }
-    }
-
-    /// `mdtest-hard-stat` at reproduction scale.
-    pub fn hard_stat() -> Self {
-        MdtPhase {
-            shared_dir: true,
-            op: MdtOp::Stat,
-            files_per_rank: 300,
-            body: MDT_HARD_BODY,
-        }
-    }
-
-    /// `mdtest-hard-delete` at reproduction scale.
-    pub fn hard_delete() -> Self {
-        MdtPhase {
-            op: MdtOp::Delete,
-            ..MdtPhase::hard_stat()
-        }
-    }
-
-    fn dir(&self, ns: AppId, rank: u32) -> qi_pfs::ids::DirKey {
-        if self.shared_dir {
-            nsdir(ns, SHARED_DIR)
-        } else {
-            nsdir(ns, 100 + rank as u64)
-        }
-    }
-}
-
-impl Workload for MdtPhase {
-    fn name(&self) -> String {
-        let layout = if self.shared_dir { "hard" } else { "easy" };
-        let op = match self.op {
-            MdtOp::Stat => "stat",
-            MdtOp::Delete => "delete",
-        };
-        format!("mdt-{layout}-{op}")
-    }
-
-    fn precreate(&self, ns: AppId, ranks: u32, _cfg: &ClusterConfig) -> Vec<PrecreateFile> {
-        // The files the write phase would have left behind.
-        let mut out = Vec::new();
-        for r in 0..ranks {
-            for i in 0..self.files_per_rank {
-                out.push(PrecreateFile {
-                    file: mdt_file(ns, r, i),
-                    len: self.body,
-                    placement: Placement::RoundRobin(None),
-                });
-            }
-        }
-        out
-    }
-
-    fn script(
-        &self,
-        ns: AppId,
-        rank: u32,
-        _ranks: u32,
-        _seed: u64,
-        _cfg: &ClusterConfig,
-    ) -> Vec<ScriptStep> {
-        let dir = self.dir(ns, rank);
-        (0..self.files_per_rank)
-            .map(|i| {
-                let file = mdt_file(ns, rank, i);
-                ScriptStep::Op(match self.op {
-                    MdtOp::Stat => IoOp::Stat { file },
-                    MdtOp::Delete => IoOp::Unlink { file, dir },
-                })
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,60 +489,6 @@ mod tests {
         let pre = w.precreate(AppId(0), 2, &ClusterConfig::small());
         assert_eq!(pre.len(), 2 * w.files_per_rank as usize);
         assert!(pre.iter().all(|p| p.len == MDT_HARD_BODY));
-    }
-
-    #[test]
-    fn mdt_phase_names_and_layouts() {
-        assert_eq!(MdtPhase::easy_stat().name(), "mdt-easy-stat");
-        assert_eq!(MdtPhase::easy_delete().name(), "mdt-easy-delete");
-        assert_eq!(MdtPhase::hard_stat().name(), "mdt-hard-stat");
-        assert_eq!(MdtPhase::hard_delete().name(), "mdt-hard-delete");
-        // Hard phases share one directory; easy phases do not.
-        let cfg = ClusterConfig::small();
-        let hard = MdtPhase::hard_delete();
-        let s0 = hard.script(AppId(0), 0, 2, 0, &cfg);
-        let s1 = hard.script(AppId(0), 1, 2, 0, &cfg);
-        let dir_of = |s: &[ScriptStep]| match &s[0] {
-            ScriptStep::Op(IoOp::Unlink { dir, .. }) => *dir,
-            other => panic!("expected unlink, got {other:?}"),
-        };
-        assert_eq!(dir_of(&s0), dir_of(&s1));
-        let easy = MdtPhase::easy_delete();
-        let e0 = easy.script(AppId(0), 0, 2, 0, &cfg);
-        let e1 = easy.script(AppId(0), 1, 2, 0, &cfg);
-        assert_ne!(dir_of(&e0), dir_of(&e1));
-    }
-
-    #[test]
-    fn mdt_phase_targets_the_write_phases_files() {
-        // stat/delete must precreate exactly the files mdtest-hard-write
-        // would have created, and only touch those.
-        let phase = MdtPhase::hard_stat();
-        let pre = phase.precreate(AppId(3), 2, &ClusterConfig::small());
-        let files: std::collections::HashSet<_> = pre.iter().map(|p| p.file).collect();
-        assert_eq!(files.len(), 2 * phase.files_per_rank as usize);
-        for r in 0..2 {
-            for step in phase.script(AppId(3), r, 2, 0, &ClusterConfig::small()) {
-                if let ScriptStep::Op(IoOp::Stat { file }) = step {
-                    assert!(files.contains(&file), "stat of unknown file {file:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mdt_delete_runs_to_completion() {
-        let w: Arc<dyn Workload> = Arc::new(MdtPhase {
-            files_per_rank: 30,
-            ..MdtPhase::hard_delete()
-        });
-        let trace = run_alone(w, 2);
-        let unlinks = trace
-            .ops
-            .iter()
-            .filter(|o| o.kind == OpKind::Unlink)
-            .count();
-        assert_eq!(unlinks, 60);
     }
 
     #[test]

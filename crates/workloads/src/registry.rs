@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crate::apps::{AmrexProxy, EnzoProxy, OpenPmdProxy};
 use crate::common::Workload;
 use crate::dlio::{DlioBert, DlioUnet3d};
-use crate::io500::{IorEasy, IorHard, MdtEasyWrite, MdtHard, MdtPhase};
+use crate::io500::{IorEasy, IorHard, MdtEasyWrite, MdtHard};
 
 /// Every workload the reproduction ships, by stable name.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -35,14 +35,6 @@ pub enum WorkloadKind {
     Enzo,
     /// OpenPMD application proxy.
     OpenPmd,
-    /// IO500 `mdtest-easy-stat` (extended phase, not in Table I).
-    MdtEasyStat,
-    /// IO500 `mdtest-easy-delete` (extended phase).
-    MdtEasyDelete,
-    /// IO500 `mdtest-hard-stat` (extended phase).
-    MdtHardStat,
-    /// IO500 `mdtest-hard-delete` (extended phase).
-    MdtHardDelete,
 }
 
 impl WorkloadKind {
@@ -67,15 +59,6 @@ impl WorkloadKind {
         WorkloadKind::OpenPmd,
     ];
 
-    /// The extended mdtest phases of a full IO500 run (stat/delete),
-    /// beyond the paper's seven Table I tasks.
-    pub const IO500_EXTENDED: [WorkloadKind; 4] = [
-        WorkloadKind::MdtEasyStat,
-        WorkloadKind::MdtEasyDelete,
-        WorkloadKind::MdtHardStat,
-        WorkloadKind::MdtHardDelete,
-    ];
-
     /// Stable name (matches the paper's labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -91,34 +74,7 @@ impl WorkloadKind {
             WorkloadKind::Amrex => "amrex",
             WorkloadKind::Enzo => "enzo",
             WorkloadKind::OpenPmd => "openpmd",
-            WorkloadKind::MdtEasyStat => "mdt-easy-stat",
-            WorkloadKind::MdtEasyDelete => "mdt-easy-delete",
-            WorkloadKind::MdtHardStat => "mdt-hard-stat",
-            WorkloadKind::MdtHardDelete => "mdt-hard-delete",
         }
-    }
-
-    /// Parse a stable name back into a kind.
-    pub fn from_name(name: &str) -> Option<Self> {
-        let all = [
-            WorkloadKind::IorEasyRead,
-            WorkloadKind::IorHardRead,
-            WorkloadKind::MdtHardRead,
-            WorkloadKind::IorEasyWrite,
-            WorkloadKind::IorHardWrite,
-            WorkloadKind::MdtEasyWrite,
-            WorkloadKind::MdtHardWrite,
-            WorkloadKind::DlioUnet3d,
-            WorkloadKind::DlioBert,
-            WorkloadKind::Amrex,
-            WorkloadKind::Enzo,
-            WorkloadKind::OpenPmd,
-            WorkloadKind::MdtEasyStat,
-            WorkloadKind::MdtEasyDelete,
-            WorkloadKind::MdtHardStat,
-            WorkloadKind::MdtHardDelete,
-        ];
-        all.into_iter().find(|k| k.name() == name)
     }
 
     /// Build the workload at its default reproduction scale.
@@ -136,10 +92,6 @@ impl WorkloadKind {
             WorkloadKind::Amrex => Arc::new(AmrexProxy::default()),
             WorkloadKind::Enzo => Arc::new(EnzoProxy::default()),
             WorkloadKind::OpenPmd => Arc::new(OpenPmdProxy::default()),
-            WorkloadKind::MdtEasyStat => Arc::new(MdtPhase::easy_stat()),
-            WorkloadKind::MdtEasyDelete => Arc::new(MdtPhase::easy_delete()),
-            WorkloadKind::MdtHardStat => Arc::new(MdtPhase::hard_stat()),
-            WorkloadKind::MdtHardDelete => Arc::new(MdtPhase::hard_delete()),
         }
     }
 
@@ -198,22 +150,6 @@ impl WorkloadKind {
                 iterations: 6,
                 ..OpenPmdProxy::default()
             }),
-            WorkloadKind::MdtEasyStat => Arc::new(MdtPhase {
-                files_per_rank: 100,
-                ..MdtPhase::easy_stat()
-            }),
-            WorkloadKind::MdtEasyDelete => Arc::new(MdtPhase {
-                files_per_rank: 100,
-                ..MdtPhase::easy_delete()
-            }),
-            WorkloadKind::MdtHardStat => Arc::new(MdtPhase {
-                files_per_rank: 60,
-                ..MdtPhase::hard_stat()
-            }),
-            WorkloadKind::MdtHardDelete => Arc::new(MdtPhase {
-                files_per_rank: 60,
-                ..MdtPhase::hard_delete()
-            }),
         }
     }
 }
@@ -228,17 +164,36 @@ impl std::fmt::Display for WorkloadKind {
 mod tests {
     use super::*;
 
+    /// Every kind sits in exactly one family. The match has no
+    /// wildcard, so a new variant does not compile until it is placed.
     #[test]
-    fn names_round_trip() {
-        for k in WorkloadKind::IO500
-            .iter()
-            .chain(WorkloadKind::DLIO.iter())
-            .chain(WorkloadKind::APPS.iter())
-            .chain(WorkloadKind::IO500_EXTENDED.iter())
-        {
-            assert_eq!(WorkloadKind::from_name(k.name()), Some(*k));
+    fn every_kind_is_in_exactly_one_family() {
+        let family = |k: WorkloadKind| match k {
+            WorkloadKind::IorEasyRead
+            | WorkloadKind::IorHardRead
+            | WorkloadKind::MdtHardRead
+            | WorkloadKind::IorEasyWrite
+            | WorkloadKind::IorHardWrite
+            | WorkloadKind::MdtEasyWrite
+            | WorkloadKind::MdtHardWrite => &WorkloadKind::IO500[..],
+            WorkloadKind::DlioUnet3d | WorkloadKind::DlioBert => &WorkloadKind::DLIO[..],
+            WorkloadKind::Amrex | WorkloadKind::Enzo | WorkloadKind::OpenPmd => {
+                &WorkloadKind::APPS[..]
+            }
+        };
+        let families = [
+            &WorkloadKind::IO500[..],
+            &WorkloadKind::DLIO[..],
+            &WorkloadKind::APPS[..],
+        ];
+        for members in families {
+            for &k in members {
+                assert_eq!(family(k), members, "{k} is listed outside its family");
+            }
         }
-        assert_eq!(WorkloadKind::from_name("nope"), None);
+        // One listing per variant: the match above has twelve.
+        let listed: usize = families.iter().map(|f| f.len()).sum();
+        assert_eq!(listed, 12);
     }
 
     #[test]

@@ -12,7 +12,6 @@ fn all_kinds() -> Vec<WorkloadKind> {
         .into_iter()
         .chain(WorkloadKind::DLIO)
         .chain(WorkloadKind::APPS)
-        .chain(WorkloadKind::IO500_EXTENDED)
         .collect()
 }
 
@@ -30,12 +29,11 @@ proptest! {
     /// Scripts are pure functions of (ns, rank, ranks, seed).
     #[test]
     fn scripts_are_deterministic(
-        kind_idx in 0usize..16,
+        kind in prop::sample::select(all_kinds()),
         rank in 0u32..4,
         ranks in 1u32..5,
         seed in 0u64..1000,
     ) {
-        let kind = all_kinds()[kind_idx];
         let rank = rank % ranks;
         let a = script_of(kind, 0, rank, ranks, seed);
         let b = script_of(kind, 0, rank, ranks, seed);
@@ -53,11 +51,10 @@ proptest! {
     /// no workload can touch another application's files.
     #[test]
     fn scripts_stay_in_their_namespace(
-        kind_idx in 0usize..16,
+        kind in prop::sample::select(all_kinds()),
         ns in 0u32..8,
         seed in 0u64..500,
     ) {
-        let kind = all_kinds()[kind_idx];
         let app = AppId(ns);
         for step in script_of(kind, ns, 0, 2, seed) {
             if let ScriptStep::Op(op) = step {
@@ -87,8 +84,7 @@ proptest! {
     /// All data operations have positive length and metadata ops carry
     /// no payload.
     #[test]
-    fn op_payloads_are_sane(kind_idx in 0usize..16, seed in 0u64..500) {
-        let kind = all_kinds()[kind_idx];
+    fn op_payloads_are_sane(kind in prop::sample::select(all_kinds()), seed in 0u64..500) {
         for step in script_of(kind, 1, 0, 2, seed) {
             if let ScriptStep::Op(op) = step {
                 if op.kind().is_data() {
@@ -119,11 +115,10 @@ proptest! {
     /// every read targets a precreated file within its length.
     #[test]
     fn reads_are_backed_by_precreated_data(
-        kind_idx in prop::sample::select(vec![0usize, 1, 2]), // the three read tasks
+        kind in prop::sample::select(WorkloadKind::IO500[..3].to_vec()), // the three read tasks
         ranks in 1u32..5,
         seed in 0u64..200,
     ) {
-        let kind = WorkloadKind::IO500[kind_idx];
         let w = kind.build_small();
         let cfg = ClusterConfig::small();
         let pre: std::collections::HashMap<_, _> = w
@@ -151,10 +146,12 @@ proptest! {
     /// Looping interference never finishes: the program keeps yielding
     /// steps far beyond one script length.
     #[test]
-    fn looping_programs_never_finish(kind_idx in 0usize..7, seed in 0u64..50) {
+    fn looping_programs_never_finish(
+        kind in prop::sample::select(WorkloadKind::IO500.to_vec()),
+        seed in 0u64..50,
+    ) {
         use qi_pfs::ops::{ProgramStep, RankProgram};
         use qi_workloads::common::LoopingProgram;
-        let kind = WorkloadKind::IO500[kind_idx];
         let w = kind.build_small();
         let one_pass = w
             .script(AppId(0), 0, 2, seed, &ClusterConfig::small())

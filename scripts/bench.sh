@@ -16,10 +16,11 @@
 # Usage: scripts/bench.sh [--smoke] [--only experiments|benchmark]
 set -euo pipefail
 cd "$(dirname "$0")/.."
-# Before either stage: the formatting and the docs of every workspace
-# crate, vendored ones included, with every rustdoc warning (a broken or
-# ambiguous intra-doc link) an error.
+# Before either stage: the formatting, the lints and the docs of every
+# workspace crate, vendored ones included, with every clippy warning and
+# every rustdoc warning (a broken or ambiguous intra-doc link) an error.
 cargo fmt --check
+cargo clippy --offline --workspace --all-targets --quiet -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 usage() {

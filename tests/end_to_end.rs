@@ -36,10 +36,6 @@ fn baseline_and_interfered_runs_are_deterministic() {
     // rendered — goldens and diffing rely on this.
     assert_eq!(a.metrics, b.metrics);
     assert_eq!(a.metrics.to_json(), b.metrics.to_json());
-    assert_eq!(
-        a.metrics.to_prometheus_text(),
-        b.metrics.to_prometheus_text()
-    );
 }
 
 /// Two datasets are the same bytes: features, labels, every provenance
@@ -302,7 +298,6 @@ fn every_registered_workload_completes_on_the_small_cluster() {
         .into_iter()
         .chain(WorkloadKind::DLIO)
         .chain(WorkloadKind::APPS)
-        .chain(WorkloadKind::IO500_EXTENDED)
     {
         let s = small_scenario(kind, 23);
         let (app, trace) = s.run().expect("workload completes");
