@@ -112,7 +112,7 @@ fn featurize(
         .flat_map(|ew| {
             ew.feature_blocks(fcfg, n_devices, wcfg.window)
                 .into_iter()
-                .map(|(app, block, _)| (ew.window, app, block))
+                .map(|(app, block)| (ew.window, app, block))
         })
         .collect();
     (blocks, stats)

@@ -200,9 +200,6 @@ pub struct DatasetView {
     pub features: FeatureConfig,
     /// Label bins.
     pub bins: Bins,
-    /// How missing feature cells are filled: with zeros (see
-    /// [`Imputation`] for why the field is still here).
-    pub imputation: Imputation,
 }
 
 /// The scenario grid to run for a dataset.
@@ -267,13 +264,12 @@ impl DatasetSpec {
     }
 
     /// The view [`generate`] harvests under: this spec's own `window`,
-    /// `features`, `bins` and `imputation`.
+    /// `features` and `bins`.
     pub fn view(&self) -> DatasetView {
         DatasetView {
             window: self.window,
             features: self.features,
             bins: self.bins.clone(),
-            imputation: self.imputation,
         }
     }
 
@@ -548,7 +544,7 @@ pub fn generate_views(
                 data: Dataset::from_samples(samples, labels, n_devices as usize),
                 meta,
                 bins: view.bins.clone(),
-                schema: FeatureSchema::current(view.window, view.features, view.imputation),
+                schema: FeatureSchema::current(view.window, view.features, Imputation::Zero),
             })
         })
         .collect()
@@ -573,7 +569,7 @@ fn collect_samples(
         view.window,
         view.features,
         n_devices,
-        view.imputation,
+        Imputation::Zero,
     );
     let mut windows: Vec<u64> = levels.keys().copied().collect();
     windows.sort_unstable();

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use qi_faults::{FaultEvent, FaultPlan, RetryPolicy};
     pub use qi_ml::anomaly::{AnomalyScorer, AnomalyVerdict, ForestConfig, IsolationForest};
     pub use qi_ml::train::TrainConfig;
-    pub use qi_monitor::features::{FeatureAvailability, FeatureConfig, Imputation};
+    pub use qi_monitor::features::{FeatureConfig, Imputation};
     pub use qi_monitor::sampler::{self, SamplerConfig, SamplerStats};
     pub use qi_monitor::schema::{FeatureSchema, SCHEMA_VERSION};
     pub use qi_monitor::window::WindowConfig;

@@ -102,24 +102,10 @@ pub fn feature_names(cfg: FeatureConfig) -> Vec<String> {
     names
 }
 
-/// Which feature blocks were actually backed by monitor data in one
-/// per-server vector. Under an injected fault (or a monitoring gap) a
-/// window can lose its client block, its server block, or both; this
-/// mask makes that explicit instead of silently encoding "no data" and
-/// "measured zero" the same way.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FeatureAvailability {
-    /// The client window existed (blocks 1 and 2 are measurements).
-    pub client: bool,
-    /// The server window existed (block 3 is a measurement).
-    pub server: bool,
-}
-
 /// How feature cells whose monitor data is missing are filled: with
-/// zeros ([`FeatureAvailability`] tells "no data" from "measured zero").
-/// A per-device mean was once a second variant, which serving could
-/// never honour — an online stream has no whole-run mean. The type and
-/// the parameters that carry it (`DatasetSpec::imputation`,
+/// zeros. A per-device mean was once a second variant, which serving
+/// could never honour — an online stream has no whole-run mean. The
+/// type and the parameters that carry it (`DatasetSpec::imputation`,
 /// `window_vectors_with`, `Predictor::new`) stay because QIMODEL files
 /// have a `schema.imputation` line and callers outside this workspace's
 /// control (the frozen `benchmark/` package) pass one.
@@ -150,8 +136,7 @@ impl Imputation {
 /// Append the feature vector for one server to `out`, given the
 /// application's client window (if it had any activity) and the
 /// server's window (if any samples landed there). Missing cells
-/// contribute zeros; the returned mask says which blocks were backed by
-/// real monitor data (fault plans and monitoring gaps leave holes).
+/// contribute zeros.
 pub fn server_vector(
     cfg: FeatureConfig,
     client: Option<&ClientWindow>,
@@ -159,7 +144,7 @@ pub fn server_vector(
     dev: DeviceId,
     window: SimDuration,
     out: &mut Vec<f32>,
-) -> FeatureAvailability {
+) {
     let before = out.len();
     if cfg.client {
         match client {
@@ -197,10 +182,6 @@ pub fn server_vector(
         }
     }
     debug_assert_eq!(out.len() - before, cfg.len());
-    FeatureAvailability {
-        client: client.is_some(),
-        server: server.is_some(),
-    }
 }
 
 #[cfg(test)]
@@ -210,14 +191,10 @@ mod tests {
     use crate::server::SeriesStats;
 
     /// One server's vector under the default configuration and a
-    /// one-second window, with its availability mask.
-    fn vector(
-        client: Option<&ClientWindow>,
-        server: Option<&ServerWindow>,
-        dev: u32,
-    ) -> (Vec<f32>, FeatureAvailability) {
+    /// one-second window.
+    fn vector(client: Option<&ClientWindow>, server: Option<&ServerWindow>, dev: u32) -> Vec<f32> {
         let mut v = Vec::new();
-        let avail = server_vector(
+        server_vector(
             FeatureConfig::default(),
             client,
             server,
@@ -225,7 +202,7 @@ mod tests {
             SimDuration::from_secs(1),
             &mut v,
         );
-        (v, avail)
+        v
     }
 
     #[test]
@@ -233,7 +210,7 @@ mod tests {
         let cfg = FeatureConfig::default();
         assert_eq!(cfg.len(), N_FEATURES);
         assert_eq!(feature_names(cfg).len(), N_FEATURES);
-        let (v, _) = vector(None, None, 0);
+        let v = vector(None, None, 0);
         assert_eq!(v.len(), N_FEATURES);
         assert!(v.iter().all(|&x| x == 0.0));
     }
@@ -264,7 +241,7 @@ mod tests {
         };
         cw.per_dev[1].read_reqs = 5;
         cw.per_dev[1].bytes_read = 1_000_000;
-        let (v, _) = vector(Some(&cw), None, 1);
+        let v = vector(Some(&cw), None, 1);
         assert_eq!(v[0], 3.0); // cl_reads
         assert_eq!(v[4], 2.0); // cl_read_mb
         assert_eq!(v[10], 5.0); // tgt_read_reqs
@@ -279,29 +256,11 @@ mod tests {
             mean: 5.5,
             std: 1.5,
         };
-        let (v, _) = vector(None, Some(&sw), 0);
+        let v = vector(None, Some(&sw), 0);
         let base = N_CLIENT_GLOBAL + N_CLIENT_TARGET;
         assert_eq!(v[base], 11.0);
         assert_eq!(v[base + 1], 5.5);
         assert_eq!(v[base + 2], 1.5);
-    }
-
-    #[test]
-    fn availability_mask_tracks_missing_blocks() {
-        let (_, a) = vector(None, None, 0);
-        assert_eq!(
-            a,
-            FeatureAvailability {
-                client: false,
-                server: false
-            }
-        );
-        let cw = ClientWindow::default();
-        let (_, a) = vector(Some(&cw), None, 0);
-        assert!(a.client && !a.server);
-        let sw = ServerWindow::default();
-        let (_, a) = vector(Some(&cw), Some(&sw), 0);
-        assert!(a.client && a.server);
     }
 
     #[test]
@@ -336,7 +295,7 @@ mod tests {
     #[test]
     fn out_of_range_device_targets_zero() {
         let cw = ClientWindow::default(); // per_dev empty
-        let (v, _) = vector(Some(&cw), None, 5);
+        let v = vector(Some(&cw), None, 5);
         assert_eq!(v[10], 0.0);
     }
 }

@@ -20,7 +20,7 @@
 //!   `server_windows` is a batch adapter over the pipeline.
 //! - [`features`] — the per-server vector fed to the kernel-based
 //!   network (paper §III-C): one function writes it. Missing cells are
-//!   zeros, flagged by an availability mask.
+//!   zeros.
 //! - [`sampler`] — the budget-bounded adaptive downsampler that thins
 //!   quiet per-device series (and restores full rate on activity or an
 //!   anomaly alert) before they reach the pipeline.

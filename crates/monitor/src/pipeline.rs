@@ -30,7 +30,7 @@ use qi_pfs::ids::{AppId, DeviceId};
 use qi_pfs::ops::{OpRecord, RpcRecord, RunTrace, ServerSample};
 
 use crate::client::ClientWindow;
-use crate::features::{server_vector, FeatureAvailability, FeatureConfig, Imputation};
+use crate::features::{server_vector, FeatureConfig, Imputation};
 use crate::schema::FeatureSchema;
 use crate::server::{ServerWindow, N_SERVER_SERIES};
 use crate::window::WindowConfig;
@@ -75,31 +75,32 @@ pub struct EmittedWindow {
 impl EmittedWindow {
     /// One application's flattened block for this window (`n_devices ×
     /// cfg.len()`, row-major), each server's cells written straight into
-    /// it, and the availability mask over all of its servers.
+    /// it.
     fn block(
         &self,
         client: &ClientWindow,
         cfg: FeatureConfig,
         n_devices: u32,
         window: SimDuration,
-    ) -> (Vec<f32>, FeatureAvailability) {
+    ) -> Vec<f32> {
         let mut block = Vec::with_capacity(n_devices as usize * cfg.len());
-        let mut avail = FeatureAvailability {
-            client: true,
-            server: true,
-        };
         for d in 0..n_devices {
             let dev = DeviceId(d);
-            let server = self.servers.get(&dev);
-            avail.server &=
-                server_vector(cfg, Some(client), server, dev, window, &mut block).server;
+            server_vector(
+                cfg,
+                Some(client),
+                self.servers.get(&dev),
+                dev,
+                window,
+                &mut block,
+            );
         }
-        (block, avail)
+        block
     }
 
     /// Assemble, for every application active in this window, the
-    /// flattened per-server feature block the predictor consumes with
-    /// its availability mask — what the dataset layer trains on and
+    /// flattened per-server feature block the predictor consumes — what
+    /// the dataset layer trains on and
     /// what the serving layer turns into one prediction request per
     /// `(app, block)` pair, so apps come back sorted by id to keep the
     /// request order deterministic.
@@ -108,14 +109,11 @@ impl EmittedWindow {
         cfg: FeatureConfig,
         n_devices: u32,
         window: SimDuration,
-    ) -> Vec<(AppId, Vec<f32>, FeatureAvailability)> {
+    ) -> Vec<(AppId, Vec<f32>)> {
         let mut apps: Vec<(&AppId, &ClientWindow)> = self.clients.iter().collect();
         apps.sort_unstable_by_key(|(app, _)| app.0);
         apps.into_iter()
-            .map(|(&app, client)| {
-                let (block, avail) = self.block(client, cfg, n_devices, window);
-                (app, block, avail)
-            })
+            .map(|(&app, client)| (app, self.block(client, cfg, n_devices, window)))
             .collect()
     }
 }
@@ -469,7 +467,7 @@ impl FeaturePipeline {
             .iter()
             .filter_map(|ew| {
                 let client = ew.clients.get(&target)?;
-                Some((ew.window, ew.block(client, fcfg, n_devices, window).0))
+                Some((ew.window, ew.block(client, fcfg, n_devices, window)))
             })
             .collect()
     }
@@ -631,10 +629,12 @@ mod tests {
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].0, AppId(1), "sorted by app id");
         assert_eq!(blocks[1].0, AppId(3));
-        for (_, block, avail) in &blocks {
+        for (_, block) in &blocks {
             assert_eq!(block.len(), 2 * cfg.len());
-            assert!(avail.client, "client window present");
-            assert!(!avail.server, "no samples pushed: server block absent");
+            for server in block.chunks(cfg.len()) {
+                let cells = &server[cfg.len() - crate::features::N_SERVER..];
+                assert!(cells.iter().all(|&x| x == 0.0), "no samples pushed");
+            }
         }
         // cl_reads of app 1's block is the op count.
         assert_eq!(blocks[0].1[0], 1.0);

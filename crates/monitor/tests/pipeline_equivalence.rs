@@ -248,7 +248,7 @@ fn assert_emitted_eq(a: &[EmittedWindow], b: &[EmittedWindow], cfg: WindowConfig
         let bits = |w: &EmittedWindow| -> Vec<(u32, Vec<u32>)> {
             w.feature_blocks(fcfg, n_devices, cfg.window)
                 .into_iter()
-                .map(|(app, block, _)| (app.0, block.iter().map(|f| f.to_bits()).collect()))
+                .map(|(app, block)| (app.0, block.iter().map(|f| f.to_bits()).collect()))
                 .collect()
         };
         assert_eq!(
@@ -357,7 +357,7 @@ proptest! {
         // the serving layer would feed the model equals the block the
         // training set was built from.
         for ew in &emitted {
-            for (app, block, _avail) in ew.feature_blocks(fcfg, n_devices, cfg.window) {
+            for (app, block) in ew.feature_blocks(fcfg, n_devices, cfg.window) {
                 let client = batch_clients.get(&(app, ew.window));
                 let mut batch_block = Vec::with_capacity(block.len());
                 for d in 0..n_devices {
@@ -471,8 +471,8 @@ proptest! {
             .flat_map(|ew| {
                 ew.feature_blocks(fcfg, n_devices, cfg.window)
                     .into_iter()
-                    .filter(|(app, _, _)| *app == AppId(target))
-                    .map(|(_, block, _)| (ew.window, bits(&block)))
+                    .filter(|(app, _)| *app == AppId(target))
+                    .map(|(_, block)| (ew.window, bits(&block)))
             })
             .collect();
         oracle.sort_unstable();

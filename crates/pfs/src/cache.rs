@@ -29,9 +29,6 @@ pub enum Admit {
     /// The cache is at its dirty limit; the write waits inside the cache
     /// and will be released by a later [`WriteCache::flushed`] call.
     Throttled,
-    /// Write-back is disabled (journal device): the caller must issue a
-    /// synchronous foreground write.
-    Sync,
 }
 
 /// A throttled write released once flush progress made room.
@@ -96,9 +93,6 @@ impl<T> WriteCache<T> {
     /// On [`Admit::Throttled`] the tag is retained internally and will come
     /// back from [`WriteCache::flushed`].
     pub fn admit(&mut self, bytes: u64, tag: T) -> Admit {
-        if !self.cfg.write_back {
-            return Admit::Sync;
-        }
         if self.throttled.is_empty() && self.fits(bytes) {
             self.dirty += bytes;
             Admit::Absorbed {
@@ -444,7 +438,6 @@ mod tests {
         WriteCache::new(CacheConfig {
             dirty_limit: limit,
             absorb_rate: 2.0e9,
-            write_back: true,
             ..CacheConfig::default()
         })
     }
@@ -496,16 +489,6 @@ mod tests {
         let rel = c.flushed(90); // dirty 10: tag 2 (80) fits now; then 3
         let tags: Vec<u32> = rel.iter().map(|r| r.tag).collect();
         assert_eq!(tags, vec![2, 3]);
-    }
-
-    #[test]
-    fn sync_mode_never_caches() {
-        let mut c: WriteCache<u32> = WriteCache::new(CacheConfig {
-            write_back: false,
-            ..CacheConfig::default()
-        });
-        assert!(matches!(c.admit(10, 1), Admit::Sync));
-        assert_eq!(c.dirty(), 0);
     }
 
     #[test]

@@ -941,7 +941,6 @@ impl Cluster {
                         create: Some((file, stripe)),
                         dir,
                     },
-                    IoOp::Unlink { dir, .. } => MetaOp::Mutate { create: None, dir },
                     IoOp::Mkdir { dir } => MetaOp::Mutate { create: None, dir },
                     IoOp::Read { .. } | IoOp::Write { .. } => unreachable!(),
                 };

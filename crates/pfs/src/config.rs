@@ -88,8 +88,6 @@ pub struct CacheConfig {
     pub dirty_limit: u64,
     /// Memory-copy bandwidth for absorbing a write into cache (bytes/s).
     pub absorb_rate: f64,
-    /// When `false` every write is synchronous (used for the MDT journal).
-    pub write_back: bool,
     /// Objects up to this size stay resident in the server page cache
     /// once touched; reads of resident objects never reach the disk.
     /// This is why mdtest-hard-read's 3901-byte file bodies are immune
@@ -104,7 +102,6 @@ impl Default for CacheConfig {
         CacheConfig {
             dirty_limit: 256 * 1024 * 1024,
             absorb_rate: 2.0e9,
-            write_back: true,
             small_object_max: 256 * 1024,
             read_cache_budget: 1024 * 1024 * 1024,
         }

@@ -108,13 +108,6 @@ pub enum IoOp {
         /// Target file.
         file: FileKey,
     },
-    /// Remove `file` from `dir` (acquires the directory lock).
-    Unlink {
-        /// Target file.
-        file: FileKey,
-        /// Parent directory.
-        dir: DirKey,
-    },
     /// Create a directory (acquires the *parent*-less global lock — we
     /// model it as a mutation on its own key).
     Mkdir {
@@ -133,7 +126,6 @@ impl IoOp {
             IoOp::Open { .. } => OpKind::Open,
             IoOp::Stat { .. } => OpKind::Stat,
             IoOp::Close { .. } => OpKind::Close,
-            IoOp::Unlink { .. } => OpKind::Unlink,
             IoOp::Mkdir { .. } => OpKind::Mkdir,
         }
     }

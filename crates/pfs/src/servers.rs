@@ -29,8 +29,6 @@ pub(crate) enum OstTag {
     ReadChunk { chunk: SlabKey },
     /// Background flush of dirty cache data (payload-byte share).
     Flush { dirty_bytes: u64 },
-    /// Synchronous write belonging to a client write chunk.
-    SyncChunk { chunk: SlabKey },
 }
 
 /// A write waiting in (or moving through) an OSS cache.
@@ -44,7 +42,7 @@ pub(crate) struct PendingWrite {
     pub(crate) len: u64,
 }
 
-/// In-flight chunk bookkeeping (reads and sync writes).
+/// In-flight read-chunk bookkeeping.
 #[derive(Clone)]
 pub(crate) struct ChunkPending {
     pub(crate) remaining: u32,
@@ -52,9 +50,8 @@ pub(crate) struct ChunkPending {
     pub(crate) client: NodeId,
     pub(crate) dev: DeviceId,
     pub(crate) reply_bytes: u64,
-    /// Object touched, with the end offset of the access (for read-cache
-    /// residency updates on completion). `None` for sync writes.
-    pub(crate) touched: Option<(ObjKey, u64)>,
+    /// Object read (for the read-cache residency update on completion).
+    pub(crate) obj: ObjKey,
 }
 
 /// Messages travelling the simulated network. Cloneable so the retry
@@ -93,7 +90,7 @@ pub(crate) enum MetaOp {
     Lookup { file: FileKey },
     /// close: CPU only.
     Close,
-    /// create/unlink/mkdir: directory lock + journal write. For create,
+    /// create/mkdir: directory lock + journal write. For create,
     /// the layout is registered at processing time.
     Mutate {
         create: Option<(FileKey, Option<StripeConfig>)>,
@@ -229,7 +226,7 @@ pub(crate) struct Servers {
     /// Per-OSS CPU cost multiplier (1.0 = healthy; `OssThreadCrash`
     /// raises it, restart resets it).
     oss_cpu_factor: Vec<f64>,
-    /// In-flight read/sync-write chunks, keyed by slab index.
+    /// In-flight read chunks, keyed by slab index.
     chunk_pending: Slab<ChunkPending>,
     /// Scratch buffers reused across events (no per-event allocation).
     scratch_ranges: Vec<SectorRange>,
@@ -397,7 +394,7 @@ impl Servers {
                     client,
                     dev,
                     reply_bytes: len,
-                    touched: Some((obj, obj_off + len)),
+                    obj,
                 });
                 for r in ranges.drain(..) {
                     self.submit_block(
@@ -453,32 +450,6 @@ impl Servers {
                         );
                     }
                     Admit::Throttled => {} // released by a later flush
-                    Admit::Sync => {
-                        let mut ranges = std::mem::take(&mut self.scratch_ranges);
-                        ranges.clear();
-                        self.extents[i].map_into(obj, obj_off, len, &mut ranges);
-                        let chunk = self.chunk_pending.insert(ChunkPending {
-                            remaining: ranges.len() as u32,
-                            token,
-                            client,
-                            dev,
-                            reply_bytes: 0,
-                            touched: None,
-                        });
-                        for r in ranges.drain(..) {
-                            self.submit_block(
-                                now,
-                                dev,
-                                ReqKind::Write,
-                                r.sector,
-                                r.sectors,
-                                true,
-                                OstTag::SyncChunk { chunk },
-                                fx,
-                            );
-                        }
-                        self.scratch_ranges = ranges;
-                    }
                 }
             }
             _ => unreachable!("only data RPCs reach the OSS"),
@@ -523,7 +494,7 @@ impl Servers {
         let mut flushed_bytes = 0u64;
         for m in members.drain(..) {
             match m.tag {
-                OstTag::ReadChunk { chunk } | OstTag::SyncChunk { chunk } => {
+                OstTag::ReadChunk { chunk } => {
                     // A chunk's entry lives until its last member completes:
                     // it is removed only below, when `remaining` hits zero.
                     let finished = {
@@ -536,9 +507,7 @@ impl Servers {
                     };
                     if finished {
                         let p = self.chunk_pending.remove(chunk).expect("chunk present");
-                        if let Some((obj, _end)) = p.touched {
-                            self.touch_small(cfg, p.dev, obj);
-                        }
+                        self.touch_small(cfg, p.dev, p.obj);
                         let src = cfg.node_of(p.dev);
                         fx.send(
                             now,

@@ -205,7 +205,6 @@ proptest! {
                         }
                     }
                 }
-                Admit::Sync => unreachable!(),
             }
             prop_assert_eq!(c.dirty(), absorbed - flushed_total);
             prop_assert_eq!(c.throttled_now(), throttled_now);

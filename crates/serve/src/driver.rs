@@ -92,7 +92,7 @@ impl WindowFeed {
         w: &EmittedWindow,
     ) -> Result<(), QiError> {
         self.summary.windows += 1;
-        for (app, block, _avail) in w.feature_blocks(self.fcfg, self.n_devices, self.wcfg.window) {
+        for (app, block) in w.feature_blocks(self.fcfg, self.n_devices, self.wcfg.window) {
             self.summary.submitted += 1;
             let req = PredictRequest {
                 tenant: app,

@@ -143,13 +143,6 @@ impl ModelRegistry {
         self.versions.get(&v)
     }
 
-    /// Mutable access to the active model (training-path inference,
-    /// e.g. `predict_batch`, which caches activations).
-    pub fn active_model_mut(&mut self) -> Option<&mut TrainedModel> {
-        let v = self.active?;
-        self.versions.get_mut(&v)
-    }
-
     /// All registered versions, ascending.
     pub fn versions(&self) -> Vec<u64> {
         self.versions.keys().copied().collect()
@@ -223,7 +216,7 @@ mod tests {
         let expected = m1.shape();
         let mut reg = ModelRegistry::new(expected, m1.schema().clone());
         assert_eq!(reg.active_version(), None);
-        assert!(reg.active_model_mut().is_none());
+        assert!(reg.active_model().is_none());
         reg.load_text(1, &model_to_text(&m1)).expect("v1 loads");
         reg.insert(2, trained(3, 5, 2)).expect("v2 loads");
         assert_eq!(reg.versions(), vec![1, 2]);
@@ -272,7 +265,7 @@ mod tests {
         let err = reg.insert(1, m).expect_err("schema mismatch at load");
         assert!(matches!(err, QiError::SchemaMismatch { .. }), "{err}");
         assert!(reg.versions().is_empty());
-        assert!(reg.active_model_mut().is_none(), "nothing can serve");
+        assert!(reg.active_model().is_none(), "nothing can serve");
         let mut snap = MetricsSnapshot::new();
         reg.metrics_into(&mut snap);
         assert_eq!(snap.counter("serve.registry.loads_rejected"), Some(1));

@@ -96,24 +96,6 @@ impl OnlineStats {
         self.m2
     }
 
-    /// Rebuild an accumulator from its raw parts, the inverse of reading
-    /// `count`/`mean()`/`m2()`/`sum()`/`min()`/`max()` back out. Used by
-    /// snapshot deserialisation; an empty accumulator (`count == 0`)
-    /// restores the `±inf` min/max sentinels regardless of the arguments.
-    pub fn from_parts(count: u64, mean: f64, m2: f64, sum: f64, min: f64, max: f64) -> Self {
-        if count == 0 {
-            return OnlineStats::new();
-        }
-        OnlineStats {
-            count,
-            mean,
-            m2,
-            sum,
-            min,
-            max,
-        }
-    }
-
     /// Merge another accumulator into this one (parallel reduction).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.count == 0 {
@@ -230,18 +212,6 @@ impl Histogram {
     /// Upper (exclusive) bound of the bucketed range.
     pub fn hi(&self) -> f64 {
         self.hi
-    }
-
-    /// Rebuild a histogram from its raw parts (snapshot deserialisation).
-    pub fn from_parts(lo: f64, hi: f64, buckets: Vec<u64>, underflow: u64, overflow: u64) -> Self {
-        assert!(hi > lo && !buckets.is_empty());
-        Histogram {
-            lo,
-            hi,
-            buckets,
-            underflow,
-            overflow,
-        }
     }
 
     /// The `q`-th quantile (`0.0..=1.0`) estimated from the bucket

@@ -78,24 +78,12 @@ pub enum MetricValue {
     Histogram(Histogram),
 }
 
-impl MetricValue {
-    /// Short kind tag: `counter`, `gauge`, `stats` or `histogram`.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
-            MetricValue::Stats(_) => "stats",
-            MetricValue::Histogram(_) => "histogram",
-        }
-    }
-}
-
 /// A name-sorted set of metrics at one instant, filled block by block
 /// through [`MetricsSnapshot::put`].
 ///
 /// Snapshots are plain data: they can be attached to run artefacts
-/// (`RunTrace`, `EvalReport`), rendered as JSON, absorbed into one
-/// another, and diffed.
+/// (`RunTrace`, `EvalReport`), rendered as JSON, and absorbed into one
+/// another.
 /// Equality is structural, and `to_json` output is byte-stable: two
 /// snapshots are equal iff their JSON renderings are identical.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -174,90 +162,11 @@ impl MetricsSnapshot {
             self.metrics.insert(key, value.clone());
         }
     }
-
-    /// The change from `earlier` to `self`, for before/after comparisons
-    /// around a phase of interest.
-    ///
-    /// Per kind:
-    /// - **counter** — `self − earlier` (saturating; counters are
-    ///   monotone within a run).
-    /// - **gauge** — numeric delta `self − earlier`.
-    /// - **stats** — `count`/`sum`/`m2` subtract and the mean is
-    ///   recomputed from the deltas; `min`/`max` are taken from `self`
-    ///   because extrema cannot be windowed after the fact.
-    /// - **histogram** — per-bucket saturating subtraction (shapes must
-    ///   match).
-    ///
-    /// Metrics present only in `self` pass through unchanged; metrics
-    /// present only in `earlier` are dropped.
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::new();
-        for (name, now) in &self.metrics {
-            let value = match (now, earlier.metrics.get(name)) {
-                (now, None) => now.clone(),
-                (MetricValue::Counter(a), Some(MetricValue::Counter(b))) => {
-                    MetricValue::Counter(a.saturating_sub(*b))
-                }
-                (MetricValue::Gauge(a), Some(MetricValue::Gauge(b))) => MetricValue::Gauge(a - b),
-                (MetricValue::Stats(a), Some(MetricValue::Stats(b))) => {
-                    let count = a.count().saturating_sub(b.count());
-                    let sum = a.sum() - b.sum();
-                    let mean = if count == 0 { 0.0 } else { sum / count as f64 };
-                    MetricValue::Stats(OnlineStats::from_parts(
-                        count,
-                        mean,
-                        (a.m2() - b.m2()).max(0.0),
-                        sum,
-                        a.min(),
-                        a.max(),
-                    ))
-                }
-                (MetricValue::Histogram(a), Some(MetricValue::Histogram(b))) => {
-                    assert!(
-                        a.lo() == b.lo()
-                            && a.hi() == b.hi()
-                            && a.buckets().len() == b.buckets().len(),
-                        "diff of `{name}`: histogram shape mismatch"
-                    );
-                    let buckets = a
-                        .buckets()
-                        .iter()
-                        .zip(b.buckets())
-                        .map(|(x, y)| x.saturating_sub(*y))
-                        .collect();
-                    MetricValue::Histogram(Histogram::from_parts(
-                        a.lo(),
-                        a.hi(),
-                        buckets,
-                        a.underflow().saturating_sub(b.underflow()),
-                        a.overflow().saturating_sub(b.overflow()),
-                    ))
-                }
-                (now, Some(other)) => panic!(
-                    "diff of `{name}`: kind mismatch ({} vs {})",
-                    now.kind(),
-                    other.kind()
-                ),
-            };
-            out.metrics.insert(name.clone(), value);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[should_panic(expected = "kind mismatch")]
-    fn kind_conflicts_panic() {
-        let mut before = MetricsSnapshot::new();
-        before.put("x", MetricValue::Counter(1));
-        let mut after = MetricsSnapshot::new();
-        after.put("x", MetricValue::Gauge(1.0));
-        after.diff(&before);
-    }
 
     #[test]
     fn updates_land_in_snapshot() {
@@ -283,25 +192,6 @@ mod tests {
         let hist = snap.histogram("svc").unwrap();
         assert_eq!(hist.total(), 2);
         assert_eq!(hist.overflow(), 1);
-    }
-
-    #[test]
-    fn diff_subtracts_counters_and_windows_stats() {
-        let mut lat = OnlineStats::new();
-        lat.push(1.0);
-        let mut before = MetricsSnapshot::new();
-        before.put("ops", MetricValue::Counter(10));
-        before.put("lat", MetricValue::Stats(lat.clone()));
-        lat.push(3.0);
-        lat.push(5.0);
-        let mut after = MetricsSnapshot::new();
-        after.put("ops", MetricValue::Counter(15));
-        after.put("lat", MetricValue::Stats(lat));
-        let d = after.diff(&before);
-        assert_eq!(d.counter("ops"), Some(5));
-        let ds = d.stats("lat").unwrap();
-        assert_eq!(ds.count(), 2);
-        assert_eq!(ds.mean(), 4.0);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests over the workload generators.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use qi_pfs::config::ClusterConfig;
 use qi_pfs::ids::AppId;
@@ -18,6 +20,44 @@ fn all_kinds() -> Vec<WorkloadKind> {
 fn script_of(kind: WorkloadKind, ns: u32, rank: u32, ranks: u32, seed: u64) -> Vec<ScriptStep> {
     kind.build_small()
         .script(AppId(ns), rank, ranks, seed, &ClusterConfig::small())
+}
+
+/// `op`'s position among the `IoOp` variants. The match is exhaustive,
+/// so a new variant does not compile until it is listed here and
+/// counted in [`IO_OP_VARIANTS`].
+fn variant(op: &IoOp) -> usize {
+    match op {
+        IoOp::Read { .. } => 0,
+        IoOp::Write { .. } => 1,
+        IoOp::Create { .. } => 2,
+        IoOp::Open { .. } => 3,
+        IoOp::Stat { .. } => 4,
+        IoOp::Close { .. } => 5,
+        IoOp::Mkdir { .. } => 6,
+    }
+}
+
+const IO_OP_VARIANTS: usize = 7;
+
+/// Every `IoOp` variant is issued by some workload: a variant no script
+/// produces is a simulator path no run reaches.
+#[test]
+fn every_io_op_variant_has_a_producer() {
+    let mut seen = BTreeSet::new();
+    for kind in all_kinds() {
+        for ranks in 1..=4 {
+            for rank in 0..ranks {
+                for seed in 1..=3 {
+                    for step in script_of(kind, 0, rank, ranks, seed) {
+                        if let ScriptStep::Op(op) = step {
+                            seen.insert(variant(&op));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(seen, (0..IO_OP_VARIANTS).collect::<BTreeSet<_>>());
 }
 
 proptest! {
@@ -64,14 +104,13 @@ proptest! {
                     | IoOp::Open { file }
                     | IoOp::Stat { file }
                     | IoOp::Close { file }
-                    | IoOp::Unlink { file, .. }
                     | IoOp::Create { file, .. } => Some(file.app),
                     IoOp::Mkdir { .. } => None,
                 };
                 if let Some(a) = file_app {
                     prop_assert_eq!(a, app);
                 }
-                if let IoOp::Create { dir, .. } | IoOp::Unlink { dir, .. } = &op {
+                if let IoOp::Create { dir, .. } = &op {
                     prop_assert_eq!(dir.app, app);
                 }
                 if let IoOp::Mkdir { dir } = &op {

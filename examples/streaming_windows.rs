@@ -74,9 +74,7 @@ fn main() -> Result<(), QiError> {
         let Some(client) = w.clients.get(&app) else {
             continue;
         };
-        for (block_app, block, _avail) in
-            w.feature_blocks(spec.features, n_devices, spec.window.window)
-        {
+        for (block_app, block) in w.feature_blocks(spec.features, n_devices, spec.window.window) {
             if block_app != app {
                 continue;
             }

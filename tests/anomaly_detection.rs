@@ -49,7 +49,7 @@ fn window_fingerprint(
             let blocks = ew
                 .feature_blocks(fcfg, n_devices, wcfg.window)
                 .into_iter()
-                .map(|(app, block, _)| (app.0, block.iter().map(|f| f.to_bits()).collect()))
+                .map(|(app, block)| (app.0, block.iter().map(|f| f.to_bits()).collect()))
                 .collect();
             (ew.window, blocks)
         })

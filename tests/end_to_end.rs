@@ -142,7 +142,6 @@ fn dataset_sweep_is_byte_identical_across_repeat_runs_and_thread_counts() {
         spec.window = view.window;
         spec.features = view.features;
         spec.bins = view.bins.clone();
-        spec.imputation = view.imputation;
         generate(&spec).expect("single-view sweep")
     };
     let singles = [a, single(&views[1]), single(&views[2])];

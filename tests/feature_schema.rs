@@ -74,7 +74,7 @@ fn window_length_mismatch_is_rejected_before_any_inference() {
     assert!(err.to_string().contains("window=1000ms"), "{err}");
     // Nothing was registered: there is no model an engine could run.
     assert!(reg.versions().is_empty());
-    assert!(reg.active_model_mut().is_none());
+    assert!(reg.active_model().is_none());
 }
 
 #[test]

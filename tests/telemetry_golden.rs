@@ -197,8 +197,7 @@ fn anomaly_session_snapshot_matches_golden_across_thread_counts() {
 #[test]
 fn interfered_run_shows_more_device_work_than_baseline() {
     // The snapshots differ in the direction interference predicts:
-    // more requests enqueued across OSTs, and the diff is expressible
-    // via MetricsSnapshot::diff without panicking.
+    // more requests enqueued across OSTs.
     let (_, base) = golden_scenario().run().expect("baseline runs");
     let (_, noisy) = interfered_scenario().run().expect("interfered run");
     let total = |s: &MetricsSnapshot| -> u64 {
@@ -209,6 +208,4 @@ fn interfered_run_shows_more_device_work_than_baseline() {
             .sum()
     };
     assert!(total(&noisy.metrics) > total(&base.metrics));
-    let d = noisy.metrics.diff(&base.metrics);
-    assert!(total(&d) > 0);
 }
